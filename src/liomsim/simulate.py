@@ -14,13 +14,23 @@ small, e.g. for narrow-constituent instances), and a dense walk applying the
 very same placed tensors to a full state vector (N up to the dense cap).
 Route choice never changes the value; "auto" prefers the dense walk at
 small N because it is faster there.
+
+Both routes rest on quasilocality: W is built from gates of width at most
+r_U, so an observable on sites 1..w only sees the backward light cone of
+those sites, and every W factor outside it cancels against its mirror.
+One-shot queries contract the pruned network directly.  The plan-route
+chain walk contracts one unpruned chain network from the left once per
+chain; at each site it moves that shared accumulator onto the light-cone
+network of sites 1..w and finishes only the cone's remaining nodes, once
+per outcome of site w.  It then rescales by the chosen outcome's marginal,
+so each site's two marginals are conditionals summing to one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,16 +43,26 @@ from .model import (
 )
 from .oracle import evolve_state
 from .tensor import (
+    ACC_NODE,
     MAX_EXEC_AXES,
+    ContractionPlan,
     ExpectationNetwork,
+    ForkTarget,
     PlacedTensor,
     PlanRunner,
+    PlanStep,
     execute,
     qubitwise_schedule,
 )
 from .truncation import TruncatedInstance, TruncationRadii, select_radii, truncate
 
 IMAG_TOL = 1e-9
+# The two marginals of a plan-route chain site are conditionals of the
+# rescaled prefix; their sum may miss one by this much before the walk
+# refuses.
+NORM_TOL = 1e-9
+# Dense route and one-shot conditionals only: a prefix probability at or
+# below this counts as impossible.
 DEGENERATE_PREFIX = 1e-30
 
 _PIVOT_KINDS = ("sigma_z", "proj0", "proj1")
@@ -261,6 +281,24 @@ def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
     return nodes
 
 
+def _light_cone(
+    w_list: Sequence[PlacedTensor], support: Iterable[int]
+) -> tuple[list[bool], set[int]]:
+    """Backward light cone of a set of sites in W: walking the factors from
+    last applied to first, keep each one that meets the support and grow
+    the support by its sites.  Returns the keep flags and the grown
+    support.  A dropped factor acts after every kept factor on its wires,
+    so it cancels against its mirror image in W^dag (.) W."""
+    supp = set(support)
+    keep = [False] * len(w_list)
+    for i in range(len(w_list) - 1, -1, -1):
+        sites = w_list[i].sites
+        if not supp.isdisjoint(sites):
+            keep[i] = True
+            supp.update(sites)
+    return keep, supp
+
+
 def build_expectation_network(
     req: SimulationRequest, obs: ObservableProduct, prune: bool = True
 ) -> ExpectationNetwork:
@@ -273,16 +311,8 @@ def build_expectation_network(
         raise DomainError(f"pivot site {obs.pivot_site} out of range for N={n}")
     w_list = _w_nodes(req)
     if prune:
-        supp: set[int] = set()
-        for node in _observable_nodes(obs):
-            supp.update(node.sites)
-        keep = [False] * len(w_list)
-        for i in range(len(w_list) - 1, -1, -1):
-            sites = set(w_list[i].sites)
-            if sites & supp:
-                keep[i] = True
-                supp |= sites
-        w_kept = [node for i, node in enumerate(w_list) if keep[i]]
+        keep, _ = _light_cone(w_list, obs.support())
+        w_kept = [node for node, kept in zip(w_list, keep) if kept]
     else:
         w_kept = list(w_list)
     mirror = [_dagger(node) for node in reversed(w_kept)]
@@ -300,12 +330,13 @@ def build_expectation_network(
 
 def _chain_plan(req: SimulationRequest):
     """Unpruned <0|W^dag (.) W|0> network with a placeholder identity
-    diagonal on every wire between W and its mirror, plus its qubit-wise
-    plan and the node index of each placeholder; cached on the request.
+    diagonal (mark) on every wire between W and its mirror, plus its
+    qubit-wise plan and the node index of each mark; cached on the request.
 
-    Overriding placeholder w to a projector turns the closed network into
-    the marginal P(z_1..z_w); the chain sampler walks the plan once,
-    forking at each wire to finish the remaining contraction."""
+    Overriding marks 1..w with projectors turns the closed network into the
+    marginal P(z_1..z_w).  The chain walk runs this plan once from the
+    left, overriding each mark once its outcome is chosen; the marginals
+    themselves come from _cone_target's smaller plans."""
     hit = req._cache.get("chain_plan")
     if hit is not None:
         return hit
@@ -328,6 +359,89 @@ def _chain_plan(req: SimulationRequest):
     mark_nodes = {w: n + len(w_list) + (w - 1) for w in range(1, n + 1)}
     hit = (network, plan, mark_nodes)
     req._cache["chain_plan"] = hit
+    return hit
+
+
+def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkTarget:
+    """Where the chain runner, paused just before mark `site`, continues to
+    get the marginals of sites 1..site; cached on the request.
+
+    The light-cone network keeps the chain network's caps on the cone's
+    wires, the W factors in the backward light cone of sites 1..site, marks
+    1..site and the kept factors' mirrors.  Every node the runner has
+    absorbed lies in that cone, so up to the mark both plans absorb the
+    same nodes in the same order; they differ only in that removing a
+    W...W^dag segment merges the indices on either side of it.  The target
+    keeps the cone plan's steps from the mark on, plus the map from the
+    runner's open ids to cone ids.  The runner is needed only for the
+    order of its open ids, which the chain plan fixes."""
+    targets = req._cache.setdefault("cone_targets", {})
+    hit = targets.get(site)
+    if hit is not None:
+        return hit
+    network, plan, mark_nodes = _chain_plan(req)
+    n = req.n_sites
+    w_list = _w_nodes(req)
+    n_w = len(w_list)
+    keep, wires = _light_cone(w_list, range(1, site + 1))
+    # Chain network layout: ket caps, W factors, marks, mirror, bra caps.
+    kept = [i for i in range(n_w) if keep[i]]
+    positions = (
+        [w - 1 for w in sorted(wires)]
+        + [n + i for i in kept]
+        + [mark_nodes[w] for w in range(1, site + 1)]
+        + [2 * n + 2 * n_w - 1 - i for i in reversed(kept)]
+        + [2 * n + 2 * n_w + w - 1 for w in sorted(wires)]
+    )
+    cone = ExpectationNetwork(
+        n_sites=n, nodes=tuple(network.nodes[p] for p in positions)
+    )
+    cone_plan = qubitwise_schedule(cone)
+    cut = runner.position
+    head = [positions[step.node_index] for step in cone_plan.steps[:cut]]
+    if head != [step.node_index for step in plan.steps[:cut]] or (
+        positions[cone_plan.steps[cut].node_index] != mark_nodes[site]
+    ):
+        raise AssertionError(f"light cone of sites 1..{site} misses an absorbed node")
+    ids: dict[int, int] = {}
+    for step in cone_plan.steps[:cut]:
+        chain_ids = plan.node_indices[positions[step.node_index]]
+        ids.update(zip(chain_ids, cone_plan.node_indices[step.node_index]))
+    ids = {i: ids[i] for i in runner.open_ids}
+    node_indices = {ACC_NODE: tuple(ids[i] for i in runner.open_ids)}
+    steps = [
+        PlanStep(
+            ACC_NODE,
+            f"acc[{site}]",
+            (),
+            cone_plan.steps[cut - 1].open_legs_after,
+            cone_plan.steps[cut - 1].mem_axes_after,
+        )
+    ]
+    for step in cone_plan.steps[cut:]:
+        pos = positions[step.node_index]
+        node_indices[pos] = cone_plan.node_indices[step.node_index]
+        steps.append(
+            PlanStep(pos, step.name, step.closed_indices, step.open_legs_after, step.mem_axes_after)
+        )
+    endpoints = [0] * len(cone_plan.index_endpoints)
+    for node_ids in node_indices.values():
+        for idx in node_ids:
+            endpoints[idx] += 1
+    # No radii: the analytic bound was checked on the chain plan.
+    tail = ContractionPlan(
+        n_sites=n,
+        order=[step.node_index for step in steps],
+        steps=steps,
+        node_indices=node_indices,
+        index_endpoints=endpoints,
+        peak_open_legs=max(step.open_legs_after for step in steps),
+        peak_mem_axes=max(step.mem_axes_after for step in steps),
+        r_u=None,
+        r_j=None,
+    )
+    hit = ForkTarget(plan=tail, ids=ids)
+    targets[site] = hit
     return hit
 
 
@@ -480,50 +594,68 @@ _PROJ_DIAGS = (
 )
 
 
-def _chain_walk(
-    req: SimulationRequest,
-    fixed_bits: Sequence[int] | None,
-    rng: np.random.Generator | None,
-    engine: str,
-) -> ChainResult:
-    """Walk the chain rule once.  The prefix probability equals the previous
-    site's surviving marginal, so each site costs a single marginal: on the
-    plan route that marginal is a fork of one shared left-to-right
-    contraction, on the dense route one projector expectation."""
-    if engine not in ("auto", "plan", "dense"):
-        raise DomainError(f"unknown engine {engine!r}")
-    n = req.n_sites
-    if engine == "auto":
-        try:
-            check_dense_feasible(n, "dense expectation walk")
-            engine = "dense"
-        except FeasibilityError:
-            engine = "plan"
-    if engine == "plan":
-        network, plan, mark_nodes = _chain_plan(req)
-        runner = PlanRunner(plan, network)
+def _checked_marginal(raw: complex) -> float:
+    if abs(raw.imag) > IMAG_TOL:
+        raise NumericalIntegrityError(
+            f"marginal has imaginary residue {raw.imag:.3e} above {IMAG_TOL}"
+        )
+    if raw.real < -IMAG_TOL or raw.real > 1 + IMAG_TOL:
+        raise NumericalIntegrityError(f"marginal {raw.real} outside [0,1] beyond tolerance")
+    return min(max(raw.real, 0.0), 1.0)
+
+
+def _plan_chain(req: SimulationRequest, choose) -> tuple[list[int], list[float]]:
+    """Plan-route chain.  The runner holds the left part of the chain
+    network with marks 1..w-1 set to the chosen projectors, each divided by
+    its own marginal.  Site w's two marginals are then the conditionals
+    v_b = P(z_w = b | prefix), from two finishes of the light-cone target;
+    v0 + v1 = 1 is checked.  A fixed bit whose marginal is exactly zero
+    makes the prefix impossible, and every later site gets p0 = 1."""
+    network, plan, mark_nodes = _chain_plan(req)
+    runner = PlanRunner(plan, network)
+    bits: list[int] = []
+    probs: list[float] = []
+    possible = True
+    for site in range(1, req.n_sites + 1):
+        if not possible:
+            probs.append(1.0)
+            bits.append(choose(site, 1.0))
+            continue
+        mark = mark_nodes[site]
+        runner.run_to(runner.step_of(mark))
+        cone = runner.fork(_cone_target(req, runner, site))
+        cone.step()
+        branch = cone.fork()
+        branch.set_override(mark, _PROJ_DIAGS[0])
+        cone.set_override(mark, _PROJ_DIAGS[1])
+        values = (_checked_marginal(branch.finish()), _checked_marginal(cone.finish()))
+        total = values[0] + values[1]
+        if abs(total - 1.0) > NORM_TOL:
+            raise NumericalIntegrityError(
+                f"site {site} marginals sum to {total!r}, not 1 within {NORM_TOL}"
+            )
+        p0 = values[0] / total
+        bit = choose(site, p0)
+        probs.append(p0)
+        bits.append(bit)
+        if values[bit] == 0.0:
+            possible = False
+        else:
+            runner.set_override(mark, _PROJ_DIAGS[bit] / values[bit])
+    return bits, probs
+
+
+def _dense_chain(req: SimulationRequest, choose) -> tuple[list[int], list[float]]:
+    """Dense-route chain.  The prefix probability equals the previous
+    site's surviving marginal, so each site costs one projector
+    expectation."""
     bits: list[int] = []
     probs: list[float] = []
     den = 1.0
-    for site in range(1, n + 1):
-        if engine == "plan":
-            runner.run_to(runner.step_of(mark_nodes[site]))
-            fork = runner.fork()
-            fork.set_override(mark_nodes[site], _PROJ_DIAGS[0])
-            raw = fork.finish()
-            if abs(raw.imag) > IMAG_TOL:
-                raise NumericalIntegrityError(
-                    f"marginal has imaginary residue {raw.imag:.3e} above {IMAG_TOL}"
-                )
-            if raw.real < -IMAG_TOL or raw.real > 1 + IMAG_TOL:
-                raise NumericalIntegrityError(
-                    f"marginal {raw.real} outside [0,1] beyond tolerance"
-                )
-            val0 = min(max(raw.real, 0.0), 1.0)
-        else:
-            val0 = expectation(
-                req, ObservableProduct.prefix_projector(bits + [0]), engine="dense"
-            )
+    for site in range(1, req.n_sites + 1):
+        val0 = expectation(
+            req, ObservableProduct.prefix_projector(bits + [0]), engine="dense"
+        )
         if den <= DEGENERATE_PREFIX:
             p0 = 1.0 if 2 * val0 >= den else 0.0
         else:
@@ -533,12 +665,36 @@ def _chain_walk(
                     f"conditional probability {p0} outside [0,1]"
                 )
             p0 = min(max(p0, 0.0), 1.0)
-        bit = fixed_bits[site - 1] if fixed_bits is not None else (0 if rng.random() < p0 else 1)
+        bit = choose(site, p0)
         probs.append(p0)
         bits.append(bit)
-        if engine == "plan":
-            runner.set_override(mark_nodes[site], _PROJ_DIAGS[bit])
         den = val0 if bit == 0 else max(den - val0, 0.0)
+    return bits, probs
+
+
+def _chain_walk(
+    req: SimulationRequest,
+    fixed_bits: Sequence[int] | None,
+    rng: np.random.Generator | None,
+    engine: str,
+) -> ChainResult:
+    """Walk the chain rule once, on the plan or the dense route."""
+    if engine not in ("auto", "plan", "dense"):
+        raise DomainError(f"unknown engine {engine!r}")
+    if engine == "auto":
+        try:
+            check_dense_feasible(req.n_sites, "dense expectation walk")
+            engine = "dense"
+        except FeasibilityError:
+            engine = "plan"
+
+    def choose(site: int, p0: float) -> int:
+        if fixed_bits is not None:
+            return fixed_bits[site - 1]
+        return 0 if rng.random() < p0 else 1
+
+    walk = _plan_chain if engine == "plan" else _dense_chain
+    bits, probs = walk(req, choose)
     return ChainResult(bits="".join(map(str, bits)), probs=tuple(probs))
 
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-import string
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .errors import FeasibilityError, StructuralError
 
 # 2^24 complex entries is ~256 MiB; beyond that the dense engine refuses.
 MAX_EXEC_AXES = 24
+# numpy's einsum accepts at most 52 distinct labels in one call.
+MAX_EINSUM_LABELS = 52
 
 _SIDES = ("in", "out")
 
@@ -183,14 +184,16 @@ class ContractionPlan:
 
     order: node positions in absorption order.
     node_indices: per node, its index ids in axis order (gate: out ids then
-        in ids; diag: one shared id per wire; caps: one id).
+        in ids; diag: one shared id per wire; caps: one id).  A list over
+        the network's nodes, or for a ForkTarget's plan a mapping from the
+        positions it absorbs.
     index_endpoints: per index id, how many nodes carry it.
     """
 
     n_sites: int
     order: list[int]
     steps: list[PlanStep]
-    node_indices: list[tuple[int, ...]]
+    node_indices: Sequence[tuple[int, ...]] | Mapping[int, tuple[int, ...]]
     index_endpoints: list[int]
     peak_open_legs: int
     peak_mem_axes: int
@@ -363,6 +366,10 @@ def qubitwise_schedule(network: "ExpectationNetwork | Iterable[PlacedTensor]") -
 
 _KET = np.array([1.0, 0.0], dtype=complex)
 
+# Node position of a fork target's first step, which absorbs the forking
+# runner's accumulator rather than a node of the network.
+ACC_NODE = -1
+
 
 def _node_array(node: PlacedTensor) -> np.ndarray:
     if node.kind == "cap_ket" or node.kind == "cap_bra":
@@ -375,21 +382,64 @@ def _node_array(node: PlacedTensor) -> np.ndarray:
     return np.asarray(node.data, dtype=complex).reshape((2,) * (2 * w))
 
 
+def _einsum(out: Sequence[int], *operands: tuple[np.ndarray, Sequence[int]]) -> np.ndarray:
+    """np.einsum over (array, index ids) operands in integer-sublist form.
+    The ids of one call are renumbered 0..k-1 in order of appearance,
+    because numpy rejects labels of 52 and above."""
+    local: dict[int, int] = {}
+    args: list = []
+    for arr, ids in operands:
+        args += [arr, [local.setdefault(i, len(local)) for i in ids]]
+    args.append([local[i] for i in out])
+    return np.einsum(*args)
+
+
+def _einsum_labels(plan: ContractionPlan) -> Iterable[tuple[PlanStep, int]]:
+    """Per step, the number of distinct einsum labels it needs: the
+    accumulator's axes before the step plus the ids it opens."""
+    absorbed = [0] * len(plan.index_endpoints)
+    live = 0
+    for step in plan.steps:
+        ids = plan.node_indices[step.node_index]
+        yield step, live + sum(1 for idx in set(ids) if absorbed[idx] == 0)
+        for idx in ids:
+            absorbed[idx] += 1
+        live = step.mem_axes_after
+
+
+@dataclass(frozen=True)
+class ForkTarget:
+    """A smaller plan that a paused runner can continue on.
+
+    The plan's first step (node ACC_NODE) absorbs the forking runner's
+    accumulator: its ids are the runner's open ids mapped through `ids`.
+    Where two open ids map to one, that step takes their diagonal (the id
+    stays open) or their trace (it closes).  The remaining steps contract
+    nodes of the runner's network, numbered by the target's index ids.
+    """
+
+    plan: ContractionPlan
+    ids: dict[int, int]
+
+
 class PlanRunner:
     """Stepwise executor of a contraction plan.
 
-    The observed number of live axes is checked against the plan at every
-    step, and the plan's dense-leg peak is checked against the analytic
-    bound when the network carries its radii; both failures are internal
-    assertion errors, not user errors.  Networks whose predicted peak
-    exceeds max_axes are refused up front.
+    Networks whose predicted peak exceeds max_axes, or with a step that
+    needs more than 52 einsum labels, are refused up front.  The plan's
+    dense-leg peak is checked against the analytic bound when the network
+    carries its radii, and the observed number of live axes against the
+    plan at every step; both failures are internal assertion errors, not
+    user errors.
 
     Beyond one-shot execution the runner can pause between steps, fork
     (duplicate the partial contraction), and override the values of
-    diagonal nodes not yet absorbed.  The chain-rule sampler leans on all
-    three: the shared left part of the chain is contracted once, and each
-    site's outcome probabilities come from cheap forks that finish the
-    remaining wires.
+    diagonal nodes not yet absorbed.  A fork may also move onto a
+    ForkTarget, a plan over fewer nodes that finishes the same value.  The
+    chain-rule sampler leans on all of this: the shared left part of the
+    chain is contracted once, and each site's marginals come from forks
+    that move onto the site's light-cone network and finish only its
+    remaining nodes.
     """
 
     def __init__(
@@ -403,6 +453,19 @@ class PlanRunner:
             raise StructuralError(
                 "plan was produced for a different network (node count differs)"
             )
+        if plan.peak_mem_axes > max_axes:
+            raise FeasibilityError(
+                f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
+                f"2^{max_axes} engine cap; use the dense small-N path instead"
+            )
+        widest = max((len(ids) for ids in plan.node_indices), default=0)
+        if plan.peak_mem_axes + widest > MAX_EINSUM_LABELS:
+            for step, labels in _einsum_labels(plan):
+                if labels > MAX_EINSUM_LABELS:
+                    raise FeasibilityError(
+                        f"step {step.name} needs {labels} einsum labels, above the "
+                        f"{MAX_EINSUM_LABELS} numpy accepts"
+                    )
         if plan.r_u is not None and plan.r_j is not None:
             bound = open_leg_bound(plan.r_u, plan.r_j)
             if plan.peak_open_legs > bound:
@@ -410,11 +473,6 @@ class PlanRunner:
                     f"scheduler bug: predicted open legs {plan.peak_open_legs} exceed the "
                     f"analytic bound {bound} for (r_U={plan.r_u}, r_J={plan.r_j})"
                 )
-        if plan.peak_mem_axes > max_axes:
-            raise FeasibilityError(
-                f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
-                f"2^{max_axes} engine cap; use the dense small-N path instead"
-            )
         self.plan = plan
         self.net = net
         self._acc = np.ones((), dtype=complex)
@@ -429,20 +487,45 @@ class PlanRunner:
     def position(self) -> int:
         return self._pos
 
+    @property
+    def open_ids(self) -> tuple[int, ...]:
+        """Index ids of the accumulator's axes, in axis order."""
+        return tuple(self._acc_ids)
+
     def step_of(self, node_index: int) -> int:
         return self._step_of[node_index]
 
-    def fork(self) -> "PlanRunner":
+    def fork(self, target: ForkTarget | None = None) -> "PlanRunner":
+        """Duplicate the partial contraction.  With a target, the twin runs
+        target.plan instead: its first step moves this runner's accumulator
+        (shared, not copied) onto the target's ids."""
         twin = object.__new__(PlanRunner)
-        twin.plan = self.plan
         twin.net = self.net
-        twin._acc = self._acc.copy()
-        twin._acc_ids = list(self._acc_ids)
-        twin._absorbed = list(self._absorbed)
-        twin._pos = self._pos
-        twin._observed_peak = self._observed_peak
         twin._overrides = dict(self._overrides)
-        twin._step_of = self._step_of
+        if target is None:
+            twin.plan = self.plan
+            twin._acc = self._acc.copy()
+            twin._acc_ids = list(self._acc_ids)
+            twin._absorbed = list(self._absorbed)
+            twin._pos = self._pos
+            twin._observed_peak = self._observed_peak
+            twin._step_of = self._step_of
+            return twin
+        plan = target.plan
+        entry = plan.steps[0]
+        moved = tuple(target.ids.get(i) for i in self._acc_ids)
+        if entry.node_index != ACC_NODE or moved != tuple(plan.node_indices[ACC_NODE]):
+            raise StructuralError(
+                "fork target was built for a different point of the contraction"
+            )
+        twin.plan = plan
+        twin._acc = np.ones((), dtype=complex)
+        twin._acc_ids = []
+        twin._absorbed = [0] * len(plan.index_endpoints)
+        twin._pos = 0
+        twin._observed_peak = 0
+        twin._overrides[ACC_NODE] = self._acc
+        twin._step_of = {step.node_index: i for i, step in enumerate(plan.steps)}
         return twin
 
     def set_override(self, node_index: int, values: np.ndarray) -> None:
@@ -459,12 +542,10 @@ class PlanRunner:
     def step(self) -> None:
         plan = self.plan
         step = plan.steps[self._pos]
-        node = self.net.nodes[step.node_index]
         ids = plan.node_indices[step.node_index]
-        if step.node_index in self._overrides:
-            arr = self._overrides[step.node_index]
-        else:
-            arr = _node_array(node)
+        arr = self._overrides.get(step.node_index)
+        if arr is None:
+            arr = _node_array(self.net.nodes[step.node_index])
         absorbed = self._absorbed
         for idx in ids:
             absorbed[idx] += 1
@@ -473,19 +554,7 @@ class PlanRunner:
             for idx in dict.fromkeys(list(self._acc_ids) + list(ids))
             if absorbed[idx] < plan.index_endpoints[idx]
         ]
-        letters = string.ascii_letters
-        local: dict[int, str] = {}
-        for idx in dict.fromkeys(list(self._acc_ids) + list(ids) + keep):
-            if idx not in local:
-                local[idx] = letters[len(local)]
-        sub = (
-            "".join(local[i] for i in self._acc_ids)
-            + ","
-            + "".join(local[i] for i in ids)
-            + "->"
-            + "".join(local[i] for i in keep)
-        )
-        self._acc = np.einsum(sub, self._acc, arr)
+        self._acc = _einsum(keep, (self._acc, self._acc_ids), (arr, ids))
         self._acc_ids = keep
         self._observed_peak = max(self._observed_peak, len(keep))
         if len(keep) != step.mem_axes_after:

@@ -341,3 +341,21 @@ def test_runner_records_observed_peak():
     execute(plan, net)
     assert plan.last_observed_peak is not None
     assert plan.last_observed_peak <= plan.peak_mem_axes
+
+
+def test_runner_refuses_steps_beyond_einsum_labels():
+    # One gate over 30 wires: absorbing it needs 60 distinct einsum labels.
+    # No radii and a raised memory cap, so only the label check can refuse,
+    # and it does so before any array is allocated.
+    n = 30
+    nodes = (
+        [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), None) for w in range(1, n + 1)]
+        + [PlacedTensor("G", "gate", tuple(range(1, n + 1)), None)]
+        + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), None) for w in range(1, n + 1)]
+    )
+    net = ExpectationNetwork(n_sites=n, nodes=tuple(nodes))
+    plan = qubitwise_schedule(net)
+    assert plan.peak_mem_axes < 64
+    with pytest.raises(FeasibilityError, match="step G needs 60 einsum labels"):
+        PlanRunner(plan, net, max_axes=64)
+
