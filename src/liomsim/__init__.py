@@ -46,6 +46,7 @@ from .simulate import (
     ChainResult,
     ObservableProduct,
     SampleRecord,
+    SampleRecords,
     SimulationRequest,
     conditional_chain,
     conditional_probability,
@@ -75,6 +76,7 @@ __all__ = [
     "ObservableProduct",
     "OutcomeDistribution",
     "SampleRecord",
+    "SampleRecords",
     "SaturationWarning",
     "SimulationRequest",
     "StructuralError",

@@ -233,7 +233,7 @@ def _cmd_verify(config: RunConfig) -> int:
             p_sim = simulate.conditional_probability(req, prefix, site)
             marg = probs[tuple(prefix)].reshape(2, -1).sum(axis=1)
             total = marg.sum()
-            if total <= simulate.DEGENERATE_PREFIX:
+            if total == 0.0:
                 break
             p_oracle = float(marg[0] / total)
             worst = max(worst, abs(p_sim - p_oracle))

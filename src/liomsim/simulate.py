@@ -3,27 +3,26 @@
 The truncated evolution factorizes as W = U~ V U~^dagger, where V is the
 diagonal product of per-site blocks V~_i = exp(-i t H~_i) collecting the
 Hamiltonian terms whose leftmost site is i.  Expectation values of diagonal
-observable products are closed tensor networks <0|W^dag O W|0>, contracted
-qubit-wise by the tensor module.  Conditional probabilities are ratios of
-two projector-product expectations, and sampling walks the chain site by
-site flipping one biased coin per qubit.
+observable products are closed tensor networks <0|W^dag O W|0>.
 
-Two exact evaluation routes exist for an expectation network: the qubit-wise
-contraction plan (any N, feasible when the structural leg profile stays
-small, e.g. for narrow-constituent instances), and a dense walk applying the
-very same placed tensors to a full state vector (N up to the dense cap).
-Route choice never changes the value; "auto" prefers the dense walk at
-small N because it is faster there.
+Two exact routes evaluate them from the same placed tensors: the qubit-wise
+contraction plan of the tensor module (any N, feasible when the structural
+leg profile stays small, e.g. for narrow-constituent instances), and the
+dense state vector W|0> (N up to the dense cap).  The route never changes
+the value; "auto" takes the dense route whenever N allows it, because it
+is faster there.
 
-Both routes rest on quasilocality: W is built from gates of width at most
-r_U, so an observable on sites 1..w only sees the backward light cone of
-those sites, and every W factor outside it cancels against its mirror.
-One-shot queries contract the pruned network directly.  The plan-route
-chain walk contracts one unpruned chain network from the left once per
-chain; at each site it moves that shared accumulator onto the light-cone
-network of sites 1..w and finishes only the cone's remaining nodes, once
-per outcome of site w.  It then rescales by the chosen outcome's marginal,
-so each site's two marginals are conditionals summing to one.
+Sampling walks the chain rule: at each site w a marginal source gives the
+two conditionals P(z_w = b | z_1..z_{w-1}) and the walk flips one biased
+coin.  No probability is derived by subtraction or cut at an absolute
+threshold.  The dense source reads the conditionals off a tree of prefix
+marginals of |W|0>|^2.  The plan source rests on quasilocality: W is built
+from gates of width at most r_U, so an observable on sites 1..w only sees
+the backward light cone of those sites, and every W factor outside it
+cancels against its mirror.  It contracts one unpruned chain network from
+the left once per chain and at each site finishes only the light-cone
+network of sites 1..w, once per outcome of site w.  One-shot queries
+contract the pruned network directly.
 """
 
 from __future__ import annotations
@@ -37,33 +36,27 @@ import numpy as np
 from .errors import DomainError, FeasibilityError, NumericalIntegrityError
 from .model import (
     MblInstance,
+    _dense_cap,
     apply_to_state,
     check_dense_feasible,
     constituent_placements,
 )
-from .oracle import evolve_state
 from .tensor import (
     ACC_NODE,
-    MAX_EXEC_AXES,
     ContractionPlan,
     ExpectationNetwork,
     ForkTarget,
     PlacedTensor,
     PlanRunner,
     PlanStep,
-    execute,
     qubitwise_schedule,
 )
 from .truncation import TruncatedInstance, TruncationRadii, select_radii, truncate
 
 IMAG_TOL = 1e-9
-# The two marginals of a plan-route chain site are conditionals of the
-# rescaled prefix; their sum may miss one by this much before the walk
-# refuses.
+# The two marginals of a chain site are conditionals of the current prefix;
+# their sum may miss one by this much before the walk refuses.
 NORM_TOL = 1e-9
-# Dense route and one-shot conditionals only: a prefix probability at or
-# below this counts as impossible.
-DEGENERATE_PREFIX = 1e-30
 
 _PIVOT_KINDS = ("sigma_z", "proj0", "proj1")
 
@@ -149,6 +142,29 @@ class SampleRecord:
 
 
 @dataclass(frozen=True)
+class SampleRecords(Sequence[SampleRecord]):
+    """The records of one sample() call, in index order.  The bitstrings
+    are kept as one string of N characters per sample and each record is
+    made on access, so a caller holding 10^5 samples pays N bytes for each
+    rather than ~160 bytes of Python objects."""
+
+    seed: int
+    n_sites: int
+    packed: str
+
+    def __len__(self) -> int:
+        return len(self.packed) // self.n_sites
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        # Indexing a range wraps negative indices and raises IndexError.
+        i = range(len(self))[index]
+        n = self.n_sites
+        return SampleRecord(bits=self.packed[i * n : (i + 1) * n], seed=self.seed, index=i)
+
+
+@dataclass(frozen=True)
 class SimulationRequest:
     """One simulation setting: instance, evolution time, TVD budget, and the
     truncation radii (certified by select_radii unless overridden)."""
@@ -219,14 +235,6 @@ def site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
 # Network assembly
 
 
-def _request_blocks(req: SimulationRequest) -> list[SiteBlock]:
-    hit = req._cache.get("blocks")
-    if hit is None:
-        hit = site_blocks(req.trunc, req.t)
-        req._cache["blocks"] = hit
-    return hit
-
-
 def _dagger(node: PlacedTensor) -> PlacedTensor:
     if node.kind == "gate":
         return PlacedTensor(node.name + "'", "gate", node.sites, node.data.conj().T)
@@ -254,7 +262,7 @@ def _w_nodes(req: SimulationRequest) -> list[PlacedTensor]:
         )
     blocks = [
         PlacedTensor(f"V[{b.site}]", "diag", b.window(), b.phases)
-        for b in _request_blocks(req)
+        for b in site_blocks(req.trunc, req.t)
         if not b.trivial
     ]
     # W applied to a ket: the U~^dag factors act first (in product-enumeration
@@ -265,16 +273,21 @@ def _w_nodes(req: SimulationRequest) -> list[PlacedTensor]:
     return nodes
 
 
+# Diagonals of the single-site observable factors.
+_DIAGS = {
+    "proj0": np.array([1.0, 0.0], dtype=complex),
+    "proj1": np.array([0.0, 1.0], dtype=complex),
+    "sigma_z": np.array([1.0, -1.0], dtype=complex),
+}
+
+
 def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
-    proj0 = np.array([1.0, 0.0], dtype=complex)
-    proj1 = np.array([0.0, 1.0], dtype=complex)
-    sigma_z = np.array([1.0, -1.0], dtype=complex)
     nodes: list[PlacedTensor] = []
     for site, r in obs.rotations:
         nodes.append(PlacedTensor(f"R[{site}]", "gate", (site,), r))
     for site, bit in obs.projectors:
-        nodes.append(PlacedTensor(f"P{bit}[{site}]", "diag", (site,), proj1 if bit else proj0))
-    pivot_diag = {"sigma_z": sigma_z, "proj0": proj0, "proj1": proj1}[obs.pivot_kind]
+        nodes.append(PlacedTensor(f"P{bit}[{site}]", "diag", (site,), _DIAGS[f"proj{bit}"]))
+    pivot_diag = _DIAGS[obs.pivot_kind]
     nodes.append(PlacedTensor(f"O[{obs.pivot_site}]", "diag", (obs.pivot_site,), pivot_diag))
     for site, r in reversed(obs.rotations):
         nodes.append(PlacedTensor(f"R[{site}]'", "gate", (site,), r.conj().T))
@@ -299,6 +312,25 @@ def _light_cone(
     return keep, supp
 
 
+def _closed_network(
+    req: SimulationRequest, w_kept: Sequence[PlacedTensor], middle: Sequence[PlacedTensor]
+) -> ExpectationNetwork:
+    """<0|W^dag (middle) W|0> over the given W factors, laid out as ket
+    caps, the factors, the middle nodes, the factors' mirrors, bra caps."""
+    n = req.n_sites
+    mirror = [_dagger(node) for node in reversed(w_kept)]
+    nodes = (
+        [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), None) for w in range(1, n + 1)]
+        + list(w_kept)
+        + list(middle)
+        + mirror
+        + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), None) for w in range(1, n + 1)]
+    )
+    return ExpectationNetwork(
+        n_sites=n, nodes=tuple(nodes), r_u=req.radii.r_u, r_j=req.radii.r_j
+    )
+
+
 def build_expectation_network(
     req: SimulationRequest, obs: ObservableProduct, prune: bool = True
 ) -> ExpectationNetwork:
@@ -312,20 +344,8 @@ def build_expectation_network(
     w_list = _w_nodes(req)
     if prune:
         keep, _ = _light_cone(w_list, obs.support())
-        w_kept = [node for node, kept in zip(w_list, keep) if kept]
-    else:
-        w_kept = list(w_list)
-    mirror = [_dagger(node) for node in reversed(w_kept)]
-    nodes = (
-        [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), None) for w in range(1, n + 1)]
-        + w_kept
-        + _observable_nodes(obs)
-        + mirror
-        + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), None) for w in range(1, n + 1)]
-    )
-    return ExpectationNetwork(
-        n_sites=n, nodes=tuple(nodes), r_u=req.radii.r_u, r_j=req.radii.r_j
-    )
+        w_list = [node for node, kept in zip(w_list, keep) if kept]
+    return _closed_network(req, w_list, _observable_nodes(obs))
 
 
 def _chain_plan(req: SimulationRequest):
@@ -342,19 +362,9 @@ def _chain_plan(req: SimulationRequest):
         return hit
     n = req.n_sites
     w_list = _w_nodes(req)
-    mirror = [_dagger(node) for node in reversed(w_list)]
     ones = np.ones(2, dtype=complex)
     marks = [PlacedTensor(f"I[{w}]", "diag", (w,), ones) for w in range(1, n + 1)]
-    nodes = (
-        [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), None) for w in range(1, n + 1)]
-        + w_list
-        + marks
-        + mirror
-        + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), None) for w in range(1, n + 1)]
-    )
-    network = ExpectationNetwork(
-        n_sites=n, nodes=tuple(nodes), r_u=req.radii.r_u, r_j=req.radii.r_j
-    )
+    network = _closed_network(req, w_list, marks)
     plan = qubitwise_schedule(network)
     mark_nodes = {w: n + len(w_list) + (w - 1) for w in range(1, n + 1)}
     hit = (network, plan, mark_nodes)
@@ -449,6 +459,47 @@ def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkT
 # Evaluation routes
 
 
+def _route(req: SimulationRequest, engine: str) -> str:
+    """The route an engine choice takes for this request: "plan" or
+    "dense" as given, and for "auto" the dense route whenever N is within
+    the dense cap."""
+    if engine not in ("auto", "plan", "dense"):
+        raise DomainError(f"unknown engine {engine!r}")
+    if engine != "auto":
+        return engine
+    return "dense" if req.n_sites <= _dense_cap() else "plan"
+
+
+def _runner(req: SimulationRequest, plan: ContractionPlan, network) -> PlanRunner:
+    """PlanRunner for a plan-route contraction.  Its size refusals gain the
+    route advice the tensor layer cannot give."""
+    try:
+        return PlanRunner(plan, network)
+    except FeasibilityError as exc:
+        n, cap = req.n_sites, _dense_cap()
+        advice = (
+            f"N={n} is within the dense cap of {cap} sites, use engine='dense'"
+            if n <= cap
+            else f"N={n} is above the dense cap of {cap} sites, so no exact route "
+            "is feasible for this instance"
+        )
+        raise FeasibilityError(f"{exc}; {advice}") from None
+
+
+def _checked(raw: complex, what: str, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Real part of a computed probability or expectation, clamped to
+    [lo, hi]; an imaginary residue or an excursion beyond IMAG_TOL is
+    refused."""
+    if abs(raw.imag) > IMAG_TOL:
+        raise NumericalIntegrityError(
+            f"{what} has imaginary residue {raw.imag:.3e} above {IMAG_TOL}"
+        )
+    value = float(raw.real)
+    if value < lo - IMAG_TOL or value > hi + IMAG_TOL:
+        raise NumericalIntegrityError(f"{what} {value} outside [{lo}, {hi}] beyond tolerance")
+    return min(max(value, lo), hi)
+
+
 def _evolved_tensor(req: SimulationRequest) -> np.ndarray:
     """Dense W|0...0> as a (2,)*N tensor, by walking the same placed tensors
     the network route contracts.  Cached on the request."""
@@ -473,6 +524,24 @@ def _evolved_tensor(req: SimulationRequest) -> np.ndarray:
     return psi
 
 
+def _prefix_tree(req: SimulationRequest) -> list[np.ndarray]:
+    """Prefix marginals of |W|0...0>|^2: level k holds P(z_1..z_k) for all
+    2^k prefixes, indexed by the prefix read as a binary number (site 1
+    most significant); level 0 holds the total weight.  Every entry is the
+    floating-point sum of its two children, so the two conditionals of a
+    prefix sum to one within rounding.  Cached on the request."""
+    hit = req._cache.get("prefix_tree")
+    if hit is None:
+        level = np.abs(_evolved_tensor(req).ravel()) ** 2
+        hit = [level]
+        while len(level) > 1:
+            level = level.reshape(-1, 2).sum(axis=1)
+            hit.append(level)
+        hit.reverse()
+        req._cache["prefix_tree"] = hit
+    return hit
+
+
 def _dense_expectation(req: SimulationRequest, obs: ObservableProduct) -> complex:
     n = req.n_sites
     phi = _evolved_tensor(req)
@@ -480,18 +549,11 @@ def _dense_expectation(req: SimulationRequest, obs: ObservableProduct) -> comple
         phi = apply_to_state(r, (site,), phi, n)
     weights = np.abs(phi.ravel()) ** 2
     z = np.arange(2**n)
-    factors = {
-        "proj0": lambda bit: 1.0 - bit,
-        "proj1": lambda bit: bit,
-        "sigma_z": lambda bit: 1.0 - 2.0 * bit,
-    }
-    total = np.ones(2**n)
-    for site, bit in obs.projectors:
-        site_bit = (z >> (n - site)) & 1
-        total = total * (site_bit if bit else 1.0 - site_bit)
-    pivot_bit = (z >> (n - obs.pivot_site)) & 1
-    total = total * factors[obs.pivot_kind](pivot_bit)
-    return complex((weights * total).sum())
+    factors = [(s, f"proj{b}") for s, b in obs.projectors] + [(obs.pivot_site, obs.pivot_kind)]
+    for site, kind in factors:
+        # Each factor is 0 or +-1, so the product is exact in any order.
+        weights = weights * _DIAGS[kind].real[(z >> (n - site)) & 1]
+    return complex(weights.sum())
 
 
 def expectation(
@@ -504,45 +566,16 @@ def expectation(
     contraction plan otherwise.  The imaginary residue is checked against
     1e-9 and discarded.
     """
-    if engine not in ("auto", "plan", "dense"):
-        raise DomainError(f"unknown engine {engine!r}")
+    route = _route(req, engine)
     if obs.pivot_site > req.n_sites:
         raise DomainError(f"pivot site {obs.pivot_site} out of range for N={req.n_sites}")
-    if engine == "dense":
+    if route == "dense":
         value = _dense_expectation(req, obs)
-    elif engine == "plan":
-        network = build_expectation_network(req, obs)
-        plan = qubitwise_schedule(network)
-        value = execute(plan, network)
     else:
-        try:
-            check_dense_feasible(req.n_sites, "dense expectation walk")
-            dense_ok = True
-        except FeasibilityError:
-            dense_ok = False
-        if dense_ok:
-            value = _dense_expectation(req, obs)
-        else:
-            network = build_expectation_network(req, obs)
-            plan = qubitwise_schedule(network)
-            if plan.peak_mem_axes > MAX_EXEC_AXES:
-                raise FeasibilityError(
-                    f"N={req.n_sites} is above the dense cap and the contraction plan "
-                    f"needs 2^{plan.peak_mem_axes} entries (cap 2^{MAX_EXEC_AXES}); "
-                    "no exact route is feasible for this instance"
-                )
-            value = execute(plan, network)
-    if abs(value.imag) > IMAG_TOL:
-        raise NumericalIntegrityError(
-            f"expectation has imaginary residue {value.imag:.3e} above {IMAG_TOL}"
-        )
-    result = float(value.real)
-    lo, hi = (0.0, 1.0) if obs.is_projector else (-1.0, 1.0)
-    if result < lo - IMAG_TOL or result > hi + IMAG_TOL:
-        raise NumericalIntegrityError(
-            f"expectation {result} outside [{lo}, {hi}] beyond tolerance"
-        )
-    return min(max(result, lo), hi)
+        network = build_expectation_network(req, obs)
+        value = _runner(req, qubitwise_schedule(network), network).finish()
+    lo = 0.0 if obs.is_projector else -1.0
+    return _checked(value, "expectation", lo, 1.0)
 
 
 def conditional_probability(
@@ -551,32 +584,36 @@ def conditional_probability(
     site: int,
     engine: str = "auto",
 ) -> float:
-    """P(z_site = 0 | z_1..z_{site-1} = prefix), as a ratio of two
-    projector-product expectations.  A vanishing prefix probability (below
-    1e-30) makes the conditional ill-defined; the surviving branch is then
-    assigned deterministically."""
+    """P(z_site = 0 | z_1..z_{site-1} = prefix) as the ratio
+    P(prefix, 0) / P(prefix).  The dense route reads both off the
+    prefix-marginal tree; the plan route contracts two pruned
+    projector-product networks.  As in the chain walk, only a prefix of
+    probability exactly zero is impossible, and it gets 1."""
     bits = [int(b) for b in prefix]
-    if len(bits) != site - 1:
+    if len(bits) != site - 1 or not set(bits) <= {0, 1}:
         raise DomainError(
-            f"prefix has {len(bits)} bits but site {site} needs exactly {site - 1}"
+            f"site {site} needs a prefix of exactly {site - 1} binary digits, got {prefix!r}"
         )
     if site > req.n_sites:
         raise DomainError(f"site {site} out of range for N={req.n_sites}")
-    numerator = expectation(
-        req, ObservableProduct.prefix_projector(bits + [0]), engine=engine
-    )
-    if site == 1:
-        denominator = 1.0
+    if _route(req, engine) == "dense":
+        index = int("".join(map(str, bits)) or "0", 2)
+        tree = _prefix_tree(req)
+        numerator, denominator = tree[site][2 * index], tree[site - 1][index]
     else:
-        denominator = expectation(
-            req, ObservableProduct.prefix_projector(bits), engine=engine
+        # P(prefix) from its own network: the network of P(prefix, 1)
+        # contracts more slowly.
+        numerator = expectation(
+            req, ObservableProduct.prefix_projector(bits + [0]), engine="plan"
         )
-    if denominator <= DEGENERATE_PREFIX:
-        return 1.0 if 2 * numerator >= denominator else 0.0
-    p = numerator / denominator
-    if p < -IMAG_TOL or p > 1 + IMAG_TOL:
-        raise NumericalIntegrityError(f"conditional probability {p} outside [0,1]")
-    return min(max(p, 0.0), 1.0)
+        denominator = 1.0
+        if site > 1:
+            denominator = expectation(
+                req, ObservableProduct.prefix_projector(bits), engine="plan"
+            )
+    if denominator == 0.0:
+        return 1.0
+    return _checked(numerator / denominator, "conditional probability")
 
 
 @dataclass(frozen=True)
@@ -588,88 +625,46 @@ class ChainResult:
     probs: tuple[float, ...]
 
 
-_PROJ_DIAGS = (
-    np.array([1.0, 0.0], dtype=complex),
-    np.array([0.0, 1.0], dtype=complex),
-)
+class _PlanMarginals:
+    """Plan-route marginal source.  The runner holds the left part of the
+    chain network with marks 1..w-1 set to the chosen projectors, each
+    divided by its own conditional, so site w's two marginals are the
+    conditionals v_b = P(z_w = b | prefix), from two finishes of the
+    light-cone target."""
 
+    def __init__(self, req: SimulationRequest) -> None:
+        network, plan, self.marks = _chain_plan(req)
+        self.req = req
+        self.runner = _runner(req, plan, network)
 
-def _checked_marginal(raw: complex) -> float:
-    if abs(raw.imag) > IMAG_TOL:
-        raise NumericalIntegrityError(
-            f"marginal has imaginary residue {raw.imag:.3e} above {IMAG_TOL}"
-        )
-    if raw.real < -IMAG_TOL or raw.real > 1 + IMAG_TOL:
-        raise NumericalIntegrityError(f"marginal {raw.real} outside [0,1] beyond tolerance")
-    return min(max(raw.real, 0.0), 1.0)
-
-
-def _plan_chain(req: SimulationRequest, choose) -> tuple[list[int], list[float]]:
-    """Plan-route chain.  The runner holds the left part of the chain
-    network with marks 1..w-1 set to the chosen projectors, each divided by
-    its own marginal.  Site w's two marginals are then the conditionals
-    v_b = P(z_w = b | prefix), from two finishes of the light-cone target;
-    v0 + v1 = 1 is checked.  A fixed bit whose marginal is exactly zero
-    makes the prefix impossible, and every later site gets p0 = 1."""
-    network, plan, mark_nodes = _chain_plan(req)
-    runner = PlanRunner(plan, network)
-    bits: list[int] = []
-    probs: list[float] = []
-    possible = True
-    for site in range(1, req.n_sites + 1):
-        if not possible:
-            probs.append(1.0)
-            bits.append(choose(site, 1.0))
-            continue
-        mark = mark_nodes[site]
+    def conditionals(self, site: int) -> tuple[complex, complex]:
+        mark, runner = self.marks[site], self.runner
         runner.run_to(runner.step_of(mark))
-        cone = runner.fork(_cone_target(req, runner, site))
+        cone = runner.fork(_cone_target(self.req, runner, site))
         cone.step()
         branch = cone.fork()
-        branch.set_override(mark, _PROJ_DIAGS[0])
-        cone.set_override(mark, _PROJ_DIAGS[1])
-        values = (_checked_marginal(branch.finish()), _checked_marginal(cone.finish()))
-        total = values[0] + values[1]
-        if abs(total - 1.0) > NORM_TOL:
-            raise NumericalIntegrityError(
-                f"site {site} marginals sum to {total!r}, not 1 within {NORM_TOL}"
-            )
-        p0 = values[0] / total
-        bit = choose(site, p0)
-        probs.append(p0)
-        bits.append(bit)
-        if values[bit] == 0.0:
-            possible = False
-        else:
-            runner.set_override(mark, _PROJ_DIAGS[bit] / values[bit])
-    return bits, probs
+        branch.set_override(mark, _DIAGS["proj0"])
+        cone.set_override(mark, _DIAGS["proj1"])
+        return branch.finish(), cone.finish()
+
+    def fix(self, site: int, bit: int, value: float) -> None:
+        self.runner.set_override(self.marks[site], _DIAGS[f"proj{bit}"] / value)
 
 
-def _dense_chain(req: SimulationRequest, choose) -> tuple[list[int], list[float]]:
-    """Dense-route chain.  The prefix probability equals the previous
-    site's surviving marginal, so each site costs one projector
-    expectation."""
-    bits: list[int] = []
-    probs: list[float] = []
-    den = 1.0
-    for site in range(1, req.n_sites + 1):
-        val0 = expectation(
-            req, ObservableProduct.prefix_projector(bits + [0]), engine="dense"
-        )
-        if den <= DEGENERATE_PREFIX:
-            p0 = 1.0 if 2 * val0 >= den else 0.0
-        else:
-            p0 = val0 / den
-            if p0 < -IMAG_TOL or p0 > 1 + IMAG_TOL:
-                raise NumericalIntegrityError(
-                    f"conditional probability {p0} outside [0,1]"
-                )
-            p0 = min(max(p0, 0.0), 1.0)
-        bit = choose(site, p0)
-        probs.append(p0)
-        bits.append(bit)
-        den = val0 if bit == 0 else max(den - val0, 0.0)
-    return bits, probs
+class _DenseMarginals:
+    """Dense-route marginal source: v_b = P(prefix, b) / P(prefix), read
+    off the prefix-marginal tree."""
+
+    def __init__(self, req: SimulationRequest) -> None:
+        self.tree = _prefix_tree(req)
+        self.prefix = 0
+
+    def conditionals(self, site: int) -> tuple[float, float]:
+        level, total = self.tree[site], self.tree[site - 1][self.prefix]
+        return level[2 * self.prefix] / total, level[2 * self.prefix + 1] / total
+
+    def fix(self, site: int, bit: int, value: float) -> None:
+        self.prefix = 2 * self.prefix + bit
 
 
 def _chain_walk(
@@ -678,23 +673,31 @@ def _chain_walk(
     rng: np.random.Generator | None,
     engine: str,
 ) -> ChainResult:
-    """Walk the chain rule once, on the plan or the dense route."""
-    if engine not in ("auto", "plan", "dense"):
-        raise DomainError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        try:
-            check_dense_feasible(req.n_sites, "dense expectation walk")
-            engine = "dense"
-        except FeasibilityError:
-            engine = "plan"
-
-    def choose(site: int, p0: float) -> int:
-        if fixed_bits is not None:
-            return fixed_bits[site - 1]
-        return 0 if rng.random() < p0 else 1
-
-    walk = _plan_chain if engine == "plan" else _dense_chain
-    bits, probs = walk(req, choose)
+    """Walk the chain rule once.  At each site the marginal source gives
+    the two conditionals v0, v1 of the current prefix; v0 + v1 = 1 is
+    checked, p0 = v0 / (v0 + v1) decides the coin, and the source fixes
+    the chosen bit.  A chosen conditional of exactly zero makes the prefix
+    impossible, and every later site gets p0 = 1."""
+    source = (_DenseMarginals if _route(req, engine) == "dense" else _PlanMarginals)(req)
+    bits: list[int] = []
+    probs: list[float] = []
+    possible = True
+    for site in range(1, req.n_sites + 1):
+        p0 = 1.0
+        if possible:
+            values = [_checked(v, f"site {site} marginal") for v in source.conditionals(site)]
+            total = values[0] + values[1]
+            if abs(total - 1.0) > NORM_TOL:
+                raise NumericalIntegrityError(
+                    f"site {site} marginals sum to {total!r}, not 1 within {NORM_TOL}"
+                )
+            p0 = values[0] / total
+        bit = fixed_bits[site - 1] if rng is None else int(rng.random() >= p0)
+        probs.append(p0)
+        bits.append(bit)
+        possible = possible and values[bit] != 0.0
+        if possible:
+            source.fix(site, bit, values[bit])
     return ChainResult(bits="".join(map(str, bits)), probs=tuple(probs))
 
 
@@ -722,26 +725,15 @@ def conditional_chain(
 
 def sample(
     req: SimulationRequest, n_samples: int, seed: int, engine: str = "auto"
-) -> list[SampleRecord]:
+) -> SampleRecords:
     """Chain-rule sampling: one biased coin per site, conditioned on the
     already-fixed prefix.  The sampled distribution is exactly the truncated
     D~; each record's stream derives from (seed, index) so order and output
     are deterministic in the seed."""
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    records: list[SampleRecord] = []
+    bits = []
     for index in range(n_samples):
         rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, index])
-        chain = _chain_walk(req, None, rng, engine)
-        records.append(SampleRecord(bits=chain.bits, seed=int(seed), index=index))
-    return records
-
-
-def exact_state(
-    instance: MblInstance, t: float, radii: TruncationRadii | None = None
-) -> np.ndarray:
-    """Brute-force exp(-iHt)|0...0> through the dense oracle, optionally on
-    the truncated Hamiltonian."""
-    if radii is None:
-        return evolve_state(instance, t)
-    return evolve_state(instance, t, r_j=radii.r_j, r_u=radii.r_u)
+        bits.append(_chain_walk(req, None, rng, engine).bits)
+    return SampleRecords(seed=int(seed), n_sites=req.n_sites, packed="".join(bits))

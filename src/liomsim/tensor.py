@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -199,7 +199,6 @@ class ContractionPlan:
     peak_mem_axes: int
     r_u: int | None
     r_j: int | None
-    last_observed_peak: int | None = field(default=None, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -456,7 +455,7 @@ class PlanRunner:
         if plan.peak_mem_axes > max_axes:
             raise FeasibilityError(
                 f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
-                f"2^{max_axes} engine cap; use the dense small-N path instead"
+                f"2^{max_axes} engine cap"
             )
         widest = max((len(ids) for ids in plan.node_indices), default=0)
         if plan.peak_mem_axes + widest > MAX_EINSUM_LABELS:
@@ -486,6 +485,11 @@ class PlanRunner:
     @property
     def position(self) -> int:
         return self._pos
+
+    @property
+    def observed_peak(self) -> int:
+        """Most axes the accumulator has held so far in this run."""
+        return self._observed_peak
 
     @property
     def open_ids(self) -> tuple[int, ...]:
@@ -572,7 +576,6 @@ class PlanRunner:
         self.run_to(len(self.plan.steps))
         if self._acc_ids:
             raise AssertionError("scheduler bug: axes left open after the final step")
-        self.plan.last_observed_peak = self._observed_peak
         return complex(self._acc)
 
 

@@ -14,8 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from liomsim.errors import NumericalIntegrityError
-from liomsim.simulate import DEGENERATE_PREFIX, IMAG_TOL, ChainResult, _chain_plan
+from liomsim.simulate import IMAG_TOL, ChainResult, _chain_plan
 from liomsim.tensor import PlanRunner
+
+# The frozen walk's own rule: a prefix probability at or below this counts
+# as impossible.
+DEGENERATE_PREFIX = 1e-30
 
 _PROJ = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 

@@ -41,7 +41,7 @@ from liomsim.simulate import (
     conditional_probability,
     sample,
 )
-from liomsim.tensor import execute, open_leg_bound, qubitwise_schedule
+from liomsim.tensor import PlanRunner, open_leg_bound, qubitwise_schedule
 from liomsim.truncation import (
     BoundConstants,
     TruncationRadii,
@@ -290,10 +290,10 @@ def test_criterion_5_contraction_frontier_respects_leg_bound():
         req, ObservableProduct.prefix_projector([0] * 16), prune=False
     )
     plan = qubitwise_schedule(network)
-    value = execute(plan, network)
+    runner = PlanRunner(plan, network)
+    value = runner.finish()
     instrumented = (
-        plan.last_observed_peak is not None
-        and plan.last_observed_peak <= plan.peak_mem_axes
+        0 < runner.observed_peak <= plan.peak_mem_axes
         and plan.peak_open_legs <= open_leg_bound(6, 6)
         and -1e-9 <= value.real <= 1 + 1e-9
         and abs(value.imag) <= 1e-9
@@ -305,7 +305,7 @@ def test_criterion_5_contraction_frontier_respects_leg_bound():
         ok,
         f"frontier peak under the open-leg bound in all {len(rows)} scheduled "
         f"runs, max observed/bound {worst_ratio:.3f}; executed banded N=16 "
-        f"run peaked at {plan.last_observed_peak} of {plan.peak_mem_axes} "
+        f"run peaked at {runner.observed_peak} of {plan.peak_mem_axes} "
         f"planned axes",
     )
 

@@ -18,6 +18,7 @@ from liomsim.simulate import (
     _chain_plan,
     _cone_target,
     conditional_chain,
+    conditional_probability,
     expectation,
     sample,
 )
@@ -50,9 +51,10 @@ def _oracle_conditionals(req, bits):
     xi=st.sampled_from([0.3, 0.5, 0.8]),
     inst_seed=st.integers(0, 2**31 - 1),
     chain_seed=st.integers(0, 2**31 - 1),
+    engine=st.sampled_from(["plan", "dense"]),
 )
 def test_light_cone_walk_matches_reference_and_oracle(
-    n, periodic, max_width, r_j, r_u, xi, inst_seed, chain_seed
+    n, periodic, max_width, r_j, r_u, xi, inst_seed, chain_seed, engine
 ):
     inst = build_random_instance(
         InstanceParams(n, xi),
@@ -63,7 +65,7 @@ def test_light_cone_walk_matches_reference_and_oracle(
     )
     radii = TruncationRadii(min(r_j, n), min(r_u, n))
     req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
-    chain = conditional_chain(req, seed=chain_seed, engine="plan")
+    chain = conditional_chain(req, seed=chain_seed, engine=engine)
     ref = reference_chain_walk(req, seed=chain_seed)
     assert chain.bits == ref.bits
     np.testing.assert_allclose(chain.probs, ref.probs, rtol=0, atol=1e-12)
@@ -177,6 +179,34 @@ def test_chain_through_unlikely_prefix_at_n160():
     np.testing.assert_allclose(chain.probs, truth, rtol=0, atol=1e-10)
 
 
+def _unlikely_bits(truth):
+    return [int(p > 0.5) for p in truth]
+
+
+def test_dense_chain_through_unlikely_prefix_at_n14():
+    # The unlikely bit at every site: a prefix probability carried by
+    # subtraction gave a conditional of 1.79 here.
+    req = _product_request(14)
+    truth = _product_truth(req)
+    chain = conditional_chain(req, bits=_unlikely_bits(truth), engine="dense")
+    np.testing.assert_allclose(chain.probs, truth, rtol=0, atol=1e-10)
+
+
+def test_one_shot_conditional_below_1e_30_prefix_at_n160():
+    # Past P(prefix) = 1e-30 an absolute cut answered 1.0 (truth 0.979 at
+    # site 30); the plain ratio of the two marginals is right.
+    req = _product_request(160)
+    truth = _product_truth(req)
+    bits = _unlikely_bits(truth)
+    for site in (30, 40):
+        log_prefix = sum(
+            math.log10(p if b == 0 else 1 - p) for b, p in zip(bits, truth[: site - 1])
+        )
+        assert log_prefix < -30
+        got = conditional_probability(req, bits[: site - 1], site, engine="plan")
+        assert got == pytest.approx(truth[site - 1], abs=1e-10)
+
+
 def test_chain_below_1e_30_prefix_at_n300():
     # A sampled branch whose prefix probability falls below 1e-30 near site
     # 210; an absolute 1e-30 cut reported p0 = 1 from there on.
@@ -201,12 +231,21 @@ def test_plan_chain_impossible_prefix_convention():
 def test_chain_above_caps_is_refused_not_asserted():
     # Periodic N=16 with radii (3,3): the chain plan has 61 open legs
     # against an analytic bound of 56 and needs 53 memory axes, above the
-    # engine cap; the cap is checked first, so this is a refusal.
+    # engine cap; the cap is checked first, so this is a refusal.  N is
+    # above the dense cap too, and every entry point says so alike.
     inst = build_random_instance(InstanceParams(16, 0.5), seed=1, max_body=3)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
-    with pytest.raises(FeasibilityError):
+    no_route = r"above the dense cap of \d+ sites, so no exact route is feasible"
+    with pytest.raises(FeasibilityError, match=no_route):
         conditional_chain(req, seed=0)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match=no_route):
         sample(req, 1, seed=0)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match=no_route):
         expectation(req, ObservableProduct(1))
+    # Within the dense cap, a refused plan route points to the dense one.
+    inst = build_random_instance(InstanceParams(12, 0.5), seed=1, max_body=3)
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    with pytest.raises(
+        FeasibilityError, match=r"within the dense cap of \d+ sites, use engine='dense'"
+    ):
+        conditional_chain(req, seed=0, engine="plan")

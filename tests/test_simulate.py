@@ -22,7 +22,6 @@ from liomsim.simulate import (
     build_expectation_network,
     conditional_chain,
     conditional_probability,
-    exact_state,
     expectation,
     sample,
     site_blocks,
@@ -274,6 +273,10 @@ def test_sampling_is_deterministic_and_indexed():
     # Streams are per-index, so a shorter run is a prefix of a longer one.
     short = sample(req, 3, seed=99)
     assert [r.bits for r in short] == [r.bits for r in first[:3]]
+    # Records are made on access from the packed bitstrings.
+    assert len(first) == 5 and first[-1] == first[4] == list(first)[4]
+    with pytest.raises(IndexError):
+        first[5]
     other = sample(req, 5, seed=100)
     assert [r.bits for r in other] != [r.bits for r in first]
 
@@ -334,8 +337,8 @@ def test_exact_state_overlap_bound():
     params = InstanceParams(n, 0.5)
     inst = build_random_instance(params, seed=22, max_body=2)
     radii = TruncationRadii(3, 3)
-    psi = exact_state(inst, t)
-    psi_trunc = exact_state(inst, t, radii)
+    psi = evolve_state(inst, t)
+    psi_trunc = evolve_state(inst, t, r_j=radii.r_j, r_u=radii.r_u)
     h_diff = np.linalg.norm(
         dense_hamiltonian(inst) - dense_hamiltonian(inst, r_j=radii.r_j, r_u=radii.r_u),
         2,
@@ -352,7 +355,7 @@ def test_expectation_close_to_untruncated():
     inst = build_random_instance(params, seed=23, max_body=2)
     radii = TruncationRadii(3, 3)
     req = SimulationRequest(instance=inst, t=t, epsilon=0.5, radii=radii)
-    psi = exact_state(inst, t)
+    psi = evolve_state(inst, t)
     h_diff = np.linalg.norm(
         dense_hamiltonian(inst) - dense_hamiltonian(inst, r_j=radii.r_j, r_u=radii.r_u),
         2,

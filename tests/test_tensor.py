@@ -337,10 +337,13 @@ def test_runner_records_observed_peak():
     rng = np.random.default_rng(17)
     net = _closed_network(rng, *LAYER_SETS[2])
     plan = qubitwise_schedule(net)
-    assert plan.last_observed_peak is None
-    execute(plan, net)
-    assert plan.last_observed_peak is not None
-    assert plan.last_observed_peak <= plan.peak_mem_axes
+    before = dict(vars(plan))
+    runner = PlanRunner(plan, net)
+    assert runner.observed_peak == 0
+    runner.finish()
+    assert 0 < runner.observed_peak <= plan.peak_mem_axes
+    # Plans are cached and shared, so a run writes nothing onto its plan.
+    assert vars(plan) == before
 
 
 def test_runner_refuses_steps_beyond_einsum_labels():
