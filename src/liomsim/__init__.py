@@ -53,7 +53,7 @@ from .simulate import (
     expectation,
     sample,
 )
-from .oracle import DenseState, OutcomeDistribution, evolve_state, exact_distribution
+from .oracle import OutcomeDistribution, evolve_state, exact_distribution
 from .hardness import HardnessSpec, build_iqp_instance, hardness_time, verify_2d_mapping
 from .complexity import ComplexityQuery, circuit_complexity_bound
 
@@ -65,7 +65,6 @@ __all__ = [
     "ComplexityQuery",
     "Constituent",
     "CouplingIndex",
-    "DenseState",
     "DomainError",
     "FeasibilityError",
     "HardnessSpec",

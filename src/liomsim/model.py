@@ -172,14 +172,6 @@ class Placement:
     start: int
     sites: tuple[int, ...]
 
-    @property
-    def wrapped(self) -> bool:
-        return self.sites[-1] != self.sites[0] + self.width - 1
-
-    @property
-    def min_site(self) -> int:
-        return min(self.sites)
-
 
 def placement_sites(n_sites: int, start: int, width: int) -> tuple[int, ...]:
     end = start + width - 1

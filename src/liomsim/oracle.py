@@ -1,8 +1,8 @@
 """Brute-force dense references: state-vector evolution via eigendecomposition
-of the fully materialized Hamiltonian, full outcome distributions, and a
-hand-rolled power-iteration operator norm.  Everything here is the slow,
-independent side of every equivalence test; nothing here is used on chains
-with more than the dense site cap.
+of the fully materialized Hamiltonian, and full outcome distributions with
+their total-variation distance.  Everything here is the slow, independent
+side of every equivalence test; nothing here is used on chains with more
+than the dense site cap.
 """
 
 from __future__ import annotations
@@ -13,21 +13,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalIntegrityError
 from .model import MblInstance, check_dense_feasible, dense_hamiltonian
-
-
-@dataclass(frozen=True)
-class DenseState:
-    """2^N amplitudes in the computational z basis, site 1 most significant."""
-
-    n_sites: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.amplitudes.shape != (2**self.n_sites,):
-            raise DomainError("amplitude vector has the wrong length")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-10:
-            raise NumericalIntegrityError(f"state norm {norm!r} deviates from 1 beyond 1e-10")
 
 
 @dataclass(frozen=True)
@@ -84,39 +69,3 @@ def exact_distribution(
     if abs(total - 1.0) > 1e-9:
         raise NumericalIntegrityError(f"distribution mass {total!r} deviates from 1")
     return OutcomeDistribution(instance.n_sites, probs)
-
-
-def operator_norm(
-    matrix: np.ndarray,
-    rel_tol: float = 1e-8,
-    max_iters: int = 20000,
-    seed: int = 7,
-) -> float:
-    """Largest singular value via power iteration on M^dagger M.
-
-    Iterates v -> M^dag M v with a seeded random start until the Rayleigh
-    quotient is stable to rel_tol; raises after max_iters without
-    convergence.
-    """
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"operator_norm needs a square matrix, got shape {m.shape}")
-    dim = m.shape[0]
-    if dim > 2**14:
-        raise DomainError(f"matrix dimension {dim} exceeds the dense cap 2^14")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(max_iters):
-        w = m.conj().T @ (m @ v)
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - last) <= rel_tol * lam:
-            return float(np.sqrt(lam))
-        last = lam
-    raise NumericalIntegrityError(
-        f"power iteration did not converge to rel_tol={rel_tol} in {max_iters} iterations"
-    )

@@ -316,7 +316,12 @@ def _closed_network(
     req: SimulationRequest, w_kept: Sequence[PlacedTensor], middle: Sequence[PlacedTensor]
 ) -> ExpectationNetwork:
     """<0|W^dag (middle) W|0> over the given W factors, laid out as ket
-    caps, the factors, the middle nodes, the factors' mirrors, bra caps."""
+    caps, the factors, the middle nodes, the factors' mirrors, bra caps.
+
+    The network carries the request's radii, so that its plan is checked
+    against the analytic open-leg bound, only when every factor sits on
+    ascending contiguous sites: the bound does not cover a constituent
+    that wraps past site N on a periodic chain."""
     n = req.n_sites
     mirror = [_dagger(node) for node in reversed(w_kept)]
     nodes = (
@@ -326,8 +331,12 @@ def _closed_network(
         + mirror
         + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), None) for w in range(1, n + 1)]
     )
+    unwrapped = all(node.sites[-1] - node.sites[0] == node.width - 1 for node in w_kept)
     return ExpectationNetwork(
-        n_sites=n, nodes=tuple(nodes), r_u=req.radii.r_u, r_j=req.radii.r_j
+        n_sites=n,
+        nodes=tuple(nodes),
+        r_u=req.radii.r_u if unwrapped else None,
+        r_j=req.radii.r_j if unwrapped else None,
     )
 
 
@@ -423,7 +432,6 @@ def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkT
         PlanStep(
             ACC_NODE,
             f"acc[{site}]",
-            (),
             cone_plan.steps[cut - 1].open_legs_after,
             cone_plan.steps[cut - 1].mem_axes_after,
         )
@@ -432,7 +440,7 @@ def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkT
         pos = positions[step.node_index]
         node_indices[pos] = cone_plan.node_indices[step.node_index]
         steps.append(
-            PlanStep(pos, step.name, step.closed_indices, step.open_legs_after, step.mem_axes_after)
+            PlanStep(pos, step.name, step.open_legs_after, step.mem_axes_after)
         )
     endpoints = [0] * len(cone_plan.index_endpoints)
     for node_ids in node_indices.values():
@@ -441,7 +449,6 @@ def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkT
     # No radii: the analytic bound was checked on the chain plan.
     tail = ContractionPlan(
         n_sites=n,
-        order=[step.node_index for step in steps],
         steps=steps,
         node_indices=node_indices,
         index_endpoints=endpoints,

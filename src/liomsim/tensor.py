@@ -1,4 +1,4 @@
-"""Dense labeled-tensor engine and the qubit-wise contraction scheduler.
+"""Qubit-wise contraction scheduler and the runner that executes its plans.
 
 A closed expectation network is an ordered list of placed tensors in
 application order along the chain's wires: ket caps, then the gate and
@@ -10,18 +10,16 @@ window of wires and bounds the intermediate tensor rank.
 Two leg counts are tracked per step.  The "dense" count treats every node
 (including diagonal ones) as a full tensor with in/out legs on each wire;
 this is the convention of the analytic open-leg bound and is what gets
-checked against it.  The "memory" count is the number of axes the execution
-engine actually holds, which is smaller because diagonal nodes share a
-single index with their neighbours (a diagonal phase layer never needs
-separate in/out axes).  Execution materializes arrays only when the peak
-memory count is affordable; the scheduler itself is pure structure and runs
-at any size.
+checked against it.  The "memory" count is the number of axes the runner
+actually holds, which is smaller because diagonal nodes share a single
+index with their neighbours (a diagonal phase layer never needs separate
+in/out axes).  The runner materializes arrays only when the peak memory
+count is affordable; the scheduler itself is pure structure and runs at
+any size.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -29,93 +27,10 @@ import numpy as np
 
 from .errors import FeasibilityError, StructuralError
 
-# 2^24 complex entries is ~256 MiB; beyond that the dense engine refuses.
+# 2^24 complex entries is ~256 MiB; beyond that the runner refuses.
 MAX_EXEC_AXES = 24
 # numpy's einsum accepts at most 52 distinct labels in one call.
 MAX_EINSUM_LABELS = 52
-
-_SIDES = ("in", "out")
-
-
-@dataclass(frozen=True)
-class Leg:
-    """One open tensor index: wire (site), time-slice id, and direction."""
-
-    site: int
-    slice: int
-    side: str
-
-    def __post_init__(self) -> None:
-        if self.side not in _SIDES:
-            raise StructuralError(f"leg side must be 'in' or 'out', got {self.side!r}")
-
-
-@dataclass(frozen=True)
-class DenseTensor:
-    """Complex tensor with named legs; data is flat, row-major in leg order,
-    every leg of extent 2."""
-
-    legs: tuple[Leg, ...]
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        legs = tuple(self.legs)
-        object.__setattr__(self, "legs", legs)
-        if len(set(legs)) != len(legs):
-            raise StructuralError(f"duplicate legs in tensor: {legs}")
-        data = np.asarray(self.data, dtype=complex).ravel()
-        if data.size != 2 ** len(legs):
-            raise StructuralError(
-                f"tensor with {len(legs)} legs needs {2 ** len(legs)} entries, got {data.size}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise StructuralError("tensor data contains non-finite entries")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.legs)
-
-    def as_array(self) -> np.ndarray:
-        return self.data.reshape((2,) * self.ndim)
-
-
-def contract(
-    a: DenseTensor, b: DenseTensor, pairs: Sequence[tuple[Leg, Leg]]
-) -> DenseTensor:
-    """Contract two tensors over the given (leg of a, leg of b) pairs.
-
-    Remaining legs keep their order, a's first then b's.  Paired axes are
-    processed in ascending position within a so repeated runs sum in the
-    same order bit for bit.
-    """
-    axes_a: list[int] = []
-    axes_b: list[int] = []
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    for leg_a, leg_b in pairs:
-        try:
-            ia = a.legs.index(leg_a)
-        except ValueError:
-            raise StructuralError(f"first tensor has no leg {leg_a}") from None
-        try:
-            ib = b.legs.index(leg_b)
-        except ValueError:
-            raise StructuralError(f"second tensor has no leg {leg_b}") from None
-        if ia in seen_a or ib in seen_b:
-            raise StructuralError(f"leg paired twice in contraction: {leg_a} / {leg_b}")
-        seen_a.add(ia)
-        seen_b.add(ib)
-        axes_a.append(ia)
-        axes_b.append(ib)
-    order = np.argsort(axes_a, kind="stable") if axes_a else []
-    axes_a = [axes_a[i] for i in order]
-    axes_b = [axes_b[i] for i in order]
-    out = np.tensordot(a.as_array(), b.as_array(), axes=(axes_a, axes_b))
-    legs = tuple(l for i, l in enumerate(a.legs) if i not in seen_a) + tuple(
-        l for i, l in enumerate(b.legs) if i not in seen_b
-    )
-    return DenseTensor(legs, out.ravel())
 
 
 @dataclass(frozen=True)
@@ -152,8 +67,9 @@ class PlacedTensor:
 @dataclass(frozen=True)
 class ExpectationNetwork:
     """Closed network in application order with the truncation radii it was
-    built for (radii may be None for ad-hoc networks; the analytic leg
-    bound is then not checked)."""
+    built for.  Radii are None where the analytic leg bound does not apply
+    (ad-hoc networks, and networks with a factor wrapping past site N); the
+    bound is then not checked."""
 
     n_sites: int
     nodes: tuple[PlacedTensor, ...]
@@ -172,17 +88,15 @@ def open_leg_bound(r_u: int, r_j: int) -> int:
 class PlanStep:
     node_index: int
     name: str
-    closed_indices: tuple[int, ...]
     open_legs_after: int
     mem_axes_after: int
 
 
 @dataclass
 class ContractionPlan:
-    """Structural schedule: absorption order, per-step predicted leg counts,
-    and the index bookkeeping the executor replays.
+    """Structural schedule: the steps in absorption order with their
+    predicted leg counts, and the index bookkeeping the runner replays.
 
-    order: node positions in absorption order.
     node_indices: per node, its index ids in axis order (gate: out ids then
         in ids; diag: one shared id per wire; caps: one id).  A list over
         the network's nodes, or for a ForkTarget's plan a mapping from the
@@ -191,7 +105,6 @@ class ContractionPlan:
     """
 
     n_sites: int
-    order: list[int]
     steps: list[PlanStep]
     node_indices: Sequence[tuple[int, ...]] | Mapping[int, tuple[int, ...]]
     index_endpoints: list[int]
@@ -199,36 +112,6 @@ class ContractionPlan:
     peak_mem_axes: int
     r_u: int | None
     r_j: int | None
-
-    def to_json(self) -> str:
-        payload = {
-            "n_sites": self.n_sites,
-            "peak_open_legs": self.peak_open_legs,
-            "peak_mem_axes": self.peak_mem_axes,
-            "r_u": self.r_u,
-            "r_j": self.r_j,
-            "steps": [
-                {
-                    "node": s.node_index,
-                    "name": s.name,
-                    "closed_indices": list(s.closed_indices),
-                    "open_legs_after": s.open_legs_after,
-                    "mem_axes_after": s.mem_axes_after,
-                }
-                for s in self.steps
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _as_network(network: "ExpectationNetwork | Iterable[PlacedTensor]") -> ExpectationNetwork:
-    if isinstance(network, ExpectationNetwork):
-        return network
-    nodes = tuple(network)
-    if not nodes:
-        raise StructuralError("empty network")
-    n_sites = max(max(node.sites) for node in nodes)
-    return ExpectationNetwork(n_sites=n_sites, nodes=nodes)
 
 
 def _wire_sequences(net: ExpectationNetwork) -> dict[int, list[int]]:
@@ -251,11 +134,12 @@ def _wire_sequences(net: ExpectationNetwork) -> dict[int, list[int]]:
     return wires
 
 
-def qubitwise_schedule(network: "ExpectationNetwork | Iterable[PlacedTensor]") -> ContractionPlan:
+def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
     """Build the qubit-wise plan: absorb all tensors whose leftmost wire is
     qubit 1 (in application order), then qubit 2, and so on.  Pure
     structure; tensor data never enters."""
-    net = _as_network(network)
+    if not net.nodes:
+        raise StructuralError("empty network")
     wires = _wire_sequences(net)
     n_nodes = len(net.nodes)
 
@@ -321,14 +205,12 @@ def qubitwise_schedule(network: "ExpectationNetwork | Iterable[PlacedTensor]") -
     peak_dense = 0
     peak_mem = 0
     for pos in order:
-        closed: list[int] = []
         for idx in node_indices[pos]:
             if absorbed_count[idx] == 0:
                 open_mem += 1
             absorbed_count[idx] += 1
             if absorbed_count[idx] == index_endpoints[idx]:
                 open_mem -= 1
-                closed.append(idx)
         for b in bond_by_node[pos]:
             bond_state[b] += 1
             if bond_state[b] == 1:
@@ -341,7 +223,6 @@ def qubitwise_schedule(network: "ExpectationNetwork | Iterable[PlacedTensor]") -
             PlanStep(
                 node_index=pos,
                 name=net.nodes[pos].name,
-                closed_indices=tuple(closed),
                 open_legs_after=open_dense,
                 mem_axes_after=open_mem,
             )
@@ -352,7 +233,6 @@ def qubitwise_schedule(network: "ExpectationNetwork | Iterable[PlacedTensor]") -
         )
     return ContractionPlan(
         n_sites=net.n_sites,
-        order=order,
         steps=steps,
         node_indices=node_indices,
         index_endpoints=index_endpoints,
@@ -424,7 +304,7 @@ class ForkTarget:
 class PlanRunner:
     """Stepwise executor of a contraction plan.
 
-    Networks whose predicted peak exceeds max_axes, or with a step that
+    Networks whose predicted peak exceeds MAX_EXEC_AXES, or with a step that
     needs more than 52 einsum labels, are refused up front.  The plan's
     dense-leg peak is checked against the analytic bound when the network
     carries its radii, and the observed number of live axes against the
@@ -441,21 +321,15 @@ class PlanRunner:
     remaining nodes.
     """
 
-    def __init__(
-        self,
-        plan: ContractionPlan,
-        network: "ExpectationNetwork | Iterable[PlacedTensor]",
-        max_axes: int = MAX_EXEC_AXES,
-    ) -> None:
-        net = _as_network(network)
+    def __init__(self, plan: ContractionPlan, net: ExpectationNetwork) -> None:
         if len(net.nodes) != len(plan.node_indices):
             raise StructuralError(
                 "plan was produced for a different network (node count differs)"
             )
-        if plan.peak_mem_axes > max_axes:
+        if plan.peak_mem_axes > MAX_EXEC_AXES:
             raise FeasibilityError(
                 f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
-                f"2^{max_axes} engine cap"
+                f"2^{MAX_EXEC_AXES} engine cap"
             )
         widest = max((len(ids) for ids in plan.node_indices), default=0)
         if plan.peak_mem_axes + widest > MAX_EINSUM_LABELS:
@@ -579,64 +453,6 @@ class PlanRunner:
         return complex(self._acc)
 
 
-def execute(
-    plan: ContractionPlan,
-    network: "ExpectationNetwork | Iterable[PlacedTensor]",
-    max_axes: int = MAX_EXEC_AXES,
-) -> complex:
+def execute(plan: ContractionPlan, net: ExpectationNetwork) -> complex:
     """Run the plan on the network's data and return the scalar value."""
-    return PlanRunner(plan, network, max_axes).finish()
-
-
-def naive_network_value(network: "ExpectationNetwork | Iterable[PlacedTensor]") -> complex:
-    """Reference evaluation: expand every node (diagonals included) to a
-    DenseTensor with explicit legs and fold the network left to right with
-    pairwise contract() calls.  Exponential in network size; test use only.
-    """
-    net = _as_network(network)
-    wires = _wire_sequences(net)
-    # Assign dense-convention bond labels: bond p on wire w pairs the "out"
-    # leg of its left node with the "in" leg of its right node.
-    leg_of_node: list[list[tuple[Leg, str]]] = [[] for _ in net.nodes]
-    for w, seq in wires.items():
-        for p, (left, right) in enumerate(zip(seq, seq[1:])):
-            leg = Leg(site=w, slice=p, side="out")
-            pair = Leg(site=w, slice=p, side="in")
-            leg_of_node[left].append((leg, "out"))
-            leg_of_node[right].append((pair, "in"))
-
-    def to_dense(pos: int) -> DenseTensor:
-        node = net.nodes[pos]
-        arr = _node_array(node)
-        if node.kind == "diag":
-            w = node.width
-            full = np.zeros((2,) * (2 * w), dtype=complex)
-            flat = arr.ravel()
-            eye = full.reshape(2**w, 2**w)
-            np.fill_diagonal(eye, flat)
-            arr = full
-        outs = [leg for leg, side in leg_of_node[pos] if side == "out"]
-        ins = [leg for leg, side in leg_of_node[pos] if side == "in"]
-        # Row-major gate layout: out axes over node.sites order, then in axes.
-        outs_sorted = sorted(outs, key=lambda l: node.sites.index(l.site))
-        ins_sorted = sorted(ins, key=lambda l: node.sites.index(l.site))
-        if node.kind == "cap_ket":
-            return DenseTensor(tuple(outs_sorted), arr)
-        if node.kind == "cap_bra":
-            return DenseTensor(tuple(ins_sorted), arr)
-        return DenseTensor(tuple(outs_sorted) + tuple(ins_sorted), arr)
-
-    acc = DenseTensor((), np.ones(1, dtype=complex))
-    for pos in range(len(net.nodes)):
-        t = to_dense(pos)
-        # The "out" half of a bond always sits on the earlier node, so when
-        # folding in network order only acc-out/t-in pairs can match.
-        shared = [
-            (leg_a, Leg(leg_a.site, leg_a.slice, "in"))
-            for leg_a in acc.legs
-            if leg_a.side == "out" and Leg(leg_a.site, leg_a.slice, "in") in t.legs
-        ]
-        acc = contract(acc, t, shared)
-    if acc.legs:
-        raise StructuralError(f"network did not close; legs left: {acc.legs}")
-    return complex(acc.data[0])
+    return PlanRunner(plan, net).finish()

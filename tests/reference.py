@@ -1,5 +1,11 @@
 """Reference implementations kept for tests only.
 
+naive_network_value evaluates a closed expectation network by expanding
+every node into a DenseTensor with explicit legs and folding the network
+left to right with pairwise tensordot contractions.  It shares only the
+wire bookkeeping and node arrays with the qubit-wise plan, so the tests
+check liomsim.tensor.execute against it.
+
 reference_chain_walk is the plan-route chain walk that liomsim used before
 light-cone finishes: at every site it forks the runner of the unpruned
 chain network and finishes the whole remaining contraction.  It is slow
@@ -9,13 +15,14 @@ construction, so the tests compare the library's walk against it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from liomsim.errors import NumericalIntegrityError
+from liomsim.errors import NumericalIntegrityError, StructuralError
 from liomsim.simulate import IMAG_TOL, ChainResult, _chain_plan
-from liomsim.tensor import PlanRunner
+from liomsim.tensor import ExpectationNetwork, PlanRunner, _node_array, _wire_sequences
 
 # The frozen walk's own rule: a prefix probability at or below this counts
 # as impossible.
@@ -59,3 +66,140 @@ def reference_chain_walk(
         runner.set_override(mark_nodes[site], _PROJ[bit])
         den = val0 if bit == 0 else max(den - val0, 0.0)
     return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
+
+
+_SIDES = ("in", "out")
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One open tensor index: wire (site), time-slice id, and direction."""
+
+    site: int
+    slice: int
+    side: str
+
+    def __post_init__(self) -> None:
+        if self.side not in _SIDES:
+            raise StructuralError(f"leg side must be 'in' or 'out', got {self.side!r}")
+
+
+@dataclass(frozen=True)
+class DenseTensor:
+    """Complex tensor with named legs; data is flat, row-major in leg order,
+    every leg of extent 2."""
+
+    legs: tuple[Leg, ...]
+    data: np.ndarray
+
+    def __post_init__(self) -> None:
+        legs = tuple(self.legs)
+        object.__setattr__(self, "legs", legs)
+        if len(set(legs)) != len(legs):
+            raise StructuralError(f"duplicate legs in tensor: {legs}")
+        data = np.asarray(self.data, dtype=complex).ravel()
+        if data.size != 2 ** len(legs):
+            raise StructuralError(
+                f"tensor with {len(legs)} legs needs {2 ** len(legs)} entries, got {data.size}"
+            )
+        if not np.all(np.isfinite(data)):
+            raise StructuralError("tensor data contains non-finite entries")
+        object.__setattr__(self, "data", data)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.legs)
+
+    def as_array(self) -> np.ndarray:
+        return self.data.reshape((2,) * self.ndim)
+
+
+def contract(
+    a: DenseTensor, b: DenseTensor, pairs: Sequence[tuple[Leg, Leg]]
+) -> DenseTensor:
+    """Contract two tensors over the given (leg of a, leg of b) pairs.
+
+    Remaining legs keep their order, a's first then b's.  Paired axes are
+    processed in ascending position within a so repeated runs sum in the
+    same order bit for bit.
+    """
+    axes_a: list[int] = []
+    axes_b: list[int] = []
+    seen_a: set[int] = set()
+    seen_b: set[int] = set()
+    for leg_a, leg_b in pairs:
+        try:
+            ia = a.legs.index(leg_a)
+        except ValueError:
+            raise StructuralError(f"first tensor has no leg {leg_a}") from None
+        try:
+            ib = b.legs.index(leg_b)
+        except ValueError:
+            raise StructuralError(f"second tensor has no leg {leg_b}") from None
+        if ia in seen_a or ib in seen_b:
+            raise StructuralError(f"leg paired twice in contraction: {leg_a} / {leg_b}")
+        seen_a.add(ia)
+        seen_b.add(ib)
+        axes_a.append(ia)
+        axes_b.append(ib)
+    order = np.argsort(axes_a, kind="stable") if axes_a else []
+    axes_a = [axes_a[i] for i in order]
+    axes_b = [axes_b[i] for i in order]
+    out = np.tensordot(a.as_array(), b.as_array(), axes=(axes_a, axes_b))
+    legs = tuple(l for i, l in enumerate(a.legs) if i not in seen_a) + tuple(
+        l for i, l in enumerate(b.legs) if i not in seen_b
+    )
+    return DenseTensor(legs, out.ravel())
+
+
+def naive_network_value(net: ExpectationNetwork) -> complex:
+    """Reference evaluation: expand every node (diagonals included) to a
+    DenseTensor with explicit legs and fold the network left to right with
+    pairwise contract() calls.  Exponential in network size.
+    """
+    wires = _wire_sequences(net)
+    # Assign dense-convention bond labels: bond p on wire w pairs the "out"
+    # leg of its left node with the "in" leg of its right node.
+    leg_of_node: list[list[tuple[Leg, str]]] = [[] for _ in net.nodes]
+    for w, seq in wires.items():
+        for p, (left, right) in enumerate(zip(seq, seq[1:])):
+            leg = Leg(site=w, slice=p, side="out")
+            pair = Leg(site=w, slice=p, side="in")
+            leg_of_node[left].append((leg, "out"))
+            leg_of_node[right].append((pair, "in"))
+
+    def to_dense(pos: int) -> DenseTensor:
+        node = net.nodes[pos]
+        arr = _node_array(node)
+        if node.kind == "diag":
+            w = node.width
+            full = np.zeros((2,) * (2 * w), dtype=complex)
+            flat = arr.ravel()
+            eye = full.reshape(2**w, 2**w)
+            np.fill_diagonal(eye, flat)
+            arr = full
+        outs = [leg for leg, side in leg_of_node[pos] if side == "out"]
+        ins = [leg for leg, side in leg_of_node[pos] if side == "in"]
+        # Row-major gate layout: out axes over node.sites order, then in axes.
+        outs_sorted = sorted(outs, key=lambda l: node.sites.index(l.site))
+        ins_sorted = sorted(ins, key=lambda l: node.sites.index(l.site))
+        if node.kind == "cap_ket":
+            return DenseTensor(tuple(outs_sorted), arr)
+        if node.kind == "cap_bra":
+            return DenseTensor(tuple(ins_sorted), arr)
+        return DenseTensor(tuple(outs_sorted) + tuple(ins_sorted), arr)
+
+    acc = DenseTensor((), np.ones(1, dtype=complex))
+    for pos in range(len(net.nodes)):
+        t = to_dense(pos)
+        # The "out" half of a bond always sits on the earlier node, so when
+        # folding in network order only acc-out/t-in pairs can match.
+        shared = [
+            (leg_a, Leg(leg_a.site, leg_a.slice, "in"))
+            for leg_a in acc.legs
+            if leg_a.side == "out" and Leg(leg_a.site, leg_a.slice, "in") in t.legs
+        ]
+        acc = contract(acc, t, shared)
+    if acc.legs:
+        raise StructuralError(f"network did not close; legs left: {acc.legs}")
+    return complex(acc.data[0])

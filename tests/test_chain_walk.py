@@ -46,7 +46,7 @@ def _oracle_conditionals(req, bits):
     n=st.integers(3, 10),
     periodic=st.booleans(),
     max_width=st.integers(1, 2),
-    r_j=st.integers(2, 4),
+    r_j=st.integers(1, 4),
     r_u=st.integers(1, 4),
     xi=st.sampled_from([0.3, 0.5, 0.8]),
     inst_seed=st.integers(0, 2**31 - 1),
@@ -249,3 +249,27 @@ def test_chain_above_caps_is_refused_not_asserted():
         FeasibilityError, match=r"within the dense cap of \d+ sites, use engine='dense'"
     ):
         conditional_chain(req, seed=0, engine="plan")
+
+
+def test_wrapped_periodic_instance_runs_on_the_plan_route():
+    # A constituent wrapping past site N lifts this chain plan to 17 open
+    # legs, above the open-chain bound of 16 for (r_U=2, r_J=1).  The bound
+    # does not cover such networks, so they carry no radii and the plan
+    # route runs instead of reporting a scheduler bug.
+    inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
+    network, plan, _ = _chain_plan(req)
+    assert plan.peak_open_legs == 17
+    assert network.r_u is None and network.r_j is None
+    for branch in ({"seed": 0}, {"bits": "1010"}):
+        chain = conditional_chain(req, engine="plan", **branch)
+        dense = conditional_chain(req, engine="dense", **branch)
+        assert chain.bits == dense.bits
+        np.testing.assert_allclose(chain.probs, dense.probs, rtol=0, atol=1e-12)
+        oracle = _oracle_conditionals(req, chain.bits)
+        np.testing.assert_allclose(chain.probs, oracle, rtol=0, atol=1e-10)
+    dist = exact_distribution(req.instance, req.t, r_j=1, r_u=2)
+    sign = 1 - 2 * (np.arange(16) & 1)
+    value = expectation(req, ObservableProduct(4), engine="plan")
+    assert value == pytest.approx(expectation(req, ObservableProduct(4), engine="dense"), abs=1e-12)
+    assert value == pytest.approx(float(dist.probabilities @ sign), abs=1e-10)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from liomsim.errors import DomainError, FeasibilityError
 from liomsim.model import (
-    Constituent,
     CouplingIndex,
     InstanceParams,
-    MblInstance,
     apply_to_state,
     build_explicit_instance,
     build_random_instance,

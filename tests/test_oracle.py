@@ -2,28 +2,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from liomsim.errors import FeasibilityError, NumericalIntegrityError
+from liomsim.errors import FeasibilityError
 from liomsim.model import (
     InstanceParams,
     build_explicit_instance,
     build_random_instance,
     dense_hamiltonian,
 )
-from liomsim.oracle import (
-    DenseState,
-    OutcomeDistribution,
-    evolve_state,
-    exact_distribution,
-    operator_norm,
-)
+from liomsim.oracle import OutcomeDistribution, evolve_state, exact_distribution
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-
-
-def test_dense_state_norm_check():
-    DenseState(1, np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(NumericalIntegrityError):
-        DenseState(1, np.array([1.0, 0.5], dtype=complex))
 
 
 def test_evolve_t0_is_initial_state():
@@ -79,23 +67,6 @@ def test_distribution_tvd_and_total_mass():
     assert d1.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
     assert d1.tvd(d1) == 0.0
     assert 0.0 <= d1.tvd(d2) <= 1.0
-
-
-def test_operator_norm_identity_and_hadamard():
-    assert operator_norm(np.eye(4)) == pytest.approx(1.0, rel=1e-8)
-    # 1 - Hadamard has eigenvalues 0 and 2
-    assert operator_norm(np.eye(2) - HADAMARD) == pytest.approx(2.0, rel=1e-8)
-
-
-def test_operator_norm_matches_svd():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        ref = np.linalg.norm(m, 2)
-        assert operator_norm(m) == pytest.approx(ref, rel=1e-7)
-    herm = rng.normal(size=(8, 8))
-    herm = herm + herm.T
-    assert operator_norm(herm) == pytest.approx(np.linalg.norm(herm, 2), rel=1e-7)
 
 
 def test_oversized_n_refused(monkeypatch):

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import naive_network_value
+
 from liomsim.errors import DomainError
 from liomsim.model import (
     InstanceParams,
@@ -26,7 +28,6 @@ from liomsim.simulate import (
     sample,
     site_blocks,
 )
-from liomsim.tensor import naive_network_value
 from liomsim.truncation import TruncationRadii, delta_h_bound, truncate
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

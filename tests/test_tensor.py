@@ -1,22 +1,21 @@
-"""Tests for the labeled-tensor engine and the qubit-wise scheduler."""
+"""Tests for the qubit-wise scheduler and plan runner, and for the
+leg-labelled reference contraction they are checked against."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
+from reference import DenseTensor, Leg, contract, naive_network_value
+
+from liomsim import tensor
 from liomsim.errors import FeasibilityError, StructuralError
 from liomsim.tensor import (
-    DenseTensor,
     ExpectationNetwork,
-    Leg,
     PlacedTensor,
     PlanRunner,
-    contract,
     execute,
     open_leg_bound,
-    naive_network_value,
     qubitwise_schedule,
 )
 
@@ -186,7 +185,7 @@ def test_schedule_is_data_independent():
         net = _closed_network(rng, n_sites, layers)
         plans.append(qubitwise_schedule(net))
     assert plans[0] == plans[1]
-    assert plans[0].order == plans[1].order
+    assert [s.node_index for s in plans[0].steps] == [s.node_index for s in plans[1].steps]
     assert plans[0].peak_open_legs == plans[1].peak_open_legs
 
 
@@ -194,11 +193,12 @@ def test_schedule_absorption_order_and_coverage():
     rng = np.random.default_rng(9)
     net = _closed_network(rng, *LAYER_SETS[2])
     plan = qubitwise_schedule(net)
-    assert sorted(plan.order) == list(range(len(net.nodes)))
-    min_sites = [net.nodes[pos].min_site for pos in plan.order]
+    order = [step.node_index for step in plan.steps]
+    assert sorted(order) == list(range(len(net.nodes)))
+    min_sites = [net.nodes[pos].min_site for pos in order]
     assert min_sites == sorted(min_sites)
     # Equal min-site nodes keep their application order.
-    for prev, cur in zip(plan.order, plan.order[1:]):
+    for prev, cur in zip(order, order[1:]):
         if net.nodes[prev].min_site == net.nodes[cur].min_site:
             assert prev < cur
     assert plan.peak_mem_axes <= plan.peak_open_legs
@@ -218,8 +218,8 @@ def test_schedule_rejects_open_networks():
     )
     with pytest.raises(StructuralError):
         qubitwise_schedule(ExpectationNetwork(n_sites=1, nodes=inner_cap))
-    with pytest.raises(StructuralError):
-        qubitwise_schedule(())
+    with pytest.raises(StructuralError, match="empty network"):
+        qubitwise_schedule(ExpectationNetwork(n_sites=1, nodes=()))
 
 
 def test_naive_rejects_open_network():
@@ -228,26 +228,16 @@ def test_naive_rejects_open_network():
         naive_network_value(ExpectationNetwork(n_sites=1, nodes=nodes))
 
 
-def test_plan_json_roundtrip():
-    rng = np.random.default_rng(10)
-    net = _closed_network(rng, *LAYER_SETS[0])
-    plan = qubitwise_schedule(net)
-    text = plan.to_json()
-    assert text.endswith("\n")
-    payload = json.loads(text)
-    assert payload["n_sites"] == 2
-    assert len(payload["steps"]) == len(net.nodes)
-    assert payload["peak_open_legs"] == plan.peak_open_legs
-
-
-def test_runner_feasibility_refusal():
+def test_runner_feasibility_refusal(monkeypatch):
     rng = np.random.default_rng(11)
     net = _closed_network(rng, *LAYER_SETS[3])
     plan = qubitwise_schedule(net)
     assert plan.peak_mem_axes >= 2
+    monkeypatch.setattr(tensor, "MAX_EXEC_AXES", plan.peak_mem_axes - 1)
     with pytest.raises(FeasibilityError):
-        PlanRunner(plan, net, max_axes=plan.peak_mem_axes - 1)
-    assert execute(plan, net, max_axes=plan.peak_mem_axes) is not None
+        PlanRunner(plan, net)
+    monkeypatch.setattr(tensor, "MAX_EXEC_AXES", plan.peak_mem_axes)
+    assert execute(plan, net) is not None
 
 
 def test_runner_checks_analytic_bound_tag():
@@ -346,7 +336,7 @@ def test_runner_records_observed_peak():
     assert vars(plan) == before
 
 
-def test_runner_refuses_steps_beyond_einsum_labels():
+def test_runner_refuses_steps_beyond_einsum_labels(monkeypatch):
     # One gate over 30 wires: absorbing it needs 60 distinct einsum labels.
     # No radii and a raised memory cap, so only the label check can refuse,
     # and it does so before any array is allocated.
@@ -359,6 +349,6 @@ def test_runner_refuses_steps_beyond_einsum_labels():
     net = ExpectationNetwork(n_sites=n, nodes=tuple(nodes))
     plan = qubitwise_schedule(net)
     assert plan.peak_mem_axes < 64
+    monkeypatch.setattr(tensor, "MAX_EXEC_AXES", 64)
     with pytest.raises(FeasibilityError, match="step G needs 60 einsum labels"):
-        PlanRunner(plan, net, max_axes=64)
-
+        PlanRunner(plan, net)
