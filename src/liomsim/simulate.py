@@ -22,7 +22,8 @@ the backward light cone of those sites, and every W factor outside it
 cancels against its mirror.  It contracts one unpruned chain network from
 the left once per chain and at each site finishes only the light-cone
 network of sites 1..w, once per outcome of site w.  One-shot queries
-contract the pruned network directly.
+contract the pruned network directly; a one-shot conditional takes both
+outcome weights of its site from one such network, forked at the pivot.
 """
 
 from __future__ import annotations
@@ -591,11 +592,13 @@ def conditional_probability(
     site: int,
     engine: str = "auto",
 ) -> float:
-    """P(z_site = 0 | z_1..z_{site-1} = prefix) as the ratio
-    P(prefix, 0) / P(prefix).  The dense route reads both off the
-    prefix-marginal tree; the plan route contracts two pruned
-    projector-product networks.  As in the chain walk, only a prefix of
-    probability exactly zero is impossible, and it gets 1."""
+    """P(z_site = 0 | z_1..z_{site-1} = prefix) as v0 / (v0 + v1) with
+    v_b = P(prefix, b), the rule of the chain walk.  The dense route reads
+    the pair off the prefix-marginal tree.  The plan route contracts one
+    pruned network of P(prefix, 0) up to its pivot diagonal, forks, and
+    finishes the twin with the pivot set to the other projector.  As in
+    the chain walk, only a prefix of probability exactly zero is
+    impossible, and it gets 1."""
     bits = [int(b) for b in prefix]
     if len(bits) != site - 1 or not set(bits) <= {0, 1}:
         raise DomainError(
@@ -605,22 +608,27 @@ def conditional_probability(
         raise DomainError(f"site {site} out of range for N={req.n_sites}")
     if _route(req, engine) == "dense":
         index = int("".join(map(str, bits)) or "0", 2)
-        tree = _prefix_tree(req)
-        numerator, denominator = tree[site][2 * index], tree[site - 1][index]
+        level = _prefix_tree(req)[site]
+        v0, v1 = level[2 * index], level[2 * index + 1]
     else:
-        # P(prefix) from its own network: the network of P(prefix, 1)
-        # contracts more slowly.
-        numerator = expectation(
-            req, ObservableProduct.prefix_projector(bits + [0]), engine="plan"
+        network = build_expectation_network(
+            req, ObservableProduct.prefix_projector(bits + [0])
         )
-        denominator = 1.0
-        if site > 1:
-            denominator = expectation(
-                req, ObservableProduct.prefix_projector(bits), engine="plan"
-            )
-    if denominator == 0.0:
+        # Layout: N ket caps, the kept W factors, site - 1 projectors, the
+        # pivot, the factors' mirrors, N bra caps.
+        n = req.n_sites
+        n_kept = (len(network.nodes) - 2 * n - site) // 2
+        pivot = n + n_kept + site - 1
+        runner = _runner(req, qubitwise_schedule(network), network)
+        runner.run_to(runner.step_of(pivot))
+        twin = runner.fork()
+        twin.set_override(pivot, _DIAGS["proj1"])
+        v0 = _checked(runner.finish(), "P(prefix, 0)")
+        v1 = _checked(twin.finish(), "P(prefix, 1)")
+    total = v0 + v1
+    if total == 0.0:
         return 1.0
-    return _checked(numerator / denominator, "conditional probability")
+    return _checked(v0 / total, "conditional probability")
 
 
 @dataclass(frozen=True)

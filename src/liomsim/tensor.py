@@ -376,7 +376,13 @@ class PlanRunner:
     def fork(self, target: ForkTarget | None = None) -> "PlanRunner":
         """Duplicate the partial contraction.  With a target, the twin runs
         target.plan instead: its first step moves this runner's accumulator
-        (shared, not copied) onto the target's ids."""
+        (shared, not copied) onto the target's ids.
+
+        Without a target the twin gets a C-ordered copy of the accumulator.
+        No step writes into the accumulator, but einsum returns it with
+        permuted strides and sums in an order that follows the layout, so
+        sharing the array would move the chain walk's probabilities by a
+        few ulp."""
         twin = object.__new__(PlanRunner)
         twin.net = self.net
         twin._overrides = dict(self._overrides)

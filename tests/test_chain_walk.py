@@ -223,6 +223,7 @@ def test_chain_below_1e_30_prefix_at_n300():
 def test_plan_chain_impossible_prefix_convention():
     inst = build_explicit_instance(InstanceParams(3, 0.5), {}, {})
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    assert conditional_probability(req, "1", 2, engine="plan") == 1.0
     assert conditional_chain(req, bits="100", engine="plan").probs == (1.0, 1.0, 1.0)
     assert conditional_chain(req, bits="010", engine="plan").probs == (1.0, 1.0, 1.0)
     assert all(r.bits == "000" for r in sample(req, 3, seed=0, engine="plan"))

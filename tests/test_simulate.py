@@ -234,12 +234,14 @@ def test_chain_probabilities_normalize():
 
 
 def test_chain_matches_pairwise_conditionals():
-    req = _random_request(5, seed=14, t=0.8)
+    # Radii below N keep the plan route's chain network within the engine cap.
     bits = (0, 1, 1, 0, 1)
-    chain = conditional_chain(req, bits=bits)
-    for k in range(5):
-        direct = conditional_probability(req, bits[:k], k + 1)
-        assert chain.probs[k] == pytest.approx(direct, abs=1e-10)
+    for engine, radii in (("auto", None), ("plan", TruncationRadii(3, 2))):
+        req = _random_request(5, seed=14, t=0.8, radii=radii)
+        chain = conditional_chain(req, bits=bits, engine=engine)
+        for k in range(5):
+            direct = conditional_probability(req, bits[:k], k + 1, engine=engine)
+            assert chain.probs[k] == pytest.approx(direct, abs=1e-10), (engine, k)
 
 
 def test_chain_engines_agree():
