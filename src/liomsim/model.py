@@ -519,12 +519,23 @@ def dense_hamiltonian(
     u = dense_unitary(instance, max_width=r_u)
     diag = sigma_diagonal(instance, r_j)
     ham = (u * diag) @ u.conj().T
-    asym = np.linalg.norm(ham - ham.conj().T, 2)
+    _check_hermitian(ham)
+    return (ham + ham.conj().T) / 2
+
+
+def _check_hermitian(ham: np.ndarray) -> None:
+    """Refuse ham unless ||H - H^dagger||_2 <= 1e-12 * max(1, ||H||_2).  A
+    Frobenius asymmetry within 1e-12 passes at once: it bounds the spectral
+    one, and the right side is at least 1e-12.  Otherwise both spectral
+    norms are computed."""
+    diff = ham - ham.conj().T
+    if np.linalg.norm(diff) <= 1e-12:
+        return
+    asym = np.linalg.norm(diff, 2)
     if asym > 1e-12 * max(1.0, np.linalg.norm(ham, 2)):
         raise NumericalIntegrityError(
             f"dense Hamiltonian failed the Hermiticity check: asymmetry {asym:.3e}"
         )
-    return (ham + ham.conj().T) / 2
 
 
 def dense_liom(instance: MblInstance, site: int, r_u: int | None = None) -> np.ndarray:

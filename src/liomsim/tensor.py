@@ -16,6 +16,16 @@ index with their neighbours (a diagonal phase layer never needs separate
 in/out axes).  The runner materializes arrays only when the peak memory
 count is affordable; the scheduler itself is pure structure and runs at
 any size.
+
+The runner's kernel keeps the accumulator C-contiguous and absorbs most
+nodes without einsum: a node whose accumulator ids all close and whose
+other ids all open (a gate, a bra cap) is one BLAS matrix product, after
+one transpose that moves the closing axes to the end when they are not
+there already; a node whose ids all stay open (a diagonal, a ket cap) is
+one broadcast multiply.  The rest fall back to np.einsum: a fork target's
+entry step (trace or diagonal of merged ids), and a node that closes some
+of its ids while the accumulator keeps another open (a hyperedge shared
+with a diagonal not yet absorbed).
 """
 
 from __future__ import annotations
@@ -311,6 +321,12 @@ class PlanRunner:
     plan at every step; both failures are internal assertion errors, not
     user errors.
 
+    Each step contracts one node into the accumulator (see the module
+    docstring for the kernel).  Accumulators are never written into, so
+    forks share them; a step drops the runner's reference to the old one
+    before computing the new one, so a step holds at most two
+    accumulator-sized arrays.
+
     Beyond one-shot execution the runner can pause between steps, fork
     (duplicate the partial contraction), and override the values of
     diagonal nodes not yet absorbed.  A fork may also move onto a
@@ -374,21 +390,18 @@ class PlanRunner:
         return self._step_of[node_index]
 
     def fork(self, target: ForkTarget | None = None) -> "PlanRunner":
-        """Duplicate the partial contraction.  With a target, the twin runs
-        target.plan instead: its first step moves this runner's accumulator
-        (shared, not copied) onto the target's ids.
-
-        Without a target the twin gets a C-ordered copy of the accumulator.
-        No step writes into the accumulator, but einsum returns it with
-        permuted strides and sums in an order that follows the layout, so
-        sharing the array would move the chain walk's probabilities by a
-        few ulp."""
+        """Duplicate the partial contraction.  The twin shares this runner's
+        accumulator rather than copying it: no step writes into an
+        accumulator, and every accumulator is C-contiguous, so a copy would
+        have the same layout and give the same bits.  With a target, the
+        twin runs target.plan instead, and its first step moves the shared
+        accumulator onto the target's ids."""
         twin = object.__new__(PlanRunner)
         twin.net = self.net
         twin._overrides = dict(self._overrides)
         if target is None:
             twin.plan = self.plan
-            twin._acc = self._acc.copy()
+            twin._acc = self._acc
             twin._acc_ids = list(self._acc_ids)
             twin._absorbed = list(self._absorbed)
             twin._pos = self._pos
@@ -438,7 +451,7 @@ class PlanRunner:
             for idx in dict.fromkeys(list(self._acc_ids) + list(ids))
             if absorbed[idx] < plan.index_endpoints[idx]
         ]
-        self._acc = _einsum(keep, (self._acc, self._acc_ids), (arr, ids))
+        self._absorb(arr, ids, keep)
         self._acc_ids = keep
         self._observed_peak = max(self._observed_peak, len(keep))
         if len(keep) != step.mem_axes_after:
@@ -447,6 +460,43 @@ class PlanRunner:
                 f"plan predicted {step.mem_axes_after}"
             )
         self._pos += 1
+
+    def _absorb(self, arr: np.ndarray, ids: Sequence[int], keep: list[int]) -> None:
+        """Contract the node (arr, ids) into the accumulator, whose axes
+        become `keep`.  The runner's reference is dropped first, so a step
+        holds at most two accumulator-sized arrays."""
+        acc, self._acc = self._acc, None
+        acc_ids = self._acc_ids
+        pos = {idx: a for a, idx in enumerate(ids)}
+        if len(pos) == len(ids):
+            open_ = set(keep)
+            new = [idx for idx in ids if idx not in acc_ids]
+            if open_.issuperset(ids):
+                # Every id stays open (a diagonal, or a ket cap): multiply
+                # by the node broadcast over keep.
+                node = arr.transpose([pos[idx] for idx in keep if idx in pos])
+                node = node.reshape([2 if idx in pos else 1 for idx in keep])
+                acc = acc.reshape(acc.shape + (1,) * len(new))
+                self._acc = np.multiply(acc, node, order="C")
+                return
+            closing = [idx for idx in acc_ids if idx not in open_]
+            if open_.issuperset(new) and len(closing) + len(new) == len(ids):
+                # Gate-like: the node's ids in the accumulator all close and
+                # its other ids open.  One matmul over the closing axes,
+                # moved to the end in accumulator order.
+                node = arr.transpose([pos[idx] for idx in closing + new])
+                node = node.reshape(2 ** len(closing), 2 ** len(new))
+                perm = [a for a, idx in enumerate(acc_ids) if idx in open_]
+                if closing != acc_ids[len(perm):]:
+                    acc = acc.transpose(perm + [acc_ids.index(idx) for idx in closing])
+                acc = acc.reshape(-1, 2 ** len(closing))
+                self._acc = np.matmul(acc, node).reshape((2,) * len(keep))
+                return
+        # A fork target's entry (trace or diagonal of merged ids), or a node
+        # that closes some ids while an accumulator id it carries stays open.
+        out = _einsum(keep, (acc, acc_ids), (arr, ids))
+        del acc
+        self._acc = np.ascontiguousarray(out)
 
     def run_to(self, stop: int) -> None:
         while self._pos < stop:

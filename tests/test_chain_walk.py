@@ -1,6 +1,7 @@
 """Tests for the plan-route chain walk with light-cone finishes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,21 @@ def test_light_cone_finishes_cost_less_than_one_pass():
         # The move runs once per site, the remaining steps once per outcome.
         finishes += costs[0][0] + 2 * sum(ops for ops, _ in costs[1:])
     assert finishes < one_pass
+
+
+def test_chain_holds_at_most_two_accumulators():
+    # Each step drops the runner's old accumulator before computing the new
+    # one, so a warm chain peaks at two arrays of the plan's peak size.
+    req = _criterion_6_request(16)
+    conditional_chain(req, seed=0, engine="plan")
+    _, plan, _ = _chain_plan(req)
+    tracemalloc.start()
+    try:
+        conditional_chain(req, seed=1, engine="plan")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 16 * 2**plan.peak_mem_axes
 
 
 def test_light_cone_walk_matches_reference_on_criterion_6_family():

@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package or of its tests imports a name
-it never uses."""
+it never uses, and the package starts no threads of its own."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,27 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_package_starts_no_threads():
+    # The contraction kernel runs on BLAS, and the benchmark's host-speed
+    # adjustment cannot see threads the library itself starts.
+    banned = {"threading", "multiprocessing", "concurrent"}
+    found = []
+    for path in sorted((ROOT / "src" / "liomsim").glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: imports {name}"
+                for name in names
+                if name.split(".")[0] in banned
+            ]
+        if "NUM_THREADS" in text:
+            found.append(f"{path.relative_to(ROOT)}: mentions NUM_THREADS")
+    assert not found, "\n".join(found)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liomsim.errors import DomainError, FeasibilityError
+from liomsim import model
+from liomsim.errors import DomainError, FeasibilityError, NumericalIntegrityError
 from liomsim.model import (
     CouplingIndex,
     InstanceParams,
@@ -180,6 +181,39 @@ def test_spectrum_matches_diagonal_pattern():
     eigs = np.sort(np.linalg.eigvalsh(h))
     diag = np.sort(sigma_diagonal(inst))
     np.testing.assert_allclose(eigs, diag, atol=1e-9)
+
+
+def _spectral_norm_calls(monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None):
+        calls.append(ord)
+        return norm(x, ord)
+
+    monkeypatch.setattr(model.np.linalg, "norm", spy)
+    return calls
+
+
+def test_hermiticity_check_keeps_the_spectral_threshold(monkeypatch):
+    calls = _spectral_norm_calls(monkeypatch)
+    # ||H||_2 = 1 and a spectral asymmetry of 2e-12: refused.
+    ham = np.eye(4, dtype=complex)
+    ham[0, 1] = 2e-12
+    with pytest.raises(NumericalIntegrityError, match="Hermiticity check: asymmetry 2.000e-12"):
+        model._check_hermitian(ham)
+    # 5e-13 passes on the Frobenius norm alone.
+    ham[0, 1] = 5e-13
+    calls.clear()
+    model._check_hermitian(ham)
+    assert 2 not in calls
+    # Frobenius asymmetry 0.9e-12 * sqrt(16) but spectral 0.9e-12 <= 1e-12:
+    # passes, through the exact spectral norms.
+    ham = np.eye(16) + 0.45e-12j * np.eye(16)
+    assert np.linalg.norm(ham - ham.conj().T) > 1e-12
+    calls.clear()
+    model._check_hermitian(ham)
+    assert calls.count(2) == 2
 
 
 def test_truncated_hamiltonian_eigenvalue_shift():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reference import DenseTensor, Leg, contract, naive_network_value
 
@@ -165,6 +167,72 @@ def test_execute_matches_naive_reference():
         fast = execute(plan, net)
         slow = naive_network_value(net)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12), (n_sites, layers)
+
+
+@st.composite
+def _random_networks(draw):
+    """A closed network on 1-5 wires: caps with or without data, gates of
+    width 1-3, and diagonals, which share one id with every diagonal next to
+    them on a wire.  Wires no layer touches have a ket cap and a bra cap on
+    one id."""
+    n_sites = draw(st.integers(1, 5))
+    layers = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["gate", "diag"]))
+        width = draw(st.integers(1, min(3, n_sites)))
+        layers.append((kind, tuple(draw(st.permutations(range(1, n_sites + 1)))[:width])))
+    capped = draw(st.lists(st.booleans(), min_size=2 * n_sites, max_size=2 * n_sites))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = []
+    for i, (kind, sites) in enumerate(layers):
+        size = 4 ** len(sites) if kind == "gate" else 2 ** len(sites)
+        data = (rng.normal(size=size) + 1j * rng.normal(size=size)) / 2 ** len(sites)
+        nodes.append(PlacedTensor(f"n{i}", kind, sites, data))
+
+    def cap(kind, w, with_data):
+        data = rng.normal(size=2) + 1j * rng.normal(size=2) if with_data else None
+        return _cap(f"{kind}{w}", w, kind, data)
+
+    kets = [cap("cap_ket", w, capped[w - 1]) for w in range(1, n_sites + 1)]
+    bras = [cap("cap_bra", w, capped[n_sites + w - 1]) for w in range(1, n_sites + 1)]
+    return ExpectationNetwork(n_sites=n_sites, nodes=tuple(kets + nodes + bras))
+
+
+def _magnitude(net):
+    """The network's value with every entry replaced by its modulus: a
+    bound on the sum of the moduli of the terms the contraction adds."""
+    nodes = tuple(
+        PlacedTensor(node.name, node.kind, node.sites, np.abs(tensor._node_array(node)))
+        for node in net.nodes
+    )
+    return abs(naive_network_value(ExpectationNetwork(net.n_sites, nodes)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(net=_random_networks())
+def test_runner_kernel_matches_naive_reference(net):
+    plan = qubitwise_schedule(net)
+    runner = PlanRunner(plan, net)
+    for _ in plan.steps:
+        runner.step()
+        assert runner._acc.flags.c_contiguous
+        assert runner._acc.ndim == len(runner.open_ids)
+    value = runner.finish()
+    assert value == execute(plan, net)
+    assert abs(value - naive_network_value(net)) <= 1e-12 * max(1.0, _magnitude(net))
+
+
+def test_fork_shares_the_accumulator():
+    # Every accumulator is C-contiguous and no step writes into one, so a
+    # twin sharing it finishes with the bits of a twin given a copy.
+    rng = np.random.default_rng(18)
+    net, diag_index = _diag_split_network(rng)
+    runner = PlanRunner(qubitwise_schedule(net), net)
+    runner.run_to(runner.step_of(diag_index))
+    shared, copied = runner.fork(), runner.fork()
+    assert shared._acc is runner._acc
+    copied._acc = runner._acc.copy()
+    assert shared.finish() == copied.finish() == runner.finish()
 
 
 def test_execute_repeat_is_bit_identical():
