@@ -11,19 +11,27 @@ from hypothesis import strategies as st
 from reference import reference_chain_walk
 
 from liomsim.errors import FeasibilityError, StructuralError
-from liomsim.model import InstanceParams, build_explicit_instance, build_random_instance
-from liomsim.oracle import exact_distribution
+from liomsim.model import (
+    InstanceParams,
+    apply_to_state,
+    build_explicit_instance,
+    build_random_instance,
+)
+from liomsim.oracle import evolve_state, exact_distribution
 from liomsim.simulate import (
     ObservableProduct,
     SimulationRequest,
     _chain_plan,
     _cone_target,
+    _evolved_tensor,
+    _fold_gates,
+    _w_nodes,
     conditional_chain,
     conditional_probability,
     expectation,
     sample,
 )
-from liomsim.tensor import PlanRunner
+from liomsim.tensor import PlacedTensor, PlanRunner
 from liomsim.truncation import TruncationRadii
 
 
@@ -112,6 +120,91 @@ def test_light_cone_finishes_cost_less_than_one_pass():
         # The move runs once per site, the remaining steps once per outcome.
         finishes += costs[0][0] + 2 * sum(ops for ops, _ in costs[1:])
     assert finishes < one_pass
+
+
+def _fold_misses(nodes):
+    """Gates whose wires all meet one gate next to them, on the same side;
+    that gate covers all of their sites, so _w_nodes should have folded
+    the pair."""
+    misses = []
+    for i, node in enumerate(nodes):
+        if node.kind != "gate":
+            continue
+        for side in (range(i - 1, -1, -1), range(i + 1, len(nodes))):
+            nbrs = {next((j for j in side if s in nodes[j].sites), None) for s in node.sites}
+            if len(nbrs) == 1 and None not in nbrs and nodes[min(nbrs)].kind == "gate":
+                misses.append((node.name, nodes[min(nbrs)].name))
+    return misses
+
+
+def test_folded_w_shortens_the_chain_plan():
+    # Every single-site constituent folds into the width-2 gate next to
+    # it: 158 W factors become 94 and a plan pass 412 steps become 284.
+    req = _criterion_6_request(32)
+    _, plan, _ = _chain_plan(req)
+    assert len(plan.steps) == 284
+    assert plan.peak_mem_axes == 18
+    assert _fold_misses(_w_nodes(req)) == []
+    for n in (16, 32, 64):
+        _, plan, _ = _chain_plan(_criterion_6_request(n))
+        # The unfolded plans peaked at 19 memory axes and 29 open legs.
+        assert plan.peak_mem_axes <= 19
+        assert plan.peak_open_legs <= 29
+
+
+def test_fold_reaches_gates_exposed_by_a_fold():
+    # The wide gate first absorbs the two gates ending its wires; only then
+    # does the gate they followed end its wires, and it folds too.  A
+    # diagonal between gates stops folding on its wire.
+    rng = np.random.default_rng(5)
+
+    def gate(name, sites):
+        dim = 2 ** len(sites)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        return PlacedTensor(name, "gate", sites, q)
+
+    nodes = [
+        gate("a", (2, 3)),
+        gate("b", (1, 2)),
+        gate("c", (4, 3)),
+        gate("d", (4, 1, 2, 3)),
+        gate("u", (5,)),
+        PlacedTensor("v", "diag", (5,), np.exp(1j * rng.normal(size=2))),
+        gate("e", (5,)),
+        gate("f", (4, 5)),
+    ]
+    folded = _fold_gates(nodes)
+    assert [node.name for node in folded] == ["d*c*b*a", "u", "v", "f*e"]
+    assert _fold_misses(folded) == []
+    psi = rng.normal(size=(2,) * 5) + 1j * rng.normal(size=(2,) * 5)
+
+    def walk(factors):
+        out = psi
+        for node in factors:
+            if node.kind == "gate":
+                out = apply_to_state(node.data, node.sites, out, 5)
+            else:
+                out = out * node.data.reshape(1, 1, 1, 1, 2)
+        return out
+
+    np.testing.assert_allclose(walk(folded), walk(nodes), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", [3, 5, 6, 8])
+def test_folded_w_matches_oracle_state(n, periodic):
+    # Wide constituents fold into wrapped gates whose sites are not
+    # ascending and into gates of width 3 and 4.
+    for r_u in (1, 2, 3, 4):
+        inst = build_random_instance(
+            InstanceParams(n, 0.5), seed=7 * n + r_u, max_body=3, periodic=periodic
+        )
+        radii = TruncationRadii(min(3, n), min(r_u, n))
+        req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
+        assert _fold_misses(_w_nodes(req)) == []
+        psi = _evolved_tensor(req).ravel()
+        ref = evolve_state(inst, req.t, r_j=radii.r_j, r_u=radii.r_u)
+        np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-12)
 
 
 def test_chain_holds_at_most_two_accumulators():

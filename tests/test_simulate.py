@@ -60,6 +60,30 @@ def test_observable_validation():
         ObservableProduct(2, rotations=((1, np.eye(3)),))
     with pytest.raises(DomainError):
         ObservableProduct.prefix_projector("")
+    # Rotation sites below 1 would index the state from its far end.
+    for site in (0, -1):
+        with pytest.raises(DomainError, match="rotation site"):
+            ObservableProduct(4, rotations=((site, HADAMARD),))
+    req = _random_request(4, seed=2)
+    for obs in (
+        ObservableProduct(5),
+        ObservableProduct(4, rotations=((5, HADAMARD),)),
+        ObservableProduct(2, rotations=((7, HADAMARD),)),
+    ):
+        with pytest.raises(DomainError, match="out of range for N=4"):
+            build_expectation_network(req, obs)
+
+
+@pytest.mark.parametrize("engine", ["dense", "plan", "auto"])
+def test_expectation_refuses_rotation_sites_above_n(engine):
+    req = _random_request(4, seed=2, radii=TruncationRadii(3, 2))
+    for site in (5, 6):
+        obs = ObservableProduct(4, rotations=((site, HADAMARD),))
+        with pytest.raises(DomainError, match=f"site {site} out of range for N=4"):
+            expectation(req, obs, engine=engine)
+    # A rotation on site N itself is in range on every route.
+    obs = ObservableProduct(4, rotations=((4, HADAMARD),))
+    assert -1.0 <= expectation(req, obs, engine=engine) <= 1.0
 
 
 def test_request_validation_and_cache():
