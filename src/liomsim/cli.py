@@ -209,7 +209,10 @@ def _cmd_gatecount(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    """Dense-vs-tensor equivalence suite on random instances."""
+    """Dense-vs-tensor equivalence suite on random instances: conditionals
+    of the tensor (plan) route against the dense oracle.  The instances are
+    open chains of constituents at most two sites wide, whose plans stay
+    within the engine cap at every N the oracle reaches."""
     n = config.n
     rng = np.random.default_rng(config.seed)
     worst = 0.0
@@ -217,7 +220,8 @@ def _cmd_verify(config: RunConfig) -> int:
     for trial in range(config.trials):
         params = model.InstanceParams(n, xi=[0.3, 0.5][trial % 2])
         instance = model.build_random_instance(
-            params, seed=int(rng.integers(2**63)), max_body=min(n, 4)
+            params, seed=int(rng.integers(2**63)), max_body=min(n, 4),
+            max_width=2, periodic=False,
         )
         radii = truncation.TruncationRadii(
             int(rng.integers(2, 7)), int(rng.integers(2, 7))
@@ -230,7 +234,7 @@ def _cmd_verify(config: RunConfig) -> int:
         probs = dist.probabilities.reshape((2,) * n)
         prefix: list[int] = []
         for site in range(1, n + 1):
-            p_sim = simulate.conditional_probability(req, prefix, site)
+            p_sim = simulate.conditional_probability(req, prefix, site, engine="plan")
             marg = probs[tuple(prefix)].reshape(2, -1).sum(axis=1)
             total = marg.sum()
             if total == 0.0:

@@ -26,15 +26,17 @@ threshold.  The dense source reads the conditionals off a tree of prefix
 marginals of |W|0>|^2.  The plan source rests on quasilocality: W is built
 from gates of width at most r_U, so an observable on sites 1..w only sees
 the backward light cone of those sites, and every W factor outside it
-cancels against its mirror.  It contracts one unpruned chain network from
-the left once per chain and at each site finishes only the light-cone
-network of sites 1..w, once per outcome of site w.  One-shot queries
-contract the pruned network directly; a one-shot conditional takes both
-outcome weights of its site from one such network, forked at the pivot.
+cancels against its mirror.  One builder, _cone, makes the light-cone
+network of sites 1..w with an identity mark per site; the cone of all N
+sites is the chain network, which the walk contracts once per chain,
+forking at each site w onto the cone of sites 1..w to finish it once per
+outcome.  A one-shot conditional finishes that cone too, with its prefix
+projectors on the marks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -43,6 +45,7 @@ import numpy as np
 
 from .errors import DomainError, FeasibilityError, NumericalIntegrityError
 from .model import (
+    UNITARITY_TOL,
     MblInstance,
     _dense_cap,
     apply_to_state,
@@ -50,13 +53,11 @@ from .model import (
     constituent_placements,
 )
 from .tensor import (
-    ACC_NODE,
     ContractionPlan,
     ExpectationNetwork,
     ForkTarget,
     PlacedTensor,
     PlanRunner,
-    PlanStep,
     qubitwise_schedule,
 )
 from .truncation import TruncatedInstance, TruncationRadii, select_radii, truncate
@@ -86,7 +87,7 @@ class ObservableProduct:
             raise DomainError(f"pivot site must be >= 1, got {self.pivot_site}")
         if self.pivot_kind not in _PIVOT_KINDS:
             raise DomainError(f"pivot kind must be one of {_PIVOT_KINDS}, got {self.pivot_kind!r}")
-        proj = tuple(sorted((int(s), int(b)) for s, b in dict(self.projectors).items()))
+        proj = tuple(sorted((int(s), int(b)) for s, b in self.projectors))
         object.__setattr__(self, "projectors", proj)
         for s, b in proj:
             if not (1 <= s < self.pivot_site):
@@ -95,13 +96,25 @@ class ObservableProduct:
                 )
             if b not in (0, 1):
                 raise DomainError(f"projector outcome must be 0 or 1, got {b}")
-        rot = tuple(sorted(((int(s), np.asarray(r, dtype=complex)) for s, r in dict(self.rotations).items()), key=lambda x: x[0]))
+        rot = [(int(s), np.asarray(r, dtype=complex)) for s, r in self.rotations]
+        rot = tuple(sorted(rot, key=lambda x: x[0]))
         object.__setattr__(self, "rotations", rot)
         for s, r in rot:
             if s < 1:
                 raise DomainError(f"rotation site must be >= 1, got {s}")
             if r.shape != (2, 2):
                 raise DomainError(f"rotation on site {s} must be a 2x2 matrix")
+            dev = np.linalg.norm(r.conj().T @ r - np.eye(2), 2)
+            if dev > UNITARITY_TOL:
+                raise DomainError(
+                    f"rotation on site {s} is not unitary: "
+                    f"||R^dag R - 1|| = {dev:.3e} > {UNITARITY_TOL}"
+                )
+        for what, entries in (("projector", proj), ("rotation", rot)):
+            sites = [s for s, _ in entries]
+            for s, t in zip(sites, sites[1:]):
+                if s == t:
+                    raise DomainError(f"{what} site {s} is given more than once")
 
     @classmethod
     def prefix_projector(cls, bits: Sequence[int] | str) -> "ObservableProduct":
@@ -380,14 +393,12 @@ def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
     return nodes
 
 
-def _light_cone(
-    w_list: Sequence[PlacedTensor], support: Iterable[int]
-) -> tuple[list[bool], set[int]]:
+def _light_cone(w_list: Sequence[PlacedTensor], support: Iterable[int]) -> list[bool]:
     """Backward light cone of a set of sites in W: walking the factors from
     last applied to first, keep each one that meets the support and grow
-    the support by its sites.  Returns the keep flags and the grown
-    support.  A dropped factor acts after every kept factor on its wires,
-    so it cancels against its mirror image in W^dag (.) W."""
+    the support by its sites.  Returns the keep flags.  A dropped factor
+    acts after every kept factor on its wires, so it cancels against its
+    mirror image in W^dag (.) W."""
     supp = set(support)
     keep = [False] * len(w_list)
     for i in range(len(w_list) - 1, -1, -1):
@@ -395,31 +406,48 @@ def _light_cone(
         if not supp.isdisjoint(sites):
             keep[i] = True
             supp.update(sites)
-    return keep, supp
+    return keep
+
+
+@functools.cache
+def _wire_node(kind: str, w: int) -> PlacedTensor:
+    """The ket cap, bra cap or identity mark ("diag") of wire w.  Every
+    network holds the same object, as it holds the same W factors and
+    mirrors, so _cone_target can match nodes by identity."""
+    if kind == "diag":
+        return PlacedTensor(f"I[{w}]", "diag", (w,), np.ones(2, dtype=complex))
+    return PlacedTensor(f"{kind[4:]}[{w}]", kind, (w,), None)
 
 
 def _closed_network(
-    req: SimulationRequest, w_kept: Sequence[PlacedTensor], middle: Sequence[PlacedTensor]
+    req: SimulationRequest, keep: Sequence[bool], middle: Sequence[PlacedTensor]
 ) -> ExpectationNetwork:
-    """<0|W^dag (middle) W|0> over the given W factors, laid out as ket
-    caps, the factors, the middle nodes, the factors' mirrors, bra caps.
+    """<0|W^dag (middle) W|0> over the W factors flagged in keep, laid out
+    as ket caps, the factors, the middle nodes, the factors' mirrors (from
+    one dagger cache per request), bra caps.  Only the wires these nodes
+    touch are capped: a bare wire contributes <0|0> = 1.
 
     The network carries the request's radii, so that its plan is checked
     against the analytic open-leg bound, only when every factor sits on
     ascending contiguous sites: the bound does not cover a constituent
     that wraps past site N on a periodic chain."""
-    n = req.n_sites
-    mirror = [_dagger(node) for node in reversed(w_kept)]
+    w_list = _w_nodes(req)
+    mirrors = req._cache.get("mirrors")
+    if mirrors is None:
+        mirrors = req._cache["mirrors"] = [_dagger(node) for node in w_list]
+    kept = [i for i, k in enumerate(keep) if k]
+    w_kept = [w_list[i] for i in kept]
+    wires = sorted({s for node in w_kept + list(middle) for s in node.sites})
     nodes = (
-        [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), None) for w in range(1, n + 1)]
-        + list(w_kept)
+        [_wire_node("cap_ket", w) for w in wires]
+        + w_kept
         + list(middle)
-        + mirror
-        + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), None) for w in range(1, n + 1)]
+        + [mirrors[i] for i in reversed(kept)]
+        + [_wire_node("cap_bra", w) for w in wires]
     )
     unwrapped = all(node.sites[-1] - node.sites[0] == node.width - 1 for node in w_kept)
     return ExpectationNetwork(
-        n_sites=n,
+        n_sites=req.n_sites,
         nodes=tuple(nodes),
         r_u=req.radii.r_u if unwrapped else None,
         r_j=req.radii.r_j if unwrapped else None,
@@ -435,113 +463,58 @@ def build_expectation_network(
     unchanged."""
     _check_sites(obs, req.n_sites)
     w_list = _w_nodes(req)
-    if prune:
-        keep, _ = _light_cone(w_list, obs.support())
-        w_list = [node for node, kept in zip(w_list, keep) if kept]
-    return _closed_network(req, w_list, _observable_nodes(obs))
+    keep = _light_cone(w_list, obs.support()) if prune else [True] * len(w_list)
+    return _closed_network(req, keep, _observable_nodes(obs))
 
 
-def _chain_plan(req: SimulationRequest):
-    """Unpruned <0|W^dag (.) W|0> network with a placeholder identity
-    diagonal (mark) on every wire between W and its mirror, plus its
-    qubit-wise plan and the node index of each mark; cached on the request.
+def _cone(req: SimulationRequest, site: int):
+    """Light-cone network of sites 1..site with an identity diagonal (mark)
+    on each of them, its qubit-wise plan, and the node position of each
+    mark by site; cached on the request.
 
-    Overriding marks 1..w with projectors turns the closed network into the
-    marginal P(z_1..z_w).  The chain walk runs this plan once from the
-    left, overriding each mark once its outcome is chosen; the marginals
-    themselves come from _cone_target's smaller plans."""
-    hit = req._cache.get("chain_plan")
-    if hit is not None:
-        return hit
-    n = req.n_sites
-    w_list = _w_nodes(req)
-    ones = np.ones(2, dtype=complex)
-    marks = [PlacedTensor(f"I[{w}]", "diag", (w,), ones) for w in range(1, n + 1)]
-    network = _closed_network(req, w_list, marks)
-    plan = qubitwise_schedule(network)
-    mark_nodes = {w: n + len(w_list) + (w - 1) for w in range(1, n + 1)}
-    hit = (network, plan, mark_nodes)
-    req._cache["chain_plan"] = hit
+    Overriding marks 1..site with projectors turns the network into the
+    marginal P(z_1..z_site).  Every W factor meets some site, so
+    _cone(req, N) is the unpruned chain network: the chain walk runs its
+    plan once from the left, overriding each mark once its outcome is
+    chosen, and forks onto _cone_target's smaller cones for the
+    marginals."""
+    cones = req._cache.setdefault("cones", {})
+    hit = cones.get(site)
+    if hit is None:
+        diags = [_wire_node("diag", w) for w in range(1, site + 1)]
+        network = _closed_network(req, _light_cone(_w_nodes(req), range(1, site + 1)), diags)
+        where = {id(node): pos for pos, node in enumerate(network.nodes)}
+        marks = {w: where[id(node)] for w, node in enumerate(diags, 1)}
+        hit = cones[site] = (network, qubitwise_schedule(network), marks)
     return hit
 
 
 def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkTarget:
     """Where the chain runner, paused just before mark `site`, continues to
-    get the marginals of sites 1..site; cached on the request.
+    get the marginals of sites 1..site: the plan of _cone(req, site) from
+    its own mark `site` on; cached on the request.
 
-    The light-cone network keeps the chain network's caps on the cone's
-    wires, the W factors in the backward light cone of sites 1..site, marks
-    1..site and the kept factors' mirrors.  Every node the runner has
-    absorbed lies in that cone, so up to the mark both plans absorb the
-    same nodes in the same order; they differ only in that removing a
-    W...W^dag segment merges the indices on either side of it.  The target
-    keeps the cone plan's steps from the mark on, plus the map from the
-    runner's open ids to cone ids.  The runner is needed only for the
-    order of its open ids, which the chain plan fixes."""
+    Every node the runner has absorbed lies in that light cone, so up to
+    the mark both plans absorb the same nodes in the same order; they
+    differ only in that removing a W...W^dag segment merges the indices on
+    either side of it.  The runner gives the chain network and plan, and
+    the order of its open ids, which the chain plan fixes."""
     targets = req._cache.setdefault("cone_targets", {})
     hit = targets.get(site)
     if hit is not None:
         return hit
-    network, plan, mark_nodes = _chain_plan(req)
-    n = req.n_sites
-    w_list = _w_nodes(req)
-    n_w = len(w_list)
-    keep, wires = _light_cone(w_list, range(1, site + 1))
-    # Chain network layout: ket caps, W factors, marks, mirror, bra caps.
-    kept = [i for i in range(n_w) if keep[i]]
-    positions = (
-        [w - 1 for w in sorted(wires)]
-        + [n + i for i in kept]
-        + [mark_nodes[w] for w in range(1, site + 1)]
-        + [2 * n + 2 * n_w - 1 - i for i in reversed(kept)]
-        + [2 * n + 2 * n_w + w - 1 for w in sorted(wires)]
-    )
-    cone = ExpectationNetwork(
-        n_sites=n, nodes=tuple(network.nodes[p] for p in positions)
-    )
-    cone_plan = qubitwise_schedule(cone)
+    chain, chain_plan = runner.net, runner.plan
+    network, plan, _ = _cone(req, site)
     cut = runner.position
-    head = [positions[step.node_index] for step in cone_plan.steps[:cut]]
-    if head != [step.node_index for step in plan.steps[:cut]] or (
-        positions[cone_plan.steps[cut].node_index] != mark_nodes[site]
+    head = list(zip(chain_plan.steps[: cut + 1], plan.steps[: cut + 1]))
+    if len(head) != cut + 1 or any(
+        chain.nodes[a.node_index] is not network.nodes[b.node_index] for a, b in head
     ):
         raise AssertionError(f"light cone of sites 1..{site} misses an absorbed node")
     ids: dict[int, int] = {}
-    for step in cone_plan.steps[:cut]:
-        chain_ids = plan.node_indices[positions[step.node_index]]
-        ids.update(zip(chain_ids, cone_plan.node_indices[step.node_index]))
-    ids = {i: ids[i] for i in runner.open_ids}
-    node_indices = {ACC_NODE: tuple(ids[i] for i in runner.open_ids)}
-    steps = [
-        PlanStep(
-            ACC_NODE,
-            f"acc[{site}]",
-            cone_plan.steps[cut - 1].open_legs_after,
-            cone_plan.steps[cut - 1].mem_axes_after,
-        )
-    ]
-    for step in cone_plan.steps[cut:]:
-        pos = positions[step.node_index]
-        node_indices[pos] = cone_plan.node_indices[step.node_index]
-        steps.append(
-            PlanStep(pos, step.name, step.open_legs_after, step.mem_axes_after)
-        )
-    endpoints = [0] * len(cone_plan.index_endpoints)
-    for node_ids in node_indices.values():
-        for idx in node_ids:
-            endpoints[idx] += 1
-    # No radii: the analytic bound was checked on the chain plan.
-    tail = ContractionPlan(
-        n_sites=n,
-        steps=steps,
-        node_indices=node_indices,
-        index_endpoints=endpoints,
-        peak_open_legs=max(step.open_legs_after for step in steps),
-        peak_mem_axes=max(step.mem_axes_after for step in steps),
-        r_u=None,
-        r_j=None,
-    )
-    hit = ForkTarget(plan=tail, ids=ids)
+    for a, b in head[:cut]:
+        ids.update(zip(chain_plan.node_indices[a.node_index], plan.node_indices[b.node_index]))
+    hit = ForkTarget(network, plan, cut, {i: ids[i] for i in runner.open_ids})
     targets[site] = hit
     return hit
 
@@ -676,9 +649,9 @@ def conditional_probability(
 ) -> float:
     """P(z_site = 0 | z_1..z_{site-1} = prefix) as v0 / (v0 + v1) with
     v_b = P(prefix, b), the rule of the chain walk.  The dense route reads
-    the pair off the prefix-marginal tree.  The plan route contracts one
-    pruned network of P(prefix, 0) up to its pivot diagonal, forks, and
-    finishes the twin with the pivot set to the other projector.  As in
+    the pair off the prefix-marginal tree.  The plan route takes it from
+    the light-cone network of sites 1..site, with the prefix projectors on
+    marks 1..site-1, through _outcome_pair as the chain walk does.  As in
     the chain walk, only a prefix of probability exactly zero is
     impossible, and it gets 1."""
     bits = [int(b) for b in prefix]
@@ -693,20 +666,12 @@ def conditional_probability(
         level = _prefix_tree(req)[site]
         v0, v1 = level[2 * index], level[2 * index + 1]
     else:
-        network = build_expectation_network(
-            req, ObservableProduct.prefix_projector(bits + [0])
-        )
-        # Layout: N ket caps, the kept W factors, site - 1 projectors, the
-        # pivot, the factors' mirrors, N bra caps.
-        n = req.n_sites
-        n_kept = (len(network.nodes) - 2 * n - site) // 2
-        pivot = n + n_kept + site - 1
-        runner = _runner(req, qubitwise_schedule(network), network)
-        runner.run_to(runner.step_of(pivot))
-        twin = runner.fork()
-        twin.set_override(pivot, _DIAGS["proj1"])
-        v0 = _checked(runner.finish(), "P(prefix, 0)")
-        v1 = _checked(twin.finish(), "P(prefix, 1)")
+        network, plan, marks = _cone(req, site)
+        runner = _runner(req, plan, network)
+        for w, bit in enumerate(bits, 1):
+            runner.set_override(marks[w], _DIAGS[f"proj{bit}"])
+        v0, v1 = _outcome_pair(runner, marks[site])
+        v0, v1 = _checked(v0, "P(prefix, 0)"), _checked(v1, "P(prefix, 1)")
     total = v0 + v1
     if total == 0.0:
         return 1.0
@@ -722,27 +687,34 @@ class ChainResult:
     probs: tuple[float, ...]
 
 
+def _outcome_pair(runner: PlanRunner, mark: int) -> tuple[complex, complex]:
+    """(v0, v1): the runner's network finished with the diagonal at node
+    `mark` set to proj0 and to proj1.  The runner runs to the mark once;
+    a fork finishes the proj0 branch, the runner itself the proj1 one."""
+    runner.run_to(runner.step_of(mark))
+    twin = runner.fork()
+    twin.set_override(mark, _DIAGS["proj0"])
+    runner.set_override(mark, _DIAGS["proj1"])
+    return twin.finish(), runner.finish()
+
+
 class _PlanMarginals:
     """Plan-route marginal source.  The runner holds the left part of the
     chain network with marks 1..w-1 set to the chosen projectors, each
     divided by its own conditional, so site w's two marginals are the
-    conditionals v_b = P(z_w = b | prefix), from two finishes of the
-    light-cone target."""
+    conditionals v_b = P(z_w = b | prefix), from the outcome pair of a fork
+    onto the light-cone target."""
 
     def __init__(self, req: SimulationRequest) -> None:
-        network, plan, self.marks = _chain_plan(req)
+        network, plan, self.marks = _cone(req, req.n_sites)
         self.req = req
         self.runner = _runner(req, plan, network)
 
     def conditionals(self, site: int) -> tuple[complex, complex]:
-        mark, runner = self.marks[site], self.runner
-        runner.run_to(runner.step_of(mark))
+        runner = self.runner
+        runner.run_to(runner.step_of(self.marks[site]))
         cone = runner.fork(_cone_target(self.req, runner, site))
-        cone.step()
-        branch = cone.fork()
-        branch.set_override(mark, _DIAGS["proj0"])
-        cone.set_override(mark, _DIAGS["proj1"])
-        return branch.finish(), cone.finish()
+        return _outcome_pair(cone, _cone(self.req, site)[2][site])
 
     def fix(self, site: int, bit: int, value: float) -> None:
         self.runner.set_override(self.marks[site], _DIAGS[f"proj{bit}"] / value)

@@ -22,16 +22,17 @@ nodes without einsum: a node whose accumulator ids all close and whose
 other ids all open (a gate, a bra cap) is one BLAS matrix product, after
 one transpose that moves the closing axes to the end when they are not
 there already; a node whose ids all stay open (a diagonal, a ket cap) is
-one broadcast multiply.  The rest fall back to np.einsum: a fork target's
-entry step (trace or diagonal of merged ids), and a node that closes some
-of its ids while the accumulator keeps another open (a hyperedge shared
-with a diagonal not yet absorbed).
+one broadcast multiply.  The rest fall back to np.einsum: a node that
+closes some of its ids while the accumulator keeps another open (a
+hyperedge shared with a diagonal not yet absorbed).  Moving a paused
+accumulator onto a fork target is one einsum as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+import copy
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,15 +109,13 @@ class ContractionPlan:
     predicted leg counts, and the index bookkeeping the runner replays.
 
     node_indices: per node, its index ids in axis order (gate: out ids then
-        in ids; diag: one shared id per wire; caps: one id).  A list over
-        the network's nodes, or for a ForkTarget's plan a mapping from the
-        positions it absorbs.
+        in ids; diag: one shared id per wire; caps: one id).
     index_endpoints: per index id, how many nodes carry it.
     """
 
     n_sites: int
     steps: list[PlanStep]
-    node_indices: Sequence[tuple[int, ...]] | Mapping[int, tuple[int, ...]]
+    node_indices: Sequence[tuple[int, ...]]
     index_endpoints: list[int]
     peak_open_legs: int
     peak_mem_axes: int
@@ -255,10 +254,6 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
 
 _KET = np.array([1.0, 0.0], dtype=complex)
 
-# Node position of a fork target's first step, which absorbs the forking
-# runner's accumulator rather than a node of the network.
-ACC_NODE = -1
-
 
 def _node_array(node: PlacedTensor) -> np.ndarray:
     if node.kind == "cap_ket" or node.kind == "cap_bra":
@@ -298,17 +293,30 @@ def _einsum_labels(plan: ContractionPlan) -> Iterable[tuple[PlanStep, int]]:
 
 @dataclass(frozen=True)
 class ForkTarget:
-    """A smaller plan that a paused runner can continue on.
+    """A smaller network whose plan a paused runner can continue on.
 
-    The plan's first step (node ACC_NODE) absorbs the forking runner's
-    accumulator: its ids are the runner's open ids mapped through `ids`.
-    Where two open ids map to one, that step takes their diagonal (the id
-    stays open) or their trace (it closes).  The remaining steps contract
-    nodes of the runner's network, numbered by the target's index ids.
+    The plan's first `start` steps absorb the nodes the runner has
+    absorbed, in the same order, except that where a W...W^dag segment was
+    removed from a wire the ids on either side of it are one.  `ids` maps
+    the runner's open ids, in axis order, to plan ids; moving the
+    accumulator takes the diagonal or the trace of two that map to one.
+    `paused` is a runner of the plan at `start` with no accumulator yet,
+    built (and so checked) once, when the target is built.
     """
 
+    network: ExpectationNetwork
     plan: ContractionPlan
+    start: int
     ids: dict[int, int]
+    paused: PlanRunner = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        paused = PlanRunner(self.plan, self.network)
+        for step in self.plan.steps[: self.start]:
+            for idx in self.plan.node_indices[step.node_index]:
+                paused._absorbed[idx] += 1
+        paused._pos = self.start
+        object.__setattr__(self, "paused", paused)
 
 
 class PlanRunner:
@@ -330,10 +338,10 @@ class PlanRunner:
     Beyond one-shot execution the runner can pause between steps, fork
     (duplicate the partial contraction), and override the values of
     diagonal nodes not yet absorbed.  A fork may also move onto a
-    ForkTarget, a plan over fewer nodes that finishes the same value.  The
-    chain-rule sampler leans on all of this: the shared left part of the
-    chain is contracted once, and each site's marginals come from forks
-    that move onto the site's light-cone network and finish only its
+    ForkTarget, a network over fewer nodes that finishes the same value.
+    The chain-rule sampler leans on all of this: the shared left part of
+    the chain is contracted once, and each site's marginals come from
+    forks that move onto the site's light-cone network and finish only its
     remaining nodes.
     """
 
@@ -393,36 +401,27 @@ class PlanRunner:
         """Duplicate the partial contraction.  The twin shares this runner's
         accumulator rather than copying it: no step writes into an
         accumulator, and every accumulator is C-contiguous, so a copy would
-        have the same layout and give the same bits.  With a target, the
-        twin runs target.plan instead, and its first step moves the shared
-        accumulator onto the target's ids."""
-        twin = object.__new__(PlanRunner)
-        twin.net = self.net
-        twin._overrides = dict(self._overrides)
+        have the same layout and give the same bits.
+
+        With a target, the twin continues target.paused: one einsum moves
+        the accumulator onto the target's ids.  The twin starts without
+        overrides, which name nodes of this runner's network."""
         if target is None:
-            twin.plan = self.plan
-            twin._acc = self._acc
-            twin._acc_ids = list(self._acc_ids)
-            twin._absorbed = list(self._absorbed)
-            twin._pos = self._pos
-            twin._observed_peak = self._observed_peak
-            twin._step_of = self._step_of
+            twin = copy.copy(self)
+            twin._acc_ids, twin._absorbed = list(self._acc_ids), list(self._absorbed)
+            twin._overrides = dict(self._overrides)
             return twin
-        plan = target.plan
-        entry = plan.steps[0]
-        moved = tuple(target.ids.get(i) for i in self._acc_ids)
-        if entry.node_index != ACC_NODE or moved != tuple(plan.node_indices[ACC_NODE]):
+        if tuple(target.ids) != tuple(self._acc_ids):
             raise StructuralError(
                 "fork target was built for a different point of the contraction"
             )
-        twin.plan = plan
-        twin._acc = np.ones((), dtype=complex)
-        twin._acc_ids = []
-        twin._absorbed = [0] * len(plan.index_endpoints)
-        twin._pos = 0
-        twin._observed_peak = 0
-        twin._overrides[ACC_NODE] = self._acc
-        twin._step_of = {step.node_index: i for i, step in enumerate(plan.steps)}
+        twin = copy.copy(target.paused)
+        twin._absorbed, twin._overrides = list(twin._absorbed), {}
+        moved = list(target.ids.values())
+        endpoints = target.plan.index_endpoints
+        keep = [idx for idx in dict.fromkeys(moved) if twin._absorbed[idx] < endpoints[idx]]
+        twin._acc = np.ascontiguousarray(_einsum(keep, (self._acc, moved)))
+        twin._acc_ids, twin._observed_peak = keep, len(keep)
         return twin
 
     def set_override(self, node_index: int, values: np.ndarray) -> None:
@@ -492,8 +491,8 @@ class PlanRunner:
                 acc = acc.reshape(-1, 2 ** len(closing))
                 self._acc = np.matmul(acc, node).reshape((2,) * len(keep))
                 return
-        # A fork target's entry (trace or diagonal of merged ids), or a node
-        # that closes some ids while an accumulator id it carries stays open.
+        # A node that closes some ids while an accumulator id it carries
+        # stays open.
         out = _einsum(keep, (acc, acc_ids), (arr, ids))
         del acc
         self._acc = np.ascontiguousarray(out)

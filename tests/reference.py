@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from liomsim.errors import NumericalIntegrityError, StructuralError
-from liomsim.simulate import IMAG_TOL, ChainResult, _chain_plan
+from liomsim.simulate import IMAG_TOL, ChainResult, _cone
 from liomsim.tensor import ExpectationNetwork, PlanRunner, _node_array, _wire_sequences
 
 # The frozen walk's own rule: a prefix probability at or below this counts
@@ -40,7 +40,7 @@ def reference_chain_walk(
     With a seed, the branch is drawn from the stream conditional_chain
     uses."""
     rng = None if bits is not None else np.random.default_rng([int(seed), 0])
-    network, plan, mark_nodes = _chain_plan(req)
+    network, plan, mark_nodes = _cone(req, req.n_sites)
     runner = PlanRunner(plan, network)
     out_bits: list[int] = []
     probs: list[float] = []

@@ -1,7 +1,9 @@
 """Tests for the plan-route chain walk with light-cone finishes."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ from liomsim.oracle import evolve_state, exact_distribution
 from liomsim.simulate import (
     ObservableProduct,
     SimulationRequest,
-    _chain_plan,
+    _cone,
     _cone_target,
     _evolved_tensor,
     _fold_gates,
+    _light_cone,
     _w_nodes,
+    build_expectation_network,
     conditional_chain,
     conditional_probability,
     expectation,
@@ -107,7 +111,7 @@ def _computed_ops(plan):
 
 def test_light_cone_finishes_cost_less_than_one_pass():
     req = _criterion_6_request(32)
-    _, plan, _ = _chain_plan(req)
+    _, plan, _ = _cone(req, req.n_sites)
     one_pass = sum(ops for ops, _ in _computed_ops(plan))
     conditional_chain(req, seed=0, engine="plan")
     targets = req._cache["cone_targets"]
@@ -117,9 +121,43 @@ def test_light_cone_finishes_cost_less_than_one_pass():
         costs = _computed_ops(target.plan)
         assert [axes for _, axes in costs] == [s.mem_axes_after for s in target.plan.steps]
         assert max(axes for _, axes in costs) <= plan.peak_mem_axes
-        # The move runs once per site, the remaining steps once per outcome.
-        finishes += costs[0][0] + 2 * sum(ops for ops, _ in costs[1:])
+        # The move onto the target's ids runs once per site, the steps from
+        # target.start on once per outcome.
+        moved = 2 ** len(set(target.ids.values()))
+        finishes += moved + 2 * sum(ops for ops, _ in costs[target.start :])
     assert finishes < one_pass
+
+
+def test_pruned_network_caps_only_its_light_cone():
+    # A bare wire contributes <0|0> = 1, so a pruned network caps only the
+    # wires of its light cone.
+    req = _criterion_6_request(32)
+    network = build_expectation_network(req, ObservableProduct(1))
+    w_list = _w_nodes(req)
+    cone = {1}.union(*(node.sites for node, k in zip(w_list, _light_cone(w_list, [1])) if k))
+    assert len(cone) < 32
+    for kind in ("cap_ket", "cap_bra"):
+        caps = [node.sites[0] for node in network.nodes if node.kind == kind]
+        assert caps == sorted(cone)
+    touched = {s for node in network.nodes for s in node.sites}
+    assert touched == cone
+
+
+_CRITERION_6_CHAINS = json.loads(
+    (Path(__file__).parent / "criterion_6_chains.json").read_text()
+)
+
+
+@pytest.mark.parametrize("n, seed", [(32, 0), (32, 1), (64, 0), (64, 1)])
+def test_criterion_6_chains_keep_their_values(n, seed):
+    # Bits and p0 of the criterion-6 chains as computed before the chain
+    # walk and the one-shot conditional shared one light-cone builder.
+    want = _CRITERION_6_CHAINS[f"{n}/{seed}"]
+    chain = conditional_chain(_criterion_6_request(n), seed=seed, engine="plan")
+    assert chain.bits == want["bits"]
+    np.testing.assert_allclose(
+        chain.probs, [float.fromhex(p) for p in want["p0"]], rtol=0, atol=1e-12
+    )
 
 
 def _fold_misses(nodes):
@@ -141,12 +179,12 @@ def test_folded_w_shortens_the_chain_plan():
     # Every single-site constituent folds into the width-2 gate next to
     # it: 158 W factors become 94 and a plan pass 412 steps become 284.
     req = _criterion_6_request(32)
-    _, plan, _ = _chain_plan(req)
+    _, plan, _ = _cone(req, req.n_sites)
     assert len(plan.steps) == 284
     assert plan.peak_mem_axes == 18
     assert _fold_misses(_w_nodes(req)) == []
     for n in (16, 32, 64):
-        _, plan, _ = _chain_plan(_criterion_6_request(n))
+        _, plan, _ = _cone(_criterion_6_request(n), n)
         # The unfolded plans peaked at 19 memory axes and 29 open legs.
         assert plan.peak_mem_axes <= 19
         assert plan.peak_open_legs <= 29
@@ -212,7 +250,7 @@ def test_chain_holds_at_most_two_accumulators():
     # one, so a warm chain peaks at two arrays of the plan's peak size.
     req = _criterion_6_request(16)
     conditional_chain(req, seed=0, engine="plan")
-    _, plan, _ = _chain_plan(req)
+    _, plan, _ = _cone(req, req.n_sites)
     tracemalloc.start()
     try:
         conditional_chain(req, seed=1, engine="plan")
@@ -241,7 +279,7 @@ def test_cone_targets_built_only_by_a_chain():
 
 def test_fork_target_refuses_another_cut():
     req = _criterion_6_request(8)
-    network, plan, marks = _chain_plan(req)
+    network, plan, marks = _cone(req, req.n_sites)
     runner = PlanRunner(plan, network)
     runner.run_to(runner.step_of(marks[3]))
     target = _cone_target(req, runner, 3)
@@ -368,7 +406,7 @@ def test_wrapped_periodic_instance_runs_on_the_plan_route():
     # route runs instead of reporting a scheduler bug.
     inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
-    network, plan, _ = _chain_plan(req)
+    network, plan, _ = _cone(req, req.n_sites)
     assert plan.peak_open_legs == 17
     assert network.r_u is None and network.r_j is None
     for branch in ({"seed": 0}, {"bits": "1010"}):

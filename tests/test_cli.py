@@ -364,13 +364,25 @@ def test_gatecount_sweep_csv(tmp_path):
     assert rows[0][1] < rows[-1][1]
 
 
-def test_verify_command(capsys):
-    code = main(["verify", "--n", "3", "--trials", "2", "--seed", "5"])
-    assert code == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["passed"] is True
-    assert report["max_discrepancy"] <= 1e-10
-    assert report["conditionals_checked"] > 0
+def test_verify_command(capsys, monkeypatch):
+    # The suite checks the tensor route: with engine "auto" it took the
+    # dense route at every N the oracle reaches.
+    routes = []
+    route = simulate._route
+
+    def spied(req, engine):
+        routes.append(route(req, engine))
+        return routes[-1]
+
+    monkeypatch.setattr(simulate, "_route", spied)
+    for argv in (["--n", "3", "--trials", "2", "--seed", "5"], ["--n", "8", "--trials", "5"]):
+        code = main(["verify", *argv])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        assert report["max_discrepancy"] <= 1e-10
+        assert report["conditionals_checked"] > 0
+    assert routes and set(routes) == {"plan"}
 
 
 def test_usage_errors():

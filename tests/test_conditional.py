@@ -12,10 +12,9 @@ from liomsim.simulate import (
     ObservableProduct,
     SimulationRequest,
     _prefix_tree,
-    build_expectation_network,
     conditional_probability,
 )
-from liomsim.tensor import PlanRunner, qubitwise_schedule
+from liomsim.tensor import PlanRunner
 from liomsim.truncation import TruncationRadii
 
 
@@ -67,42 +66,52 @@ def test_plan_conditionals_match_dense_and_oracle(n, seed, radii, build_kwargs):
 
 
 def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch):
-    # Criterion-6 family at N=32: one pruned network of P(prefix, 0), run
-    # once to its end and once more from the pivot on by the fork.
+    # Criterion-6 family at N=32: one light-cone network of sites 1..site,
+    # built and scheduled once, run once to its end and once more from mark
+    # `site` on by the fork.
     inst = build_random_instance(
         InstanceParams(32, 0.5), seed=32, max_body=2, max_width=2, periodic=False
     )
-    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
+
+    def request():
+        return SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
+
     site = 17
     bits = np.random.default_rng(0).integers(0, 2, site - 1).tolist()
-    network = build_expectation_network(req, ObservableProduct.prefix_projector(bits + [0]))
-    plan = qubitwise_schedule(network)
-    pivot = next(i for i, node in enumerate(network.nodes) if node.name == f"O[{site}]")
-    pivot_step = next(i for i, step in enumerate(plan.steps) if step.node_index == pivot)
-    assert 0 < pivot_step < len(plan.steps) - 1
+    _, plan, marks = simulate._cone(request(), site)
+    mark_step = next(i for i, step in enumerate(plan.steps) if step.node_index == marks[site])
+    assert 0 < mark_step < len(plan.steps) - 1
 
-    builds, steps = [], []
-    build, step = simulate.build_expectation_network, PlanRunner.step
+    cones, schedules, steps = [], [], []
+    cone, schedule, step = simulate._cone, simulate.qubitwise_schedule, PlanRunner.step
 
-    def counted_build(*args, **kwargs):
-        builds.append(args)
-        return build(*args, **kwargs)
+    def counted_cone(*args):
+        cones.append(args)
+        return cone(*args)
+
+    def counted_schedule(network):
+        schedules.append(network)
+        return schedule(network)
 
     def counted_step(self):
         steps.append(self)
         step(self)
 
-    def no_expectation(*args, **kwargs):
-        raise AssertionError("a plan-route conditional called expectation")
+    def refused(*args, **kwargs):
+        raise AssertionError("a plan-route conditional took the one-shot expectation path")
 
-    monkeypatch.setattr(simulate, "build_expectation_network", counted_build)
-    monkeypatch.setattr(simulate, "expectation", no_expectation)
+    monkeypatch.setattr(simulate, "_cone", counted_cone)
+    monkeypatch.setattr(simulate, "qubitwise_schedule", counted_schedule)
+    monkeypatch.setattr(simulate, "build_expectation_network", refused)
+    monkeypatch.setattr(simulate, "expectation", refused)
     monkeypatch.setattr(PlanRunner, "step", counted_step)
+    req = request()
     got = conditional_probability(req, bits, site, engine="plan")
     monkeypatch.undo()
 
-    assert len(builds) == 1
-    assert len(steps) == 2 * len(plan.steps) - pivot_step
+    assert [args[1] for args in cones] == [site]
+    assert len(schedules) == 1
+    assert len(steps) == 2 * len(plan.steps) - mark_step
     v0 = simulate.expectation(req, ObservableProduct.prefix_projector(bits + [0]), engine="plan")
     v1 = simulate.expectation(req, ObservableProduct.prefix_projector(bits + [1]), engine="plan")
     assert got == pytest.approx(v0 / (v0 + v1), abs=1e-12)

@@ -1,11 +1,16 @@
-"""Source hygiene: no module of the package or of its tests imports a name
-it never uses, and the package starts no threads of its own."""
+"""Source hygiene: no module of the package, its tests or its benchmark
+imports a name it never uses, and the package starts no threads of its
+own."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "liomsim").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = [
+    *sorted((ROOT / "src" / "liomsim").glob("*.py")),
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
 
 
 def _imports(tree: ast.Module):

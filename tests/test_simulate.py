@@ -60,6 +60,18 @@ def test_observable_validation():
         ObservableProduct(2, rotations=((1, np.eye(3)),))
     with pytest.raises(DomainError):
         ObservableProduct.prefix_projector("")
+    # A repeated site used to keep only its last entry: P0 P1 on site 1,
+    # which is 0, became P1.
+    with pytest.raises(DomainError, match="projector site 1 is given more than once"):
+        ObservableProduct(3, projectors=((1, 0), (1, 1)))
+    with pytest.raises(DomainError, match="rotation site 2 is given more than once"):
+        ObservableProduct(3, rotations=((2, HADAMARD), (1, HADAMARD), (2, np.eye(2))))
+    # A non-unitary rotation used to surface only as an out-of-range
+    # expectation, or as a silently wrong one inside the range.
+    with pytest.raises(DomainError, match="rotation on site 1 is not unitary"):
+        ObservableProduct(3, rotations=((1, 2 * np.eye(2)),))
+    with pytest.raises(DomainError, match="rotation on site 2 is not unitary"):
+        ObservableProduct(3, rotations=((1, HADAMARD), (2, np.diag([1.0, 1.0 + 1e-9]))))
     # Rotation sites below 1 would index the state from its far end.
     for site in (0, -1):
         with pytest.raises(DomainError, match="rotation site"):
