@@ -1,8 +1,8 @@
 """Brute-force dense references: state-vector evolution via eigendecomposition
 of the fully materialized Hamiltonian, and full outcome distributions with
 their total-variation distance.  Everything here is the slow, independent
-side of every equivalence test; nothing here is used on chains with more
-than the dense site cap.
+side of every equivalence test; nothing here runs on chains above its own
+site cap, MAX_ORACLE_N or the dense cap if that is lower.
 """
 
 from __future__ import annotations
@@ -11,8 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalIntegrityError
-from .model import MblInstance, check_dense_feasible, dense_hamiltonian
+from .errors import DomainError, FeasibilityError, NumericalIntegrityError
+from .model import MblInstance, _dense_cap, dense_hamiltonian
+
+# The oracle diagonalises the dense 2^N x 2^N Hamiltonian, and eigh holds
+# several matrices of that size at once: 256 MiB each at N=12, 4 GiB at
+# N=14.  Its cap is this or the dense cap, whichever is lower.
+MAX_ORACLE_N = 12
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,15 @@ def evolve_state(
     r_u: int | None = None,
 ) -> np.ndarray:
     """exp(-iHt)|0...0> through a full eigendecomposition of the dense
-    (optionally truncated) Hamiltonian."""
+    (optionally truncated) Hamiltonian.  N above min(MAX_ORACLE_N, dense
+    cap) is refused before any matrix is built."""
     n = instance.n_sites
-    check_dense_feasible(n, "dense evolution")
+    cap = min(MAX_ORACLE_N, _dense_cap())
+    if n > cap:
+        raise FeasibilityError(
+            f"the dense oracle diagonalises a 2^N x 2^N Hamiltonian of {16 * 4**n} bytes "
+            f"per matrix; N={n} exceeds the oracle cap of {cap} sites"
+        )
     ham = dense_hamiltonian(instance, r_j=r_j, r_u=r_u)
     vals, vecs = np.linalg.eigh(ham)
     initial = np.zeros(2**n, dtype=complex)

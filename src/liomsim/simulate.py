@@ -21,25 +21,27 @@ while each plan pass runs fewer steps.
 
 Sampling walks the chain rule: at each site w a marginal source gives the
 two conditionals P(z_w = b | z_1..z_{w-1}) and the walk flips one biased
-coin.  No probability is derived by subtraction or cut at an absolute
-threshold.  The dense source reads the conditionals off a tree of prefix
-marginals of |W|0>|^2.  The plan source rests on quasilocality: W is built
-from gates of width at most r_U, so an observable on sites 1..w only sees
-the backward light cone of those sites, and every W factor outside it
-cancels against its mirror.  One builder, _cone, makes the light-cone
-network of sites 1..w with an identity mark per site; the cone of all N
-sites is the chain network, which the walk contracts once per chain,
-forking at each site w onto the cone of sites 1..w to finish it once per
-outcome.  A one-shot conditional finishes that cone too, with its prefix
-projectors on the marks.
+coin, for a batch of branches at once.  No probability is derived by
+subtraction or cut at an absolute threshold.  The dense source reads the
+conditionals off a tree of prefix marginals of |W|0>|^2, for every sample
+of a sample() call at once.  The plan source walks one branch; it rests
+on quasilocality: W is built from gates of width at most r_U, so an
+observable on sites 1..w only sees the backward light cone of those
+sites, and every W factor outside it cancels against its mirror.  One
+builder, _cone, makes the light-cone network of sites 1..w with an
+identity mark per site; the cone of all N sites is the chain network,
+which the walk contracts once per chain, forking at each site w onto the
+cone of sites 1..w to finish it once per outcome.  A one-shot conditional
+finishes that cone too, with its prefix projectors on the marks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -171,27 +173,34 @@ class SampleRecord:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecords(Sequence[SampleRecord]):
-    """The records of one sample() call, in index order.  The bitstrings
-    are kept as one string of N characters per sample and each record is
-    made on access, so a caller holding 10^5 samples pays N bytes for each
-    rather than ~160 bytes of Python objects."""
+    """The records of one sample() call, in index order.  Each sample is
+    kept as ceil(N/8) bytes, its bits packed by np.packbits with site 1 in
+    the most significant bit of the first byte and zero padding after site
+    N, and each record is made on access, so a caller holding 10^5
+    samples pays ceil(N/8) bytes for each rather than ~160 bytes of Python
+    objects."""
 
     seed: int
     n_sites: int
-    packed: str
+    packed: bytes
+
+    @property
+    def _width(self) -> int:
+        return -(-self.n_sites // 8)
 
     def __len__(self) -> int:
-        return len(self.packed) // self.n_sites
+        return len(self.packed) // self._width
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         # Indexing a range wraps negative indices and raises IndexError.
         i = range(len(self))[index]
-        n = self.n_sites
-        return SampleRecord(bits=self.packed[i * n : (i + 1) * n], seed=self.seed, index=i)
+        w, n = self._width, self.n_sites
+        row = int.from_bytes(self.packed[i * w : (i + 1) * w], "big") >> (8 * w - n)
+        return SampleRecord(bits=format(row, f"0{n}b"), seed=self.seed, index=i)
 
 
 @dataclass(frozen=True)
@@ -550,18 +559,32 @@ def _runner(req: SimulationRequest, plan: ContractionPlan, network) -> PlanRunne
         raise FeasibilityError(f"{exc}; {advice}") from None
 
 
-def _checked(raw: complex, what: str, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Real part of a computed probability or expectation, clamped to
-    [lo, hi]; an imaginary residue or an excursion beyond IMAG_TOL is
-    refused."""
-    if abs(raw.imag) > IMAG_TOL:
-        raise NumericalIntegrityError(
-            f"{what} has imaginary residue {raw.imag:.3e} above {IMAG_TOL}"
-        )
-    value = float(raw.real)
-    if value < lo - IMAG_TOL or value > hi + IMAG_TOL:
-        raise NumericalIntegrityError(f"{what} {value} outside [{lo}, {hi}] beyond tolerance")
-    return min(max(value, lo), hi)
+def _checked(raw, what: str | Callable[[int], str], lo: float = 0.0, hi: float = 1.0):
+    """Real part of a computed probability or expectation, or of an array
+    of them, clamped to [lo, hi]; an imaginary residue, an excursion beyond
+    IMAG_TOL or a NaN is refused.  what names the value, or for an array,
+    what(k) names entry k.  A scalar comes back as a float."""
+    raw = np.asarray(raw)
+    value = raw.real
+    small = np.abs(raw.imag) <= IMAG_TOL
+    inside = small & (value >= lo) & (value <= hi)
+    # Almost always every value is inside [lo, hi]: nothing to refuse or clamp.
+    if np.count_nonzero(inside) < inside.size:
+        ok = small & (value >= lo - IMAG_TOL) & (value <= hi + IMAG_TOL)
+        if np.count_nonzero(ok) < ok.size:
+            k = int(np.flatnonzero(~ok)[0])
+            name = what if raw.ndim == 0 else what(k)
+            imag, real = raw.imag.flat[k], value.flat[k]
+            if not abs(imag) <= IMAG_TOL:
+                raise NumericalIntegrityError(
+                    f"{name} has imaginary residue {imag:.3e} above {IMAG_TOL}"
+                )
+            raise NumericalIntegrityError(
+                f"{name} {real} outside [{lo}, {hi}] beyond tolerance"
+            )
+        # The clamps of min(max(value, lo), hi), signed zeros included.
+        value = np.where(lo > value, lo, np.where(hi < value, hi, value))
+    return float(value) if raw.ndim == 0 else value
 
 
 def _evolved_tensor(req: SimulationRequest) -> np.ndarray:
@@ -699,75 +722,96 @@ def _outcome_pair(runner: PlanRunner, mark: int) -> tuple[complex, complex]:
 
 
 class _PlanMarginals:
-    """Plan-route marginal source.  The runner holds the left part of the
-    chain network with marks 1..w-1 set to the chosen projectors, each
-    divided by its own conditional, so site w's two marginals are the
-    conditionals v_b = P(z_w = b | prefix), from the outcome pair of a fork
-    onto the light-cone target."""
+    """Plan-route marginal source for exactly one branch.  The runner holds
+    the left part of the chain network with marks 1..w-1 set to the chosen
+    projectors, each divided by its own conditional, so site w's two
+    marginals are the conditionals v_b = P(z_w = b | prefix), from the
+    outcome pair of a fork onto the light-cone target."""
 
     def __init__(self, req: SimulationRequest) -> None:
         network, plan, self.marks = _cone(req, req.n_sites)
         self.req = req
         self.runner = _runner(req, plan, network)
 
-    def conditionals(self, site: int) -> tuple[complex, complex]:
+    def conditionals(self, site: int, live: np.ndarray) -> np.ndarray:
         runner = self.runner
         runner.run_to(runner.step_of(self.marks[site]))
         cone = runner.fork(_cone_target(self.req, runner, site))
-        return _outcome_pair(cone, _cone(self.req, site)[2][site])
+        v0, v1 = _outcome_pair(cone, _cone(self.req, site)[2][site])
+        return np.array([[v0], [v1]])
 
-    def fix(self, site: int, bit: int, value: float) -> None:
-        self.runner.set_override(self.marks[site], _DIAGS[f"proj{bit}"] / value)
+    def fix(self, site: int, live: np.ndarray, bits: np.ndarray, values: np.ndarray) -> None:
+        self.runner.set_override(self.marks[site], _DIAGS[f"proj{int(bits[0])}"] / values[0])
 
 
 class _DenseMarginals:
-    """Dense-route marginal source: v_b = P(prefix, b) / P(prefix), read
-    off the prefix-marginal tree."""
+    """Dense-route marginal source for any number of branches: each holds
+    its prefix as an index into the prefix-marginal tree, and
+    v_b = P(prefix, b) / P(prefix)."""
 
-    def __init__(self, req: SimulationRequest) -> None:
+    def __init__(self, req: SimulationRequest, branches: int) -> None:
         self.tree = _prefix_tree(req)
-        self.prefix = 0
+        self.index = np.zeros(branches, dtype=np.int64)
 
-    def conditionals(self, site: int) -> tuple[float, float]:
-        level, total = self.tree[site], self.tree[site - 1][self.prefix]
-        return level[2 * self.prefix] / total, level[2 * self.prefix + 1] / total
+    def conditionals(self, site: int, live: np.ndarray) -> np.ndarray:
+        index = self.index[live]
+        return self.tree[site][np.add.outer((0, 1), 2 * index)] / self.tree[site - 1][index]
 
-    def fix(self, site: int, bit: int, value: float) -> None:
-        self.prefix = 2 * self.prefix + bit
+    def fix(self, site: int, live: np.ndarray, bits: np.ndarray, values: np.ndarray) -> None:
+        self.index[live] = 2 * self.index[live] + bits
 
 
 def _chain_walk(
-    req: SimulationRequest,
-    fixed_bits: Sequence[int] | None,
-    rng: np.random.Generator | None,
-    engine: str,
-) -> ChainResult:
-    """Walk the chain rule once.  At each site the marginal source gives
-    the two conditionals v0, v1 of the current prefix; v0 + v1 = 1 is
-    checked, p0 = v0 / (v0 + v1) decides the coin, and the source fixes
-    the chosen bit.  A chosen conditional of exactly zero makes the prefix
-    impossible, and every later site gets p0 = 1."""
-    source = (_DenseMarginals if _route(req, engine) == "dense" else _PlanMarginals)(req)
-    bits: list[int] = []
-    probs: list[float] = []
-    possible = True
-    for site in range(1, req.n_sites + 1):
-        p0 = 1.0
-        if possible:
-            values = [_checked(v, f"site {site} marginal") for v in source.conditionals(site)]
-            total = values[0] + values[1]
-            if abs(total - 1.0) > NORM_TOL:
-                raise NumericalIntegrityError(
-                    f"site {site} marginals sum to {total!r}, not 1 within {NORM_TOL}"
-                )
-            p0 = values[0] / total
-        bit = fixed_bits[site - 1] if rng is None else int(rng.random() >= p0)
-        probs.append(p0)
-        bits.append(bit)
-        possible = possible and values[bit] != 0.0
-        if possible:
-            source.fix(site, bit, values[bit])
-    return ChainResult(bits="".join(map(str, bits)), probs=tuple(probs))
+    req: SimulationRequest, engine: str, coins: np.ndarray, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the chain rule once per row of coins, all rows at once; row r
+    is sample first + r, and coins[r, w-1] is its uniform draw at site w.
+    At each site the marginal source gives the two conditionals v0, v1 of
+    every branch whose prefix is still possible; v0 + v1 = 1 is checked,
+    p0 = v0 / (v0 + v1), and the bit is coin >= p0.  A chosen conditional
+    of exactly zero makes the prefix impossible, and every later site of
+    that branch gets p0 = 1.  The plan source walks one branch only.
+    Errors name the site, the sample and the value.  Returns the
+    (branches, N) bits and conditionals p0."""
+    n = req.n_sites
+    branches = len(coins)
+    if _route(req, engine) == "dense":
+        source = _DenseMarginals(req, branches)
+    else:
+        source = _PlanMarginals(req)
+    live, live_coins = np.arange(branches), coins
+    columns = []
+    for site in range(1, n + 1):
+        def name(k: int) -> str:
+            bit, row = divmod(k, live.size)
+            return f"site {site} marginal P(prefix, {bit}) of sample {first + live[row]}"
+
+        v = _checked(source.conditionals(site, live), name)
+        v0, v1 = v[0], v[1]
+        total = v0 + v1
+        ok = np.abs(total - 1.0) <= NORM_TOL
+        if np.count_nonzero(ok) < ok.size:
+            k = np.flatnonzero(~ok)[0]
+            raise NumericalIntegrityError(
+                f"site {site} marginals of sample {first + live[k]} sum to "
+                f"{float(total[k])!r}, not 1 within {NORM_TOL}"
+            )
+        p0 = v0 / total
+        columns.append((live, p0))
+        chosen = live_coins[:, site - 1] >= p0
+        values = np.where(chosen, v1, v0)
+        keep = values != 0.0
+        if np.count_nonzero(keep) < keep.size:
+            live, live_coins = live[keep], live_coins[keep]
+            chosen, values = chosen[keep], values[keep]
+            if not live.size:
+                break
+        source.fix(site, live, chosen, values)
+    probs = np.ones((branches, n))
+    for w, (rows, p0) in enumerate(columns):
+        probs[rows, w] = p0
+    # Every bit, impossible branches' included, is its coin against its p0.
+    return coins >= probs, probs
 
 
 def conditional_chain(
@@ -782,14 +826,31 @@ def conditional_chain(
     if bits is None:
         if seed is None:
             raise DomainError("conditional_chain needs fixed bits or a seed")
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, 0])
-        return _chain_walk(req, None, rng, engine)
-    fixed = [int(b) for b in bits]
-    if len(fixed) != req.n_sites or any(b not in (0, 1) for b in fixed):
-        raise DomainError(
-            f"bits must be {req.n_sites} binary digits, got {bits!r}"
-        )
-    return _chain_walk(req, fixed, None, engine)
+        coins = _uniforms(seed, 0, 1, req.n_sites)
+    else:
+        fixed = [int(b) for b in bits]
+        if len(fixed) != req.n_sites or any(b not in (0, 1) for b in fixed):
+            raise DomainError(
+                f"bits must be {req.n_sites} binary digits, got {bits!r}"
+            )
+        # A coin of +inf lands on 1 and one of -inf on 0, whatever p0 is.
+        coins = np.where(np.array([fixed], dtype=bool), np.inf, -np.inf)
+    out, probs = _chain_walk(req, engine, coins)
+    return ChainResult("".join("01"[b] for b in out[0].tolist()), tuple(probs[0].tolist()))
+
+
+# Samples whose uniforms the dense walk holds at once: 8·N bytes each.
+_CHUNK = 1 << 14
+
+
+def _uniforms(seed: int, start: int, stop: int, n_sites: int) -> np.ndarray:
+    """The uniforms of samples start..stop-1, one row of N per sample: the
+    row of sample i is default_rng([seed mod 2^64, i]).random(N)."""
+    key = int(seed) & 0xFFFFFFFFFFFFFFFF
+    out = np.empty((stop - start, n_sites))
+    for row, index in enumerate(range(start, stop)):
+        np.random.default_rng([key, index]).random(out=out[row])
+    return out
 
 
 def sample(
@@ -797,12 +858,21 @@ def sample(
 ) -> SampleRecords:
     """Chain-rule sampling: one biased coin per site, conditioned on the
     already-fixed prefix.  The sampled distribution is exactly the truncated
-    D~; each record's stream derives from (seed, index) so order and output
-    are deterministic in the seed."""
+    D~; sample i flips its coins with the uniforms of
+    default_rng([seed, i]), so order and output are deterministic in the
+    seed and a shorter run is a prefix of a longer one.  The dense route
+    walks up to _CHUNK samples at once; the plan route walks each sample
+    alone.  n_samples must be a positive integer (bool refused)."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    bits = []
-    for index in range(n_samples):
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, index])
-        bits.append(_chain_walk(req, None, rng, engine).bits)
-    return SampleRecords(seed=int(seed), n_sites=req.n_sites, packed="".join(bits))
+    route = _route(req, engine)
+    step = _CHUNK if route == "dense" else 1
+    packed = []
+    for start in range(0, n_samples, step):
+        stop = min(start + step, n_samples)
+        coins = _uniforms(seed, start, stop, req.n_sites)
+        bits, _ = _chain_walk(req, route, coins, first=start)
+        packed.append(np.packbits(bits, axis=1).tobytes())
+    return SampleRecords(seed=int(seed), n_sites=req.n_sites, packed=b"".join(packed))

@@ -11,6 +11,11 @@ light-cone finishes: at every site it forks the runner of the unpruned
 chain network and finishes the whole remaining contraction.  It is slow
 (about N times one plan pass per chain) but independent of the light-cone
 construction, so the tests compare the library's walk against it.
+
+reference_sample is the dense-route sampler liomsim used before its walk
+was batched: one Python walk per sample over the prefix-marginal tree,
+with its own scalar checks and one random() call per site from the
+sample's own generator.  The batched walk must give the same bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from liomsim.errors import NumericalIntegrityError, StructuralError
-from liomsim.simulate import IMAG_TOL, ChainResult, _cone
+from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, _cone, _prefix_tree
 from liomsim.tensor import ExpectationNetwork, PlanRunner, _node_array, _wire_sequences
 
 # The frozen walk's own rule: a prefix probability at or below this counts
@@ -66,6 +71,61 @@ def reference_chain_walk(
         runner.set_override(mark_nodes[site], _PROJ[bit])
         den = val0 if bit == 0 else max(den - val0, 0.0)
     return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
+
+
+def _reference_checked(raw: float, what: str) -> float:
+    """Scalar range check and clamp of one marginal to [0, 1]."""
+    if abs(raw.imag) > IMAG_TOL:
+        raise NumericalIntegrityError(f"{what} has imaginary residue {raw.imag:.3e}")
+    value = float(raw.real)
+    if value < -IMAG_TOL or value > 1.0 + IMAG_TOL:
+        raise NumericalIntegrityError(f"{what} {value} outside [0, 1] beyond tolerance")
+    return min(max(value, 0.0), 1.0)
+
+
+def reference_dense_chain(
+    req, bits: Sequence[int] | None = None, rng: np.random.Generator | None = None
+) -> ChainResult:
+    """One dense-route branch of the chain rule, walked with Python floats:
+    v_b = P(prefix, b) / P(prefix) off the prefix-marginal tree, the
+    normalisation check, p0 = v0 / (v0 + v1), and bit = (u >= p0) with one
+    rng.random() per site unless the bits are fixed.  A chosen conditional
+    of exactly zero makes the prefix impossible, and every later site gets
+    p0 = 1."""
+    tree = _prefix_tree(req)
+    prefix = 0
+    out_bits: list[int] = []
+    probs: list[float] = []
+    possible = True
+    for site in range(1, req.n_sites + 1):
+        p0 = 1.0
+        if possible:
+            total = tree[site - 1][prefix]
+            values = [
+                _reference_checked(tree[site][2 * prefix + b] / total, f"site {site} marginal")
+                for b in (0, 1)
+            ]
+            norm = values[0] + values[1]
+            if abs(norm - 1.0) > NORM_TOL:
+                raise NumericalIntegrityError(f"site {site} marginals sum to {norm!r}")
+            p0 = values[0] / norm
+        bit = int(bits[site - 1]) if rng is None else int(rng.random() >= p0)
+        probs.append(p0)
+        out_bits.append(bit)
+        possible = possible and values[bit] != 0.0
+        if possible:
+            prefix = 2 * prefix + bit
+    return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
+
+
+def reference_sample(req, n_samples: int, seed: int) -> list[str]:
+    """Bitstrings of samples 0..n_samples-1, one reference_dense_chain each,
+    sample i drawing from default_rng([seed mod 2^64, i])."""
+    key = int(seed) & 0xFFFFFFFFFFFFFFFF
+    return [
+        reference_dense_chain(req, rng=np.random.default_rng([key, index])).bits
+        for index in range(n_samples)
+    ]
 
 
 _SIDES = ("in", "out")

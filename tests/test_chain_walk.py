@@ -1,5 +1,6 @@
 """Tests for the plan-route chain walk with light-cone finishes."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -158,6 +159,16 @@ def test_criterion_6_chains_keep_their_values(n, seed):
     np.testing.assert_allclose(
         chain.probs, [float.fromhex(p) for p in want["p0"]], rtol=0, atol=1e-12
     )
+
+
+def test_criterion_8_records_keep_their_bytes():
+    # SHA-256 of the bitstrings of criterion 8's 100 000 records, one per
+    # line, as sampled before the dense walk was batched.
+    inst = build_random_instance(InstanceParams(4, 0.5), seed=77, max_body=3)
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    records = sample(req, 100_000, seed=123)
+    digest = hashlib.sha256("\n".join(r.bits for r in records).encode()).hexdigest()
+    assert digest == "17bcbd5eef636e44887f578978bb5743ffd5af502259c45e63de9e827e367fc8"
 
 
 def _fold_misses(nodes):

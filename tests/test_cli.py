@@ -211,6 +211,21 @@ def test_sample_jsonl_reproducible(tmp_path):
     assert [r["bits"] for r in records] == [r.bits for r in expected]
 
 
+def test_sample_golden_output(tmp_path):
+    # N=9: every record spans two packed bytes.
+    inst = tmp_path / "inst9.json"
+    assert main(["gen", "--n", "9", "--xi", "0.5", "--seed", "3", "--out", str(inst)]) == EXIT_OK
+    out = tmp_path / "samples.jsonl"
+    args = ["sample", "--instance", str(inst), "--t", "3", "--rj", "3", "--ru", "2",
+            "--samples", "8", "--seed", "11", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    bits = ["001001001", "011001011", "101010010", "110000001",
+            "001000011", "001000010", "011000001", "100000011"]
+    assert out.read_text() == "".join(
+        f'{{"bits": "{b}", "index": {i}, "seed": 11}}\n' for i, b in enumerate(bits)
+    )
+
+
 def test_sample_engines_agree(tmp_path):
     inst = _gen_instance(tmp_path, extra=("--max-width", "2", "--open-boundary"))
     outputs = {}
@@ -383,6 +398,12 @@ def test_verify_command(capsys, monkeypatch):
         assert report["max_discrepancy"] <= 1e-10
         assert report["conditionals_checked"] > 0
     assert routes and set(routes) == {"plan"}
+
+
+def test_verify_refuses_above_the_oracle_cap(capsys):
+    assert main(["verify", "--n", "14", "--trials", "3"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "4294967296 bytes per matrix; N=14 exceeds the oracle cap of 12 sites" in err
 
 
 def test_usage_errors():

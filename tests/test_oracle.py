@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from liomsim import oracle
 from liomsim.errors import FeasibilityError
 from liomsim.model import (
     InstanceParams,
@@ -76,6 +77,22 @@ def test_oversized_n_refused(monkeypatch):
     with pytest.raises(FeasibilityError):
         evolve_state(inst, 1.0)
     with pytest.raises(FeasibilityError):
+        exact_distribution(inst, 1.0)
+
+
+def test_oracle_refuses_above_its_cap_before_building(monkeypatch):
+    # N=13 is within the dense cap of 14, but one 2^13 x 2^13 complex
+    # Hamiltonian takes 1 GiB and eigh holds several.
+    inst = build_random_instance(InstanceParams(13, 0.5), seed=0, max_body=2)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the Hamiltonian was built before the cap was checked")
+
+    monkeypatch.setattr(oracle, "dense_hamiltonian", refused)
+    message = r"1073741824 bytes per matrix; N=13 exceeds the oracle cap of 12 sites"
+    with pytest.raises(FeasibilityError, match=message):
+        evolve_state(inst, 1.0)
+    with pytest.raises(FeasibilityError, match=message):
         exact_distribution(inst, 1.0)
 
 

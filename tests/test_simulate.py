@@ -354,6 +354,12 @@ def test_chain_validation_errors():
         expectation(req, ObservableProduct(1), engine="warp")
     with pytest.raises(DomainError):
         sample(req, 0, seed=1)
+    # A count that is not an integer, or is a bool, is refused rather than
+    # truncated, read as text or taken as 1.
+    for count in (2.5, "3", True, None):
+        with pytest.raises(DomainError, match="n_samples must be an integer"):
+            sample(req, count, seed=1)
+    assert len(sample(req, np.int64(2), seed=1)) == 2
 
 
 def test_truncated_distribution_within_budget():
