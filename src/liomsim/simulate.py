@@ -664,6 +664,31 @@ def expectation(
     return _checked(value, "expectation", lo, 1.0)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; anything but an integer, a bool included, is
+    refused rather than truncated, parsed from text or taken as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _binary_digits(bits: Sequence[int] | str, length: int, what: str) -> list[int]:
+    """The digits of a string of "0"/"1" characters, or of a sequence of
+    integers 0/1 (as _integer reads them), refused unless there are
+    exactly `length`."""
+    if isinstance(bits, str):
+        digits = [{"0": 0, "1": 1}.get(c) for c in bits]
+    else:
+        digits = [
+            b if isinstance(b, numbers.Integral) and not isinstance(b, bool) and b in (0, 1)
+            else None
+            for b in bits
+        ]
+    if len(digits) != length or None in digits:
+        raise DomainError(f"{what} must be {length} binary digits, got {bits!r}")
+    return [int(b) for b in digits]
+
+
 def conditional_probability(
     req: SimulationRequest,
     prefix: Sequence[int] | str,
@@ -677,13 +702,9 @@ def conditional_probability(
     marks 1..site-1, through _outcome_pair as the chain walk does.  As in
     the chain walk, only a prefix of probability exactly zero is
     impossible, and it gets 1."""
-    bits = [int(b) for b in prefix]
-    if len(bits) != site - 1 or not set(bits) <= {0, 1}:
-        raise DomainError(
-            f"site {site} needs a prefix of exactly {site - 1} binary digits, got {prefix!r}"
-        )
-    if site > req.n_sites:
+    if not 1 <= _integer(site, "site") <= req.n_sites:
         raise DomainError(f"site {site} out of range for N={req.n_sites}")
+    bits = _binary_digits(prefix, site - 1, f"the prefix of site {site}")
     if _route(req, engine) == "dense":
         index = int("".join(map(str, bits)) or "0", 2)
         level = _prefix_tree(req)[site]
@@ -714,7 +735,7 @@ def _outcome_pair(runner: PlanRunner, mark: int) -> tuple[complex, complex]:
     """(v0, v1): the runner's network finished with the diagonal at node
     `mark` set to proj0 and to proj1.  The runner runs to the mark once;
     a fork finishes the proj0 branch, the runner itself the proj1 one."""
-    runner.run_to(runner.step_of(mark))
+    runner.run_to(runner.plan.step_of[mark])
     twin = runner.fork()
     twin.set_override(mark, _DIAGS["proj0"])
     runner.set_override(mark, _DIAGS["proj1"])
@@ -735,7 +756,7 @@ class _PlanMarginals:
 
     def conditionals(self, site: int, live: np.ndarray) -> np.ndarray:
         runner = self.runner
-        runner.run_to(runner.step_of(self.marks[site]))
+        runner.run_to(runner.plan.step_of[self.marks[site]])
         cone = runner.fork(_cone_target(self.req, runner, site))
         v0, v1 = _outcome_pair(cone, _cone(self.req, site)[2][site])
         return np.array([[v0], [v1]])
@@ -826,13 +847,9 @@ def conditional_chain(
     if bits is None:
         if seed is None:
             raise DomainError("conditional_chain needs fixed bits or a seed")
-        coins = _uniforms(seed, 0, 1, req.n_sites)
+        coins = _uniforms(_integer(seed, "seed"), 0, 1, req.n_sites)
     else:
-        fixed = [int(b) for b in bits]
-        if len(fixed) != req.n_sites or any(b not in (0, 1) for b in fixed):
-            raise DomainError(
-                f"bits must be {req.n_sites} binary digits, got {bits!r}"
-            )
+        fixed = _binary_digits(bits, req.n_sites, "bits")
         # A coin of +inf lands on 1 and one of -inf on 0, whatever p0 is.
         coins = np.where(np.array([fixed], dtype=bool), np.inf, -np.inf)
     out, probs = _chain_walk(req, engine, coins)
@@ -862,11 +879,11 @@ def sample(
     default_rng([seed, i]), so order and output are deterministic in the
     seed and a shorter run is a prefix of a longer one.  The dense route
     walks up to _CHUNK samples at once; the plan route walks each sample
-    alone.  n_samples must be a positive integer (bool refused)."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
-        raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1:
+    alone.  n_samples must be a positive integer and seed an integer
+    (bool refused for both)."""
+    if _integer(n_samples, "n_samples") < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    seed = _integer(seed, "seed")
     route = _route(req, engine)
     step = _CHUNK if route == "dense" else 1
     packed = []
@@ -875,4 +892,4 @@ def sample(
         coins = _uniforms(seed, start, stop, req.n_sites)
         bits, _ = _chain_walk(req, route, coins, first=start)
         packed.append(np.packbits(bits, axis=1).tobytes())
-    return SampleRecords(seed=int(seed), n_sites=req.n_sites, packed=b"".join(packed))
+    return SampleRecords(seed=seed, n_sites=req.n_sites, packed=b"".join(packed))

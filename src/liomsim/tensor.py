@@ -13,9 +13,13 @@ this is the convention of the analytic open-leg bound and is what gets
 checked against it.  The "memory" count is the number of axes the runner
 actually holds, which is smaller because diagonal nodes share a single
 index with their neighbours (a diagonal phase layer never needs separate
-in/out axes).  The runner materializes arrays only when the peak memory
-count is affordable; the scheduler itself is pure structure and runs at
-any size.
+in/out axes).  Under either convention an index is open from the step
+that absorbs its first carrier to the step that absorbs its last; the
+scheduler works both counts out from those spans once and records the
+closing step of every memory index, so a runner, or a fork of it, needs
+no count of its own to know which axes to keep.  The runner materializes
+arrays only when the peak memory count is affordable; the scheduler
+itself is pure structure and runs at any size.
 
 The runner's kernel keeps the accumulator C-contiguous and absorbs most
 nodes without einsum: a node whose accumulator ids all close and whose
@@ -24,14 +28,15 @@ one transpose that moves the closing axes to the end when they are not
 there already; a node whose ids all stay open (a diagonal, a ket cap) is
 one broadcast multiply.  The rest fall back to np.einsum: a node that
 closes some of its ids while the accumulator keeps another open (a
-hyperedge shared with a diagonal not yet absorbed).  Moving a paused
+hyperedge shared with a diagonal not yet absorbed).  Moving an
 accumulator onto a fork target is one einsum as well.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,24 +104,27 @@ def open_leg_bound(r_u: int, r_j: int) -> int:
 class PlanStep:
     node_index: int
     name: str
-    open_legs_after: int
     mem_axes_after: int
 
 
 @dataclass
 class ContractionPlan:
     """Structural schedule: the steps in absorption order with their
-    predicted leg counts, and the index bookkeeping the runner replays.
+    predicted leg counts, and the index bookkeeping the runner reads.
 
     node_indices: per node, its index ids in axis order (gate: out ids then
         in ids; diag: one shared id per wire; caps: one id).
     index_endpoints: per index id, how many nodes carry it.
+    last_step: per index id, the step that absorbs its last carrier; an
+        id opened by step p is still open after it while last_step[id] > p.
+    step_of: per node, the step that absorbs it.
     """
 
-    n_sites: int
     steps: list[PlanStep]
     node_indices: Sequence[tuple[int, ...]]
     index_endpoints: list[int]
+    last_step: list[int]
+    step_of: list[int]
     peak_open_legs: int
     peak_mem_axes: int
     r_u: int | None
@@ -143,110 +151,70 @@ def _wire_sequences(net: ExpectationNetwork) -> dict[int, list[int]]:
     return wires
 
 
+def _open_after(spans: Iterable[tuple[int, int]], n_steps: int) -> list[int]:
+    """How many of the spans are open after each step, where a span
+    (first, last) opens at step first and closes at step last."""
+    delta = [0] * (n_steps + 1)
+    for first, last in spans:
+        delta[first] += 1
+        delta[last] -= 1
+    return list(accumulate(delta[:n_steps]))
+
+
 def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
     """Build the qubit-wise plan: absorb all tensors whose leftmost wire is
     qubit 1 (in application order), then qubit 2, and so on.  Pure
     structure; tensor data never enters."""
     if not net.nodes:
         raise StructuralError("empty network")
+    nodes = net.nodes
     wires = _wire_sequences(net)
-    n_nodes = len(net.nodes)
+    order = sorted(range(len(nodes)), key=lambda pos: (nodes[pos].min_site, pos))
+    step_of = [0] * len(nodes)
+    for step, pos in enumerate(order):
+        step_of[pos] = step
 
-    # Index (hyperedge) construction: walking each wire, a fresh index opens
-    # after every non-diagonal node; diagonal nodes share the index they sit
-    # on instead of cutting it.
-    node_in: list[dict[int, int]] = [dict() for _ in range(n_nodes)]
-    node_out: list[dict[int, int]] = [dict() for _ in range(n_nodes)]
-    node_diag: list[dict[int, int]] = [dict() for _ in range(n_nodes)]
+    # Walking each wire, a fresh memory id opens after every non-diagonal
+    # node; diagonal nodes share the id they sit on instead of cutting it.
+    # In the dense convention every two consecutive nodes share one bond.
+    # An id or bond is open from the step of its first carrier to the step
+    # of its last.  Each id's carriers are done once a gate or bra cap
+    # takes it in, before the next id opens, so `spans` is in id order.
+    node_ids = [[0] * (2 * node.width if node.kind == "gate" else node.width) for node in nodes]
     index_endpoints: list[int] = []
-    # Dense-convention bonds: consecutive nodes on a wire share one bond.
+    spans: list[tuple[int, int]] = []
     bonds: list[tuple[int, int]] = []
-
-    def new_index() -> int:
-        index_endpoints.append(0)
-        return len(index_endpoints) - 1
-
     for w, seq in wires.items():
-        current = new_index()
-        node_out[seq[0]][w] = current
-        index_endpoints[current] += 1
-        for pos in seq[1:]:
-            node = net.nodes[pos]
-            if node.kind == "diag":
-                node_diag[pos][w] = current
+        for i, pos in enumerate(seq):
+            node, step = nodes[pos], step_of[pos]
+            k = node.sites.index(w)
+            if i:
+                bonds.append((prev, step) if prev < step else (step, prev))
+                # On a diagonal the id sits on axis k, on a gate on in axis k.
+                node_ids[pos][k + node.width if node.kind == "gate" else k] = current
                 index_endpoints[current] += 1
-            else:
-                node_in[pos][w] = current
-                index_endpoints[current] += 1
-                if node.kind != "cap_bra":
-                    current = new_index()
-                    node_out[pos][w] = current
-                    index_endpoints[current] += 1
-        for left, right in zip(seq, seq[1:]):
-            bonds.append((left, right))
+                first, last = min(first, step), max(last, step)
+                if node.kind != "diag":
+                    spans.append((first, last))
+            prev = step
+            if node.kind == "cap_ket" or node.kind == "gate":
+                current = len(index_endpoints)
+                index_endpoints.append(1)
+                node_ids[pos][k] = current
+                first = last = step
 
-    def node_index_ids(pos: int) -> tuple[int, ...]:
-        node = net.nodes[pos]
-        if node.kind == "diag":
-            return tuple(node_diag[pos][w] for w in node.sites)
-        if node.kind == "cap_ket":
-            return (node_out[pos][node.sites[0]],)
-        if node.kind == "cap_bra":
-            return (node_in[pos][node.sites[0]],)
-        return tuple(node_out[pos][w] for w in node.sites) + tuple(
-            node_in[pos][w] for w in node.sites
-        )
-
-    node_indices = [node_index_ids(pos) for pos in range(n_nodes)]
-
-    order = sorted(range(n_nodes), key=lambda pos: (net.nodes[pos].min_site, pos))
-
-    # Replay the absorption to predict both leg counts.
-    absorbed_count = [0] * len(index_endpoints)
-    open_mem = 0
-    bond_by_node: list[list[int]] = [[] for _ in range(n_nodes)]
-    for b, (left, right) in enumerate(bonds):
-        bond_by_node[left].append(b)
-        bond_by_node[right].append(b)
-    bond_state = [0] * len(bonds)  # endpoints absorbed so far
-    open_dense = 0
-    steps: list[PlanStep] = []
-    peak_dense = 0
-    peak_mem = 0
-    for pos in order:
-        for idx in node_indices[pos]:
-            if absorbed_count[idx] == 0:
-                open_mem += 1
-            absorbed_count[idx] += 1
-            if absorbed_count[idx] == index_endpoints[idx]:
-                open_mem -= 1
-        for b in bond_by_node[pos]:
-            bond_state[b] += 1
-            if bond_state[b] == 1:
-                open_dense += 1
-            else:
-                open_dense -= 1
-        peak_dense = max(peak_dense, open_dense)
-        peak_mem = max(peak_mem, open_mem)
-        steps.append(
-            PlanStep(
-                node_index=pos,
-                name=net.nodes[pos].name,
-                open_legs_after=open_dense,
-                mem_axes_after=open_mem,
-            )
-        )
-    if open_mem != 0 or open_dense != 0:
-        raise StructuralError(
-            f"network is not closed: {open_mem} indices / {open_dense} bonds left open"
-        )
+    open_mem = _open_after(spans, len(order))
     return ContractionPlan(
-        n_sites=net.n_sites,
-        steps=steps,
-        node_indices=node_indices,
+        steps=[
+            PlanStep(node_index=pos, name=nodes[pos].name, mem_axes_after=axes)
+            for pos, axes in zip(order, open_mem)
+        ],
+        node_indices=[tuple(ids) for ids in node_ids],
         index_endpoints=index_endpoints,
-        peak_open_legs=peak_dense,
-        peak_mem_axes=peak_mem,
+        last_step=[last for _, last in spans],
+        step_of=step_of,
+        peak_open_legs=max(_open_after(bonds, len(order))),
+        peak_mem_axes=max(open_mem),
         r_u=net.r_u,
         r_j=net.r_j,
     )
@@ -278,59 +246,74 @@ def _einsum(out: Sequence[int], *operands: tuple[np.ndarray, Sequence[int]]) -> 
     return np.einsum(*args)
 
 
-def _einsum_labels(plan: ContractionPlan) -> Iterable[tuple[PlanStep, int]]:
-    """Per step, the number of distinct einsum labels it needs: the
-    accumulator's axes before the step plus the ids it opens."""
-    absorbed = [0] * len(plan.index_endpoints)
-    live = 0
-    for step in plan.steps:
-        ids = plan.node_indices[step.node_index]
-        yield step, live + sum(1 for idx in set(ids) if absorbed[idx] == 0)
-        for idx in ids:
-            absorbed[idx] += 1
-        live = step.mem_axes_after
+def _check_plan(plan: ContractionPlan, net: ExpectationNetwork) -> None:
+    """Refuse a plan the runner cannot execute: one built for another
+    network, one whose peak exceeds MAX_EXEC_AXES, or one with a step that
+    needs more than 52 einsum labels.  The plan's dense-leg peak is checked
+    against the analytic bound when the network carries its radii; a
+    failure there is an internal assertion error, not a user error."""
+    if len(net.nodes) != len(plan.node_indices):
+        raise StructuralError(
+            "plan was produced for a different network (node count differs)"
+        )
+    if plan.peak_mem_axes > MAX_EXEC_AXES:
+        raise FeasibilityError(
+            f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
+            f"2^{MAX_EXEC_AXES} engine cap"
+        )
+    widest = max((len(ids) for ids in plan.node_indices), default=0)
+    if plan.peak_mem_axes + widest > MAX_EINSUM_LABELS:
+        for p, step in enumerate(plan.steps):
+            # A step's labels are the ids it keeps open plus those it closes.
+            ids = set(plan.node_indices[step.node_index])
+            labels = step.mem_axes_after + sum(1 for idx in ids if plan.last_step[idx] == p)
+            if labels > MAX_EINSUM_LABELS:
+                raise FeasibilityError(
+                    f"step {step.name} needs {labels} einsum labels, above the "
+                    f"{MAX_EINSUM_LABELS} numpy accepts"
+                )
+    if plan.r_u is not None and plan.r_j is not None:
+        bound = open_leg_bound(plan.r_u, plan.r_j)
+        if plan.peak_open_legs > bound:
+            raise AssertionError(
+                f"scheduler bug: predicted open legs {plan.peak_open_legs} exceed the "
+                f"analytic bound {bound} for (r_U={plan.r_u}, r_J={plan.r_j})"
+            )
 
 
 @dataclass(frozen=True)
 class ForkTarget:
-    """A smaller network whose plan a paused runner can continue on.
+    """A smaller network whose plan a runner stopped between steps can continue on.
 
     The plan's first `start` steps absorb the nodes the runner has
     absorbed, in the same order, except that where a W...W^dag segment was
     removed from a wire the ids on either side of it are one.  `ids` maps
     the runner's open ids, in axis order, to plan ids; moving the
     accumulator takes the diagonal or the trace of two that map to one.
-    `paused` is a runner of the plan at `start` with no accumulator yet,
-    built (and so checked) once, when the target is built.
+    The plan is checked, as PlanRunner checks its own, once, when the
+    target is built.
     """
 
     network: ExpectationNetwork
     plan: ContractionPlan
     start: int
     ids: dict[int, int]
-    paused: PlanRunner = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        paused = PlanRunner(self.plan, self.network)
-        for step in self.plan.steps[: self.start]:
-            for idx in self.plan.node_indices[step.node_index]:
-                paused._absorbed[idx] += 1
-        paused._pos = self.start
-        object.__setattr__(self, "paused", paused)
+        _check_plan(self.plan, self.network)
 
 
 class PlanRunner:
-    """Stepwise executor of a contraction plan.
+    """Stepwise executor of a contraction plan: the plan, a position in it
+    and an accumulator.
 
-    Networks whose predicted peak exceeds MAX_EXEC_AXES, or with a step that
-    needs more than 52 einsum labels, are refused up front.  The plan's
-    dense-leg peak is checked against the analytic bound when the network
-    carries its radii, and the observed number of live axes against the
-    plan at every step; both failures are internal assertion errors, not
-    user errors.
+    Plans that _check_plan refuses are refused up front, and the observed
+    number of live axes is checked against the plan at every step (an
+    internal assertion error).
 
     Each step contracts one node into the accumulator (see the module
-    docstring for the kernel).  Accumulators are never written into, so
+    docstring for the kernel) and keeps open the ids whose last carrier
+    comes later in the plan.  Accumulators are never written into, so
     forks share them; a step drops the runner's reference to the old one
     before computing the new one, so a step holds at most two
     accumulator-sized arrays.
@@ -346,39 +329,20 @@ class PlanRunner:
     """
 
     def __init__(self, plan: ContractionPlan, net: ExpectationNetwork) -> None:
-        if len(net.nodes) != len(plan.node_indices):
-            raise StructuralError(
-                "plan was produced for a different network (node count differs)"
-            )
-        if plan.peak_mem_axes > MAX_EXEC_AXES:
-            raise FeasibilityError(
-                f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
-                f"2^{MAX_EXEC_AXES} engine cap"
-            )
-        widest = max((len(ids) for ids in plan.node_indices), default=0)
-        if plan.peak_mem_axes + widest > MAX_EINSUM_LABELS:
-            for step, labels in _einsum_labels(plan):
-                if labels > MAX_EINSUM_LABELS:
-                    raise FeasibilityError(
-                        f"step {step.name} needs {labels} einsum labels, above the "
-                        f"{MAX_EINSUM_LABELS} numpy accepts"
-                    )
-        if plan.r_u is not None and plan.r_j is not None:
-            bound = open_leg_bound(plan.r_u, plan.r_j)
-            if plan.peak_open_legs > bound:
-                raise AssertionError(
-                    f"scheduler bug: predicted open legs {plan.peak_open_legs} exceed the "
-                    f"analytic bound {bound} for (r_U={plan.r_u}, r_J={plan.r_j})"
-                )
+        _check_plan(plan, net)
+        self._resume(plan, net, 0, np.ones((), dtype=complex), [])
+
+    def _resume(
+        self, plan: ContractionPlan, net: ExpectationNetwork, pos: int, acc: np.ndarray,
+        ids: list[int],
+    ) -> None:
         self.plan = plan
         self.net = net
-        self._acc = np.ones((), dtype=complex)
-        self._acc_ids: list[int] = []
-        self._absorbed = [0] * len(plan.index_endpoints)
-        self._pos = 0
-        self._observed_peak = 0
+        self._pos = pos
+        self._acc = acc
+        self._acc_ids = ids
+        self._observed_peak = len(ids)
         self._overrides: dict[int, np.ndarray] = {}
-        self._step_of = {step.node_index: i for i, step in enumerate(plan.steps)}
 
     @property
     def position(self) -> int:
@@ -394,34 +358,33 @@ class PlanRunner:
         """Index ids of the accumulator's axes, in axis order."""
         return tuple(self._acc_ids)
 
-    def step_of(self, node_index: int) -> int:
-        return self._step_of[node_index]
-
     def fork(self, target: ForkTarget | None = None) -> "PlanRunner":
         """Duplicate the partial contraction.  The twin shares this runner's
         accumulator rather than copying it: no step writes into an
         accumulator, and every accumulator is C-contiguous, so a copy would
-        have the same layout and give the same bits.
+        have the same layout and give the same bits.  The plan is shared
+        too, so a fork copies no per-index state.
 
-        With a target, the twin continues target.paused: one einsum moves
-        the accumulator onto the target's ids.  The twin starts without
-        overrides, which name nodes of this runner's network."""
+        With a target, the twin continues the target's plan at its start:
+        one einsum moves the accumulator onto the target's ids, keeping
+        those with a carrier at or after the start.  The twin
+        starts without overrides, which name nodes of this runner's
+        network."""
         if target is None:
             twin = copy.copy(self)
-            twin._acc_ids, twin._absorbed = list(self._acc_ids), list(self._absorbed)
+            twin._acc_ids = list(self._acc_ids)
             twin._overrides = dict(self._overrides)
             return twin
         if tuple(target.ids) != tuple(self._acc_ids):
             raise StructuralError(
                 "fork target was built for a different point of the contraction"
             )
-        twin = copy.copy(target.paused)
-        twin._absorbed, twin._overrides = list(twin._absorbed), {}
         moved = list(target.ids.values())
-        endpoints = target.plan.index_endpoints
-        keep = [idx for idx in dict.fromkeys(moved) if twin._absorbed[idx] < endpoints[idx]]
-        twin._acc = np.ascontiguousarray(_einsum(keep, (self._acc, moved)))
-        twin._acc_ids, twin._observed_peak = keep, len(keep)
+        last_step = target.plan.last_step
+        keep = [idx for idx in dict.fromkeys(moved) if last_step[idx] >= target.start]
+        twin = PlanRunner.__new__(PlanRunner)
+        acc = np.ascontiguousarray(_einsum(keep, (self._acc, moved)))
+        twin._resume(target.plan, target.network, target.start, acc, keep)
         return twin
 
     def set_override(self, node_index: int, values: np.ndarray) -> None:
@@ -430,26 +393,20 @@ class PlanRunner:
         node = self.net.nodes[node_index]
         if node.kind != "diag":
             raise StructuralError(f"only diagonal nodes can be overridden, {node.name} is {node.kind}")
-        if self._step_of[node_index] < self._pos:
+        if self.plan.step_of[node_index] < self._pos:
             raise StructuralError(f"node {node.name} was already absorbed")
         arr = np.asarray(values, dtype=complex).reshape((2,) * node.width)
         self._overrides[node_index] = arr
 
     def step(self) -> None:
-        plan = self.plan
-        step = plan.steps[self._pos]
+        plan, pos = self.plan, self._pos
+        step = plan.steps[pos]
         ids = plan.node_indices[step.node_index]
         arr = self._overrides.get(step.node_index)
         if arr is None:
             arr = _node_array(self.net.nodes[step.node_index])
-        absorbed = self._absorbed
-        for idx in ids:
-            absorbed[idx] += 1
-        keep = [
-            idx
-            for idx in dict.fromkeys(list(self._acc_ids) + list(ids))
-            if absorbed[idx] < plan.index_endpoints[idx]
-        ]
+        last_step = plan.last_step
+        keep = [idx for idx in dict.fromkeys(self._acc_ids + list(ids)) if last_step[idx] > pos]
         self._absorb(arr, ids, keep)
         self._acc_ids = keep
         self._observed_peak = max(self._observed_peak, len(keep))
@@ -458,7 +415,7 @@ class PlanRunner:
                 f"scheduler bug: step {step.name} left {len(keep)} axes open, "
                 f"plan predicted {step.mem_axes_after}"
             )
-        self._pos += 1
+        self._pos = pos + 1
 
     def _absorb(self, arr: np.ndarray, ids: Sequence[int], keep: list[int]) -> None:
         """Contract the node (arr, ids) into the accumulator, whose axes

@@ -12,6 +12,11 @@ chain network and finishes the whole remaining contraction.  It is slow
 (about N times one plan pass per chain) but independent of the light-cone
 construction, so the tests compare the library's walk against it.
 
+reference_schedule is the qubit-wise scheduler as it was before the plan
+recorded when each index closes: it replays the absorption order once per
+leg convention with per-index counters.  The library's scheduler must give
+the same plans.
+
 reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
 with its own scalar checks and one random() call per site from the
@@ -51,7 +56,7 @@ def reference_chain_walk(
     probs: list[float] = []
     den = 1.0
     for site in range(1, req.n_sites + 1):
-        runner.run_to(runner.step_of(mark_nodes[site]))
+        runner.run_to(runner.plan.step_of[mark_nodes[site]])
         fork = runner.fork()
         fork.set_override(mark_nodes[site], _PROJ[0])
         raw = fork.finish()
@@ -263,3 +268,98 @@ def naive_network_value(net: ExpectationNetwork) -> complex:
     if acc.legs:
         raise StructuralError(f"network did not close; legs left: {acc.legs}")
     return complex(acc.data[0])
+
+
+def reference_schedule(net: ExpectationNetwork) -> dict:
+    """The qubit-wise plan of net by per-index counters: node_indices,
+    index_endpoints, steps as (node index, name, memory axes after),
+    peak_open_legs and peak_mem_axes."""
+    wires = _wire_sequences(net)
+    n_nodes = len(net.nodes)
+
+    # Walking each wire, a fresh index opens after every non-diagonal node;
+    # diagonal nodes share the index they sit on instead of cutting it.
+    node_in: list[dict[int, int]] = [dict() for _ in range(n_nodes)]
+    node_out: list[dict[int, int]] = [dict() for _ in range(n_nodes)]
+    node_diag: list[dict[int, int]] = [dict() for _ in range(n_nodes)]
+    index_endpoints: list[int] = []
+    # Dense-convention bonds: consecutive nodes on a wire share one bond.
+    bonds: list[tuple[int, int]] = []
+
+    def new_index() -> int:
+        index_endpoints.append(0)
+        return len(index_endpoints) - 1
+
+    for w, seq in wires.items():
+        current = new_index()
+        node_out[seq[0]][w] = current
+        index_endpoints[current] += 1
+        for pos in seq[1:]:
+            node = net.nodes[pos]
+            if node.kind == "diag":
+                node_diag[pos][w] = current
+                index_endpoints[current] += 1
+            else:
+                node_in[pos][w] = current
+                index_endpoints[current] += 1
+                if node.kind != "cap_bra":
+                    current = new_index()
+                    node_out[pos][w] = current
+                    index_endpoints[current] += 1
+        for left, right in zip(seq, seq[1:]):
+            bonds.append((left, right))
+
+    def node_index_ids(pos: int) -> tuple[int, ...]:
+        node = net.nodes[pos]
+        if node.kind == "diag":
+            return tuple(node_diag[pos][w] for w in node.sites)
+        if node.kind == "cap_ket":
+            return (node_out[pos][node.sites[0]],)
+        if node.kind == "cap_bra":
+            return (node_in[pos][node.sites[0]],)
+        return tuple(node_out[pos][w] for w in node.sites) + tuple(
+            node_in[pos][w] for w in node.sites
+        )
+
+    node_indices = [node_index_ids(pos) for pos in range(n_nodes)]
+    order = sorted(range(n_nodes), key=lambda pos: (net.nodes[pos].min_site, pos))
+
+    # Replay the absorption to count both conventions.
+    absorbed_count = [0] * len(index_endpoints)
+    open_mem = 0
+    bond_by_node: list[list[int]] = [[] for _ in range(n_nodes)]
+    for b, (left, right) in enumerate(bonds):
+        bond_by_node[left].append(b)
+        bond_by_node[right].append(b)
+    bond_state = [0] * len(bonds)
+    open_dense = 0
+    steps = []
+    peak_dense = 0
+    peak_mem = 0
+    for pos in order:
+        for idx in node_indices[pos]:
+            if absorbed_count[idx] == 0:
+                open_mem += 1
+            absorbed_count[idx] += 1
+            if absorbed_count[idx] == index_endpoints[idx]:
+                open_mem -= 1
+        for b in bond_by_node[pos]:
+            bond_state[b] += 1
+            if bond_state[b] == 1:
+                open_dense += 1
+            else:
+                open_dense -= 1
+        peak_dense = max(peak_dense, open_dense)
+        peak_mem = max(peak_mem, open_mem)
+        steps.append((pos, net.nodes[pos].name, open_mem))
+    if open_mem != 0 or open_dense != 0:
+        raise StructuralError(
+            f"network is not closed: {open_mem} indices / {open_dense} bonds left open"
+        )
+    return {
+        "node_indices": node_indices,
+        "index_endpoints": index_endpoints,
+        "steps": steps,
+        "peak_open_legs": peak_dense,
+        "peak_mem_axes": peak_mem,
+    }

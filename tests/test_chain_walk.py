@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from reference import reference_chain_walk
 
+from liomsim import tensor
 from liomsim.errors import FeasibilityError, StructuralError
 from liomsim.model import (
     InstanceParams,
@@ -292,11 +293,28 @@ def test_fork_target_refuses_another_cut():
     req = _criterion_6_request(8)
     network, plan, marks = _cone(req, req.n_sites)
     runner = PlanRunner(plan, network)
-    runner.run_to(runner.step_of(marks[3]))
+    runner.run_to(runner.plan.step_of[marks[3]])
     target = _cone_target(req, runner, 3)
-    runner.run_to(runner.step_of(marks[4]))
+    runner.run_to(runner.plan.step_of[marks[4]])
     with pytest.raises(StructuralError):
         runner.fork(target)
+
+
+def test_fork_target_refuses_a_plan_above_the_cap(monkeypatch):
+    # A target's plan is checked once, when the target is built, as a
+    # runner's is; forks onto it run no further checks.
+    req = _criterion_6_request(8)
+    network, plan, marks = _cone(req, req.n_sites)
+    runner = PlanRunner(plan, network)
+    runner.run_to(runner.plan.step_of[marks[3]])
+    peak = _cone(req, 3)[1].peak_mem_axes
+    assert peak < plan.peak_mem_axes
+    monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak - 1)
+    with pytest.raises(FeasibilityError, match="engine cap"):
+        _cone_target(req, runner, 3)
+    assert 3 not in req._cache["cone_targets"]
+    monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak)
+    assert runner.fork(_cone_target(req, runner, 3)).position == runner.position
 
 
 def _product_request(n):

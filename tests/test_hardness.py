@@ -174,7 +174,7 @@ def test_mapping_negative_control():
 
 
 def test_mapping_guards():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="oracle cap"):
         verify_2d_mapping(HardnessSpec.square(16, xi=1.0))
     with pytest.raises(DomainError):
         verify_2d_mapping(HardnessSpec.square(4, xi=1.0), perturb_site=5)

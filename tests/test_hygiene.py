@@ -72,3 +72,39 @@ def test_package_starts_no_threads():
         if "NUM_THREADS" in text:
             found.append(f"{path.relative_to(ROOT)}: mentions NUM_THREADS")
     assert not found, "\n".join(found)
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr == "dataclass"
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def test_no_unread_dataclass_fields():
+    # A field nothing reads is state every instance carries for nothing.
+    # Fields are matched by attribute name only, so one read of a name
+    # anywhere covers every field of that name.
+    read = set()
+    fields = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+        if path.parent.name != "liomsim":
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+                where = f"{path.relative_to(ROOT)}:{{}}: {cls.name}.{{}}"
+                fields += [
+                    (where.format(item.lineno, item.target.id), item.target.id)
+                    for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    assert len(fields) > 20
+    unread = [where for where, name in fields if name not in read]
+    assert not unread, "dataclass fields never read:\n" + "\n".join(unread)

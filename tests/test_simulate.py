@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,29 @@ def test_chain_validation_errors():
         with pytest.raises(DomainError, match="n_samples must be an integer"):
             sample(req, count, seed=1)
     assert len(sample(req, np.int64(2), seed=1)) == 2
+    # A seed that is not an integer is refused, not truncated or parsed.
+    for seed in (1.5, "7", True, None):
+        message = f"seed must be an integer, got {re.escape(repr(seed))}"
+        with pytest.raises(DomainError, match=message):
+            sample(req, 3, seed)
+        if seed is not None:
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                conditional_chain(req, seed=seed)
+    assert sample(req, 2, np.int64(7)).seed == 7
+    # Bits and prefixes with a digit other than 0 or 1, and sites outside
+    # 1..N, are refused by name.
+    for bits in ("01a0", "0a1", [0, 1, 2], [0, 1.0, 1], [0, True, 1], ["0", "1", "1"]):
+        message = f"bits must be 3 binary digits, got {re.escape(repr(bits))}"
+        with pytest.raises(DomainError, match=message):
+            conditional_chain(req, bits=bits)
+    with pytest.raises(DomainError, match="prefix of site 3 must be 2 binary digits, got '0x'"):
+        conditional_probability(req, "0x", 3)
+    for site in (0, -1):
+        with pytest.raises(DomainError, match=f"site {site} out of range for N=3"):
+            conditional_probability(req, "", site)
+    with pytest.raises(DomainError, match="site must be an integer, got 2.0"):
+        conditional_probability(req, "0", 2.0)
+    assert conditional_chain(req, bits=np.array([0, 1, 1])) == conditional_chain(req, bits="011")
 
 
 def test_truncated_distribution_within_budget():

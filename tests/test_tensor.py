@@ -8,10 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import DenseTensor, Leg, contract, naive_network_value
+from reference import DenseTensor, Leg, contract, naive_network_value, reference_schedule
 
 from liomsim import tensor
 from liomsim.errors import FeasibilityError, StructuralError
+from liomsim.model import InstanceParams, build_random_instance
+from liomsim.simulate import SimulationRequest, _cone
 from liomsim.tensor import (
     ExpectationNetwork,
     PlacedTensor,
@@ -20,6 +22,7 @@ from liomsim.tensor import (
     open_leg_bound,
     qubitwise_schedule,
 )
+from liomsim.truncation import TruncationRadii
 
 
 def test_leg_validation():
@@ -222,13 +225,50 @@ def test_runner_kernel_matches_naive_reference(net):
     assert abs(value - naive_network_value(net)) <= 1e-12 * max(1.0, _magnitude(net))
 
 
+def _assert_matches_reference_schedule(net):
+    plan = qubitwise_schedule(net)
+    ref = reference_schedule(net)
+    assert list(plan.node_indices) == ref["node_indices"]
+    assert plan.index_endpoints == ref["index_endpoints"]
+    assert [(s.node_index, s.name, s.mem_axes_after) for s in plan.steps] == ref["steps"]
+    assert plan.peak_open_legs == ref["peak_open_legs"]
+    assert plan.peak_mem_axes == ref["peak_mem_axes"]
+    assert [plan.step_of[s.node_index] for s in plan.steps] == list(range(len(plan.steps)))
+    carriers = [[] for _ in plan.index_endpoints]
+    for pos, ids in enumerate(plan.node_indices):
+        for idx in ids:
+            carriers[idx].append(plan.step_of[pos])
+    assert plan.last_step == [max(steps) for steps in carriers]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(net=_random_networks())
+def test_scheduler_matches_frozen_reference(net):
+    _assert_matches_reference_schedule(net)
+
+
+def test_scheduler_matches_frozen_reference_on_simulator_networks():
+    # Every light-cone network of the criterion-6 instances, and the wrapped
+    # periodic chain whose dense legs exceed the open-chain bound.
+    for n in (32, 64):
+        inst = build_random_instance(
+            InstanceParams(n, 0.5), seed=n, max_body=2, max_width=2, periodic=False
+        )
+        req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
+        for site in range(1, n + 1):
+            _assert_matches_reference_schedule(_cone(req, site)[0])
+    inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
+    _assert_matches_reference_schedule(_cone(req, 4)[0])
+
+
 def test_fork_shares_the_accumulator():
     # Every accumulator is C-contiguous and no step writes into one, so a
     # twin sharing it finishes with the bits of a twin given a copy.
     rng = np.random.default_rng(18)
     net, diag_index = _diag_split_network(rng)
     runner = PlanRunner(qubitwise_schedule(net), net)
-    runner.run_to(runner.step_of(diag_index))
+    runner.run_to(runner.plan.step_of[diag_index])
     shared, copied = runner.fork(), runner.fork()
     assert shared._acc is runner._acc
     copied._acc = runner._acc.copy()
@@ -345,7 +385,7 @@ def test_runner_fork_branches_sum_to_total():
     total = execute(plan, net)
 
     runner = PlanRunner(plan, net)
-    runner.run_to(runner.step_of(diag_index))
+    runner.run_to(runner.plan.step_of[diag_index])
     original = np.asarray(net.nodes[diag_index].data, dtype=complex).reshape(
         (2,) * net.nodes[diag_index].width
     )
