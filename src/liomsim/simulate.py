@@ -85,20 +85,20 @@ class ObservableProduct:
     rotations: tuple[tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.pivot_site < 1:
+        if _integer(self.pivot_site, "pivot site") < 1:
             raise DomainError(f"pivot site must be >= 1, got {self.pivot_site}")
         if self.pivot_kind not in _PIVOT_KINDS:
             raise DomainError(f"pivot kind must be one of {_PIVOT_KINDS}, got {self.pivot_kind!r}")
-        proj = tuple(sorted((int(s), int(b)) for s, b in self.projectors))
+        sites = [_integer(s, "projector site") for s, _ in self.projectors]
+        bits = _binary_digits([b for _, b in self.projectors], len(sites), "projector outcomes")
+        proj = tuple(sorted(zip(sites, bits)))
         object.__setattr__(self, "projectors", proj)
-        for s, b in proj:
+        for s, _ in proj:
             if not (1 <= s < self.pivot_site):
                 raise DomainError(
                     f"projector site {s} must lie strictly below the pivot {self.pivot_site}"
                 )
-            if b not in (0, 1):
-                raise DomainError(f"projector outcome must be 0 or 1, got {b}")
-        rot = [(int(s), np.asarray(r, dtype=complex)) for s, r in self.rotations]
+        rot = [(_integer(s, "rotation site"), np.asarray(r, dtype=complex)) for s, r in self.rotations]
         rot = tuple(sorted(rot, key=lambda x: x[0]))
         object.__setattr__(self, "rotations", rot)
         for s, r in rot:
@@ -121,7 +121,7 @@ class ObservableProduct:
     @classmethod
     def prefix_projector(cls, bits: Sequence[int] | str) -> "ObservableProduct":
         """All-projector observable fixing z_1..z_m to the given bits."""
-        bits = [int(b) for b in bits]
+        bits = _binary_digits(bits, len(bits), "prefix projector bits")
         if not bits:
             raise DomainError("prefix projector needs at least one bit")
         return cls(

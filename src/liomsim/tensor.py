@@ -21,20 +21,32 @@ no count of its own to know which axes to keep.  The runner materializes
 arrays only when the peak memory count is affordable; the scheduler
 itself is pure structure and runs at any size.
 
-The runner's kernel keeps the accumulator C-contiguous and absorbs most
-nodes without einsum: a node whose accumulator ids all close and whose
-other ids all open (a gate, a bra cap) is one BLAS matrix product, after
-one transpose that moves the closing axes to the end when they are not
-there already; a node whose ids all stay open (a diagonal, a ket cap) is
-one broadcast multiply.  The rest fall back to np.einsum: a node that
-closes some of its ids while the accumulator keeps another open (a
-hyperedge shared with a diagonal not yet absorbed).  Moving an
-accumulator onto a fork target is one einsum as well.
+The scheduler also plans the accumulator's axis order, from structure
+alone, so that the runner's kernel does no id bookkeeping and calls no
+einsum.  A step's touched ids are the accumulator ids its node carries;
+each step takes one of three forms:
+
+- a slice, for a cap without data (|0> or <0|) that closes an id: entry 0
+  of that axis, wherever it sits (a view when it leads);
+- a broadcast multiply, for a node that closes no id (a diagonal, a ket
+  cap, a gate whose accumulator ids all stay open); its new axes lead;
+- one 2-D matmul for everything else: the touched ids form the leading
+  block, and the node becomes a (2^touched, 2^(kept+new)) matrix, where
+  an id the node keeps open is padded in as kron(I, g).  The kept and new
+  ids lead after the step.
+
+Only a matmul step whose touched ids are not the accumulator's leading
+axes transposes first: the touched block moves to the front and the
+other axes follow in order of their next use, soonest first.  Leading
+blocks keep slices free and multiplies' inner loops long.  Moving an
+accumulator onto a fork target is the one einsum left; it writes the
+target plan's axis order.
 """
 
 from __future__ import annotations
 
 import copy
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -100,11 +112,30 @@ def open_leg_bound(r_u: int, r_j: int) -> int:
     return 4 * (sum(n * (n - 1) for n in range(2, r_u + 1)) + 2 * (r_j - 1) + 2)
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanStep:
+    """One absorption and the layout the runner executes it in (see the
+    module docstring for the forms).
+
+    perm: axis permutation of the accumulator before the step, as packed
+        uint16 entries, or None.
+    form: "slice", "mul" or "matmul" (on the leading block).
+    node_axes: the node's axes in the order the kernel reads them.
+    shape: slice: the accumulator as (before, 2, after); mul: the node's
+        broadcast shape, as bytes of 1s and 2s; matmul: the node matrix
+        (2^touched, 2^(kept+new)).
+    strides: matmul only: byte strides that write the node into a zero
+        matrix when it keeps ids open, else None.
+    """
+
     node_index: int
     name: str
     mem_axes_after: int
+    perm: bytes | None
+    form: str
+    node_axes: tuple[int, ...]
+    shape: Sequence[int]
+    strides: tuple[int, ...] | None
 
 
 @dataclass
@@ -118,6 +149,8 @@ class ContractionPlan:
     last_step: per index id, the step that absorbs its last carrier; an
         id opened by step p is still open after it while last_step[id] > p.
     step_of: per node, the step that absorbs it.
+    axes: the accumulator's ids after every step, in axis order, one step
+        after the other; step p's order ends at axes_end[p].
     """
 
     steps: list[PlanStep]
@@ -129,6 +162,8 @@ class ContractionPlan:
     peak_mem_axes: int
     r_u: int | None
     r_j: int | None
+    axes: array
+    axes_end: array
 
 
 def _wire_sequences(net: ExpectationNetwork) -> dict[int, list[int]]:
@@ -204,20 +239,115 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
                 first = last = step
 
     open_mem = _open_after(spans, len(order))
+    node_ids = [tuple(ids) for ids in node_ids]
+    last_step = [last for _, last in spans]
+    layout, axes = _layout(nodes, order, node_ids, len(last_step))
     return ContractionPlan(
         steps=[
-            PlanStep(node_index=pos, name=nodes[pos].name, mem_axes_after=axes)
-            for pos, axes in zip(order, open_mem)
+            PlanStep(pos, nodes[pos].name, open_axes, *form)
+            for pos, open_axes, form in zip(order, open_mem, layout)
         ],
-        node_indices=[tuple(ids) for ids in node_ids],
+        node_indices=node_ids,
         index_endpoints=index_endpoints,
-        last_step=[last for _, last in spans],
+        last_step=last_step,
         step_of=step_of,
         peak_open_legs=max(_open_after(bonds, len(order))),
         peak_mem_axes=max(open_mem),
         r_u=net.r_u,
         r_j=net.r_j,
+        axes=axes,
+        axes_end=array("I", accumulate(open_mem)),
     )
+
+
+def _layout(
+    nodes: Sequence[PlacedTensor],
+    order: Sequence[int],
+    node_ids: Sequence[tuple[int, ...]],
+    n_ids: int,
+) -> tuple[list[tuple], array]:
+    """Per step, the layout fields of its PlanStep (perm, form, node_axes,
+    shape, strides), and every step's axis order after it, one after the
+    other; from the node ids and absorption order alone."""
+    # following[pos][k]: the step of the next carrier of node pos's k-th
+    # id after node pos, or len(order) where none follows.
+    following = [[len(order)] * len(ids) for ids in node_ids]
+    previous: list[list[int] | None] = [None] * n_ids
+    prev_axis = [0] * n_ids
+    for p, pos in enumerate(order):
+        mine = following[pos]
+        for k, idx in enumerate(node_ids[pos]):
+            if previous[idx] is not None:
+                previous[idx][prev_axis[idx]] = p
+            previous[idx], prev_axis[idx] = mine, k
+    next_use = [0] * n_ids
+    held = [False] * n_ids
+    acc: list[int] = []
+    out = []
+    # Cone plans stay cached, so a plan shares its equal small fields and
+    # packs its axis orders.  Long orders are not tuples: one-shot plans are
+    # dropped after every query, and the interpreter's tuple free lists
+    # would keep thousands of long tuples alive.
+    flat = array("I")
+    shared: dict = {}
+
+    def share(value):
+        return shared.setdefault(value, value)
+
+    for p, pos in enumerate(order):
+        ids = node_ids[pos]
+        touched, kept, new = [], [], []
+        for idx, later in zip(ids, following[pos]):
+            next_use[idx] = later
+            if not held[idx]:
+                new.append(idx)
+                held[idx] = True
+            else:
+                touched.append(idx)
+                if later < len(order):
+                    kept.append(idx)
+                else:
+                    held[idx] = False
+        new.sort(key=next_use.__getitem__)
+        perm = strides = None
+        if len(kept) == len(touched):
+            # Nothing closes: broadcast the node over the accumulator, its
+            # new axes in front.
+            form, axes = "mul", new + acc
+            at = [axes.index(idx) for idx in ids]
+            node_axes = tuple(sorted(range(len(ids)), key=at.__getitem__))
+            shape = bytearray(b"\x01" * len(axes))
+            for x in at:
+                shape[x] = 2
+            shape = share(bytes(shape))
+        elif nodes[pos].kind.startswith("cap") and nodes[pos].data is None:
+            x = acc.index(ids[0])
+            form, axes = "slice", acc[:x] + acc[x + 1 :]
+            node_axes, shape = (), share((1 << x, 2, 1 << (len(acc) - x - 1)))
+        else:
+            form, t = "matmul", len(touched)
+            at = [acc.index(idx) for idx in touched]
+            if max(at) >= t:
+                others = sorted((idx for idx in acc if idx not in touched), key=next_use.__getitem__)
+                moved = [acc[x] for x in sorted(at)] + others
+                perm = share(array("H", [acc.index(idx) for idx in moved]).tobytes())
+                acc = moved
+            rows, rest = acc[:t], acc[t:]
+            cols = sorted(kept + new, key=next_use.__getitem__)
+            axes = cols + rest
+            node_axes = tuple(ids.index(idx) for idx in rows + new)
+            shape = share((1 << t, 1 << len(cols)))
+            if kept:
+                # Entry (rows, cols) of the zero matrix is the node's entry
+                # where a kept id's row and column bits agree.
+                col = {idx: 16 << (len(cols) - 1 - y) for y, idx in enumerate(cols)}
+                strides = tuple(
+                    (16 << (t - 1 - x + len(cols))) + col.get(idx, 0) for x, idx in enumerate(rows)
+                ) + tuple(col[idx] for idx in new)
+        out.append((perm, form, share(node_axes), shape, share(strides)))
+        flat.extend(axes)
+        acc = axes
+    return out, flat
 
 
 _KET = np.array([1.0, 0.0], dtype=complex)
@@ -244,6 +374,14 @@ def _einsum(out: Sequence[int], *operands: tuple[np.ndarray, Sequence[int]]) -> 
         args += [arr, [local.setdefault(i, len(local)) for i in ids]]
     args.append([local[i] for i in out])
     return np.einsum(*args)
+
+
+def _axes_before(plan: ContractionPlan, pos: int) -> tuple[int, ...]:
+    """The accumulator's ids, in axis order, before step pos of the plan."""
+    if not pos:
+        return ()
+    end = plan.axes_end[pos - 1]
+    return tuple(plan.axes[end - plan.steps[pos - 1].mem_axes_after : end])
 
 
 def _check_plan(plan: ContractionPlan, net: ExpectationNetwork) -> None:
@@ -301,22 +439,25 @@ class ForkTarget:
 
     def __post_init__(self) -> None:
         _check_plan(self.plan, self.network)
+        if not set(_axes_before(self.plan, self.start)) <= set(self.ids.values()):
+            raise StructuralError("fork target's plan keeps an id the runner does not hold")
 
 
 class PlanRunner:
     """Stepwise executor of a contraction plan: the plan, a position in it
-    and an accumulator.
+    and an accumulator whose axes are the plan's axis order at that
+    position.
 
-    Plans that _check_plan refuses are refused up front, and the observed
-    number of live axes is checked against the plan at every step (an
+    Plans that _check_plan refuses are refused up front, and the size of
+    every step's result is checked against the plan's predicted axes (an
     internal assertion error).
 
-    Each step contracts one node into the accumulator (see the module
-    docstring for the kernel) and keeps open the ids whose last carrier
-    comes later in the plan.  Accumulators are never written into, so
-    forks share them; a step drops the runner's reference to the old one
-    before computing the new one, so a step holds at most two
-    accumulator-sized arrays.
+    Each step runs its planned form (see the module docstring): an optional
+    transpose, then a slice, a broadcast multiply or one 2-D matmul, with
+    no id bookkeeping.  Accumulators are never written into, so forks
+    share them; a step drops the runner's reference to the old one before
+    computing the new one, so a step holds at most two accumulator-sized
+    arrays.
 
     Beyond one-shot execution the runner can pause between steps, fork
     (duplicate the partial contraction), and override the values of
@@ -330,18 +471,16 @@ class PlanRunner:
 
     def __init__(self, plan: ContractionPlan, net: ExpectationNetwork) -> None:
         _check_plan(plan, net)
-        self._resume(plan, net, 0, np.ones((), dtype=complex), [])
+        self._resume(plan, net, 0, np.ones((), dtype=complex))
 
     def _resume(
-        self, plan: ContractionPlan, net: ExpectationNetwork, pos: int, acc: np.ndarray,
-        ids: list[int],
+        self, plan: ContractionPlan, net: ExpectationNetwork, pos: int, acc: np.ndarray
     ) -> None:
         self.plan = plan
         self.net = net
         self._pos = pos
         self._acc = acc
-        self._acc_ids = ids
-        self._observed_peak = len(ids)
+        self._observed_peak = acc.ndim
         self._overrides: dict[int, np.ndarray] = {}
 
     @property
@@ -356,7 +495,7 @@ class PlanRunner:
     @property
     def open_ids(self) -> tuple[int, ...]:
         """Index ids of the accumulator's axes, in axis order."""
-        return tuple(self._acc_ids)
+        return _axes_before(self.plan, self._pos)
 
     def fork(self, target: ForkTarget | None = None) -> "PlanRunner":
         """Duplicate the partial contraction.  The twin shares this runner's
@@ -366,25 +505,21 @@ class PlanRunner:
         too, so a fork copies no per-index state.
 
         With a target, the twin continues the target's plan at its start:
-        one einsum moves the accumulator onto the target's ids, keeping
-        those with a carrier at or after the start.  The twin
-        starts without overrides, which name nodes of this runner's
-        network."""
+        one einsum moves the accumulator onto the target's ids, in the axis
+        order the target's plan has there, and takes the trace of ids no
+        carrier from the start on needs.  The twin starts without
+        overrides, which name nodes of this runner's network."""
         if target is None:
             twin = copy.copy(self)
-            twin._acc_ids = list(self._acc_ids)
             twin._overrides = dict(self._overrides)
             return twin
-        if tuple(target.ids) != tuple(self._acc_ids):
+        if tuple(target.ids) != self.open_ids:
             raise StructuralError(
                 "fork target was built for a different point of the contraction"
             )
-        moved = list(target.ids.values())
-        last_step = target.plan.last_step
-        keep = [idx for idx in dict.fromkeys(moved) if last_step[idx] >= target.start]
         twin = PlanRunner.__new__(PlanRunner)
-        acc = np.ascontiguousarray(_einsum(keep, (self._acc, moved)))
-        twin._resume(target.plan, target.network, target.start, acc, keep)
+        acc = _einsum(_axes_before(target.plan, target.start), (self._acc, target.ids.values()))
+        twin._resume(target.plan, target.network, target.start, np.ascontiguousarray(acc))
         return twin
 
     def set_override(self, node_index: int, values: np.ndarray) -> None:
@@ -399,60 +534,46 @@ class PlanRunner:
         self._overrides[node_index] = arr
 
     def step(self) -> None:
-        plan, pos = self.plan, self._pos
-        step = plan.steps[pos]
-        ids = plan.node_indices[step.node_index]
-        arr = self._overrides.get(step.node_index)
-        if arr is None:
-            arr = _node_array(self.net.nodes[step.node_index])
-        last_step = plan.last_step
-        keep = [idx for idx in dict.fromkeys(self._acc_ids + list(ids)) if last_step[idx] > pos]
-        self._absorb(arr, ids, keep)
-        self._acc_ids = keep
-        self._observed_peak = max(self._observed_peak, len(keep))
-        if len(keep) != step.mem_axes_after:
-            raise AssertionError(
-                f"scheduler bug: step {step.name} left {len(keep)} axes open, "
-                f"plan predicted {step.mem_axes_after}"
-            )
-        self._pos = pos + 1
-
-    def _absorb(self, arr: np.ndarray, ids: Sequence[int], keep: list[int]) -> None:
-        """Contract the node (arr, ids) into the accumulator, whose axes
-        become `keep`.  The runner's reference is dropped first, so a step
-        holds at most two accumulator-sized arrays."""
+        """Absorb the next node in its planned form.  The runner's
+        reference to the old accumulator is dropped first.  A planned
+        transpose is a view; reshaping it to the matmul's 2-D operand makes
+        the one copy and drops the view, which frees the old accumulator
+        before the product is computed, so a step holds at most two
+        accumulator-sized arrays.  A slice of the leading axis is a view:
+        it keeps its parent, twice its size, alive until the next step
+        replaces it."""
+        step = self.plan.steps[self._pos]
         acc, self._acc = self._acc, None
-        acc_ids = self._acc_ids
-        pos = {idx: a for a, idx in enumerate(ids)}
-        if len(pos) == len(ids):
-            open_ = set(keep)
-            new = [idx for idx in ids if idx not in acc_ids]
-            if open_.issuperset(ids):
-                # Every id stays open (a diagonal, or a ket cap): multiply
-                # by the node broadcast over keep.
-                node = arr.transpose([pos[idx] for idx in keep if idx in pos])
-                node = node.reshape([2 if idx in pos else 1 for idx in keep])
-                acc = acc.reshape(acc.shape + (1,) * len(new))
-                self._acc = np.multiply(acc, node, order="C")
-                return
-            closing = [idx for idx in acc_ids if idx not in open_]
-            if open_.issuperset(new) and len(closing) + len(new) == len(ids):
-                # Gate-like: the node's ids in the accumulator all close and
-                # its other ids open.  One matmul over the closing axes,
-                # moved to the end in accumulator order.
-                node = arr.transpose([pos[idx] for idx in closing + new])
-                node = node.reshape(2 ** len(closing), 2 ** len(new))
-                perm = [a for a, idx in enumerate(acc_ids) if idx in open_]
-                if closing != acc_ids[len(perm):]:
-                    acc = acc.transpose(perm + [acc_ids.index(idx) for idx in closing])
-                acc = acc.reshape(-1, 2 ** len(closing))
-                self._acc = np.matmul(acc, node).reshape((2,) * len(keep))
-                return
-        # A node that closes some ids while an accumulator id it carries
-        # stays open.
-        out = _einsum(keep, (acc, acc_ids), (arr, ids))
+        if step.perm is not None:
+            acc = acc.transpose(memoryview(step.perm).cast("H"))
+        form, shape = step.form, step.shape
+        if form == "slice":
+            out = np.ascontiguousarray(acc.reshape(shape)[:, 0])
+        else:
+            arr = self._overrides.get(step.node_index)
+            if arr is None:
+                arr = _node_array(self.net.nodes[step.node_index])
+            arr = arr.transpose(step.node_axes)
+            if form == "mul":
+                out = np.multiply(acc, arr.reshape(shape), order="C")
+            else:
+                if step.strides is None:
+                    mat = arr.reshape(shape)
+                else:
+                    mat = np.zeros(shape, dtype=complex)
+                    np.ndarray(arr.shape, complex, mat, 0, step.strides)[...] = arr
+                acc = acc.reshape(shape[0], -1)
+                out = mat.T @ acc
         del acc
-        self._acc = np.ascontiguousarray(out)
+        axes = step.mem_axes_after
+        if out.size != 1 << axes:
+            raise AssertionError(
+                f"scheduler bug: step {step.name} left {out.size} entries, "
+                f"plan predicted 2^{axes}"
+            )
+        self._acc = out.reshape((2,) * axes)
+        self._observed_peak = max(self._observed_peak, axes)
+        self._pos += 1
 
     def run_to(self, stop: int) -> None:
         while self._pos < stop:
@@ -460,7 +581,7 @@ class PlanRunner:
 
     def finish(self) -> complex:
         self.run_to(len(self.plan.steps))
-        if self._acc_ids:
+        if self._acc.ndim:
             raise AssertionError("scheduler bug: axes left open after the final step")
         return complex(self._acc)
 

@@ -37,7 +37,7 @@ from liomsim.simulate import (
     expectation,
     sample,
 )
-from liomsim.tensor import PlacedTensor, PlanRunner
+from liomsim.tensor import ForkTarget, PlacedTensor, PlanRunner
 from liomsim.truncation import TruncationRadii
 
 
@@ -97,16 +97,13 @@ def _criterion_6_request(n):
 
 def _computed_ops(plan):
     """Per step, 2^|accumulator ids + node ids| and the live axes after it,
-    replayed from the plan's index bookkeeping."""
-    absorbed = [0] * len(plan.index_endpoints)
+    read from the plan's closing steps: an id stays live after step p
+    while its last carrier comes later."""
     live: set[int] = set()
     out = []
-    for step in plan.steps:
-        ids = plan.node_indices[step.node_index]
-        union = live.union(ids)
-        for idx in ids:
-            absorbed[idx] += 1
-        live = {i for i in union if absorbed[i] < plan.index_endpoints[i]}
+    for p, step in enumerate(plan.steps):
+        union = live.union(plan.node_indices[step.node_index])
+        live = {i for i in union if plan.last_step[i] > p}
         out.append((2 ** len(union), len(live)))
     return out
 
@@ -315,6 +312,22 @@ def test_fork_target_refuses_a_plan_above_the_cap(monkeypatch):
     assert 3 not in req._cache["cone_targets"]
     monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak)
     assert runner.fork(_cone_target(req, runner, 3)).position == runner.position
+
+
+def test_fork_target_refuses_a_plan_that_keeps_an_id_the_runner_lacks():
+    # The fork's einsum writes the target plan's axis order at `start`, so
+    # every id of that order must come from one the runner holds.
+    req = _criterion_6_request(8)
+    network, plan, marks = _cone(req, req.n_sites)
+    runner = PlanRunner(plan, network)
+    runner.run_to(runner.plan.step_of[marks[3]])
+    target = _cone_target(req, runner, 3)
+    ids = dict(target.ids)
+    dropped = ids.pop(runner.open_ids[0])
+    assert dropped in tensor._axes_before(target.plan, target.start)
+    assert dropped not in ids.values()
+    with pytest.raises(StructuralError, match="keeps an id the runner does not hold"):
+        ForkTarget(target.network, target.plan, target.start, ids)
 
 
 def _product_request(n):

@@ -1,9 +1,15 @@
 """Source hygiene: no module of the package, its tests or its benchmark
-imports a name it never uses, and the package starts no threads of its
-own."""
+imports a name it never uses, the package starts no threads of its own,
+and the runner absorbs every node through the method the benchmark
+wraps."""
 
 import ast
 from pathlib import Path
+
+from liomsim.model import InstanceParams, build_random_instance
+from liomsim.simulate import SimulationRequest, _cone
+from liomsim.tensor import PlanRunner
+from liomsim.truncation import TruncationRadii
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = [
@@ -108,3 +114,29 @@ def test_no_unread_dataclass_fields():
     assert len(fields) > 20
     unread = [where for where, name in fields if name not in read]
     assert not unread, "dataclass fields never read:\n" + "\n".join(unread)
+
+
+def test_runner_absorbs_every_step_through_step(monkeypatch):
+    # The benchmark's per-layer view wraps PlanRunner.step, so run_to,
+    # finish and forks must absorb each node through that method.
+    inst = build_random_instance(InstanceParams(8, 0.5), seed=8, max_body=2, max_width=2)
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    network, plan, _ = _cone(req, 8)
+    calls = 0
+    step = PlanRunner.step
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        step(self)
+
+    monkeypatch.setattr(PlanRunner, "step", counted)
+    runner = PlanRunner(plan, network)
+    half = len(plan.steps) // 2
+    runner.run_to(half)
+    assert calls == half
+    twin = runner.fork()
+    runner.finish()
+    assert calls == len(plan.steps)
+    twin.finish()
+    assert calls == 2 * len(plan.steps) - half

@@ -87,6 +87,25 @@ def test_observable_validation():
             build_expectation_network(req, obs)
 
 
+def test_observable_refuses_sites_and_bits_that_are_not_integers():
+    # Sites and bits used to be read with int(...): 1.7 truncated to a
+    # proj1 pivot, 1.9 to site 1, and "a" raised a bare ValueError.
+    with pytest.raises(DomainError, match="prefix projector bits must be 2 binary digits"):
+        ObservableProduct.prefix_projector([0, 1.7])
+    with pytest.raises(DomainError, match="projector site must be an integer, got 1.9"):
+        ObservableProduct(pivot_site=2, projectors=((1.9, 0),))
+    with pytest.raises(DomainError, match="prefix projector bits must be 3 binary digits"):
+        ObservableProduct.prefix_projector("01a")
+    with pytest.raises(DomainError, match="pivot site must be an integer"):
+        ObservableProduct(2.0)
+    with pytest.raises(DomainError, match="projector outcomes must be 1 binary digits"):
+        ObservableProduct(2, projectors=((1, True),))
+    with pytest.raises(DomainError, match="rotation site must be an integer"):
+        ObservableProduct(2, rotations=(("1", HADAMARD),))
+    obs = ObservableProduct(np.int64(3), projectors=((np.int64(1), np.int64(1)),))
+    assert obs.projectors == ((1, 1),)
+    assert ObservableProduct.prefix_projector([1, 0]) == ObservableProduct.prefix_projector("10")
+
 @pytest.mark.parametrize("engine", ["dense", "plan", "auto"])
 def test_expectation_refuses_rotation_sites_above_n(engine):
     req = _random_request(4, seed=2, radii=TruncationRadii(3, 2))

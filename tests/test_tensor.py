@@ -2,6 +2,7 @@
 leg-labelled reference contraction they are checked against."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from reference import DenseTensor, Leg, contract, naive_network_value, reference
 from liomsim import tensor
 from liomsim.errors import FeasibilityError, StructuralError
 from liomsim.model import InstanceParams, build_random_instance
-from liomsim.simulate import SimulationRequest, _cone
+from liomsim.simulate import SimulationRequest, _cone, conditional_chain
 from liomsim.tensor import (
     ExpectationNetwork,
+    ForkTarget,
     PlacedTensor,
     PlanRunner,
     execute,
@@ -223,6 +225,103 @@ def test_runner_kernel_matches_naive_reference(net):
     value = runner.finish()
     assert value == execute(plan, net)
     assert abs(value - naive_network_value(net)) <= 1e-12 * max(1.0, _magnitude(net))
+
+
+def _unitary(rng, width):
+    z = rng.normal(size=(2**width, 2**width)) + 1j * rng.normal(size=(2**width, 2**width))
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(net=_random_networks(), data=st.data())
+def test_runner_matches_naive_reference_after_a_fork_move_and_overrides(net, data):
+    # `full` is net with a unitary g and its inverse inserted next to each
+    # other on the same wires, so both have one value.  A runner on full,
+    # stopped before the pair, moves onto net's plan as a ForkTarget, where
+    # the ids on either side of the pair are one, and finishes with some
+    # diagonals overridden.
+    n = net.n_sites
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # The pair sits on the top wires and the runner stops close to it, so
+    # nodes after the pair on its wires are often absorbed before it: then
+    # the ids on both of its sides are open, and the move takes a diagonal.
+    width = data.draw(st.integers(1, min(3, n)))
+    sites = tuple(data.draw(st.permutations(range(n - width + 1, n + 1))))
+    g = _unitary(rng, width)
+    pair = (PlacedTensor("g", "gate", sites, g), PlacedTensor("g+", "gate", sites, g.conj().T))
+    at = data.draw(st.integers(n, len(net.nodes) - n))
+    full = ExpectationNetwork(n, net.nodes[:at] + pair + net.nodes[at:])
+    plan, target_plan = qubitwise_schedule(full), qubitwise_schedule(net)
+    cut = min(plan.step_of[at], plan.step_of[at + 1])
+    start = max(0, cut - data.draw(st.integers(0, 3)))
+    runner = PlanRunner(plan, full)
+    runner.run_to(start)
+    ids = {}
+    for a, b in zip(plan.steps[:start], target_plan.steps[:start]):
+        assert full.nodes[a.node_index] is net.nodes[b.node_index]
+        ids.update(zip(plan.node_indices[a.node_index], target_plan.node_indices[b.node_index]))
+    twin = runner.fork(ForkTarget(net, target_plan, start, {i: ids[i] for i in runner.open_ids}))
+    assert sorted(twin.open_ids) == sorted(
+        {i for b in target_plan.steps[:start] for i in target_plan.node_indices[b.node_index]
+         if target_plan.last_step[i] >= start}
+    )
+    nodes = list(net.nodes)
+    for pos, node in enumerate(net.nodes):
+        if node.kind == "diag" and target_plan.step_of[pos] >= start and data.draw(st.booleans()):
+            values = rng.normal(size=2**node.width) + 1j * rng.normal(size=2**node.width)
+            twin.set_override(pos, values)
+            nodes[pos] = PlacedTensor(node.name, "diag", node.sites, values)
+    want = ExpectationNetwork(n, tuple(nodes))
+    assert abs(twin.finish() - naive_network_value(want)) <= 1e-12 * max(1.0, _magnitude(want))
+
+
+def _criterion_6_chain_plan(n):
+    inst = build_random_instance(
+        InstanceParams(n, 0.5), seed=n, max_body=2, max_width=2, periodic=False
+    )
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
+    return req, _cone(req, n)
+
+
+def test_planned_pass_calls_einsum_only_in_fork_moves(monkeypatch):
+    calls = {"einsum": 0, "moves": 0}
+    einsum, fork = tensor._einsum, PlanRunner.fork
+
+    def counted_einsum(*args):
+        calls["einsum"] += 1
+        return einsum(*args)
+
+    def counted_fork(self, target=None):
+        calls["moves"] += target is not None
+        return fork(self, target)
+
+    monkeypatch.setattr(tensor, "_einsum", counted_einsum)
+    monkeypatch.setattr(PlanRunner, "fork", counted_fork)
+    req, (network, plan, _) = _criterion_6_chain_plan(32)
+    PlanRunner(plan, network).finish()
+    assert calls == {"einsum": 0, "moves": 0}
+    conditional_chain(req, seed=0, engine="plan")
+    assert calls["moves"] == 32
+    assert calls["einsum"] == calls["moves"]
+
+
+def test_criterion_6_pass_layout_is_pinned():
+    # Structural pin: the forms and the transposes of one criterion-6 pass
+    # at N=32 under the layout rule.  Change it only with the rule.
+    _, (network, plan, _) = _criterion_6_chain_plan(32)
+    forms = Counter(step.form for step in plan.steps)
+    assert forms == {"matmul": 172, "mul": 64, "slice": 48}
+    assert sum(step.perm is not None for step in plan.steps) == 151
+    # Gates and site-block diagonals that keep an id open are padded.
+    assert sum(step.strides is not None for step in plan.steps) == 109
+    runner = PlanRunner(plan, network)
+    for p, step in enumerate(plan.steps):
+        before = set(runner.open_ids)
+        runner.step()
+        ids = set(plan.node_indices[step.node_index])
+        closing = {i for i in ids if plan.last_step[i] == p}
+        assert sorted(runner.open_ids) == sorted((before | ids) - closing)
+        assert len(runner.open_ids) == step.mem_axes_after
 
 
 def _assert_matches_reference_schedule(net):
