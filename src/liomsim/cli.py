@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--seed", type=int)
 
-    p = add("hard-verify", help="dense 1D-vs-2D mapping fidelity report")
+    p = add("hard-verify", help="exact 1D-vs-2D mapping fidelity report")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--xi", type=float, required=True)

@@ -58,6 +58,21 @@ def check_dense_feasible(n_sites: int, what: str) -> None:
         )
 
 
+# The matrix-free paths (the factored oracle, sigma_diagonal and the 2D IQP
+# state) hold a few 2^N-entry vectors and no 2^N x 2^N matrix.  A state of
+# 2^22 complex entries takes 64 MiB; they refuse larger N before allocating.
+MAX_STATE_N = 22
+
+
+def check_state_feasible(n_sites: int, what: str) -> None:
+    if n_sites > MAX_STATE_N:
+        raise FeasibilityError(
+            f"{what} holds 2^N-entry state vectors of {16 * 2**n_sites} bytes; "
+            f"N={n_sites} exceeds the state cap of {MAX_STATE_N} sites "
+            f"({16 * 2**MAX_STATE_N} bytes)"
+        )
+
+
 @dataclass(frozen=True)
 class InstanceParams:
     """Global chain parameters.
@@ -244,6 +259,14 @@ class MblInstance:
             hit = self.constituents(start, width)
             self._constituent_cache[key] = hit
         return hit
+
+    @property
+    def support_size(self) -> int:
+        """Number of index sets iter_indices walks, before ranges >= r_j and
+        zero couplings are dropped."""
+        if self.coupling_support is not None:
+            return len(self.coupling_support)
+        return sum(math.comb(self.n_sites, p) for p in range(1, self.max_body + 1))
 
     def iter_indices(self, r_j: int | None = None) -> Iterator[tuple[tuple[int, ...], float]]:
         """Yield (sites, J) for every index with a nonzero coupling, with
@@ -457,7 +480,7 @@ def build_explicit_instance(
 
 
 # ---------------------------------------------------------------------------
-# Dense materialization (small N only)
+# Dense materialization (small N only) and 2^N-vector helpers
 
 
 def apply_to_state(
@@ -490,23 +513,39 @@ def dense_unitary(instance: MblInstance, max_width: int | None = None) -> np.nda
     return acc.reshape(2**n, 2**n)
 
 
+_SIGMA_Z = np.array([1.0, -1.0])
+
+
+def z_string_diagonal(
+    n_sites: int, terms: Iterable[tuple[tuple[int, ...], float]]
+) -> np.ndarray:
+    """Diagonal of sum_I c_I sigma^z_{i_1}...sigma^z_{i_p} in the
+    computational basis (site 1 most significant), from (sites, c_I) terms.
+    Each term is c_I times the broadcast product of its sites' [1, -1]
+    signs, 2^p entries added onto the 2^N sum, so one 2^N vector is all
+    that is held."""
+    n = n_sites
+    signs = [None] + [
+        _SIGMA_Z.reshape((1,) * (s - 1) + (2,) + (1,) * (n - s)) for s in range(1, n + 1)
+    ]
+    diag = np.zeros((2,) * n)
+    for sites, value in terms:
+        term = value * signs[sites[0]]
+        for s in sites[1:]:
+            term = term * signs[s]
+        diag += term
+    return diag.ravel()
+
+
 def sigma_diagonal(instance: MblInstance, r_j: int | None = None) -> np.ndarray:
     """Diagonal of H_sigma = sum_I J_I sigma^z_{i_1}...sigma^z_{i_p} in the
     computational basis (site 1 most significant), couplings with range
-    >= r_j dropped when r_j is given."""
+    >= r_j dropped when r_j is given.  It needs no dense matrix, so N is
+    capped by the state cap MAX_STATE_N, not the dense cap; each coupling
+    index costs one pass over the 2^N entries."""
     n = instance.n_sites
-    check_dense_feasible(n, "sigma_diagonal")
-    z = np.arange(2**n)
-    site_sign = np.empty((n + 1, 2**n))
-    for s in range(1, n + 1):
-        site_sign[s] = 1.0 - 2.0 * ((z >> (n - s)) & 1)
-    diag = np.zeros(2**n)
-    for sites, value in instance.iter_indices(r_j):
-        term = site_sign[sites[0]].copy()
-        for s in sites[1:]:
-            term *= site_sign[s]
-        diag += value * term
-    return diag
+    check_state_feasible(n, "sigma_diagonal")
+    return z_string_diagonal(n, instance.iter_indices(r_j))
 
 
 def dense_hamiltonian(

@@ -1,8 +1,21 @@
-"""Brute-force dense references: state-vector evolution via eigendecomposition
-of the fully materialized Hamiltonian, and full outcome distributions with
-their total-variation distance.  Everything here is the slow, independent
-side of every equivalence test; nothing here runs on chains above its own
-site cap, MAX_ORACLE_N or the dense cap if that is lower.
+"""Exact references: state-vector evolution and full outcome distributions
+with their total-variation distance.
+
+There are two evolutions of |0...0>, built independently:
+
+- evolve_state, the independent reference: it materializes the dense
+  (optionally truncated) Hamiltonian and diagonalises it with eigh.  It
+  shares no code path with the factored form, so exact_distribution, the
+  `liomsim verify` self-check and the equivalence tests use it.  It refuses
+  N above MAX_ORACLE_N or the dense cap, whichever is lower.
+- evolve_factored, the matrix-free one: the LIOM form gives
+  e^{-iHt} = U e^{-iDt} U^dag exactly, so it applies the constituents of U
+  and the phases of the sigma diagonal D to a state vector and never builds
+  a 2^N x 2^N matrix.  It runs to the state cap model.MAX_STATE_N; the
+  hardness check evolves its 1D chain with it.
+
+Both refuse, before allocating, what they cannot hold, and both refuse a
+result whose norm is off by more than 1e-10.
 """
 
 from __future__ import annotations
@@ -11,8 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import DomainError, FeasibilityError, NumericalIntegrityError
-from .model import MblInstance, _dense_cap, dense_hamiltonian
+from .model import (
+    MblInstance,
+    _dense_cap,
+    apply_to_state,
+    check_state_feasible,
+    constituent_placements,
+    dense_hamiltonian,
+    sigma_diagonal,
+)
 
 # The oracle diagonalises the dense 2^N x 2^N Hamiltonian, and eigh holds
 # several matrices of that size at once: 256 MiB each at N=12, 4 GiB at
@@ -59,12 +81,67 @@ def evolve_state(
     initial = np.zeros(2**n, dtype=complex)
     initial[0] = 1.0
     state = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ initial))
+    _check_norm(state, "dense", t)
+    return state
+
+
+def evolve_factored(
+    instance: MblInstance,
+    t: float,
+    r_j: int | None = None,
+    r_u: int | None = None,
+) -> np.ndarray:
+    """exp(-iHt)|0...0> = U e^{-iDt} U^dag |0...0> as a state vector: the
+    non-identity constituents of width <= r_u, daggered, in placement
+    order (U^dag), then the phases e^{-it D} of the sigma diagonal with
+    couplings of range < r_j, then the same constituents in reverse order
+    (U).  None means untruncated, as in evolve_state.
+
+    Refused before any state is allocated: N above the state cap, a
+    coupling support whose size x 2^N (the entries sigma_diagonal writes)
+    exceeds 2^MAX_STATE_N, and a constituent whose 2^w x 2^w matrix
+    exceeds it, named by its placement."""
+    n = instance.n_sites
+    check_state_feasible(n, "the factored oracle")
+    cap = 2**model.MAX_STATE_N
+    support = instance.support_size
+    if support * 2**n > cap:
+        raise FeasibilityError(
+            f"the factored oracle's sigma diagonal writes {support} coupling indices x "
+            f"2^{n} = {support * 2**n} entries, above the state cap of 2^{model.MAX_STATE_N}"
+        )
+    gates = []
+    for place in constituent_placements(n, r_u):
+        cons = instance.constituent(place.start, place.width)
+        if cons.is_identity:
+            continue
+        if 4**place.width > cap:
+            raise FeasibilityError(
+                f"constituent ({place.start},{place.width}) is a 2^{place.width} x "
+                f"2^{place.width} matrix of {16 * 4**place.width} bytes, above the "
+                f"state cap of {16 * cap} bytes"
+            )
+        gates.append(cons)
+    phases = np.exp(-1j * t * sigma_diagonal(instance, r_j))
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    state = state.reshape((2,) * n)
+    for cons in gates:
+        state = apply_to_state(cons.dense_matrix().conj().T, cons.sites, state, n)
+    state = phases.reshape(state.shape) * state
+    for cons in reversed(gates):
+        state = apply_to_state(cons.dense_matrix(), cons.sites, state, n)
+    state = state.ravel()
+    _check_norm(state, "factored", t)
+    return state
+
+
+def _check_norm(state: np.ndarray, how: str, t: float) -> None:
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise NumericalIntegrityError(
-            f"dense evolution lost unitarity: norm {norm!r} after t={t}"
+            f"{how} evolution lost unitarity: norm {norm!r} after t={t}"
         )
-    return state
 
 
 def exact_distribution(

@@ -386,10 +386,11 @@ def _axes_before(plan: ContractionPlan, pos: int) -> tuple[int, ...]:
 
 def _check_plan(plan: ContractionPlan, net: ExpectationNetwork) -> None:
     """Refuse a plan the runner cannot execute: one built for another
-    network, one whose peak exceeds MAX_EXEC_AXES, or one with a step that
-    needs more than 52 einsum labels.  The plan's dense-leg peak is checked
-    against the analytic bound when the network carries its radii; a
-    failure there is an internal assertion error, not a user error."""
+    network, or one whose peak exceeds MAX_EXEC_AXES (no step calls
+    einsum, so no step is bounded by its labels).  The plan's dense-leg
+    peak is checked against the analytic bound when the network carries
+    its radii; a failure there is an internal assertion error, not a user
+    error."""
     if len(net.nodes) != len(plan.node_indices):
         raise StructuralError(
             "plan was produced for a different network (node count differs)"
@@ -399,17 +400,6 @@ def _check_plan(plan: ContractionPlan, net: ExpectationNetwork) -> None:
             f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
             f"2^{MAX_EXEC_AXES} engine cap"
         )
-    widest = max((len(ids) for ids in plan.node_indices), default=0)
-    if plan.peak_mem_axes + widest > MAX_EINSUM_LABELS:
-        for p, step in enumerate(plan.steps):
-            # A step's labels are the ids it keeps open plus those it closes.
-            ids = set(plan.node_indices[step.node_index])
-            labels = step.mem_axes_after + sum(1 for idx in ids if plan.last_step[idx] == p)
-            if labels > MAX_EINSUM_LABELS:
-                raise FeasibilityError(
-                    f"step {step.name} needs {labels} einsum labels, above the "
-                    f"{MAX_EINSUM_LABELS} numpy accepts"
-                )
     if plan.r_u is not None and plan.r_j is not None:
         bound = open_leg_bound(plan.r_u, plan.r_j)
         if plan.peak_open_legs > bound:
@@ -429,7 +419,8 @@ class ForkTarget:
     the runner's open ids, in axis order, to plan ids; moving the
     accumulator takes the diagonal or the trace of two that map to one.
     The plan is checked, as PlanRunner checks its own, once, when the
-    target is built.
+    target is built, and so is the move: its einsum takes one label per
+    distinct plan id in `ids`, and numpy accepts at most 52.
     """
 
     network: ExpectationNetwork
@@ -439,6 +430,12 @@ class ForkTarget:
 
     def __post_init__(self) -> None:
         _check_plan(self.plan, self.network)
+        labels = len(set(self.ids.values()))
+        if labels > MAX_EINSUM_LABELS:
+            raise FeasibilityError(
+                f"the fork move onto step {self.start} needs {labels} einsum labels, "
+                f"above the {MAX_EINSUM_LABELS} numpy accepts"
+            )
         if not set(_axes_before(self.plan, self.start)) <= set(self.ids.values()):
             raise StructuralError("fork target's plan keeps an id the runner does not hold")
 

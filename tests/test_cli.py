@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from liomsim import model, simulate, truncation
+from liomsim import hardness, model, oracle, simulate, truncation
 from liomsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, write_atomic
 
 
@@ -321,6 +321,19 @@ def test_hard_verify_failure_exit_code(tmp_path, capsys):
     assert code == EXIT_DOMAIN
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False
+
+
+def test_hard_verify_refuses_a_grid_above_the_state_cap(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a state was built before the cap was checked")
+
+    monkeypatch.setattr(hardness, "apply_to_state", refused)
+    monkeypatch.setattr(oracle, "apply_to_state", refused)
+    code = main(["hard-verify", "--rows", "5", "--cols", "5", "--xi", "1.0"])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "536870912 bytes; N=25 exceeds the state cap of 22 sites" in captured.err
 
 
 def test_gatecount_report(capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from liomsim import hardness, oracle
 from liomsim.errors import DomainError
 from liomsim.hardness import (
     HADAMARD,
@@ -173,11 +174,29 @@ def test_mapping_negative_control():
     assert len(payload["leading_1d"]) == 5
 
 
-def test_mapping_guards():
-    with pytest.raises(DomainError, match="oracle cap"):
-        verify_2d_mapping(HardnessSpec.square(16, xi=1.0))
+def test_mapping_guards(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a state was built before the cap was checked")
+
+    monkeypatch.setattr(hardness, "apply_to_state", refused)
+    monkeypatch.setattr(oracle, "apply_to_state", refused)
+    with pytest.raises(DomainError, match="N=25 exceeds the state cap of 22 sites"):
+        verify_2d_mapping(HardnessSpec.square(25, xi=1.0))
+    with pytest.raises(DomainError, match="N=25 exceeds the state cap"):
+        two_d_state(HardnessSpec.square(25, xi=1.0), (0.0,) * 25)
     with pytest.raises(DomainError):
         verify_2d_mapping(HardnessSpec.square(4, xi=1.0), perturb_site=5)
+
+
+def test_mapping_passes_on_a_4x4_grid():
+    # Sixteen sites: the factored 1D evolution holds 2^16-entry states and
+    # no 2^16 x 2^16 matrix.
+    report = verify_2d_mapping(HardnessSpec.square(16, xi=1.0))
+    assert report.passed and report.n_sites == 16
+    assert report.fidelity >= 1 - 1e-9
+    control = verify_2d_mapping(HardnessSpec.square(16, xi=1.0), perturb_site=6)
+    assert not control.passed
+    assert control.fidelity < 1 - 1e-6
 
 
 def test_iqp_instance_json_roundtrip():

@@ -305,3 +305,30 @@ def test_dense_feasibility_guard(monkeypatch):
         dense_hamiltonian(inst)
     monkeypatch.setenv("LIOMSIM_MAX_DENSE_N", "4")
     dense_hamiltonian(inst)
+
+
+def test_sigma_diagonal_matches_the_z_strings_basis_state_by_state():
+    inst = build_random_instance(InstanceParams(5, 0.5), seed=3, max_body=3)
+    for r_j in (None, 2):
+        expect = np.zeros(32)
+        for z in range(32):
+            bits = format(z, "05b")
+            for sites, value in inst.iter_indices(r_j):
+                expect[z] += value * (-1) ** sum(bits[s - 1] == "1" for s in sites)
+        np.testing.assert_allclose(sigma_diagonal(inst, r_j), expect, rtol=0, atol=1e-14)
+
+
+def test_sigma_diagonal_runs_above_the_dense_cap(monkeypatch):
+    # sigma_diagonal holds one 2^N vector, so only the state cap bounds it.
+    monkeypatch.setenv("LIOMSIM_MAX_DENSE_N", "3")
+    inst = build_explicit_instance(InstanceParams(4, 0.5), {(2,): 0.5, (1, 3): -0.01}, {})
+
+    def bit(z, site):
+        return (z >> (4 - site)) & 1
+
+    expect = [
+        0.5 * (-1) ** bit(z, 2) - 0.01 * (-1) ** (bit(z, 1) ^ bit(z, 3)) for z in range(16)
+    ]
+    np.testing.assert_allclose(sigma_diagonal(inst), expect, rtol=0, atol=1e-15)
+    with pytest.raises(FeasibilityError):
+        dense_hamiltonian(inst)

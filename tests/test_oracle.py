@@ -1,16 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from liomsim import oracle
-from liomsim.errors import FeasibilityError
+from liomsim import model, oracle
+from liomsim.errors import FeasibilityError, NumericalIntegrityError
+from liomsim.hardness import HardnessSpec, build_iqp_instance
 from liomsim.model import (
+    CouplingIndex,
     InstanceParams,
     build_explicit_instance,
     build_random_instance,
     dense_hamiltonian,
 )
-from liomsim.oracle import OutcomeDistribution, evolve_state, exact_distribution
+from liomsim.oracle import (
+    OutcomeDistribution,
+    evolve_factored,
+    evolve_state,
+    exact_distribution,
+)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -105,3 +114,106 @@ def test_outcome_distribution_lookup():
     # 0.5 * (|0.5-0.125| + |0.25-0.125| + |0.125-0.25| + |0.125-0.5|) = 0.5
     assert other.tvd(dist) == pytest.approx(0.5)
     assert dist.tvd(dist) == 0.0
+
+
+# The two oracles share no evolution code: evolve_state diagonalises the
+# dense Hamiltonian, evolve_factored applies U e^{-iDt} U^dag to a state.
+CROSS_CHECK_RADII = (None, (2, 2), (3, 2))
+
+
+@pytest.mark.parametrize(
+    "n, periodic, max_body", [(6, True, 2), (7, False, 3), (8, True, 3)]
+)
+def test_factored_oracle_matches_eigh(n, periodic, max_body):
+    inst = build_random_instance(
+        InstanceParams(n, 0.5), seed=n, max_body=max_body, periodic=periodic
+    )
+    if periodic:
+        assert any(
+            not inst.constituent(p.start, p.width).is_identity
+            and p.sites[-1] < p.sites[0]
+            for p in model.constituent_placements(n, 2)
+        )
+    for radii in CROSS_CHECK_RADII:
+        r_j, r_u = radii or (None, None)
+        for t in (0.0, 0.7, 10.0):
+            np.testing.assert_allclose(
+                evolve_factored(inst, t, r_j=r_j, r_u=r_u),
+                evolve_state(inst, t, r_j=r_j, r_u=r_u),
+                rtol=0,
+                atol=1e-12,
+            )
+
+
+def test_factored_oracle_matches_eigh_at_n10():
+    inst = build_random_instance(InstanceParams(10, 0.5), seed=10, max_body=2, periodic=False)
+    np.testing.assert_allclose(
+        evolve_factored(inst, 10.0, r_j=3, r_u=2),
+        evolve_state(inst, 10.0, r_j=3, r_u=2),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+def test_factored_oracle_matches_eigh_on_the_hardness_instance():
+    hard = build_iqp_instance(HardnessSpec(rows=3, cols=3, xi=1.0, field_seed=2))
+    table = {
+        sites: hard.instance.coupling(CouplingIndex(sites))
+        for sites in hard.instance.coupling_support
+    }
+    table[(4,)] *= 1.01
+    perturbed = dataclasses.replace(
+        hard.instance, couplings=lambda index: table.get(index.sites, 0.0)
+    )
+    for inst in (hard.instance, perturbed):
+        np.testing.assert_allclose(
+            evolve_factored(inst, hard.time),
+            evolve_state(inst, hard.time),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+def test_factored_oracle_refuses_a_non_unitary_result():
+    params = InstanceParams(3, 0.5)
+    inst = build_explicit_instance(
+        params, {(1,): 0.3}, {(2, 1): 1.5 * np.eye(2)}, validate=False
+    )
+    with pytest.raises(NumericalIntegrityError, match="factored evolution lost unitarity"):
+        evolve_factored(inst, 1.0)
+
+
+def _refuse_state_work(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a state was built before the cap was checked")
+
+    monkeypatch.setattr(oracle, "apply_to_state", refused)
+    monkeypatch.setattr(oracle, "sigma_diagonal", refused)
+
+
+def test_factored_oracle_refuses_above_the_state_cap_before_building(monkeypatch):
+    _refuse_state_work(monkeypatch)
+    inst = build_random_instance(InstanceParams(23, 0.5), seed=0, max_body=2)
+    message = r"134217728 bytes; N=23 exceeds the state cap of 22 sites \(67108864 bytes\)"
+    with pytest.raises(FeasibilityError, match=message):
+        evolve_factored(inst, 1.0)
+    with pytest.raises(FeasibilityError, match="state cap of 22 sites"):
+        model.sigma_diagonal(inst)
+
+
+def test_factored_oracle_refuses_wide_constituents_and_supports_before_building(monkeypatch):
+    # A 2^8-entry state cap: a width-4 constituent (2^4 x 2^4 = 2^8
+    # entries) is applied, a width-5 one is refused by its placement.
+    monkeypatch.setattr(model, "MAX_STATE_N", 8)
+    params = InstanceParams(6, 0.5, q_const=4.0)
+    phases = {w: np.diag(np.exp(1j * np.linspace(0.0, 0.1, 2**w))) for w in (4, 5)}
+    fits = build_explicit_instance(params, {(1,): 0.3}, {(2, 4): phases[4]}, validate=False)
+    np.testing.assert_allclose(evolve_factored(fits, 1.0), evolve_state(fits, 1.0), atol=1e-12)
+    wide = build_explicit_instance(params, {(1,): 0.3}, {(2, 5): phases[5]}, validate=False)
+    _refuse_state_work(monkeypatch)
+    with pytest.raises(FeasibilityError, match=r"constituent \(2,5\) is a 2\^5 x 2\^5 matrix"):
+        evolve_factored(wide, 1.0)
+    # Six sites, max_body 2: 21 coupling indices x 2^6 entries > 2^8.
+    dense_support = build_random_instance(params, seed=0, max_body=2)
+    with pytest.raises(FeasibilityError, match=r"21 coupling indices x 2\^6 = 1344 entries"):
+        evolve_factored(dense_support, 1.0)

@@ -544,9 +544,11 @@ def test_runner_records_observed_peak():
 
 
 def test_runner_refuses_steps_beyond_einsum_labels(monkeypatch):
-    # One gate over 30 wires: absorbing it needs 60 distinct einsum labels.
-    # No radii and a raised memory cap, so only the label check can refuse,
-    # and it does so before any array is allocated.
+    # One gate over 30 wires: after it the accumulator holds 59 ids.  No
+    # step calls einsum, so with a raised memory cap the runner accepts the
+    # plan; the one einsum left is a fork move, and moving those 59 ids
+    # onto a target needs 59 labels, which the target refuses when it is
+    # built, before any array is allocated.
     n = 30
     nodes = (
         [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), None) for w in range(1, n + 1)]
@@ -557,5 +559,11 @@ def test_runner_refuses_steps_beyond_einsum_labels(monkeypatch):
     plan = qubitwise_schedule(net)
     assert plan.peak_mem_axes < 64
     monkeypatch.setattr(tensor, "MAX_EXEC_AXES", 64)
-    with pytest.raises(FeasibilityError, match="step G needs 60 einsum labels"):
-        PlanRunner(plan, net)
+    PlanRunner(plan, net)
+    start = plan.step_of[n] + 1
+    held = tensor._axes_before(plan, start)
+    assert len(held) == 59
+    with pytest.raises(
+        FeasibilityError, match=f"fork move onto step {start} needs 59 einsum labels"
+    ):
+        ForkTarget(net, plan, start, {i: i for i in held})
