@@ -137,6 +137,7 @@ def build_iqp_instance(spec: HardnessSpec) -> HardnessInstance:
         max_body=2,
         label=f"iqp2d({spec.rows}x{spec.cols},seed={spec.field_seed})",
         coupling_support=tuple(sorted(table)),
+        constituent_support=tuple((i, 1) for i in range(1, n + 1)),
         descriptor=descriptor,
     )
     return HardnessInstance(
@@ -244,6 +245,7 @@ def verify_2d_mapping(
             max_body=base.max_body,
             label=base.label + "|perturbed",
             coupling_support=base.coupling_support,
+            constituent_support=base.constituent_support,
             descriptor=None,
         )
 

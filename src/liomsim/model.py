@@ -211,6 +211,35 @@ def constituent_placements(n_sites: int, max_width: int | None = None) -> list[P
     return out
 
 
+def nonidentity_constituents(
+    instance: MblInstance, max_width: int | None = None
+) -> list[Constituent]:
+    """The constituents of width <= max_width that differ from the identity,
+    in the product order of constituent_placements.  An instance that lists
+    its constituent_support is walked over those positions alone."""
+    n = instance.n_sites
+    if instance.constituent_support is None:
+        positions = [(p.start, p.width) for p in constituent_placements(n, max_width)]
+    else:
+        top = n if max_width is None else min(max_width, n)
+        # constituent_placements puts width w at the starts k = i*w + j,
+        # j = 1..w, i = 0..(N-w)//w, in order of w, then j, then i.
+        positions = sorted(
+            (
+                (k, w)
+                for k, w in instance.constituent_support
+                if 1 <= w <= top and 1 <= k and (k - 1) // w <= (n - w) // w
+            ),
+            key=lambda kw: (kw[1], (kw[0] - 1) % kw[1], (kw[0] - 1) // kw[1]),
+        )
+    out = []
+    for k, w in positions:
+        cons = instance.constituent(k, w)
+        if not cons.is_identity:
+            out.append(cons)
+    return out
+
+
 @dataclass(frozen=True)
 class MblInstance:
     """Immutable MBL chain instance.
@@ -220,6 +249,9 @@ class MblInstance:
     constituents: pure function (start k, width n) -> Constituent.
     coupling_support: optional explicit list of site tuples where J may be
         nonzero; None means all indices of order <= max_body.
+    constituent_support: optional explicit list of the positions
+        (start k, width n) where a constituent may differ from the
+        identity; None means any position.
     descriptor: JSON-serializable reconstruction recipe (see
         instance_to_json), or None for ad-hoc instances.
     """
@@ -230,6 +262,7 @@ class MblInstance:
     max_body: int
     label: str = ""
     coupling_support: tuple[tuple[int, ...], ...] | None = None
+    constituent_support: tuple[tuple[int, int], ...] | None = None
     descriptor: dict | None = None
     _constituent_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
@@ -475,6 +508,7 @@ def build_explicit_instance(
         max_body=max_body,
         label=label or "explicit",
         coupling_support=support,
+        constituent_support=tuple(sorted(constituent_table)),
         descriptor=descriptor,
     )
 
@@ -501,14 +535,10 @@ def dense_unitary(instance: MblInstance, max_width: int | None = None) -> np.nda
     truncated U-tilde for max_width = r_U."""
     n = instance.n_sites
     check_dense_feasible(n, "dense_unitary")
-    placements = constituent_placements(n, max_width)
     acc = np.eye(2**n, dtype=complex).reshape((2,) * n + (2**n,))
     # Product order: first placement is the leftmost operator factor, so it
     # is applied last when multiplying onto the identity from the left.
-    for place in reversed(placements):
-        cons = instance.constituent(place.start, place.width)
-        if cons.is_identity:
-            continue
+    for cons in reversed(nonidentity_constituents(instance, max_width)):
         acc = apply_to_state(cons.dense_matrix(), cons.sites, acc, n)
     return acc.reshape(2**n, 2**n)
 

@@ -31,8 +31,8 @@ from .model import (
     _dense_cap,
     apply_to_state,
     check_state_feasible,
-    constituent_placements,
     dense_hamiltonian,
+    nonidentity_constituents,
     sigma_diagonal,
 )
 
@@ -95,7 +95,9 @@ def evolve_factored(
     non-identity constituents of width <= r_u, daggered, in placement
     order (U^dag), then the phases e^{-it D} of the sigma diagonal with
     couplings of range < r_j, then the same constituents in reverse order
-    (U).  None means untruncated, as in evolve_state.
+    (U).  None means untruncated, as in evolve_state.  An instance that
+    lists its constituent_support (the hardness family's Hadamards) is
+    walked over those positions alone.
 
     Refused before any state is allocated: N above the state cap, a
     coupling support whose size x 2^N (the entries sigma_diagonal writes)
@@ -110,18 +112,14 @@ def evolve_factored(
             f"the factored oracle's sigma diagonal writes {support} coupling indices x "
             f"2^{n} = {support * 2**n} entries, above the state cap of 2^{model.MAX_STATE_N}"
         )
-    gates = []
-    for place in constituent_placements(n, r_u):
-        cons = instance.constituent(place.start, place.width)
-        if cons.is_identity:
-            continue
-        if 4**place.width > cap:
+    gates = nonidentity_constituents(instance, r_u)
+    for cons in gates:
+        if 4**cons.width > cap:
             raise FeasibilityError(
-                f"constituent ({place.start},{place.width}) is a 2^{place.width} x "
-                f"2^{place.width} matrix of {16 * 4**place.width} bytes, above the "
+                f"constituent ({cons.start_site},{cons.width}) is a 2^{cons.width} x "
+                f"2^{cons.width} matrix of {16 * 4**cons.width} bytes, above the "
                 f"state cap of {16 * cap} bytes"
             )
-        gates.append(cons)
     phases = np.exp(-1j * t * sigma_diagonal(instance, r_j))
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0

@@ -33,6 +33,19 @@ identity mark per site; the cone of all N sites is the chain network,
 which the walk contracts once per chain, forking at each site w onto the
 cone of sites 1..w to finish it once per outcome.  A one-shot conditional
 finishes that cone too, with its prefix projectors on the marks.
+
+A plan depends on a network's structure alone, never on its data, and
+the one-shot expectation networks of one instance family repeat their
+structure across queries and requests (the pruned sigma^z network of a
+site keeps the same factors whatever the instance's values).  So
+expectation takes its plans from one process-wide least-recently-used
+cache, keyed by everything the scheduler reads: N, the network's radii
+and, per node, its name, kind, sites and whether it has data.  The key
+holds no arrays, so the cache keeps no request alive.  It is bounded by
+the plan steps it holds, PLAN_CACHE_STEPS (~400 bytes each with the
+keys), and a plan longer than that is not stored.  The light cones of conditionals and
+chains stay cached on their request: a cone's plan grows with its site,
+so sharing them would keep O(N^2) plan data in the process.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -52,7 +66,7 @@ from .model import (
     _dense_cap,
     apply_to_state,
     check_dense_feasible,
-    constituent_placements,
+    nonidentity_constituents,
 )
 from .tensor import (
     ContractionPlan,
@@ -70,6 +84,9 @@ IMAG_TOL = 1e-9
 NORM_TOL = 1e-9
 
 _PIVOT_KINDS = ("sigma_z", "proj0", "proj1")
+
+# Plan steps the shared one-shot plan cache holds at most: ~6 MiB.
+PLAN_CACHE_STEPS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -292,16 +309,10 @@ def _w_nodes(req: SimulationRequest) -> list[PlacedTensor]:
     if hit is not None:
         return hit
     inst = req.trunc.instance
-    n = inst.n_sites
-    placements = constituent_placements(n, max_width=req.radii.r_u)
-    gates: list[PlacedTensor] = []
-    for place in placements:
-        cons = inst.constituent(place.start, place.width)
-        if cons.is_identity:
-            continue
-        gates.append(
-            PlacedTensor(f"U[{place.start},{place.width}]", "gate", cons.sites, cons.dense_matrix())
-        )
+    gates = [
+        PlacedTensor(f"U[{cons.start_site},{cons.width}]", "gate", cons.sites, cons.dense_matrix())
+        for cons in nonidentity_constituents(inst, req.radii.r_u)
+    ]
     blocks = [
         PlacedTensor(f"V[{b.site}]", "diag", b.window(), b.phases)
         for b in site_blocks(req.trunc, req.t)
@@ -543,6 +554,40 @@ def _route(req: SimulationRequest, engine: str) -> str:
     return "dense" if req.n_sites <= _dense_cap() else "plan"
 
 
+class _PlanCache:
+    """Plans of one-shot networks, least recently used first, keyed by
+    structure and bounded by PLAN_CACHE_STEPS.  A miss schedules through
+    this module's qubitwise_schedule.  Like the caches on a request, it
+    is read and written by one thread at a time."""
+
+    def __init__(self) -> None:
+        self.plans: OrderedDict[tuple, ContractionPlan] = OrderedDict()
+        self.steps = 0
+
+    def plan(self, network: ExpectationNetwork) -> ContractionPlan:
+        key = (
+            network.n_sites,
+            network.r_u,
+            network.r_j,
+            tuple((node.name, node.kind, node.sites, node.data is None) for node in network.nodes),
+        )
+        hit = self.plans.get(key)
+        if hit is not None:
+            self.plans.move_to_end(key)
+            return hit
+        plan = qubitwise_schedule(network)
+        if len(plan.steps) <= PLAN_CACHE_STEPS:
+            self.plans[key] = plan
+            self.steps += len(plan.steps)
+            while self.steps > PLAN_CACHE_STEPS:
+                _, old = self.plans.popitem(last=False)
+                self.steps -= len(old.steps)
+        return plan
+
+
+_PLANS = _PlanCache()
+
+
 def _runner(req: SimulationRequest, plan: ContractionPlan, network) -> PlanRunner:
     """PlanRunner for a plan-route contraction.  Its size refusals gain the
     route advice the tensor layer cannot give."""
@@ -652,6 +697,12 @@ def expectation(
     state-vector walk, "auto" takes the dense walk when N allows it and the
     contraction plan otherwise.  The imaginary residue is checked against
     1e-9 and discarded.
+
+    The plan route contracts the pruned network with a plan from the
+    shared cache of one-shot plans (see the module docstring): a network
+    whose structure an earlier query of any request had is not scheduled
+    again, and its value does not change, because the plan is the one a
+    fresh schedule would give.
     """
     route = _route(req, engine)
     _check_sites(obs, req.n_sites)
@@ -659,7 +710,7 @@ def expectation(
         value = _dense_expectation(req, obs)
     else:
         network = build_expectation_network(req, obs)
-        value = _runner(req, qubitwise_schedule(network), network).finish()
+        value = _runner(req, _PLANS.plan(network), network).finish()
     lo = 0.0 if obs.is_projector else -1.0
     return _checked(value, "expectation", lo, 1.0)
 

@@ -259,6 +259,7 @@ def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance
         max_body=base.max_body,
         label=f"{base.label}|trunc(r_J={r_j},r_U={r_u})",
         coupling_support=support,
+        constituent_support=base.constituent_support,
         descriptor=None,
     )
     return TruncatedInstance(

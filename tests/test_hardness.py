@@ -1,12 +1,13 @@
 """Tests for the 2D-grid hard-instance family and its mapping check."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from liomsim import hardness, oracle
+from liomsim import hardness, model, oracle
 from liomsim.errors import DomainError
 from liomsim.hardness import (
     HADAMARD,
@@ -186,6 +187,30 @@ def test_mapping_guards(monkeypatch):
         two_d_state(HardnessSpec.square(25, xi=1.0), (0.0,) * 25)
     with pytest.raises(DomainError):
         verify_2d_mapping(HardnessSpec.square(4, xi=1.0), perturb_site=5)
+
+
+def test_mapping_walks_only_the_hadamards(monkeypatch):
+    # The family lists its constituent positions, so the 1D evolution
+    # fetches the N Hadamards and none of the identities around them, and
+    # applies them in the order of the full placement walk, bit for bit.
+    spec = HardnessSpec.square(9, xi=1.0)
+    inst = build_iqp_instance(spec).instance
+    every = dataclasses.replace(inst, constituent_support=None, _constituent_cache={})
+    for t in (0.0, 0.7):
+        state = oracle.evolve_factored(inst, t)
+        assert state.tobytes() == oracle.evolve_factored(every, t).tobytes()
+    lookups = []
+    constituent = model.MblInstance.constituent
+
+    def counted(self, start, width):
+        lookups.append((start, width))
+        return constituent(self, start, width)
+
+    monkeypatch.setattr(model.MblInstance, "constituent", counted)
+    for perturb_site in (None, 4):
+        lookups.clear()
+        verify_2d_mapping(spec, perturb_site=perturb_site)
+        assert lookups == [(site, 1) for site in range(1, 10)]
 
 
 def test_mapping_passes_on_a_4x4_grid():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,10 +20,12 @@ from liomsim.model import (
     dense_unitary,
     instance_from_json,
     instance_to_json,
+    nonidentity_constituents,
     placement_sites,
     sigma_diagonal,
     validate_instance,
 )
+from liomsim.truncation import TruncationRadii, truncate
 
 
 def test_params_validation():
@@ -59,6 +62,34 @@ def test_placement_enumeration_order_n4():
         (3, 1), (3, 2), (3, 3),
         (4, 1), (4, 2), (4, 3), (4, 4),
     ]
+
+
+def test_nonidentity_walk_over_listed_positions_keeps_product_order():
+    # An explicit instance walks only the positions it lists, wrapped ones
+    # among them; (5, 2) and (5, 3) are positions no placement of N=5 uses.
+    rng = np.random.default_rng(6)
+    positions = [(1, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (5, 3), (2, 4)]
+    tables = {}
+    for start, width in positions:
+        dim = 2**width
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        tables[(start, width)] = q
+    inst = build_explicit_instance(InstanceParams(5, 0.5), {}, tables, validate=False)
+    assert inst.constituent_support == tuple(sorted(positions))
+    every = dataclasses.replace(inst, constituent_support=None)
+    view = truncate(inst, TruncationRadii(5, 2)).instance
+    assert view.constituent_support == inst.constituent_support
+    for top in (None, 1, 2, 3, 4):
+        want = [
+            inst.constituent(p.start, p.width)
+            for p in constituent_placements(5, top)
+            if not inst.constituent(p.start, p.width).is_identity
+        ]
+        for walked in (inst, every):
+            got = nonidentity_constituents(walked, top)
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    got = [(c.start_site, c.width) for c in nonidentity_constituents(view)]
+    assert got == [(c.start_site, c.width) for c in nonidentity_constituents(inst, 2)]
 
 
 def test_placement_wrap_sites():

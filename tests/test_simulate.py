@@ -1,14 +1,20 @@
 """Tests for site blocks, expectation engines, and chain-rule sampling."""
 
+import copy
+import dataclasses
+import functools
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from reference import naive_network_value
 
+from liomsim import simulate
 from liomsim.errors import DomainError
 from liomsim.model import (
     InstanceParams,
@@ -29,6 +35,7 @@ from liomsim.simulate import (
     sample,
     site_blocks,
 )
+from liomsim.tensor import ContractionPlan, PlanStep, execute, qubitwise_schedule
 from liomsim.truncation import TruncationRadii, delta_h_bound, truncate
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -469,3 +476,175 @@ def test_evolved_state_matches_oracle_untruncated():
         bits = format(z, "04b")
         p_net = expectation(req, ObservableProduct.prefix_projector(bits))
         assert p_net == pytest.approx(float(probs[z]), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The shared cache of one-shot plans
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """A fresh, empty one-shot plan cache in place of the process-wide one,
+    and the networks simulate schedules while the test runs."""
+    cache = simulate._PlanCache()
+    monkeypatch.setattr(simulate, "_PLANS", cache)
+    scheduled = []
+
+    def counted(network):
+        scheduled.append(network)
+        return qubitwise_schedule(network)
+
+    monkeypatch.setattr(simulate, "qubitwise_schedule", counted)
+    cache.scheduled = scheduled
+    return cache
+
+
+@functools.cache
+def _family_request(seed):
+    """A certified N=32 request of the banded family the expect_plan
+    benchmark queries (xi=0.3, width 2, max_body 3, open chain)."""
+    inst = build_random_instance(
+        InstanceParams(32, 0.3), seed=seed, max_width=2, max_body=3, periodic=False
+    )
+    return SimulationRequest.certified(inst, 1.0, 0.05)
+
+
+def _assert_same_plan(got: ContractionPlan, want: ContractionPlan):
+    for f in dataclasses.fields(ContractionPlan):
+        if f.name != "steps":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        for f in dataclasses.fields(PlanStep):
+            assert getattr(a, f.name) == getattr(b, f.name), (b.name, f.name)
+
+
+def test_cached_plans_equal_fresh_schedules(plans):
+    # A hit hands one request's network the plan scheduled for another's:
+    # it must be the plan a fresh schedule of its own network gives.
+    first, second = _family_request(11), _family_request(12)
+    prefix = np.random.default_rng(5).integers(0, 2, 32).tolist()
+    observables = [ObservableProduct(p) for p in range(1, 33)]
+    observables += [ObservableProduct.prefix_projector(prefix[:k]) for k in (2, 9, 20, 32)]
+    for obs in observables:
+        owner = plans.plan(build_expectation_network(first, obs))
+        network = build_expectation_network(second, obs)
+        got = plans.plan(network)
+        assert got is owner
+        _assert_same_plan(got, qubitwise_schedule(network))
+    assert len(plans.scheduled) == len(observables)
+    # A wrapped periodic chain carries no radii (r_u is None).
+    inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
+    for obs in (ObservableProduct(4), ObservableProduct.prefix_projector("0110")):
+        network = build_expectation_network(req, obs)
+        assert network.r_u is None
+        owner = plans.plan(network)
+        assert plans.plan(network) is owner
+        _assert_same_plan(owner, qubitwise_schedule(network))
+
+
+def test_requests_of_one_structure_share_a_plan(plans):
+    first, second = _family_request(11), _family_request(12)
+    for site in (1, 16, 32):
+        obs = ObservableProduct(site)
+        before = len(plans.scheduled)
+        values = [expectation(req, obs, engine="plan") for req in (first, second)]
+        # Only the first request's query schedules.
+        assert len(plans.scheduled) == before + 1
+        one, two = (build_expectation_network(req, obs) for req in (first, second))
+        assert plans.plan(one) is plans.plan(two)
+        fresh = [execute(qubitwise_schedule(net), net).real for net in (one, two)]
+        assert [v.hex() for v in values] == [v.hex() for v in fresh]
+
+
+def test_a_plan_is_shared_only_with_the_same_structure(plans):
+    network = build_expectation_network(_family_request(11), ObservableProduct(3))
+    plan = plans.plan(network)
+    cap = next(i for i, node in enumerate(network.nodes) if node.kind == "cap_bra")
+    nodes = list(network.nodes)
+    nodes[cap] = dataclasses.replace(nodes[cap], data=np.array([1.0, 0.0], dtype=complex))
+    renamed = list(network.nodes)
+    renamed[cap] = dataclasses.replace(renamed[cap], name="renamed")
+    variants = [
+        dataclasses.replace(network, nodes=tuple(nodes)),
+        dataclasses.replace(network, r_u=network.r_u + 1),
+        dataclasses.replace(network, r_j=network.r_j + 1),
+        dataclasses.replace(network, nodes=tuple(renamed)),
+    ]
+    for variant in variants:
+        got = plans.plan(variant)
+        assert got is not plan
+        assert plans.scheduled[-1] is variant
+        _assert_same_plan(got, qubitwise_schedule(variant))
+    # The capped wire is closed by a matmul on the cap's data, not a slice.
+    assert plans.plan(variants[0]).steps[plan.step_of[cap]].form != "slice"
+    assert plan.steps[plan.step_of[cap]].form == "slice"
+    assert len(plans.scheduled) == 5
+
+
+def test_plan_cache_is_bounded_by_steps_least_recent_first(plans, monkeypatch):
+    req = _random_request(8, seed=4, radii=TruncationRadii(3, 3), max_width=2)
+    a, b, c = (build_expectation_network(req, ObservableProduct(p)) for p in (2, 5, 8))
+    sizes = [len(qubitwise_schedule(net).steps) for net in (a, b, c)]
+    bound = sum(sizes) - 1
+    monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", bound)
+    plan_a, plan_b = plans.plan(a), plans.plan(b)
+    assert plans.plan(a) is plan_a
+    plan_c = plans.plan(c)
+    # b was used least recently, so c's insertion evicted it.
+    assert list(plans.plans.values()) == [plan_a, plan_c]
+    assert plans.steps == sizes[0] + sizes[2] <= bound
+    assert plans.plan(b) is not plan_b
+    assert plans.steps == sum(len(p.steps) for p in plans.plans.values()) <= bound
+    assert len(plans.scheduled) == 4
+    # A plan longer than the whole bound is never stored.
+    full = build_expectation_network(req, ObservableProduct(8), prune=False)
+    monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", len(qubitwise_schedule(full).steps) - 1)
+    held = list(plans.plans.values())
+    assert plans.plan(full) is not plans.plan(full)
+    assert list(plans.plans.values()) == held
+    assert len(plans.scheduled) == 6
+
+
+def _holds_ndarray(obj) -> bool:
+    if isinstance(obj, np.ndarray):
+        return True
+    if dataclasses.is_dataclass(obj):
+        return any(_holds_ndarray(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return any(map(_holds_ndarray, obj))
+    return False
+
+
+def test_plan_cache_keeps_no_request_alive(plans):
+    req = _random_request(10, seed=7, radii=TruncationRadii(3, 3), max_width=2)
+    factor = weakref.ref(simulate._w_nodes(req)[0])
+    for site in range(1, 11):
+        expectation(req, ObservableProduct(site), engine="plan")
+    assert plans.plans
+    assert not any(map(_holds_ndarray, plans.plans))
+    assert not any(map(_holds_ndarray, plans.plans.values()))
+    # The networks the fixture recorded hold the factors; the cache must not.
+    plans.scheduled.clear()
+    del req
+    gc.collect()
+    assert factor() is None
+
+
+def test_shared_plans_are_never_written(plans):
+    first, second = _family_request(11), _family_request(12)
+    network = build_expectation_network(first, ObservableProduct(5))
+    plan = plans.plan(network)
+    snapshot = copy.deepcopy(plan)
+    rng = np.random.default_rng(9)
+    for i in range(100):
+        req = (first, second)[i % 2]
+        site = int(rng.integers(1, 33))
+        if i % 3:
+            obs = ObservableProduct(site)
+        else:
+            obs = ObservableProduct.prefix_projector(rng.integers(0, 2, site).tolist())
+        expectation(req, obs, engine="plan")
+    assert plans.plan(network) is plan
+    _assert_same_plan(plan, snapshot)
