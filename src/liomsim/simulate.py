@@ -40,7 +40,8 @@ structure across queries and requests (the pruned sigma^z network of a
 site keeps the same factors whatever the instance's values).  So
 expectation takes its plans from one process-wide least-recently-used
 cache, keyed by everything the scheduler reads: N, the network's radii
-and, per node, its name, kind, sites and whether it has data.  The key
+and, per node, its name, kind, sites and whether it has data (a cap
+without data pins its id, see the tensor module).  The key
 holds no arrays, so the cache keeps no request alive.  It is bounded by
 the plan steps it holds, PLAN_CACHE_STEPS (~400 bytes each with the
 keys), and a plan longer than that is not stored.  The light cones of conditionals and

@@ -7,13 +7,22 @@ absorbs every tensor whose leftmost wire is qubit 1, then qubit 2, and so
 on, which keeps the open boundary of the partial contraction confined to a
 window of wires and bounds the intermediate tensor rank.
 
+Caps without data (|0> and <0|) are rank-1 and are removed before
+contracting rather than absorbed: every index such a cap carries is
+pinned to 0.  A pinned id never becomes an axis of the accumulator; every
+other node that carries it takes entry 0 on that axis of its operand
+before the kernel, and the cap itself is no plan step.  So the first gate
+on a wire enters as a column of its matrix, and the last one as a row.
+Caps with data stay ordinary steps.
+
 Two leg counts are tracked per step.  The "dense" count treats every node
-(including diagonal ones) as a full tensor with in/out legs on each wire;
-this is the convention of the analytic open-leg bound and is what gets
-checked against it.  The "memory" count is the number of axes the runner
-actually holds, which is smaller because diagonal nodes share a single
-index with their neighbours (a diagonal phase layer never needs separate
-in/out axes).  Under either convention an index is open from the step
+(including diagonal ones and every cap) as a full tensor with in/out legs
+on each wire; this is the convention of the analytic open-leg bound and is
+what gets checked against it, and pinning does not change it.  The
+"memory" count is the number of axes the runner actually holds, which is
+smaller because diagonal nodes share a single index with their neighbours
+(a diagonal phase layer never needs separate in/out axes) and pinned ids
+are never held.  Under either convention an index is open from the step
 that absorbs its first carrier to the step that absorbs its last; the
 scheduler works both counts out from those spans once and records the
 closing step of every memory index, so a runner, or a fork of it, needs
@@ -24,12 +33,11 @@ itself is pure structure and runs at any size.
 The scheduler also plans the accumulator's axis order, from structure
 alone, so that the runner's kernel does no id bookkeeping and calls no
 einsum.  A step's touched ids are the accumulator ids its node carries;
-each step takes one of three forms:
+each step takes one of two forms:
 
-- a slice, for a cap without data (|0> or <0|) that closes an id: entry 0
-  of that axis, wherever it sits (a view when it leads);
 - a broadcast multiply, for a node that closes no id (a diagonal, a ket
-  cap, a gate whose accumulator ids all stay open); its new axes lead;
+  cap with data, a gate whose accumulator ids all stay open); its new
+  axes lead;
 - one 2-D matmul for everything else: the touched ids form the leading
   block, and the node becomes a (2^touched, 2^(kept+new)) matrix, where
   an id the node keeps open is padded in as kron(I, g).  The kept and new
@@ -38,16 +46,16 @@ each step takes one of three forms:
 Only a matmul step whose touched ids are not the accumulator's leading
 axes transposes first: the touched block moves to the front and the
 other axes follow in order of their next use, soonest first.  Leading
-blocks keep slices free and multiplies' inner loops long.  Moving an
-accumulator onto a fork target is the one einsum left; it writes the
-target plan's axis order.
+blocks keep multiplies' inner loops long.  Moving an accumulator onto a
+fork target is the one einsum left; it writes the target plan's axis
+order.  A network of caps alone is an empty plan of value 1.
 """
 
 from __future__ import annotations
 
 import copy
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -117,13 +125,15 @@ class PlanStep:
     """One absorption and the layout the runner executes it in (see the
     module docstring for the forms).
 
+    pick: the index that takes entry 0 of the node's pinned axes (see
+        _entry_0), or None when the node carries no pinned id.
     perm: axis permutation of the accumulator before the step, as packed
         uint16 entries, or None.
-    form: "slice", "mul" or "matmul" (on the leading block).
-    node_axes: the node's axes in the order the kernel reads them.
-    shape: slice: the accumulator as (before, 2, after); mul: the node's
-        broadcast shape, as bytes of 1s and 2s; matmul: the node matrix
-        (2^touched, 2^(kept+new)).
+    form: "mul" or "matmul" (on the leading block).
+    node_axes: the axes of the node's operand, its pinned axes taken, in
+        the order the kernel reads them.
+    shape: mul: the node's broadcast shape, as bytes of 1s and 2s; matmul:
+        the node matrix (2^touched, 2^(kept+new)).
     strides: matmul only: byte strides that write the node into a zero
         matrix when it keeps ids open, else None.
     """
@@ -131,6 +141,7 @@ class PlanStep:
     node_index: int
     name: str
     mem_axes_after: int
+    pick: tuple | None
     perm: bytes | None
     form: str
     node_axes: tuple[int, ...]
@@ -143,12 +154,27 @@ class ContractionPlan:
     """Structural schedule: the steps in absorption order with their
     predicted leg counts, and the index bookkeeping the runner reads.
 
+    Caps without data are no steps, and the ids they carry are pinned: no
+    accumulator ever holds them (see the module docstring).
+
     node_indices: per node, its index ids in axis order (gate: out ids then
-        in ids; diag: one shared id per wire; caps: one id).
-    index_endpoints: per index id, how many nodes carry it.
-    last_step: per index id, the step that absorbs its last carrier; an
-        id opened by step p is still open after it while last_step[id] > p.
-    step_of: per node, the step that absorbs it.
+        in ids; diag: one shared id per wire; caps: one id), pinned ids
+        included.
+    index_endpoints: per index id, how many steps carry it as an open axis:
+        the number of its carriers, or 0 for a pinned id.  Replaying the
+        steps and counting each id's carriers, an id is live while fewer
+        than index_endpoints[id] of them have been absorbed, so a pinned id
+        never is.
+    last_step: per index id, the step that absorbs its last carrier, or -1
+        for a pinned id; an id opened by step p is still open after it
+        while last_step[id] > p.
+    step_of: per node, the step that absorbs it; for a dataless cap, which
+        no step absorbs, the step after it in the qubit-wise order (or the
+        number of steps when none follows).
+    peak_open_legs: the dense-convention peak, every node counted, dataless
+        caps included; the analytic open-leg bound is checked against it.
+    peak_mem_axes: the most axes the accumulator holds after any step (0
+        when the plan has no steps).
     axes: the accumulator's ids after every step, in axis order, one step
         after the other; step p's order ends at axes_end[p].
     """
@@ -196,63 +222,103 @@ def _open_after(spans: Iterable[tuple[int, int]], n_steps: int) -> list[int]:
     return list(accumulate(delta[:n_steps]))
 
 
+def _pins(node: PlacedTensor) -> bool:
+    """Whether the node is a cap without data, |0> or <0|: it fixes the id
+    it carries to entry 0 and is no plan step."""
+    return node.data is None and node.kind.startswith("cap")
+
+
+def _entry_0(pinned: Sequence[bool]) -> tuple | None:
+    """The index that takes entry 0 of an array's pinned axes: an int for
+    each pinned axis and a full slice for each other, then Ellipsis, so
+    the result is an array view; None when no axis is pinned."""
+    return (*(0 if pin else slice(None) for pin in pinned), ...) if any(pinned) else None
+
+
 def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
     """Build the qubit-wise plan: absorb all tensors whose leftmost wire is
-    qubit 1 (in application order), then qubit 2, and so on.  Pure
-    structure; tensor data never enters."""
+    qubit 1 (in application order), then qubit 2, and so on, skipping the
+    caps without data.  Pure structure; tensor data never enters."""
     if not net.nodes:
         raise StructuralError("empty network")
     nodes = net.nodes
     wires = _wire_sequences(net)
     order = sorted(range(len(nodes)), key=lambda pos: (nodes[pos].min_site, pos))
+    # The dense count walks every node in `order`; the steps skip the
+    # dataless caps, each of which takes the step number of the step after it.
+    dense_at = [0] * len(nodes)
     step_of = [0] * len(nodes)
-    for step, pos in enumerate(order):
-        step_of[pos] = step
+    steps: list[int] = []
+    for at, pos in enumerate(order):
+        dense_at[pos] = at
+        step_of[pos] = len(steps)
+        if not _pins(nodes[pos]):
+            steps.append(pos)
 
     # Walking each wire, a fresh memory id opens after every non-diagonal
     # node; diagonal nodes share the id they sit on instead of cutting it.
     # In the dense convention every two consecutive nodes share one bond.
     # An id or bond is open from the step of its first carrier to the step
-    # of its last.  Each id's carriers are done once a gate or bra cap
-    # takes it in, before the next id opens, so `spans` is in id order.
+    # of its last.  An id a dataless cap carries is pinned: it never opens,
+    # its index_endpoints entry is 0 and its last_step -1.  Each id's
+    # carriers are done once a gate or bra cap takes it in, before the next
+    # id opens, so `last_step` is in id order.
     node_ids = [[0] * (2 * node.width if node.kind == "gate" else node.width) for node in nodes]
     index_endpoints: list[int] = []
+    last_step: list[int] = []
     spans: list[tuple[int, int]] = []
     bonds: list[tuple[int, int]] = []
     for w, seq in wires.items():
         for i, pos in enumerate(seq):
-            node, step = nodes[pos], step_of[pos]
+            node, step, at = nodes[pos], step_of[pos], dense_at[pos]
             k = node.sites.index(w)
             if i:
-                bonds.append((prev, step) if prev < step else (step, prev))
+                bonds.append((prev, at) if prev < at else (at, prev))
                 # On a diagonal the id sits on axis k, on a gate on in axis k.
                 node_ids[pos][k + node.width if node.kind == "gate" else k] = current
                 index_endpoints[current] += 1
                 first, last = min(first, step), max(last, step)
                 if node.kind != "diag":
-                    spans.append((first, last))
-            prev = step
+                    if pinned or _pins(node):
+                        index_endpoints[current] = 0
+                        last_step.append(-1)
+                    else:
+                        spans.append((first, last))
+                        last_step.append(last)
+            prev = at
             if node.kind == "cap_ket" or node.kind == "gate":
                 current = len(index_endpoints)
                 index_endpoints.append(1)
                 node_ids[pos][k] = current
                 first = last = step
+                pinned = _pins(node)
 
-    open_mem = _open_after(spans, len(order))
+    open_mem = _open_after(spans, len(steps))
     node_ids = [tuple(ids) for ids in node_ids]
-    last_step = [last for _, last in spans]
-    layout, axes = _layout(nodes, order, node_ids, len(last_step))
+    # Per step, the node's open ids and the index that takes entry 0 of its
+    # pinned axes (one per pattern of pinned axes).
+    free: list[tuple[int, ...]] = []
+    picks: list[tuple | None] = []
+    pick_of: dict[tuple[bool, ...], tuple | None] = {}
+    for pos in steps:
+        ids = node_ids[pos]
+        mask = tuple(index_endpoints[idx] == 0 for idx in ids)
+        free.append(tuple(idx for idx, pin in zip(ids, mask) if not pin))
+        if mask not in pick_of:
+            pick_of[mask] = _entry_0(mask)
+        picks.append(pick_of[mask])
+    layout, axes = _layout(free, len(last_step))
     return ContractionPlan(
         steps=[
-            PlanStep(pos, nodes[pos].name, open_axes, *form)
-            for pos, open_axes, form in zip(order, open_mem, layout)
+            PlanStep(pos, nodes[pos].name, open_axes, pick, *form)
+            for pos, open_axes, pick, form in zip(steps, open_mem, picks, layout)
         ],
         node_indices=node_ids,
         index_endpoints=index_endpoints,
         last_step=last_step,
         step_of=step_of,
         peak_open_legs=max(_open_after(bonds, len(order))),
-        peak_mem_axes=max(open_mem),
+        peak_mem_axes=max(open_mem, default=0),
         r_u=net.r_u,
         r_j=net.r_j,
         axes=axes,
@@ -260,23 +326,20 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
     )
 
 
-def _layout(
-    nodes: Sequence[PlacedTensor],
-    order: Sequence[int],
-    node_ids: Sequence[tuple[int, ...]],
-    n_ids: int,
-) -> tuple[list[tuple], array]:
+def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], array]:
     """Per step, the layout fields of its PlanStep (perm, form, node_axes,
     shape, strides), and every step's axis order after it, one after the
-    other; from the node ids and absorption order alone."""
-    # following[pos][k]: the step of the next carrier of node pos's k-th
-    # id after node pos, or len(order) where none follows.
-    following = [[len(order)] * len(ids) for ids in node_ids]
+    other; from each step's open node ids (free[p], in the axis order of
+    the node's operand once its pinned axes are taken) alone."""
+    n_steps = len(free)
+    # following[p][k]: the next step after p that carries step p's k-th
+    # id, or n_steps where none follows.
+    following = [[n_steps] * len(ids) for ids in free]
     previous: list[list[int] | None] = [None] * n_ids
     prev_axis = [0] * n_ids
-    for p, pos in enumerate(order):
-        mine = following[pos]
-        for k, idx in enumerate(node_ids[pos]):
+    for p, ids in enumerate(free):
+        mine = following[p]
+        for k, idx in enumerate(ids):
             if previous[idx] is not None:
                 previous[idx][prev_axis[idx]] = p
             previous[idx], prev_axis[idx] = mine, k
@@ -294,17 +357,16 @@ def _layout(
     def share(value):
         return shared.setdefault(value, value)
 
-    for p, pos in enumerate(order):
-        ids = node_ids[pos]
+    for ids, follow in zip(free, following):
         touched, kept, new = [], [], []
-        for idx, later in zip(ids, following[pos]):
+        for idx, later in zip(ids, follow):
             next_use[idx] = later
             if not held[idx]:
                 new.append(idx)
                 held[idx] = True
             else:
                 touched.append(idx)
-                if later < len(order):
+                if later < n_steps:
                     kept.append(idx)
                 else:
                     held[idx] = False
@@ -320,10 +382,6 @@ def _layout(
             for x in at:
                 shape[x] = 2
             shape = share(bytes(shape))
-        elif nodes[pos].kind.startswith("cap") and nodes[pos].data is None:
-            x = acc.index(ids[0])
-            form, axes = "slice", acc[:x] + acc[x + 1 :]
-            node_axes, shape = (), share((1 << x, 2, 1 << (len(acc) - x - 1)))
         else:
             form, t = "matmul", len(touched)
             at = [acc.index(idx) for idx in touched]
@@ -350,18 +408,11 @@ def _layout(
     return out, flat
 
 
-_KET = np.array([1.0, 0.0], dtype=complex)
-
-
 def _node_array(node: PlacedTensor) -> np.ndarray:
-    if node.kind == "cap_ket" or node.kind == "cap_bra":
-        if node.data is None:
-            return _KET
-        return np.asarray(node.data, dtype=complex).reshape(2)
-    w = node.width
-    if node.kind == "diag":
-        return np.asarray(node.data, dtype=complex).reshape((2,) * w)
-    return np.asarray(node.data, dtype=complex).reshape((2,) * (2 * w))
+    """The node's data with one axis per index id, in node_indices order.
+    A cap without data has none: no step absorbs it."""
+    legs = 2 * node.width if node.kind == "gate" else node.width
+    return np.asarray(node.data, dtype=complex).reshape((2,) * legs)
 
 
 def _einsum(out: Sequence[int], *operands: tuple[np.ndarray, Sequence[int]]) -> np.ndarray:
@@ -417,27 +468,46 @@ class ForkTarget:
     absorbed, in the same order, except that where a W...W^dag segment was
     removed from a wire the ids on either side of it are one.  `ids` maps
     the runner's open ids, in axis order, to plan ids; moving the
-    accumulator takes the diagonal or the trace of two that map to one.
+    accumulator takes entry 0 of an axis whose plan id the plan pins (a
+    removed segment can join an id the runner holds to the id of a cap
+    without data), and then the diagonal or the trace of two that map to
+    one.  An id the plan
+    holds open at `start` must come from one the runner holds: an id the
+    runner's own plan pinned is refused, not reopened.
     The plan is checked, as PlanRunner checks its own, once, when the
     target is built, and so is the move: its einsum takes one label per
-    distinct plan id in `ids`, and numpy accepts at most 52.
+    distinct plan id it keeps, and numpy accepts at most 52.
+
+    pick: the index that takes entry 0 of the runner's axes whose plan id
+        is pinned, or None; labels: the plan ids of the other axes.  Both
+        are worked out from the fields.
     """
 
     network: ExpectationNetwork
     plan: ContractionPlan
     start: int
     ids: dict[int, int]
+    pick: tuple | None = field(init=False, repr=False, compare=False)
+    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_plan(self.plan, self.network)
-        labels = len(set(self.ids.values()))
-        if labels > MAX_EINSUM_LABELS:
+        pinned = [self.plan.index_endpoints[b] == 0 for b in self.ids.values()]
+        labels = tuple(b for b, pin in zip(self.ids.values(), pinned) if not pin)
+        n_labels = len(set(labels))
+        if n_labels > MAX_EINSUM_LABELS:
             raise FeasibilityError(
-                f"the fork move onto step {self.start} needs {labels} einsum labels, "
+                f"the fork move onto step {self.start} needs {n_labels} einsum labels, "
                 f"above the {MAX_EINSUM_LABELS} numpy accepts"
             )
-        if not set(_axes_before(self.plan, self.start)) <= set(self.ids.values()):
-            raise StructuralError("fork target's plan keeps an id the runner does not hold")
+        missing = sorted(set(_axes_before(self.plan, self.start)) - set(labels))
+        if missing:
+            raise StructuralError(
+                f"fork target's plan keeps an id the runner does not hold (plan ids {missing}); "
+                "the runner's plan pins such an id or has not opened it"
+            )
+        object.__setattr__(self, "pick", _entry_0(pinned))
+        object.__setattr__(self, "labels", labels)
 
 
 class PlanRunner:
@@ -450,8 +520,8 @@ class PlanRunner:
     internal assertion error).
 
     Each step runs its planned form (see the module docstring): an optional
-    transpose, then a slice, a broadcast multiply or one 2-D matmul, with
-    no id bookkeeping.  Accumulators are never written into, so forks
+    transpose, then a broadcast multiply or one 2-D matmul, with no id
+    bookkeeping.  Accumulators are never written into, so forks
     share them; a step drops the runner's reference to the old one before
     computing the new one, so a step holds at most two accumulator-sized
     arrays.
@@ -502,7 +572,8 @@ class PlanRunner:
         too, so a fork copies no per-index state.
 
         With a target, the twin continues the target's plan at its start:
-        one einsum moves the accumulator onto the target's ids, in the axis
+        the accumulator takes entry 0 of the axes whose target id is
+        pinned, and one einsum moves it onto the target's ids, in the axis
         order the target's plan has there, and takes the trace of ids no
         carrier from the start on needs.  The twin starts without
         overrides, which name nodes of this runner's network."""
@@ -515,8 +586,9 @@ class PlanRunner:
                 "fork target was built for a different point of the contraction"
             )
         twin = PlanRunner.__new__(PlanRunner)
-        acc = _einsum(_axes_before(target.plan, target.start), (self._acc, target.ids.values()))
-        twin._resume(target.plan, target.network, target.start, np.ascontiguousarray(acc))
+        acc = self._acc if target.pick is None else self._acc[target.pick]
+        acc = _einsum(_axes_before(target.plan, target.start), (acc, target.labels))
+        twin._resume(target.plan, target.network, target.start, np.asarray(acc, order="C"))
         return twin
 
     def set_override(self, node_index: int, values: np.ndarray) -> None:
@@ -536,31 +608,29 @@ class PlanRunner:
         transpose is a view; reshaping it to the matmul's 2-D operand makes
         the one copy and drops the view, which frees the old accumulator
         before the product is computed, so a step holds at most two
-        accumulator-sized arrays.  A slice of the leading axis is a view:
-        it keeps its parent, twice its size, alive until the next step
-        replaces it."""
+        accumulator-sized arrays.  The node's pinned axes are taken at
+        entry 0 before its own transpose, both views of the node."""
         step = self.plan.steps[self._pos]
         acc, self._acc = self._acc, None
         if step.perm is not None:
             acc = acc.transpose(memoryview(step.perm).cast("H"))
-        form, shape = step.form, step.shape
-        if form == "slice":
-            out = np.ascontiguousarray(acc.reshape(shape)[:, 0])
+        arr = self._overrides.get(step.node_index)
+        if arr is None:
+            arr = _node_array(self.net.nodes[step.node_index])
+        if step.pick is not None:
+            arr = arr[step.pick]
+        arr = arr.transpose(step.node_axes)
+        shape = step.shape
+        if step.form == "mul":
+            out = np.multiply(acc, arr.reshape(shape), order="C")
         else:
-            arr = self._overrides.get(step.node_index)
-            if arr is None:
-                arr = _node_array(self.net.nodes[step.node_index])
-            arr = arr.transpose(step.node_axes)
-            if form == "mul":
-                out = np.multiply(acc, arr.reshape(shape), order="C")
+            if step.strides is None:
+                mat = arr.reshape(shape)
             else:
-                if step.strides is None:
-                    mat = arr.reshape(shape)
-                else:
-                    mat = np.zeros(shape, dtype=complex)
-                    np.ndarray(arr.shape, complex, mat, 0, step.strides)[...] = arr
-                acc = acc.reshape(shape[0], -1)
-                out = mat.T @ acc
+                mat = np.zeros(shape, dtype=complex)
+                np.ndarray(arr.shape, complex, mat, 0, step.strides)[...] = arr
+            acc = acc.reshape(shape[0], -1)
+            out = mat.T @ acc
         del acc
         axes = step.mem_axes_after
         if out.size != 1 << axes:

@@ -14,8 +14,9 @@ construction, so the tests compare the library's walk against it.
 
 reference_schedule is the qubit-wise scheduler as it was before the plan
 recorded when each index closes: it replays the absorption order once per
-leg convention with per-index counters.  The library's scheduler must give
-the same plans.
+leg convention with per-index counters.  It applies the pinning rule on
+its own: an index a cap without data carries is never counted open, and
+such caps are no steps.  The library's scheduler must give the same plans.
 
 reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
@@ -39,6 +40,8 @@ from liomsim.tensor import ExpectationNetwork, PlanRunner, _node_array, _wire_se
 DEGENERATE_PREFIX = 1e-30
 
 _PROJ = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
+# The vector of a cap without data: |0> or <0|.
+_ZERO = _PROJ[0]
 
 
 def reference_chain_walk(
@@ -235,7 +238,7 @@ def naive_network_value(net: ExpectationNetwork) -> complex:
 
     def to_dense(pos: int) -> DenseTensor:
         node = net.nodes[pos]
-        arr = _node_array(node)
+        arr = _ZERO if node.data is None else _node_array(node)
         if node.kind == "diag":
             w = node.width
             full = np.zeros((2,) * (2 * w), dtype=complex)
@@ -272,8 +275,10 @@ def naive_network_value(net: ExpectationNetwork) -> complex:
 
 def reference_schedule(net: ExpectationNetwork) -> dict:
     """The qubit-wise plan of net by per-index counters: node_indices,
-    index_endpoints, steps as (node index, name, memory axes after),
-    peak_open_legs and peak_mem_axes."""
+    index_endpoints (0 for a pinned index), steps as (node index, name,
+    memory axes after), step_of, last_step (-1 for a pinned index),
+    peak_open_legs and peak_mem_axes.  A cap without data pins the index
+    it carries and is no step; the dense count still walks every node."""
     wires = _wire_sequences(net)
     n_nodes = len(net.nodes)
 
@@ -324,8 +329,18 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
     node_indices = [node_index_ids(pos) for pos in range(n_nodes)]
     order = sorted(range(n_nodes), key=lambda pos: (net.nodes[pos].min_site, pos))
 
+    def dataless_cap(pos: int) -> bool:
+        node = net.nodes[pos]
+        return node.kind in ("cap_ket", "cap_bra") and node.data is None
+
+    pinned = {node_indices[pos][0] for pos in range(n_nodes) if dataless_cap(pos)}
+    for idx in pinned:
+        index_endpoints[idx] = 0
+
     # Replay the absorption to count both conventions.
     absorbed_count = [0] * len(index_endpoints)
+    last_step = [-1] * len(index_endpoints)
+    step_of = [0] * n_nodes
     open_mem = 0
     bond_by_node: list[list[int]] = [[] for _ in range(n_nodes)]
     for b, (left, right) in enumerate(bonds):
@@ -337,12 +352,6 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
     peak_dense = 0
     peak_mem = 0
     for pos in order:
-        for idx in node_indices[pos]:
-            if absorbed_count[idx] == 0:
-                open_mem += 1
-            absorbed_count[idx] += 1
-            if absorbed_count[idx] == index_endpoints[idx]:
-                open_mem -= 1
         for b in bond_by_node[pos]:
             bond_state[b] += 1
             if bond_state[b] == 1:
@@ -350,6 +359,18 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
             else:
                 open_dense -= 1
         peak_dense = max(peak_dense, open_dense)
+        step_of[pos] = len(steps)
+        if dataless_cap(pos):
+            continue
+        for idx in node_indices[pos]:
+            if idx in pinned:
+                continue
+            if absorbed_count[idx] == 0:
+                open_mem += 1
+            absorbed_count[idx] += 1
+            if absorbed_count[idx] == index_endpoints[idx]:
+                open_mem -= 1
+                last_step[idx] = len(steps)
         peak_mem = max(peak_mem, open_mem)
         steps.append((pos, net.nodes[pos].name, open_mem))
     if open_mem != 0 or open_dense != 0:
@@ -360,6 +381,8 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
         "node_indices": node_indices,
         "index_endpoints": index_endpoints,
         "steps": steps,
+        "step_of": step_of,
+        "last_step": last_step,
         "peak_open_legs": peak_dense,
         "peak_mem_axes": peak_mem,
     }

@@ -98,11 +98,12 @@ def _criterion_6_request(n):
 def _computed_ops(plan):
     """Per step, 2^|accumulator ids + node ids| and the live axes after it,
     read from the plan's closing steps: an id stays live after step p
-    while its last carrier comes later."""
+    while its last carrier comes later.  Pinned ids (last step -1) are no
+    axis of either operand."""
     live: set[int] = set()
     out = []
     for p, step in enumerate(plan.steps):
-        union = live.union(plan.node_indices[step.node_index])
+        union = live.union(i for i in plan.node_indices[step.node_index] if plan.last_step[i] >= 0)
         live = {i for i in union if plan.last_step[i] > p}
         out.append((2 ** len(union), len(live)))
     return out
@@ -125,6 +126,51 @@ def test_light_cone_finishes_cost_less_than_one_pass():
         moved = 2 ** len(set(target.ids.values()))
         finishes += moved + 2 * sum(ops for ops, _ in costs[target.start :])
     assert finishes < one_pass
+
+
+def _pinned_ids(network, plan):
+    """The ids the network's dataless caps carry."""
+    return {
+        plan.node_indices[pos][0]
+        for pos, node in enumerate(network.nodes)
+        if node.kind.startswith("cap") and node.data is None
+    }
+
+
+def test_chain_and_cone_plans_never_hold_a_cap_id():
+    # The ids of the caps are pinned: no step of the chain plan or of any
+    # cone plan holds one, and every other id is held.
+    req = _criterion_6_request(32)
+    conditional_chain(req, seed=0, engine="plan")
+    for site in range(1, req.n_sites + 1):
+        network, plan, _ = _cone(req, site)
+        pinned = _pinned_ids(network, plan)
+        assert pinned == {i for i, ends in enumerate(plan.index_endpoints) if ends == 0}
+        assert pinned.isdisjoint(plan.axes)
+        assert set(plan.axes) | pinned == set(range(len(plan.index_endpoints)))
+    # A cone pins exactly the chain's ids at its cut, so no move takes an
+    # entry of an axis.
+    assert all(target.pick is None for target in req._cache["cone_targets"].values())
+
+
+def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes():
+    # The replay the benchmark's plan_step_costs runs over plan.steps:
+    # count each id's absorbed carriers, and an id is live while fewer
+    # than index_endpoints[id] are absorbed.  Pinned ids have 0 endpoints,
+    # so they never are.  The live set after each step is the plan's axes.
+    req = _criterion_6_request(32)
+    for site in range(1, req.n_sites + 1):
+        _, plan, _ = _cone(req, site)
+        absorbed = [0] * len(plan.index_endpoints)
+        live: set[int] = set()
+        for p, step in enumerate(plan.steps):
+            ids = plan.node_indices[step.node_index]
+            for idx in ids:
+                absorbed[idx] += 1
+            live = {i for i in live.union(ids) if absorbed[i] < plan.index_endpoints[i]}
+            assert len(live) == step.mem_axes_after
+            assert live == set(tensor._axes_before(plan, p + 1))
+        assert all(a == ends for a, ends in zip(absorbed, plan.index_endpoints) if ends)
 
 
 def test_pruned_network_caps_only_its_light_cone():
@@ -186,11 +232,13 @@ def _fold_misses(nodes):
 
 def test_folded_w_shortens_the_chain_plan():
     # Every single-site constituent folds into the width-2 gate next to
-    # it: 158 W factors become 94 and a plan pass 412 steps become 284.
+    # it: 158 W factors become 94 and a plan pass 412 steps become 284,
+    # of which the 64 dataless caps are no steps since their ids are
+    # pinned (peak 18 axes before pinning).
     req = _criterion_6_request(32)
     _, plan, _ = _cone(req, req.n_sites)
-    assert len(plan.steps) == 284
-    assert plan.peak_mem_axes == 18
+    assert len(plan.steps) == 220
+    assert plan.peak_mem_axes == 16
     assert _fold_misses(_w_nodes(req)) == []
     for n in (16, 32, 64):
         _, plan, _ = _cone(_criterion_6_request(n), n)

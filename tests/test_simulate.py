@@ -577,9 +577,12 @@ def test_a_plan_is_shared_only_with_the_same_structure(plans):
         assert got is not plan
         assert plans.scheduled[-1] is variant
         _assert_same_plan(got, qubitwise_schedule(variant))
-    # The capped wire is closed by a matmul on the cap's data, not a slice.
-    assert plans.plan(variants[0]).steps[plan.step_of[cap]].form != "slice"
-    assert plan.steps[plan.step_of[cap]].form == "slice"
+    # A bra cap without data pins its id and is no step; one with data
+    # closes its wire by a matmul on its data.
+    assert cap not in {step.node_index for step in plan.steps}
+    capped = plans.plan(variants[0])
+    assert capped.steps[capped.step_of[cap]].node_index == cap
+    assert capped.steps[capped.step_of[cap]].form == "matmul"
     assert len(plans.scheduled) == 5
 
 

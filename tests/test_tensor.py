@@ -1,6 +1,7 @@
 """Tests for the qubit-wise scheduler and plan runner, and for the
 leg-labelled reference contraction they are checked against."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -14,7 +15,13 @@ from reference import DenseTensor, Leg, contract, naive_network_value, reference
 from liomsim import tensor
 from liomsim.errors import FeasibilityError, StructuralError
 from liomsim.model import InstanceParams, build_random_instance
-from liomsim.simulate import SimulationRequest, _cone, conditional_chain
+from liomsim.simulate import (
+    ObservableProduct,
+    SimulationRequest,
+    _cone,
+    build_expectation_network,
+    conditional_chain,
+)
 from liomsim.tensor import (
     ExpectationNetwork,
     ForkTarget,
@@ -207,7 +214,8 @@ def _magnitude(net):
     """The network's value with every entry replaced by its modulus: a
     bound on the sum of the moduli of the terms the contraction adds."""
     nodes = tuple(
-        PlacedTensor(node.name, node.kind, node.sites, np.abs(tensor._node_array(node)))
+        node if node.data is None
+        else PlacedTensor(node.name, node.kind, node.sites, np.abs(tensor._node_array(node)))
         for node in net.nodes
     )
     return abs(naive_network_value(ExpectationNetwork(net.n_sites, nodes)))
@@ -307,18 +315,25 @@ def test_planned_pass_calls_einsum_only_in_fork_moves(monkeypatch):
 
 def test_criterion_6_pass_layout_is_pinned():
     # Structural pin: the forms and the transposes of one criterion-6 pass
-    # at N=32 under the layout rule.  Change it only with the rule.
+    # at N=32 under the layout rule and with the caps' ids pinned.  Change
+    # it only with the rule.
     _, (network, plan, _) = _criterion_6_chain_plan(32)
     forms = Counter(step.form for step in plan.steps)
-    assert forms == {"matmul": 172, "mul": 64, "slice": 48}
-    assert sum(step.perm is not None for step in plan.steps) == 151
+    assert forms == {"matmul": 171, "mul": 49}
+    assert sum(step.perm is not None for step in plan.steps) == 150
     # Gates and site-block diagonals that keep an id open are padded.
     assert sum(step.strides is not None for step in plan.steps) == 109
+    # The 64 caps are no steps.  Each of their ids is taken at entry 0 by
+    # the one other node that carries it: a wire's first gate or its last
+    # mirror, 32 width-2 gates in all.
+    picks = [step.pick for step in plan.steps if step.pick is not None]
+    assert len(picks) == 32
+    assert sum(pick.count(0) for pick in picks) == 64
     runner = PlanRunner(plan, network)
     for p, step in enumerate(plan.steps):
         before = set(runner.open_ids)
         runner.step()
-        ids = set(plan.node_indices[step.node_index])
+        ids = {i for i in plan.node_indices[step.node_index] if plan.index_endpoints[i]}
         closing = {i for i in ids if plan.last_step[i] == p}
         assert sorted(runner.open_ids) == sorted((before | ids) - closing)
         assert len(runner.open_ids) == step.mem_axes_after
@@ -330,14 +345,11 @@ def _assert_matches_reference_schedule(net):
     assert list(plan.node_indices) == ref["node_indices"]
     assert plan.index_endpoints == ref["index_endpoints"]
     assert [(s.node_index, s.name, s.mem_axes_after) for s in plan.steps] == ref["steps"]
+    assert plan.step_of == ref["step_of"]
+    assert plan.last_step == ref["last_step"]
     assert plan.peak_open_legs == ref["peak_open_legs"]
     assert plan.peak_mem_axes == ref["peak_mem_axes"]
     assert [plan.step_of[s.node_index] for s in plan.steps] == list(range(len(plan.steps)))
-    carriers = [[] for _ in plan.index_endpoints]
-    for pos, ids in enumerate(plan.node_indices):
-        for idx in ids:
-            carriers[idx].append(plan.step_of[pos])
-    assert plan.last_step == [max(steps) for steps in carriers]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
@@ -401,7 +413,10 @@ def test_schedule_absorption_order_and_coverage():
     net = _closed_network(rng, *LAYER_SETS[2])
     plan = qubitwise_schedule(net)
     order = [step.node_index for step in plan.steps]
-    assert sorted(order) == list(range(len(net.nodes)))
+    # Every node but the caps without data is a step.
+    assert sorted(order) == [
+        pos for pos, node in enumerate(net.nodes) if not node.kind.startswith("cap")
+    ]
     min_sites = [net.nodes[pos].min_site for pos in order]
     assert min_sites == sorted(min_sites)
     # Equal min-site nodes keep their application order.
@@ -409,6 +424,114 @@ def test_schedule_absorption_order_and_coverage():
         if net.nodes[prev].min_site == net.nodes[cur].min_site:
             assert prev < cur
     assert plan.peak_mem_axes <= plan.peak_open_legs
+
+
+def test_a_network_of_caps_alone_is_an_empty_plan_of_value_1():
+    bare = ExpectationNetwork(
+        3, tuple(_cap(f"k{w}", w) for w in (1, 2, 3)) + tuple(_cap(f"b{w}", w, "cap_bra") for w in (1, 2, 3))
+    )
+    plan = qubitwise_schedule(bare)
+    assert plan.steps == [] and plan.peak_mem_axes == 0
+    assert plan.index_endpoints == [0, 0, 0] and plan.last_step == [-1, -1, -1]
+    # Pinning leaves the dense count alone: one bond per wire.
+    assert plan.peak_open_legs == 1
+    assert execute(plan, bare) == 1.0
+    # A cap with data on a pinned id is a step that multiplies by its entry 0.
+    ket = _cap("k1", 1, data=np.array([0.25 - 0.5j, 3.0]))
+    capped = ExpectationNetwork(3, (ket,) + bare.nodes[1:])
+    plan = qubitwise_schedule(capped)
+    assert [(step.node_index, step.form) for step in plan.steps] == [(0, "mul")]
+    assert execute(plan, capped) == naive_network_value(capped) == 0.25 - 0.5j
+
+
+def test_caps_with_data_are_steps_that_match_the_naive_reference():
+    # A |+> product state, read out with <+| or with <0| on every wire.
+    rng = np.random.default_rng(19)
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    _, layers = LAYER_SETS[3]
+    for bra in (plus, None):
+        net = _closed_network(rng, 4, layers)
+        nodes = [
+            dataclasses.replace(node, data=plus if node.kind == "cap_ket" else bra)
+            if node.kind.startswith("cap") else node
+            for node in net.nodes
+        ]
+        net = ExpectationNetwork(4, tuple(nodes))
+        plan = qubitwise_schedule(net)
+        steps = {step.node_index for step in plan.steps}
+        assert steps == {pos for pos, node in enumerate(nodes) if node.data is not None}
+        assert plan.index_endpoints.count(0) == (0 if bra is not None else 4)
+        assert abs(execute(plan, net) - naive_network_value(net)) <= 1e-12 * max(1.0, _magnitude(net))
+
+
+def test_fork_move_takes_entry_0_of_an_id_only_the_target_pins():
+    # In `full` a unitary g and its inverse sit on wire 2 between the ket
+    # cap and A.  Group 1 absorbs A first, so the runner holds A's in id on
+    # wire 2 open (g+ carries it too), while in `net` the ket cap carries
+    # that id and pins it: the move takes entry 0 of that axis.
+    rng = np.random.default_rng(20)
+    g = _unitary(rng, 1)
+    a = rng.normal(size=16) + 1j * rng.normal(size=16)
+    net = ExpectationNetwork(2, (
+        _cap("k1", 1), _cap("k2", 2), PlacedTensor("A", "gate", (1, 2), a),
+        _cap("b1", 1, "cap_bra"), _cap("b2", 2, "cap_bra"),
+    ))
+    pair = (PlacedTensor("g", "gate", (2,), g), PlacedTensor("g+", "gate", (2,), g.conj().T))
+    full = ExpectationNetwork(2, net.nodes[:2] + pair + net.nodes[2:])
+    plan, target_plan = qubitwise_schedule(full), qubitwise_schedule(net)
+    runner = PlanRunner(plan, full)
+    runner.run_to(1)
+    (held,) = runner.open_ids
+    # A's ids are out, out, in, in: the in id on wire 2 is its last.
+    assert plan.node_indices[4][3] == held
+    pinned = target_plan.node_indices[2][3]
+    assert target_plan.index_endpoints[pinned] == 0
+    target = ForkTarget(net, target_plan, 1, {held: pinned})
+    assert target.pick == (0, ...) and target.labels == ()
+    value = runner.fork(target).finish()
+    assert value == a[0]
+    assert abs(value - naive_network_value(full)) <= 1e-12
+    # The other way round is refused by name: a target whose cap has data
+    # holds open an id that the runner's plan pinned.
+    nodes = list(net.nodes)
+    nodes[1] = _cap("k2", 2, data=np.array([1.0, 0.0], dtype=complex))
+    open_net = ExpectationNetwork(2, tuple(nodes))
+    open_plan = qubitwise_schedule(open_net)
+    assert tensor._axes_before(open_plan, 1) == (pinned,)
+    runner = PlanRunner(target_plan, net)
+    runner.run_to(1)
+    assert runner.open_ids == ()
+    with pytest.raises(StructuralError, match="the runner's plan pins such an id"):
+        ForkTarget(open_net, open_plan, 1, {})
+
+
+_CRITERION_5_OPEN_LEGS = {
+    (3, 3): 33, (3, 4): 37, (3, 6): 45, (4, 3): 57, (4, 4): 61,
+    (4, 6): 69, (6, 3): 145, (6, 4): 145, (6, 6): 149,
+}
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_pinning_keeps_the_dense_leg_count_of_criterion_5_networks(n):
+    # The dense-convention peaks of criterion 5's unpruned full-prefix
+    # networks, as scheduled before the caps' ids were pinned, and as
+    # scheduled with every cap given data, which pins nothing.
+    for r_u in (3, 4, 6):
+        inst = build_random_instance(
+            InstanceParams(n, 0.5), seed=50 + n + r_u, max_body=2, max_width=r_u, periodic=False
+        )
+        for r_j in (3, 4, 6):
+            req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(r_j, r_u))
+            obs = ObservableProduct.prefix_projector([0] * n)
+            network = build_expectation_network(req, obs, prune=False)
+            peak = qubitwise_schedule(network).peak_open_legs
+            assert peak == _CRITERION_5_OPEN_LEGS[r_u, r_j]
+            zero = np.array([1.0, 0.0], dtype=complex)
+            nodes = tuple(
+                dataclasses.replace(node, data=zero) if node.kind.startswith("cap") else node
+                for node in network.nodes
+            )
+            assert qubitwise_schedule(dataclasses.replace(network, nodes=nodes)).peak_open_legs == peak
 
 
 def test_schedule_rejects_open_networks():
@@ -549,11 +672,13 @@ def test_runner_refuses_steps_beyond_einsum_labels(monkeypatch):
     # plan; the one einsum left is a fork move, and moving those 59 ids
     # onto a target needs 59 labels, which the target refuses when it is
     # built, before any array is allocated.
+    # The caps carry data, so that they pin no id.
     n = 30
+    zero = np.array([1.0, 0.0], dtype=complex)
     nodes = (
-        [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), None) for w in range(1, n + 1)]
+        [PlacedTensor(f"ket[{w}]", "cap_ket", (w,), zero) for w in range(1, n + 1)]
         + [PlacedTensor("G", "gate", tuple(range(1, n + 1)), None)]
-        + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), None) for w in range(1, n + 1)]
+        + [PlacedTensor(f"bra[{w}]", "cap_bra", (w,), zero) for w in range(1, n + 1)]
     )
     net = ExpectationNetwork(n_sites=n, nodes=tuple(nodes))
     plan = qubitwise_schedule(net)
