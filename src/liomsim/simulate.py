@@ -32,21 +32,26 @@ builder, _cone, makes the light-cone network of sites 1..w with an
 identity mark per site; the cone of all N sites is the chain network,
 which the walk contracts once per chain, forking at each site w onto the
 cone of sites 1..w to finish it once per outcome.  A one-shot conditional
-finishes that cone too, with its prefix projectors on the marks.
+contracts the same light cone as a one-shot network, with its prefix
+projectors on sites 1..w-1 and an identity mark on w, forked at the mark
+once per outcome.
 
 A plan depends on a network's structure alone, never on its data, and
-the one-shot expectation networks of one instance family repeat their
-structure across queries and requests (the pruned sigma^z network of a
-site keeps the same factors whatever the instance's values).  So
-expectation takes its plans from one process-wide least-recently-used
-cache, keyed by everything the scheduler reads: N, the network's radii
-and, per node, its name, kind, sites and whether it has data (a cap
-without data pins its id, see the tensor module).  The key
-holds no arrays, so the cache keeps no request alive.  It is bounded by
-the plan steps it holds, PLAN_CACHE_STEPS (~400 bytes each with the
-keys), and a plan longer than that is not stored.  The light cones of conditionals and
-chains stay cached on their request: a cone's plan grows with its site,
-so sharing them would keep O(N^2) plan data in the process.
+the one-shot networks of one instance family repeat their structure
+across queries and requests (the pruned sigma^z network of a site keeps
+the same factors whatever the instance's values).  So expectation and the
+one-shot conditional take their plans from one process-wide
+least-recently-used cache, keyed by everything the scheduler reads: N,
+the network's radii and, per node, its name, kind, sites and whether it
+has data (a cap without data pins its id, see the tensor module).  A
+basis projector pins its id too; its kind marks it and its name leaves
+out its bit, which the runner reads, so plans carry no bits and every
+prefix of a site shares one.  The key holds no arrays, so the cache
+keeps no request alive.  It is bounded by the plan steps it holds,
+PLAN_CACHE_STEPS (~400 bytes each with the keys), and a plan longer than
+that is not stored.  The light cones of the chain walk stay cached on
+their request, for chains only: a cone's plan grows with its site, so
+sharing them would keep O(N^2) plan data in the process.
 """
 
 from __future__ import annotations
@@ -402,13 +407,20 @@ _DIAGS = {
 
 
 def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
+    """The observable's nodes: rotations, then its projectors (the pivot
+    too when it is one), or a sigma^z pivot, then the rotations' mirrors.
+    A projector's name leaves out its bit, so that the products of one
+    support share a plan."""
     nodes: list[PlacedTensor] = []
     for site, r in obs.rotations:
         nodes.append(PlacedTensor(f"R[{site}]", "gate", (site,), r))
     for site, bit in obs.projectors:
-        nodes.append(PlacedTensor(f"P{bit}[{site}]", "diag", (site,), _DIAGS[f"proj{bit}"]))
-    pivot_diag = _DIAGS[obs.pivot_kind]
-    nodes.append(PlacedTensor(f"O[{obs.pivot_site}]", "diag", (obs.pivot_site,), pivot_diag))
+        nodes.append(_wire_node(f"proj{bit}", site))
+    if obs.is_projector:
+        nodes.append(_wire_node(obs.pivot_kind, obs.pivot_site))
+    else:
+        sigma_z = _DIAGS[obs.pivot_kind]
+        nodes.append(PlacedTensor(f"O[{obs.pivot_site}]", "diag", (obs.pivot_site,), sigma_z))
     for site, r in reversed(obs.rotations):
         nodes.append(PlacedTensor(f"R[{site}]'", "gate", (site,), r.conj().T))
     return nodes
@@ -432,11 +444,15 @@ def _light_cone(w_list: Sequence[PlacedTensor], support: Iterable[int]) -> list[
 
 @functools.cache
 def _wire_node(kind: str, w: int) -> PlacedTensor:
-    """The ket cap, bra cap or identity mark ("diag") of wire w.  Every
-    network holds the same object, as it holds the same W factors and
-    mirrors, so _cone_target can match nodes by identity."""
+    """The ket cap, bra cap, identity mark ("diag") or basis projector
+    ("proj0", "proj1") of wire w.  Every network holds the same object, as
+    it holds the same W factors and mirrors, so _cone_target can match
+    nodes by identity.  Both projectors of a wire are named P[w]: a plan
+    never depends on their bit (see the tensor module)."""
     if kind == "diag":
         return PlacedTensor(f"I[{w}]", "diag", (w,), np.ones(2, dtype=complex))
+    if kind.startswith("proj"):
+        return PlacedTensor(f"P[{w}]", "proj", (w,), _DIAGS[kind])
     return PlacedTensor(f"{kind[4:]}[{w}]", kind, (w,), None)
 
 
@@ -491,7 +507,7 @@ def build_expectation_network(
 def _cone(req: SimulationRequest, site: int):
     """Light-cone network of sites 1..site with an identity diagonal (mark)
     on each of them, its qubit-wise plan, and the node position of each
-    mark by site; cached on the request.
+    mark by site; cached on the request, for the chain walk only.
 
     Overriding marks 1..site with projectors turns the network into the
     marginal P(z_1..z_site).  Every W factor meets some site, so
@@ -749,9 +765,12 @@ def conditional_probability(
 ) -> float:
     """P(z_site = 0 | z_1..z_{site-1} = prefix) as v0 / (v0 + v1) with
     v_b = P(prefix, b), the rule of the chain walk.  The dense route reads
-    the pair off the prefix-marginal tree.  The plan route takes it from
-    the light-cone network of sites 1..site, with the prefix projectors on
-    marks 1..site-1, through _outcome_pair as the chain walk does.  As in
+    the pair off the prefix-marginal tree.  The plan route contracts the
+    light-cone network of sites 1..site with the prefix projectors on
+    sites 1..site-1 and an identity mark on the site, and takes the pair
+    through _outcome_pair as the chain walk does.  Its plan comes from
+    the shared cache of one-shot plans and holds no bits, so every prefix
+    of a site shares it; the request keeps no light cone for it.  As in
     the chain walk, only a prefix of probability exactly zero is
     impossible, and it gets 1."""
     if not 1 <= _integer(site, "site") <= req.n_sites:
@@ -762,11 +781,14 @@ def conditional_probability(
         level = _prefix_tree(req)[site]
         v0, v1 = level[2 * index], level[2 * index + 1]
     else:
-        network, plan, marks = _cone(req, site)
-        runner = _runner(req, plan, network)
-        for w, bit in enumerate(bits, 1):
-            runner.set_override(marks[w], _DIAGS[f"proj{bit}"])
-        v0, v1 = _outcome_pair(runner, marks[site])
+        mark = _wire_node("diag", site)
+        middle = [_wire_node(f"proj{bit}", w) for w, bit in enumerate(bits, 1)] + [mark]
+        network = _closed_network(req, _light_cone(_w_nodes(req), range(1, site + 1)), middle)
+        runner = _runner(req, _PLANS.plan(network), network)
+        # The mark is the last middle node; mirrors and bra caps follow it.
+        nodes = network.nodes
+        at = next(pos for pos in range(len(nodes) - 1, -1, -1) if nodes[pos] is mark)
+        v0, v1 = _outcome_pair(runner, at)
         v0, v1 = _checked(v0, "P(prefix, 0)"), _checked(v1, "P(prefix, 1)")
     total = v0 + v1
     if total == 0.0:

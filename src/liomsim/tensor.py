@@ -15,18 +15,26 @@ before the kernel, and the cap itself is no plan step.  So the first gate
 on a wire enters as a column of its matrix, and the last one as a row.
 Caps with data stay ordinary steps.
 
+A basis projector |b><b| (kind "proj") is rank-1 as well, and pins the id
+it sits on in the same way, except that its carriers take entry b.  Its
+kind marks it, so the scheduler still reads no data: the plan records
+which axes take a projector's entry, and the runner reads b from the
+projector's data.  One plan thus serves every outcome b.  A projector on
+an id a dataless cap (or an earlier projector) already pins stays an
+ordinary step: its entry there is the scalar 1 or 0.
+
 Two leg counts are tracked per step.  The "dense" count treats every node
-(including diagonal ones and every cap) as a full tensor with in/out legs
-on each wire; this is the convention of the analytic open-leg bound and is
-what gets checked against it, and pinning does not change it.  The
-"memory" count is the number of axes the runner actually holds, which is
-smaller because diagonal nodes share a single index with their neighbours
-(a diagonal phase layer never needs separate in/out axes) and pinned ids
-are never held.  Under either convention an index is open from the step
-that absorbs its first carrier to the step that absorbs its last; the
-scheduler works both counts out from those spans once and records the
-closing step of every memory index, so a runner, or a fork of it, needs
-no count of its own to know which axes to keep.  The runner materializes
+(including diagonal ones, projectors and every cap) as a full tensor with
+in/out legs on each wire; this is the convention of the analytic open-leg
+bound and is what gets checked against it, and pinning does not change
+it.  The "memory" count is the number of axes the runner actually holds,
+which is smaller because diagonal nodes share a single index with their
+neighbours (a diagonal phase layer never needs separate in/out axes) and
+pinned ids are never held.  Under either convention an index is open from
+the step that absorbs its first carrier to the step that absorbs its
+last; the scheduler works both counts out from those spans once and
+records the closing step of every memory index, so a runner, or a fork of
+it, needs no count of its own to know which axes to keep.  The runner materializes
 arrays only when the peak memory count is affordable; the scheduler
 itself is pure structure and runs at any size.
 
@@ -76,6 +84,8 @@ class PlacedTensor:
     kind "cap_ket"/"cap_bra": length-2 vector on one wire (|0> or <0|).
     kind "gate": 2^w x 2^w matrix, rows = outgoing bits over `sites` order.
     kind "diag": length-2^w diagonal of an operator diagonal in the z basis.
+    kind "proj": the diagonal of a basis projector |b><b| on one wire, the
+        basis vector with its 1 at entry b.
     """
 
     name: str
@@ -84,10 +94,18 @@ class PlacedTensor:
     data: np.ndarray | None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("cap_ket", "cap_bra", "gate", "diag"):
+        if self.kind not in ("cap_ket", "cap_bra", "gate", "diag", "proj"):
             raise StructuralError(f"unknown placed-tensor kind {self.kind!r}")
         if self.kind.startswith("cap") and len(self.sites) != 1:
             raise StructuralError("caps act on exactly one wire")
+        if self.kind == "proj":
+            # A pin keeps one entry of the projector and drops the other.
+            values = None if self.data is None else np.asarray(self.data).ravel().tolist()
+            if len(self.sites) != 1 or values not in ([1, 0], [0, 1]):
+                raise StructuralError(
+                    f"projector {self.name} must be |0><0| or |1><1| on one wire, "
+                    f"got data {values} on wires {self.sites}"
+                )
         if len(set(self.sites)) != len(self.sites):
             raise StructuralError(f"placed tensor {self.name} repeats a wire: {self.sites}")
 
@@ -126,7 +144,9 @@ class PlanStep:
     module docstring for the forms).
 
     pick: the index that takes entry 0 of the node's pinned axes (see
-        _entry_0), or None when the node carries no pinned id.
+        _entry_0), or None when the node carries no pinned id.  Where a
+        projector pins the id, the runner takes its entry b instead (see
+        ContractionPlan.pins).
     perm: axis permutation of the accumulator before the step, as packed
         uint16 entries, or None.
     form: "mul" or "matmul" (on the leading block).
@@ -154,12 +174,13 @@ class ContractionPlan:
     """Structural schedule: the steps in absorption order with their
     predicted leg counts, and the index bookkeeping the runner reads.
 
-    Caps without data are no steps, and the ids they carry are pinned: no
-    accumulator ever holds them (see the module docstring).
+    Caps without data and the projectors that pin are no steps, and the
+    ids they carry are pinned: no accumulator ever holds them (see the
+    module docstring).
 
     node_indices: per node, its index ids in axis order (gate: out ids then
-        in ids; diag: one shared id per wire; caps: one id), pinned ids
-        included.
+        in ids; diag: one shared id per wire; projector and caps: one id),
+        pinned ids included.
     index_endpoints: per index id, how many steps carry it as an open axis:
         the number of its carriers, or 0 for a pinned id.  Replaying the
         steps and counting each id's carriers, an id is live while fewer
@@ -168,11 +189,14 @@ class ContractionPlan:
     last_step: per index id, the step that absorbs its last carrier, or -1
         for a pinned id; an id opened by step p is still open after it
         while last_step[id] > p.
-    step_of: per node, the step that absorbs it; for a dataless cap, which
-        no step absorbs, the step after it in the qubit-wise order (or the
-        number of steps when none follows).
-    peak_open_legs: the dense-convention peak, every node counted, dataless
-        caps included; the analytic open-leg bound is checked against it.
+    step_of: per node, the step that absorbs it; for a node no step
+        absorbs, the step after it in the qubit-wise order (or the number
+        of steps when none follows).
+    pins: (projector node, step, axis) for every axis of a step's pick
+        that takes an id a projector pins: the runner puts the projector's
+        b there in place of 0.
+    peak_open_legs: the dense-convention peak, every node counted, pinning
+        ones included; the analytic open-leg bound is checked against it.
     peak_mem_axes: the most axes the accumulator holds after any step (0
         when the plan has no steps).
     axes: the accumulator's ids after every step, in axis order, one step
@@ -184,6 +208,7 @@ class ContractionPlan:
     index_endpoints: list[int]
     last_step: list[int]
     step_of: list[int]
+    pins: tuple[tuple[int, int, int], ...]
     peak_open_legs: int
     peak_mem_axes: int
     r_u: int | None
@@ -212,6 +237,10 @@ def _wire_sequences(net: ExpectationNetwork) -> dict[int, list[int]]:
     return wires
 
 
+# Kinds that share the id they sit on rather than cutting it.
+_DIAGONAL = ("diag", "proj")
+
+
 def _open_after(spans: Iterable[tuple[int, int]], n_steps: int) -> list[int]:
     """How many of the spans are open after each step, where a span
     (first, last) opens at step first and closes at step last."""
@@ -228,6 +257,24 @@ def _pins(node: PlacedTensor) -> bool:
     return node.data is None and node.kind.startswith("cap")
 
 
+def _pinning_projectors(
+    nodes: Sequence[PlacedTensor], wires: dict[int, list[int]]
+) -> set[int]:
+    """The projectors that pin their id: on each id, between two
+    non-diagonal nodes of a wire, the first projector, unless a dataless
+    cap carries that id."""
+    out = set()
+    for seq in wires.values():
+        start = 0
+        for i in range(1, len(seq)):
+            if nodes[seq[i]].kind in _DIAGONAL:
+                continue
+            if not (_pins(nodes[seq[start]]) or _pins(nodes[seq[i]])):
+                out.update([pos for pos in seq[start + 1 : i] if nodes[pos].kind == "proj"][:1])
+            start = i
+    return out
+
+
 def _entry_0(pinned: Sequence[bool]) -> tuple | None:
     """The index that takes entry 0 of an array's pinned axes: an int for
     each pinned axis and a full slice for each other, then Ellipsis, so
@@ -235,37 +282,53 @@ def _entry_0(pinned: Sequence[bool]) -> tuple | None:
     return (*(0 if pin else slice(None) for pin in pinned), ...) if any(pinned) else None
 
 
+def _bit_picks(plan: ContractionPlan, net: ExpectationNetwork) -> dict[int, tuple]:
+    """Per step whose pick takes entry 1 of some axis, that pick: the
+    step's own, with the b of each projector that pins one of its axes
+    (b = 1 where the projector's entry 1 is nonzero)."""
+    picks: dict[int, list] = {}
+    for pos, p, k in plan.pins:
+        if net.nodes[pos].data[1] != 0:
+            picks.setdefault(p, list(plan.steps[p].pick))[k] = 1
+    return {p: tuple(pick) for p, pick in picks.items()}
+
+
 def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
     """Build the qubit-wise plan: absorb all tensors whose leftmost wire is
     qubit 1 (in application order), then qubit 2, and so on, skipping the
-    caps without data.  Pure structure; tensor data never enters."""
+    caps without data and the projectors that pin.  Pure structure; tensor
+    data never enters."""
     if not net.nodes:
         raise StructuralError("empty network")
     nodes = net.nodes
     wires = _wire_sequences(net)
+    pinning = _pinning_projectors(nodes, wires)
     order = sorted(range(len(nodes)), key=lambda pos: (nodes[pos].min_site, pos))
     # The dense count walks every node in `order`; the steps skip the
-    # dataless caps, each of which takes the step number of the step after it.
+    # pinning nodes, each of which takes the step number of the step after it.
     dense_at = [0] * len(nodes)
     step_of = [0] * len(nodes)
     steps: list[int] = []
     for at, pos in enumerate(order):
         dense_at[pos] = at
         step_of[pos] = len(steps)
-        if not _pins(nodes[pos]):
+        if not (_pins(nodes[pos]) or pos in pinning):
             steps.append(pos)
 
     # Walking each wire, a fresh memory id opens after every non-diagonal
-    # node; diagonal nodes share the id they sit on instead of cutting it.
-    # In the dense convention every two consecutive nodes share one bond.
-    # An id or bond is open from the step of its first carrier to the step
-    # of its last.  An id a dataless cap carries is pinned: it never opens,
-    # its index_endpoints entry is 0 and its last_step -1.  Each id's
-    # carriers are done once a gate or bra cap takes it in, before the next
-    # id opens, so `last_step` is in id order.
+    # node; diagonal nodes and projectors share the id they sit on instead
+    # of cutting it.  In the dense convention every two consecutive nodes
+    # share one bond.  An id or bond is open from the step of its first
+    # carrier to the step of its last.  An id a dataless cap or a pinning
+    # projector carries is pinned: it never opens, its index_endpoints
+    # entry is 0 and its last_step -1.  Each id's carriers are done once a
+    # gate or bra cap takes it in, before the next id opens, so `last_step`
+    # is in id order.
     node_ids = [[0] * (2 * node.width if node.kind == "gate" else node.width) for node in nodes]
     index_endpoints: list[int] = []
     last_step: list[int] = []
+    # Per id a projector pins, that projector.
+    projector_of: dict[int, int] = {}
     spans: list[tuple[int, int]] = []
     bonds: list[tuple[int, int]] = []
     for w, seq in wires.items():
@@ -278,8 +341,10 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
                 node_ids[pos][k + node.width if node.kind == "gate" else k] = current
                 index_endpoints[current] += 1
                 first, last = min(first, step), max(last, step)
-                if node.kind != "diag":
-                    if pinned or _pins(node):
+                if pos in pinning:
+                    projector_of[current] = pos
+                elif node.kind not in _DIAGONAL:
+                    if pinned or _pins(node) or current in projector_of:
                         index_endpoints[current] = 0
                         last_step.append(-1)
                     else:
@@ -300,13 +365,16 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
     free: list[tuple[int, ...]] = []
     picks: list[tuple | None] = []
     pick_of: dict[tuple[bool, ...], tuple | None] = {}
-    for pos in steps:
+    pins: list[tuple[int, int, int]] = []
+    for p, pos in enumerate(steps):
         ids = node_ids[pos]
         mask = tuple(index_endpoints[idx] == 0 for idx in ids)
         free.append(tuple(idx for idx, pin in zip(ids, mask) if not pin))
         if mask not in pick_of:
             pick_of[mask] = _entry_0(mask)
         picks.append(pick_of[mask])
+        if projector_of:
+            pins += [(projector_of[idx], p, k) for k, idx in enumerate(ids) if idx in projector_of]
     layout, axes = _layout(free, len(last_step))
     return ContractionPlan(
         steps=[
@@ -317,6 +385,7 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
         index_endpoints=index_endpoints,
         last_step=last_step,
         step_of=step_of,
+        pins=tuple(pins),
         peak_open_legs=max(_open_after(bonds, len(order))),
         peak_mem_axes=max(open_mem, default=0),
         r_u=net.r_u,
@@ -473,7 +542,9 @@ class ForkTarget:
     without data), and then the diagonal or the trace of two that map to
     one.  An id the plan
     holds open at `start` must come from one the runner holds: an id the
-    runner's own plan pinned is refused, not reopened.
+    runner's own plan pinned is refused, not reopened.  So is a move that
+    takes a pinned entry onto a plan where projectors pin, whose entry
+    there may be a projector's b.
     The plan is checked, as PlanRunner checks its own, once, when the
     target is built, and so is the move: its einsum takes one label per
     distinct plan id it keeps, and numpy accepts at most 52.
@@ -506,7 +577,13 @@ class ForkTarget:
                 f"fork target's plan keeps an id the runner does not hold (plan ids {missing}); "
                 "the runner's plan pins such an id or has not opened it"
             )
-        object.__setattr__(self, "pick", _entry_0(pinned))
+        pick = _entry_0(pinned)
+        if pick is not None and self.plan.pins:
+            raise StructuralError(
+                "fork move takes a pinned entry onto a plan where projectors pin: "
+                "the entry may be a projector's b, not 0"
+            )
+        object.__setattr__(self, "pick", pick)
         object.__setattr__(self, "labels", labels)
 
 
@@ -525,6 +602,10 @@ class PlanRunner:
     share them; a step drops the runner's reference to the old one before
     computing the new one, so a step holds at most two accumulator-sized
     arrays.
+
+    The runner reads the b of every projector that pins once, when it is
+    built or moved onto a ForkTarget, and its steps take that entry where
+    the plan's picks say 0.
 
     Beyond one-shot execution the runner can pause between steps, fork
     (duplicate the partial contraction), and override the values of
@@ -549,6 +630,7 @@ class PlanRunner:
         self._acc = acc
         self._observed_peak = acc.ndim
         self._overrides: dict[int, np.ndarray] = {}
+        self._picks = _bit_picks(plan, net)
 
     @property
     def position(self) -> int:
@@ -609,7 +691,8 @@ class PlanRunner:
         the one copy and drops the view, which frees the old accumulator
         before the product is computed, so a step holds at most two
         accumulator-sized arrays.  The node's pinned axes are taken at
-        entry 0 before its own transpose, both views of the node."""
+        their entry (0, or a pinning projector's b) before its own
+        transpose, both views of the node."""
         step = self.plan.steps[self._pos]
         acc, self._acc = self._acc, None
         if step.perm is not None:
@@ -617,8 +700,9 @@ class PlanRunner:
         arr = self._overrides.get(step.node_index)
         if arr is None:
             arr = _node_array(self.net.nodes[step.node_index])
-        if step.pick is not None:
-            arr = arr[step.pick]
+        pick = self._picks.get(self._pos, step.pick)
+        if pick is not None:
+            arr = arr[pick]
         arr = arr.transpose(step.node_axes)
         shape = step.shape
         if step.form == "mul":

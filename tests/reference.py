@@ -14,9 +14,11 @@ construction, so the tests compare the library's walk against it.
 
 reference_schedule is the qubit-wise scheduler as it was before the plan
 recorded when each index closes: it replays the absorption order once per
-leg convention with per-index counters.  It applies the pinning rule on
+leg convention with per-index counters.  It applies the pinning rules on
 its own: an index a cap without data carries is never counted open, and
-such caps are no steps.  The library's scheduler must give the same plans.
+such caps are no steps; of the other indices, one that a basis projector
+sits on is pinned by the first such projector in application order, which
+is no step either.  The library's scheduler must give the same plans.
 
 reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
@@ -239,7 +241,7 @@ def naive_network_value(net: ExpectationNetwork) -> complex:
     def to_dense(pos: int) -> DenseTensor:
         node = net.nodes[pos]
         arr = _ZERO if node.data is None else _node_array(node)
-        if node.kind == "diag":
+        if node.kind in ("diag", "proj"):
             w = node.width
             full = np.zeros((2,) * (2 * w), dtype=complex)
             flat = arr.ravel()
@@ -277,8 +279,10 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
     """The qubit-wise plan of net by per-index counters: node_indices,
     index_endpoints (0 for a pinned index), steps as (node index, name,
     memory axes after), step_of, last_step (-1 for a pinned index),
-    peak_open_legs and peak_mem_axes.  A cap without data pins the index
-    it carries and is no step; the dense count still walks every node."""
+    pinned_by (per index a projector pins, that projector), peak_open_legs
+    and peak_mem_axes.  A cap without data pins the index it carries and
+    is no step, and so does the first projector on an index no such cap
+    carries; the dense count still walks every node."""
     wires = _wire_sequences(net)
     n_nodes = len(net.nodes)
 
@@ -301,7 +305,7 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
         index_endpoints[current] += 1
         for pos in seq[1:]:
             node = net.nodes[pos]
-            if node.kind == "diag":
+            if node.kind in ("diag", "proj"):
                 node_diag[pos][w] = current
                 index_endpoints[current] += 1
             else:
@@ -316,7 +320,7 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
 
     def node_index_ids(pos: int) -> tuple[int, ...]:
         node = net.nodes[pos]
-        if node.kind == "diag":
+        if node.kind in ("diag", "proj"):
             return tuple(node_diag[pos][w] for w in node.sites)
         if node.kind == "cap_ket":
             return (node_out[pos][node.sites[0]],)
@@ -334,6 +338,13 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
         return node.kind in ("cap_ket", "cap_bra") and node.data is None
 
     pinned = {node_indices[pos][0] for pos in range(n_nodes) if dataless_cap(pos)}
+    pinned_by: dict[int, int] = {}
+    for pos, node in enumerate(net.nodes):
+        idx = node_indices[pos][0]
+        if node.kind == "proj" and idx not in pinned:
+            pinned.add(idx)
+            pinned_by[idx] = pos
+    pinning = set(pinned_by.values())
     for idx in pinned:
         index_endpoints[idx] = 0
 
@@ -360,7 +371,7 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
                 open_dense -= 1
         peak_dense = max(peak_dense, open_dense)
         step_of[pos] = len(steps)
-        if dataless_cap(pos):
+        if dataless_cap(pos) or pos in pinning:
             continue
         for idx in node_indices[pos]:
             if idx in pinned:
@@ -383,6 +394,7 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
         "steps": steps,
         "step_of": step_of,
         "last_step": last_step,
+        "pinned_by": pinned_by,
         "peak_open_legs": peak_dense,
         "peak_mem_axes": peak_mem,
     }

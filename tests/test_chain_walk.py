@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from reference import reference_chain_walk
 
-from liomsim import tensor
+from liomsim import simulate, tensor
 from liomsim.errors import FeasibilityError, StructuralError
 from liomsim.model import (
     InstanceParams,
@@ -153,14 +153,23 @@ def test_chain_and_cone_plans_never_hold_a_cap_id():
     assert all(target.pick is None for target in req._cache["cone_targets"].values())
 
 
-def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes():
+def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes(monkeypatch):
     # The replay the benchmark's plan_step_costs runs over plan.steps:
     # count each id's absorbed carriers, and an id is live while fewer
     # than index_endpoints[id] are absorbed.  Pinned ids have 0 endpoints,
-    # so they never are.  The live set after each step is the plan's axes.
+    # so they never are.  The live set after each step is the plan's axes,
+    # on the chain, on every cone and on the conditional of every site,
+    # whose prefix projectors pin their ids.
     req = _criterion_6_request(32)
+    monkeypatch.setattr(simulate, "_PLANS", simulate._PlanCache())
+    bits = np.random.default_rng(6).integers(0, 2, req.n_sites).tolist()
     for site in range(1, req.n_sites + 1):
-        _, plan, _ = _cone(req, site)
+        conditional_probability(req, bits[: site - 1], site, engine="plan")
+    conditionals = list(simulate._PLANS.plans.values())
+    assert len(conditionals) == req.n_sites
+    assert sum(len(plan.pins) > 0 for plan in conditionals) == req.n_sites - 1
+    cones = [_cone(req, site)[1] for site in range(1, req.n_sites + 1)]
+    for plan in cones + conditionals:
         absorbed = [0] * len(plan.index_endpoints)
         live: set[int] = set()
         for p, step in enumerate(plan.steps):
@@ -461,6 +470,10 @@ def test_plan_chain_impossible_prefix_convention():
     inst = build_explicit_instance(InstanceParams(3, 0.5), {}, {})
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
     assert conditional_probability(req, "1", 2, engine="plan") == 1.0
+    # On a bare wire the projector's id is pinned by the caps, so P1 is a
+    # step that takes its entry 0, exactly.
+    assert expectation(req, ObservableProduct(2, pivot_kind="proj1"), engine="plan") == 0.0
+    assert expectation(req, ObservableProduct(2, pivot_kind="proj0"), engine="plan") == 1.0
     assert conditional_chain(req, bits="100", engine="plan").probs == (1.0, 1.0, 1.0)
     assert conditional_chain(req, bits="010", engine="plan").probs == (1.0, 1.0, 1.0)
     assert all(r.bits == "000" for r in sample(req, 3, seed=0, engine="plan"))

@@ -1,5 +1,6 @@
 """Tests for one-shot conditional probabilities on both routes."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 
 from liomsim import simulate
 from liomsim.model import InstanceParams, build_random_instance
-from liomsim.oracle import exact_distribution
+from liomsim.oracle import evolve_factored, exact_distribution
 from liomsim.simulate import (
+    PLAN_CACHE_STEPS,
     ObservableProduct,
     SimulationRequest,
     _prefix_tree,
     conditional_probability,
+    expectation,
 )
-from liomsim.tensor import PlanRunner
+from liomsim.tensor import ExpectationNetwork, PlanRunner, qubitwise_schedule
 from liomsim.truncation import TruncationRadii
 
 
@@ -65,53 +68,132 @@ def test_plan_conditionals_match_dense_and_oracle(n, seed, radii, build_kwargs):
         assert plan == pytest.approx(oracle, abs=1e-10), (bits, site)
 
 
-def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch):
-    # Criterion-6 family at N=32: one light-cone network of sites 1..site,
-    # built and scheduled once, run once to its end and once more from mark
-    # `site` on by the fork.
+@pytest.fixture
+def schedules(monkeypatch):
+    """A fresh shared plan cache, with every network it schedules recorded
+    in the list this fixture returns."""
+    monkeypatch.setattr(simulate, "_PLANS", simulate._PlanCache())
+    scheduled = []
+
+    def counted(network):
+        scheduled.append(network)
+        return qubitwise_schedule(network)
+
+    monkeypatch.setattr(simulate, "qubitwise_schedule", counted)
+    return scheduled
+
+
+def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch, schedules):
+    # Criterion-6 family at N=32: one pruned network of sites 1..site, its
+    # prefix projectors and an identity mark on the site, scheduled once
+    # into the shared cache, run once to its end and once more from the
+    # mark on by the fork.  No light cone of the chain walk is built.
     inst = build_random_instance(
         InstanceParams(32, 0.5), seed=32, max_body=2, max_width=2, periodic=False
     )
-
-    def request():
-        return SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
-
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
     site = 17
     bits = np.random.default_rng(0).integers(0, 2, site - 1).tolist()
-    _, plan, marks = simulate._cone(request(), site)
-    mark_step = next(i for i, step in enumerate(plan.steps) if step.node_index == marks[site])
-    assert 0 < mark_step < len(plan.steps) - 1
 
-    cones, schedules, steps = [], [], []
-    cone, schedule, step = simulate._cone, simulate.qubitwise_schedule, PlanRunner.step
-
-    def counted_cone(*args):
-        cones.append(args)
-        return cone(*args)
-
-    def counted_schedule(network):
-        schedules.append(network)
-        return schedule(network)
+    steps = []
+    step = PlanRunner.step
 
     def counted_step(self):
         steps.append(self)
         step(self)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a plan-route conditional took the one-shot expectation path")
+        raise AssertionError("a plan-route conditional took another path")
 
-    monkeypatch.setattr(simulate, "_cone", counted_cone)
-    monkeypatch.setattr(simulate, "qubitwise_schedule", counted_schedule)
+    monkeypatch.setattr(simulate, "_cone", refused)
     monkeypatch.setattr(simulate, "build_expectation_network", refused)
     monkeypatch.setattr(simulate, "expectation", refused)
     monkeypatch.setattr(PlanRunner, "step", counted_step)
-    req = request()
     got = conditional_probability(req, bits, site, engine="plan")
     monkeypatch.undo()
 
-    assert [args[1] for args in cones] == [site]
-    assert len(schedules) == 1
+    (network,) = schedules
+    plan = qubitwise_schedule(network)
+    mark = next(pos for pos, node in enumerate(network.nodes) if node.name == f"I[{site}]")
+    mark_step = plan.step_of[mark]
+    assert plan.steps[mark_step].node_index == mark
+    assert 0 < mark_step < len(plan.steps) - 1
     assert len(steps) == 2 * len(plan.steps) - mark_step
-    v0 = simulate.expectation(req, ObservableProduct.prefix_projector(bits + [0]), engine="plan")
-    v1 = simulate.expectation(req, ObservableProduct.prefix_projector(bits + [1]), engine="plan")
+    assert "cones" not in req._cache
+    v0 = expectation(req, ObservableProduct.prefix_projector(bits + [0]), engine="plan")
+    v1 = expectation(req, ObservableProduct.prefix_projector(bits + [1]), engine="plan")
     assert got == pytest.approx(v0 / (v0 + v1), abs=1e-12)
+
+
+def _family_request(seed):
+    """A certified N=32 request of the banded family the expect_plan
+    benchmark queries (xi=0.3, width 2, max_body 3, open chain)."""
+    inst = build_random_instance(
+        InstanceParams(32, 0.3), seed=seed, max_width=2, max_body=3, periodic=False
+    )
+    return SimulationRequest.certified(inst, 1.0, 0.05)
+
+
+def test_conditionals_keep_no_cone_and_share_one_plan_per_site(schedules):
+    req = _family_request(11)
+    rng = np.random.default_rng(3)
+    for site in range(1, 33):
+        conditional_probability(req, rng.integers(0, 2, site - 1).tolist(), site, engine="plan")
+    assert "cones" not in req._cache
+    assert len(schedules) == 32
+    plans = simulate._PLANS
+    held = list(plans.plans.values())
+    assert plans.steps == sum(len(plan.steps) for plan in held) <= PLAN_CACHE_STEPS
+    # Another prefix of a site takes the plan its first prefix scheduled.
+    for site in (2, 20, 32):
+        conditional_probability(req, [1] * (site - 1), site, engine="plan")
+    assert len(schedules) == 32
+    assert {id(plan) for plan in plans.plans.values()} == {id(plan) for plan in held}
+
+
+def test_conditional_network_pins_its_prefix(schedules):
+    # Structural pin: the k=32 conditional of the expect_plan family, whose
+    # 31 prefix projectors pin their ids, against the same network with
+    # each projector an ordinary diagonal, as scheduled before projectors
+    # pinned.  Change it only with the scheduler.
+    req = _family_request(11)
+    prefix = np.random.default_rng(4).integers(0, 2, 31).tolist()
+    conditional_probability(req, prefix, 32, engine="plan")
+    (network,) = schedules
+    nodes = tuple(
+        dataclasses.replace(node, kind="diag") if node.kind == "proj" else node
+        for node in network.nodes
+    )
+    assert sum(node.kind == "proj" for node in network.nodes) == 31
+    unpinned = ExpectationNetwork(network.n_sites, nodes, network.r_u, network.r_j)
+
+    def shape(plan):
+        entries = sum(1 << step.mem_axes_after for step in plan.steps)
+        return len(plan.steps), plan.peak_mem_axes, entries
+
+    pinned, before = qubitwise_schedule(network), qubitwise_schedule(unpinned)
+    assert shape(pinned) == (189, 13, 803_267)
+    assert shape(before) == (220, 14, 1_653_059)
+    assert pinned.peak_open_legs == before.peak_open_legs
+
+
+@pytest.mark.parametrize("radii", [TruncationRadii(6, 6), TruncationRadii(3, 3)])
+def test_plan_conditionals_match_the_factored_oracle_at_n15(radii):
+    # N=15 is above the dense cap of 14 and within the factored oracle's
+    # support cap (105 x 2^15 < 2^22): every prefix of a seeded bitstring
+    # on the criterion-6 family, as a conditional and as a projector
+    # expectation.
+    n = 15
+    inst = build_random_instance(
+        InstanceParams(n, 0.5), seed=n, max_body=2, max_width=2, periodic=False
+    )
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=radii)
+    state = evolve_factored(inst, req.t, r_j=radii.r_j, r_u=radii.r_u)
+    tree = (np.abs(state) ** 2).reshape((2,) * n)
+    bits = np.random.default_rng(15).integers(0, 2, n).tolist()
+    for site in range(1, n + 1):
+        sub = tree[tuple(bits[: site - 1])]
+        got = conditional_probability(req, bits[: site - 1], site, engine="plan")
+        assert got == pytest.approx(float(sub[0].sum() / sub.sum()), abs=1e-10), site
+        marginal = expectation(req, ObservableProduct.prefix_projector(bits[:site]), engine="plan")
+        assert marginal == pytest.approx(float(tree[tuple(bits[:site])].sum()), abs=1e-10), site

@@ -135,6 +135,12 @@ def test_placed_tensor_validation():
         PlacedTensor("x", "cap_ket", (1, 2), None)
     with pytest.raises(StructuralError):
         PlacedTensor("x", "gate", (1, 1), np.eye(4))
+    # A projector pins its id to b and drops its other entry, so it must be
+    # |0><0| or |1><1| on one wire.
+    PlacedTensor("P", "proj", (1,), np.array([0.0, 1.0]))
+    for sites, data in (((1, 2), np.eye(4)[0]), ((1,), np.array([0.5, 0.5])), ((1,), None)):
+        with pytest.raises(StructuralError, match="projector P must be"):
+            PlacedTensor("P", "proj", sites, data)
 
 
 def test_open_leg_bound_values():
@@ -182,21 +188,28 @@ def test_execute_matches_naive_reference():
 
 
 @st.composite
-def _random_networks(draw):
+def _random_networks(draw, projectors=True):
     """A closed network on 1-5 wires: caps with or without data, gates of
     width 1-3, and diagonals, which share one id with every diagonal next to
     them on a wire.  Wires no layer touches have a ket cap and a bra cap on
-    one id."""
+    one id.  Unless projectors is False, basis projectors |b><b| are drawn
+    among the layers (next to caps with or without data, beside diagonals
+    and other projectors), and up to two more each sit between a one-wire
+    rotation and its mirror."""
     n_sites = draw(st.integers(1, 5))
+    kinds = ["gate", "diag", "proj"] if projectors else ["gate", "diag"]
     layers = []
     for _ in range(draw(st.integers(0, 7))):
-        kind = draw(st.sampled_from(["gate", "diag"]))
-        width = draw(st.integers(1, min(3, n_sites)))
+        kind = draw(st.sampled_from(kinds))
+        width = 1 if kind == "proj" else draw(st.integers(1, min(3, n_sites)))
         layers.append((kind, tuple(draw(st.permutations(range(1, n_sites + 1)))[:width])))
     capped = draw(st.lists(st.booleans(), min_size=2 * n_sites, max_size=2 * n_sites))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     nodes = []
     for i, (kind, sites) in enumerate(layers):
+        if kind == "proj":
+            nodes.append(_projector(f"n{i}", sites[0], draw(st.integers(0, 1))))
+            continue
         size = 4 ** len(sites) if kind == "gate" else 2 ** len(sites)
         data = (rng.normal(size=size) + 1j * rng.normal(size=size)) / 2 ** len(sites)
         nodes.append(PlacedTensor(f"n{i}", kind, sites, data))
@@ -207,7 +220,19 @@ def _random_networks(draw):
 
     kets = [cap("cap_ket", w, capped[w - 1]) for w in range(1, n_sites + 1)]
     bras = [cap("cap_bra", w, capped[n_sites + w - 1]) for w in range(1, n_sites + 1)]
+    for j in range(draw(st.integers(0, 2)) if projectors else 0):
+        w, at = draw(st.integers(1, n_sites)), draw(st.integers(0, len(nodes)))
+        r = _unitary(rng, 1)
+        nodes[at:at] = [
+            PlacedTensor(f"R{j}", "gate", (w,), r),
+            _projector(f"P{j}", w, draw(st.integers(0, 1))),
+            PlacedTensor(f"R{j}'", "gate", (w,), r.conj().T),
+        ]
     return ExpectationNetwork(n_sites=n_sites, nodes=tuple(kets + nodes + bras))
+
+
+def _projector(name, wire, bit):
+    return PlacedTensor(name, "proj", (wire,), np.eye(2, dtype=complex)[bit])
 
 
 def _magnitude(net):
@@ -241,7 +266,7 @@ def _unitary(rng, width):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(net=_random_networks(), data=st.data())
+@given(net=_random_networks(projectors=False), data=st.data())
 def test_runner_matches_naive_reference_after_a_fork_move_and_overrides(net, data):
     # `full` is net with a unitary g and its inverse inserted next to each
     # other on the same wires, so both have one value.  A runner on full,
@@ -347,6 +372,13 @@ def _assert_matches_reference_schedule(net):
     assert [(s.node_index, s.name, s.mem_axes_after) for s in plan.steps] == ref["steps"]
     assert plan.step_of == ref["step_of"]
     assert plan.last_step == ref["last_step"]
+    pinned_by = ref["pinned_by"]
+    assert plan.pins == tuple(
+        (pinned_by[idx], p, k)
+        for p, (pos, _, _) in enumerate(ref["steps"])
+        for k, idx in enumerate(ref["node_indices"][pos])
+        if idx in pinned_by
+    )
     assert plan.peak_open_legs == ref["peak_open_legs"]
     assert plan.peak_mem_axes == ref["peak_mem_axes"]
     assert [plan.step_of[s.node_index] for s in plan.steps] == list(range(len(plan.steps)))
@@ -396,6 +428,13 @@ def test_execute_repeat_is_bit_identical():
     assert np.complex128(first).tobytes() == np.complex128(second).tobytes()
 
 
+def _with_projector(net, pos, wire, bit, name="P"):
+    """net with a basis projector |bit><bit| on `wire` at node position pos."""
+    nodes = list(net.nodes)
+    nodes.insert(pos, _projector(name, wire, bit))
+    return ExpectationNetwork(net.n_sites, tuple(nodes))
+
+
 def test_schedule_is_data_independent():
     n_sites, layers = LAYER_SETS[1]
     plans = []
@@ -406,6 +445,17 @@ def test_schedule_is_data_independent():
     assert plans[0] == plans[1]
     assert [s.node_index for s in plans[0].steps] == [s.node_index for s in plans[1].steps]
     assert plans[0].peak_open_legs == plans[1].peak_open_legs
+    # P0 and P1 on wire 2 between the gates n0 and n1, which pins its id:
+    # one plan serves both outcomes, field for field.
+    variants = []
+    for seed in (0, 1):
+        net = _closed_network(np.random.default_rng(seed), n_sites, layers)
+        variants += [qubitwise_schedule(_with_projector(net, 4, 2, bit)) for bit in (0, 1)]
+    for plan in variants[1:]:
+        for f in dataclasses.fields(plan):
+            assert getattr(plan, f.name) == getattr(variants[0], f.name), f.name
+    assert {pos for pos, _, _ in variants[0].pins} == {4}
+    assert 4 not in {step.node_index for step in variants[0].steps}
 
 
 def test_schedule_absorption_order_and_coverage():
@@ -503,6 +553,46 @@ def test_fork_move_takes_entry_0_of_an_id_only_the_target_pins():
     assert runner.open_ids == ()
     with pytest.raises(StructuralError, match="the runner's plan pins such an id"):
         ForkTarget(open_net, open_plan, 1, {})
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_fork_move_that_takes_a_pinned_entry_refuses_a_plan_where_projectors_pin(bit):
+    # In `full` a unitary g and its inverse sit on wire 2 between the
+    # projector P and A, so group 1 absorbs A and holds A's in id on wire 2
+    # open (g+ carries it too); in `net` that id is the one P sits on, next
+    # to a ket cap with data, so P pins it.  Both plans take entry b there;
+    # a move onto `net` would take entry 0 of the held axis, and is refused.
+    rng = np.random.default_rng(21)
+    g = _unitary(rng, 1)
+    a = rng.normal(size=16) + 1j * rng.normal(size=16)
+    c = rng.normal(size=2) + 1j * rng.normal(size=2)
+    net = ExpectationNetwork(2, (
+        _cap("k1", 1), _cap("k2", 2, data=c), _projector("P", 2, bit),
+        PlacedTensor("A", "gate", (1, 2), a), _cap("b1", 1, "cap_bra"), _cap("b2", 2, "cap_bra"),
+    ))
+    pair = (PlacedTensor("g", "gate", (2,), g), PlacedTensor("g+", "gate", (2,), g.conj().T))
+    full = ExpectationNetwork(2, net.nodes[:3] + pair + net.nodes[3:])
+    plan, target_plan = qubitwise_schedule(full), qubitwise_schedule(net)
+    assert [step.name for step in plan.steps] == ["A", "k2", "g", "g+"]
+    assert [step.name for step in target_plan.steps] == ["A", "k2"]
+    assert abs(execute(plan, full) - a[bit] * c[bit]) <= 1e-12
+    assert abs(execute(target_plan, net) - a[bit] * c[bit]) <= 1e-12
+    runner = PlanRunner(plan, full)
+    runner.run_to(1)
+    (held,) = runner.open_ids
+    pinned = target_plan.node_indices[2][0]
+    assert target_plan.node_indices[3][3] == pinned and target_plan.index_endpoints[pinned] == 0
+    with pytest.raises(StructuralError, match="onto a plan where projectors pin"):
+        ForkTarget(net, target_plan, 1, {held: pinned})
+
+
+def test_runner_refuses_to_override_a_projector():
+    rng = np.random.default_rng(22)
+    n_sites, layers = LAYER_SETS[1]
+    net = _with_projector(_closed_network(rng, n_sites, layers), 4, 2, 1)
+    runner = PlanRunner(qubitwise_schedule(net), net)
+    with pytest.raises(StructuralError, match="only diagonal nodes can be overridden, P is proj"):
+        runner.set_override(4, np.array([1.0, 0.0]))
 
 
 _CRITERION_5_OPEN_LEGS = {
