@@ -1,8 +1,9 @@
 """Simulation toolkit for many-body-localized spin chains.
 
-The model, truncation, tensor, simulate, hardness, complexity, and oracle
-modules cover instance generation, analytic truncation-error bounds, a
-qubit-wise tensor-contraction engine, sampling, a commuting-circuit hardness
+The model, truncation, tensor, mps, simulate, hardness, complexity, and
+oracle modules cover instance generation, analytic truncation-error bounds,
+a qubit-wise tensor-contraction engine, an exact matrix product state of the
+evolved state, sampling, a commuting-circuit hardness
 family with its 2D mapping, quantum gate-count bound evaluation, and dense
 reference computations.  The ``liomsim`` console script fronts all of it.
 """

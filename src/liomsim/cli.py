@@ -210,7 +210,8 @@ def _cmd_gatecount(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     """Dense-vs-tensor equivalence suite on random instances: conditionals
-    of the tensor (plan) route against the dense oracle.  The instances are
+    of the plan route (read off the MPS of W|0>, or off the qubit-wise
+    light cone) against the dense oracle.  The instances are
     open chains of constituents at most two sites wide, whose plans stay
     within the engine cap at every N the oracle reaches."""
     n = config.n

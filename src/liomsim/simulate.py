@@ -31,10 +31,19 @@ sites, and every W factor outside it cancels against its mirror.  One
 builder, _cone, makes the light-cone network of sites 1..w with an
 identity mark per site; the cone of all N sites is the chain network,
 which the walk contracts once per chain, forking at each site w onto the
-cone of sites 1..w to finish it once per outcome.  A one-shot conditional
-contracts the same light cone as a one-shot network, with its prefix
-projectors on sites 1..w-1 and an identity mark on w, forked at the mark
-once per outcome.
+cone of sites 1..w to finish it once per outcome.
+
+A one-shot conditional_probability has three marginal sources.  The dense
+route reads the prefix-marginal tree.  The plan route reads an exact
+matrix product state of W|0> (the mps module), built from the same
+folded factors by the request's first plan-route conditional and cached
+on it, with one sweep over the prefix.  It falls back to the qubit-wise
+light cone of sites 1..w, with its prefix projectors on sites 1..w-1 and
+an identity mark on w, forked at the mark once per outcome, when a factor
+of W wraps past site N, when a merged MPS block would exceed the engine
+cap, and for a prefix too unlikely for the MPS to resolve (the rule is in
+conditional_probability's docstring).  expectation, the chain walk and
+sample never build the MPS.
 
 A plan depends on a network's structure alone, never on its data, and
 the one-shot networks of one instance family repeat their structure
@@ -43,15 +52,18 @@ the same factors whatever the instance's values).  So expectation and the
 one-shot conditional take their plans from one process-wide
 least-recently-used cache, keyed by everything the scheduler reads: N,
 the network's radii and, per node, its name, kind, sites and whether it
-has data (a cap without data pins its id, see the tensor module).  A
+has data (a cap without data pins its id, see the tensor module).  These
+networks are W's light cone between caps, so the key is a token for N,
+the radii and W's per-factor structure, made once per request, plus the
+keep flags of the cone and the middle nodes, which fix the rest.  A
 basis projector pins its id too; its kind marks it and its name leaves
 out its bit, which the runner reads, so plans carry no bits and every
 prefix of a site shares one.  The key holds no arrays, so the cache
 keeps no request alive.  It is bounded by the plan steps it holds,
-PLAN_CACHE_STEPS (~400 bytes each with the keys), and a plan longer than
-that is not stored.  The light cones of the chain walk stay cached on
-their request, for chains only: a cone's plan grows with its site, so
-sharing them would keep O(N^2) plan data in the process.
+PLAN_CACHE_STEPS (~400 bytes each), and a plan longer than that is not
+stored.  The light cones of the chain walk stay cached on their request,
+for chains only: a cone's plan grows with its site, so sharing them
+would keep O(N^2) plan data in the process.
 """
 
 from __future__ import annotations
@@ -65,7 +77,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FeasibilityError, NumericalIntegrityError
+from .errors import DomainError, FeasibilityError, NumericalIntegrityError, StructuralError
 from .model import (
     UNITARITY_TOL,
     MblInstance,
@@ -74,6 +86,7 @@ from .model import (
     check_dense_feasible,
     nonidentity_constituents,
 )
+from .mps import MatrixProductState, build_mps, prefix_pair
 from .tensor import (
     ContractionPlan,
     ExpectationNetwork,
@@ -93,6 +106,12 @@ _PIVOT_KINDS = ("sigma_z", "proj0", "proj1")
 
 # Plan steps the shared one-shot plan cache holds at most: ~6 MiB.
 PLAN_CACHE_STEPS = 1 << 14
+
+# A plan-route conditional is read off the MPS of W|0> only when P(prefix)
+# is at least MPS_MIN_PREFIX and MPS_PREFIX_MARGIN times the weight the
+# MPS build dropped (see conditional_probability).
+MPS_MIN_PREFIX = 1e-8
+MPS_PREFIX_MARGIN = 1e6
 
 
 @dataclass(frozen=True)
@@ -581,13 +600,18 @@ class _PlanCache:
         self.plans: OrderedDict[tuple, ContractionPlan] = OrderedDict()
         self.steps = 0
 
-    def plan(self, network: ExpectationNetwork) -> ContractionPlan:
-        key = (
-            network.n_sites,
-            network.r_u,
-            network.r_j,
-            tuple((node.name, node.kind, node.sites, node.data is None) for node in network.nodes),
-        )
+    def plan(self, network: ExpectationNetwork, key: tuple | None = None) -> ContractionPlan:
+        """The network's plan.  key, when given, must determine the
+        network's structure (as _plan_key does); by default the key is N,
+        the radii and, per node, its name, kind, sites and whether it has
+        data."""
+        if key is None:
+            key = (
+                network.n_sites,
+                network.r_u,
+                network.r_j,
+                tuple((node.name, node.kind, node.sites, node.data is None) for node in network.nodes),
+            )
         hit = self.plans.get(key)
         if hit is not None:
             self.plans.move_to_end(key)
@@ -600,6 +624,21 @@ class _PlanCache:
                 _, old = self.plans.popitem(last=False)
                 self.steps -= len(old.steps)
         return plan
+
+
+def _plan_key(
+    req: SimulationRequest, keep: Sequence[bool], middle: Sequence[PlacedTensor]
+) -> tuple:
+    """The structural key of _closed_network(req, keep, middle): a token
+    for N, the radii and W's per-factor structure, made once per request,
+    plus the keep flags and the middle nodes, which determine the rest of
+    the network (its caps, mirrors and whether it carries the radii)."""
+    token = req._cache.get("w_token")
+    if token is None:
+        structure = [(node.name, node.kind, node.sites) for node in _w_nodes(req)]
+        token = req._cache["w_token"] = repr((req.n_sites, req.radii, structure))
+    middle_key = tuple((node.name, node.kind, node.sites, node.data is None) for node in middle)
+    return token, bytes(keep), middle_key
 
 
 _PLANS = _PlanCache()
@@ -726,8 +765,10 @@ def expectation(
     if route == "dense":
         value = _dense_expectation(req, obs)
     else:
-        network = build_expectation_network(req, obs)
-        value = _runner(req, _PLANS.plan(network), network).finish()
+        keep = _light_cone(_w_nodes(req), obs.support())
+        middle = _observable_nodes(obs)
+        network = _closed_network(req, keep, middle)
+        value = _runner(req, _PLANS.plan(network, _plan_key(req, keep, middle)), network).finish()
     lo = 0.0 if obs.is_projector else -1.0
     return _checked(value, "expectation", lo, 1.0)
 
@@ -764,15 +805,33 @@ def conditional_probability(
     engine: str = "auto",
 ) -> float:
     """P(z_site = 0 | z_1..z_{site-1} = prefix) as v0 / (v0 + v1) with
-    v_b = P(prefix, b), the rule of the chain walk.  The dense route reads
-    the pair off the prefix-marginal tree.  The plan route contracts the
-    light-cone network of sites 1..site with the prefix projectors on
-    sites 1..site-1 and an identity mark on the site, and takes the pair
-    through _outcome_pair as the chain walk does.  Its plan comes from
-    the shared cache of one-shot plans and holds no bits, so every prefix
-    of a site shares it; the request keeps no light cone for it.  As in
-    the chain walk, only a prefix of probability exactly zero is
-    impossible, and it gets 1."""
+    v_b = P(prefix, b), the rule of the chain walk.  As in the chain walk,
+    only a prefix of probability exactly zero is impossible, and it gets 1.
+
+    The pair comes from one of three marginal sources.  The dense route
+    reads it off the prefix-marginal tree.  The plan route reads it off
+    an exact MPS of W|0> (the mps module), built by the request's first
+    plan-route conditional and cached on it as "mps": one sweep
+    v <- v A_w[:, b_w, :] over the prefix gives v_b = |v A_site[:, b, :]|^2.
+    It falls back to the qubit-wise light cone of sites 1..site
+    (_light_cone_pair) when the MPS cannot be built, because a factor of
+    W wraps past site N or a merged block would exceed the engine cap,
+    and for a prefix whose weight P(prefix) = v0 + v1 on the MPS is below
+    the larger of MPS_MIN_PREFIX = 1e-8 and MPS_PREFIX_MARGIN = 1e6 times
+    the weight delta the build dropped.  Why: the MPS differs from W|0> by
+    the singular values its build dropped (squared norm delta) and by the
+    rounding of its orthonormal factors, which is absolute rather than
+    relative to each amplitude as in the light-cone contraction.  So a
+    conditional read off the MPS is off by roughly a fixed amplitude error
+    over sqrt(P(prefix)): against the light cone on the criterion-6
+    (N=32, 64) and expect_plan (N=32) families, by at most 1.3e-13 for
+    P(prefix) >= 1e-8 but by up to 3.4e-11 near P(prefix) = 1e-18.  The
+    margin on delta bounds the truncation's share: it moves P(prefix, b)
+    by at most 2 sqrt(delta P(prefix)) + delta.  An exactly impossible
+    prefix takes the light cone too, which keeps exact zeros exact.  The
+    request records the route of its last plan-route conditional as
+    "conditional_route": "mps", or why it took the light cone.
+    """
     if not 1 <= _integer(site, "site") <= req.n_sites:
         raise DomainError(f"site {site} out of range for N={req.n_sites}")
     bits = _binary_digits(prefix, site - 1, f"the prefix of site {site}")
@@ -781,19 +840,62 @@ def conditional_probability(
         level = _prefix_tree(req)[site]
         v0, v1 = level[2 * index], level[2 * index + 1]
     else:
-        mark = _wire_node("diag", site)
-        middle = [_wire_node(f"proj{bit}", w) for w, bit in enumerate(bits, 1)] + [mark]
-        network = _closed_network(req, _light_cone(_w_nodes(req), range(1, site + 1)), middle)
-        runner = _runner(req, _PLANS.plan(network), network)
-        # The mark is the last middle node; mirrors and bra caps follow it.
-        nodes = network.nodes
-        at = next(pos for pos in range(len(nodes) - 1, -1, -1) if nodes[pos] is mark)
-        v0, v1 = _outcome_pair(runner, at)
+        v0, v1 = _plan_pair(req, bits, site)
         v0, v1 = _checked(v0, "P(prefix, 0)"), _checked(v1, "P(prefix, 1)")
     total = v0 + v1
     if total == 0.0:
         return 1.0
     return _checked(v0 / total, "conditional probability")
+
+
+def _mps(req: SimulationRequest) -> MatrixProductState | None:
+    """The request's MPS of W|0>, built on first use and cached as "mps";
+    None when the build is refused, whose reason then stays the request's
+    "conditional_route"."""
+    if "mps" not in req._cache:
+        try:
+            req._cache["mps"] = build_mps(req.n_sites, _w_nodes(req))
+        except (StructuralError, FeasibilityError) as exc:
+            req._cache["mps"] = None
+            req._cache["conditional_route"] = str(exc)
+    return req._cache["mps"]
+
+
+def _plan_pair(req: SimulationRequest, bits: list[int], site: int) -> tuple:
+    """(P(prefix, 0), P(prefix, 1)) on the plan route: off the MPS, or off
+    the light cone when conditional_probability's rule sends it there."""
+    mps = _mps(req)
+    if mps is not None:
+        v0, v1 = prefix_pair(mps, bits)
+        floor = max(MPS_MIN_PREFIX, MPS_PREFIX_MARGIN * mps.delta)
+        if v0 + v1 >= floor:
+            req._cache["conditional_route"] = "mps"
+            return v0, v1
+        req._cache["conditional_route"] = (
+            f"P(prefix) = {v0 + v1:.3e} on the MPS is below {floor:.3e}, the larger of "
+            f"{MPS_MIN_PREFIX:g} and {MPS_PREFIX_MARGIN:g} times its dropped weight {mps.delta:.3e}"
+        )
+    return _light_cone_pair(req, bits, site)
+
+
+def _light_cone_pair(
+    req: SimulationRequest, bits: Sequence[int], site: int
+) -> tuple[complex, complex]:
+    """The qubit-wise one-shot conditional: (v0, v1) from the light-cone
+    network of sites 1..site with the prefix projectors on sites 1..site-1
+    and an identity mark on the site, forked at the mark by _outcome_pair
+    as the chain walk does.  Its plan comes from the shared cache of
+    one-shot plans and holds no bits, so every prefix of a site shares it;
+    the request keeps no light cone for it."""
+    mark = _wire_node("diag", site)
+    middle = [_wire_node(f"proj{bit}", w) for w, bit in enumerate(bits, 1)] + [mark]
+    keep = _light_cone(_w_nodes(req), range(1, site + 1))
+    network = _closed_network(req, keep, middle)
+    runner = _runner(req, _PLANS.plan(network, _plan_key(req, keep, middle)), network)
+    # The mark is the last middle node; mirrors and bra caps follow it.
+    nodes = network.nodes
+    at = next(pos for pos in range(len(nodes) - 1, -1, -1) if nodes[pos] is mark)
+    return _outcome_pair(runner, at)
 
 
 @dataclass(frozen=True)

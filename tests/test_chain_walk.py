@@ -158,13 +158,13 @@ def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes(monkeypatch):
     # count each id's absorbed carriers, and an id is live while fewer
     # than index_endpoints[id] are absorbed.  Pinned ids have 0 endpoints,
     # so they never are.  The live set after each step is the plan's axes,
-    # on the chain, on every cone and on the conditional of every site,
-    # whose prefix projectors pin their ids.
+    # on the chain, on every cone and on the qubit-wise conditional of
+    # every site, whose prefix projectors pin their ids.
     req = _criterion_6_request(32)
     monkeypatch.setattr(simulate, "_PLANS", simulate._PlanCache())
     bits = np.random.default_rng(6).integers(0, 2, req.n_sites).tolist()
     for site in range(1, req.n_sites + 1):
-        conditional_probability(req, bits[: site - 1], site, engine="plan")
+        simulate._light_cone_pair(req, bits[: site - 1], site)
     conditionals = list(simulate._PLANS.plans.values())
     assert len(conditionals) == req.n_sites
     assert sum(len(plan.pins) > 0 for plan in conditionals) == req.n_sites - 1

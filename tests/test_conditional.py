@@ -13,6 +13,7 @@ from liomsim.simulate import (
     PLAN_CACHE_STEPS,
     ObservableProduct,
     SimulationRequest,
+    _light_cone_pair,
     _prefix_tree,
     conditional_probability,
     expectation,
@@ -84,7 +85,8 @@ def schedules(monkeypatch):
 
 
 def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch, schedules):
-    # Criterion-6 family at N=32: one pruned network of sites 1..site, its
+    # The qubit-wise conditional the plan route falls back to, on the
+    # criterion-6 family at N=32: one pruned network of sites 1..site, its
     # prefix projectors and an identity mark on the site, scheduled once
     # into the shared cache, run once to its end and once more from the
     # mark on by the fork.  No light cone of the chain walk is built.
@@ -109,7 +111,7 @@ def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch,
     monkeypatch.setattr(simulate, "build_expectation_network", refused)
     monkeypatch.setattr(simulate, "expectation", refused)
     monkeypatch.setattr(PlanRunner, "step", counted_step)
-    got = conditional_probability(req, bits, site, engine="plan")
+    pair = _light_cone_pair(req, bits, site)
     monkeypatch.undo()
 
     (network,) = schedules
@@ -122,7 +124,7 @@ def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch,
     assert "cones" not in req._cache
     v0 = expectation(req, ObservableProduct.prefix_projector(bits + [0]), engine="plan")
     v1 = expectation(req, ObservableProduct.prefix_projector(bits + [1]), engine="plan")
-    assert got == pytest.approx(v0 / (v0 + v1), abs=1e-12)
+    assert (pair[0] / (pair[0] + pair[1])).real == pytest.approx(v0 / (v0 + v1), abs=1e-12)
 
 
 def _family_request(seed):
@@ -138,7 +140,7 @@ def test_conditionals_keep_no_cone_and_share_one_plan_per_site(schedules):
     req = _family_request(11)
     rng = np.random.default_rng(3)
     for site in range(1, 33):
-        conditional_probability(req, rng.integers(0, 2, site - 1).tolist(), site, engine="plan")
+        _light_cone_pair(req, rng.integers(0, 2, site - 1).tolist(), site)
     assert "cones" not in req._cache
     assert len(schedules) == 32
     plans = simulate._PLANS
@@ -146,7 +148,7 @@ def test_conditionals_keep_no_cone_and_share_one_plan_per_site(schedules):
     assert plans.steps == sum(len(plan.steps) for plan in held) <= PLAN_CACHE_STEPS
     # Another prefix of a site takes the plan its first prefix scheduled.
     for site in (2, 20, 32):
-        conditional_probability(req, [1] * (site - 1), site, engine="plan")
+        _light_cone_pair(req, [1] * (site - 1), site)
     assert len(schedules) == 32
     assert {id(plan) for plan in plans.plans.values()} == {id(plan) for plan in held}
 
@@ -158,7 +160,7 @@ def test_conditional_network_pins_its_prefix(schedules):
     # pinned.  Change it only with the scheduler.
     req = _family_request(11)
     prefix = np.random.default_rng(4).integers(0, 2, 31).tolist()
-    conditional_probability(req, prefix, 32, engine="plan")
+    _light_cone_pair(req, prefix, 32)
     (network,) = schedules
     nodes = tuple(
         dataclasses.replace(node, kind="diag") if node.kind == "proj" else node
