@@ -4,13 +4,21 @@ The evolved state of a truncated instance is only weakly entangled (Vidal,
 PRL 91, 147902, 2003), so an MPS of small bond dimension holds it up to
 singular values at the rounding level: site i carries a tensor A_i of
 shape (l, 2, r), and the amplitude of z_1..z_N is
-A_1[:, z_1, :] ... A_N[:, z_N, :].  build_mps applies W's placed factors
-to |0...0> in order.  For each factor it moves a QR orthogonality centre
-onto the factor's sites, merges their tensors into one block, applies the
-factor and splits the block again from the left by SVD (Schollwoeck, Ann.
-Phys. 326, 96, 2011).  A split drops only singular values below CUT times
-its largest and adds their squares to the dropped weight delta; no factor
-of W is approximated.
+A_1[:, z_1, :] ... A_N[:, z_N, :].
+
+build_mps applies W's placed factors to |0...0> (Schollwoeck, Ann. Phys.
+326, 96, 2011).  Its orthogonality centre is one merged block of
+contiguous sites: the tensors left of the block are left-orthonormal,
+those right of it right-orthonormal.  Before each factor the block is
+made to span exactly the factor's sites.  A site the block gives up is
+split off it by SVD, which drops only singular values below CUT times
+the largest and adds their squares to the dropped weight delta.  The
+centre crosses sites outside both blocks by QR, and the factor's other
+sites are merged into the block.  No factor of W is approximated.
+Consecutive factors that commute (on disjoint sites, or both diagonal)
+are applied in site order from the end nearer the block.  So each layer
+of W is one sweep, and the overlapping windows of the diagonal blocks
+slide the block one site at a time, with one split per window.
 
 The finished state is right-canonical with its centre on site 1, and
 normalised there, so the marginal of a prefix z_1..z_k is one sweep from
@@ -72,23 +80,113 @@ def _ascending(node: PlacedTensor) -> np.ndarray:
     return tensor.transpose(order + [w + a for a in order]).reshape(2**w, 2**w)
 
 
-def _move_centre(tensors: list[np.ndarray], centre: int, lo: int, hi: int) -> int:
-    """Move the orthogonality centre from tensors[centre] into tensors[lo..hi]
-    by QR, leaving each tensor it passes left- or right-orthonormal, and
-    return where it stands."""
-    while centre < lo:
-        a = tensors[centre]
-        q, r = np.linalg.qr(a.reshape(-1, a.shape[2]))
-        tensors[centre] = q.reshape(a.shape[0], 2, -1)
-        tensors[centre + 1] = np.tensordot(r, tensors[centre + 1], axes=1)
-        centre += 1
-    while centre > hi:
-        a = tensors[centre]
-        q, r = np.linalg.qr(a.reshape(a.shape[0], -1).T)
-        tensors[centre] = q.T.reshape(-1, 2, a.shape[2])
-        tensors[centre - 1] = np.tensordot(tensors[centre - 1], r.T, axes=1)
-        centre -= 1
-    return centre
+def _commuting_runs(nodes: Sequence[PlacedTensor]) -> list[list[PlacedTensor]]:
+    """The factors in order, cut into runs of factors that pairwise commute:
+    a gate joins the current run if it meets none of the run's sites, a
+    diagonal if it meets none of the run's gates."""
+    runs: list[list[PlacedTensor]] = []
+    sites: set[int] = set()
+    gate_sites: set[int] = set()
+    for node in nodes:
+        met = gate_sites if node.kind == "diag" else sites
+        if not runs or not met.isdisjoint(node.sites):
+            runs.append([])
+            sites, gate_sites = set(), set()
+        runs[-1].append(node)
+        sites.update(node.sites)
+        if node.kind != "diag":
+            gate_sites.update(node.sites)
+    return runs
+
+
+class _Centre:
+    """The MPS under construction: its tensors and the merged block
+    tensors[a..b] (0-based), held as one array of shape (l, 2^(b-a+1), r)
+    with its sites' bits in ascending order."""
+
+    def __init__(self, n_sites: int) -> None:
+        zero = np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)
+        self.tensors = [zero] * n_sites
+        self.block = zero
+        self.a = self.b = 0
+        self.delta = 0.0
+
+    def _svd(self, matrix: np.ndarray):
+        """SVD cut at CUT times the largest singular value; the squares of
+        the dropped ones go into delta."""
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+        k = int(np.count_nonzero(s >= CUT * s[0]))
+        self.delta += float(s[k:] @ s[k:])
+        return u[:, :k], s[:k], vh[:k]
+
+    def split_left(self) -> None:
+        """Split the block's first site off, left-orthonormal."""
+        l, m, r = self.block.shape
+        u, s, vh = self._svd(self.block.reshape(2 * l, -1))
+        self.tensors[self.a] = u.reshape(l, 2, -1)
+        self.block = (s[:, None] * vh).reshape(-1, m // 2, r)
+        self.a += 1
+
+    def split_right(self) -> None:
+        """Split the block's last site off, right-orthonormal."""
+        l, m, r = self.block.shape
+        u, s, vh = self._svd(self.block.reshape(-1, 2 * r))
+        self.tensors[self.b] = vh.reshape(-1, 2, r)
+        self.block = (u * s).reshape(l, m // 2, -1)
+        self.b -= 1
+
+    def step_right(self) -> None:
+        """Move a one-site block to the next site by QR."""
+        l, _, r = self.block.shape
+        q, rest = np.linalg.qr(self.block.reshape(2 * l, r))
+        self.tensors[self.a] = q.reshape(l, 2, -1)
+        nxt = self.tensors[self.a + 1]
+        self.block = (rest @ nxt.reshape(r, -1)).reshape(-1, 2, nxt.shape[2])
+        self.a = self.b = self.a + 1
+
+    def step_left(self) -> None:
+        """Move a one-site block to the previous site by QR."""
+        l, _, r = self.block.shape
+        q, rest = np.linalg.qr(self.block.reshape(l, 2 * r).T)
+        self.tensors[self.a] = q.T.reshape(-1, 2, r)
+        prev = self.tensors[self.a - 1]
+        self.block = (prev.reshape(-1, l) @ rest.T).reshape(prev.shape[0], 2, -1)
+        self.a = self.b = self.a - 1
+
+    def span(self, lo: int, hi: int, name: str) -> None:
+        """Make the block span exactly sites lo..hi.  Refused with a
+        FeasibilityError, before the merge, if it would hold more than
+        2^MAX_EXEC_AXES entries."""
+        while self.a < min(lo, self.b):
+            self.split_left()
+        while self.b > max(hi, self.a):
+            self.split_right()
+        while self.b < lo:
+            self.step_right()
+        while self.a > hi:
+            self.step_left()
+        left = self.tensors[lo].shape[0] if lo < self.a else self.block.shape[0]
+        right = self.tensors[hi].shape[2] if hi > self.b else self.block.shape[2]
+        w = hi - lo + 1
+        if left * 2**w * right > 2**MAX_EXEC_AXES:
+            raise FeasibilityError(
+                f"the MPS block of factor {name} on sites {lo + 1}..{hi + 1} has "
+                f"{left} * 2^{w} * {right} entries, above the 2^{MAX_EXEC_AXES} engine cap"
+            )
+        while self.a > lo:
+            prev = self.tensors[self.a - 1]
+            l, m, r = self.block.shape
+            self.block = (prev.reshape(-1, l) @ self.block.reshape(l, -1)).reshape(
+                prev.shape[0], 2 * m, r
+            )
+            self.a -= 1
+        while self.b < hi:
+            nxt = self.tensors[self.b + 1]
+            l, m, r = self.block.shape
+            self.block = (self.block.reshape(-1, r) @ nxt.reshape(r, -1)).reshape(
+                l, 2 * m, nxt.shape[2]
+            )
+            self.b += 1
 
 
 def build_mps(n_sites: int, nodes: Sequence[PlacedTensor]) -> MatrixProductState:
@@ -99,38 +197,26 @@ def build_mps(n_sites: int, nodes: Sequence[PlacedTensor]) -> MatrixProductState
     are checked before the block is allocated."""
     for node in nodes:
         _block(node)
-    zero = np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)
-    tensors = [zero] * n_sites
-    centre, delta = 0, 0.0
-    for node in nodes:
-        lo, hi = (s - 1 for s in _block(node))
-        centre = _move_centre(tensors, centre, lo, hi)
-        left, right, w = tensors[lo].shape[0], tensors[hi].shape[2], hi - lo + 1
-        if left * 2**w * right > 2**MAX_EXEC_AXES:
-            raise FeasibilityError(
-                f"the MPS block of factor {node.name} on sites {lo + 1}..{hi + 1} has "
-                f"{left} * 2^{w} * {right} entries, above the 2^{MAX_EXEC_AXES} engine cap"
-            )
-        block = tensors[lo]
-        for a in tensors[lo + 1 : hi + 1]:
-            block = np.tensordot(block, a, axes=1)
-        block = block.reshape(left, 2**w, right)
-        if node.kind == "gate":
-            block = np.matmul(_ascending(node), block)
-        else:
-            block = block * _ascending(node)[:, None]
-        # Split from the left; the centre ends on the block's last site.
-        for site in range(lo, hi):
-            u, s, vh = np.linalg.svd(block.reshape(2 * block.shape[0], -1), full_matrices=False)
-            k = int(np.count_nonzero(s >= CUT * s[0]))
-            delta += float(np.sum(s[k:] ** 2))
-            tensors[site] = u[:, :k].reshape(-1, 2, k)
-            block = (s[:k, None] * vh[:k]).reshape(k, -1, right)
-        tensors[hi] = block.reshape(-1, 2, right)
-        centre = hi
-    _move_centre(tensors, centre, 0, 0)
-    tensors[0] = tensors[0] / np.linalg.norm(tensors[0])
-    return MatrixProductState(tuple(np.ascontiguousarray(a) for a in tensors), delta)
+    centre = _Centre(n_sites)
+    for run in _commuting_runs(nodes):
+        run = sorted(run, key=lambda node: min(node.sites))
+        first, last = min(run[0].sites) - 1, max(max(node.sites) for node in run) - 1
+        if abs(centre.b - last) < abs(centre.a - first):
+            run.reverse()
+        for node in run:
+            lo, hi = (s - 1 for s in _block(node))
+            centre.span(lo, hi, node.name)
+            if node.kind == "gate":
+                centre.block = np.matmul(_ascending(node), centre.block)
+            else:
+                centre.block = centre.block * _ascending(node)[:, None]
+    while centre.b > centre.a:
+        centre.split_right()
+    while centre.a > 0:
+        centre.step_left()
+    tensors = centre.tensors
+    tensors[0] = centre.block / np.linalg.norm(centre.block)
+    return MatrixProductState(tuple(np.ascontiguousarray(a) for a in tensors), centre.delta)
 
 
 def prefix_pair(mps: MatrixProductState, bits: Sequence[int]) -> tuple[float, float]:

@@ -36,8 +36,11 @@ cone of sites 1..w to finish it once per outcome.
 A one-shot conditional_probability has three marginal sources.  The dense
 route reads the prefix-marginal tree.  The plan route reads an exact
 matrix product state of W|0> (the mps module), built from the same
-folded factors by the request's first plan-route conditional and cached
-on it, with one sweep over the prefix.  It falls back to the qubit-wise
+folded factors, with one sweep over the prefix.  An MPS takes ~250 KB
+at N=32, twice the request's W factors and their mirrors, so the process
+holds one, that of the request whose plan-route conditional came last: a
+request's conditionals share one build while no other request's come
+between them.  It falls back to the qubit-wise
 light cone of sites 1..w, with its prefix projectors on sites 1..w-1 and
 an identity mark on w, forked at the mark once per outcome, when a factor
 of W wraps past site N, when a merged MPS block would exceed the engine
@@ -50,12 +53,14 @@ the one-shot networks of one instance family repeat their structure
 across queries and requests (the pruned sigma^z network of a site keeps
 the same factors whatever the instance's values).  So expectation and the
 one-shot conditional take their plans from one process-wide
-least-recently-used cache, keyed by everything the scheduler reads: N,
-the network's radii and, per node, its name, kind, sites and whether it
-has data (a cap without data pins its id, see the tensor module).  These
-networks are W's light cone between caps, so the key is a token for N,
-the radii and W's per-factor structure, made once per request, plus the
-keep flags of the cone and the middle nodes, which fix the rest.  A
+least-recently-used cache.  Its key must fix everything the scheduler
+reads: N, the network's radii and, per node, its name, kind, sites and
+whether it has data (a cap without data pins its id, see the tensor
+module).  Every one-shot network is W's light cone of its middle nodes
+between caps, built by _one_shot_network, so that builder gives the
+key: a token for N, the radii and W's per-factor structure, made once
+per request, plus the keep flags of the cone and the middle nodes,
+which fix the rest.  A
 basis projector pins its id too; its kind marks it and its name leaves
 out its bit, which the runner reads, so plans carry no bits and every
 prefix of a site shares one.  The key holds no arrays, so the cache
@@ -71,6 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -108,10 +114,8 @@ _PIVOT_KINDS = ("sigma_z", "proj0", "proj1")
 PLAN_CACHE_STEPS = 1 << 14
 
 # A plan-route conditional is read off the MPS of W|0> only when P(prefix)
-# is at least MPS_MIN_PREFIX and MPS_PREFIX_MARGIN times the weight the
-# MPS build dropped (see conditional_probability).
+# is at least MPS_MIN_PREFIX (see conditional_probability).
 MPS_MIN_PREFIX = 1e-8
-MPS_PREFIX_MARGIN = 1e6
 
 
 @dataclass(frozen=True)
@@ -510,17 +514,38 @@ def _closed_network(
     )
 
 
+def _one_shot_network(
+    req: SimulationRequest, middle: Sequence[PlacedTensor]
+) -> tuple[ExpectationNetwork, tuple]:
+    """The one-shot network of the middle nodes, <0|W^dag (middle) W|0>
+    over the light cone of the sites they touch (_closed_network), and its
+    key in the shared plan cache.  The key is a token for N, the radii and
+    W's per-factor name, kind and sites, made once per request, plus the
+    keep flags and, per middle node, its name, kind, sites and whether it
+    has data: together they fix the network's structure, its caps, mirrors
+    and radii included."""
+    w_list = _w_nodes(req)
+    keep = _light_cone(w_list, {s for node in middle for s in node.sites})
+    token = req._cache.get("w_token")
+    if token is None:
+        structure = [(node.name, node.kind, node.sites) for node in w_list]
+        token = req._cache["w_token"] = repr((req.n_sites, req.radii, structure))
+    middle_key = tuple((node.name, node.kind, node.sites, node.data is None) for node in middle)
+    return _closed_network(req, keep, middle), (token, bytes(keep), middle_key)
+
+
 def build_expectation_network(
     req: SimulationRequest, obs: ObservableProduct, prune: bool = True
 ) -> ExpectationNetwork:
     """Closed network for <0|W^dag O W|0>.  With prune=True, W factors whose
     support never meets the (grown) support of O are dropped together with
     their mirror images; the pair cancels exactly, so the value is
-    unchanged."""
+    unchanged.  The pruned network is the one expectation contracts."""
     _check_sites(obs, req.n_sites)
-    w_list = _w_nodes(req)
-    keep = _light_cone(w_list, obs.support()) if prune else [True] * len(w_list)
-    return _closed_network(req, keep, _observable_nodes(obs))
+    middle = _observable_nodes(obs)
+    if prune:
+        return _one_shot_network(req, middle)[0]
+    return _closed_network(req, [True] * len(_w_nodes(req)), middle)
 
 
 def _cone(req: SimulationRequest, site: int):
@@ -600,18 +625,9 @@ class _PlanCache:
         self.plans: OrderedDict[tuple, ContractionPlan] = OrderedDict()
         self.steps = 0
 
-    def plan(self, network: ExpectationNetwork, key: tuple | None = None) -> ContractionPlan:
-        """The network's plan.  key, when given, must determine the
-        network's structure (as _plan_key does); by default the key is N,
-        the radii and, per node, its name, kind, sites and whether it has
-        data."""
-        if key is None:
-            key = (
-                network.n_sites,
-                network.r_u,
-                network.r_j,
-                tuple((node.name, node.kind, node.sites, node.data is None) for node in network.nodes),
-            )
+    def plan(self, network: ExpectationNetwork, key: tuple) -> ContractionPlan:
+        """The network's plan, filed under the key _one_shot_network gave
+        with it."""
         hit = self.plans.get(key)
         if hit is not None:
             self.plans.move_to_end(key)
@@ -624,21 +640,6 @@ class _PlanCache:
                 _, old = self.plans.popitem(last=False)
                 self.steps -= len(old.steps)
         return plan
-
-
-def _plan_key(
-    req: SimulationRequest, keep: Sequence[bool], middle: Sequence[PlacedTensor]
-) -> tuple:
-    """The structural key of _closed_network(req, keep, middle): a token
-    for N, the radii and W's per-factor structure, made once per request,
-    plus the keep flags and the middle nodes, which determine the rest of
-    the network (its caps, mirrors and whether it carries the radii)."""
-    token = req._cache.get("w_token")
-    if token is None:
-        structure = [(node.name, node.kind, node.sites) for node in _w_nodes(req)]
-        token = req._cache["w_token"] = repr((req.n_sites, req.radii, structure))
-    middle_key = tuple((node.name, node.kind, node.sites, node.data is None) for node in middle)
-    return token, bytes(keep), middle_key
 
 
 _PLANS = _PlanCache()
@@ -765,10 +766,8 @@ def expectation(
     if route == "dense":
         value = _dense_expectation(req, obs)
     else:
-        keep = _light_cone(_w_nodes(req), obs.support())
-        middle = _observable_nodes(obs)
-        network = _closed_network(req, keep, middle)
-        value = _runner(req, _PLANS.plan(network, _plan_key(req, keep, middle)), network).finish()
+        network, key = _one_shot_network(req, _observable_nodes(obs))
+        value = _runner(req, _PLANS.plan(network, key), network).finish()
     lo = 0.0 if obs.is_projector else -1.0
     return _checked(value, "expectation", lo, 1.0)
 
@@ -810,26 +809,25 @@ def conditional_probability(
 
     The pair comes from one of three marginal sources.  The dense route
     reads it off the prefix-marginal tree.  The plan route reads it off
-    an exact MPS of W|0> (the mps module), built by the request's first
-    plan-route conditional and cached on it as "mps": one sweep
-    v <- v A_w[:, b_w, :] over the prefix gives v_b = |v A_site[:, b, :]|^2.
-    It falls back to the qubit-wise light cone of sites 1..site
-    (_light_cone_pair) when the MPS cannot be built, because a factor of
-    W wraps past site N or a merged block would exceed the engine cap,
-    and for a prefix whose weight P(prefix) = v0 + v1 on the MPS is below
-    the larger of MPS_MIN_PREFIX = 1e-8 and MPS_PREFIX_MARGIN = 1e6 times
-    the weight delta the build dropped.  Why: the MPS differs from W|0> by
-    the singular values its build dropped (squared norm delta) and by the
-    rounding of its orthonormal factors, which is absolute rather than
-    relative to each amplitude as in the light-cone contraction.  So a
-    conditional read off the MPS is off by roughly a fixed amplitude error
-    over sqrt(P(prefix)): against the light cone on the criterion-6
-    (N=32, 64) and expect_plan (N=32) families, by at most 1.3e-13 for
-    P(prefix) >= 1e-8 but by up to 3.4e-11 near P(prefix) = 1e-18.  The
-    margin on delta bounds the truncation's share: it moves P(prefix, b)
-    by at most 2 sqrt(delta P(prefix)) + delta.  An exactly impossible
-    prefix takes the light cone too, which keeps exact zeros exact.  The
-    request records the route of its last plan-route conditional as
+    an exact MPS of W|0> (the mps module; built when the request has none,
+    see _mps): one sweep v <- v A_w[:, b_w, :] over the prefix gives
+    v_b = |v A_site[:, b, :]|^2.  It falls back to the qubit-wise light
+    cone of sites 1..site (_light_cone_pair) when the MPS cannot be built,
+    because a factor of W wraps past site N or a merged block would exceed
+    the engine cap, and for a prefix whose weight P(prefix) = v0 + v1 on
+    the MPS is below MPS_MIN_PREFIX = 1e-8.  Why: the rounding of the
+    MPS's orthonormal factors is absolute rather than relative to each
+    amplitude as in the light-cone contraction, so a conditional read off
+    the MPS is off by roughly a fixed amplitude error over sqrt(P(prefix)):
+    against the light cone on the criterion-6 (N=32, 64) and expect_plan
+    (N=32) families, by at most 1.3e-13 for P(prefix) >= 1e-8 but by up to
+    3.4e-11 near P(prefix) = 1e-18.  The weight delta the build dropped
+    moves P(prefix, b) by at most 2 sqrt(delta P(prefix)) + delta, but it
+    cannot reach the floor: each dropped singular value is below 1e-15
+    times a largest one of at most 1, so adds under 1e-30 to delta, and
+    delta stays near 1e-28 where measured.  An exactly impossible prefix
+    takes the light cone too, which keeps exact zeros exact.  The request
+    records the route of its last plan-route conditional as
     "conditional_route": "mps", or why it took the light cone.
     """
     if not 1 <= _integer(site, "site") <= req.n_sites:
@@ -848,16 +846,30 @@ def conditional_probability(
     return _checked(v0 / total, "conditional probability")
 
 
+# The request holding the process's one MPS (see _mps), weakly.
+_mps_holder: Callable[[], SimulationRequest | None] = lambda: None
+
+
 def _mps(req: SimulationRequest) -> MatrixProductState | None:
-    """The request's MPS of W|0>, built on first use and cached as "mps";
-    None when the build is refused, whose reason then stays the request's
-    "conditional_route"."""
+    """The request's MPS of W|0>, cached as "mps"; None when its build is
+    refused, whose reason then stays the request's "conditional_route".
+    The process holds one MPS: building one drops the previous holder's,
+    which that request builds again on its next plan-route conditional,
+    bit for bit.  A request keeps its MPS's bond dimensions and dropped
+    weight as "mps_bonds" and "mps_delta"."""
+    global _mps_holder
     if "mps" not in req._cache:
+        holder = _mps_holder()
+        if holder is not None:
+            holder._cache.pop("mps", None)
         try:
-            req._cache["mps"] = build_mps(req.n_sites, _w_nodes(req))
+            state = build_mps(req.n_sites, _w_nodes(req))
         except (StructuralError, FeasibilityError) as exc:
             req._cache["mps"] = None
             req._cache["conditional_route"] = str(exc)
+        else:
+            req._cache.update(mps=state, mps_bonds=state.bonds, mps_delta=state.delta)
+            _mps_holder = weakref.ref(req)
     return req._cache["mps"]
 
 
@@ -867,13 +879,11 @@ def _plan_pair(req: SimulationRequest, bits: list[int], site: int) -> tuple:
     mps = _mps(req)
     if mps is not None:
         v0, v1 = prefix_pair(mps, bits)
-        floor = max(MPS_MIN_PREFIX, MPS_PREFIX_MARGIN * mps.delta)
-        if v0 + v1 >= floor:
+        if v0 + v1 >= MPS_MIN_PREFIX:
             req._cache["conditional_route"] = "mps"
             return v0, v1
         req._cache["conditional_route"] = (
-            f"P(prefix) = {v0 + v1:.3e} on the MPS is below {floor:.3e}, the larger of "
-            f"{MPS_MIN_PREFIX:g} and {MPS_PREFIX_MARGIN:g} times its dropped weight {mps.delta:.3e}"
+            f"P(prefix) = {v0 + v1:.3e} on the MPS is below {MPS_MIN_PREFIX:.3e}"
         )
     return _light_cone_pair(req, bits, site)
 
@@ -889,9 +899,8 @@ def _light_cone_pair(
     the request keeps no light cone for it."""
     mark = _wire_node("diag", site)
     middle = [_wire_node(f"proj{bit}", w) for w, bit in enumerate(bits, 1)] + [mark]
-    keep = _light_cone(_w_nodes(req), range(1, site + 1))
-    network = _closed_network(req, keep, middle)
-    runner = _runner(req, _PLANS.plan(network, _plan_key(req, keep, middle)), network)
+    network, key = _one_shot_network(req, middle)
+    runner = _runner(req, _PLANS.plan(network, key), network)
     # The mark is the last middle node; mirrors and bra caps follow it.
     nodes = network.nodes
     at = next(pos for pos in range(len(nodes) - 1, -1, -1) if nodes[pos] is mark)

@@ -218,4 +218,23 @@ def test_mps_reports_its_bonds_and_dropped_weight():
     assert 0 < state.delta < 1e-26
     assert max(state.bonds) <= 64 and len(state.bonds) == 31
     assert req._cache["conditional_route"] == "mps"
-    assert req._cache["mps"] is state
+    # Another request's MPS takes its place; the figures stay readable.
+    conditional_probability(_criterion_6_request(64), [0] * 15, 16, engine="plan")
+    assert "mps" not in req._cache
+    assert req._cache["mps_bonds"] == state.bonds
+    assert req._cache["mps_delta"] == state.delta
+
+
+def test_the_process_holds_one_mps_and_rebuilds_it_bit_for_bit():
+    first, second = _family_request(11), _family_request(12)
+    bits = [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    values = [conditional_probability(first, bits[: k - 1], k, engine="plan") for k in (4, 16)]
+    state = first._cache["mps"]
+    assert conditional_probability(second, bits, 16, engine="plan") > 0
+    assert "mps" not in first._cache and second._cache["mps"] is not None
+    again = [conditional_probability(first, bits[: k - 1], k, engine="plan") for k in (4, 16)]
+    assert [v.hex() for v in again] == [v.hex() for v in values]
+    rebuilt = first._cache["mps"]
+    assert rebuilt is not state and rebuilt.delta == state.delta
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.tensors, state.tensors))
+    assert "mps" not in second._cache

@@ -509,6 +509,11 @@ def _family_request(seed):
     return SimulationRequest.certified(inst, 1.0, 0.05)
 
 
+def _keyed(req, obs):
+    """The network expectation contracts for obs and its plan-cache key."""
+    return simulate._one_shot_network(req, simulate._observable_nodes(obs))
+
+
 def _assert_same_plan(got: ContractionPlan, want: ContractionPlan):
     for f in dataclasses.fields(ContractionPlan):
         if f.name != "steps":
@@ -527,9 +532,9 @@ def test_cached_plans_equal_fresh_schedules(plans):
     observables = [ObservableProduct(p) for p in range(1, 33)]
     observables += [ObservableProduct.prefix_projector(prefix[:k]) for k in (2, 9, 20, 32)]
     for obs in observables:
-        owner = plans.plan(build_expectation_network(first, obs))
-        network = build_expectation_network(second, obs)
-        got = plans.plan(network)
+        owner = plans.plan(*_keyed(first, obs))
+        network, key = _keyed(second, obs)
+        got = plans.plan(network, key)
         assert got is owner
         _assert_same_plan(got, qubitwise_schedule(network))
     assert len(plans.scheduled) == len(observables)
@@ -537,10 +542,10 @@ def test_cached_plans_equal_fresh_schedules(plans):
     inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
     for obs in (ObservableProduct(4), ObservableProduct.prefix_projector("0110")):
-        network = build_expectation_network(req, obs)
+        network, key = _keyed(req, obs)
         assert network.r_u is None
-        owner = plans.plan(network)
-        assert plans.plan(network) is owner
+        owner = plans.plan(network, key)
+        assert plans.plan(network, key) is owner
         _assert_same_plan(owner, qubitwise_schedule(network))
 
 
@@ -550,37 +555,46 @@ def test_requests_of_one_structure_share_a_plan(plans):
         obs = ObservableProduct(site)
         before = len(plans.scheduled)
         values = [expectation(req, obs, engine="plan") for req in (first, second)]
-        # Only the first request's query schedules.
+        # Only the first request's query schedules; both then find its plan.
         assert len(plans.scheduled) == before + 1
-        one, two = (build_expectation_network(req, obs) for req in (first, second))
-        assert plans.plan(one) is plans.plan(two)
-        fresh = [execute(qubitwise_schedule(net), net).real for net in (one, two)]
+        one, two = (_keyed(req, obs) for req in (first, second))
+        assert plans.plan(*one) is plans.plan(*two)
+        assert len(plans.scheduled) == before + 1
+        fresh = [execute(qubitwise_schedule(net), net).real for net, _ in (one, two)]
         assert [v.hex() for v in values] == [v.hex() for v in fresh]
 
 
 def test_a_plan_is_shared_only_with_the_same_structure(plans):
-    network = build_expectation_network(_family_request(11), ObservableProduct(3))
-    plan = plans.plan(network)
-    cap = next(i for i, node in enumerate(network.nodes) if node.kind == "cap_bra")
-    nodes = list(network.nodes)
-    nodes[cap] = dataclasses.replace(nodes[cap], data=np.array([1.0, 0.0], dtype=complex))
-    renamed = list(network.nodes)
-    renamed[cap] = dataclasses.replace(renamed[cap], name="renamed")
+    req = _family_request(11)
+    middle = simulate._observable_nodes(ObservableProduct(3))
+    network, key = simulate._one_shot_network(req, middle)
+    plan = plans.plan(network, key)
+
+    def radii(r_j, r_u):
+        return SimulationRequest(req.instance, req.t, req.epsilon, TruncationRadii(r_j, r_u))
+
+    r_j, r_u = req.radii.r_j, req.radii.r_u
     variants = [
-        dataclasses.replace(network, nodes=tuple(nodes)),
-        dataclasses.replace(network, r_u=network.r_u + 1),
-        dataclasses.replace(network, r_j=network.r_j + 1),
-        dataclasses.replace(network, nodes=tuple(renamed)),
+        # Other radii give another W, so another token.
+        simulate._one_shot_network(radii(r_j, r_u + 1), middle),
+        simulate._one_shot_network(radii(r_j + 1, r_u), middle),
+        # A middle node with another name, or without its data.
+        simulate._one_shot_network(req, [dataclasses.replace(middle[0], name="renamed")]),
+        simulate._one_shot_network(req, [dataclasses.replace(middle[0], data=None)]),
     ]
-    for variant in variants:
-        got = plans.plan(variant)
+    for variant, variant_key in variants:
+        got = plans.plan(variant, variant_key)
         assert got is not plan
         assert plans.scheduled[-1] is variant
         _assert_same_plan(got, qubitwise_schedule(variant))
+    assert plans.plan(*simulate._one_shot_network(req, list(middle))) is plan
     # A bra cap without data pins its id and is no step; one with data
     # closes its wire by a matmul on its data.
+    cap = next(i for i, node in enumerate(network.nodes) if node.kind == "cap_bra")
     assert cap not in {step.node_index for step in plan.steps}
-    capped = plans.plan(variants[0])
+    nodes = list(network.nodes)
+    nodes[cap] = dataclasses.replace(nodes[cap], data=np.array([1.0, 0.0], dtype=complex))
+    capped = qubitwise_schedule(dataclasses.replace(network, nodes=tuple(nodes)))
     assert capped.steps[capped.step_of[cap]].node_index == cap
     assert capped.steps[capped.step_of[cap]].form == "matmul"
     assert len(plans.scheduled) == 5
@@ -588,24 +602,24 @@ def test_a_plan_is_shared_only_with_the_same_structure(plans):
 
 def test_plan_cache_is_bounded_by_steps_least_recent_first(plans, monkeypatch):
     req = _random_request(8, seed=4, radii=TruncationRadii(3, 3), max_width=2)
-    a, b, c = (build_expectation_network(req, ObservableProduct(p)) for p in (2, 5, 8))
-    sizes = [len(qubitwise_schedule(net).steps) for net in (a, b, c)]
+    a, b, c = (_keyed(req, ObservableProduct(p)) for p in (2, 5, 8))
+    sizes = [len(qubitwise_schedule(net).steps) for net, _ in (a, b, c)]
     bound = sum(sizes) - 1
     monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", bound)
-    plan_a, plan_b = plans.plan(a), plans.plan(b)
-    assert plans.plan(a) is plan_a
-    plan_c = plans.plan(c)
+    plan_a, plan_b = plans.plan(*a), plans.plan(*b)
+    assert plans.plan(*a) is plan_a
+    plan_c = plans.plan(*c)
     # b was used least recently, so c's insertion evicted it.
     assert list(plans.plans.values()) == [plan_a, plan_c]
     assert plans.steps == sizes[0] + sizes[2] <= bound
-    assert plans.plan(b) is not plan_b
+    assert plans.plan(*b) is not plan_b
     assert plans.steps == sum(len(p.steps) for p in plans.plans.values()) <= bound
     assert len(plans.scheduled) == 4
     # A plan longer than the whole bound is never stored.
-    full = build_expectation_network(req, ObservableProduct(8), prune=False)
-    monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", len(qubitwise_schedule(full).steps) - 1)
+    full = _keyed(req, ObservableProduct.prefix_projector("0" * 8))
+    monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", len(qubitwise_schedule(full[0]).steps) - 1)
     held = list(plans.plans.values())
-    assert plans.plan(full) is not plans.plan(full)
+    assert plans.plan(*full) is not plans.plan(*full)
     assert list(plans.plans.values()) == held
     assert len(plans.scheduled) == 6
 
@@ -637,17 +651,20 @@ def test_plan_cache_keeps_no_request_alive(plans):
 
 def test_shared_plans_are_never_written(plans):
     first, second = _family_request(11), _family_request(12)
-    network = build_expectation_network(first, ObservableProduct(5))
-    plan = plans.plan(network)
+    network, key = _keyed(first, ObservableProduct(5))
+    plan = plans.plan(network, key)
     snapshot = copy.deepcopy(plan)
     rng = np.random.default_rng(9)
     for i in range(100):
         req = (first, second)[i % 2]
         site = int(rng.integers(1, 33))
-        if i % 3:
+        if i % 5 == 0:
+            # Both requests run the snapshotted plan itself.
+            obs = ObservableProduct(5)
+        elif i % 3:
             obs = ObservableProduct(site)
         else:
             obs = ObservableProduct.prefix_projector(rng.integers(0, 2, site).tolist())
         expectation(req, obs, engine="plan")
-    assert plans.plan(network) is plan
+    assert plans.plan(network, key) is plan
     _assert_same_plan(plan, snapshot)
