@@ -16,9 +16,10 @@ the largest and adds their squares to the dropped weight delta.  The
 centre crosses sites outside both blocks by QR, and the factor's other
 sites are merged into the block.  No factor of W is approximated.
 Consecutive factors that commute (on disjoint sites, or both diagonal)
-are applied in site order from the end nearer the block.  So each layer
-of W is one sweep, and the overlapping windows of the diagonal blocks
-slide the block one site at a time, with one split per window.
+form commuting runs, which the simulate module's light cone walks too.
+A run is applied in site order from the end nearer the block.  So each
+layer of W is one sweep, and the overlapping windows of the diagonal
+blocks slide the block one site at a time, with one split per window.
 
 The finished state is right-canonical with its centre on site 1, and
 normalised there, so the marginal of a prefix z_1..z_k is one sweep from
@@ -80,22 +81,26 @@ def _ascending(node: PlacedTensor) -> np.ndarray:
     return tensor.transpose(order + [w + a for a in order]).reshape(2**w, 2**w)
 
 
-def _commuting_runs(nodes: Sequence[PlacedTensor]) -> list[list[PlacedTensor]]:
-    """The factors in order, cut into runs of factors that pairwise commute:
-    a gate joins the current run if it meets none of the run's sites, a
-    diagonal if it meets none of the run's gates."""
-    runs: list[list[PlacedTensor]] = []
+def commuting_runs(nodes: Sequence[PlacedTensor]) -> list[range]:
+    """The positions of the factors in order, cut into runs of consecutive
+    factors that pairwise commute: a gate joins the current run if it
+    meets none of the run's sites, a diagonal if it meets none of the
+    run's gates."""
+    runs: list[range] = []
+    start = 0
     sites: set[int] = set()
     gate_sites: set[int] = set()
-    for node in nodes:
+    for i, node in enumerate(nodes):
         met = gate_sites if node.kind == "diag" else sites
-        if not runs or not met.isdisjoint(node.sites):
-            runs.append([])
+        if not met.isdisjoint(node.sites):
+            runs.append(range(start, i))
+            start = i
             sites, gate_sites = set(), set()
-        runs[-1].append(node)
         sites.update(node.sites)
         if node.kind != "diag":
             gate_sites.update(node.sites)
+    if nodes:
+        runs.append(range(start, len(nodes)))
     return runs
 
 
@@ -189,17 +194,20 @@ class _Centre:
             self.b += 1
 
 
-def build_mps(n_sites: int, nodes: Sequence[PlacedTensor]) -> MatrixProductState:
+def build_mps(
+    n_sites: int, nodes: Sequence[PlacedTensor], runs: Sequence[range]
+) -> MatrixProductState:
     """MPS of the product of the application-ordered gates and diagonals
-    applied to |0...0> on n_sites sites.  Refused with a StructuralError if
-    a factor's sites are not contiguous, and with a FeasibilityError if a
-    merged block of l * 2^w * r entries would exceed 2^MAX_EXEC_AXES; both
-    are checked before the block is allocated."""
+    applied to |0...0> on n_sites sites, given their commuting_runs.
+    Refused with a StructuralError if a factor's sites are not contiguous,
+    and with a FeasibilityError if a merged block of l * 2^w * r entries
+    would exceed 2^MAX_EXEC_AXES; both are checked before the block is
+    allocated."""
     for node in nodes:
         _block(node)
     centre = _Centre(n_sites)
-    for run in _commuting_runs(nodes):
-        run = sorted(run, key=lambda node: min(node.sites))
+    for run in runs:
+        run = sorted((nodes[i] for i in run), key=lambda node: min(node.sites))
         first, last = min(run[0].sites) - 1, max(max(node.sites) for node in run) - 1
         if abs(centre.b - last) < abs(centre.a - first):
             run.reverse()

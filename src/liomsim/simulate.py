@@ -25,9 +25,13 @@ coin, for a batch of branches at once.  No probability is derived by
 subtraction or cut at an absolute threshold.  The dense source reads the
 conditionals off a tree of prefix marginals of |W|0>|^2, for every sample
 of a sample() call at once.  The plan source walks one branch; it rests
-on quasilocality: W is built from gates of width at most r_U, so an
-observable on sites 1..w only sees the backward light cone of those
-sites, and every W factor outside it cancels against its mirror.  One
+on quasilocality: an observable only sees the backward light cone of its
+sites in W, and every W factor outside it cancels against its mirror.
+_light_cone walks W's commuting runs (the layers of U~ and V) from last
+to first, and a run grows the cone only by its factors that meet the
+sites the run was handed.  So the cone of a single site spans a window
+of W's layers, O(r_U + r_J) sites wide whatever the site and N, while
+the cone of sites 1..w holds every site up to w and beyond.  One
 builder, _cone, makes the light-cone network of sites 1..w with an
 identity mark per site; the cone of all N sites is the chain network,
 which the walk contracts once per chain, forking at each site w onto the
@@ -51,8 +55,9 @@ sample never build the MPS.
 A plan depends on a network's structure alone, never on its data, and
 the one-shot networks of one instance family repeat their structure
 across queries and requests (the pruned sigma^z network of a site keeps
-the same factors whatever the instance's values).  So expectation and the
-one-shot conditional take their plans from one process-wide
+the same factors whatever the instance's values, and its plan has the
+same length at every site of the bulk and at every N).  So expectation
+and the one-shot conditional take their plans from one process-wide
 least-recently-used cache.  Its key must fix everything the scheduler
 reads: N, the network's radii and, per node, its name, kind, sites and
 whether it has data (a cap without data pins its id, see the tensor
@@ -66,9 +71,10 @@ out its bit, which the runner reads, so plans carry no bits and every
 prefix of a site shares one.  The key holds no arrays, so the cache
 keeps no request alive.  It is bounded by the plan steps it holds,
 PLAN_CACHE_STEPS (~400 bytes each), and a plan longer than that is not
-stored.  The light cones of the chain walk stay cached on their request,
-for chains only: a cone's plan grows with its site, so sharing them
-would keep O(N^2) plan data in the process.
+stored.  Only prefix cones grow with their site: those of a one-shot
+conditional's fallback share the cache, while those of the chain walk
+stay cached on their request, for chains only, since sharing them would
+keep O(N^2) plan data in the process.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ from .model import (
     check_dense_feasible,
     nonidentity_constituents,
 )
-from .mps import MatrixProductState, build_mps, prefix_pair
+from .mps import MatrixProductState, build_mps, commuting_runs, prefix_pair
 from .tensor import (
     ContractionPlan,
     ExpectationNetwork,
@@ -380,11 +386,8 @@ def _fold_gates(nodes: Sequence[PlacedTensor]) -> list[PlacedTensor]:
     the nodes g followed end those wires again and are tried in turn.
     Diagonals never fold.
 
-    Neither fold changes W, and neither changes the value of a pruned
-    network: the light cone keeps a forward-folded g exactly when it keeps
-    x, as it kept g alone, and a backward fold keeps h's support, so a
-    pruned network gains at most a factor x that cancels against its own
-    mirror."""
+    Neither fold changes W, so neither changes a value beyond rounding:
+    the light cone is exact for any list of W's factors."""
     out: list[PlacedTensor | None] = []
     # Per position in out: for each of its wires, the node it followed.
     before: list[dict[int, int | None]] = []
@@ -449,19 +452,38 @@ def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
     return nodes
 
 
-def _light_cone(w_list: Sequence[PlacedTensor], support: Iterable[int]) -> list[bool]:
-    """Backward light cone of a set of sites in W: walking the factors from
-    last applied to first, keep each one that meets the support and grow
-    the support by its sites.  Returns the keep flags.  A dropped factor
-    acts after every kept factor on its wires, so it cancels against its
-    mirror image in W^dag (.) W."""
+def _w_runs(req: SimulationRequest) -> list[range]:
+    """The commuting runs of _w_nodes(req) (mps.commuting_runs), cached
+    beside them: the light cone walks them, and the MPS applies them."""
+    hit = req._cache.get("w_runs")
+    if hit is None:
+        hit = req._cache["w_runs"] = commuting_runs(_w_nodes(req))
+    return hit
+
+
+def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
+    """Backward light cone of a set of sites in W: walking W's commuting
+    runs from last applied to first, keep each factor of a run that meets
+    the support the run was handed, then grow the support by the kept
+    factors' sites.  Returns the keep flags.  A dropped factor commutes
+    with every factor of its run and with the operator conjugated so far,
+    so it cancels against its mirror image in W^dag (.) W.
+
+    The cone of a site p spans a window of W's layers around p, whose
+    width depends on neither p nor N.  A prefix support 1..m keeps every
+    factor that meets it, as the chain walk's forks need.  When no factor
+    wraps past site N, it gets the flags of a walk that grows the support
+    after every factor: a run's gates share no site with its other
+    factors, and walking back over V's ascending windows, every window
+    that 1..m misses comes before the first one it meets."""
+    w_list = _w_nodes(req)
     supp = set(support)
     keep = [False] * len(w_list)
-    for i in range(len(w_list) - 1, -1, -1):
-        sites = w_list[i].sites
-        if not supp.isdisjoint(sites):
+    for run in reversed(_w_runs(req)):
+        met = [i for i in run if not supp.isdisjoint(w_list[i].sites)]
+        for i in met:
             keep[i] = True
-            supp.update(sites)
+            supp.update(w_list[i].sites)
     return keep
 
 
@@ -524,11 +546,10 @@ def _one_shot_network(
     keep flags and, per middle node, its name, kind, sites and whether it
     has data: together they fix the network's structure, its caps, mirrors
     and radii included."""
-    w_list = _w_nodes(req)
-    keep = _light_cone(w_list, {s for node in middle for s in node.sites})
+    keep = _light_cone(req, {s for node in middle for s in node.sites})
     token = req._cache.get("w_token")
     if token is None:
-        structure = [(node.name, node.kind, node.sites) for node in w_list]
+        structure = [(node.name, node.kind, node.sites) for node in _w_nodes(req)]
         token = req._cache["w_token"] = repr((req.n_sites, req.radii, structure))
     middle_key = tuple((node.name, node.kind, node.sites, node.data is None) for node in middle)
     return _closed_network(req, keep, middle), (token, bytes(keep), middle_key)
@@ -537,10 +558,11 @@ def _one_shot_network(
 def build_expectation_network(
     req: SimulationRequest, obs: ObservableProduct, prune: bool = True
 ) -> ExpectationNetwork:
-    """Closed network for <0|W^dag O W|0>.  With prune=True, W factors whose
-    support never meets the (grown) support of O are dropped together with
-    their mirror images; the pair cancels exactly, so the value is
-    unchanged.  The pruned network is the one expectation contracts."""
+    """Closed network for <0|W^dag O W|0>.  With prune=True, only the W
+    factors in the light cone of O's sites are kept (_light_cone); every
+    other factor is dropped together with its mirror image, as the pair
+    cancels exactly, so the value is unchanged up to rounding.  The
+    pruned network is the one expectation contracts."""
     _check_sites(obs, req.n_sites)
     middle = _observable_nodes(obs)
     if prune:
@@ -563,7 +585,7 @@ def _cone(req: SimulationRequest, site: int):
     hit = cones.get(site)
     if hit is None:
         diags = [_wire_node("diag", w) for w in range(1, site + 1)]
-        network = _closed_network(req, _light_cone(_w_nodes(req), range(1, site + 1)), diags)
+        network = _closed_network(req, _light_cone(req, range(1, site + 1)), diags)
         where = {id(node): pos for pos, node in enumerate(network.nodes)}
         marks = {w: where[id(node)] for w, node in enumerate(diags, 1)}
         hit = cones[site] = (network, qubitwise_schedule(network), marks)
@@ -863,7 +885,7 @@ def _mps(req: SimulationRequest) -> MatrixProductState | None:
         if holder is not None:
             holder._cache.pop("mps", None)
         try:
-            state = build_mps(req.n_sites, _w_nodes(req))
+            state = build_mps(req.n_sites, _w_nodes(req), _w_runs(req))
         except (StructuralError, FeasibilityError) as exc:
             req._cache["mps"] = None
             req._cache["conditional_route"] = str(exc)

@@ -20,6 +20,16 @@ such caps are no steps; of the other indices, one that a basis projector
 sits on is pinned by the first such projector in application order, which
 is no step either.  The library's scheduler must give the same plans.
 
+reference_light_cone is the light cone liomsim used before it walked W's
+commuting runs: one factor at a time from last applied to first, growing
+the support after every kept factor.  Its cones are larger but plainly
+exact, and on a prefix support 1..k the library must keep the same
+factors.
+
+reference_mps_sigma_z reads every <sigma^z_p> off an MPS of the whole of
+W|0>, one left-to-right transfer sweep: an unpruned value for each site
+at any N the MPS reaches.
+
 reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
 with its own scalar checks and one random() call per site from the
@@ -34,8 +44,15 @@ from typing import Sequence
 import numpy as np
 
 from liomsim.errors import NumericalIntegrityError, StructuralError
+from liomsim.mps import MatrixProductState
 from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, _cone, _prefix_tree
-from liomsim.tensor import ExpectationNetwork, PlanRunner, _node_array, _wire_sequences
+from liomsim.tensor import (
+    ExpectationNetwork,
+    PlacedTensor,
+    PlanRunner,
+    _node_array,
+    _wire_sequences,
+)
 
 # The frozen walk's own rule: a prefix probability at or below this counts
 # as impossible.
@@ -81,6 +98,35 @@ def reference_chain_walk(
         runner.set_override(mark_nodes[site], _PROJ[bit])
         den = val0 if bit == 0 else max(den - val0, 0.0)
     return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
+
+
+def reference_light_cone(w_list: Sequence[PlacedTensor], support) -> list[bool]:
+    """Keep flags of W's factors: walking them from last applied to first,
+    keep each one that meets the support, and grow the support by its
+    sites."""
+    supp = set(support)
+    keep = [False] * len(w_list)
+    for i in range(len(w_list) - 1, -1, -1):
+        if not supp.isdisjoint(w_list[i].sites):
+            keep[i] = True
+            supp.update(w_list[i].sites)
+    return keep
+
+
+def reference_mps_sigma_z(state: MatrixProductState) -> np.ndarray:
+    """<sigma^z_p> for p = 1..N on a right-canonical, normalised MPS: the
+    left environment L of sites 1..p-1 closes on A_p sigma^z A_p^dag, as
+    the tensors right of p contract to the identity."""
+    env = np.ones((1, 1), dtype=complex)
+    out = []
+    for a in state.tensors:
+        l, _, r = a.shape
+        # ket[j, b, k]: the environment's bra index j, then site p's ket.
+        ket = (env.T @ a.reshape(l, -1)).reshape(l, 2, r)
+        weights = np.einsum("jbk,jbk->b", ket, a.conj()).real
+        out.append(weights[0] - weights[1])
+        env = ket.reshape(2 * l, r).T @ a.conj().reshape(2 * l, r)
+    return np.array(out)
 
 
 def _reference_checked(raw: float, what: str) -> float:

@@ -188,7 +188,7 @@ def test_pruned_network_caps_only_its_light_cone():
     req = _criterion_6_request(32)
     network = build_expectation_network(req, ObservableProduct(1))
     w_list = _w_nodes(req)
-    cone = {1}.union(*(node.sites for node, k in zip(w_list, _light_cone(w_list, [1])) if k))
+    cone = {1}.union(*(node.sites for node, k in zip(w_list, _light_cone(req, [1])) if k))
     assert len(cone) < 32
     for kind in ("cap_ket", "cap_bra"):
         caps = [node.sites[0] for node in network.nodes if node.kind == kind]

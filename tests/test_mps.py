@@ -8,7 +8,7 @@ import pytest
 from liomsim import mps as mps_module
 from liomsim.errors import FeasibilityError, StructuralError
 from liomsim.model import InstanceParams, apply_to_state, build_random_instance
-from liomsim.mps import build_mps, prefix_pair
+from liomsim.mps import build_mps, commuting_runs, prefix_pair
 from liomsim.simulate import (
     MPS_MIN_PREFIX,
     ObservableProduct,
@@ -16,6 +16,7 @@ from liomsim.simulate import (
     _evolved_tensor,
     _light_cone_pair,
     _w_nodes,
+    _w_runs,
     conditional_chain,
     conditional_probability,
     expectation,
@@ -49,7 +50,7 @@ def _unitary(rng, dim):
 def test_mps_of_w_matches_the_dense_walk(n, seed, radii, build_kwargs):
     inst = build_random_instance(InstanceParams(n, 0.5), seed=seed, max_body=3, **build_kwargs)
     req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
-    state = build_mps(n, _w_nodes(req))
+    state = build_mps(n, _w_nodes(req), _w_runs(req))
     np.testing.assert_allclose(_amplitudes(state), _evolved_tensor(req), rtol=0, atol=1e-13)
     # Right-canonical from site 2 on, normalised on site 1.
     for a in state.tensors[1:]:
@@ -77,21 +78,22 @@ def test_factors_on_contiguous_sites_out_of_order_are_permuted():
         else:
             # Diagonal entry (z5, z3, z4) on the state's axes 3, 4, 5.
             psi = psi * node.data.reshape(2, 2, 2).transpose(1, 2, 0).reshape(1, 1, 2, 2, 2)
-    np.testing.assert_allclose(_amplitudes(build_mps(n, nodes)), psi, rtol=0, atol=1e-13)
+    state = build_mps(n, nodes, commuting_runs(nodes))
+    np.testing.assert_allclose(_amplitudes(state), psi, rtol=0, atol=1e-13)
     for bits in ([], [1], [0, 1, 1], [1, 0, 0, 1]):
         sub = np.abs(psi[tuple(bits)]) ** 2
         want = (sub[0].sum(), sub[1].sum())
-        np.testing.assert_allclose(prefix_pair(build_mps(n, nodes), bits), want, atol=1e-14)
+        np.testing.assert_allclose(prefix_pair(state, bits), want, atol=1e-14)
 
 
 def test_build_refuses_wrapped_factors_and_oversized_blocks(monkeypatch):
     wrapped = PlacedTensor("w", "gate", (4, 1), np.eye(4, dtype=complex))
     with pytest.raises(StructuralError, match=r"\(4, 1\), which are not contiguous"):
-        build_mps(4, [wrapped])
+        build_mps(4, [wrapped], [range(1)])
     wide = PlacedTensor("g", "gate", (1, 2, 3), np.eye(8, dtype=complex))
     monkeypatch.setattr(mps_module, "MAX_EXEC_AXES", 2)
     with pytest.raises(FeasibilityError, match=r"sites 1..3 has 1 \* 2\^3 \* 1 entries"):
-        build_mps(3, [wide])
+        build_mps(3, [wide], [range(1)])
 
 
 @functools.cache
