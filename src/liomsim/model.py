@@ -23,11 +23,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import streams
 from .errors import DomainError, FeasibilityError, NumericalIntegrityError
 
 MAX_DENSE_N = 14
@@ -254,6 +256,10 @@ class MblInstance:
         identity; None means any position.
     descriptor: JSON-serializable reconstruction recipe (see
         instance_to_json), or None for ad-hoc instances.
+    coupling_batch: optional function from a list of checked site tuples
+        to their couplings as one float array, each entry equal to what
+        couplings gives for that index; coupling_values uses it in place
+        of one couplings call per index.
     """
 
     params: InstanceParams
@@ -264,6 +270,7 @@ class MblInstance:
     coupling_support: tuple[tuple[int, ...], ...] | None = None
     constituent_support: tuple[tuple[int, int], ...] | None = None
     descriptor: dict | None = None
+    coupling_batch: Callable[[list[tuple[int, ...]]], np.ndarray] | None = None
     _constituent_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -301,23 +308,48 @@ class MblInstance:
             return len(self.coupling_support)
         return sum(math.comb(self.n_sites, p) for p in range(1, self.max_body + 1))
 
+    def coupling_values(self, indices: Iterable[Sequence[int]]) -> np.ndarray:
+        """J_I of every index, as coupling gives them one at a time, and
+        with its DomainError for a malformed or out-of-range index."""
+        n = self.n_sites
+        checked = []
+        for raw in indices:
+            sites = tuple(map(int, raw))
+            if (
+                not sites
+                or sites[0] < 1
+                or sites[-1] > n
+                or not all(map(operator.lt, sites, sites[1:]))
+            ):
+                self.coupling(sites)
+            checked.append(sites)
+        return self._read_couplings(checked)
+
+    def _read_couplings(self, checked: list[tuple[int, ...]]) -> np.ndarray:
+        """coupling_values of indices already checked against this chain."""
+        if self.coupling_batch is not None:
+            return self.coupling_batch(checked)
+        return np.array(
+            [float(self.couplings(CouplingIndex(sites))) for sites in checked], dtype=float
+        )
+
     def iter_indices(self, r_j: int | None = None) -> Iterator[tuple[tuple[int, ...], float]]:
         """Yield (sites, J) for every index with a nonzero coupling, with
-        ranges >= r_j dropped when r_j is given."""
+        ranges >= r_j dropped when r_j is given.  The support's indices are
+        read in batches: all of an explicit support at once, otherwise one
+        batch per order."""
         if self.coupling_support is not None:
-            support: Iterable[tuple[int, ...]] = self.coupling_support
+            batches: Iterable[Iterable[tuple[int, ...]]] = [self.coupling_support]
         else:
-            support = (
-                sites
+            batches = (
+                itertools.combinations(range(1, self.n_sites + 1), p)
                 for p in range(1, self.max_body + 1)
-                for sites in itertools.combinations(range(1, self.n_sites + 1), p)
             )
-        for sites in support:
-            if r_j is not None and sites[-1] - sites[0] >= r_j:
-                continue
-            value = self.coupling(CouplingIndex(sites))
-            if value != 0.0:
-                yield sites, value
+        for batch in batches:
+            kept = [s for s in batch if r_j is None or s[-1] - s[0] < r_j]
+            for sites, value in zip(kept, self.coupling_values(kept).tolist()):
+                if value != 0.0:
+                    yield sites, value
 
 
 def _index_seed_key(seed: int, sites: tuple[int, ...]) -> list[int]:
@@ -390,6 +422,15 @@ def build_random_instance(
     for orders <= max_body and constituents e^{i theta K} at the exact
     distance ||1-U||^2 = (q/2) e^{-(n-1)/xi}; deterministic in seed.
 
+    The couplings' stream is part of the contract: coupling I of order
+    |I| <= max_body is
+
+        np.random.default_rng([seed mod 2^64, 1, |I|, *I]).uniform(-b, b)
+
+    with b = exp(-range(I)/xi).  A single coupling is drawn exactly so; a
+    batch (coupling_values) draws the same doubles in one pass of
+    streams.first_doubles and applies uniform's -b + (b - (-b)) * u.
+
     max_width, if given, makes every constituent of width > max_width the
     identity (a banded dressing unitary); widths within the cap are
     unchanged.  periodic=False additionally sets every wrapped placement
@@ -411,6 +452,14 @@ def build_random_instance(
         bound = math.exp(-index.range / xi)
         rng = np.random.default_rng(_index_seed_key(seed, index.sites))
         return float(rng.uniform(-bound, bound))
+
+    def coupling_batch(indices: list[tuple[int, ...]]) -> np.ndarray:
+        drawn = [i for i, sites in enumerate(indices) if len(sites) <= max_body]
+        u = streams.first_doubles([_index_seed_key(seed, indices[i]) for i in drawn])
+        bound = np.array([math.exp(-(indices[i][-1] - indices[i][0]) / xi) for i in drawn])
+        values = np.zeros(len(indices))
+        values[drawn] = -bound + (bound - -bound) * u
+        return values
 
     def constituent(start: int, width: int) -> Constituent:
         sites = placement_sites(params.n_sites, start, width)
@@ -439,6 +488,7 @@ def build_random_instance(
         max_body=int(max_body),
         label=label or f"random(seed={seed})",
         descriptor=descriptor,
+        coupling_batch=coupling_batch,
     )
 
 
@@ -645,11 +695,12 @@ def validate_instance(
             except DomainError as exc:
                 problems.append(str(exc))
     rng = np.random.default_rng(rng_seed)
+    indices = []
     for _ in range(coupling_samples):
         order = int(rng.integers(1, min(instance.max_body, n) + 1))
-        sites = tuple(sorted(rng.choice(np.arange(1, n + 1), size=order, replace=False)))
+        indices.append(tuple(sorted(rng.choice(np.arange(1, n + 1), size=order, replace=False))))
+    for sites, value in zip(indices, instance.coupling_values(indices).tolist()):
         index = CouplingIndex(sites)
-        value = instance.coupling(index)
         if abs(value) > math.exp(-index.range / params.xi) * (1 + 1e-12):
             problems.append(
                 f"coupling {sites} = {value} violates the decay bound "

@@ -21,6 +21,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, SaturationWarning
 from .model import Constituent, CouplingIndex, InstanceParams, MblInstance, placement_sites
 
@@ -233,7 +235,8 @@ class TruncatedInstance:
 def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance:
     """Apply both cutoffs: couplings with range >= r_J become 0 (the cutoff
     boundary itself is dropped), constituents with width > r_U become the
-    identity."""
+    identity.  The view reads a batch of couplings through the base's
+    batch read, with the same cutoff."""
     base = instance
     r_j, r_u = radii.r_j, radii.r_u
 
@@ -241,6 +244,12 @@ def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance
         if index.range >= r_j:
             return 0.0
         return base.couplings(index)
+
+    def coupling_batch(indices: list[tuple[int, ...]]) -> np.ndarray:
+        kept = [i for i, sites in enumerate(indices) if sites[-1] - sites[0] < r_j]
+        values = np.zeros(len(indices))
+        values[kept] = base._read_couplings([indices[i] for i in kept])
+        return values
 
     def constituent(start: int, width: int) -> Constituent:
         if width > r_u:
@@ -261,6 +270,7 @@ def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance
         coupling_support=support,
         constituent_support=base.constituent_support,
         descriptor=None,
+        coupling_batch=coupling_batch,
     )
     return TruncatedInstance(
         base=base,

@@ -30,6 +30,11 @@ reference_mps_sigma_z reads every <sigma^z_p> off an MPS of the whole of
 W|0>, one left-to-right transfer sweep: an unpruned value for each site
 at any N the MPS reaches.
 
+reference_site_blocks is the site-block builder liomsim used before it
+read a request's couplings in one batch: one coupling call per window
+index, each a default_rng draw of its own on a random instance.  The
+library's blocks must have the same phase bytes.
+
 reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
 with its own scalar checks and one random() call per site from the
@@ -38,6 +43,7 @@ sample's own generator.  The batched walk must give the same bytes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +51,7 @@ import numpy as np
 
 from liomsim.errors import NumericalIntegrityError, StructuralError
 from liomsim.mps import MatrixProductState
-from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, _cone, _prefix_tree
+from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, SiteBlock, _cone, _prefix_tree
 from liomsim.tensor import (
     ExpectationNetwork,
     PlacedTensor,
@@ -53,6 +59,7 @@ from liomsim.tensor import (
     _node_array,
     _wire_sequences,
 )
+from liomsim.truncation import TruncatedInstance
 
 # The frozen walk's own rule: a prefix probability at or below this counts
 # as impossible.
@@ -172,6 +179,38 @@ def reference_dense_chain(
         if possible:
             prefix = 2 * prefix + bit
     return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
+
+
+def reference_site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
+    """One diagonal block per site, aggregating every coupling with leftmost
+    site i and range below r_J (at most 2^{r_J - 1} terms each)."""
+    inst = trunc.instance
+    n = inst.n_sites
+    r_j = trunc.radii.r_j
+    max_extra = inst.max_body - 1
+    blocks: list[SiteBlock] = []
+    for i in range(1, n + 1):
+        width = min(r_j, n - i + 1)
+        angle = np.zeros(2**width)
+        window_rest = range(i + 1, i + width)
+        z = np.arange(2**width)
+        # Window bit b (0-based from the left) is site i + b.
+        sign = {
+            s: 1.0 - 2.0 * ((z >> (width - 1 - (s - i))) & 1) for s in range(i, i + width)
+        }
+        for extra in range(0, min(max_extra, width - 1) + 1):
+            for subset in itertools.combinations(window_rest, extra):
+                sites = (i, *subset)
+                value = inst.coupling(sites)
+                if value == 0.0:
+                    continue
+                term = sign[i].copy()
+                for s in subset:
+                    term *= sign[s]
+                angle += value * term
+        phases = np.exp(-1j * t * angle) if np.any(angle != 0.0) else np.ones(2**width, dtype=complex)
+        blocks.append(SiteBlock(site=i, width=width, phases=phases))
+    return blocks
 
 
 def reference_sample(req, n_samples: int, seed: int) -> list[str]:
