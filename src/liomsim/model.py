@@ -234,12 +234,7 @@ def nonidentity_constituents(
             ),
             key=lambda kw: (kw[1], (kw[0] - 1) % kw[1], (kw[0] - 1) // kw[1]),
         )
-    out = []
-    for k, w in positions:
-        cons = instance.constituent(k, w)
-        if not cons.is_identity:
-            out.append(cons)
-    return out
+    return [cons for cons in instance.constituents_at(positions) if not cons.is_identity]
 
 
 @dataclass(frozen=True)
@@ -260,6 +255,10 @@ class MblInstance:
         to their couplings as one float array, each entry equal to what
         couplings gives for that index; coupling_values uses it in place
         of one couplings call per index.
+    constituent_batch: optional function from a list of distinct, checked
+        positions (start k, width n) to their constituents, each equal to
+        what constituents gives for that position; constituents_at uses
+        it in place of one constituents call per position.
     """
 
     params: InstanceParams
@@ -271,6 +270,7 @@ class MblInstance:
     constituent_support: tuple[tuple[int, int], ...] | None = None
     descriptor: dict | None = None
     coupling_batch: Callable[[list[tuple[int, ...]]], np.ndarray] | None = None
+    constituent_batch: Callable[[list[tuple[int, int]]], list[Constituent]] | None = None
     _constituent_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -289,16 +289,31 @@ class MblInstance:
         return float(self.couplings(index))
 
     def constituent(self, start: int, width: int) -> Constituent:
-        if not (1 <= start <= self.n_sites and 1 <= width <= self.n_sites):
-            raise DomainError(
-                f"constituent position ({start},{width}) out of range for N={self.n_sites}"
-            )
-        key = (start, width)
-        hit = self._constituent_cache.get(key)
-        if hit is None:
-            hit = self.constituents(start, width)
-            self._constituent_cache[key] = hit
-        return hit
+        return self.constituents_at([(start, width)])[0]
+
+    def constituents_at(self, positions: Iterable[tuple[int, int]]) -> list[Constituent]:
+        """The constituent at every position (start k, width n), each built
+        once per instance and cached: the positions not yet cached are
+        built in one constituent_batch call where the instance has one."""
+        n = self.n_sites
+        cache = self._constituent_cache
+        positions = [(int(k), int(w)) for k, w in positions]
+        missing = {}
+        for start, width in positions:
+            if not (1 <= start <= n and 1 <= width <= n):
+                raise DomainError(
+                    f"constituent position ({start},{width}) out of range for N={n}"
+                )
+            if (start, width) not in cache:
+                missing[start, width] = None
+        if missing:
+            todo = list(missing)
+            if self.constituent_batch is not None:
+                built = self.constituent_batch(todo)
+            else:
+                built = [self.constituents(k, w) for k, w in todo]
+            cache.update(zip(todo, built))
+        return [cache[key] for key in positions]
 
     @property
     def support_size(self) -> int:
@@ -360,19 +375,6 @@ def _constituent_seed_key(seed: int, start: int, width: int) -> list[int]:
     return [seed & 0xFFFFFFFFFFFFFFFF, 2, start, width]
 
 
-def _random_hermitian_unit_norm(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random Hermitian with unit operator norm, as (eigenvalues, eigenvectors)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    herm = (g + g.conj().T) / 2
-    vals, vecs = np.linalg.eigh(herm)
-    scale = np.max(np.abs(vals))
-    if scale == 0.0:
-        vals = np.zeros(dim)
-        vals[-1] = 1.0
-        return vals, np.eye(dim, dtype=complex)
-    return vals / scale, vecs
-
-
 def _theta_for_distance(target_sq: float) -> float:
     """Angle t with ||1 - exp(i t K)|| = sqrt(target_sq) for unit-norm
     Hermitian K (distance 2 sin(t/2))."""
@@ -384,30 +386,82 @@ def _theta_for_distance(target_sq: float) -> float:
     return 2 * math.asin(target / 2)
 
 
-def _random_constituent(
-    params: InstanceParams, seed: int, start: int, width: int
-) -> Constituent:
-    sites = placement_sites(params.n_sites, start, width)
-    target_sq = (params.q_const / 2) * math.exp(-(width - 1) / params.xi)
-    theta = _theta_for_distance(target_sq)
-    rng = np.random.default_rng(_constituent_seed_key(seed, start, width))
-    wrapped = sites[-1] != start + width - 1
-    if not wrapped:
-        vals, vecs = _random_hermitian_unit_norm(rng, 2**width)
-        mat = (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
-    else:
-        w1 = params.n_sites - start + 1
-        w2 = width - w1
-        vals1, vecs1 = _random_hermitian_unit_norm(rng, 2**w1)
-        vals2, vecs2 = _random_hermitian_unit_norm(rng, 2**w2)
-        # Exponentiate theta * (K1 (x) 1 + 1 (x) K2)/c with c the operator
-        # norm of the sum, so the block is an exact tensor product across
-        # the wrap and still sits at the prescribed distance from 1.
-        c = max(vals1.max() + vals2.max(), -(vals1.min() + vals2.min()))
-        piece1 = (vecs1 * np.exp(1j * (theta / c) * vals1)) @ vecs1.conj().T
-        piece2 = (vecs2 * np.exp(1j * (theta / c) * vals2)) @ vecs2.conj().T
-        mat = np.kron(piece1, piece2)
-    return Constituent(start, width, sites, mat)
+def random_constituents(
+    params: InstanceParams, seed: int, positions: Sequence[tuple[int, int]]
+) -> list[Constituent]:
+    """The random constituents e^{i theta K} of build_random_instance at the
+    given positions (start k, width n), built in batched passes: all of
+    their streams are seeded in one streams.generators pass, and the eigh,
+    the phases and the product with the eigenvectors' adjoint each run once
+    per dimension, stacked over the Hermitian pieces of that dimension.
+    Every matrix is byte-equal to building its position alone.
+
+    K is a Gaussian Hermitian (G + G^dagger)/2 scaled to unit operator
+    norm.  A position wrapped past site N draws one piece K1 on k..N and
+    then K2 on 1..k+n-1-N, and exponentiates theta (K1 (x) 1 + 1 (x) K2)/c,
+    with c the operator norm of the sum, so the block is an exact tensor
+    product across the wrap and still sits at the prescribed distance."""
+    n = params.n_sites
+    # Each position's Hermitian pieces, as their dimensions.
+    splits = []
+    for start, width in positions:
+        end = start + width - 1
+        splits.append((2**width,) if end <= n else (2 ** (n - start + 1), 2 ** (end - n)))
+    pieces = [dim for dims in splits for dim in dims]
+    firsts = list(itertools.accumulate(map(len, splits), initial=0))
+    # Piece i draws the real, then the imaginary parts of its G from here.
+    offsets = list(itertools.accumulate((2 * dim * dim for dim in pieces), initial=0))
+    draws = np.empty(offsets[-1])
+    keys = [_constituent_seed_key(seed, start, width) for start, width in positions]
+    for gen, first, end in zip(streams.generators(keys), firsts, firsts[1:]):
+        gen.standard_normal(out=draws[offsets[first] : offsets[end]])
+
+    # The pieces of one dimension form one stack; rows[i] is piece i's row.
+    groups: dict[int, list[int]] = {}
+    for i, dim in enumerate(pieces):
+        groups.setdefault(dim, []).append(i)
+    rows = [0] * len(pieces)
+    vals, vecs = {}, {}
+    for dim, members in groups.items():
+        for row, i in enumerate(members):
+            rows[i] = row
+        cells = np.array([offsets[i] for i in members])[:, None] + np.arange(dim * dim)
+        g = draws[cells].reshape(-1, dim, dim) + 1j * draws[cells + dim * dim].reshape(-1, dim, dim)
+        w, v = np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2)
+        scale = np.abs(w).max(axis=1, keepdims=True)
+        zero = scale[:, 0] == 0.0
+        w = w / np.where(zero[:, None], 1.0, scale)
+        w[zero], v[zero] = np.eye(dim)[-1], np.eye(dim)
+        vals[dim], vecs[dim] = w, v
+
+    # Each piece's phases are exp(coef * eigenvalue): coef = i theta, or
+    # i theta / c for both pieces of a wrapped pair.
+    thetas = {}
+    coef: list[complex] = []
+    for (_, width), dims, first in zip(positions, splits, firsts):
+        theta = thetas.get(width)
+        if theta is None:
+            target_sq = (params.q_const / 2) * math.exp(-(width - 1) / params.xi)
+            theta = thetas[width] = _theta_for_distance(target_sq)
+        if len(dims) == 1:
+            coef.append(1j * theta)
+            continue
+        v1, v2 = vals[dims[0]][rows[first]], vals[dims[1]][rows[first + 1]]
+        c = max(v1.max() + v2.max(), -(v1.min() + v2.min()))
+        coef += [1j * (theta / c)] * 2
+
+    mats = {}
+    for dim, members in groups.items():
+        phase = np.exp(np.array([coef[i] for i in members])[:, None] * vals[dim])
+        u = vecs[dim]
+        mats[dim] = list((u * phase[:, None, :]) @ u.conj().swapaxes(1, 2))
+
+    out = []
+    for (start, width), dims, first in zip(positions, splits, firsts):
+        parts = [mats[dim][rows[first + j]] for j, dim in enumerate(dims)]
+        mat = parts[0] if len(parts) == 1 else np.kron(*parts)
+        out.append(Constituent(start, width, placement_sites(n, start, width), mat))
+    return out
 
 
 def build_random_instance(
@@ -422,7 +476,7 @@ def build_random_instance(
     for orders <= max_body and constituents e^{i theta K} at the exact
     distance ||1-U||^2 = (q/2) e^{-(n-1)/xi}; deterministic in seed.
 
-    The couplings' stream is part of the contract: coupling I of order
+    The streams are part of the contract.  Coupling I of order
     |I| <= max_body is
 
         np.random.default_rng([seed mod 2^64, 1, |I|, *I]).uniform(-b, b)
@@ -430,6 +484,14 @@ def build_random_instance(
     with b = exp(-range(I)/xi).  A single coupling is drawn exactly so; a
     batch (coupling_values) draws the same doubles in one pass of
     streams.first_doubles and applies uniform's -b + (b - (-b)) * u.
+    Constituent (k, n) draws from default_rng([seed mod 2^64, 2, k, n]) the
+    real, then the imaginary parts of a 2^n x 2^n standard-normal G; a
+    wrapped one draws its piece on sites k..N first, then the one on
+    1..k+n-1-N (random_constituents).  Every constituent read, one or many,
+    is built by random_constituents, seeded through streams.generators.
+
+    q_const may be at most 8: width-1 constituents sit at ||1-U||^2 = q/2,
+    and no unitary is further than 2 from the identity.
 
     max_width, if given, makes every constituent of width > max_width the
     identity (a banded dressing unitary); widths within the cap are
@@ -443,8 +505,13 @@ def build_random_instance(
         raise DomainError(f"max_body={max_body} exceeds n_sites={params.n_sites}")
     if max_width is not None and max_width < 1:
         raise DomainError(f"max_width must be >= 1, got {max_width!r}")
+    if params.q_const > 8:
+        raise DomainError(
+            f"q={params.q_const} exceeds 8, the largest q a random instance takes: "
+            f"its width-1 constituents would sit at ||1-U||^2 = q/2 > 4"
+        )
     seed = int(seed)
-    xi = params.xi
+    n, xi = params.n_sites, params.xi
 
     def coupling(index: CouplingIndex) -> float:
         if index.order > max_body:
@@ -461,13 +528,17 @@ def build_random_instance(
         values[drawn] = -bound + (bound - -bound) * u
         return values
 
-    def constituent(start: int, width: int) -> Constituent:
-        sites = placement_sites(params.n_sites, start, width)
-        if max_width is not None and width > max_width:
-            return Constituent.identity(start, width, sites)
-        if not periodic and start + width - 1 > params.n_sites:
-            return Constituent.identity(start, width, sites)
-        return _random_constituent(params, seed, start, width)
+    def constituent_batch(positions: list[tuple[int, int]]) -> list[Constituent]:
+        drawn = [
+            (start, width)
+            for start, width in positions
+            if (max_width is None or width <= max_width) and (periodic or start + width - 1 <= n)
+        ]
+        built = dict(zip(drawn, random_constituents(params, seed, drawn)))
+        return [
+            built[pos] if pos in built else Constituent.identity(*pos, placement_sites(n, *pos))
+            for pos in positions
+        ]
 
     descriptor = {
         "kind": "random",
@@ -484,11 +555,12 @@ def build_random_instance(
     return MblInstance(
         params=params,
         couplings=coupling,
-        constituents=constituent,
+        constituents=lambda start, width: constituent_batch([(start, width)])[0],
         max_body=int(max_body),
         label=label or f"random(seed={seed})",
         descriptor=descriptor,
         coupling_batch=coupling_batch,
+        constituent_batch=constituent_batch,
     )
 
 
@@ -686,14 +758,14 @@ def validate_instance(
     n = params.n_sites
     top = n if max_width is None else min(max_width, n)
     problems: list[str] = []
-    for width in range(1, top + 1):
-        for start in range(1, n + 1):
-            try:
-                cons = instance.constituent(start, width)
-                if not cons.is_identity:
-                    cons.validate(params)
-            except DomainError as exc:
-                problems.append(str(exc))
+    for cons in instance.constituents_at(
+        (start, width) for width in range(1, top + 1) for start in range(1, n + 1)
+    ):
+        try:
+            if not cons.is_identity:
+                cons.validate(params)
+        except DomainError as exc:
+            problems.append(str(exc))
     rng = np.random.default_rng(rng_seed)
     indices = []
     for _ in range(coupling_samples):

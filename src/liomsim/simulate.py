@@ -293,47 +293,56 @@ class SimulationRequest:
 def site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
     """One diagonal block per site, aggregating every coupling with leftmost
     site i and range below r_J (at most 2^{r_J - 1} terms each).  The
-    couplings of all windows are read in one coupling_values batch; each
-    block's angle then adds J times its sign product term by term, in the
-    order of the index enumeration."""
+    couplings of all windows are read in one coupling_values batch.  The
+    windows of one width share their subsets' sign products, so they are
+    built as one stack: subset by subset, in the order of the index
+    enumeration, every window's angle adds J times the sign product.  A
+    window whose J is 0 adds +-0.0, which leaves every angle as it was (an
+    angle starts at +0.0, and no sum with a nonzero term is -0.0), so each
+    block's phases are those of adding its nonzero terms alone."""
     inst = trunc.instance
     n = inst.n_sites
     r_j = trunc.radii.r_j
     max_extra = inst.max_body - 1
-    windows = []
+    by_width: dict[int, list[int]] = {}
     for i in range(1, n + 1):
-        width = min(r_j, n - i + 1)
-        subsets = [
+        by_width.setdefault(min(r_j, n - i + 1), []).append(i)
+    # Each width's subsets, as window bits after bit 0 (site i + b is bit b).
+    subsets = {
+        width: [
             subset
             for extra in range(0, min(max_extra, width - 1) + 1)
-            for subset in itertools.combinations(range(i + 1, i + width), extra)
+            for subset in itertools.combinations(range(1, width), extra)
         ]
-        windows.append((i, width, subsets))
-    values = iter(
-        inst.coupling_values(
-            [(i, *subset) for i, _, subsets in windows for subset in subsets]
-        ).tolist()
+        for width in by_width
+    }
+    values = inst.coupling_values(
+        [
+            (i, *(i + b for b in subset))
+            for width, starts in by_width.items()
+            for i in starts
+            for subset in subsets[width]
+        ]
     )
-    signs: dict[int, list[np.ndarray]] = {}
-    blocks: list[SiteBlock] = []
-    for i, width, subsets in windows:
-        angle = np.zeros(2**width)
-        sign = signs.get(width)
-        if sign is None:
-            z = np.arange(2**width)
-            # Window bit b (0-based from the left) is site i + b.
-            sign = signs[width] = [1.0 - 2.0 * ((z >> (width - 1 - b)) & 1) for b in range(width)]
-        for subset in subsets:
-            value = next(values)
-            if value == 0.0:
-                continue
+    phases: dict[int, np.ndarray] = {}
+    done = 0
+    for width, starts in by_width.items():
+        count = len(starts) * len(subsets[width])
+        group = values[done : done + count].reshape(len(starts), -1)
+        done += count
+        z = np.arange(2**width)
+        sign = [1.0 - 2.0 * ((z >> (width - 1 - b)) & 1) for b in range(width)]
+        angle = np.zeros((len(starts), 2**width))
+        for column, subset in zip(group.T, subsets[width]):
             term = sign[0].copy()
-            for s in subset:
-                term *= sign[s - i]
-            angle += value * term
-        phases = np.exp(-1j * t * angle) if np.any(angle != 0.0) else np.ones(2**width, dtype=complex)
-        blocks.append(SiteBlock(site=i, width=width, phases=phases))
-    return blocks
+            for b in subset:
+                term *= sign[b]
+            angle += column[:, None] * term
+        moved = np.any(angle != 0.0, axis=1)
+        block = np.ones(angle.shape, dtype=complex)
+        block[moved] = np.exp(-1j * t * angle[moved])
+        phases.update(zip(starts, block))
+    return [SiteBlock(site=i, width=min(r_j, n - i + 1), phases=phases[i]) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,45 @@
-"""First doubles of many keyed numpy streams, computed in one batched pass.
+"""Many keyed numpy streams, seeded in one batched pass.
 
 A keyed stream is np.random.default_rng(key) for a key that is a sequence
 of non-negative integers: SeedSequence(key) hashes the key into a pool of
-four 32-bit words, seeds PCG64 from generate_state(4, uint64), and random()
-turns the generator's first 64-bit output x into (x >> 11) * 2^-53.  All of
+four 32-bit words and seeds PCG64 from generate_state(4, uint64).  All of
 it is fixed integer arithmetic (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11, on keyed counter-style draws; O'Neill,
-HMC-CS-2014-0905, on PCG), so first_doubles runs it for a whole batch of
-keys at once and returns, bit for bit, the double that
-np.random.default_rng(key).random() would give for each key.
+HMC-CS-2014-0905, on PCG), so pcg64_states runs it for a whole batch of
+keys at once and returns, bit for bit, each key's seeded PCG64 state.  Two
+readers build on it:
+
+- first_doubles takes one PCG64 step and turns its XSL-RR output x into
+  random()'s (x >> 11) * 2^-53;
+- generators sets one PCG64 to each key's state in turn, so numpy's own
+  samplers (standard_normal's ziggurat) draw from it.
 
 The pool mixing runs over every key in one vectorised uint32 pass.  A key
 whose integers give fewer 32-bit words than the longest key's is masked in
 the words it lacks, not grouped apart, so a batch pays one fixed cost.  The
-128-bit PCG64 seeding and first step use Python integers, one key at a
-time.
+128-bit PCG64 seeding uses Python integers, one key at a time.
 
-This is the stream of a random instance's couplings: coupling I of
-model.build_random_instance(params, seed, ...) with order |I| <= max_body is
+Two streams of model.build_random_instance(params, seed, ...) are part of
+its contract:
 
-    default_rng([seed mod 2^64, 1, |I|, *I]).uniform(-b, b),
-    b = exp(-range(I)/xi),
+- coupling I with order |I| <= max_body is
 
-which is -b + (b - (-b)) * u for the stream's first double u.
+      default_rng([seed mod 2^64, 1, |I|, *I]).uniform(-b, b),
+      b = exp(-range(I)/xi),
+
+  which is -b + (b - (-b)) * u for the stream's first double u;
+- constituent (k, n) draws from default_rng([seed mod 2^64, 2, k, n]) the
+  real, then the imaginary parts of a d x d standard-normal matrix, d =
+  2^n; a block wrapped past site N draws its piece on sites k..N first,
+  then the one on 1..k+n-1-N, each real then imaginary.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 
@@ -47,12 +57,11 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
-# PCG64 seeded with (state s, increment i) takes two steps x -> x M + c with
-# c = 2 i + 1 from state 0 (srandom) and one more before its first output, so
-# the state it outputs from is s M^2 + c (M^2 + M + 1) mod 2^128.
+# PCG64 seeded with (seed s, sequence i) sets its increment c = 2 i + 1 and
+# takes two steps x -> x M + c from state 0, adding s between them
+# (srandom), so its seeded state is s M + c (M + 1) mod 2^128.
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_STATE_MULT = _PCG_MULT * _PCG_MULT & _MASK128
-_INC_MULT = (_STATE_MULT + _PCG_MULT + 1) & _MASK128
+_INC_MULT = _PCG_MULT + 1
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:
@@ -125,10 +134,12 @@ def _pools(words: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     return pool
 
 
-def first_doubles(keys: Sequence[Sequence[int]]) -> np.ndarray:
-    """For each key, the double np.random.default_rng(key).random() gives,
-    bit for bit.  A key is a sequence of non-negative integers; a negative
-    one raises DomainError, where numpy raises ValueError."""
+def pcg64_states(keys: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """For each key, the (state, inc) of
+    np.random.PCG64(np.random.SeedSequence(key)).state["state"], bit for
+    bit: the generator default_rng(key) wraps, before its first draw.  A key
+    is a sequence of non-negative integers; a negative one raises
+    DomainError, where numpy raises ValueError."""
     words, counts = _entropy_words(keys)
     pool = _pools(words, counts)
     # generate_state(4, uint64): eight words, cycling through the pool, read
@@ -142,12 +153,46 @@ def first_doubles(keys: Sequence[Sequence[int]]) -> np.ndarray:
     halves = [(lo | (hi << np.uint64(32))).tolist() for lo, hi in zip(state[0::2], state[1::2])]
     out = []
     for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-        x = (
-            ((s_hi << 64) | s_lo) * _STATE_MULT
-            + ((((i_hi << 64) | i_lo) << 1) | 1) * _INC_MULT
-        ) & _MASK128
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        out.append(((((s_hi << 64) | s_lo) * _PCG_MULT + inc * _INC_MULT) & _MASK128, inc))
+    return out
+
+
+def first_doubles(keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """For each key, the double np.random.default_rng(key).random() gives,
+    bit for bit: one PCG64 step from pcg64_states, then its XSL-RR output x
+    as (x >> 11) * 2^-53."""
+    out = []
+    for state, inc in pcg64_states(keys):
+        x = (state * _PCG_MULT + inc) & _MASK128
         # XSL-RR: the xor of the two halves, rotated right by the top 6 bits.
         rot = x >> 122
         low = ((x >> 64) ^ x) & _MASK64
         out.append(((low >> rot) | (low << (64 - rot)) & _MASK64) >> 11)
     return np.array(out, dtype=np.float64) * 2.0**-53
+
+
+class _Unseeded(ISeedSequence):
+    """The seed of a PCG64 whose state is set before every draw: it hands
+    PCG64 zero words, so building one hashes nothing."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+def generators(keys: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
+    """For each key in turn, a Generator in the state
+    np.random.default_rng(key) starts in, seeded by pcg64_states, so every
+    numpy draw from it is default_rng(key)'s, bit for bit.  It is one
+    Generator, re-seeded for each key: take a key's draws before advancing
+    to the next."""
+    bitgen = np.random.PCG64(_Unseeded())
+    gen = np.random.Generator(bitgen)
+    for state, inc in pcg64_states(keys):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen

@@ -235,8 +235,8 @@ class TruncatedInstance:
 def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance:
     """Apply both cutoffs: couplings with range >= r_J become 0 (the cutoff
     boundary itself is dropped), constituents with width > r_U become the
-    identity.  The view reads a batch of couplings through the base's
-    batch read, with the same cutoff."""
+    identity.  The view reads a batch of couplings or constituents through
+    the base's batch read, with the same cutoff."""
     base = instance
     r_j, r_u = radii.r_j, radii.r_u
 
@@ -251,12 +251,14 @@ def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance
         values[kept] = base._read_couplings([indices[i] for i in kept])
         return values
 
-    def constituent(start: int, width: int) -> Constituent:
-        if width > r_u:
-            return Constituent.identity(
-                start, width, placement_sites(base.params.n_sites, start, width)
-            )
-        return base.constituent(start, width)
+    def constituent_batch(positions: list[tuple[int, int]]) -> list[Constituent]:
+        kept = iter(base.constituents_at(pos for pos in positions if pos[1] <= r_u))
+        return [
+            next(kept)
+            if pos[1] <= r_u
+            else Constituent.identity(*pos, placement_sites(base.params.n_sites, *pos))
+            for pos in positions
+        ]
 
     support = None
     if base.coupling_support is not None:
@@ -264,13 +266,14 @@ def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance
     view = MblInstance(
         params=base.params,
         couplings=coupling,
-        constituents=constituent,
+        constituents=lambda start, width: constituent_batch([(start, width)])[0],
         max_body=base.max_body,
         label=f"{base.label}|trunc(r_J={r_j},r_U={r_u})",
         coupling_support=support,
         constituent_support=base.constituent_support,
         descriptor=None,
         coupling_batch=coupling_batch,
+        constituent_batch=constituent_batch,
     )
     return TruncatedInstance(
         base=base,

@@ -35,6 +35,11 @@ read a request's couplings in one batch: one coupling call per window
 index, each a default_rng draw of its own on a random instance.  The
 library's blocks must have the same phase bytes.
 
+reference_random_constituent is the constituent builder liomsim used
+before a random instance built its constituents in batches: one
+default_rng, one pair of Gaussian draws and one eigh per Hermitian piece.
+The library's constituents must have the same matrix bytes.
+
 reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
 with its own scalar checks and one random() call per site from the
@@ -44,12 +49,20 @@ sample's own generator.  The batched walk must give the same bytes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from liomsim.errors import NumericalIntegrityError, StructuralError
+from liomsim.model import (
+    Constituent,
+    InstanceParams,
+    _constituent_seed_key,
+    _theta_for_distance,
+    placement_sites,
+)
 from liomsim.mps import MatrixProductState
 from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, SiteBlock, _cone, _prefix_tree
 from liomsim.tensor import (
@@ -211,6 +224,43 @@ def reference_site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]
         phases = np.exp(-1j * t * angle) if np.any(angle != 0.0) else np.ones(2**width, dtype=complex)
         blocks.append(SiteBlock(site=i, width=width, phases=phases))
     return blocks
+
+
+def _random_hermitian_unit_norm(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random Hermitian with unit operator norm, as (eigenvalues, eigenvectors)."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    herm = (g + g.conj().T) / 2
+    vals, vecs = np.linalg.eigh(herm)
+    scale = np.max(np.abs(vals))
+    if scale == 0.0:
+        vals = np.zeros(dim)
+        vals[-1] = 1.0
+        return vals, np.eye(dim, dtype=complex)
+    return vals / scale, vecs
+
+
+def reference_random_constituent(
+    params: InstanceParams, seed: int, start: int, width: int
+) -> Constituent:
+    """The random constituent at (start, width), built alone."""
+    sites = placement_sites(params.n_sites, start, width)
+    target_sq = (params.q_const / 2) * math.exp(-(width - 1) / params.xi)
+    theta = _theta_for_distance(target_sq)
+    rng = np.random.default_rng(_constituent_seed_key(seed, start, width))
+    wrapped = sites[-1] != start + width - 1
+    if not wrapped:
+        vals, vecs = _random_hermitian_unit_norm(rng, 2**width)
+        mat = (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
+    else:
+        w1 = params.n_sites - start + 1
+        w2 = width - w1
+        vals1, vecs1 = _random_hermitian_unit_norm(rng, 2**w1)
+        vals2, vecs2 = _random_hermitian_unit_norm(rng, 2**w2)
+        c = max(vals1.max() + vals2.max(), -(vals1.min() + vals2.min()))
+        piece1 = (vecs1 * np.exp(1j * (theta / c) * vals1)) @ vecs1.conj().T
+        piece2 = (vecs2 * np.exp(1j * (theta / c) * vals2)) @ vecs2.conj().T
+        mat = np.kron(piece1, piece2)
+    return Constituent(start, width, sites, mat)
 
 
 def reference_sample(req, n_samples: int, seed: int) -> list[str]:

@@ -55,6 +55,12 @@ def test_gen_rejects_bad_xi(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_rejects_q_above_8(capsys):
+    assert main(["gen", "--n", "4", "--xi", "0.5", "--q", "9"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: q=9.0 exceeds 8")
+
+
 def test_gen_open_boundary_flag(tmp_path):
     open_path = _gen_instance(
         tmp_path, "open.json", extra=("--max-width", "2", "--open-boundary")

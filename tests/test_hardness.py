@@ -200,13 +200,14 @@ def test_mapping_walks_only_the_hadamards(monkeypatch):
         state = oracle.evolve_factored(inst, t)
         assert state.tobytes() == oracle.evolve_factored(every, t).tobytes()
     lookups = []
-    constituent = model.MblInstance.constituent
+    constituents_at = model.MblInstance.constituents_at
 
-    def counted(self, start, width):
-        lookups.append((start, width))
-        return constituent(self, start, width)
+    def counted(self, positions):
+        positions = list(positions)
+        lookups.extend(positions)
+        return constituents_at(self, positions)
 
-    monkeypatch.setattr(model.MblInstance, "constituent", counted)
+    monkeypatch.setattr(model.MblInstance, "constituents_at", counted)
     for perturb_site in (None, 4):
         lookups.clear()
         verify_2d_mapping(spec, perturb_site=perturb_site)

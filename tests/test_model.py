@@ -125,6 +125,22 @@ def test_constituent_closeness_exact():
         assert np.linalg.norm(mat.conj().T @ mat - np.eye(2**width)) < 1e-10
 
 
+def test_random_instance_refuses_q_above_8_at_build_time():
+    # Width-1 constituents sit at ||1 - U||^2 = q/2, and no unitary is
+    # further than 2 from the identity: q = 8 is the largest q with one.
+    params = InstanceParams(5, 0.5, q_const=9.0)
+    with pytest.raises(DomainError, match=r"q=9\.0 exceeds 8"):
+        build_random_instance(params, seed=0, max_body=2)
+    with pytest.raises(DomainError, match=r"q=9\.0 exceeds 8"):
+        model.instance_from_json(
+            json.dumps({"kind": "random", "n_sites": 5, "xi": 0.5, "q": 9.0, "seed": 0, "max_body": 2})
+        )
+    inst = build_random_instance(InstanceParams(5, 0.5, q_const=8.0), seed=0, max_body=2)
+    u = inst.constituent(2, 1).dense_matrix()
+    assert np.linalg.norm(np.eye(2) - u, 2) ** 2 == pytest.approx(4.0, rel=1e-12)
+    assert validate_instance(inst) == []
+
+
 def test_n1_instance_closeness():
     params = InstanceParams(1, 0.5, q_const=1.0)
     inst = build_random_instance(params, seed=0, max_body=1)

@@ -1,13 +1,15 @@
-"""Tests for the batched draw of keyed streams and the batch reads of
-couplings built on it: every double bit-equal to numpy's own default_rng,
-every coupling equal to its single read, and every site block's phases
-byte-equal to the per-index builder's."""
+"""Tests for the batched seeding of keyed streams and the batch reads of
+couplings and constituents built on it: every seeded state and double
+bit-equal to numpy's own, every coupling equal to its single read, every
+constituent and site block byte-equal to the per-position and per-index
+builders', and no request's W seeding a stream of its own."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
-from reference import reference_site_blocks
+from reference import reference_random_constituent, reference_site_blocks
 
 from liomsim.errors import DomainError
 from liomsim.model import (
@@ -15,10 +17,14 @@ from liomsim.model import (
     _index_seed_key,
     build_explicit_instance,
     build_random_instance,
+    instance_from_json,
+    instance_to_json,
+    nonidentity_constituents,
+    random_constituents,
     validate_instance,
 )
-from liomsim.simulate import SimulationRequest, site_blocks
-from liomsim.streams import first_doubles
+from liomsim.simulate import SimulationRequest, _w_nodes, site_blocks
+from liomsim.streams import first_doubles, generators, pcg64_states
 from liomsim.truncation import TruncationRadii, truncate
 
 
@@ -27,6 +33,8 @@ def _assert_bit_equal(keys):
     expect = np.array([np.random.default_rng(key).random() for key in keys])
     assert got.dtype == np.float64 and got.shape == (len(keys),)
     assert got.tobytes() == expect.tobytes()
+    seeded = [np.random.PCG64(np.random.SeedSequence(key)).state["state"] for key in keys]
+    assert pcg64_states(keys) == [(s["state"], s["inc"]) for s in seeded]
 
 
 @pytest.mark.parametrize(
@@ -79,6 +87,20 @@ def test_several_thousand_random_keys():
 def test_negative_key_integer_is_refused():
     with pytest.raises(DomainError):
         first_doubles([[1, 2], [3, -1]])
+    with pytest.raises(DomainError):
+        pcg64_states([[3, -1]])
+
+
+def test_generators_draw_numpys_streams():
+    # One Generator re-seeded per key: each key's draws, taken in several
+    # calls, are default_rng(key)'s.
+    keys = [[0], [5, 2, 3, 1], [2**64 - 1, 2, 1, 2], [], [2**40, 1, 2, 3, 4, 5]]
+    for key, gen in zip(keys, generators(keys)):
+        ref = np.random.default_rng(key)
+        for shape in ((4, 4), (3,), ()):
+            assert np.asarray(gen.standard_normal(shape)).tobytes() == np.asarray(
+                ref.standard_normal(shape)
+            ).tobytes()
 
 
 def _every_index(n, max_order):
@@ -175,6 +197,9 @@ def _site_block_requests():
     )
     for max_body in (1, 2, 3):
         out[f"max_body-{max_body}"] = _random_request(12, 0.5, 8, max_body, TruncationRadii(5, 2))
+    # One-site windows only, and windows all cut short by the chain's end.
+    out["r_j-1"] = _random_request(9, 0.5, 6, 3, TruncationRadii(1, 2))
+    out["r_j-over-n"] = _random_request(6, 0.5, 6, 3, TruncationRadii(9, 2))
     out["explicit"] = SimulationRequest(
         instance=_explicit_instance(), t=0.7, epsilon=0.5, radii=TruncationRadii(3, 1)
     )
@@ -194,3 +219,130 @@ def test_site_block_phases_are_byte_equal_to_the_reference(name):
         assert block.phases.dtype == ref.phases.dtype
         assert block.phases.tobytes() == ref.phases.tobytes()
     assert any(not b.trivial for b in got)
+
+
+def _assert_reference_constituents(params, seed, constituents):
+    for cons in constituents:
+        ref = reference_random_constituent(params, seed, cons.start_site, cons.width)
+        assert cons.sites == ref.sites
+        assert cons.matrix.dtype == ref.matrix.dtype
+        assert cons.matrix.tobytes() == ref.matrix.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, -1, -(2**63)])
+@pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+def test_constituents_are_byte_equal_to_the_reference(seed, periodic):
+    # Widths 1-4 at every start of N=7: on the periodic chain the starts
+    # past N-w+1 wrap, some into pieces of unequal width.
+    params = InstanceParams(7, 0.5, 2.0)
+    inst = build_random_instance(params, seed=seed, max_body=2, periodic=periodic)
+    positions = [(k, w) for w in range(1, 5) for k in range(1, 8)]
+    got = inst.constituents_at(positions)
+    drawn = [c for c in got if not c.is_identity]
+    assert [(c.start_site, c.width) for c in got if c.is_identity] == (
+        [] if periodic else [(k, w) for k, w in positions if k + w - 1 > 7]
+    )
+    assert sum(len(c.sites) != c.sites[-1] - c.sites[0] + 1 for c in drawn) == (
+        6 if periodic else 0
+    )
+    _assert_reference_constituents(params, seed, drawn)
+
+
+def test_dense_route_constituents_are_byte_equal_to_the_reference():
+    # The dense route's family: periodic N=10 at r_U = 3, wrapped blocks
+    # included.
+    params = InstanceParams(10, 0.5)
+    req = SimulationRequest(
+        instance=build_random_instance(params, seed=77, max_body=3),
+        t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3),
+    )
+    got = nonidentity_constituents(req.trunc.instance, req.radii.r_u)
+    assert len(got) == 10 + 2 * 5 + 3 * 3
+    _assert_reference_constituents(params, 77, got)
+
+
+def test_constituent_batches_do_not_depend_on_order_or_size():
+    params = InstanceParams(9, 0.4, 3.0)
+    positions = [(k, w) for w in range(1, 5) for k in range(1, 10)]
+    whole = {(c.start_site, c.width): c.matrix.tobytes() for c in random_constituents(params, 5, positions)}
+    shuffled = list(positions)
+    random.Random(3).shuffle(shuffled)
+    for batch in (shuffled, shuffled[:7], shuffled[7:8]):
+        for cons in random_constituents(params, 5, batch):
+            assert cons.matrix.tobytes() == whole[cons.start_site, cons.width]
+    assert random_constituents(params, 5, []) == []
+
+
+def test_single_lookup_equals_its_batch_entry():
+    params = InstanceParams(8, 0.5)
+    positions = [(k, w) for w in range(1, 4) for k in range(1, 9)]
+    batch = build_random_instance(params, seed=21, max_body=2).constituents_at(positions)
+    single = build_random_instance(params, seed=21, max_body=2)
+    for (k, w), cons in zip(positions, batch):
+        one = single.constituent(k, w)
+        assert one.matrix.tobytes() == cons.matrix.tobytes()
+        # Cached: a later batch hands back the same object.
+        assert single.constituents_at([(k, w)])[0] is one
+
+
+def test_truncated_view_reads_constituents_through_the_base():
+    inst = build_random_instance(InstanceParams(8, 0.5), seed=4, max_body=2)
+    view = truncate(inst, TruncationRadii(3, 2)).instance
+    positions = [(k, w) for w in range(1, 5) for k in range(1, 9)]
+    for (k, w), cons in zip(positions, view.constituents_at(positions)):
+        if w > 2:
+            assert cons.is_identity and cons.sites == inst.constituent(k, w).sites
+        else:
+            assert cons is inst.constituent(k, w)
+    with pytest.raises(DomainError):
+        view.constituents_at([(1, 1), (9, 1)])
+
+
+def test_json_round_trip_keeps_constituent_bytes():
+    inst = build_random_instance(
+        InstanceParams(6, 0.5, 1.5), seed=2**64 - 1, max_body=2, max_width=3
+    )
+    back = instance_from_json(instance_to_json(inst))
+    positions = [(k, w) for w in range(1, 5) for k in range(1, 7)]
+    for a, b in zip(inst.constituents_at(positions), back.constituents_at(positions)):
+        assert a.is_identity == b.is_identity == (a.width > 3)
+        assert a.dense_matrix().tobytes() == b.dense_matrix().tobytes()
+
+
+@pytest.mark.parametrize("family", ["criterion-6-32", "expect_plan-11"])
+def test_w_seeds_no_stream_of_its_own(monkeypatch, family):
+    # A request's W draws its couplings and constituents through
+    # liomsim.streams, which hashes no SeedSequence: default_rng, a
+    # SeedSequence, or a PCG64 handed anything but a seed sequence (which
+    # builds a SeedSequence inside) would each count here.
+    req = _site_block_requests()[family]
+    counts = {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
+    default_rng, seed_sequence, pcg64 = (
+        np.random.default_rng, np.random.SeedSequence, np.random.PCG64
+    )
+
+    def counted(name, fn, seeded=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += seeded(*args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.random, "default_rng", counted("default_rng", default_rng))
+    monkeypatch.setattr(np.random, "SeedSequence", counted("SeedSequence", seed_sequence))
+    monkeypatch.setattr(
+        np.random,
+        "PCG64",
+        counted(
+            "PCG64",
+            pcg64,
+            lambda seed=None: not isinstance(seed, np.random.bit_generator.ISeedSequence),
+        ),
+    )
+    assert _w_nodes(req)
+    assert counts == {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
+    # The counters do count.
+    np.random.default_rng([1, 2])
+    np.random.PCG64(np.random.SeedSequence(3))
+    np.random.PCG64(3)
+    assert counts == {"default_rng": 1, "SeedSequence": 1, "PCG64": 1}
