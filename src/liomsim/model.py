@@ -20,6 +20,7 @@ with site 1 as the most significant bit of the basis index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -213,27 +214,56 @@ def constituent_placements(n_sites: int, max_width: int | None = None) -> list[P
     return out
 
 
+# Bound of each cache of a family's structure (here and in the simulate
+# module: positions, stream tails, layouts, windows, W's folds), which is
+# derived from structural inputs alone, never from a seed or a drawn value.
+_STRUCTURES = 64
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
+def constituent_positions(
+    n_sites: int,
+    max_width: int | None = None,
+    support: tuple[tuple[int, int], ...] | None = None,
+) -> tuple[tuple[int, int], ...]:
+    """The positions (start k, width n) of constituent_placements with
+    width <= max_width, in their product order; with a support, only the
+    listed ones.  It depends on its structural inputs alone, so it is
+    derived once per family and cached."""
+    top = n_sites if max_width is None else min(max_width, n_sites)
+    if support is None:
+        return tuple((p.start, p.width) for p in constituent_placements(n_sites, top))
+    # constituent_placements puts width w at the starts k = i*w + j,
+    # j = 1..w, i = 0..(N-w)//w, in order of w, then j, then i.
+    return tuple(
+        sorted(
+            (
+                (k, w)
+                for k, w in support
+                if 1 <= w <= top and 1 <= k and (k - 1) // w <= (n_sites - w) // w
+            ),
+            key=lambda kw: (kw[1], (kw[0] - 1) % kw[1], (kw[0] - 1) // kw[1]),
+        )
+    )
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _drawn_placements(n_sites: int, max_width: int, periodic: bool) -> tuple[tuple[int, int], ...]:
+    """The positions of constituent_placements of width <= max_width, less
+    those wrapped past site N on an open chain: the ones a banded random
+    instance draws."""
+    return tuple(
+        (k, w) for k, w in constituent_positions(n_sites, max_width) if periodic or k + w - 1 <= n_sites
+    )
+
+
 def nonidentity_constituents(
     instance: MblInstance, max_width: int | None = None
 ) -> list[Constituent]:
     """The constituents of width <= max_width that differ from the identity,
     in the product order of constituent_placements.  An instance that lists
     its constituent_support is walked over those positions alone."""
-    n = instance.n_sites
-    if instance.constituent_support is None:
-        positions = [(p.start, p.width) for p in constituent_placements(n, max_width)]
-    else:
-        top = n if max_width is None else min(max_width, n)
-        # constituent_placements puts width w at the starts k = i*w + j,
-        # j = 1..w, i = 0..(N-w)//w, in order of w, then j, then i.
-        positions = sorted(
-            (
-                (k, w)
-                for k, w in instance.constituent_support
-                if 1 <= w <= top and 1 <= k and (k - 1) // w <= (n - w) // w
-            ),
-            key=lambda kw: (kw[1], (kw[0] - 1) % kw[1], (kw[0] - 1) // kw[1]),
-        )
+    positions = constituent_positions(instance.n_sites, max_width, instance.constituent_support)
     return [cons for cons in instance.constituents_at(positions) if not cons.is_identity]
 
 
@@ -247,8 +277,8 @@ class MblInstance:
     coupling_support: optional explicit list of site tuples where J may be
         nonzero; None means all indices of order <= max_body.
     constituent_support: optional explicit list of the positions
-        (start k, width n) where a constituent may differ from the
-        identity; None means any position.
+        (start k, width n) of constituent_placements where a constituent
+        may differ from the identity; None means any position.
     descriptor: JSON-serializable reconstruction recipe (see
         instance_to_json), or None for ad-hoc instances.
     coupling_batch: optional function from a list of checked site tuples
@@ -367,12 +397,37 @@ class MblInstance:
                     yield sites, value
 
 
+# A random instance's stream keys are [seed mod 2^64, *tail] (see the
+# streams module): the tail of coupling I and of constituent (k, n).
+def _index_tail(sites: tuple[int, ...]) -> tuple[int, ...]:
+    return (1, len(sites), *sites)
+
+
+def _constituent_tail(start: int, width: int) -> tuple[int, int, int]:
+    return (2, start, width)
+
+
 def _index_seed_key(seed: int, sites: tuple[int, ...]) -> list[int]:
-    return [seed & 0xFFFFFFFFFFFFFFFF, 1, len(sites), *sites]
+    return [seed & 0xFFFFFFFFFFFFFFFF, *_index_tail(sites)]
 
 
-def _constituent_seed_key(seed: int, start: int, width: int) -> list[int]:
-    return [seed & 0xFFFFFFFFFFFFFFFF, 2, start, width]
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _coupling_streams(
+    indices: tuple[tuple[int, ...], ...], max_body: int
+) -> tuple[np.ndarray | None, tuple[tuple[int, ...], ...], np.ndarray]:
+    """The seed-free part of a random instance's coupling batch: the
+    positions of the indices of order <= max_body (None when all are),
+    the tails (1, |I|, *I) of their stream keys after the seed, and their
+    ranges."""
+    drawn = [i for i, sites in enumerate(indices) if len(sites) <= max_body]
+    tails = tuple(_index_tail(indices[i]) for i in drawn)
+    ranges = np.array([indices[i][-1] - indices[i][0] for i in drawn], dtype=np.intp)
+    ranges.flags.writeable = False
+    if len(drawn) == len(indices):
+        return None, tails, ranges
+    picked = np.array(drawn, dtype=np.intp)
+    picked.flags.writeable = False
+    return picked, tails, ranges
 
 
 def _theta_for_distance(target_sq: float) -> float:
@@ -386,6 +441,56 @@ def _theta_for_distance(target_sq: float) -> float:
     return 2 * math.asin(target / 2)
 
 
+@dataclass(frozen=True)
+class _ConstituentLayout:
+    """The seed-free layout of a batch of random constituents: per
+    position, its sites and the dimensions of its Hermitian pieces (two
+    for a block wrapped past site N) and the index of its first piece;
+    per piece, the span of the draws it reads; per dimension, its pieces
+    and the draw cells of their real parts; and per position, the tail of
+    its stream key after the seed."""
+
+    sites: tuple[tuple[int, ...], ...]
+    splits: tuple[tuple[int, ...], ...]
+    firsts: tuple[int, ...]
+    offsets: tuple[int, ...]
+    groups: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
+    rows: tuple[int, ...]
+    tails: tuple[tuple[int, int, int], ...]
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _constituent_layout(n_sites: int, positions: tuple[tuple[int, int], ...]) -> _ConstituentLayout:
+    splits = []
+    for start, width in positions:
+        end = start + width - 1
+        splits.append((2**width,) if end <= n_sites else (2 ** (n_sites - start + 1), 2 ** (end - n_sites)))
+    pieces = [dim for dims in splits for dim in dims]
+    # Piece i draws the real, then the imaginary parts of its G from
+    # offsets[i] on.
+    offsets = list(itertools.accumulate((2 * dim * dim for dim in pieces), initial=0))
+    members: dict[int, list[int]] = {}
+    for i, dim in enumerate(pieces):
+        members.setdefault(dim, []).append(i)
+    rows = [0] * len(pieces)
+    groups = []
+    for dim, ids in members.items():
+        for row, i in enumerate(ids):
+            rows[i] = row
+        cells = np.array([offsets[i] for i in ids])[:, None] + np.arange(dim * dim)
+        cells.flags.writeable = False
+        groups.append((dim, tuple(ids), cells))
+    return _ConstituentLayout(
+        sites=tuple(placement_sites(n_sites, start, width) for start, width in positions),
+        splits=tuple(splits),
+        firsts=tuple(itertools.accumulate(map(len, splits), initial=0)),
+        offsets=tuple(offsets),
+        groups=tuple(groups),
+        rows=tuple(rows),
+        tails=tuple(_constituent_tail(start, width) for start, width in positions),
+    )
+
+
 def random_constituents(
     params: InstanceParams, seed: int, positions: Sequence[tuple[int, int]]
 ) -> list[Constituent]:
@@ -394,38 +499,24 @@ def random_constituents(
     their streams are seeded in one streams.generators pass, and the eigh,
     the phases and the product with the eigenvectors' adjoint each run once
     per dimension, stacked over the Hermitian pieces of that dimension.
-    Every matrix is byte-equal to building its position alone.
+    Every matrix is byte-equal to building its position alone.  The
+    batch's layout (pieces, draw spans, stream tails) depends on N and
+    the positions alone, so it is derived once and cached.
 
     K is a Gaussian Hermitian (G + G^dagger)/2 scaled to unit operator
     norm.  A position wrapped past site N draws one piece K1 on k..N and
     then K2 on 1..k+n-1-N, and exponentiates theta (K1 (x) 1 + 1 (x) K2)/c,
     with c the operator norm of the sum, so the block is an exact tensor
     product across the wrap and still sits at the prescribed distance."""
-    n = params.n_sites
-    # Each position's Hermitian pieces, as their dimensions.
-    splits = []
-    for start, width in positions:
-        end = start + width - 1
-        splits.append((2**width,) if end <= n else (2 ** (n - start + 1), 2 ** (end - n)))
-    pieces = [dim for dims in splits for dim in dims]
-    firsts = list(itertools.accumulate(map(len, splits), initial=0))
-    # Piece i draws the real, then the imaginary parts of its G from here.
-    offsets = list(itertools.accumulate((2 * dim * dim for dim in pieces), initial=0))
+    positions = tuple((int(k), int(w)) for k, w in positions)
+    lay = _constituent_layout(params.n_sites, positions)
+    offsets, firsts, rows = lay.offsets, lay.firsts, lay.rows
     draws = np.empty(offsets[-1])
-    keys = [_constituent_seed_key(seed, start, width) for start, width in positions]
-    for gen, first, end in zip(streams.generators(keys), firsts, firsts[1:]):
+    for gen, first, end in zip(streams.generators(lay.tails, seed), firsts, firsts[1:]):
         gen.standard_normal(out=draws[offsets[first] : offsets[end]])
 
-    # The pieces of one dimension form one stack; rows[i] is piece i's row.
-    groups: dict[int, list[int]] = {}
-    for i, dim in enumerate(pieces):
-        groups.setdefault(dim, []).append(i)
-    rows = [0] * len(pieces)
     vals, vecs = {}, {}
-    for dim, members in groups.items():
-        for row, i in enumerate(members):
-            rows[i] = row
-        cells = np.array([offsets[i] for i in members])[:, None] + np.arange(dim * dim)
+    for dim, _, cells in lay.groups:
         g = draws[cells].reshape(-1, dim, dim) + 1j * draws[cells + dim * dim].reshape(-1, dim, dim)
         w, v = np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2)
         scale = np.abs(w).max(axis=1, keepdims=True)
@@ -438,7 +529,7 @@ def random_constituents(
     # i theta / c for both pieces of a wrapped pair.
     thetas = {}
     coef: list[complex] = []
-    for (_, width), dims, first in zip(positions, splits, firsts):
+    for (_, width), dims, first in zip(positions, lay.splits, firsts):
         theta = thetas.get(width)
         if theta is None:
             target_sq = (params.q_const / 2) * math.exp(-(width - 1) / params.xi)
@@ -451,16 +542,16 @@ def random_constituents(
         coef += [1j * (theta / c)] * 2
 
     mats = {}
-    for dim, members in groups.items():
-        phase = np.exp(np.array([coef[i] for i in members])[:, None] * vals[dim])
+    for dim, ids, _ in lay.groups:
+        phase = np.exp(np.array([coef[i] for i in ids])[:, None] * vals[dim])
         u = vecs[dim]
         mats[dim] = list((u * phase[:, None, :]) @ u.conj().swapaxes(1, 2))
 
     out = []
-    for (start, width), dims, first in zip(positions, splits, firsts):
+    for (start, width), sites, dims, first in zip(positions, lay.sites, lay.splits, firsts):
         parts = [mats[dim][rows[first + j]] for j, dim in enumerate(dims)]
         mat = parts[0] if len(parts) == 1 else np.kron(*parts)
-        out.append(Constituent(start, width, placement_sites(n, start, width), mat))
+        out.append(Constituent(start, width, sites, mat))
     return out
 
 
@@ -495,9 +586,11 @@ def build_random_instance(
 
     max_width, if given, makes every constituent of width > max_width the
     identity (a banded dressing unitary); widths within the cap are
-    unchanged.  periodic=False additionally sets every wrapped placement
-    (one straddling the chain end) to identity, giving an open-boundary
-    dressing with no long bond between the first and last sites.
+    unchanged, and the instance lists the placements it draws as its
+    constituent_support.  periodic=False additionally sets every wrapped
+    placement (one straddling the chain end) to identity, giving an
+    open-boundary dressing with no long bond between the first and last
+    sites.
     """
     if not isinstance(max_body, (int, np.integer)) or max_body < 1:
         raise DomainError(f"max_body must be a positive integer, got {max_body!r}")
@@ -521,11 +614,15 @@ def build_random_instance(
         return float(rng.uniform(-bound, bound))
 
     def coupling_batch(indices: list[tuple[int, ...]]) -> np.ndarray:
-        drawn = [i for i, sites in enumerate(indices) if len(sites) <= max_body]
-        u = streams.first_doubles([_index_seed_key(seed, indices[i]) for i in drawn])
-        bound = np.array([math.exp(-(indices[i][-1] - indices[i][0]) / xi) for i in drawn])
+        drawn, tails, ranges = _coupling_streams(tuple(indices), max_body)
+        u = streams.first_doubles(tails, seed)
+        # exp(-range/xi) of each range, as the single read computes it.
+        bound = np.array([math.exp(-r / xi) for r in range(int(ranges.max(initial=0)) + 1)])[ranges]
+        drawn_values = -bound + (bound - -bound) * u
+        if drawn is None:
+            return drawn_values
         values = np.zeros(len(indices))
-        values[drawn] = -bound + (bound - -bound) * u
+        values[drawn] = drawn_values
         return values
 
     def constituent_batch(positions: list[tuple[int, int]]) -> list[Constituent]:
@@ -540,6 +637,9 @@ def build_random_instance(
             for pos in positions
         ]
 
+    # A banded instance lists the placements it draws, so that its identity
+    # constituents are never built.
+    support = None if max_width is None else _drawn_placements(n, int(max_width), bool(periodic))
     descriptor = {
         "kind": "random",
         "n_sites": params.n_sites,
@@ -558,6 +658,7 @@ def build_random_instance(
         constituents=lambda start, width: constituent_batch([(start, width)])[0],
         max_body=int(max_body),
         label=label or f"random(seed={seed})",
+        constituent_support=support,
         descriptor=descriptor,
         coupling_batch=coupling_batch,
         constituent_batch=constituent_batch,

@@ -109,11 +109,11 @@ class _Centre:
     tensors[a..b] (0-based), held as one array of shape (l, 2^(b-a+1), r)
     with its sites' bits in ascending order."""
 
-    def __init__(self, n_sites: int) -> None:
+    def __init__(self, n_sites: int, start: int) -> None:
         zero = np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)
         self.tensors = [zero] * n_sites
         self.block = zero
-        self.a = self.b = 0
+        self.a = self.b = start
         self.delta = 0.0
 
     def _svd(self, matrix: np.ndarray):
@@ -194,6 +194,25 @@ class _Centre:
             self.b += 1
 
 
+def _sweeps(
+    nodes: Sequence[PlacedTensor], runs: Sequence[range], start: int
+) -> tuple[list[list[PlacedTensor]], int]:
+    """Each run's factors in the order build_mps applies them when the
+    centre starts on site start (0-based): in site order from the end
+    nearer the block, which then spans the last factor applied.  Returns
+    the orders and the block's first site after the last run."""
+    a = b = start
+    orders = []
+    for run in runs:
+        run = sorted((nodes[i] for i in run), key=lambda node: min(node.sites))
+        first, last = min(run[0].sites) - 1, max(max(node.sites) for node in run) - 1
+        if abs(b - last) < abs(a - first):
+            run.reverse()
+        orders.append(run)
+        a, b = (s - 1 for s in _block(run[-1]))
+    return orders, a
+
+
 def build_mps(
     n_sites: int, nodes: Sequence[PlacedTensor], runs: Sequence[range]
 ) -> MatrixProductState:
@@ -202,15 +221,21 @@ def build_mps(
     Refused with a StructuralError if a factor's sites are not contiguous,
     and with a FeasibilityError if a merged block of l * 2^w * r entries
     would exceed 2^MAX_EXEC_AXES; both are checked before the block is
-    allocated."""
+    allocated.
+
+    The centre starts on site 1 or on site N, whichever leaves the block
+    nearer site 1 after the last run (site 1 on a tie), as the runs'
+    extents alone decide (_sweeps): the build then ends with the last
+    block's splits, where it would otherwise move the centre back across
+    the chain by QR."""
     for node in nodes:
         _block(node)
-    centre = _Centre(n_sites)
-    for run in runs:
-        run = sorted((nodes[i] for i in run), key=lambda node: min(node.sites))
-        first, last = min(run[0].sites) - 1, max(max(node.sites) for node in run) - 1
-        if abs(centre.b - last) < abs(centre.a - first):
-            run.reverse()
+    orders, _, start = min(
+        ((*_sweeps(nodes, runs, start), start) for start in (0, n_sites - 1)),
+        key=lambda plan: plan[1],
+    )
+    centre = _Centre(n_sites, start)
+    for run in orders:
         for node in run:
             lo, hi = (s - 1 for s in _block(node))
             centre.span(lo, hi, node.name)

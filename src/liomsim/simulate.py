@@ -19,6 +19,18 @@ factor joins a width-2 one).  Folding leaves W unchanged and keeps the
 light-cone pruning below exact, so it changes values only by rounding,
 while each plan pass runs fewer steps.
 
+W's structure is built once per family and its data once per request.
+Which factors W has, their names and sites, the windows of the diagonal
+blocks with their coupling indices and sign rows, which gate folds into
+which, the commuting runs and the plan-cache token depend only on N, the
+radii, max_body, the instance's constituent support and which
+constituents are the identity and which blocks trivial; _w_structure and
+_windows derive them from those inputs alone and keep them in bounded
+caches that hold no seed, value or request.  A request then draws its
+constituents and couplings in batches and runs the daggers and the folds
+as stacked products, one per matrix shape and fold level, each the 2-D
+product of folding one pair, so every factor keeps its bytes.
+
 Sampling walks the chain rule: at each site w a marginal source gives the
 two conditionals P(z_w = b | z_1..z_{w-1}) and the walk flips one biased
 coin, for a batch of branches at once.  No probability is derived by
@@ -64,7 +76,7 @@ whether it has data (a cap without data pins its id, see the tensor
 module).  Every one-shot network is W's light cone of its middle nodes
 between caps, built by _one_shot_network, so that builder gives the
 key: a token for N, the radii and W's per-factor structure, made once
-per request, plus the keep flags of the cone and the middle nodes,
+per family with W's structure, plus the keep flags of the cone and the middle nodes,
 which fix the rest.  A
 basis projector pins its id too; its kind marks it and its name leaves
 out its bit, which the runner reads, so plans carry no bits and every
@@ -91,12 +103,14 @@ import numpy as np
 
 from .errors import DomainError, FeasibilityError, NumericalIntegrityError, StructuralError
 from .model import (
+    _STRUCTURES,
     UNITARITY_TOL,
     MblInstance,
     _dense_cap,
     apply_to_state,
     check_dense_feasible,
-    nonidentity_constituents,
+    constituent_positions,
+    placement_sites,
 )
 from .mps import MatrixProductState, build_mps, commuting_runs, prefix_pair
 from .tensor import (
@@ -290,53 +304,70 @@ class SimulationRequest:
         return hit
 
 
+@dataclass(frozen=True)
+class _Windows:
+    """The windows of a family's diagonal blocks, grouped by width in order
+    of first use: per width, its windows' first sites, the subsets of
+    window bits after bit 0 in the order of the index enumeration, and
+    each subset's product of sign rows; and the coupling indices of all
+    windows, width by width, window by window, subset by subset."""
+
+    groups: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
+    indices: tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _windows(n_sites: int, r_j: int, max_body: int) -> _Windows:
+    by_width: dict[int, list[int]] = {}
+    for i in range(1, n_sites + 1):
+        by_width.setdefault(min(r_j, n_sites - i + 1), []).append(i)
+    groups, indices = [], []
+    for width, starts in by_width.items():
+        # Site i + b is window bit b.
+        subsets = [
+            subset
+            for extra in range(0, min(max_body - 1, width - 1) + 1)
+            for subset in itertools.combinations(range(1, width), extra)
+        ]
+        z = np.arange(2**width)
+        sign = [1.0 - 2.0 * ((z >> (width - 1 - b)) & 1) for b in range(width)]
+        terms = np.empty((len(subsets), 2**width))
+        for row, subset in zip(terms, subsets):
+            row[:] = sign[0]
+            for b in subset:
+                row *= sign[b]
+        terms.flags.writeable = False
+        groups.append((width, tuple(starts), terms))
+        indices += [(i, *(i + b for b in subset)) for i in starts for subset in subsets]
+    return _Windows(tuple(groups), tuple(indices))
+
+
 def site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
     """One diagonal block per site, aggregating every coupling with leftmost
     site i and range below r_J (at most 2^{r_J - 1} terms each).  The
-    couplings of all windows are read in one coupling_values batch.  The
-    windows of one width share their subsets' sign products, so they are
-    built as one stack: subset by subset, in the order of the index
-    enumeration, every window's angle adds J times the sign product.  A
-    window whose J is 0 adds +-0.0, which leaves every angle as it was (an
-    angle starts at +0.0, and no sum with a nonzero term is -0.0), so each
-    block's phases are those of adding its nonzero terms alone."""
+    windows, their coupling indices and sign rows depend on N, r_J and
+    max_body alone, so they are derived once per family (_windows); the
+    couplings of all windows are read in one batch.  The windows of one
+    width are built as one stack: subset by subset, in the order of the
+    index enumeration, every window's angle adds J times the sign
+    product.  A window whose J is 0 adds +-0.0, which leaves every angle
+    as it was (an angle starts at +0.0, and no sum with a nonzero term is
+    -0.0), so each block's phases are those of adding its nonzero terms
+    alone."""
     inst = trunc.instance
     n = inst.n_sites
     r_j = trunc.radii.r_j
-    max_extra = inst.max_body - 1
-    by_width: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        by_width.setdefault(min(r_j, n - i + 1), []).append(i)
-    # Each width's subsets, as window bits after bit 0 (site i + b is bit b).
-    subsets = {
-        width: [
-            subset
-            for extra in range(0, min(max_extra, width - 1) + 1)
-            for subset in itertools.combinations(range(1, width), extra)
-        ]
-        for width in by_width
-    }
-    values = inst.coupling_values(
-        [
-            (i, *(i + b for b in subset))
-            for width, starts in by_width.items()
-            for i in starts
-            for subset in subsets[width]
-        ]
-    )
+    windows = _windows(n, r_j, inst.max_body)
+    # The windows' indices are valid on this chain by construction.
+    values = inst._read_couplings(windows.indices)
     phases: dict[int, np.ndarray] = {}
     done = 0
-    for width, starts in by_width.items():
-        count = len(starts) * len(subsets[width])
+    for width, starts, terms in windows.groups:
+        count = len(starts) * len(terms)
         group = values[done : done + count].reshape(len(starts), -1)
         done += count
-        z = np.arange(2**width)
-        sign = [1.0 - 2.0 * ((z >> (width - 1 - b)) & 1) for b in range(width)]
         angle = np.zeros((len(starts), 2**width))
-        for column, subset in zip(group.T, subsets[width]):
-            term = sign[0].copy()
-            for b in subset:
-                term *= sign[b]
+        for column, term in zip(group.T, terms):
             angle += column[:, None] * term
         moved = np.any(angle != 0.0, axis=1)
         block = np.ones(angle.shape, dtype=complex)
@@ -346,60 +377,35 @@ def site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
 
 
 # ---------------------------------------------------------------------------
-# Network assembly
+# W's factors: structure once per family, data once per request
 
 
-def _dagger(node: PlacedTensor) -> PlacedTensor:
-    if node.kind == "gate":
-        return PlacedTensor(node.name + "'", "gate", node.sites, node.data.conj().T)
-    if node.kind == "diag":
-        return PlacedTensor(node.name + "'", "diag", node.sites, node.data.conj())
-    return node
+@dataclass(frozen=True)
+class _Fold:
+    """Folds that run as one stack: each target slot's matrix T becomes
+    E(M) T, M the operand slot's matrix embedded at the local positions
+    of the target's wires (left), or T E(M), computed as
+    (E(M^T) T^T)^T (right)."""
+
+    right: bool
+    local: tuple[int, ...]
+    targets: tuple[int, ...]
+    operands: tuple[int, ...]
 
 
-def _w_nodes(req: SimulationRequest) -> list[PlacedTensor]:
-    """Application-ordered placed tensors of W = U~ V U~^dag (no caps, no
-    observable); identity constituents and trivial blocks are dropped, and
-    each gate is folded into a neighbouring gate that covers its wires
-    (_fold_gates), so every consumer, the dense walk included, reads fewer
-    and wider factors of the same W."""
-    hit = req._cache.get("w_nodes")
-    if hit is not None:
-        return hit
-    inst = req.trunc.instance
-    gates = [
-        PlacedTensor(f"U[{cons.start_site},{cons.width}]", "gate", cons.sites, cons.dense_matrix())
-        for cons in nonidentity_constituents(inst, req.radii.r_u)
-    ]
-    blocks = [
-        PlacedTensor(f"V[{b.site}]", "diag", b.window(), b.phases)
-        for b in site_blocks(req.trunc, req.t)
-        if not b.trivial
-    ]
-    # W applied to a ket: the U~^dag factors act first (in product-enumeration
-    # order, daggered), then the diagonal blocks, then the U~ factors in
-    # reversed enumeration order.
-    nodes = _fold_gates([_dagger(g) for g in gates] + blocks + list(reversed(gates)))
-    req._cache["w_nodes"] = nodes
-    return nodes
+@dataclass(frozen=True)
+class _FoldProgram:
+    """The folds of a list of W's factors, derived from their names, kinds
+    and sites alone (_fold_program): the folds, in levels of independent
+    ones, and the folded list as skeleton factors (no data) with, for
+    each, the input slot whose data it carries."""
+
+    folds: tuple[_Fold, ...]
+    nodes: tuple[PlacedTensor, ...]
+    slots: tuple[int, ...]
 
 
-def _apply_on(
-    matrix: np.ndarray, sites: Sequence[int], into: Sequence[int], host: np.ndarray
-) -> np.ndarray:
-    """E(matrix) @ host, where E embeds a matrix on `sites` into the larger
-    matrix space of `into` (identity on the other sites, row-major over the
-    bits of `into` in that order): the host's row bits on `sites` are
-    moved to the front, multiplied, and moved back."""
-    k = len(into)
-    local = [into.index(s) for s in sites]
-    perm = local + [a for a in range(k) if a not in local] + [k]
-    rows = host.reshape((2,) * k + (-1,)).transpose(perm).reshape(len(matrix), -1)
-    out = (matrix @ rows).reshape((2,) * k + (-1,))
-    return out.transpose([perm.index(a) for a in range(k + 1)]).reshape(host.shape)
-
-
-def _fold_gates(nodes: Sequence[PlacedTensor]) -> list[PlacedTensor]:
+def _fold_program(skeleton: Sequence[PlacedTensor]) -> _FoldProgram:
     """Fold each gate into the gate next to it on its wires when that gate
     covers all of them, in one pass over the application-ordered list that
     tracks the last node on each wire.  A gate x whose wires all end in one
@@ -410,18 +416,31 @@ def _fold_gates(nodes: Sequence[PlacedTensor]) -> list[PlacedTensor]:
     Diagonals never fold.
 
     Neither fold changes W, so neither changes a value beyond rounding:
-    the light cone is exact for any list of W's factors."""
-    out: list[PlacedTensor | None] = []
+    the light cone is exact for any list of W's factors.  A slot is a
+    factor's position in the input; a fold's level is one past the levels
+    of the folds that last wrote its two slots, so the folds of one level
+    read nothing another of them writes."""
+    out: list[tuple[PlacedTensor, int] | None] = []
     # Per position in out: for each of its wires, the node it followed.
     before: list[dict[int, int | None]] = []
     last: dict[int, int | None] = {}
-    for x in nodes:
+    level = [0] * len(skeleton)
+    folds: dict[tuple, tuple[list[int], list[int]]] = {}
+
+    def fold(right: bool, small: PlacedTensor, big: PlacedTensor, target: int, operand: int):
+        level[target] = max(level[target], level[operand]) + 1
+        local = tuple(big.sites.index(s) for s in small.sites)
+        group = folds.setdefault((level[target], right, big.width, local), ([], []))
+        group[0].append(target)
+        group[1].append(operand)
+
+    for slot, x in enumerate(skeleton):
         if x.kind == "gate":
             ends = [last.get(s) for s in x.sites]
-            if None not in ends and len(set(ends)) == 1 and out[ends[0]].kind == "gate":
-                host = out[ends[0]]
-                data = _apply_on(x.data, x.sites, host.sites, host.data)
-                out[ends[0]] = PlacedTensor(f"{x.name}*{host.name}", "gate", host.sites, data)
+            if None not in ends and len(set(ends)) == 1 and out[ends[0]][0].kind == "gate":
+                host, at = out[ends[0]]
+                fold(False, x, host, at, slot)
+                out[ends[0]] = (PlacedTensor(f"{x.name}*{host.name}", "gate", host.sites, None), at)
                 continue
             pending = sorted(set(ends) - {None})
             while pending:
@@ -429,22 +448,195 @@ def _fold_gates(nodes: Sequence[PlacedTensor]) -> list[PlacedTensor]:
                 low = out[g]
                 if (
                     low is None
-                    or low.kind != "gate"
-                    or not set(low.sites) <= set(x.sites)
-                    or any(last[s] != g for s in low.sites)
+                    or low[0].kind != "gate"
+                    or not set(low[0].sites) <= set(x.sites)
+                    or any(last[s] != g for s in low[0].sites)
                 ):
                     continue
-                # x E(g) = (E(g^T) x^T)^T
-                data = _apply_on(low.data.T, low.sites, x.sites, x.data.T).T
-                x = PlacedTensor(f"{x.name}*{low.name}", "gate", x.sites, data)
+                fold(True, low[0], x, slot, low[1])
+                x = PlacedTensor(f"{x.name}*{low[0].name}", "gate", x.sites, None)
                 out[g] = None
                 last.update(before[g])
                 pending.extend(i for i in before[g].values() if i is not None)
         before.append({s: last.get(s) for s in x.sites})
         for s in x.sites:
             last[s] = len(out)
-        out.append(x)
-    return [node for node in out if node is not None]
+        out.append((x, slot))
+    kept = [entry for entry in out if entry is not None]
+    return _FoldProgram(
+        folds=tuple(
+            _Fold(right, local, tuple(targets), tuple(operands))
+            for (_, right, _, local), (targets, operands) in sorted(
+                folds.items(), key=lambda item: item[0][0]
+            )
+        ),
+        nodes=tuple(node for node, _ in kept),
+        slots=tuple(slot for _, slot in kept),
+    )
+
+
+def _run_folds(program: _FoldProgram, data: list[np.ndarray]) -> list[np.ndarray]:
+    """The folded factors' data: the program's folds applied to the input
+    slots' data (a list it overwrites), one stacked product per fold
+    group.  Each product is the 2-D one of a single fold, stacked, so
+    every result has the bytes of folding one pair at a time."""
+    for fold in program.folds:
+        hosts = np.stack([data[t].T if fold.right else data[t] for t in fold.targets])
+        mats = np.stack([data[o].T if fold.right else data[o] for o in fold.operands])
+        k = hosts.shape[1].bit_length() - 1
+        local = list(fold.local)
+        perm = [0] + [a + 1 for a in local + [a for a in range(k) if a not in local] + [k]]
+        rows = hosts.reshape((len(hosts),) + (2,) * k + (-1,)).transpose(perm)
+        out = (mats @ rows.reshape(len(hosts), mats.shape[1], -1)).reshape(rows.shape)
+        out = out.transpose(np.argsort(perm)).reshape(hosts.shape)
+        for t, matrix in zip(fold.targets, out):
+            data[t] = matrix.T if fold.right else matrix
+    return [data[slot] for slot in program.slots]
+
+
+def _daggers(data: Sequence[np.ndarray], kinds: Sequence[str]) -> list[np.ndarray]:
+    """The adjoints of gate matrices and the conjugates of diagonals, as
+    views of one conjugated stack per kind, shape and memory order.  Each
+    has the values and the memory order of data.conj().T (a gate's) or
+    data.conj() (a diagonal's): an adjoint is C-ordered where its gate is
+    Fortran-ordered and Fortran-ordered otherwise."""
+    out: list[np.ndarray | None] = [None] * len(data)
+    groups: dict[tuple, list[int]] = {}
+    for i, (array, kind) in enumerate(zip(data, kinds)):
+        fortran = kind == "gate" and array.flags.f_contiguous and not array.flags.c_contiguous
+        groups.setdefault((kind, array.shape, fortran), []).append(i)
+    for (kind, _, fortran), members in groups.items():
+        if fortran:
+            stack = np.stack([data[i].T for i in members]).conj()
+        else:
+            stack = np.stack([data[i] for i in members]).conj()
+            if kind == "gate":
+                stack = stack.swapaxes(1, 2)
+        for i, array in zip(members, stack):
+            out[i] = array
+    return out
+
+
+@dataclass(frozen=True)
+class _WStructure:
+    """Everything about W = U~ V U~^dag that does not depend on a drawn
+    value: the fold program of its factor list, the commuting runs of the
+    folded list, and the plan-cache token of its structure."""
+
+    program: _FoldProgram
+    runs: tuple[range, ...]
+    token: str
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _w_structure(
+    n_sites: int,
+    r_u: int,
+    r_j: int,
+    max_body: int,
+    support: tuple[tuple[int, int], ...] | None,
+    identity: tuple[bool, ...],
+    trivial: tuple[bool, ...],
+) -> _WStructure:
+    """W's structure for a family: from N, the radii, max_body and the
+    instance's constituent support (which fix the constituent positions
+    and the block windows), and which constituents are the identity and
+    which blocks trivial."""
+    positions = constituent_positions(n_sites, r_u, support)
+    gates = [
+        PlacedTensor(f"U[{k},{w}]", "gate", placement_sites(n_sites, k, w), None)
+        for (k, w), skip in zip(positions, identity)
+        if not skip
+    ]
+    widths = {i: width for width, starts, _ in _windows(n_sites, r_j, max_body).groups for i in starts}
+    blocks = [
+        PlacedTensor(f"V[{i}]", "diag", tuple(range(i, i + widths[i])), None)
+        for i, skip in enumerate(trivial, 1)
+        if not skip
+    ]
+    # W applied to a ket: the U~^dag factors act first (in product-enumeration
+    # order, daggered), then the diagonal blocks, then the U~ factors in
+    # reversed enumeration order.
+    program = _fold_program(
+        [PlacedTensor(g.name + "'", "gate", g.sites, None) for g in gates]
+        + blocks
+        + list(reversed(gates))
+    )
+    structure = [(node.name, node.kind, node.sites) for node in program.nodes]
+    return _WStructure(
+        program=program,
+        runs=tuple(commuting_runs(program.nodes)),
+        token=repr((n_sites, TruncationRadii(r_j, r_u), structure)),
+    )
+
+
+def _structure(req: SimulationRequest) -> _WStructure:
+    """The request's W structure, once _w_nodes has read its data."""
+    _w_nodes(req)
+    return req._cache["w_structure"]
+
+
+def _w_nodes(req: SimulationRequest) -> list[PlacedTensor]:
+    """Application-ordered placed tensors of W = U~ V U~^dag (no caps, no
+    observable); identity constituents and trivial blocks are dropped, and
+    each gate is folded into a neighbouring gate that covers its wires
+    (_fold_program), so every consumer, the dense walk included, reads
+    fewer and wider factors of the same W.
+
+    The structure (which factors, their names and sites, the folds, the
+    commuting runs) is the family's, cached by _w_structure; per request
+    only the data is built: the batched constituents and blocks, the
+    daggers as one conjugated stack per shape, and the folds as one
+    stacked product per level and shape."""
+    hit = req._cache.get("w_nodes")
+    if hit is not None:
+        return hit
+    inst = req.trunc.instance
+    n, r_u, r_j = req.n_sites, req.radii.r_u, req.radii.r_j
+    support = inst.constituent_support
+    constituents = inst.constituents_at(constituent_positions(n, r_u, support))
+    blocks = site_blocks(req.trunc, req.t)
+    phases = [block.phases for block in blocks]
+    # Each block's SiteBlock.trivial, in one pass.
+    starts = np.cumsum([0] + [len(p) for p in phases[:-1]])
+    trivial = np.logical_and.reduceat(np.concatenate(phases) == 1.0, starts).tolist()
+    structure = _w_structure(
+        n,
+        r_u,
+        r_j,
+        inst.max_body,
+        support,
+        tuple(cons.is_identity for cons in constituents),
+        tuple(trivial),
+    )
+    gates = [cons.matrix for cons in constituents if not cons.is_identity]
+    data = (
+        _daggers(gates, ["gate"] * len(gates))
+        + [p for p, skip in zip(phases, trivial) if not skip]
+        + gates[::-1]
+    )
+    program = structure.program
+    nodes = [
+        PlacedTensor(node.name, node.kind, node.sites, array)
+        for node, array in zip(program.nodes, _run_folds(program, data))
+    ]
+    req._cache["w_structure"] = structure
+    req._cache["w_nodes"] = nodes
+    return nodes
+
+
+def _mirrors(req: SimulationRequest) -> list[PlacedTensor]:
+    """The mirror image of each of W's factors, for W^dag: a gate's
+    adjoint, a diagonal's conjugate; cached on the request."""
+    hit = req._cache.get("mirrors")
+    if hit is None:
+        w_list = _w_nodes(req)
+        data = _daggers([node.data for node in w_list], [node.kind for node in w_list])
+        hit = req._cache["mirrors"] = [
+            PlacedTensor(node.name + "'", node.kind, node.sites, array)
+            for node, array in zip(w_list, data)
+        ]
+    return hit
 
 
 # Diagonals of the single-site observable factors.
@@ -475,13 +667,11 @@ def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
     return nodes
 
 
-def _w_runs(req: SimulationRequest) -> list[range]:
-    """The commuting runs of _w_nodes(req) (mps.commuting_runs), cached
-    beside them: the light cone walks them, and the MPS applies them."""
-    hit = req._cache.get("w_runs")
-    if hit is None:
-        hit = req._cache["w_runs"] = commuting_runs(_w_nodes(req))
-    return hit
+def _w_runs(req: SimulationRequest) -> tuple[range, ...]:
+    """The commuting runs of _w_nodes(req) (mps.commuting_runs), from the
+    family's W structure: the light cone walks them, and the MPS applies
+    them."""
+    return _structure(req).runs
 
 
 def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
@@ -529,7 +719,7 @@ def _closed_network(
 ) -> ExpectationNetwork:
     """<0|W^dag (middle) W|0> over the W factors flagged in keep, laid out
     as ket caps, the factors, the middle nodes, the factors' mirrors (from
-    one dagger cache per request), bra caps.  Only the wires these nodes
+    one mirror cache per request), bra caps.  Only the wires these nodes
     touch are capped: a bare wire contributes <0|0> = 1.
 
     The network carries the request's radii, so that its plan is checked
@@ -537,9 +727,7 @@ def _closed_network(
     ascending contiguous sites: the bound does not cover a constituent
     that wraps past site N on a periodic chain."""
     w_list = _w_nodes(req)
-    mirrors = req._cache.get("mirrors")
-    if mirrors is None:
-        mirrors = req._cache["mirrors"] = [_dagger(node) for node in w_list]
+    mirrors = _mirrors(req)
     kept = [i for i, k in enumerate(keep) if k]
     w_kept = [w_list[i] for i in kept]
     wires = sorted({s for node in w_kept + list(middle) for s in node.sites})
@@ -565,15 +753,12 @@ def _one_shot_network(
     """The one-shot network of the middle nodes, <0|W^dag (middle) W|0>
     over the light cone of the sites they touch (_closed_network), and its
     key in the shared plan cache.  The key is a token for N, the radii and
-    W's per-factor name, kind and sites, made once per request, plus the
+    W's per-factor name, kind and sites, made once per family, plus the
     keep flags and, per middle node, its name, kind, sites and whether it
     has data: together they fix the network's structure, its caps, mirrors
     and radii included."""
     keep = _light_cone(req, {s for node in middle for s in node.sites})
-    token = req._cache.get("w_token")
-    if token is None:
-        structure = [(node.name, node.kind, node.sites) for node in _w_nodes(req)]
-        token = req._cache["w_token"] = repr((req.n_sites, req.radii, structure))
+    token = _structure(req).token
     middle_key = tuple((node.name, node.kind, node.sites, node.data is None) for node in middle)
     return _closed_network(req, keep, middle), (token, bytes(keep), middle_key)
 

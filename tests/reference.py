@@ -40,6 +40,19 @@ before a random instance built its constituents in batches: one
 default_rng, one pair of Gaussian draws and one eigh per Hermitian piece.
 The library's constituents must have the same matrix bytes.
 
+reference_w_nodes is the W factor list liomsim built before a family's
+structure was derived once: every request walks all constituent
+placements up to r_U (identities included), builds its blocks one
+coupling read at a time (reference_site_blocks), daggers each gate on
+its own and folds with one embedding product per fold
+(reference_fold_gates).  The library's factors must have the same names,
+kinds, sites, bytes and memory order.
+
+reference_build_mps is the MPS build liomsim used before it chose where
+its orthogonality centre starts: from site 1, with a closing sweep that
+splits the last block and moves the centre back to site 1 by QR.  The
+library's build must give the same bonds.
+
 reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
 with its own scalar checks and one random() call per site from the
@@ -59,11 +72,12 @@ from liomsim.errors import NumericalIntegrityError, StructuralError
 from liomsim.model import (
     Constituent,
     InstanceParams,
-    _constituent_seed_key,
+    _constituent_tail,
     _theta_for_distance,
+    constituent_placements,
     placement_sites,
 )
-from liomsim.mps import MatrixProductState
+from liomsim.mps import MatrixProductState, _ascending, _block, _Centre
 from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, SiteBlock, _cone, _prefix_tree
 from liomsim.tensor import (
     ExpectationNetwork,
@@ -246,7 +260,7 @@ def reference_random_constituent(
     sites = placement_sites(params.n_sites, start, width)
     target_sq = (params.q_const / 2) * math.exp(-(width - 1) / params.xi)
     theta = _theta_for_distance(target_sq)
-    rng = np.random.default_rng(_constituent_seed_key(seed, start, width))
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, *_constituent_tail(start, width)])
     wrapped = sites[-1] != start + width - 1
     if not wrapped:
         vals, vecs = _random_hermitian_unit_norm(rng, 2**width)
@@ -533,3 +547,120 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
         "peak_open_legs": peak_dense,
         "peak_mem_axes": peak_mem,
     }
+
+
+def _reference_dagger(node: PlacedTensor) -> PlacedTensor:
+    if node.kind == "gate":
+        return PlacedTensor(node.name + "'", "gate", node.sites, node.data.conj().T)
+    if node.kind == "diag":
+        return PlacedTensor(node.name + "'", "diag", node.sites, node.data.conj())
+    return node
+
+
+def _reference_apply_on(
+    matrix: np.ndarray, sites: Sequence[int], into: Sequence[int], host: np.ndarray
+) -> np.ndarray:
+    """E(matrix) @ host, where E embeds a matrix on `sites` into the larger
+    matrix space of `into` (identity on the other sites, row-major over the
+    bits of `into` in that order): the host's row bits on `sites` are
+    moved to the front, multiplied, and moved back."""
+    k = len(into)
+    local = [into.index(s) for s in sites]
+    perm = local + [a for a in range(k) if a not in local] + [k]
+    rows = host.reshape((2,) * k + (-1,)).transpose(perm).reshape(len(matrix), -1)
+    out = (matrix @ rows).reshape((2,) * k + (-1,))
+    return out.transpose([perm.index(a) for a in range(k + 1)]).reshape(host.shape)
+
+
+def reference_fold_gates(nodes: Sequence[PlacedTensor]) -> list[PlacedTensor]:
+    """Fold each gate into the gate next to it on its wires when that gate
+    covers all of them, in one pass over the application-ordered list that
+    tracks the last node on each wire.  A gate x whose wires all end in one
+    gate h becomes part of h: h <- x h.  Otherwise every earlier gate g on
+    a subset of x's sites that still ends all of its wires becomes part of
+    x: x <- x g, after which the nodes g followed end those wires again and
+    are tried in turn.  Diagonals never fold."""
+    out: list[PlacedTensor | None] = []
+    # Per position in out: for each of its wires, the node it followed.
+    before: list[dict[int, int | None]] = []
+    last: dict[int, int | None] = {}
+    for x in nodes:
+        if x.kind == "gate":
+            ends = [last.get(s) for s in x.sites]
+            if None not in ends and len(set(ends)) == 1 and out[ends[0]].kind == "gate":
+                host = out[ends[0]]
+                data = _reference_apply_on(x.data, x.sites, host.sites, host.data)
+                out[ends[0]] = PlacedTensor(f"{x.name}*{host.name}", "gate", host.sites, data)
+                continue
+            pending = sorted(set(ends) - {None})
+            while pending:
+                g = pending.pop()
+                low = out[g]
+                if (
+                    low is None
+                    or low.kind != "gate"
+                    or not set(low.sites) <= set(x.sites)
+                    or any(last[s] != g for s in low.sites)
+                ):
+                    continue
+                # x E(g) = (E(g^T) x^T)^T
+                data = _reference_apply_on(low.data.T, low.sites, x.sites, x.data.T).T
+                x = PlacedTensor(f"{x.name}*{low.name}", "gate", x.sites, data)
+                out[g] = None
+                last.update(before[g])
+                pending.extend(i for i in before[g].values() if i is not None)
+        before.append({s: last.get(s) for s in x.sites})
+        for s in x.sites:
+            last[s] = len(out)
+        out.append(x)
+    return [node for node in out if node is not None]
+
+
+def reference_w_nodes(req) -> tuple[list[PlacedTensor], list[PlacedTensor]]:
+    """W's factors in application order and their mirrors, built from
+    scratch: U~^dag's factors (each gate daggered on its own), the
+    nontrivial diagonal blocks, then U~'s factors in reversed product
+    order, folded by reference_fold_gates."""
+    inst = req.trunc.instance
+    positions = [(p.start, p.width) for p in constituent_placements(req.n_sites, req.radii.r_u)]
+    gates = [
+        PlacedTensor(f"U[{cons.start_site},{cons.width}]", "gate", cons.sites, cons.dense_matrix())
+        for cons in inst.constituents_at(positions)
+        if not cons.is_identity
+    ]
+    blocks = [
+        PlacedTensor(f"V[{b.site}]", "diag", b.window(), b.phases)
+        for b in reference_site_blocks(req.trunc, req.t)
+        if not b.trivial
+    ]
+    nodes = reference_fold_gates(
+        [_reference_dagger(g) for g in gates] + blocks + list(reversed(gates))
+    )
+    return nodes, [_reference_dagger(node) for node in nodes]
+
+
+def reference_build_mps(
+    n_sites: int, nodes: Sequence[PlacedTensor], runs: Sequence[range]
+) -> MatrixProductState:
+    """build_mps with its centre starting on site 1 and a closing sweep
+    back to site 1 from wherever the last run left it."""
+    centre = _Centre(n_sites, 0)
+    for run in runs:
+        run = sorted((nodes[i] for i in run), key=lambda node: min(node.sites))
+        first, last = min(run[0].sites) - 1, max(max(node.sites) for node in run) - 1
+        if abs(centre.b - last) < abs(centre.a - first):
+            run.reverse()
+        for node in run:
+            lo, hi = (s - 1 for s in _block(node))
+            centre.span(lo, hi, node.name)
+            if node.kind == "gate":
+                centre.block = np.matmul(_ascending(node), centre.block)
+            else:
+                centre.block = centre.block * _ascending(node)[:, None]
+    while centre.b > centre.a:
+        centre.split_right()
+    while centre.a > 0:
+        centre.step_left()
+    tensors = centre.tensors
+    tensors[0] = centre.block / np.linalg.norm(centre.block)
+    return MatrixProductState(tuple(np.ascontiguousarray(a) for a in tensors), centre.delta)

@@ -28,8 +28,9 @@ from liomsim.simulate import (
     _cone,
     _cone_target,
     _evolved_tensor,
-    _fold_gates,
+    _fold_program,
     _light_cone,
+    _run_folds,
     _w_nodes,
     build_expectation_network,
     conditional_chain,
@@ -254,6 +255,13 @@ def test_folded_w_shortens_the_chain_plan():
         # The unfolded plans peaked at 19 memory axes and 29 open legs.
         assert plan.peak_mem_axes <= 19
         assert plan.peak_open_legs <= 29
+
+
+def _fold_gates(nodes):
+    """The library's fold of a factor list, with its data."""
+    program = _fold_program([PlacedTensor(n.name, n.kind, n.sites, None) for n in nodes])
+    data = _run_folds(program, [node.data for node in nodes])
+    return [PlacedTensor(n.name, n.kind, n.sites, d) for n, d in zip(program.nodes, data)]
 
 
 def test_fold_reaches_gates_exposed_by_a_fold():

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+from reference import reference_build_mps
 
 from liomsim import mps as mps_module
 from liomsim.errors import FeasibilityError, StructuralError
@@ -84,6 +85,75 @@ def test_factors_on_contiguous_sites_out_of_order_are_permuted():
         sub = np.abs(psi[tuple(bits)]) ** 2
         want = (sub[0].sum(), sub[1].sum())
         np.testing.assert_allclose(prefix_pair(state, bits), want, atol=1e-14)
+
+
+def _layers(rng, starts):
+    """One run per (first, last) of starts: width-2 gates on first..last,
+    two sites apart."""
+    nodes = []
+    for first, last in starts:
+        for k in range(first, last, 2):
+            nodes.append(PlacedTensor(f"g{len(nodes)}", "gate", (k, k + 1), _unitary(rng, 4)))
+    return nodes
+
+
+def _assert_canonical_as_before(n, nodes, runs, monkeypatch):
+    """build_mps against the reference build: right-orthonormal tensors
+    from site 2 on, norm 1 on site 1, and the same bonds and prefix
+    marginals.  Returns the QR steps of both builds."""
+    steps = []
+    for name in ("step_left", "step_right"):
+        moved = getattr(mps_module._Centre, name)
+
+        def counted(self, moved=moved):
+            steps.append(1)
+            moved(self)
+
+        monkeypatch.setattr(mps_module._Centre, name, counted)
+    state = build_mps(n, nodes, runs)
+    ours = len(steps)
+    ref = reference_build_mps(n, nodes, runs)
+    for a in state.tensors[1:]:
+        m = a.reshape(a.shape[0], -1)
+        np.testing.assert_allclose(m @ m.conj().T, np.eye(a.shape[0]), rtol=0, atol=1e-13)
+    assert np.linalg.norm(state.tensors[0]) == pytest.approx(1.0, abs=1e-14)
+    assert state.bonds == ref.bonds
+    for bits in ([], [1], [0, 1, 0], [0] * (n - 1)):
+        np.testing.assert_allclose(prefix_pair(state, bits), prefix_pair(ref, bits), atol=1e-14)
+    return ours, len(steps) - ours
+
+
+@pytest.mark.parametrize(
+    "starts, qr_steps",
+    [
+        # Odd: three layers spanning the chain.  From site N the last one
+        # ends on site 1, and the six steps back from site 7 go.
+        (((1, 8), (2, 7), (1, 8)), (8, 14)),
+        # Even: from site 1 the last layer ends on site 2, from site N on
+        # site 6; the build starts on site 1, as before.
+        (((1, 8), (2, 7)), (6, 6)),
+        # A run on sites 4..7 only, then one spanning the chain.
+        (((4, 7), (1, 8)), (7, 7)),
+    ],
+    ids=["odd", "even", "partial"],
+)
+def test_the_centre_starts_where_the_last_run_ends_nearest_site_1(starts, qr_steps, monkeypatch):
+    rng = np.random.default_rng(len(starts))
+    nodes = _layers(rng, starts)
+    runs = commuting_runs(nodes)
+    assert len(runs) == len(starts)
+    assert _assert_canonical_as_before(8, nodes, runs, monkeypatch) == qr_steps
+
+
+def test_the_expect_plan_build_needs_no_closing_sweep(monkeypatch):
+    # Five runs (U~^dag's two layers, V, U~'s two layers): from site N the
+    # last one ends on site 1, where the old build swept back across the
+    # chain's 31 bonds less the last block's one.
+    req = _family_request(11)
+    runs = _w_runs(req)
+    assert len(runs) == 5
+    ours, before = _assert_canonical_as_before(32, _w_nodes(req), runs, monkeypatch)
+    assert before - ours == 30
 
 
 def test_build_refuses_wrapped_factors_and_oversized_blocks(monkeypatch):

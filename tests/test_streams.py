@@ -84,6 +84,25 @@ def test_several_thousand_random_keys():
     _assert_bit_equal(keys)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**32), -(2**63)])
+def test_a_seed_and_its_tails_give_the_full_keys_streams(seed):
+    # A seed below 2^32 is one entropy word and one from 2^32 on two, so
+    # the tails' words sit one or two places in; tails of 0-6 words, long
+    # integers included, reach past the pool of four in both cases.
+    tails = (
+        (), (0,), (2, 5, 1), (1, 3, 2, 7, 9), (1, 2, 4, 5), (2**40, 3), (7, 2**64 - 1, 0),
+    )
+    full = [[seed & (2**64 - 1), *tail] for tail in tails]
+    assert pcg64_states(tails, seed) == pcg64_states(full)
+    assert first_doubles(tails, seed).tobytes() == first_doubles(full).tobytes()
+    _assert_bit_equal(full)
+    for tail, key, gen in zip(tails, full, generators(tails, seed)):
+        assert gen.standard_normal(3).tobytes() == np.random.default_rng(key).standard_normal(3).tobytes()
+    # The seeded batch of tails repeats its cached words under a new seed.
+    assert pcg64_states(tails, seed + 1) == pcg64_states([[(seed + 1) & (2**64 - 1), *t] for t in tails])
+    assert pcg64_states((), seed) == [] and first_doubles((), seed).shape == (0,)
+
+
 def test_negative_key_integer_is_refused():
     with pytest.raises(DomainError):
         first_doubles([[1, 2], [3, -1]])
