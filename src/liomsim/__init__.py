@@ -1,11 +1,13 @@
 """Simulation toolkit for many-body-localized spin chains.
 
-The model, truncation, tensor, mps, simulate, hardness, complexity, and
-oracle modules cover instance generation, analytic truncation-error bounds,
-a qubit-wise tensor-contraction engine, an exact matrix product state of the
-evolved state, sampling, a commuting-circuit hardness
-family with its 2D mapping, quantum gate-count bound evaluation, and dense
-reference computations.  The ``liomsim`` console script fronts all of it.
+The model, streams, truncation, tensor, mps, w, simulate, hardness,
+complexity, and oracle modules cover instance generation, batched seeding
+of an instance's random streams, analytic truncation-error bounds, a
+qubit-wise tensor-contraction engine, an exact matrix product state of the
+evolved state, the truncated evolution's factor list W, sampling, a
+commuting-circuit hardness family with its 2D mapping, quantum gate-count
+bound evaluation, and dense reference computations.  The ``liomsim``
+console script fronts all of it.
 """
 
 from .errors import (

@@ -301,9 +301,7 @@ class MblInstance:
     descriptor: dict | None = None
     coupling_batch: Callable[[list[tuple[int, ...]]], np.ndarray] | None = None
     constituent_batch: Callable[[list[tuple[int, int]]], list[Constituent]] | None = None
-    _constituent_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
+    _constituent_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def n_sites(self) -> int:

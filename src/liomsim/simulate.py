@@ -1,35 +1,14 @@
 """Strong simulation of a truncated instance and chain-rule sampling.
 
-The truncated evolution factorizes as W = U~ V U~^dagger, where V is the
-diagonal product of per-site blocks V~_i = exp(-i t H~_i) collecting the
-Hamiltonian terms whose leftmost site is i.  Expectation values of diagonal
-observable products are closed tensor networks <0|W^dag O W|0>.
-
-Two exact routes evaluate them from the same placed tensors: the qubit-wise
+Expectation values of diagonal observable products are closed tensor
+networks <0|W^dag O W|0> over the truncated evolution W = U~ V U~^dagger,
+whose folded factor list the w module builds once per request.  Two exact
+routes evaluate them from the same placed tensors: the qubit-wise
 contraction plan of the tensor module (any N, feasible when the structural
 leg profile stays small, e.g. for narrow-constituent instances), and the
 dense state vector W|0> (N up to the dense cap).  The route never changes
 the value; "auto" takes the dense route whenever N allows it, because it
 is faster there.
-
-Both routes read one list of W's factors, in which every gate is folded
-into the gate next to it on its wires whenever that gate covers all of
-them (on a chain of width-1 and width-2 constituents, each single-site
-factor joins a width-2 one).  Folding leaves W unchanged and keeps the
-light-cone pruning below exact, so it changes values only by rounding,
-while each plan pass runs fewer steps.
-
-W's structure is built once per family and its data once per request.
-Which factors W has, their names and sites, the windows of the diagonal
-blocks with their coupling indices and sign rows, which gate folds into
-which, the commuting runs and the plan-cache token depend only on N, the
-radii, max_body, the instance's constituent support and which
-constituents are the identity and which blocks trivial; _w_structure and
-_windows derive them from those inputs alone and keep them in bounded
-caches that hold no seed, value or request.  A request then draws its
-constituents and couplings in batches and runs the daggers and the folds
-as stacked products, one per matrix shape and fold level, each the 2-D
-product of folding one pair, so every factor keeps its bytes.
 
 Sampling walks the chain rule: at each site w a marginal source gives the
 two conditionals P(z_w = b | z_1..z_{w-1}) and the walk flips one biased
@@ -56,13 +35,10 @@ folded factors, with one sweep over the prefix.  An MPS takes ~250 KB
 at N=32, twice the request's W factors and their mirrors, so the process
 holds one, that of the request whose plan-route conditional came last: a
 request's conditionals share one build while no other request's come
-between them.  It falls back to the qubit-wise
-light cone of sites 1..w, with its prefix projectors on sites 1..w-1 and
-an identity mark on w, forked at the mark once per outcome, when a factor
-of W wraps past site N, when a merged MPS block would exceed the engine
-cap, and for a prefix too unlikely for the MPS to resolve (the rule is in
-conditional_probability's docstring).  expectation, the chain walk and
-sample never build the MPS.
+between them.  It falls back to the qubit-wise light cone of sites 1..w,
+with its prefix projectors on sites 1..w-1 and an identity mark on w,
+forked at the mark once per outcome, when conditional_probability's rule
+says so.  expectation, the chain walk and sample never build the MPS.
 
 A plan depends on a network's structure alone, never on its data, and
 the one-shot networks of one instance family repeat their structure
@@ -72,27 +48,22 @@ same length at every site of the bulk and at every N).  So expectation
 and the one-shot conditional take their plans from one process-wide
 least-recently-used cache.  Its key must fix everything the scheduler
 reads: N, the network's radii and, per node, its name, kind, sites and
-whether it has data (a cap without data pins its id, see the tensor
-module).  Every one-shot network is W's light cone of its middle nodes
-between caps, built by _one_shot_network, so that builder gives the
-key: a token for N, the radii and W's per-factor structure, made once
-per family with W's structure, plus the keep flags of the cone and the middle nodes,
-which fix the rest.  A
-basis projector pins its id too; its kind marks it and its name leaves
-out its bit, which the runner reads, so plans carry no bits and every
-prefix of a site shares one.  The key holds no arrays, so the cache
-keeps no request alive.  It is bounded by the plan steps it holds,
-PLAN_CACHE_STEPS (~400 bytes each), and a plan longer than that is not
-stored.  Only prefix cones grow with their site: those of a one-shot
-conditional's fallback share the cache, while those of the chain walk
-stay cached on their request, for chains only, since sharing them would
-keep O(N^2) plan data in the process.
+whether it has data (a cap without data pins its id, as does a basis
+projector, whose name leaves out the bit the runner reads, so every
+prefix of a site shares one plan; see the tensor module).  Every one-shot
+network is built by _one_shot_network, which gives that key without
+arrays, so the cache keeps no request alive.  It is bounded by the plan
+steps it holds, PLAN_CACHE_STEPS (~400 bytes each), and a plan longer
+than that is not stored.  Only prefix cones grow with their site: those
+of a one-shot conditional's fallback share the cache, while those of the
+chain walk stay in their request's state, for chains only, since sharing
+them would keep O(N^2) plan data in the process.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 import numbers
 import weakref
 from collections import OrderedDict
@@ -102,17 +73,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, NumericalIntegrityError, StructuralError
-from .model import (
-    _STRUCTURES,
-    UNITARITY_TOL,
-    MblInstance,
-    _dense_cap,
-    apply_to_state,
-    check_dense_feasible,
-    constituent_positions,
-    placement_sites,
-)
-from .mps import MatrixProductState, build_mps, commuting_runs, prefix_pair
+from .model import UNITARITY_TOL, MblInstance, _dense_cap, apply_to_state, check_dense_feasible
+from .mps import MatrixProductState, build_mps, prefix_pair
 from .tensor import (
     ContractionPlan,
     ExpectationNetwork,
@@ -122,6 +84,7 @@ from .tensor import (
     qubitwise_schedule,
 )
 from .truncation import TruncatedInstance, TruncationRadii, select_radii, truncate
+from .w import W, build_w, site_blocks
 
 IMAG_TOL = 1e-9
 # The two marginals of a chain site are conditionals of the current prefix;
@@ -215,24 +178,6 @@ def _check_sites(obs: ObservableProduct, n_sites: int) -> None:
 
 
 @dataclass(frozen=True)
-class SiteBlock:
-    """Diagonal block V~_i = exp(-i t H~_i) over the window starting at its
-    site; phases has 2^width unit-modulus entries (window's leftmost site is
-    the most significant bit)."""
-
-    site: int
-    width: int
-    phases: np.ndarray
-
-    @property
-    def trivial(self) -> bool:
-        return bool(np.all(self.phases == 1.0))
-
-    def window(self) -> tuple[int, ...]:
-        return tuple(range(self.site, self.site + self.width))
-
-
-@dataclass(frozen=True)
 class SampleRecord:
     bits: str
     seed: int
@@ -270,6 +215,33 @@ class SampleRecords(Sequence[SampleRecord]):
 
 
 @dataclass(frozen=True)
+class _Refused:
+    """A request's MPS whose build was refused, and why."""
+
+    reason: str
+
+
+@dataclass
+class _RequestState:
+    """What a request derives, each part built on first use.  mps is None
+    while the request has no MPS (never built, or dropped for another
+    request's, see _mps), a _Refused when its build was refused, and the
+    MPS when built; mps_bonds and mps_delta are those of its last built
+    MPS; conditional_probability says what conditional_route records."""
+
+    trunc: TruncatedInstance | None = None
+    w: W | None = None
+    psi: np.ndarray | None = None
+    prefix_tree: list[np.ndarray] | None = None
+    cones: dict[int, tuple] = field(default_factory=dict)
+    cone_targets: dict[int, ForkTarget] = field(default_factory=dict)
+    mps: MatrixProductState | _Refused | None = None
+    mps_bonds: tuple[int, ...] | None = None
+    mps_delta: float | None = None
+    conditional_route: str | None = None
+
+
+@dataclass(frozen=True)
 class SimulationRequest:
     """One simulation setting: instance, evolution time, TVD budget, and the
     truncation radii (certified by select_radii unless overridden)."""
@@ -278,11 +250,13 @@ class SimulationRequest:
     t: float
     epsilon: float
     radii: TruncationRadii
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    _state: _RequestState = field(init=False, default_factory=_RequestState, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1):
             raise DomainError(f"epsilon must lie in (0,1), got {self.epsilon}")
+        if not math.isfinite(self.t):
+            raise DomainError(f"t must be finite, got {self.t}")
         if self.t < 0:
             raise DomainError(f"t must be nonnegative, got {self.t}")
 
@@ -297,346 +271,18 @@ class SimulationRequest:
 
     @property
     def trunc(self) -> TruncatedInstance:
-        hit = self._cache.get("trunc")
-        if hit is None:
-            hit = truncate(self.instance, self.radii)
-            self._cache["trunc"] = hit
-        return hit
+        state = self._state
+        if state.trunc is None:
+            state.trunc = truncate(self.instance, self.radii)
+        return state.trunc
 
 
-@dataclass(frozen=True)
-class _Windows:
-    """The windows of a family's diagonal blocks, grouped by width in order
-    of first use: per width, its windows' first sites, the subsets of
-    window bits after bit 0 in the order of the index enumeration, and
-    each subset's product of sign rows; and the coupling indices of all
-    windows, width by width, window by window, subset by subset."""
-
-    groups: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
-    indices: tuple[tuple[int, ...], ...]
-
-
-@functools.lru_cache(maxsize=_STRUCTURES)
-def _windows(n_sites: int, r_j: int, max_body: int) -> _Windows:
-    by_width: dict[int, list[int]] = {}
-    for i in range(1, n_sites + 1):
-        by_width.setdefault(min(r_j, n_sites - i + 1), []).append(i)
-    groups, indices = [], []
-    for width, starts in by_width.items():
-        # Site i + b is window bit b.
-        subsets = [
-            subset
-            for extra in range(0, min(max_body - 1, width - 1) + 1)
-            for subset in itertools.combinations(range(1, width), extra)
-        ]
-        z = np.arange(2**width)
-        sign = [1.0 - 2.0 * ((z >> (width - 1 - b)) & 1) for b in range(width)]
-        terms = np.empty((len(subsets), 2**width))
-        for row, subset in zip(terms, subsets):
-            row[:] = sign[0]
-            for b in subset:
-                row *= sign[b]
-        terms.flags.writeable = False
-        groups.append((width, tuple(starts), terms))
-        indices += [(i, *(i + b for b in subset)) for i in starts for subset in subsets]
-    return _Windows(tuple(groups), tuple(indices))
-
-
-def site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
-    """One diagonal block per site, aggregating every coupling with leftmost
-    site i and range below r_J (at most 2^{r_J - 1} terms each).  The
-    windows, their coupling indices and sign rows depend on N, r_J and
-    max_body alone, so they are derived once per family (_windows); the
-    couplings of all windows are read in one batch.  The windows of one
-    width are built as one stack: subset by subset, in the order of the
-    index enumeration, every window's angle adds J times the sign
-    product.  A window whose J is 0 adds +-0.0, which leaves every angle
-    as it was (an angle starts at +0.0, and no sum with a nonzero term is
-    -0.0), so each block's phases are those of adding its nonzero terms
-    alone."""
-    inst = trunc.instance
-    n = inst.n_sites
-    r_j = trunc.radii.r_j
-    windows = _windows(n, r_j, inst.max_body)
-    # The windows' indices are valid on this chain by construction.
-    values = inst._read_couplings(windows.indices)
-    phases: dict[int, np.ndarray] = {}
-    done = 0
-    for width, starts, terms in windows.groups:
-        count = len(starts) * len(terms)
-        group = values[done : done + count].reshape(len(starts), -1)
-        done += count
-        angle = np.zeros((len(starts), 2**width))
-        for column, term in zip(group.T, terms):
-            angle += column[:, None] * term
-        moved = np.any(angle != 0.0, axis=1)
-        block = np.ones(angle.shape, dtype=complex)
-        block[moved] = np.exp(-1j * t * angle[moved])
-        phases.update(zip(starts, block))
-    return [SiteBlock(site=i, width=min(r_j, n - i + 1), phases=phases[i]) for i in range(1, n + 1)]
-
-
-# ---------------------------------------------------------------------------
-# W's factors: structure once per family, data once per request
-
-
-@dataclass(frozen=True)
-class _Fold:
-    """Folds that run as one stack: each target slot's matrix T becomes
-    E(M) T, M the operand slot's matrix embedded at the local positions
-    of the target's wires (left), or T E(M), computed as
-    (E(M^T) T^T)^T (right)."""
-
-    right: bool
-    local: tuple[int, ...]
-    targets: tuple[int, ...]
-    operands: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _FoldProgram:
-    """The folds of a list of W's factors, derived from their names, kinds
-    and sites alone (_fold_program): the folds, in levels of independent
-    ones, and the folded list as skeleton factors (no data) with, for
-    each, the input slot whose data it carries."""
-
-    folds: tuple[_Fold, ...]
-    nodes: tuple[PlacedTensor, ...]
-    slots: tuple[int, ...]
-
-
-def _fold_program(skeleton: Sequence[PlacedTensor]) -> _FoldProgram:
-    """Fold each gate into the gate next to it on its wires when that gate
-    covers all of them, in one pass over the application-ordered list that
-    tracks the last node on each wire.  A gate x whose wires all end in one
-    gate h (which then acts on a superset of x's sites) becomes part of h:
-    h <- x h.  Otherwise every earlier gate g on a subset of x's sites that
-    still ends all of its wires becomes part of x: x <- x g, after which
-    the nodes g followed end those wires again and are tried in turn.
-    Diagonals never fold.
-
-    Neither fold changes W, so neither changes a value beyond rounding:
-    the light cone is exact for any list of W's factors.  A slot is a
-    factor's position in the input; a fold's level is one past the levels
-    of the folds that last wrote its two slots, so the folds of one level
-    read nothing another of them writes."""
-    out: list[tuple[PlacedTensor, int] | None] = []
-    # Per position in out: for each of its wires, the node it followed.
-    before: list[dict[int, int | None]] = []
-    last: dict[int, int | None] = {}
-    level = [0] * len(skeleton)
-    folds: dict[tuple, tuple[list[int], list[int]]] = {}
-
-    def fold(right: bool, small: PlacedTensor, big: PlacedTensor, target: int, operand: int):
-        level[target] = max(level[target], level[operand]) + 1
-        local = tuple(big.sites.index(s) for s in small.sites)
-        group = folds.setdefault((level[target], right, big.width, local), ([], []))
-        group[0].append(target)
-        group[1].append(operand)
-
-    for slot, x in enumerate(skeleton):
-        if x.kind == "gate":
-            ends = [last.get(s) for s in x.sites]
-            if None not in ends and len(set(ends)) == 1 and out[ends[0]][0].kind == "gate":
-                host, at = out[ends[0]]
-                fold(False, x, host, at, slot)
-                out[ends[0]] = (PlacedTensor(f"{x.name}*{host.name}", "gate", host.sites, None), at)
-                continue
-            pending = sorted(set(ends) - {None})
-            while pending:
-                g = pending.pop()
-                low = out[g]
-                if (
-                    low is None
-                    or low[0].kind != "gate"
-                    or not set(low[0].sites) <= set(x.sites)
-                    or any(last[s] != g for s in low[0].sites)
-                ):
-                    continue
-                fold(True, low[0], x, slot, low[1])
-                x = PlacedTensor(f"{x.name}*{low[0].name}", "gate", x.sites, None)
-                out[g] = None
-                last.update(before[g])
-                pending.extend(i for i in before[g].values() if i is not None)
-        before.append({s: last.get(s) for s in x.sites})
-        for s in x.sites:
-            last[s] = len(out)
-        out.append((x, slot))
-    kept = [entry for entry in out if entry is not None]
-    return _FoldProgram(
-        folds=tuple(
-            _Fold(right, local, tuple(targets), tuple(operands))
-            for (_, right, _, local), (targets, operands) in sorted(
-                folds.items(), key=lambda item: item[0][0]
-            )
-        ),
-        nodes=tuple(node for node, _ in kept),
-        slots=tuple(slot for _, slot in kept),
-    )
-
-
-def _run_folds(program: _FoldProgram, data: list[np.ndarray]) -> list[np.ndarray]:
-    """The folded factors' data: the program's folds applied to the input
-    slots' data (a list it overwrites), one stacked product per fold
-    group.  Each product is the 2-D one of a single fold, stacked, so
-    every result has the bytes of folding one pair at a time."""
-    for fold in program.folds:
-        hosts = np.stack([data[t].T if fold.right else data[t] for t in fold.targets])
-        mats = np.stack([data[o].T if fold.right else data[o] for o in fold.operands])
-        k = hosts.shape[1].bit_length() - 1
-        local = list(fold.local)
-        perm = [0] + [a + 1 for a in local + [a for a in range(k) if a not in local] + [k]]
-        rows = hosts.reshape((len(hosts),) + (2,) * k + (-1,)).transpose(perm)
-        out = (mats @ rows.reshape(len(hosts), mats.shape[1], -1)).reshape(rows.shape)
-        out = out.transpose(np.argsort(perm)).reshape(hosts.shape)
-        for t, matrix in zip(fold.targets, out):
-            data[t] = matrix.T if fold.right else matrix
-    return [data[slot] for slot in program.slots]
-
-
-def _daggers(data: Sequence[np.ndarray], kinds: Sequence[str]) -> list[np.ndarray]:
-    """The adjoints of gate matrices and the conjugates of diagonals, as
-    views of one conjugated stack per kind, shape and memory order.  Each
-    has the values and the memory order of data.conj().T (a gate's) or
-    data.conj() (a diagonal's): an adjoint is C-ordered where its gate is
-    Fortran-ordered and Fortran-ordered otherwise."""
-    out: list[np.ndarray | None] = [None] * len(data)
-    groups: dict[tuple, list[int]] = {}
-    for i, (array, kind) in enumerate(zip(data, kinds)):
-        fortran = kind == "gate" and array.flags.f_contiguous and not array.flags.c_contiguous
-        groups.setdefault((kind, array.shape, fortran), []).append(i)
-    for (kind, _, fortran), members in groups.items():
-        if fortran:
-            stack = np.stack([data[i].T for i in members]).conj()
-        else:
-            stack = np.stack([data[i] for i in members]).conj()
-            if kind == "gate":
-                stack = stack.swapaxes(1, 2)
-        for i, array in zip(members, stack):
-            out[i] = array
-    return out
-
-
-@dataclass(frozen=True)
-class _WStructure:
-    """Everything about W = U~ V U~^dag that does not depend on a drawn
-    value: the fold program of its factor list, the commuting runs of the
-    folded list, and the plan-cache token of its structure."""
-
-    program: _FoldProgram
-    runs: tuple[range, ...]
-    token: str
-
-
-@functools.lru_cache(maxsize=_STRUCTURES)
-def _w_structure(
-    n_sites: int,
-    r_u: int,
-    r_j: int,
-    max_body: int,
-    support: tuple[tuple[int, int], ...] | None,
-    identity: tuple[bool, ...],
-    trivial: tuple[bool, ...],
-) -> _WStructure:
-    """W's structure for a family: from N, the radii, max_body and the
-    instance's constituent support (which fix the constituent positions
-    and the block windows), and which constituents are the identity and
-    which blocks trivial."""
-    positions = constituent_positions(n_sites, r_u, support)
-    gates = [
-        PlacedTensor(f"U[{k},{w}]", "gate", placement_sites(n_sites, k, w), None)
-        for (k, w), skip in zip(positions, identity)
-        if not skip
-    ]
-    widths = {i: width for width, starts, _ in _windows(n_sites, r_j, max_body).groups for i in starts}
-    blocks = [
-        PlacedTensor(f"V[{i}]", "diag", tuple(range(i, i + widths[i])), None)
-        for i, skip in enumerate(trivial, 1)
-        if not skip
-    ]
-    # W applied to a ket: the U~^dag factors act first (in product-enumeration
-    # order, daggered), then the diagonal blocks, then the U~ factors in
-    # reversed enumeration order.
-    program = _fold_program(
-        [PlacedTensor(g.name + "'", "gate", g.sites, None) for g in gates]
-        + blocks
-        + list(reversed(gates))
-    )
-    structure = [(node.name, node.kind, node.sites) for node in program.nodes]
-    return _WStructure(
-        program=program,
-        runs=tuple(commuting_runs(program.nodes)),
-        token=repr((n_sites, TruncationRadii(r_j, r_u), structure)),
-    )
-
-
-def _structure(req: SimulationRequest) -> _WStructure:
-    """The request's W structure, once _w_nodes has read its data."""
-    _w_nodes(req)
-    return req._cache["w_structure"]
-
-
-def _w_nodes(req: SimulationRequest) -> list[PlacedTensor]:
-    """Application-ordered placed tensors of W = U~ V U~^dag (no caps, no
-    observable); identity constituents and trivial blocks are dropped, and
-    each gate is folded into a neighbouring gate that covers its wires
-    (_fold_program), so every consumer, the dense walk included, reads
-    fewer and wider factors of the same W.
-
-    The structure (which factors, their names and sites, the folds, the
-    commuting runs) is the family's, cached by _w_structure; per request
-    only the data is built: the batched constituents and blocks, the
-    daggers as one conjugated stack per shape, and the folds as one
-    stacked product per level and shape."""
-    hit = req._cache.get("w_nodes")
-    if hit is not None:
-        return hit
-    inst = req.trunc.instance
-    n, r_u, r_j = req.n_sites, req.radii.r_u, req.radii.r_j
-    support = inst.constituent_support
-    constituents = inst.constituents_at(constituent_positions(n, r_u, support))
-    blocks = site_blocks(req.trunc, req.t)
-    phases = [block.phases for block in blocks]
-    # Each block's SiteBlock.trivial, in one pass.
-    starts = np.cumsum([0] + [len(p) for p in phases[:-1]])
-    trivial = np.logical_and.reduceat(np.concatenate(phases) == 1.0, starts).tolist()
-    structure = _w_structure(
-        n,
-        r_u,
-        r_j,
-        inst.max_body,
-        support,
-        tuple(cons.is_identity for cons in constituents),
-        tuple(trivial),
-    )
-    gates = [cons.matrix for cons in constituents if not cons.is_identity]
-    data = (
-        _daggers(gates, ["gate"] * len(gates))
-        + [p for p, skip in zip(phases, trivial) if not skip]
-        + gates[::-1]
-    )
-    program = structure.program
-    nodes = [
-        PlacedTensor(node.name, node.kind, node.sites, array)
-        for node, array in zip(program.nodes, _run_folds(program, data))
-    ]
-    req._cache["w_structure"] = structure
-    req._cache["w_nodes"] = nodes
-    return nodes
-
-
-def _mirrors(req: SimulationRequest) -> list[PlacedTensor]:
-    """The mirror image of each of W's factors, for W^dag: a gate's
-    adjoint, a diagonal's conjugate; cached on the request."""
-    hit = req._cache.get("mirrors")
-    if hit is None:
-        w_list = _w_nodes(req)
-        data = _daggers([node.data for node in w_list], [node.kind for node in w_list])
-        hit = req._cache["mirrors"] = [
-            PlacedTensor(node.name + "'", node.kind, node.sites, array)
-            for node, array in zip(w_list, data)
-        ]
-    return hit
+def _w(req: SimulationRequest) -> W:
+    """The request's W, from the site blocks of this module's site_blocks."""
+    state = req._state
+    if state.w is None:
+        state.w = build_w(req.trunc, site_blocks(req.trunc, req.t))
+    return state.w
 
 
 # Diagonals of the single-site observable factors.
@@ -667,13 +313,6 @@ def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
     return nodes
 
 
-def _w_runs(req: SimulationRequest) -> tuple[range, ...]:
-    """The commuting runs of _w_nodes(req) (mps.commuting_runs), from the
-    family's W structure: the light cone walks them, and the MPS applies
-    them."""
-    return _structure(req).runs
-
-
 def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
     """Backward light cone of a set of sites in W: walking W's commuting
     runs from last applied to first, keep each factor of a run that meets
@@ -689,10 +328,11 @@ def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
     after every factor: a run's gates share no site with its other
     factors, and walking back over V's ascending windows, every window
     that 1..m misses comes before the first one it meets."""
-    w_list = _w_nodes(req)
+    w = _w(req)
+    w_list = w.nodes
     supp = set(support)
     keep = [False] * len(w_list)
-    for run in reversed(_w_runs(req)):
+    for run in reversed(w.structure.runs):
         met = [i for i in run if not supp.isdisjoint(w_list[i].sites)]
         for i in met:
             keep[i] = True
@@ -718,16 +358,15 @@ def _closed_network(
     req: SimulationRequest, keep: Sequence[bool], middle: Sequence[PlacedTensor]
 ) -> ExpectationNetwork:
     """<0|W^dag (middle) W|0> over the W factors flagged in keep, laid out
-    as ket caps, the factors, the middle nodes, the factors' mirrors (from
-    one mirror cache per request), bra caps.  Only the wires these nodes
-    touch are capped: a bare wire contributes <0|0> = 1.
+    as ket caps, the factors, the middle nodes, the factors' mirrors, bra
+    caps.  Only the wires these nodes touch are capped: a bare wire
+    contributes <0|0> = 1.
 
     The network carries the request's radii, so that its plan is checked
     against the analytic open-leg bound, only when every factor sits on
     ascending contiguous sites: the bound does not cover a constituent
     that wraps past site N on a periodic chain."""
-    w_list = _w_nodes(req)
-    mirrors = _mirrors(req)
+    w_list, mirrors = _w(req).nodes, _w(req).mirrors
     kept = [i for i, k in enumerate(keep) if k]
     w_kept = [w_list[i] for i in kept]
     wires = sorted({s for node in w_kept + list(middle) for s in node.sites})
@@ -758,9 +397,8 @@ def _one_shot_network(
     has data: together they fix the network's structure, its caps, mirrors
     and radii included."""
     keep = _light_cone(req, {s for node in middle for s in node.sites})
-    token = _structure(req).token
     middle_key = tuple((node.name, node.kind, node.sites, node.data is None) for node in middle)
-    return _closed_network(req, keep, middle), (token, bytes(keep), middle_key)
+    return _closed_network(req, keep, middle), (_w(req).structure.token, bytes(keep), middle_key)
 
 
 def build_expectation_network(
@@ -775,13 +413,13 @@ def build_expectation_network(
     middle = _observable_nodes(obs)
     if prune:
         return _one_shot_network(req, middle)[0]
-    return _closed_network(req, [True] * len(_w_nodes(req)), middle)
+    return _closed_network(req, [True] * len(_w(req).nodes), middle)
 
 
 def _cone(req: SimulationRequest, site: int):
     """Light-cone network of sites 1..site with an identity diagonal (mark)
     on each of them, its qubit-wise plan, and the node position of each
-    mark by site; cached on the request, for the chain walk only.
+    mark by site; kept in the request's state, for the chain walk only.
 
     Overriding marks 1..site with projectors turns the network into the
     marginal P(z_1..z_site).  Every W factor meets some site, so
@@ -789,7 +427,7 @@ def _cone(req: SimulationRequest, site: int):
     plan once from the left, overriding each mark once its outcome is
     chosen, and forks onto _cone_target's smaller cones for the
     marginals."""
-    cones = req._cache.setdefault("cones", {})
+    cones = req._state.cones
     hit = cones.get(site)
     if hit is None:
         diags = [_wire_node("diag", w) for w in range(1, site + 1)]
@@ -803,14 +441,14 @@ def _cone(req: SimulationRequest, site: int):
 def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkTarget:
     """Where the chain runner, paused just before mark `site`, continues to
     get the marginals of sites 1..site: the plan of _cone(req, site) from
-    its own mark `site` on; cached on the request.
+    its own mark `site` on; kept in the request's state.
 
     Every node the runner has absorbed lies in that light cone, so up to
     the mark both plans absorb the same nodes in the same order; they
     differ only in that removing a W...W^dag segment merges the indices on
     either side of it.  The runner gives the chain network and plan, and
     the order of its open ids, which the chain plan fixes."""
-    targets = req._cache.setdefault("cone_targets", {})
+    targets = req._state.cone_targets
     hit = targets.get(site)
     if hit is not None:
         return hit
@@ -825,8 +463,7 @@ def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkT
     ids: dict[int, int] = {}
     for a, b in head[:cut]:
         ids.update(zip(chain_plan.node_indices[a.node_index], plan.node_indices[b.node_index]))
-    hit = ForkTarget(network, plan, cut, {i: ids[i] for i in runner.open_ids})
-    targets[site] = hit
+    hit = targets[site] = ForkTarget(network, plan, cut, {i: ids[i] for i in runner.open_ids})
     return hit
 
 
@@ -848,7 +485,7 @@ def _route(req: SimulationRequest, engine: str) -> str:
 class _PlanCache:
     """Plans of one-shot networks, least recently used first, keyed by
     structure and bounded by PLAN_CACHE_STEPS.  A miss schedules through
-    this module's qubitwise_schedule.  Like the caches on a request, it
+    this module's qubitwise_schedule.  Like a request's state, it
     is read and written by one thread at a time."""
 
     def __init__(self) -> None:
@@ -921,15 +558,15 @@ def _checked(raw, what: str | Callable[[int], str], lo: float = 0.0, hi: float =
 
 def _evolved_tensor(req: SimulationRequest) -> np.ndarray:
     """Dense W|0...0> as a (2,)*N tensor, by walking the same placed tensors
-    the network route contracts.  Cached on the request."""
-    hit = req._cache.get("psi")
-    if hit is not None:
-        return hit
+    the network route contracts.  Kept in the request's state."""
+    state = req._state
+    if state.psi is not None:
+        return state.psi
     n = req.n_sites
     check_dense_feasible(n, "dense expectation walk")
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
-    for node in _w_nodes(req):
+    for node in _w(req).nodes:
         if node.kind == "gate":
             psi = apply_to_state(node.data, node.sites, psi, n)
         else:
@@ -939,7 +576,7 @@ def _evolved_tensor(req: SimulationRequest) -> np.ndarray:
             # Diagonal windows are ascending contiguous sites, so the phase
             # array reshapes directly onto the state axes.
             psi = psi * node.data.reshape(shape)
-    req._cache["psi"] = psi
+    state.psi = psi
     return psi
 
 
@@ -948,17 +585,17 @@ def _prefix_tree(req: SimulationRequest) -> list[np.ndarray]:
     2^k prefixes, indexed by the prefix read as a binary number (site 1
     most significant); level 0 holds the total weight.  Every entry is the
     floating-point sum of its two children, so the two conditionals of a
-    prefix sum to one within rounding.  Cached on the request."""
-    hit = req._cache.get("prefix_tree")
-    if hit is None:
+    prefix sum to one within rounding.  Kept in the request's state."""
+    state = req._state
+    if state.prefix_tree is None:
         level = np.abs(_evolved_tensor(req).ravel()) ** 2
-        hit = [level]
+        tree = [level]
         while len(level) > 1:
             level = level.reshape(-1, 2).sum(axis=1)
-            hit.append(level)
-        hit.reverse()
-        req._cache["prefix_tree"] = hit
-    return hit
+            tree.append(level)
+        tree.reverse()
+        state.prefix_tree = tree
+    return state.prefix_tree
 
 
 def _dense_expectation(req: SimulationRequest, obs: ObservableProduct) -> complex:
@@ -1057,8 +694,8 @@ def conditional_probability(
     times a largest one of at most 1, so adds under 1e-30 to delta, and
     delta stays near 1e-28 where measured.  An exactly impossible prefix
     takes the light cone too, which keeps exact zeros exact.  The request
-    records the route of its last plan-route conditional as
-    "conditional_route": "mps", or why it took the light cone.
+    records the route of its last plan-route conditional in its state's
+    conditional_route field: "mps", or why it took the light cone.
 
     Known cost: the process holds one MPS, so a request's first plan-route
     conditional, or its first after another request's, pays one MPS build
@@ -1088,39 +725,41 @@ def conditional_probability(
 _mps_holder: Callable[[], SimulationRequest | None] = lambda: None
 
 
-def _mps(req: SimulationRequest) -> MatrixProductState | None:
-    """The request's MPS of W|0>, cached as "mps"; None when its build is
-    refused, whose reason then stays the request's "conditional_route".
-    The process holds one MPS: building one drops the previous holder's,
-    which that request builds again on its next plan-route conditional,
-    bit for bit.  A request keeps its MPS's bond dimensions and dropped
-    weight as "mps_bonds" and "mps_delta"."""
+def _mps(req: SimulationRequest) -> MatrixProductState | _Refused:
+    """The request's MPS of W|0>, built when its state has none, or why
+    its build was refused.  The process holds one MPS: building one drops
+    the previous holder's, which that request builds again on its next
+    plan-route conditional, bit for bit."""
     global _mps_holder
-    if "mps" not in req._cache:
+    state = req._state
+    if state.mps is None:
         holder = _mps_holder()
         if holder is not None:
-            holder._cache.pop("mps", None)
+            holder._state.mps = None
+        w = _w(req)
         try:
-            state = build_mps(req.n_sites, _w_nodes(req), _w_runs(req))
+            built = build_mps(req.n_sites, w.nodes, w.structure.runs)
         except (StructuralError, FeasibilityError) as exc:
-            req._cache["mps"] = None
-            req._cache["conditional_route"] = str(exc)
+            state.mps = _Refused(str(exc))
         else:
-            req._cache.update(mps=state, mps_bonds=state.bonds, mps_delta=state.delta)
+            state.mps, state.mps_bonds, state.mps_delta = built, built.bonds, built.delta
             _mps_holder = weakref.ref(req)
-    return req._cache["mps"]
+    return state.mps
 
 
 def _plan_pair(req: SimulationRequest, bits: list[int], site: int) -> tuple:
     """(P(prefix, 0), P(prefix, 1)) on the plan route: off the MPS, or off
     the light cone when conditional_probability's rule sends it there."""
+    state = req._state
     mps = _mps(req)
-    if mps is not None:
+    if isinstance(mps, _Refused):
+        state.conditional_route = mps.reason
+    else:
         v0, v1 = prefix_pair(mps, bits)
         if v0 + v1 >= MPS_MIN_PREFIX:
-            req._cache["conditional_route"] = "mps"
+            state.conditional_route = "mps"
             return v0, v1
-        req._cache["conditional_route"] = (
+        state.conditional_route = (
             f"P(prefix) = {v0 + v1:.3e} on the MPS is below {MPS_MIN_PREFIX:.3e}"
         )
     return _light_cone_pair(req, bits, site)

@@ -34,6 +34,8 @@ reference_site_blocks is the site-block builder liomsim used before it
 read a request's couplings in one batch: one coupling call per window
 index, each a default_rng draw of its own on a random instance.  The
 library's blocks must have the same phase bytes.
+block_window and block_trivial read a SiteBlock's window sites and
+whether every one of its phases is 1, which only the tests ask.
 
 reference_random_constituent is the constituent builder liomsim used
 before a random instance built its constituents in batches: one
@@ -78,7 +80,7 @@ from liomsim.model import (
     placement_sites,
 )
 from liomsim.mps import MatrixProductState, _ascending, _block, _Centre
-from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, SiteBlock, _cone, _prefix_tree
+from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, _cone, _prefix_tree
 from liomsim.tensor import (
     ExpectationNetwork,
     PlacedTensor,
@@ -87,6 +89,7 @@ from liomsim.tensor import (
     _wire_sequences,
 )
 from liomsim.truncation import TruncatedInstance
+from liomsim.w import SiteBlock
 
 # The frozen walk's own rule: a prefix probability at or below this counts
 # as impossible.
@@ -206,6 +209,16 @@ def reference_dense_chain(
         if possible:
             prefix = 2 * prefix + bit
     return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
+
+
+def block_window(block: SiteBlock) -> tuple[int, ...]:
+    """The sites of a block's window, ascending."""
+    return tuple(range(block.site, block.site + block.width))
+
+
+def block_trivial(block: SiteBlock) -> bool:
+    """Whether every phase of a block is 1, so that W drops it."""
+    return bool(np.all(block.phases == 1.0))
 
 
 def reference_site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
@@ -629,9 +642,9 @@ def reference_w_nodes(req) -> tuple[list[PlacedTensor], list[PlacedTensor]]:
         if not cons.is_identity
     ]
     blocks = [
-        PlacedTensor(f"V[{b.site}]", "diag", b.window(), b.phases)
+        PlacedTensor(f"V[{b.site}]", "diag", block_window(b), b.phases)
         for b in reference_site_blocks(req.trunc, req.t)
-        if not b.trivial
+        if not block_trivial(b)
     ]
     nodes = reference_fold_gates(
         [_reference_dagger(g) for g in gates] + blocks + list(reversed(gates))

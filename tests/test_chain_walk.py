@@ -28,10 +28,8 @@ from liomsim.simulate import (
     _cone,
     _cone_target,
     _evolved_tensor,
-    _fold_program,
     _light_cone,
-    _run_folds,
-    _w_nodes,
+    _w,
     build_expectation_network,
     conditional_chain,
     conditional_probability,
@@ -39,6 +37,7 @@ from liomsim.simulate import (
     sample,
 )
 from liomsim.tensor import ForkTarget, PlacedTensor, PlanRunner
+from liomsim.w import _fold_program, _run_folds
 from liomsim.truncation import TruncationRadii
 
 
@@ -115,7 +114,7 @@ def test_light_cone_finishes_cost_less_than_one_pass():
     _, plan, _ = _cone(req, req.n_sites)
     one_pass = sum(ops for ops, _ in _computed_ops(plan))
     conditional_chain(req, seed=0, engine="plan")
-    targets = req._cache["cone_targets"]
+    targets = req._state.cone_targets
     assert sorted(targets) == list(range(1, 33))
     finishes = 0
     for target in targets.values():
@@ -151,7 +150,7 @@ def test_chain_and_cone_plans_never_hold_a_cap_id():
         assert set(plan.axes) | pinned == set(range(len(plan.index_endpoints)))
     # A cone pins exactly the chain's ids at its cut, so no move takes an
     # entry of an axis.
-    assert all(target.pick is None for target in req._cache["cone_targets"].values())
+    assert all(target.pick is None for target in req._state.cone_targets.values())
 
 
 def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes(monkeypatch):
@@ -188,7 +187,7 @@ def test_pruned_network_caps_only_its_light_cone():
     # wires of its light cone.
     req = _criterion_6_request(32)
     network = build_expectation_network(req, ObservableProduct(1))
-    w_list = _w_nodes(req)
+    w_list = _w(req).nodes
     cone = {1}.union(*(node.sites for node, k in zip(w_list, _light_cone(req, [1])) if k))
     assert len(cone) < 32
     for kind in ("cap_ket", "cap_bra"):
@@ -227,7 +226,7 @@ def test_criterion_8_records_keep_their_bytes():
 
 def _fold_misses(nodes):
     """Gates whose wires all meet one gate next to them, on the same side;
-    that gate covers all of their sites, so _w_nodes should have folded
+    that gate covers all of their sites, so build_w should have folded
     the pair."""
     misses = []
     for i, node in enumerate(nodes):
@@ -249,7 +248,7 @@ def test_folded_w_shortens_the_chain_plan():
     _, plan, _ = _cone(req, req.n_sites)
     assert len(plan.steps) == 220
     assert plan.peak_mem_axes == 16
-    assert _fold_misses(_w_nodes(req)) == []
+    assert _fold_misses(_w(req).nodes) == []
     for n in (16, 32, 64):
         _, plan, _ = _cone(_criterion_6_request(n), n)
         # The unfolded plans peaked at 19 memory axes and 29 open legs.
@@ -313,7 +312,7 @@ def test_folded_w_matches_oracle_state(n, periodic):
         )
         radii = TruncationRadii(min(3, n), min(r_u, n))
         req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
-        assert _fold_misses(_w_nodes(req)) == []
+        assert _fold_misses(_w(req).nodes) == []
         psi = _evolved_tensor(req).ravel()
         ref = evolve_state(inst, req.t, r_j=radii.r_j, r_u=radii.r_u)
         np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-12)
@@ -346,9 +345,9 @@ def test_light_cone_walk_matches_reference_on_criterion_6_family():
 def test_cone_targets_built_only_by_a_chain():
     req = _criterion_6_request(12)
     expectation(req, ObservableProduct(1), engine="plan")
-    assert "cone_targets" not in req._cache
+    assert not req._state.cone_targets
     conditional_chain(req, seed=0, engine="plan")
-    assert len(req._cache["cone_targets"]) == 12
+    assert len(req._state.cone_targets) == 12
 
 
 def test_fork_target_refuses_another_cut():
@@ -374,7 +373,7 @@ def test_fork_target_refuses_a_plan_above_the_cap(monkeypatch):
     monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak - 1)
     with pytest.raises(FeasibilityError, match="engine cap"):
         _cone_target(req, runner, 3)
-    assert 3 not in req._cache["cone_targets"]
+    assert 3 not in req._state.cone_targets
     monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak)
     assert runner.fork(_cone_target(req, runner, 3)).position == runner.position
 

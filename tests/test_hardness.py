@@ -195,7 +195,7 @@ def test_mapping_walks_only_the_hadamards(monkeypatch):
     # applies them in the order of the full placement walk, bit for bit.
     spec = HardnessSpec.square(9, xi=1.0)
     inst = build_iqp_instance(spec).instance
-    every = dataclasses.replace(inst, constituent_support=None, _constituent_cache={})
+    every = dataclasses.replace(inst, constituent_support=None)
     for t in (0.0, 0.7):
         state = oracle.evolve_factored(inst, t)
         assert state.tobytes() == oracle.evolve_factored(every, t).tobytes()

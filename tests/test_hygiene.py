@@ -116,6 +116,40 @@ def test_no_unread_dataclass_fields():
     assert not unread, "dataclass fields never read:\n" + "\n".join(unread)
 
 
+def _init_false(value: ast.expr | None) -> bool:
+    """Whether a field's default is a field(...) call with init=False."""
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "field"
+        and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in value.keywords
+        )
+    )
+
+
+def test_private_dataclass_fields_are_not_constructor_arguments():
+    # A private field that __init__ takes is a knob every caller can set,
+    # and one that dataclasses.replace copies, so a replaced object would
+    # share what the original derived.
+    fields, public = [], []
+    for path in sorted((ROOT / "src" / "liomsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+                for item in cls.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                        where = f"{path.relative_to(ROOT)}:{item.lineno}: {cls.name}.{name}"
+                        if name.startswith("_"):
+                            fields.append(where)
+                            if not _init_false(item.value):
+                                public.append(where)
+    assert len(fields) >= 2
+    assert not public, "private dataclass fields taken by __init__:\n" + "\n".join(public)
+
+
 def test_runner_absorbs_every_step_through_step(monkeypatch):
     # The benchmark's per-layer view wraps PlanRunner.step, so run_to,
     # finish and forks must absorb each node through that method.

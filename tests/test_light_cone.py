@@ -19,8 +19,7 @@ from liomsim.simulate import (
     _light_cone,
     _observable_nodes,
     _one_shot_network,
-    _w_nodes,
-    _w_runs,
+    _w,
     build_expectation_network,
     expectation,
 )
@@ -71,7 +70,7 @@ def _sigma_z_cone(req, p):
     """The sites of the W factors the sigma^z_p network keeps, and the
     length of its plan."""
     network, key = _one_shot_network(req, _observable_nodes(ObservableProduct(p)))
-    w_list = _w_nodes(req)
+    w_list = _w(req).nodes
     sites = {s for node, k in zip(w_list, key[1]) if k for s in node.sites}
     return sites, len(_PLANS.plan(network, key).steps)
 
@@ -109,7 +108,7 @@ def test_pruned_sigma_z_equals_the_unpruned_value(family):
     # three sites of the first request against the unpruned network.
     for req in _FAMILIES[family]:
         n = req.n_sites
-        unpruned = reference_mps_sigma_z(build_mps(n, _w_nodes(req), _w_runs(req)))
+        unpruned = reference_mps_sigma_z(build_mps(n, _w(req).nodes, _w(req).structure.runs))
         pruned = [expectation(req, ObservableProduct(p), engine="plan") for p in range(1, n + 1)]
         np.testing.assert_allclose(pruned, unpruned, rtol=0, atol=1e-12)
     req = _FAMILIES[family][0]
@@ -127,7 +126,7 @@ def test_pruned_sigma_z_equals_the_unpruned_value(family):
 def test_prefix_cones_keep_the_per_factor_walks_flags(req):
     # The chain walk's cones on open chains, and so its bits and p0, are
     # unchanged; _check_against_dense covers factors that wrap.
-    w_list = _w_nodes(req)
+    w_list = _w(req).nodes
     for k in range(1, req.n_sites + 1):
         support = range(1, k + 1)
         assert _light_cone(req, support) == reference_light_cone(w_list, support), k
@@ -165,7 +164,7 @@ def _check_against_dense(req, rng):
     # past site N: a kept wrapped gate adds site N to a prefix support, and
     # the runs then keep fewer factors.  They still keep every factor that
     # meets the prefix, all the chain walk's forks need.
-    w_list = _w_nodes(req)
+    w_list = _w(req).nodes
     wrapped = any(_wraps(node) for node in w_list)
     for k in range(1, req.n_sites + 1):
         got, want = _light_cone(req, range(1, k + 1)), reference_light_cone(w_list, range(1, k + 1))
@@ -181,7 +180,7 @@ def _check_against_dense(req, rng):
 
 def test_wrapped_periodic_instance_matches_the_dense_route():
     req = _wrapped_request()
-    assert any(_wraps(node) for node in _w_nodes(req))
+    assert any(_wraps(node) for node in _w(req).nodes)
     for seed in range(5):
         _check_against_dense(req, np.random.default_rng(seed))
 

@@ -202,6 +202,23 @@ def test_identity_constituents_give_identity_unitary():
     np.testing.assert_allclose(dense_unitary(inst), np.eye(8), atol=1e-14)
 
 
+def test_a_replaced_instance_builds_its_own_constituents():
+    # The constituent cache is the instance's own: an instance made by
+    # dataclasses.replace starts with none, so a position the original had
+    # already built comes from the replacement's oracle too.
+    n = 4
+    inst = build_random_instance(InstanceParams(n, 0.5), seed=2, max_body=2, max_width=2)
+    positions = [(p.start, p.width) for p in constituent_placements(n)]
+    assert not inst.constituent(1, 1).is_identity
+    bare = dataclasses.replace(
+        inst,
+        constituents=lambda k, w: model.Constituent.identity(k, w, placement_sites(n, k, w)),
+        constituent_batch=None,
+    )
+    assert all(cons.is_identity for cons in bare.constituents_at(positions))
+    assert not inst.constituent(1, 1).is_identity
+
+
 def test_dense_hamiltonian_single_z():
     params = InstanceParams(3, 0.5)
     inst = build_explicit_instance(params, {(1,): 1.0}, {})

@@ -9,15 +9,15 @@ from reference import reference_build_mps
 from liomsim import mps as mps_module
 from liomsim.errors import FeasibilityError, StructuralError
 from liomsim.model import InstanceParams, apply_to_state, build_random_instance
-from liomsim.mps import build_mps, commuting_runs, prefix_pair
+from liomsim.mps import MatrixProductState, build_mps, commuting_runs, prefix_pair
 from liomsim.simulate import (
     MPS_MIN_PREFIX,
     ObservableProduct,
     SimulationRequest,
     _evolved_tensor,
     _light_cone_pair,
-    _w_nodes,
-    _w_runs,
+    _Refused,
+    _w,
     conditional_chain,
     conditional_probability,
     expectation,
@@ -51,7 +51,7 @@ def _unitary(rng, dim):
 def test_mps_of_w_matches_the_dense_walk(n, seed, radii, build_kwargs):
     inst = build_random_instance(InstanceParams(n, 0.5), seed=seed, max_body=3, **build_kwargs)
     req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
-    state = build_mps(n, _w_nodes(req), _w_runs(req))
+    state = build_mps(n, _w(req).nodes, _w(req).structure.runs)
     np.testing.assert_allclose(_amplitudes(state), _evolved_tensor(req), rtol=0, atol=1e-13)
     # Right-canonical from site 2 on, normalised on site 1.
     for a in state.tensors[1:]:
@@ -150,9 +150,9 @@ def test_the_expect_plan_build_needs_no_closing_sweep(monkeypatch):
     # last one ends on site 1, where the old build swept back across the
     # chain's 31 bonds less the last block's one.
     req = _family_request(11)
-    runs = _w_runs(req)
+    runs = _w(req).structure.runs
     assert len(runs) == 5
-    ours, before = _assert_canonical_as_before(32, _w_nodes(req), runs, monkeypatch)
+    ours, before = _assert_canonical_as_before(32, _w(req).nodes, runs, monkeypatch)
     assert before - ours == 30
 
 
@@ -193,7 +193,7 @@ def _cross_check(req, bits, sites):
     for site in sites:
         prefix = bits[: site - 1]
         got = conditional_probability(req, prefix, site, engine="plan")
-        route = req._cache["conditional_route"]
+        route = req._state.conditional_route
         v0, v1 = (v.real for v in _light_cone_pair(req, prefix, site))
         assert got == pytest.approx(v0 / (v0 + v1), abs=1e-12), (site, route)
         if v0 + v1 > 2 * MPS_MIN_PREFIX:
@@ -248,8 +248,8 @@ def test_wrapped_periodic_instance_takes_the_light_cone():
             plan = conditional_probability(req, bits[: site - 1], site, engine="plan")
             dense = conditional_probability(req, bits[: site - 1], site, engine="dense")
             assert plan == pytest.approx(dense, abs=1e-12)
-            assert req._cache["mps"] is None
-            assert "not contiguous (it wraps past site N)" in req._cache["conditional_route"]
+            assert isinstance(req._state.mps, _Refused)
+            assert "not contiguous (it wraps past site N)" in req._state.conditional_route
 
 
 def test_an_oversized_block_takes_the_light_cone(monkeypatch):
@@ -258,8 +258,8 @@ def test_an_oversized_block_takes_the_light_cone(monkeypatch):
     monkeypatch.setattr(mps_module, "MAX_EXEC_AXES", 6)
     bits = [0] * 20
     got = conditional_probability(fresh, bits, 21, engine="plan")
-    assert fresh._cache["mps"] is None
-    assert "above the 2^6 engine cap" in fresh._cache["conditional_route"]
+    assert isinstance(fresh._state.mps, _Refused)
+    assert "above the 2^6 engine cap" in fresh._state.conditional_route
     v0, v1 = (v.real for v in _light_cone_pair(fresh, bits, 21))
     assert got == pytest.approx(v0 / (v0 + v1), abs=1e-15)
 
@@ -275,10 +275,10 @@ def test_only_plan_route_conditionals_build_the_mps():
         conditional_chain(req, seed=1, engine=engine)
         sample(req, 3, seed=2, engine=engine)
         conditional_probability(req, "01", 3, engine="dense")
-    assert "mps" not in req._cache and "conditional_route" not in req._cache
+    assert req._state.mps is None and req._state.conditional_route is None
     conditional_probability(req, "01", 3, engine="plan")
-    assert req._cache["conditional_route"] == "mps"
-    assert len(req._cache["mps"].tensors) == 12
+    assert req._state.conditional_route == "mps"
+    assert len(req._state.mps.tensors) == 12
 
 
 def test_mps_reports_its_bonds_and_dropped_weight():
@@ -286,27 +286,27 @@ def test_mps_reports_its_bonds_and_dropped_weight():
     # 5.7e-29 where measured, and the bond dimension 42.
     req = _criterion_6_request(32)
     conditional_probability(req, [0] * 15, 16, engine="plan")
-    state = req._cache["mps"]
+    state = req._state.mps
     assert 0 < state.delta < 1e-26
     assert max(state.bonds) <= 64 and len(state.bonds) == 31
-    assert req._cache["conditional_route"] == "mps"
+    assert req._state.conditional_route == "mps"
     # Another request's MPS takes its place; the figures stay readable.
     conditional_probability(_criterion_6_request(64), [0] * 15, 16, engine="plan")
-    assert "mps" not in req._cache
-    assert req._cache["mps_bonds"] == state.bonds
-    assert req._cache["mps_delta"] == state.delta
+    assert req._state.mps is None
+    assert req._state.mps_bonds == state.bonds
+    assert req._state.mps_delta == state.delta
 
 
 def test_the_process_holds_one_mps_and_rebuilds_it_bit_for_bit():
     first, second = _family_request(11), _family_request(12)
     bits = [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     values = [conditional_probability(first, bits[: k - 1], k, engine="plan") for k in (4, 16)]
-    state = first._cache["mps"]
+    state = first._state.mps
     assert conditional_probability(second, bits, 16, engine="plan") > 0
-    assert "mps" not in first._cache and second._cache["mps"] is not None
+    assert first._state.mps is None and isinstance(second._state.mps, MatrixProductState)
     again = [conditional_probability(first, bits[: k - 1], k, engine="plan") for k in (4, 16)]
     assert [v.hex() for v in again] == [v.hex() for v in values]
-    rebuilt = first._cache["mps"]
+    rebuilt = first._state.mps
     assert rebuilt is not state and rebuilt.delta == state.delta
     assert all(np.array_equal(a, b) for a, b in zip(rebuilt.tensors, state.tensors))
-    assert "mps" not in second._cache
+    assert second._state.mps is None

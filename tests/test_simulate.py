@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from reference import naive_network_value
+from reference import block_trivial, block_window, naive_network_value
 
 from liomsim import simulate
 from liomsim.errors import DomainError
@@ -135,6 +135,46 @@ def test_request_validation_and_cache():
         SimulationRequest(req.instance, t=1.0, epsilon=0.0, radii=req.radii)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_request_refuses_a_non_finite_time_or_budget(value):
+    req = _random_request(3, seed=1)
+    with pytest.raises(DomainError, match=f"t must be finite, got {value}"):
+        SimulationRequest(req.instance, t=value, epsilon=0.5, radii=req.radii)
+    with pytest.raises(DomainError, match=f"epsilon must lie in \\(0,1\\), got {value}"):
+        SimulationRequest(req.instance, t=1.0, epsilon=value, radii=req.radii)
+
+
+def _answers(req, engine):
+    """A sigma^z expectation, a conditional and a sampled chain of req."""
+    return (
+        expectation(req, ObservableProduct(4), engine=engine),
+        conditional_probability(req, "011", 4, engine=engine),
+        conditional_chain(req, seed=3, engine=engine),
+    )
+
+
+@pytest.mark.parametrize("engine", ["dense", "plan"])
+def test_a_replaced_request_derives_its_own_state(engine):
+    # dataclasses.replace makes a request with state of its own: once the
+    # original has answered, each replaced request, t, then the radii, then
+    # the instance, answers as one built fresh with the same fields.
+    def build(seed):
+        return build_random_instance(
+            InstanceParams(8, 0.5), seed=seed, max_body=2, max_width=2, periodic=False
+        )
+
+    req = SimulationRequest(build(4), t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    _answers(req, engine)
+    for change in ({"t": 5.0}, {"radii": TruncationRadii(2, 2)}, {"instance": build(5)}):
+        replaced = dataclasses.replace(req, **change)
+        fresh = SimulationRequest(
+            replaced.instance, t=replaced.t, epsilon=replaced.epsilon, radii=replaced.radii
+        )
+        assert _answers(replaced, engine) == _answers(fresh, engine), change
+        assert _answers(req, engine) != _answers(replaced, engine), change
+        req = replaced
+
+
 def test_certified_request_uses_radius_selection():
     params = InstanceParams(16, 0.4)
     inst = build_random_instance(params, seed=3, max_body=2, max_width=2)
@@ -152,7 +192,7 @@ def test_site_blocks_product_matches_diagonal():
     acc = np.ones((2,) * n, dtype=complex)
     for block in blocks:
         shape = [1] * n
-        for s in block.window():
+        for s in block_window(block):
             shape[s - 1] = 2
         acc = acc * block.phases.reshape(shape)
     diag = sigma_diagonal(req.trunc.instance, req.radii.r_j)
@@ -168,7 +208,7 @@ def test_site_block_single_coupling_phases():
     trunc = truncate(inst, TruncationRadii(1, 1))
     blocks = site_blocks(trunc, math.pi)
     np.testing.assert_allclose(blocks[0].phases, [-1.0, -1.0], atol=1e-12)
-    assert blocks[1].trivial
+    assert block_trivial(blocks[1])
 
 
 def _hadamard_request(t):
@@ -636,7 +676,7 @@ def _holds_ndarray(obj) -> bool:
 
 def test_plan_cache_keeps_no_request_alive(plans):
     req = _random_request(10, seed=7, radii=TruncationRadii(3, 3), max_width=2)
-    factor = weakref.ref(simulate._w_nodes(req)[0])
+    factor = weakref.ref(simulate._w(req).nodes[0])
     for site in range(1, 11):
         expectation(req, ObservableProduct(site), engine="plan")
     assert plans.plans

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from reference import reference_random_constituent, reference_site_blocks
+from reference import block_trivial, reference_random_constituent, reference_site_blocks
 
 from liomsim.errors import DomainError
 from liomsim.model import (
@@ -23,7 +23,7 @@ from liomsim.model import (
     random_constituents,
     validate_instance,
 )
-from liomsim.simulate import SimulationRequest, _w_nodes, site_blocks
+from liomsim.simulate import SimulationRequest, _w, site_blocks
 from liomsim.streams import first_doubles, generators, pcg64_states
 from liomsim.truncation import TruncationRadii, truncate
 
@@ -237,7 +237,7 @@ def test_site_block_phases_are_byte_equal_to_the_reference(name):
     for block, ref in zip(got, expect):
         assert block.phases.dtype == ref.phases.dtype
         assert block.phases.tobytes() == ref.phases.tobytes()
-    assert any(not b.trivial for b in got)
+    assert any(not block_trivial(b) for b in got)
 
 
 def _assert_reference_constituents(params, seed, constituents):
@@ -358,7 +358,7 @@ def test_w_seeds_no_stream_of_its_own(monkeypatch, family):
             lambda seed=None: not isinstance(seed, np.random.bit_generator.ISeedSequence),
         ),
     )
-    assert _w_nodes(req)
+    assert _w(req).nodes
     assert counts == {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
     # The counters do count.
     np.random.default_rng([1, 2])

@@ -14,6 +14,7 @@ import pytest
 from reference import reference_fold_gates, reference_w_nodes
 
 from liomsim import model, simulate, streams
+from liomsim import w as w_module
 from liomsim.hardness import HardnessSpec, build_iqp_instance
 from liomsim.model import (
     InstanceParams,
@@ -27,15 +28,13 @@ from liomsim.oracle import evolve_factored
 from liomsim.simulate import (
     ObservableProduct,
     SimulationRequest,
-    _fold_program,
-    _mirrors,
-    _run_folds,
-    _w_nodes,
+    _w,
     conditional_probability,
     expectation,
 )
 from liomsim.tensor import PlacedTensor
 from liomsim.truncation import TruncationRadii
+from liomsim.w import _fold_program, _run_folds
 
 
 def _random_request(n, xi, seed, max_body, radii, t=1.0, **build):
@@ -107,8 +106,8 @@ def _assert_same_nodes(got, want):
 def test_w_factors_and_mirrors_are_byte_equal_to_the_reference(name):
     req = _W_REQUESTS[name]()
     nodes, mirrors = reference_w_nodes(req)
-    _assert_same_nodes(_w_nodes(req), nodes)
-    _assert_same_nodes(_mirrors(req), mirrors)
+    _assert_same_nodes(_w(req).nodes, nodes)
+    _assert_same_nodes(_w(req).mirrors, mirrors)
     if name != "hardness":
         assert any("*" in node.name for node in nodes)
 
@@ -157,7 +156,7 @@ def test_banded_support_is_the_drawn_placements(max_width, periodic):
             if not cons.is_identity
         ]
         assert inst.constituent_support == tuple(drawn)
-        bare = dataclasses.replace(inst, constituent_support=None, _constituent_cache={})
+        bare = dataclasses.replace(inst, constituent_support=None)
         for r_u in (None, 1, 2, 3):
             got, want = (nonidentity_constituents(i, r_u) for i in (inst, bare))
             assert [(c.start_site, c.width, c.sites) for c in got] == [
@@ -183,8 +182,8 @@ _CACHES = [
     model._drawn_placements,
     model._coupling_streams,
     model._constituent_layout,
-    simulate._windows,
-    simulate._w_structure,
+    w_module._windows,
+    w_module._w_structure,
     streams._seeded_tail,
 ]
 
@@ -196,10 +195,10 @@ def test_structure_caches_are_bounded():
     for n in range(3, 12):
         for r_u in (1, 2, 3):
             for r_j in (1, 2, 3):
-                _w_nodes(_random_request(n, 0.5, 5, 2, TruncationRadii(r_j, r_u)))
+                _w(_random_request(n, 0.5, 5, 2, TruncationRadii(r_j, r_u)))
     for cache in _CACHES:
         assert cache.cache_info().currsize <= 64
-    assert simulate._w_structure.cache_info().currsize == 64
+    assert w_module._w_structure.cache_info().currsize == 64
 
 
 _BASE = dict(n=8, r_u=3, r_j=3, max_body=2, max_width=2, periodic=False)
@@ -216,13 +215,12 @@ def test_families_differing_in_one_structural_input_share_no_structure(change):
             n, 0.5, seed, max_body, TruncationRadii(r_j, r_u), max_width=max_width,
             periodic=periodic,
         )
-        _w_nodes(req)
-        return req._cache["w_structure"]
+        return _w(req).structure
 
-    simulate._w_structure.cache_clear()
+    w_module._w_structure.cache_clear()
     base = w_structure(**_BASE)
     other = w_structure(**{**_BASE, **change})
-    info = simulate._w_structure.cache_info()
+    info = w_module._w_structure.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     assert other is not base
     # The same family under another seed shares its entry.
@@ -234,14 +232,14 @@ def test_a_dropped_request_leaves_nothing_reachable():
     expectation(req, ObservableProduct(4), engine="plan")
     expectation(req, ObservableProduct(2), engine="dense")
     conditional_probability(req, [0, 1], 3, engine="plan")
-    assert req._cache["conditional_route"] == "mps"
+    assert req._state.conditional_route == "mps"
     inst = req.trunc.instance
     held = [
         req,
         req.instance,
         inst,
-        *(node.data for node in _w_nodes(req)),
-        *(node.data for node in _mirrors(req)),
+        *(node.data for node in _w(req).nodes),
+        *(node.data for node in _w(req).mirrors),
         *(cons.matrix for cons in nonidentity_constituents(inst, 2)),
         *(block.phases for block in simulate.site_blocks(req.trunc, req.t)),
     ]
@@ -264,7 +262,7 @@ def _family(seed):
 
 def test_requests_of_one_family_share_the_structure_not_the_data():
     first, second = _family(21), _family(22)
-    a, b = _w_nodes(first), _w_nodes(second)
-    assert first._cache["w_structure"] is second._cache["w_structure"]
+    a, b = _w(first).nodes, _w(second).nodes
+    assert _w(first).structure is _w(second).structure
     assert [(n.name, n.sites) for n in a] == [(n.name, n.sites) for n in b]
     assert all(x.data.tobytes() != y.data.tobytes() for x, y in zip(a, b))
