@@ -45,8 +45,8 @@ class ComplexityQuery:
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise InfeasibilityError(f"n_sites must be >= 1, got {self.n_sites}")
-        if not (self.t > 0):
-            raise InfeasibilityError(f"t must be positive, got {self.t}")
+        if not (0 < self.t < math.inf):
+            raise InfeasibilityError(f"t must be positive and finite, got {self.t}")
         if not (self.xi > 0):
             raise InfeasibilityError(f"xi must be positive, got {self.xi}")
         if not (0 < self.epsilon < 1):
@@ -128,8 +128,9 @@ def _gate_sum(r_u: int) -> float:
 
 def circuit_complexity_bound(query: ComplexityQuery) -> ComplexityReport:
     """Evaluate the gate-count bound, or raise InfeasibilityError when the
-    radius recipes cannot be sublinear (xi >= 1/(4.04 ln 2))."""
-    xi, n, t, eps = query.xi, query.n_sites, query.t, query.epsilon
+    radius recipes cannot be sublinear (xi >= 1/(4.04 ln 2)) or N and t are
+    so large that the bound's arithmetic overflows a double."""
+    xi, n, t = query.xi, query.n_sites, query.t
     if xi >= 1 / math.log(2):
         raise InfeasibilityError(
             f"xi={xi} is outside the model's xi < 1/ln 2 domain, hence also outside "
@@ -142,7 +143,20 @@ def circuit_complexity_bound(query: ComplexityQuery) -> ComplexityReport:
             f"infeasible: xi={xi} gives a t-exponent {exp_u:.4f} >= 1 for the U~ term; "
             f"the construction requires xi < 1/(4.04 ln 2) ~= {XI_SUBLINEAR_MAX:.6f}"
         )
+    try:
+        return _evaluate(query, constants, exp_u, exp_h)
+    except OverflowError as exc:
+        # From N^2 t = inf on, or where 4^{r_U} passes the largest double.
+        raise InfeasibilityError(
+            f"the gate-count bound overflows a double at N={n}, t={t}: {exc}"
+        ) from exc
 
+
+def _evaluate(
+    query: ComplexityQuery, constants: BoundConstants, exp_u: float, exp_h: float
+) -> ComplexityReport:
+    """circuit_complexity_bound for a query whose xi it has admitted."""
+    xi, n, t, eps = query.xi, query.n_sites, query.t, query.epsilon
     r_j_formula = max(1, math.ceil(1.01 * math.log(n * t) / constants.k_min))
     r_u_formula = max(1, math.ceil(2.02 * xi * math.log(n**2 * t)))
     params = InstanceParams(n_sites=n, xi=xi, q_const=1.0)

@@ -19,6 +19,7 @@ positive representatives of the two allowed residues mod 4.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,12 +29,12 @@ from . import oracle
 from .errors import DomainError
 from .model import (
     Constituent,
-    CouplingIndex,
     InstanceParams,
     MblInstance,
     apply_to_state,
     check_state_feasible,
     placement_sites,
+    table_couplings,
     z_string_diagonal,
 )
 
@@ -112,14 +113,13 @@ def build_iqp_instance(spec: HardnessSpec) -> HardnessInstance:
     for i, j in edges:
         table[(i, j)] = -magnitude
 
-    def coupling(index: CouplingIndex) -> float:
-        return table.get(index.sites, 0.0)
-
-    def constituent(start: int, width: int) -> Constituent:
-        sites = placement_sites(n, start, width)
-        if width == 1:
-            return Constituent(start, 1, sites, HADAMARD)
-        return Constituent.identity(start, width, sites)
+    def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
+        return [
+            Constituent(start, 1, placement_sites(n, start, 1), HADAMARD)
+            if width == 1
+            else Constituent.identity(start, width, placement_sites(n, start, width))
+            for start, width in positions
+        ]
 
     descriptor = {
         "kind": "iqp2d",
@@ -132,8 +132,8 @@ def build_iqp_instance(spec: HardnessSpec) -> HardnessInstance:
     }
     instance = MblInstance(
         params=params,
-        couplings=coupling,
-        constituents=constituent,
+        couplings=table_couplings(table),
+        constituents=read_constituents,
         max_body=2,
         label=f"iqp2d({spec.rows}x{spec.cols},seed={spec.field_seed})",
         coupling_support=tuple(sorted(table)),
@@ -231,21 +231,13 @@ def verify_2d_mapping(
     if perturb_site is not None:
         if not (1 <= perturb_site <= n):
             raise DomainError(f"perturb_site {perturb_site} outside 1..{n}")
-        table = {sites: instance.coupling(CouplingIndex(sites)) for sites in instance.coupling_support}
+        support = instance.coupling_support
+        table = dict(zip(support, instance.coupling_values(support).tolist()))
         table[(perturb_site,)] *= 1.0 + perturb_rel
-        base = instance
-
-        def coupling(index: CouplingIndex) -> float:
-            return table.get(index.sites, 0.0)
-
-        instance = MblInstance(
-            params=base.params,
-            couplings=coupling,
-            constituents=base.constituents,
-            max_body=base.max_body,
-            label=base.label + "|perturbed",
-            coupling_support=base.coupling_support,
-            constituent_support=base.constituent_support,
+        instance = dataclasses.replace(
+            instance,
+            couplings=table_couplings(table),
+            label=instance.label + "|perturbed",
             descriptor=None,
         )
 

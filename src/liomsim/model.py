@@ -181,37 +181,11 @@ class Constituent:
                 )
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Position of one constituent in the layered product: width n,
-    start site k, acted sites in tensor order (wrapping across site N)."""
-
-    width: int
-    start: int
-    sites: tuple[int, ...]
-
-
 def placement_sites(n_sites: int, start: int, width: int) -> tuple[int, ...]:
     end = start + width - 1
     if end <= n_sites:
         return tuple(range(start, end + 1))
     return tuple(range(start, n_sites + 1)) + tuple(range(1, end - n_sites + 1))
-
-
-def constituent_placements(n_sites: int, max_width: int | None = None) -> list[Placement]:
-    """All constituent positions in product order: the first entry is the
-    leftmost factor of the operator product U (hence the one applied last
-    to a ket).  Layer n runs through sub-layers j = 1..n, each stepping
-    i = 0..floor((N-n)/n) with start k = i*n + j."""
-    top = n_sites if max_width is None else min(max_width, n_sites)
-    out: list[Placement] = []
-    for n in range(1, top + 1):
-        i_max = (n_sites - n) // n
-        for j in range(1, n + 1):
-            for i in range(i_max + 1):
-                k = i * n + j
-                out.append(Placement(n, k, placement_sites(n_sites, k, n)))
-    return out
 
 
 # Bound of each cache of a family's structure (here and in the simulate
@@ -226,15 +200,21 @@ def constituent_positions(
     max_width: int | None = None,
     support: tuple[tuple[int, int], ...] | None = None,
 ) -> tuple[tuple[int, int], ...]:
-    """The positions (start k, width n) of constituent_placements with
-    width <= max_width, in their product order; with a support, only the
-    listed ones.  It depends on its structural inputs alone, so it is
-    derived once per family and cached."""
+    """All constituent positions (start k, width n) of width <= max_width
+    in product order: the first entry is the leftmost factor of the
+    operator product U (hence the one applied last to a ket).  Layer n
+    runs through sub-layers j = 1..n, each stepping i = 0..floor((N-n)/n)
+    with start k = i*n + j.  With a support, only the listed positions
+    are kept, in the same order.  It depends on its structural inputs
+    alone, so it is derived once per family and cached."""
     top = n_sites if max_width is None else min(max_width, n_sites)
     if support is None:
-        return tuple((p.start, p.width) for p in constituent_placements(n_sites, top))
-    # constituent_placements puts width w at the starts k = i*w + j,
-    # j = 1..w, i = 0..(N-w)//w, in order of w, then j, then i.
+        return tuple(
+            (i * w + j, w)
+            for w in range(1, top + 1)
+            for j in range(1, w + 1)
+            for i in range((n_sites - w) // w + 1)
+        )
     return tuple(
         sorted(
             (
@@ -249,7 +229,7 @@ def constituent_positions(
 
 @functools.lru_cache(maxsize=_STRUCTURES)
 def _drawn_placements(n_sites: int, max_width: int, periodic: bool) -> tuple[tuple[int, int], ...]:
-    """The positions of constituent_placements of width <= max_width, less
+    """The positions of constituent_positions of width <= max_width, less
     those wrapped past site N on an open chain: the ones a banded random
     instance draws."""
     return tuple(
@@ -261,7 +241,7 @@ def nonidentity_constituents(
     instance: MblInstance, max_width: int | None = None
 ) -> list[Constituent]:
     """The constituents of width <= max_width that differ from the identity,
-    in the product order of constituent_placements.  An instance that lists
+    in the product order of constituent_positions.  An instance that lists
     its constituent_support is walked over those positions alone."""
     positions = constituent_positions(instance.n_sites, max_width, instance.constituent_support)
     return [cons for cons in instance.constituents_at(positions) if not cons.is_identity]
@@ -271,36 +251,28 @@ def nonidentity_constituents(
 class MblInstance:
     """Immutable MBL chain instance.
 
-    couplings: pure function CouplingIndex -> float with the exponential
-        decay guarantee.
-    constituents: pure function (start k, width n) -> Constituent.
+    couplings: pure function from a list of checked site tuples to their
+        couplings J_I as one float array, with the exponential decay
+        guarantee.
+    constituents: pure function from a list of distinct, checked
+        positions (start k, width n) to their constituents.
     coupling_support: optional explicit list of site tuples where J may be
         nonzero; None means all indices of order <= max_body.
     constituent_support: optional explicit list of the positions
-        (start k, width n) of constituent_placements where a constituent
+        (start k, width n) of constituent_positions where a constituent
         may differ from the identity; None means any position.
     descriptor: JSON-serializable reconstruction recipe (see
         instance_to_json), or None for ad-hoc instances.
-    coupling_batch: optional function from a list of checked site tuples
-        to their couplings as one float array, each entry equal to what
-        couplings gives for that index; coupling_values uses it in place
-        of one couplings call per index.
-    constituent_batch: optional function from a list of distinct, checked
-        positions (start k, width n) to their constituents, each equal to
-        what constituents gives for that position; constituents_at uses
-        it in place of one constituents call per position.
     """
 
     params: InstanceParams
-    couplings: Callable[[CouplingIndex], float]
-    constituents: Callable[[int, int], Constituent]
+    couplings: Callable[[list[tuple[int, ...]]], np.ndarray]
+    constituents: Callable[[list[tuple[int, int]]], list[Constituent]]
     max_body: int
     label: str = ""
     coupling_support: tuple[tuple[int, ...], ...] | None = None
     constituent_support: tuple[tuple[int, int], ...] | None = None
     descriptor: dict | None = None
-    coupling_batch: Callable[[list[tuple[int, ...]]], np.ndarray] | None = None
-    constituent_batch: Callable[[list[tuple[int, int]]], list[Constituent]] | None = None
     _constituent_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
@@ -314,7 +286,7 @@ class MblInstance:
             raise DomainError(
                 f"coupling index {index.sites} out of range for N={self.n_sites}"
             )
-        return float(self.couplings(index))
+        return float(self.couplings([index.sites])[0])
 
     def constituent(self, start: int, width: int) -> Constituent:
         return self.constituents_at([(start, width)])[0]
@@ -322,7 +294,7 @@ class MblInstance:
     def constituents_at(self, positions: Iterable[tuple[int, int]]) -> list[Constituent]:
         """The constituent at every position (start k, width n), each built
         once per instance and cached: the positions not yet cached are
-        built in one constituent_batch call where the instance has one."""
+        built in one constituents call."""
         n = self.n_sites
         cache = self._constituent_cache
         positions = [(int(k), int(w)) for k, w in positions]
@@ -336,11 +308,7 @@ class MblInstance:
                 missing[start, width] = None
         if missing:
             todo = list(missing)
-            if self.constituent_batch is not None:
-                built = self.constituent_batch(todo)
-            else:
-                built = [self.constituents(k, w) for k, w in todo]
-            cache.update(zip(todo, built))
+            cache.update(zip(todo, self.constituents(todo)))
         return [cache[key] for key in positions]
 
     @property
@@ -352,8 +320,8 @@ class MblInstance:
         return sum(math.comb(self.n_sites, p) for p in range(1, self.max_body + 1))
 
     def coupling_values(self, indices: Iterable[Sequence[int]]) -> np.ndarray:
-        """J_I of every index, as coupling gives them one at a time, and
-        with its DomainError for a malformed or out-of-range index."""
+        """J_I of every index in one couplings call, with coupling's
+        DomainError for a malformed or out-of-range index."""
         n = self.n_sites
         checked = []
         for raw in indices:
@@ -366,15 +334,7 @@ class MblInstance:
             ):
                 self.coupling(sites)
             checked.append(sites)
-        return self._read_couplings(checked)
-
-    def _read_couplings(self, checked: list[tuple[int, ...]]) -> np.ndarray:
-        """coupling_values of indices already checked against this chain."""
-        if self.coupling_batch is not None:
-            return self.coupling_batch(checked)
-        return np.array(
-            [float(self.couplings(CouplingIndex(sites))) for sites in checked], dtype=float
-        )
+        return self.couplings(checked)
 
     def iter_indices(self, r_j: int | None = None) -> Iterator[tuple[tuple[int, ...], float]]:
         """Yield (sites, J) for every index with a nonzero coupling, with
@@ -403,10 +363,6 @@ def _index_tail(sites: tuple[int, ...]) -> tuple[int, ...]:
 
 def _constituent_tail(start: int, width: int) -> tuple[int, int, int]:
     return (2, start, width)
-
-
-def _index_seed_key(seed: int, sites: tuple[int, ...]) -> list[int]:
-    return [seed & 0xFFFFFFFFFFFFFFFF, *_index_tail(sites)]
 
 
 @functools.lru_cache(maxsize=_STRUCTURES)
@@ -570,14 +526,14 @@ def build_random_instance(
 
         np.random.default_rng([seed mod 2^64, 1, |I|, *I]).uniform(-b, b)
 
-    with b = exp(-range(I)/xi).  A single coupling is drawn exactly so; a
-    batch (coupling_values) draws the same doubles in one pass of
-    streams.first_doubles and applies uniform's -b + (b - (-b)) * u.
-    Constituent (k, n) draws from default_rng([seed mod 2^64, 2, k, n]) the
-    real, then the imaginary parts of a 2^n x 2^n standard-normal G; a
-    wrapped one draws its piece on sites k..N first, then the one on
-    1..k+n-1-N (random_constituents).  Every constituent read, one or many,
-    is built by random_constituents, seeded through streams.generators.
+    with b = exp(-range(I)/xi).  A batch of couplings draws those doubles
+    in one pass of streams.first_doubles and applies uniform's
+    -b + (b - (-b)) * u.  Constituent (k, n) draws from
+    default_rng([seed mod 2^64, 2, k, n]) the real, then the imaginary
+    parts of a 2^n x 2^n standard-normal G; a wrapped one draws its piece
+    on sites k..N first, then the one on 1..k+n-1-N.  A batch of
+    constituents is built by random_constituents, seeded through
+    streams.generators.
 
     q_const may be at most 8: width-1 constituents sit at ||1-U||^2 = q/2,
     and no unitary is further than 2 from the identity.
@@ -604,17 +560,10 @@ def build_random_instance(
     seed = int(seed)
     n, xi = params.n_sites, params.xi
 
-    def coupling(index: CouplingIndex) -> float:
-        if index.order > max_body:
-            return 0.0
-        bound = math.exp(-index.range / xi)
-        rng = np.random.default_rng(_index_seed_key(seed, index.sites))
-        return float(rng.uniform(-bound, bound))
-
-    def coupling_batch(indices: list[tuple[int, ...]]) -> np.ndarray:
+    def read_couplings(indices: list[tuple[int, ...]]) -> np.ndarray:
         drawn, tails, ranges = _coupling_streams(tuple(indices), max_body)
         u = streams.first_doubles(tails, seed)
-        # exp(-range/xi) of each range, as the single read computes it.
+        # exp(-range/xi) of each range, as uniform's bound b.
         bound = np.array([math.exp(-r / xi) for r in range(int(ranges.max(initial=0)) + 1)])[ranges]
         drawn_values = -bound + (bound - -bound) * u
         if drawn is None:
@@ -623,7 +572,7 @@ def build_random_instance(
         values[drawn] = drawn_values
         return values
 
-    def constituent_batch(positions: list[tuple[int, int]]) -> list[Constituent]:
+    def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
         drawn = [
             (start, width)
             for start, width in positions
@@ -652,15 +601,21 @@ def build_random_instance(
         descriptor["periodic"] = False
     return MblInstance(
         params=params,
-        couplings=coupling,
-        constituents=lambda start, width: constituent_batch([(start, width)])[0],
+        couplings=read_couplings,
+        constituents=read_constituents,
         max_body=int(max_body),
         label=label or f"random(seed={seed})",
         constituent_support=support,
         descriptor=descriptor,
-        coupling_batch=coupling_batch,
-        constituent_batch=constituent_batch,
     )
+
+
+def table_couplings(
+    table: dict[tuple[int, ...], float],
+) -> Callable[[list[tuple[int, ...]]], np.ndarray]:
+    """Coupling oracle reading a table keyed by site tuples; an index the
+    table lacks reads 0."""
+    return lambda indices: np.array([table.get(sites, 0.0) for sites in indices], dtype=float)
 
 
 def build_explicit_instance(
@@ -693,14 +648,13 @@ def build_explicit_instance(
             cons.validate(params)
         constituent_table[(start, width)] = cons
 
-    def coupling(index: CouplingIndex) -> float:
-        return coupling_table.get(index.sites, 0.0)
-
-    def constituent(start: int, width: int) -> Constituent:
-        hit = constituent_table.get((start, width))
-        if hit is not None:
-            return hit
-        return Constituent.identity(start, width, placement_sites(params.n_sites, start, width))
+    def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
+        return [
+            constituent_table[pos]
+            if pos in constituent_table
+            else Constituent.identity(*pos, placement_sites(params.n_sites, *pos))
+            for pos in positions
+        ]
 
     max_body = max((len(s) for s in coupling_table), default=1)
     support = tuple(sorted(coupling_table))
@@ -724,8 +678,8 @@ def build_explicit_instance(
     }
     return MblInstance(
         params=params,
-        couplings=coupling,
-        constituents=constituent,
+        couplings=table_couplings(coupling_table),
+        constituents=read_constituents,
         max_body=max_body,
         label=label or "explicit",
         coupling_support=support,
@@ -889,6 +843,33 @@ def instance_to_json(instance: MblInstance) -> str:
     return json.dumps(instance.descriptor, sort_keys=True, indent=2) + "\n"
 
 
+_ABSENT = object()
+
+
+def _field(record, key: str, convert: Callable, default=_ABSENT):
+    """record[key] through convert, or default when the field is absent;
+    a DomainError naming the field when it is missing without a default or
+    convert refuses it."""
+    if not isinstance(record, dict):
+        raise DomainError(f"instance descriptor entry must be a JSON object, got {record!r}")
+    if key not in record:
+        if default is _ABSENT:
+            raise DomainError(f"instance descriptor missing field {key!r}")
+        return default
+    try:
+        return convert(record[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"instance descriptor field {key!r} is malformed: {record[key]!r}"
+        ) from exc
+
+
+def _json_bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
+
+
 def instance_from_json(text: str) -> MblInstance:
     try:
         data = json.loads(text)
@@ -897,44 +878,50 @@ def instance_from_json(text: str) -> MblInstance:
     if not isinstance(data, dict) or "kind" not in data:
         raise DomainError("instance descriptor must be a JSON object with a 'kind' field")
     kind = data["kind"]
-    try:
-        params = InstanceParams(
-            n_sites=int(data["n_sites"]), xi=float(data["xi"]), q_const=float(data.get("q", 1.0))
-        )
-    except KeyError as exc:
-        raise DomainError(f"instance descriptor missing field {exc}") from exc
+    params = InstanceParams(
+        n_sites=_field(data, "n_sites", int),
+        xi=_field(data, "xi", float),
+        q_const=_field(data, "q", float, 1.0),
+    )
     if kind == "random":
         return build_random_instance(
             params,
-            seed=int(data["seed"]),
-            max_body=int(data["max_body"]),
-            max_width=int(data["max_width"]) if "max_width" in data else None,
-            periodic=bool(data.get("periodic", True)),
+            seed=_field(data, "seed", int),
+            max_body=_field(data, "max_body", int),
+            max_width=_field(data, "max_width", int, None),
+            periodic=_field(data, "periodic", _json_bool, True),
         )
     if kind == "explicit":
         couplings = {
-            tuple(int(s) for s in row["sites"]): float(row["value"])
-            for row in data.get("couplings", [])
+            _field(row, "sites", lambda raw: tuple(map(int, raw))): _field(row, "value", float)
+            for row in _field(data, "couplings", list, [])
         }
         constituents = {}
-        for row in data.get("constituents", []):
-            k, n = int(row["k"]), int(row["n"])
-            dim = 2**n
-            mat = np.asarray(row["re"], dtype=float) + 1j * np.asarray(row["im"], dtype=float)
-            if mat.size != dim * dim:
+        for row in _field(data, "constituents", list, []):
+            k, n = _field(row, "k", int), _field(row, "n", int)
+            if not (1 <= k <= params.n_sites and 1 <= n <= params.n_sites):
                 raise DomainError(
-                    f"constituent ({k},{n}) needs {dim * dim} entries, got {mat.size}"
+                    f"constituent position ({k},{n}) out of range for N={params.n_sites}"
                 )
-            constituents[(k, n)] = mat.reshape(dim, dim)
+            dim = 2**n
+            re, im = (
+                _field(row, part, functools.partial(np.asarray, dtype=float)) for part in ("re", "im")
+            )
+            if re.size != dim * dim or im.size != dim * dim:
+                raise DomainError(
+                    f"constituent ({k},{n}) needs {dim * dim} entries, "
+                    f"got {re.size} real and {im.size} imaginary"
+                )
+            constituents[(k, n)] = (re + 1j * im).reshape(dim, dim)
         return build_explicit_instance(params, couplings, constituents)
     if kind == "iqp2d":
         from .hardness import HardnessSpec, build_iqp_instance
 
         spec = HardnessSpec(
-            rows=int(data["rows"]),
-            cols=int(data["cols"]),
-            xi=float(data["xi"]),
-            field_seed=int(data["seed"]),
+            rows=_field(data, "rows", int),
+            cols=_field(data, "cols", int),
+            xi=_field(data, "xi", float),
+            field_seed=_field(data, "seed", int),
         )
         return build_iqp_instance(spec).instance
     raise DomainError(f"unknown instance kind {kind!r}")

@@ -31,7 +31,8 @@ its contract:
       default_rng([seed mod 2^64, 1, |I|, *I]).uniform(-b, b),
       b = exp(-range(I)/xi),
 
-  which is -b + (b - (-b)) * u for the stream's first double u;
+  which is -b + (b - (-b)) * u for the stream's first double u, the form
+  in which the model reads every batch of couplings through first_doubles;
 - constituent (k, n) draws from default_rng([seed mod 2^64, 2, k, n]) the
   real, then the imaginary parts of a d x d standard-normal matrix, d =
   2^n; a block wrapped past site N draws its piece on sites k..N first,

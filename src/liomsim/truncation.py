@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SaturationWarning
-from .model import Constituent, CouplingIndex, InstanceParams, MblInstance, placement_sites
+from .model import Constituent, InstanceParams, MblInstance, placement_sites
 
 BIG_C = 10.8
 
@@ -180,8 +180,8 @@ def select_radii(params: InstanceParams, epsilon: float, t: float) -> Truncation
     """
     if not (0 < epsilon < 1):
         raise DomainError(f"epsilon must lie in (0,1), got {epsilon}")
-    if not (t > 0):
-        raise DomainError(f"t must be positive, got {t}")
+    if not (0 < t < math.inf):
+        raise DomainError(f"t must be positive and finite, got {t}")
     target = epsilon / (2 * t)
     n = params.n_sites
     constants = BoundConstants.for_params(params.xi, params.q_const)
@@ -236,22 +236,17 @@ def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance
     """Apply both cutoffs: couplings with range >= r_J become 0 (the cutoff
     boundary itself is dropped), constituents with width > r_U become the
     identity.  The view reads a batch of couplings or constituents through
-    the base's batch read, with the same cutoff."""
+    one batch read of the base, with the same cutoff."""
     base = instance
     r_j, r_u = radii.r_j, radii.r_u
 
-    def coupling(index: CouplingIndex) -> float:
-        if index.range >= r_j:
-            return 0.0
-        return base.couplings(index)
-
-    def coupling_batch(indices: list[tuple[int, ...]]) -> np.ndarray:
+    def read_couplings(indices: list[tuple[int, ...]]) -> np.ndarray:
         kept = [i for i, sites in enumerate(indices) if sites[-1] - sites[0] < r_j]
         values = np.zeros(len(indices))
-        values[kept] = base._read_couplings([indices[i] for i in kept])
+        values[kept] = base.couplings([indices[i] for i in kept])
         return values
 
-    def constituent_batch(positions: list[tuple[int, int]]) -> list[Constituent]:
+    def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
         kept = iter(base.constituents_at(pos for pos in positions if pos[1] <= r_u))
         return [
             next(kept)
@@ -265,15 +260,13 @@ def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance
         support = tuple(s for s in base.coupling_support if s[-1] - s[0] < r_j)
     view = MblInstance(
         params=base.params,
-        couplings=coupling,
-        constituents=lambda start, width: constituent_batch([(start, width)])[0],
+        couplings=read_couplings,
+        constituents=read_constituents,
         max_body=base.max_body,
         label=f"{base.label}|trunc(r_J={r_j},r_U={r_u})",
         coupling_support=support,
         constituent_support=base.constituent_support,
         descriptor=None,
-        coupling_batch=coupling_batch,
-        constituent_batch=constituent_batch,
     )
     return TruncatedInstance(
         base=base,

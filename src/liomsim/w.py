@@ -103,7 +103,7 @@ def site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
     r_j = trunc.radii.r_j
     windows = _windows(n, r_j, inst.max_body)
     # The windows' indices are valid on this chain by construction.
-    values = inst._read_couplings(windows.indices)
+    values = inst.couplings(windows.indices)
     phases: dict[int, np.ndarray] = {}
     done = 0
     for width, starts, terms in windows.groups:

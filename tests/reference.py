@@ -30,10 +30,17 @@ reference_mps_sigma_z reads every <sigma^z_p> off an MPS of the whole of
 W|0>, one left-to-right transfer sweep: an unpruned value for each site
 at any N the MPS reaches.
 
+reference_random_coupling is the coupling of a random instance drawn as
+its contract states, one default_rng per index:
+default_rng([seed mod 2^64, 1, |I|, *I]).uniform(-b, b) with
+b = exp(-range(I)/xi), and 0 above max_body.  The library's batch reads
+must give the same doubles.
+
 reference_site_blocks is the site-block builder liomsim used before it
-read a request's couplings in one batch: one coupling call per window
-index, each a default_rng draw of its own on a random instance.  The
-library's blocks must have the same phase bytes.
+built a family's windows once: every site walks its window's subsets one
+index at a time and adds each nonzero term on its own.  The couplings
+are read in one batch up front.  The library's blocks must have the same
+phase bytes.
 block_window and block_trivial read a SiteBlock's window sites and
 whether every one of its phases is 1, which only the tests ask.
 
@@ -44,8 +51,8 @@ The library's constituents must have the same matrix bytes.
 
 reference_w_nodes is the W factor list liomsim built before a family's
 structure was derived once: every request walks all constituent
-placements up to r_U (identities included), builds its blocks one
-coupling read at a time (reference_site_blocks), daggers each gate on
+positions up to r_U (identities included), builds its blocks one
+index at a time (reference_site_blocks), daggers each gate on
 its own and folds with one embedding product per fold
 (reference_fold_gates).  The library's factors must have the same names,
 kinds, sites, bytes and memory order.
@@ -76,7 +83,7 @@ from liomsim.model import (
     InstanceParams,
     _constituent_tail,
     _theta_for_distance,
-    constituent_placements,
+    constituent_positions,
     placement_sites,
 )
 from liomsim.mps import MatrixProductState, _ascending, _block, _Centre
@@ -221,6 +228,20 @@ def block_trivial(block: SiteBlock) -> bool:
     return bool(np.all(block.phases == 1.0))
 
 
+def reference_coupling_key(seed: int, sites: Sequence[int]) -> list[int]:
+    """The stream key of coupling `sites` of a random instance."""
+    return [seed & 0xFFFFFFFFFFFFFFFF, 1, len(sites), *sites]
+
+
+def reference_random_coupling(seed: int, xi: float, max_body: int, sites: Sequence[int]) -> float:
+    """Coupling `sites` of build_random_instance(params, seed, max_body)
+    with params.xi = xi, drawn from its own stream."""
+    if len(sites) > max_body:
+        return 0.0
+    bound = math.exp(-(sites[-1] - sites[0]) / xi)
+    return float(np.random.default_rng(reference_coupling_key(seed, sites)).uniform(-bound, bound))
+
+
 def reference_site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
     """One diagonal block per site, aggregating every coupling with leftmost
     site i and range below r_J (at most 2^{r_J - 1} terms each)."""
@@ -228,26 +249,30 @@ def reference_site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]
     n = inst.n_sites
     r_j = trunc.radii.r_j
     max_extra = inst.max_body - 1
+
+    def subsets(i: int, width: int):
+        for extra in range(0, min(max_extra, width - 1) + 1):
+            yield from itertools.combinations(range(i + 1, i + width), extra)
+
+    widths = {i: min(r_j, n - i + 1) for i in range(1, n + 1)}
+    indices = [(i, *subset) for i, width in widths.items() for subset in subsets(i, width)]
+    coupling = dict(zip(indices, inst.coupling_values(indices).tolist()))
     blocks: list[SiteBlock] = []
-    for i in range(1, n + 1):
-        width = min(r_j, n - i + 1)
+    for i, width in widths.items():
         angle = np.zeros(2**width)
-        window_rest = range(i + 1, i + width)
         z = np.arange(2**width)
         # Window bit b (0-based from the left) is site i + b.
         sign = {
             s: 1.0 - 2.0 * ((z >> (width - 1 - (s - i))) & 1) for s in range(i, i + width)
         }
-        for extra in range(0, min(max_extra, width - 1) + 1):
-            for subset in itertools.combinations(window_rest, extra):
-                sites = (i, *subset)
-                value = inst.coupling(sites)
-                if value == 0.0:
-                    continue
-                term = sign[i].copy()
-                for s in subset:
-                    term *= sign[s]
-                angle += value * term
+        for subset in subsets(i, width):
+            value = coupling[(i, *subset)]
+            if value == 0.0:
+                continue
+            term = sign[i].copy()
+            for s in subset:
+                term *= sign[s]
+            angle += value * term
         phases = np.exp(-1j * t * angle) if np.any(angle != 0.0) else np.ones(2**width, dtype=complex)
         blocks.append(SiteBlock(site=i, width=width, phases=phases))
     return blocks
@@ -635,7 +660,7 @@ def reference_w_nodes(req) -> tuple[list[PlacedTensor], list[PlacedTensor]]:
     nontrivial diagonal blocks, then U~'s factors in reversed product
     order, folded by reference_fold_gates."""
     inst = req.trunc.instance
-    positions = [(p.start, p.width) for p in constituent_placements(req.n_sites, req.radii.r_u)]
+    positions = constituent_positions(req.n_sites, req.radii.r_u)
     gates = [
         PlacedTensor(f"U[{cons.start_site},{cons.width}]", "gate", cons.sites, cons.dense_matrix())
         for cons in inst.constituents_at(positions)

@@ -407,10 +407,12 @@ def _product_truth(req):
     """(1 + <Z_k>)/2 per site from 2x2 matrices: W acts on site k as
     U_k V_k U_k^dag with V_k = diag(e^{-i t J_k}, e^{i t J_k})."""
     inst = req.instance
+    sites = range(1, req.n_sites + 1)
+    couplings = inst.coupling_values([(k,) for k in sites]).tolist()
     truth = []
-    for k in range(1, req.n_sites + 1):
-        u = inst.constituent(k, 1).dense_matrix()
-        phase = np.exp(-1j * req.t * inst.coupling((k,)))
+    for cons, coupling in zip(inst.constituents_at([(k, 1) for k in sites]), couplings):
+        u = cons.dense_matrix()
+        phase = np.exp(-1j * req.t * coupling)
         w = u @ np.diag([phase, phase.conjugate()]) @ u.conj().T
         truth.append(abs(w[0, 0]) ** 2)
     return truth

@@ -181,6 +181,27 @@ def test_missing_instance_file(capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "descriptor, field",
+    [
+        ({"kind": "random", "n_sites": 4, "xi": 0.5, "max_body": 2}, "seed"),
+        ({"kind": "explicit", "n_sites": 4, "xi": 0.5, "couplings": [{"sites": [1]}]}, "value"),
+        ({"kind": "random", "n_sites": 4, "xi": 0.5, "seed": 3, "max_body": "x"}, "max_body"),
+        # A string "false" once read as true: a periodic chain.
+        ({"kind": "random", "n_sites": 4, "xi": 0.5, "seed": 3, "max_body": 2, "periodic": "false"},
+         "periodic"),
+    ],
+    ids=["missing-seed", "missing-value", "malformed-max-body", "malformed-periodic"],
+)
+def test_expect_refuses_a_descriptor_with_a_bad_field(tmp_path, capsys, descriptor, field):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(descriptor))
+    code = main(["expect", "--instance", str(path), "--t", "1", "--pivot", "2"])
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance descriptor") and repr(field) in err
+
+
 def test_sample_jsonl_reproducible(tmp_path):
     inst = _gen_instance(tmp_path)
     args = [
@@ -361,6 +382,15 @@ def test_gatecount_infeasible(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["feasible"] is False
     assert "infeasible" in report["reason"]
+
+
+@pytest.mark.parametrize("t", ["inf", "1e308"])
+def test_gatecount_refuses_a_t_that_overflows(capsys, t):
+    code = main(["gatecount", "--n", "16", "--xi", "0.3", "--t", t])
+    assert code == EXIT_DOMAIN
+    report = json.loads(capsys.readouterr().out)
+    assert report["feasible"] is False
+    assert str(float(t)) in report["reason"]
 
 
 def test_gatecount_requires_t_or_sweep(capsys):

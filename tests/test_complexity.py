@@ -1,6 +1,8 @@
 """Tests for the gate-count bound evaluator."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,24 @@ def test_query_validation():
         ComplexityQuery(4, 1.0, -0.2, 0.1)
     with pytest.raises(InfeasibilityError):
         ComplexityQuery(4, 1.0, 0.2, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_query_refuses_a_non_finite_t(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibilityError, match=f"t must be positive and finite, got {t}"):
+            ComplexityQuery(16, t, 0.3, 0.1)
+
+
+@pytest.mark.parametrize("xi, t", [(0.3, 1e308), (0.356, 1e305)], ids=["n2t-overflows", "gates-overflow"])
+def test_bound_refuses_a_t_that_overflows(xi, t):
+    # 16^2 * 1e308 is inf; at 1e305 and xi near the sublinear limit N^2 t is
+    # finite, but 4^{r_U} no longer fits a double.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibilityError, match=re.escape(f"overflows a double at N=16, t={t}")):
+            circuit_complexity_bound(ComplexityQuery(16, t, xi, 0.1))
 
 
 def test_u_synthesis_error_small_radius():

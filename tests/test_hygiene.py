@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package, its tests or its benchmark
 imports a name it never uses, the package starts no threads of its own,
-and the runner absorbs every node through the method the benchmark
-wraps."""
+reads an instance's oracles one entry at a time outside the model, and
+the runner absorbs every node through the method the benchmark wraps."""
 
 import ast
 from pathlib import Path
@@ -78,6 +78,25 @@ def test_package_starts_no_threads():
         if "NUM_THREADS" in text:
             found.append(f"{path.relative_to(ROOT)}: mentions NUM_THREADS")
     assert not found, "\n".join(found)
+
+
+def test_package_reads_the_oracles_in_batches():
+    # MblInstance.coupling and .constituent are batches of one, kept for
+    # callers outside the package; the library reads coupling_values and
+    # constituents_at, so one oracle call covers a whole batch.
+    single = {"coupling", "constituent"}
+    found = []
+    for path in sorted((ROOT / "src" / "liomsim").glob("*.py")):
+        if path.name == "model.py":
+            continue
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}: .{node.func.attr}("
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in single
+        ]
+    assert not found, "single oracle reads:\n" + "\n".join(found)
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import block_trivial
 
 from liomsim import model
 from liomsim.errors import DomainError, FeasibilityError, NumericalIntegrityError
@@ -14,7 +15,7 @@ from liomsim.model import (
     apply_to_state,
     build_explicit_instance,
     build_random_instance,
-    constituent_placements,
+    constituent_positions,
     dense_hamiltonian,
     dense_liom,
     dense_unitary,
@@ -25,6 +26,7 @@ from liomsim.model import (
     sigma_diagonal,
     validate_instance,
 )
+from liomsim.simulate import ObservableProduct, SimulationRequest, expectation, site_blocks
 from liomsim.truncation import TruncationRadii, truncate
 
 
@@ -55,7 +57,7 @@ def test_coupling_index():
 
 def test_placement_enumeration_order_n4():
     # width-major enumeration: all n=1 blocks, then n=2 offset 1, offset 2, ...
-    got = [(p.width, p.start) for p in constituent_placements(4)]
+    got = [(width, start) for start, width in constituent_positions(4)]
     assert got == [
         (1, 1), (1, 2), (1, 3), (1, 4),
         (2, 1), (2, 3), (2, 2), (2, 4),
@@ -81,9 +83,9 @@ def test_nonidentity_walk_over_listed_positions_keeps_product_order():
     assert view.constituent_support == inst.constituent_support
     for top in (None, 1, 2, 3, 4):
         want = [
-            inst.constituent(p.start, p.width)
-            for p in constituent_placements(5, top)
-            if not inst.constituent(p.start, p.width).is_identity
+            cons
+            for cons in inst.constituents_at(constituent_positions(5, top))
+            if not cons.is_identity
         ]
         for walked in (inst, every):
             got = nonidentity_constituents(walked, top)
@@ -208,15 +210,49 @@ def test_a_replaced_instance_builds_its_own_constituents():
     # already built comes from the replacement's oracle too.
     n = 4
     inst = build_random_instance(InstanceParams(n, 0.5), seed=2, max_body=2, max_width=2)
-    positions = [(p.start, p.width) for p in constituent_placements(n)]
+    positions = constituent_positions(n)
     assert not inst.constituent(1, 1).is_identity
-    bare = dataclasses.replace(
-        inst,
-        constituents=lambda k, w: model.Constituent.identity(k, w, placement_sites(n, k, w)),
-        constituent_batch=None,
-    )
+    bare = dataclasses.replace(inst, constituents=_identities(n))
     assert all(cons.is_identity for cons in bare.constituents_at(positions))
     assert not inst.constituent(1, 1).is_identity
+
+
+def _identities(n):
+    def read_constituents(positions):
+        return [model.Constituent.identity(k, w, placement_sites(n, k, w)) for k, w in positions]
+
+    return read_constituents
+
+
+def test_a_replaced_instance_reads_the_replacements_oracles():
+    # Every read of an oracle goes through the one callable, so an instance
+    # made by dataclasses.replace gives the replacement's values on every
+    # route, its original's caches warmed or not.
+    n = 6
+    inst = build_random_instance(InstanceParams(n, 0.5), seed=3, max_body=2)
+    radii = TruncationRadii(3, 3)
+    sigma_z_2 = ObservableProduct(2)
+    indices = [(1,), (2, 3), (4,)]
+    assert inst.coupling_values(indices).all()
+    assert expectation(SimulationRequest(inst, 1.0, 0.5, radii), sigma_z_2, engine="dense") < 0.95
+
+    def zero(indices):
+        return np.zeros(len(indices))
+
+    flat = dataclasses.replace(inst, couplings=zero)
+    assert not flat.coupling_values(indices).any()
+    assert flat.coupling((1,)) == 0.0
+    assert all(block_trivial(b) for b in site_blocks(truncate(flat, radii), 1.0))
+    # H = 0: the state never moves.
+    req = SimulationRequest(flat, 1.0, 0.5, radii)
+    assert expectation(req, sigma_z_2, engine="dense") == pytest.approx(1.0, abs=1e-12)
+
+    bare = dataclasses.replace(inst, constituents=_identities(n))
+    assert bare.coupling_values(indices).tobytes() == inst.coupling_values(indices).tobytes()
+    assert all(c.is_identity for c in bare.constituents_at(constituent_positions(n)))
+    # U = 1: H is diagonal in z, so |0...0> only gains a phase.
+    req = SimulationRequest(bare, 1.0, 0.5, radii)
+    assert expectation(req, sigma_z_2, engine="dense") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dense_hamiltonian_single_z():

@@ -8,7 +8,6 @@ from liomsim import model, oracle
 from liomsim.errors import FeasibilityError, NumericalIntegrityError
 from liomsim.hardness import HardnessSpec, build_iqp_instance
 from liomsim.model import (
-    CouplingIndex,
     InstanceParams,
     build_explicit_instance,
     build_random_instance,
@@ -130,9 +129,8 @@ def test_factored_oracle_matches_eigh(n, periodic, max_body):
     )
     if periodic:
         assert any(
-            not inst.constituent(p.start, p.width).is_identity
-            and p.sites[-1] < p.sites[0]
-            for p in model.constituent_placements(n, 2)
+            not cons.is_identity and cons.sites[-1] < cons.sites[0]
+            for cons in inst.constituents_at(model.constituent_positions(n, 2))
         )
     for radii in CROSS_CHECK_RADII:
         r_j, r_u = radii or (None, None)
@@ -157,13 +155,12 @@ def test_factored_oracle_matches_eigh_at_n10():
 
 def test_factored_oracle_matches_eigh_on_the_hardness_instance():
     hard = build_iqp_instance(HardnessSpec(rows=3, cols=3, xi=1.0, field_seed=2))
-    table = {
-        sites: hard.instance.coupling(CouplingIndex(sites))
-        for sites in hard.instance.coupling_support
-    }
+    support = hard.instance.coupling_support
+    table = dict(zip(support, hard.instance.coupling_values(support).tolist()))
     table[(4,)] *= 1.01
     perturbed = dataclasses.replace(
-        hard.instance, couplings=lambda index: table.get(index.sites, 0.0)
+        hard.instance,
+        couplings=lambda indices: np.array([table.get(sites, 0.0) for sites in indices]),
     )
     for inst in (hard.instance, perturbed):
         np.testing.assert_allclose(

@@ -1,20 +1,25 @@
 """Tests for the batched seeding of keyed streams and the batch reads of
 couplings and constituents built on it: every seeded state and double
-bit-equal to numpy's own, every coupling equal to its single read, every
-constituent and site block byte-equal to the per-position and per-index
-builders', and no request's W seeding a stream of its own."""
+bit-equal to numpy's own, every coupling equal to its own stream's draw,
+every constituent and site block byte-equal to the per-position and
+per-index builders', and no request's W seeding a stream of its own."""
 
 import itertools
 import random
 
 import numpy as np
 import pytest
-from reference import block_trivial, reference_random_constituent, reference_site_blocks
+from reference import (
+    block_trivial,
+    reference_coupling_key,
+    reference_random_constituent,
+    reference_random_coupling,
+    reference_site_blocks,
+)
 
 from liomsim.errors import DomainError
 from liomsim.model import (
     InstanceParams,
-    _index_seed_key,
     build_explicit_instance,
     build_random_instance,
     instance_from_json,
@@ -41,9 +46,9 @@ def _assert_bit_equal(keys):
     "seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**32), -(2**63)]
 )
 def test_coupling_keys_match_numpy_at_edge_seeds(seed):
-    # A negative seed enters the key as _index_seed_key masks it, mod 2^64.
+    # A negative seed enters the key masked, mod 2^64.
     sites = [(1,), (3, 4), (2, 5, 9), (1, 2, 3, 4, 5)]
-    _assert_bit_equal([_index_seed_key(seed, s) for s in sites])
+    _assert_bit_equal([reference_coupling_key(seed, s) for s in sites])
 
 
 @pytest.mark.parametrize("seed", [7, 2**40])
@@ -52,7 +57,7 @@ def test_entropy_lengths_4_to_9_in_one_batch(seed):
     # below 2^32 and two for 2^40: 4-8 and 5-9 words for p = 1..5.  One
     # batch holds every length, so the masking of the words a key lacks is
     # checked against keys that have them.
-    keys = [_index_seed_key(seed, tuple(range(1, p + 1))) for p in range(1, 6)]
+    keys = [reference_coupling_key(seed, tuple(range(1, p + 1))) for p in range(1, 6)]
     _assert_bit_equal(keys)
     for key in keys:
         _assert_bit_equal([key])
@@ -133,13 +138,22 @@ def _every_index(n, max_order):
 @pytest.mark.parametrize("radii", [None, TruncationRadii(4, 2)], ids=["plain", "truncated"])
 def test_coupling_values_equal_single_reads(radii):
     inst = build_random_instance(InstanceParams(12, 0.5), seed=31, max_body=3)
+    r_j = 12
     if radii is not None:
         inst = truncate(inst, radii).instance
+        r_j = radii.r_j
     # Order 4 is above max_body, so those couplings read 0 both ways.
     indices = _every_index(12, 4)
-    single = np.array([inst.coupling(sites) for sites in indices])
+    single = np.array(
+        [
+            reference_random_coupling(31, 0.5, 3, sites) if sites[-1] - sites[0] < r_j else 0.0
+            for sites in indices
+        ]
+    )
     assert single.tobytes() == inst.coupling_values(indices).tobytes()
     assert np.count_nonzero(single) >= 70
+    for sites, value in zip(indices[::97], single[::97]):
+        assert inst.coupling(sites) == value
 
 
 @pytest.mark.parametrize("sites", [(13,), (3, 3), (5, 2), (0, 1), ()])
@@ -169,16 +183,23 @@ def _explicit_instance():
 )
 @pytest.mark.parametrize("r_j", [None, 3])
 def test_iter_indices_keeps_its_order_and_values(inst, r_j):
-    # The walk one coupling call per index made before the batch read.
-    if inst.coupling_support is not None:
-        support = inst.coupling_support
-    else:
+    # The walk over the support in order, each coupling drawn from its own
+    # stream (or read off the explicit table).
+    d = inst.descriptor
+    if d["kind"] == "random":
         support = _every_index(inst.n_sites, inst.max_body)
+
+        def coupling(sites):
+            return reference_random_coupling(d["seed"], d["xi"], d["max_body"], sites)
+    else:
+        support = inst.coupling_support
+        table = {tuple(row["sites"]): row["value"] for row in d["couplings"]}
+        coupling = table.__getitem__
     expect = []
     for sites in support:
         if r_j is not None and sites[-1] - sites[0] >= r_j:
             continue
-        value = inst.coupling(sites)
+        value = coupling(sites)
         if value != 0.0:
             expect.append((sites, value))
     assert list(inst.iter_indices(r_j)) == expect

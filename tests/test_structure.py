@@ -20,7 +20,7 @@ from liomsim.model import (
     InstanceParams,
     build_explicit_instance,
     build_random_instance,
-    constituent_placements,
+    constituent_positions,
     nonidentity_constituents,
     validate_instance,
 )
@@ -150,7 +150,7 @@ def test_banded_support_is_the_drawn_placements(max_width, periodic):
         inst = build_random_instance(
             InstanceParams(n, 0.5), seed=n, max_body=2, max_width=max_width, periodic=periodic
         )
-        placements = [(p.start, p.width) for p in constituent_placements(n)]
+        placements = constituent_positions(n)
         drawn = [
             pos for pos, cons in zip(placements, inst.constituents_at(placements))
             if not cons.is_identity

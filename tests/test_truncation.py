@@ -16,6 +16,7 @@ from liomsim.model import (
     build_random_instance,
     dense_hamiltonian,
 )
+from liomsim.simulate import SimulationRequest
 from liomsim.truncation import (
     BIG_C,
     BoundConstants,
@@ -293,6 +294,19 @@ def test_select_radii_validation():
         select_radii(params, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_select_radii_refuses_a_non_finite_t_before_any_warning(t):
+    # An infinite t once saturated the radius search, warned, and was
+    # refused only after.
+    inst = build_random_instance(InstanceParams(8, 0.5), seed=1, max_body=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"t must be positive and finite, got {t}"):
+            select_radii(inst.params, 0.1, t)
+        with pytest.raises(DomainError, match=f"got {t}"):
+            SimulationRequest.certified(inst, t, 0.1)
+
+
 def _x_rotation(theta):
     return np.array(
         [
@@ -320,10 +334,10 @@ def test_truncate_boundary_semantics():
     params, inst = _explicit_fixture()
     trunc = truncate(inst, TruncationRadii(2, 1)).instance
     # range >= r_J is dropped, the boundary included; range < r_J survives.
-    assert trunc.couplings(CouplingIndex((1, 3))) == 0.0
-    assert trunc.couplings(CouplingIndex((1, 4))) == 0.0
-    assert trunc.couplings(CouplingIndex((1, 2))) == 0.1
-    assert trunc.couplings(CouplingIndex((1,))) == 0.9
+    assert trunc.coupling(CouplingIndex((1, 3))) == 0.0
+    assert trunc.coupling(CouplingIndex((1, 4))) == 0.0
+    assert trunc.coupling(CouplingIndex((1, 2))) == 0.1
+    assert trunc.coupling(CouplingIndex((1,))) == 0.9
     # width > r_U becomes the identity; width <= r_U is untouched.
     assert trunc.constituent(2, 2).is_identity
     assert not trunc.constituent(1, 1).is_identity
@@ -336,7 +350,7 @@ def test_truncate_full_radii_is_passthrough():
     params, inst = _explicit_fixture()
     trunc = truncate(inst, TruncationRadii(params.n_sites, params.n_sites)).instance
     for sites, value in inst.iter_indices():
-        assert trunc.couplings(CouplingIndex(sites)) == value
+        assert trunc.coupling(CouplingIndex(sites)) == value
     for start in (1, 2):
         for width in (1, 2):
             np.testing.assert_array_equal(
