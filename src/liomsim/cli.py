@@ -229,9 +229,7 @@ def _cmd_verify(config: RunConfig) -> int:
         )
         t = [0.1, 1.0, 10.0][trial % 3]
         req = simulate.SimulationRequest(instance=instance, t=t, epsilon=0.5, radii=radii)
-        dist = oracle.exact_distribution(
-            req.trunc.instance, t
-        )
+        dist = oracle.exact_distribution(instance, t, r_j=radii.r_j, r_u=radii.r_u)
         probs = dist.probabilities.reshape((2,) * n)
         prefix: list[int] = []
         for site in range(1, n + 1):

@@ -33,7 +33,6 @@ from .model import (
     MblInstance,
     apply_to_state,
     check_state_feasible,
-    placement_sites,
     table_couplings,
     z_string_diagonal,
 )
@@ -114,12 +113,7 @@ def build_iqp_instance(spec: HardnessSpec) -> HardnessInstance:
         table[(i, j)] = -magnitude
 
     def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
-        return [
-            Constituent(start, 1, placement_sites(n, start, 1), HADAMARD)
-            if width == 1
-            else Constituent.identity(start, width, placement_sites(n, start, width))
-            for start, width in positions
-        ]
+        return [Constituent(start, 1, (start,), HADAMARD) for start, _ in positions]
 
     descriptor = {
         "kind": "iqp2d",

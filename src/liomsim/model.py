@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -76,6 +77,16 @@ def check_state_feasible(n_sites: int, what: str) -> None:
         )
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; anything but an integer, a bool included, is
+    refused rather than truncated, parsed from text or taken as 0 or 1."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class InstanceParams:
     """Global chain parameters.
@@ -91,7 +102,7 @@ class InstanceParams:
     q_const: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
+        if _integer(self.n_sites, "n_sites") < 1:
             raise DomainError(f"n_sites must be a positive integer, got {self.n_sites!r}")
         if not (self.xi > 0):
             raise DomainError(f"xi must be positive, got {self.xi!r}")
@@ -111,7 +122,7 @@ class CouplingIndex:
     sites: tuple[int, ...]
 
     def __init__(self, sites: Iterable[int]):
-        sites_t = tuple(int(s) for s in sites)
+        sites_t = tuple(_integer(s, "coupling site") for s in sites)
         if len(sites_t) < 1:
             raise DomainError("coupling index needs at least one site")
         if any(b <= a for a, b in zip(sites_t, sites_t[1:])):
@@ -146,39 +157,25 @@ class Constituent:
     start_site: int
     width: int
     sites: tuple[int, ...]
-    matrix: np.ndarray | None
-    is_identity: bool = False
-
-    @classmethod
-    def identity(cls, start_site: int, width: int, sites: tuple[int, ...]) -> "Constituent":
-        return cls(start_site, width, sites, None, True)
-
-    def dense_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return np.eye(2**self.width, dtype=complex)
+    matrix: np.ndarray
 
     def validate(self, params: InstanceParams) -> None:
-        n = self.width
-        if not self.is_identity:
-            m = self.matrix
-            if m is None or m.shape != (2**n, 2**n):
-                raise DomainError(
-                    f"constituent ({self.start_site},{n}) matrix has wrong shape"
-                )
-            dev = np.linalg.norm(m.conj().T @ m - np.eye(2**n), 2)
-            if dev > UNITARITY_TOL:
-                raise DomainError(
-                    f"constituent ({self.start_site},{n}) is not unitary: "
-                    f"||M^dag M - 1|| = {dev:.3e} > {UNITARITY_TOL}"
-                )
-            closeness = np.linalg.norm(np.eye(2**n) - m, 2) ** 2
-            bound = params.q_const * math.exp(-(n - 1) / params.xi)
-            if closeness > bound * (1 + CLOSENESS_SLACK):
-                raise DomainError(
-                    f"constituent ({self.start_site},{n}) violates the closeness bound: "
-                    f"||1-M||^2 = {closeness:.6e} > q*exp(-(n-1)/xi) = {bound:.6e}"
-                )
+        n, m = self.width, self.matrix
+        if m.shape != (2**n, 2**n):
+            raise DomainError(f"constituent ({self.start_site},{n}) matrix has wrong shape")
+        dev = np.linalg.norm(m.conj().T @ m - np.eye(2**n), 2)
+        if dev > UNITARITY_TOL:
+            raise DomainError(
+                f"constituent ({self.start_site},{n}) is not unitary: "
+                f"||M^dag M - 1|| = {dev:.3e} > {UNITARITY_TOL}"
+            )
+        closeness = np.linalg.norm(np.eye(2**n) - m, 2) ** 2
+        bound = params.q_const * math.exp(-(n - 1) / params.xi)
+        if closeness > bound * (1 + CLOSENESS_SLACK):
+            raise DomainError(
+                f"constituent ({self.start_site},{n}) violates the closeness bound: "
+                f"||1-M||^2 = {closeness:.6e} > q*exp(-(n-1)/xi) = {bound:.6e}"
+            )
 
 
 def placement_sites(n_sites: int, start: int, width: int) -> tuple[int, ...]:
@@ -192,6 +189,25 @@ def placement_sites(n_sites: int, start: int, width: int) -> tuple[int, ...]:
 # module: positions, stream tails, layouts, windows, W's folds), which is
 # derived from structural inputs alone, never from a seed or a drawn value.
 _STRUCTURES = 64
+
+
+def _is_position(n_sites: int, start: int, width: int) -> bool:
+    """Whether (start, width) is a position of the layered product on N
+    sites: sub-layer j = (start-1) mod width + 1 steps its blocks i =
+    (start-1) // width up to floor((N-width)/width)."""
+    return 1 <= width <= n_sites and 1 <= start and (start - 1) // width <= (n_sites - width) // width
+
+
+def _check_position(n_sites: int, start: int, width: int) -> None:
+    """Refuse (start, width) unless it is a position of the layered
+    product on N sites, naming it."""
+    if not (1 <= start <= n_sites and 1 <= width <= n_sites):
+        raise DomainError(f"constituent position ({start},{width}) out of range for N={n_sites}")
+    if not _is_position(n_sites, start, width):
+        raise DomainError(
+            f"constituent position ({start},{width}) is not a factor of U on N={n_sites}: "
+            f"no block of the width-{width} layer starts at site {start}"
+        )
 
 
 @functools.lru_cache(maxsize=_STRUCTURES)
@@ -220,7 +236,7 @@ def constituent_positions(
             (
                 (k, w)
                 for k, w in support
-                if 1 <= w <= top and 1 <= k and (k - 1) // w <= (n_sites - w) // w
+                if w <= top and _is_position(n_sites, k, w)
             ),
             key=lambda kw: (kw[1], (kw[0] - 1) % kw[1], (kw[0] - 1) // kw[1]),
         )
@@ -228,10 +244,12 @@ def constituent_positions(
 
 
 @functools.lru_cache(maxsize=_STRUCTURES)
-def _drawn_placements(n_sites: int, max_width: int, periodic: bool) -> tuple[tuple[int, int], ...]:
+def _drawn_placements(
+    n_sites: int, max_width: int | None, periodic: bool
+) -> tuple[tuple[int, int], ...]:
     """The positions of constituent_positions of width <= max_width, less
-    those wrapped past site N on an open chain: the ones a banded random
-    instance draws."""
+    those wrapped past site N on an open chain: the ones a random instance
+    draws."""
     return tuple(
         (k, w) for k, w in constituent_positions(n_sites, max_width) if periodic or k + w - 1 <= n_sites
     )
@@ -240,11 +258,10 @@ def _drawn_placements(n_sites: int, max_width: int, periodic: bool) -> tuple[tup
 def nonidentity_constituents(
     instance: MblInstance, max_width: int | None = None
 ) -> list[Constituent]:
-    """The constituents of width <= max_width that differ from the identity,
-    in the product order of constituent_positions.  An instance that lists
-    its constituent_support is walked over those positions alone."""
+    """U's factors of width <= max_width, in the product order of
+    constituent_positions."""
     positions = constituent_positions(instance.n_sites, max_width, instance.constituent_support)
-    return [cons for cons in instance.constituents_at(positions) if not cons.is_identity]
+    return instance.constituents_at(positions)
 
 
 @dataclass(frozen=True)
@@ -254,15 +271,20 @@ class MblInstance:
     couplings: pure function from a list of checked site tuples to their
         couplings J_I as one float array, with the exponential decay
         guarantee.
-    constituents: pure function from a list of distinct, checked
-        positions (start k, width n) to their constituents.
+    constituents: pure function from a list of distinct positions
+        (start k, width n) of U's factors to their constituents.
     coupling_support: optional explicit list of site tuples where J may be
         nonzero; None means all indices of order <= max_body.
-    constituent_support: optional explicit list of the positions
-        (start k, width n) of constituent_positions where a constituent
-        may differ from the identity; None means any position.
+    constituent_support: the positions (start k, width n) of
+        constituent_positions that are U's factors, exactly its
+        non-identity constituents; None means every position of the
+        layered product is a factor.  Reading a constituent at any other
+        position is refused.
     descriptor: JSON-serializable reconstruction recipe (see
         instance_to_json), or None for ad-hoc instances.
+
+    A truncation reads the same instance with two cutoffs (couplings of
+    range < r_J, factors of width <= r_U); no truncated copy is built.
     """
 
     params: InstanceParams
@@ -291,20 +313,30 @@ class MblInstance:
     def constituent(self, start: int, width: int) -> Constituent:
         return self.constituents_at([(start, width)])[0]
 
+    @functools.cached_property
+    def _factors(self) -> frozenset[tuple[int, int]] | None:
+        support = self.constituent_support
+        return None if support is None else frozenset(support)
+
     def constituents_at(self, positions: Iterable[tuple[int, int]]) -> list[Constituent]:
-        """The constituent at every position (start k, width n), each built
+        """The factor of U at every position (start k, width n), each built
         once per instance and cached: the positions not yet cached are
-        built in one constituents call."""
+        built in one constituents call.  A position that is no factor is
+        refused by name."""
         n = self.n_sites
         cache = self._constituent_cache
-        positions = [(int(k), int(w)) for k, w in positions]
+        positions = [
+            (_integer(k, "constituent start"), _integer(w, "constituent width")) for k, w in positions
+        ]
         missing = {}
         for start, width in positions:
-            if not (1 <= start <= n and 1 <= width <= n):
-                raise DomainError(
-                    f"constituent position ({start},{width}) out of range for N={n}"
-                )
             if (start, width) not in cache:
+                _check_position(n, start, width)
+                if self._factors is not None and (start, width) not in self._factors:
+                    raise DomainError(
+                        f"constituent position ({start},{width}) is not a factor of U: "
+                        f"the instance lists its factors, and it is not among them"
+                    )
                 missing[start, width] = None
         if missing:
             todo = list(missing)
@@ -325,7 +357,7 @@ class MblInstance:
         n = self.n_sites
         checked = []
         for raw in indices:
-            sites = tuple(map(int, raw))
+            sites = tuple(_integer(s, "coupling site") for s in raw)
             if (
                 not sites
                 or sites[0] < 1
@@ -538,13 +570,12 @@ def build_random_instance(
     q_const may be at most 8: width-1 constituents sit at ||1-U||^2 = q/2,
     and no unitary is further than 2 from the identity.
 
-    max_width, if given, makes every constituent of width > max_width the
-    identity (a banded dressing unitary); widths within the cap are
-    unchanged, and the instance lists the placements it draws as its
-    constituent_support.  periodic=False additionally sets every wrapped
-    placement (one straddling the chain end) to identity, giving an
-    open-boundary dressing with no long bond between the first and last
-    sites.
+    max_width, if given, leaves out every constituent of width > max_width
+    (a banded dressing unitary); widths within the cap are unchanged.
+    periodic=False additionally leaves out every wrapped placement (one
+    straddling the chain end), giving an open-boundary dressing with no
+    long bond between the first and last sites.  Either way the instance
+    lists the placements it draws as its constituent_support.
     """
     if not isinstance(max_body, (int, np.integer)) or max_body < 1:
         raise DomainError(f"max_body must be a positive integer, got {max_body!r}")
@@ -572,21 +603,11 @@ def build_random_instance(
         values[drawn] = drawn_values
         return values
 
-    def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
-        drawn = [
-            (start, width)
-            for start, width in positions
-            if (max_width is None or width <= max_width) and (periodic or start + width - 1 <= n)
-        ]
-        built = dict(zip(drawn, random_constituents(params, seed, drawn)))
-        return [
-            built[pos] if pos in built else Constituent.identity(*pos, placement_sites(n, *pos))
-            for pos in positions
-        ]
-
-    # A banded instance lists the placements it draws, so that its identity
-    # constituents are never built.
-    support = None if max_width is None else _drawn_placements(n, int(max_width), bool(periodic))
+    # An instance that draws fewer than every position lists the ones it
+    # draws: its factors.
+    support = None
+    if max_width is not None or not periodic:
+        support = _drawn_placements(n, None if max_width is None else int(max_width), bool(periodic))
     descriptor = {
         "kind": "random",
         "n_sites": params.n_sites,
@@ -602,7 +623,7 @@ def build_random_instance(
     return MblInstance(
         params=params,
         couplings=read_couplings,
-        constituents=read_constituents,
+        constituents=functools.partial(random_constituents, params, seed),
         max_body=int(max_body),
         label=label or f"random(seed={seed})",
         constituent_support=support,
@@ -625,9 +646,11 @@ def build_explicit_instance(
     label: str = "",
     validate: bool = True,
 ) -> MblInstance:
-    """Instance from explicit tables; missing couplings are 0 and missing
-    constituents are identity.  Constituent keys are (start, width) with
-    matrices row-major over the wrapped site order."""
+    """Instance from explicit tables; missing couplings are 0 and U's
+    factors are exactly the listed constituents.  Constituent keys are
+    positions (start, width) of the layered product (constituent_positions;
+    any other key is refused by name) with matrices row-major over the
+    wrapped site order."""
     coupling_table: dict[tuple[int, ...], float] = {}
     for raw_sites, value in couplings.items():
         index = CouplingIndex(raw_sites)
@@ -642,19 +665,12 @@ def build_explicit_instance(
 
     constituent_table: dict[tuple[int, int], Constituent] = {}
     for (start, width), mat in constituents.items():
+        _check_position(params.n_sites, start, width)
         sites = placement_sites(params.n_sites, start, width)
         cons = Constituent(start, width, sites, np.asarray(mat, dtype=complex))
         if validate:
             cons.validate(params)
         constituent_table[(start, width)] = cons
-
-    def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
-        return [
-            constituent_table[pos]
-            if pos in constituent_table
-            else Constituent.identity(*pos, placement_sites(params.n_sites, *pos))
-            for pos in positions
-        ]
 
     max_body = max((len(s) for s in coupling_table), default=1)
     support = tuple(sorted(coupling_table))
@@ -670,8 +686,8 @@ def build_explicit_instance(
             {
                 "k": start,
                 "n": width,
-                "re": [float(x) for x in cons.dense_matrix().real.ravel()],
-                "im": [float(x) for x in cons.dense_matrix().imag.ravel()],
+                "re": [float(x) for x in cons.matrix.real.ravel()],
+                "im": [float(x) for x in cons.matrix.imag.ravel()],
             }
             for (start, width), cons in sorted(constituent_table.items())
         ],
@@ -679,7 +695,7 @@ def build_explicit_instance(
     return MblInstance(
         params=params,
         couplings=table_couplings(coupling_table),
-        constituents=read_constituents,
+        constituents=lambda positions: [constituent_table[pos] for pos in positions],
         max_body=max_body,
         label=label or "explicit",
         coupling_support=support,
@@ -714,7 +730,7 @@ def dense_unitary(instance: MblInstance, max_width: int | None = None) -> np.nda
     # Product order: first placement is the leftmost operator factor, so it
     # is applied last when multiplying onto the identity from the left.
     for cons in reversed(nonidentity_constituents(instance, max_width)):
-        acc = apply_to_state(cons.dense_matrix(), cons.sites, acc, n)
+        acc = apply_to_state(cons.matrix, cons.sites, acc, n)
     return acc.reshape(2**n, 2**n)
 
 
@@ -804,19 +820,15 @@ def validate_instance(
     coupling_samples: int = 1000,
     rng_seed: int = 0,
 ) -> list[str]:
-    """Scan constituents (all (k, n) with n <= max_width, default all) and a
-    random batch of coupling indices against the model invariants; returns a
-    list of human-readable violations (empty when clean)."""
+    """Scan U's factors of width <= max_width (default all) and a random
+    batch of coupling indices against the model invariants; returns a list
+    of human-readable violations (empty when clean)."""
     params = instance.params
     n = params.n_sites
-    top = n if max_width is None else min(max_width, n)
     problems: list[str] = []
-    for cons in instance.constituents_at(
-        (start, width) for width in range(1, top + 1) for start in range(1, n + 1)
-    ):
+    for cons in nonidentity_constituents(instance, max_width):
         try:
-            if not cons.is_identity:
-                cons.validate(params)
+            cons.validate(params)
         except DomainError as exc:
             problems.append(str(exc))
     rng = np.random.default_rng(rng_seed)
@@ -899,10 +911,7 @@ def instance_from_json(text: str) -> MblInstance:
         constituents = {}
         for row in _field(data, "constituents", list, []):
             k, n = _field(row, "k", int), _field(row, "n", int)
-            if not (1 <= k <= params.n_sites and 1 <= n <= params.n_sites):
-                raise DomainError(
-                    f"constituent position ({k},{n}) out of range for N={params.n_sites}"
-                )
+            _check_position(params.n_sites, k, n)
             dim = 2**n
             re, im = (
                 _field(row, part, functools.partial(np.asarray, dtype=float)) for part in ("re", "im")

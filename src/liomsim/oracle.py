@@ -91,13 +91,11 @@ def evolve_factored(
     r_j: int | None = None,
     r_u: int | None = None,
 ) -> np.ndarray:
-    """exp(-iHt)|0...0> = U e^{-iDt} U^dag |0...0> as a state vector: the
-    non-identity constituents of width <= r_u, daggered, in placement
-    order (U^dag), then the phases e^{-it D} of the sigma diagonal with
-    couplings of range < r_j, then the same constituents in reverse order
-    (U).  None means untruncated, as in evolve_state.  An instance that
-    lists its constituent_support (the hardness family's Hadamards) is
-    walked over those positions alone.
+    """exp(-iHt)|0...0> = U e^{-iDt} U^dag |0...0> as a state vector: U's
+    factors of width <= r_u, daggered, in placement order (U^dag), then
+    the phases e^{-it D} of the sigma diagonal with couplings of range
+    < r_j, then the same factors in reverse order (U).  None means
+    untruncated, as in evolve_state.
 
     Refused before any state is allocated: N above the state cap, a
     coupling support whose size x 2^N (the entries sigma_diagonal writes)
@@ -125,10 +123,10 @@ def evolve_factored(
     state[0] = 1.0
     state = state.reshape((2,) * n)
     for cons in gates:
-        state = apply_to_state(cons.dense_matrix().conj().T, cons.sites, state, n)
+        state = apply_to_state(cons.matrix.conj().T, cons.sites, state, n)
     state = phases.reshape(state.shape) * state
     for cons in reversed(gates):
-        state = apply_to_state(cons.dense_matrix(), cons.sites, state, n)
+        state = apply_to_state(cons.matrix, cons.sites, state, n)
     state = state.ravel()
     _check_norm(state, "factored", t)
     return state

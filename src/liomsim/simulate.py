@@ -73,7 +73,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, NumericalIntegrityError, StructuralError
-from .model import UNITARITY_TOL, MblInstance, _dense_cap, apply_to_state, check_dense_feasible
+from .model import (
+    UNITARITY_TOL,
+    MblInstance,
+    _dense_cap,
+    _integer,
+    apply_to_state,
+    check_dense_feasible,
+)
 from .mps import MatrixProductState, build_mps, prefix_pair
 from .tensor import (
     ContractionPlan,
@@ -637,14 +644,6 @@ def expectation(
         value = _runner(req, _PLANS.plan(network, key), network).finish()
     lo = 0.0 if obs.is_projector else -1.0
     return _checked(value, "expectation", lo, 1.0)
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; anything but an integer, a bool included, is
-    refused rather than truncated, parsed from text or taken as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _binary_digits(bits: Sequence[int] | str, length: int, what: str) -> list[int]:

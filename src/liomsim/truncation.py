@@ -1,7 +1,10 @@
 """Two-sided truncation of an MBL instance and the analytic error bounds.
 
-Truncation acts on both oracles: couplings whose site range reaches r_J are
-zeroed, and constituents wider than r_U become the identity.  The resulting
+Truncation is two cutoffs on one instance: couplings whose site range
+reaches r_J are dropped, and so are the factors of U wider than r_U.  Every
+reader takes the cutoffs itself (iter_indices(r_j), the W windows,
+constituent_positions(N, r_u, support), the oracles' r_j and r_u), so no
+truncated copy of the instance is built.  The resulting
 Hamiltonian error ||H - H~|| admits a closed-form bound
 
     ||Delta H|| <= C_J * N * r_J * e^{-k r_J}  +  C_U * N^2 * e^{-r_U/(2 xi)}
@@ -21,10 +24,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, SaturationWarning
-from .model import Constituent, InstanceParams, MblInstance, placement_sites
+from .model import InstanceParams, MblInstance
 
 BIG_C = 10.8
 
@@ -214,17 +215,16 @@ def select_radii(params: InstanceParams, epsilon: float, t: float) -> Truncation
 
 @dataclass(frozen=True)
 class TruncatedInstance:
-    """An instance with both cutoffs applied and its certified error bound.
+    """An instance, the two cutoffs to read it with and their certified
+    error bound.
 
-    base: the untruncated instance.
-    instance: the truncated view (zeroed couplings, identity constituents)
-        usable anywhere an MblInstance is.
+    base: the untruncated instance; a reader keeps its couplings of range
+        < radii.r_j and its factors of width <= radii.r_u.
     delta_h_bound: recomputable via delta_h_bound(base.params, radii).
     """
 
     base: MblInstance
     radii: TruncationRadii
-    instance: MblInstance
     delta_h_bound: float
 
     @property
@@ -233,44 +233,10 @@ class TruncatedInstance:
 
 
 def truncate(instance: MblInstance, radii: TruncationRadii) -> TruncatedInstance:
-    """Apply both cutoffs: couplings with range >= r_J become 0 (the cutoff
-    boundary itself is dropped), constituents with width > r_U become the
-    identity.  The view reads a batch of couplings or constituents through
-    one batch read of the base, with the same cutoff."""
-    base = instance
-    r_j, r_u = radii.r_j, radii.r_u
-
-    def read_couplings(indices: list[tuple[int, ...]]) -> np.ndarray:
-        kept = [i for i, sites in enumerate(indices) if sites[-1] - sites[0] < r_j]
-        values = np.zeros(len(indices))
-        values[kept] = base.couplings([indices[i] for i in kept])
-        return values
-
-    def read_constituents(positions: list[tuple[int, int]]) -> list[Constituent]:
-        kept = iter(base.constituents_at(pos for pos in positions if pos[1] <= r_u))
-        return [
-            next(kept)
-            if pos[1] <= r_u
-            else Constituent.identity(*pos, placement_sites(base.params.n_sites, *pos))
-            for pos in positions
-        ]
-
-    support = None
-    if base.coupling_support is not None:
-        support = tuple(s for s in base.coupling_support if s[-1] - s[0] < r_j)
-    view = MblInstance(
-        params=base.params,
-        couplings=read_couplings,
-        constituents=read_constituents,
-        max_body=base.max_body,
-        label=f"{base.label}|trunc(r_J={r_j},r_U={r_u})",
-        coupling_support=support,
-        constituent_support=base.constituent_support,
-        descriptor=None,
-    )
+    """The instance with the radii to read it by and their ||Delta H||
+    bound: couplings of range >= r_J (the cutoff boundary itself) and
+    factors of width > r_U are left out by every reader.  No instance is
+    built."""
     return TruncatedInstance(
-        base=base,
-        radii=radii,
-        instance=view,
-        delta_h_bound=delta_h_bound(base.params, radii),
+        base=instance, radii=radii, delta_h_bound=delta_h_bound(instance.params, radii)
     )

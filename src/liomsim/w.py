@@ -3,8 +3,11 @@
 V is the diagonal product of per-site blocks V~_i = exp(-i t H~_i)
 collecting the Hamiltonian terms whose leftmost site is i (site_blocks),
 and U~ the product of the instance's quasilocal constituents up to width
-r_U.  Every route of the simulate module reads one list of W's factors:
-the dense walk, the qubit-wise light cone and the MPS.
+r_U.  Both read the untruncated instance with the cutoffs: _windows hold
+only couplings of range < r_J, and constituent_positions(N, r_U, support)
+only factors of width <= r_U.  Every route of the simulate module reads
+one list of W's factors: the dense walk, the qubit-wise light cone and the
+MPS.
 
 In that list every gate is folded into the gate next to it on its wires
 whenever that gate covers all of them (on a chain of width-1 and width-2
@@ -16,12 +19,11 @@ W's structure is built once per family and its data once per request.
 Which factors W has, their names and sites, the block windows with their
 coupling indices and sign rows, the folds, the commuting runs and the
 plan-cache token depend only on N, the radii, max_body, the constituent
-support and which constituents are the identity and which blocks trivial;
-_w_structure and _windows derive them in bounded caches that hold no
-seed, value or request.  build_w then draws a request's data in batches
-and runs the daggers and folds as stacked products, one per matrix shape
-and fold level, each the 2-D product of folding one pair, so every factor
-keeps its bytes.
+support and which blocks are trivial; _w_structure and _windows derive
+them in bounded caches that hold no seed, value or request.  build_w then
+draws a request's data in batches and runs the daggers and folds as
+stacked products, one per matrix shape and fold level, each the 2-D
+product of folding one pair, so every factor keeps its bytes.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
     angle as it was (an angle starts at +0.0, and no sum with a nonzero
     term is -0.0), so each block's phases are those of adding its nonzero
     terms alone."""
-    inst = trunc.instance
+    inst = trunc.base
     n = inst.n_sites
     r_j = trunc.radii.r_j
     windows = _windows(n, r_j, inst.max_body)
@@ -274,15 +276,12 @@ def _w_structure(
     r_j: int,
     max_body: int,
     support: tuple[tuple[int, int], ...] | None,
-    identity: tuple[bool, ...],
     trivial: tuple[bool, ...],
 ) -> _WStructure:
     """W's structure for a family, from its structural inputs alone."""
-    positions = constituent_positions(n_sites, r_u, support)
     gates = [
         PlacedTensor(f"U[{k},{w}]", "gate", placement_sites(n_sites, k, w), None)
-        for (k, w), skip in zip(positions, identity)
-        if not skip
+        for k, w in constituent_positions(n_sites, r_u, support)
     ]
     widths = {i: width for width, starts, _ in _windows(n_sites, r_j, max_body).groups for i in starts}
     blocks = [
@@ -309,7 +308,7 @@ def _w_structure(
 @dataclass(frozen=True)
 class W:
     """One request's W: its family's structure and its folded factors in
-    application order, identity constituents and trivial blocks dropped.
+    application order, trivial blocks dropped.
     The mirrors (for W^dag: a gate's adjoint, a diagonal's conjugate) are
     built on first use, so the dense route never builds them."""
 
@@ -328,25 +327,17 @@ class W:
 def build_w(trunc: TruncatedInstance, blocks: Sequence[SiteBlock]) -> W:
     """The W of a truncated instance whose site blocks site_blocks gave:
     the family's structure from _w_structure, and the data of its
-    constituents drawn in one batch, daggered and folded in stacks."""
-    inst = trunc.instance
+    factors of width <= r_U drawn in one batch, daggered and folded in
+    stacks."""
+    inst = trunc.base
     n, r_u, r_j = inst.n_sites, trunc.radii.r_u, trunc.radii.r_j
     support = inst.constituent_support
-    constituents = inst.constituents_at(constituent_positions(n, r_u, support))
+    gates = [cons.matrix for cons in inst.constituents_at(constituent_positions(n, r_u, support))]
     phases = [block.phases for block in blocks]
     # Whether each block's phases are all 1, in one pass.
     starts = np.cumsum([0] + [len(p) for p in phases[:-1]])
     trivial = np.logical_and.reduceat(np.concatenate(phases) == 1.0, starts).tolist()
-    structure = _w_structure(
-        n,
-        r_u,
-        r_j,
-        inst.max_body,
-        support,
-        tuple(cons.is_identity for cons in constituents),
-        tuple(trivial),
-    )
-    gates = [cons.matrix for cons in constituents if not cons.is_identity]
+    structure = _w_structure(n, r_u, r_j, inst.max_body, support, tuple(trivial))
     data = (
         _daggers(gates, ["gate"] * len(gates))
         + [p for p, skip in zip(phases, trivial) if not skip]

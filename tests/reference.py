@@ -244,8 +244,9 @@ def reference_random_coupling(seed: int, xi: float, max_body: int, sites: Sequen
 
 def reference_site_blocks(trunc: TruncatedInstance, t: float) -> list[SiteBlock]:
     """One diagonal block per site, aggregating every coupling with leftmost
-    site i and range below r_J (at most 2^{r_J - 1} terms each)."""
-    inst = trunc.instance
+    site i and range below r_J (at most 2^{r_J - 1} terms each), read
+    off the untruncated instance."""
+    inst = trunc.base
     n = inst.n_sites
     r_j = trunc.radii.r_j
     max_extra = inst.max_body - 1
@@ -658,13 +659,13 @@ def reference_w_nodes(req) -> tuple[list[PlacedTensor], list[PlacedTensor]]:
     """W's factors in application order and their mirrors, built from
     scratch: U~^dag's factors (each gate daggered on its own), the
     nontrivial diagonal blocks, then U~'s factors in reversed product
-    order, folded by reference_fold_gates."""
-    inst = req.trunc.instance
-    positions = constituent_positions(req.n_sites, req.radii.r_u)
+    order, folded by reference_fold_gates.  U~'s factors are the
+    instance's listed factors of width <= r_U."""
+    inst = req.instance
+    positions = constituent_positions(req.n_sites, req.radii.r_u, inst.constituent_support)
     gates = [
-        PlacedTensor(f"U[{cons.start_site},{cons.width}]", "gate", cons.sites, cons.dense_matrix())
+        PlacedTensor(f"U[{cons.start_site},{cons.width}]", "gate", cons.sites, cons.matrix)
         for cons in inst.constituents_at(positions)
-        if not cons.is_identity
     ]
     blocks = [
         PlacedTensor(f"V[{b.site}]", "diag", block_window(b), b.phases)

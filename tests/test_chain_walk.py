@@ -411,7 +411,7 @@ def _product_truth(req):
     couplings = inst.coupling_values([(k,) for k in sites]).tolist()
     truth = []
     for cons, coupling in zip(inst.constituents_at([(k, 1) for k in sites]), couplings):
-        u = cons.dense_matrix()
+        u = cons.matrix
         phase = np.exp(-1j * req.t * coupling)
         w = u @ np.diag([phase, phase.conjugate()]) @ u.conj().T
         truth.append(abs(w[0, 0]) ** 2)

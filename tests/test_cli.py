@@ -10,6 +10,7 @@ import pytest
 
 from liomsim import hardness, model, oracle, simulate, truncation
 from liomsim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, write_atomic
+from liomsim.errors import DomainError
 
 
 def _no_temp_leftovers(directory):
@@ -65,11 +66,16 @@ def test_gen_open_boundary_flag(tmp_path):
     open_path = _gen_instance(
         tmp_path, "open.json", extra=("--max-width", "2", "--open-boundary")
     )
+    # The wrapped block (4,2) on sites 4, 1 is a factor of the periodic
+    # chain only; reading it off the open one is refused.
     instance = model.instance_from_json(open_path.read_text())
-    assert instance.constituent(4, 2).is_identity
+    assert (4, 2) not in instance.constituent_support
+    with pytest.raises(DomainError, match=r"\(4,2\) is not a factor of U"):
+        instance.constituent(4, 2)
     periodic_path = _gen_instance(tmp_path, "per.json", extra=("--max-width", "2"))
     wrapped = model.instance_from_json(periodic_path.read_text())
-    assert not wrapped.constituent(4, 2).is_identity
+    assert (4, 2) in wrapped.constituent_support
+    assert wrapped.constituent(4, 2).sites == (4, 1)
 
 
 def test_bound_csv_explicit_radii(capsys):

@@ -1,6 +1,5 @@
 """Tests for the 2D-grid hard-instance family and its mapping check."""
 
-import dataclasses
 import json
 import math
 
@@ -115,8 +114,11 @@ def test_constituents_are_hadamard_layer():
     inst = hard.instance
     for site in range(1, 5):
         np.testing.assert_array_equal(inst.constituent(site, 1).matrix, HADAMARD)
-    assert inst.constituent(1, 2).is_identity
-    assert inst.constituent(3, 2).is_identity
+    # The Hadamards are U's only factors; no other position is read.
+    assert inst.constituent_support == ((1, 1), (2, 1), (3, 1), (4, 1))
+    for start in (1, 3):
+        with pytest.raises(DomainError, match=rf"\({start},2\) is not a factor of U"):
+            inst.constituent(start, 2)
     u = dense_unitary(inst)
     layer = HADAMARD
     for _ in range(3):
@@ -190,15 +192,13 @@ def test_mapping_guards(monkeypatch):
 
 
 def test_mapping_walks_only_the_hadamards(monkeypatch):
-    # The family lists its constituent positions, so the 1D evolution
-    # fetches the N Hadamards and none of the identities around them, and
-    # applies them in the order of the full placement walk, bit for bit.
+    # The family lists its factors, the N Hadamards, so the 1D evolution
+    # fetches those alone, in the order of the placement walk.
     spec = HardnessSpec.square(9, xi=1.0)
     inst = build_iqp_instance(spec).instance
-    every = dataclasses.replace(inst, constituent_support=None)
-    for t in (0.0, 0.7):
-        state = oracle.evolve_factored(inst, t)
-        assert state.tobytes() == oracle.evolve_factored(every, t).tobytes()
+    assert [(c.start_site, c.width) for c in model.nonidentity_constituents(inst)] == [
+        (site, 1) for site in range(1, 10)
+    ]
     lookups = []
     constituents_at = model.MblInstance.constituents_at
 

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package, its tests or its benchmark
 imports a name it never uses, the package starts no threads of its own,
-reads an instance's oracles one entry at a time outside the model, and
-the runner absorbs every node through the method the benchmark wraps."""
+reads an instance's oracles one entry at a time outside the model, or
+builds an instance outside the three builders or an identity
+constituent anywhere, and the runner absorbs every node through the
+method the benchmark wraps."""
 
 import ast
 from pathlib import Path
@@ -97,6 +99,63 @@ def test_package_reads_the_oracles_in_batches():
             and node.func.attr in single
         ]
     assert not found, "single oracle reads:\n" + "\n".join(found)
+
+
+def _names(tree: ast.Module):
+    """(identifier, line) for every name the module binds, loads or reads
+    as an attribute, keyword or argument."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+            if isinstance(node.value, ast.Name):
+                yield f"{node.value.id}.{node.attr}", node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.arg):
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg, node.value.lineno
+
+
+def _builds_instance(node: ast.AST) -> bool:
+    callee = node.func if isinstance(node, ast.Call) else None
+    return getattr(callee, "id", getattr(callee, "attr", None)) == "MblInstance"
+
+
+def test_instances_are_built_by_the_builders_alone():
+    # An instance lists exactly U's factors, so only the builders that
+    # know them construct one: no module wraps an instance in a second,
+    # truncated or identity-filling one.
+    builders = {
+        ("model.py", "build_random_instance"),
+        ("model.py", "build_explicit_instance"),
+        ("hardness.py", "build_iqp_instance"),
+    }
+    built, found = set(), []
+    for path in sorted((ROOT / "src" / "liomsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in builders:
+                calls = [id(node) for node in ast.walk(func) if _builds_instance(node)]
+                built.update([(path.name, func.name)] if calls else [])
+                allowed.update(calls)
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}: MblInstance("
+            for node in ast.walk(tree)
+            if _builds_instance(node) and id(node) not in allowed
+        ]
+        found += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in _names(tree)
+            if name in ("is_identity", "Constituent.identity")
+        ]
+    assert built == builders
+    assert not found, "instances or identity constituents built outside the builders:\n" + "\n".join(
+        found
+    )
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:

@@ -67,10 +67,11 @@ def test_placement_enumeration_order_n4():
 
 
 def test_nonidentity_walk_over_listed_positions_keeps_product_order():
-    # An explicit instance walks only the positions it lists, wrapped ones
-    # among them; (5, 2) and (5, 3) are positions no placement of N=5 uses.
+    # An explicit instance's factors are the positions it lists, wrapped
+    # ones among them ((3, 4) and (4, 4) on N=5), walked in product order;
+    # any other position is refused.
     rng = np.random.default_rng(6)
-    positions = [(1, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (5, 3), (2, 4)]
+    positions = [(1, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
     tables = {}
     for start, width in positions:
         dim = 2**width
@@ -78,20 +79,16 @@ def test_nonidentity_walk_over_listed_positions_keeps_product_order():
         tables[(start, width)] = q
     inst = build_explicit_instance(InstanceParams(5, 0.5), {}, tables, validate=False)
     assert inst.constituent_support == tuple(sorted(positions))
-    every = dataclasses.replace(inst, constituent_support=None)
-    view = truncate(inst, TruncationRadii(5, 2)).instance
-    assert view.constituent_support == inst.constituent_support
     for top in (None, 1, 2, 3, 4):
         want = [
-            cons
-            for cons in inst.constituents_at(constituent_positions(5, top))
-            if not cons.is_identity
+            inst.constituent(k, w) for k, w in constituent_positions(5, top) if (k, w) in tables
         ]
-        for walked in (inst, every):
-            got = nonidentity_constituents(walked, top)
-            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
-    got = [(c.start_site, c.width) for c in nonidentity_constituents(view)]
-    assert got == [(c.start_site, c.width) for c in nonidentity_constituents(inst, 2)]
+        got = nonidentity_constituents(inst, top)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    assert [c.sites for c in nonidentity_constituents(inst, 4)[-2:]] == [(3, 4, 5, 1), (4, 5, 1, 2)]
+    for start, width in ((2, 1), (1, 3), (5, 2)):
+        with pytest.raises(DomainError, match=rf"\({start},{width}\) is not a factor of U"):
+            inst.constituent(start, width)
 
 
 def test_placement_wrap_sites():
@@ -106,7 +103,7 @@ def test_random_instance_deterministic():
     b = build_random_instance(params, seed=3, max_body=3)
     for sites in [(1,), (2, 4), (1, 3, 5)]:
         assert a.coupling(sites) == b.coupling(sites)
-    for start, width in [(1, 1), (2, 2), (4, 3)]:
+    for start, width in [(1, 1), (2, 2), (3, 3)]:
         np.testing.assert_array_equal(
             a.constituent(start, width).matrix, b.constituent(start, width).matrix
         )
@@ -118,9 +115,9 @@ def test_constituent_closeness_exact():
     # ||1 - U||^2 must equal (q/2) e^{-(n-1)/xi} exactly by construction
     params = InstanceParams(6, 0.4, q_const=1.0)
     inst = build_random_instance(params, seed=11, max_body=2)
-    for start, width in [(1, 1), (3, 2), (2, 3), (5, 4)]:
+    for start, width in [(1, 1), (3, 2), (2, 3), (3, 4)]:
         cons = inst.constituent(start, width)
-        mat = cons.dense_matrix()
+        mat = cons.matrix
         dist = np.linalg.norm(np.eye(2**width) - mat, 2)
         target = 0.5 * np.exp(-(width - 1) / 0.4)
         assert dist**2 == pytest.approx(target, rel=1e-10)
@@ -138,7 +135,7 @@ def test_random_instance_refuses_q_above_8_at_build_time():
             json.dumps({"kind": "random", "n_sites": 5, "xi": 0.5, "q": 9.0, "seed": 0, "max_body": 2})
         )
     inst = build_random_instance(InstanceParams(5, 0.5, q_const=8.0), seed=0, max_body=2)
-    u = inst.constituent(2, 1).dense_matrix()
+    u = inst.constituent(2, 1).matrix
     assert np.linalg.norm(np.eye(2) - u, 2) ** 2 == pytest.approx(4.0, rel=1e-12)
     assert validate_instance(inst) == []
 
@@ -147,17 +144,17 @@ def test_n1_instance_closeness():
     params = InstanceParams(1, 0.5, q_const=1.0)
     inst = build_random_instance(params, seed=0, max_body=1)
     assert abs(inst.coupling((1,))) <= 1.0
-    u = inst.constituent(1, 1).dense_matrix()
+    u = inst.constituent(1, 1).matrix
     assert np.linalg.norm(np.eye(2) - u, 2) ** 2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_wrapped_constituent_is_tensor_product():
     # the wrap splits into a factor on (k..N) and a factor on (1..k+n-1-N)
-    params = InstanceParams(5, 0.5)
+    params = InstanceParams(6, 0.5)
     inst = build_random_instance(params, seed=2, max_body=2)
-    cons = inst.constituent(5, 3)  # sites (5, 1, 2)
-    assert cons.sites == (5, 1, 2)
-    mat = cons.dense_matrix()
+    cons = inst.constituent(6, 3)  # sites (6, 1, 2)
+    assert cons.sites == (6, 1, 2)
+    mat = cons.matrix
     d = mat.reshape(2, 4, 2, 4)
     # a pure tensor product A (x) B has rank-1 flattening over the split
     flat = d.transpose(0, 2, 1, 3).reshape(4, 16)
@@ -183,12 +180,15 @@ def test_coupling_decay_property(seed, sites):
 def test_max_width_and_open_boundary():
     params = InstanceParams(6, 0.5)
     inst = build_random_instance(params, seed=1, max_body=2, max_width=2, periodic=False)
-    assert inst.constituent(1, 3).is_identity
-    assert not inst.constituent(1, 2).is_identity
-    # wrapped width-2 placement is identity under open boundary
-    assert inst.constituent(6, 2).is_identity
+    assert max(w for _, w in inst.constituent_support) == 2
+    assert inst.constituent(1, 2).sites == (1, 2)
+    # the wrapped width-2 placement is no factor under open boundary
+    assert (6, 2) not in inst.constituent_support
+    for start, width in ((1, 3), (6, 2)):
+        with pytest.raises(DomainError, match=rf"\({start},{width}\) is not a factor of U"):
+            inst.constituent(start, width)
     per = build_random_instance(params, seed=1, max_body=2, max_width=2)
-    assert not per.constituent(6, 2).is_identity
+    assert per.constituent(6, 2).sites == (6, 1)
 
 
 def test_dense_unitary_is_unitary():
@@ -210,18 +210,24 @@ def test_a_replaced_instance_builds_its_own_constituents():
     # already built comes from the replacement's oracle too.
     n = 4
     inst = build_random_instance(InstanceParams(n, 0.5), seed=2, max_body=2, max_width=2)
-    positions = constituent_positions(n)
-    assert not inst.constituent(1, 1).is_identity
+    assert not _is_identity(inst.constituent(1, 1))
     bare = dataclasses.replace(inst, constituents=_identities(n))
-    assert all(cons.is_identity for cons in bare.constituents_at(positions))
-    assert not inst.constituent(1, 1).is_identity
+    assert all(map(_is_identity, nonidentity_constituents(bare)))
+    assert not _is_identity(inst.constituent(1, 1))
 
 
 def _identities(n):
     def read_constituents(positions):
-        return [model.Constituent.identity(k, w, placement_sites(n, k, w)) for k, w in positions]
+        return [
+            model.Constituent(k, w, placement_sites(n, k, w), np.eye(2**w, dtype=complex))
+            for k, w in positions
+        ]
 
     return read_constituents
+
+
+def _is_identity(cons):
+    return np.array_equal(cons.matrix, np.eye(2**cons.width))
 
 
 def test_a_replaced_instance_reads_the_replacements_oracles():
@@ -249,7 +255,7 @@ def test_a_replaced_instance_reads_the_replacements_oracles():
 
     bare = dataclasses.replace(inst, constituents=_identities(n))
     assert bare.coupling_values(indices).tobytes() == inst.coupling_values(indices).tobytes()
-    assert all(c.is_identity for c in bare.constituents_at(constituent_positions(n)))
+    assert all(map(_is_identity, bare.constituents_at(constituent_positions(n))))
     # U = 1: H is diagonal in z, so |0...0> only gains a phase.
     req = SimulationRequest(bare, 1.0, 0.5, radii)
     assert expectation(req, sigma_z_2, engine="dense") == pytest.approx(1.0, abs=1e-12)
@@ -353,10 +359,71 @@ def test_validate_instance_clean_and_dirty():
     assert problems and any("close" in p or "distance" in p for p in problems)
 
 
+def test_validate_instance_checks_exactly_the_factors():
+    # A random N=8 instance: every factor of U is built and checked, and no
+    # position outside the layered product (such as (8, 5)) is drawn.
+    inst = build_random_instance(InstanceParams(8, 0.5), seed=5, max_body=2)
+    assert validate_instance(inst, coupling_samples=10) == []
+    assert sorted(inst._constituent_cache) == sorted(constituent_positions(8))
+    # A violation at a listed position is still reported, by name.
+    theta = 1.2
+    bad = np.array([[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]])
+    good = np.eye(4, dtype=complex)
+    dirty = build_explicit_instance(
+        InstanceParams(4, 0.5), {}, {(3, 2): good, (4, 1): bad}, validate=False
+    )
+    problems = validate_instance(dirty, coupling_samples=10)
+    assert len(problems) == 1 and "constituent (4,1) violates the closeness bound" in problems[0]
+    assert validate_instance(dirty, max_width=2, coupling_samples=10) == problems
+
+
 def test_explicit_instance_rejects_nonunitary():
     params = InstanceParams(3, 0.5)
     with pytest.raises(DomainError):
         build_explicit_instance(params, {}, {(1, 1): np.array([[1.0, 0.0], [0.0, 2.0]])})
+
+
+def test_explicit_constituents_only_at_factors_of_u():
+    # (5, 2) on N=5 would sit on sites 5, 1, but no block of the width-2
+    # layer starts at site 5, so the layered product never applies it.
+    u = np.eye(4, dtype=complex)
+    params = InstanceParams(5, 0.5, q_const=8)
+    assert constituent_positions(5, None, ((5, 2),)) == ()
+    message = r"constituent position \(5,2\) is not a factor of U on N=5"
+    with pytest.raises(DomainError, match=message):
+        build_explicit_instance(params, {(1,): 0.5}, {(5, 2): u}, validate=False)
+    record = {"k": 5, "n": 2, "re": u.real.ravel().tolist(), "im": u.imag.ravel().tolist()}
+    text = json.dumps({"kind": "explicit", "n_sites": 5, "xi": 0.5, "constituents": [record]})
+    with pytest.raises(DomainError, match=message):
+        instance_from_json(text)
+    with pytest.raises(DomainError, match=r"\(6,1\) out of range for N=5"):
+        build_explicit_instance(params, {}, {(6, 1): np.eye(2)})
+    # A factor position is accepted, wrapped ones included.
+    inst = build_explicit_instance(params, {}, {(4, 2): u, (2, 4): np.eye(16)}, validate=False)
+    assert nonidentity_constituents(inst)[-1].sites == (2, 3, 4, 5)
+    wrapped = build_explicit_instance(InstanceParams(4, 0.5), {}, {(3, 3): np.eye(8)})
+    assert wrapped.constituent(3, 3).sites == (3, 4, 1)
+
+
+def test_model_reads_refuse_sites_that_are_not_integers():
+    inst = build_random_instance(InstanceParams(5, 0.5), seed=3, max_body=2)
+    assert inst.coupling((1, 3)) == inst.coupling((np.int64(1), 3))
+    with pytest.raises(DomainError, match="coupling site must be an integer, got 1.9"):
+        inst.coupling((1.9, 3))
+    with pytest.raises(DomainError, match="coupling site must be an integer, got True"):
+        inst.coupling((True, 3))
+    with pytest.raises(DomainError, match="coupling site must be an integer, got 2.0"):
+        inst.coupling_values([(1,), (2.0, 3)])
+    with pytest.raises(DomainError, match="coupling site must be an integer"):
+        CouplingIndex(("1", 2))
+    with pytest.raises(DomainError, match="constituent start must be an integer, got 1.5"):
+        inst.constituent(1.5, 2)
+    with pytest.raises(DomainError, match="constituent width must be an integer, got True"):
+        inst.constituents_at([(1, True)])
+    assert inst.constituent(np.int64(1), 2) is inst.constituent(1, 2)
+    for bad in (True, 2.0, "4"):
+        with pytest.raises(DomainError, match="n_sites must be an integer"):
+            InstanceParams(bad, 0.5)
 
 
 def test_json_roundtrip_random():
@@ -371,7 +438,7 @@ def test_json_roundtrip_random():
     np.testing.assert_array_equal(
         back.constituent(2, 2).matrix, inst.constituent(2, 2).matrix
     )
-    assert back.constituent(5, 2).is_identity
+    assert back.constituent_support == inst.constituent_support
     # byte-identical re-serialization (exact decimal round-trip)
     assert instance_to_json(back) == text
 

@@ -129,8 +129,7 @@ def test_factored_oracle_matches_eigh(n, periodic, max_body):
     )
     if periodic:
         assert any(
-            not cons.is_identity and cons.sites[-1] < cons.sites[0]
-            for cons in inst.constituents_at(model.constituent_positions(n, 2))
+            cons.sites[-1] < cons.sites[0] for cons in model.nonidentity_constituents(inst, 2)
         )
     for radii in CROSS_CHECK_RADII:
         r_j, r_u = radii or (None, None)

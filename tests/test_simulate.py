@@ -195,7 +195,7 @@ def test_site_blocks_product_matches_diagonal():
         for s in block_window(block):
             shape[s - 1] = 2
         acc = acc * block.phases.reshape(shape)
-    diag = sigma_diagonal(req.trunc.instance, req.radii.r_j)
+    diag = sigma_diagonal(req.instance, req.radii.r_j)
     np.testing.assert_allclose(
         acc.ravel(), np.exp(-1j * t * diag), atol=1e-12
     )

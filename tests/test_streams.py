@@ -22,6 +22,7 @@ from liomsim.model import (
     InstanceParams,
     build_explicit_instance,
     build_random_instance,
+    constituent_positions,
     instance_from_json,
     instance_to_json,
     nonidentity_constituents,
@@ -30,7 +31,7 @@ from liomsim.model import (
 )
 from liomsim.simulate import SimulationRequest, _w, site_blocks
 from liomsim.streams import first_doubles, generators, pcg64_states
-from liomsim.truncation import TruncationRadii, truncate
+from liomsim.truncation import TruncationRadii
 
 
 def _assert_bit_equal(keys):
@@ -138,22 +139,22 @@ def _every_index(n, max_order):
 @pytest.mark.parametrize("radii", [None, TruncationRadii(4, 2)], ids=["plain", "truncated"])
 def test_coupling_values_equal_single_reads(radii):
     inst = build_random_instance(InstanceParams(12, 0.5), seed=31, max_body=3)
-    r_j = 12
-    if radii is not None:
-        inst = truncate(inst, radii).instance
-        r_j = radii.r_j
     # Order 4 is above max_body, so those couplings read 0 both ways.
     indices = _every_index(12, 4)
-    single = np.array(
-        [
-            reference_random_coupling(31, 0.5, 3, sites) if sites[-1] - sites[0] < r_j else 0.0
-            for sites in indices
-        ]
-    )
+    single = np.array([reference_random_coupling(31, 0.5, 3, sites) for sites in indices])
     assert single.tobytes() == inst.coupling_values(indices).tobytes()
     assert np.count_nonzero(single) >= 70
     for sites, value in zip(indices[::97], single[::97]):
         assert inst.coupling(sites) == value
+    # A truncation reads the instance with the cutoff: iter_indices(r_J)
+    # yields the nonzero couplings of range < r_J, in the same order.
+    r_j = 12 if radii is None else radii.r_j
+    kept = [
+        (sites, value)
+        for sites, value in zip(indices, single.tolist())
+        if value != 0.0 and sites[-1] - sites[0] < r_j
+    ]
+    assert list(inst.iter_indices(None if radii is None else r_j)) == kept
 
 
 @pytest.mark.parametrize("sites", [(13,), (3, 3), (5, 2), (0, 1), ()])
@@ -274,18 +275,20 @@ def _assert_reference_constituents(params, seed, constituents):
 def test_constituents_are_byte_equal_to_the_reference(seed, periodic):
     # Widths 1-4 at every start of N=7: on the periodic chain the starts
     # past N-w+1 wrap, some into pieces of unequal width.
+    # The instance's factors are the positions of widths 1-4 it draws: all
+    # of them on the periodic chain, the unwrapped ones on the open chain.
     params = InstanceParams(7, 0.5, 2.0)
-    inst = build_random_instance(params, seed=seed, max_body=2, periodic=periodic)
     positions = [(k, w) for w in range(1, 5) for k in range(1, 8)]
-    got = inst.constituents_at(positions)
-    drawn = [c for c in got if not c.is_identity]
-    assert [(c.start_site, c.width) for c in got if c.is_identity] == (
-        [] if periodic else [(k, w) for k, w in positions if k + w - 1 > 7]
-    )
-    assert sum(len(c.sites) != c.sites[-1] - c.sites[0] + 1 for c in drawn) == (
-        6 if periodic else 0
-    )
-    _assert_reference_constituents(params, seed, drawn)
+    batch = random_constituents(params, seed, positions)
+    assert sum(len(c.sites) != c.sites[-1] - c.sites[0] + 1 for c in batch) == 6
+    _assert_reference_constituents(params, seed, batch)
+    inst = build_random_instance(params, seed=seed, max_body=2, periodic=periodic)
+    factors = nonidentity_constituents(inst, 4)
+    assert [(c.start_site, c.width) for c in factors] == [
+        (k, w) for k, w in constituent_positions(7, 4) if periodic or k + w - 1 <= 7
+    ]
+    assert sum(len(c.sites) != c.sites[-1] - c.sites[0] + 1 for c in factors) == periodic
+    _assert_reference_constituents(params, seed, factors)
 
 
 def test_dense_route_constituents_are_byte_equal_to_the_reference():
@@ -296,7 +299,7 @@ def test_dense_route_constituents_are_byte_equal_to_the_reference():
         instance=build_random_instance(params, seed=77, max_body=3),
         t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3),
     )
-    got = nonidentity_constituents(req.trunc.instance, req.radii.r_u)
+    got = nonidentity_constituents(req.instance, req.radii.r_u)
     assert len(got) == 10 + 2 * 5 + 3 * 3
     _assert_reference_constituents(params, 77, got)
 
@@ -315,7 +318,7 @@ def test_constituent_batches_do_not_depend_on_order_or_size():
 
 def test_single_lookup_equals_its_batch_entry():
     params = InstanceParams(8, 0.5)
-    positions = [(k, w) for w in range(1, 4) for k in range(1, 9)]
+    positions = constituent_positions(8, 3)
     batch = build_random_instance(params, seed=21, max_body=2).constituents_at(positions)
     single = build_random_instance(params, seed=21, max_body=2)
     for (k, w), cons in zip(positions, batch):
@@ -325,17 +328,15 @@ def test_single_lookup_equals_its_batch_entry():
         assert single.constituents_at([(k, w)])[0] is one
 
 
-def test_truncated_view_reads_constituents_through_the_base():
+def test_w_reads_the_base_factors_within_r_u():
+    # A truncation builds no instance of its own: W reads the base's
+    # factors of width <= r_U through the base's cache, and nothing else.
     inst = build_random_instance(InstanceParams(8, 0.5), seed=4, max_body=2)
-    view = truncate(inst, TruncationRadii(3, 2)).instance
-    positions = [(k, w) for w in range(1, 5) for k in range(1, 9)]
-    for (k, w), cons in zip(positions, view.constituents_at(positions)):
-        if w > 2:
-            assert cons.is_identity and cons.sites == inst.constituent(k, w).sites
-        else:
-            assert cons is inst.constituent(k, w)
-    with pytest.raises(DomainError):
-        view.constituents_at([(1, 1), (9, 1)])
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 2))
+    assert _w(req).nodes and req.trunc.base is inst
+    assert list(inst._constituent_cache) == list(constituent_positions(8, 2))
+    with pytest.raises(DomainError, match=r"\(9,1\) out of range for N=8"):
+        inst.constituents_at([(1, 1), (9, 1)])
 
 
 def test_json_round_trip_keeps_constituent_bytes():
@@ -343,10 +344,11 @@ def test_json_round_trip_keeps_constituent_bytes():
         InstanceParams(6, 0.5, 1.5), seed=2**64 - 1, max_body=2, max_width=3
     )
     back = instance_from_json(instance_to_json(inst))
-    positions = [(k, w) for w in range(1, 5) for k in range(1, 7)]
-    for a, b in zip(inst.constituents_at(positions), back.constituents_at(positions)):
-        assert a.is_identity == b.is_identity == (a.width > 3)
-        assert a.dense_matrix().tobytes() == b.dense_matrix().tobytes()
+    assert back.constituent_support == inst.constituent_support
+    assert max(w for _, w in inst.constituent_support) == 3
+    for a, b in zip(nonidentity_constituents(inst), nonidentity_constituents(back)):
+        assert (a.start_site, a.width) == (b.start_site, b.width)
+        assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
 @pytest.mark.parametrize("family", ["criterion-6-32", "expect_plan-11"])

@@ -146,35 +146,46 @@ def test_folds_are_byte_equal_to_folding_one_pair_at_a_time(seed):
 @pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
 @pytest.mark.parametrize("max_width", [1, 2, 3])
 def test_banded_support_is_the_drawn_placements(max_width, periodic):
+    # A banded instance lists the placements it draws, its factors: those
+    # within the band, less the wrapped ones on an open chain.  Each is the
+    # unbanded periodic instance's constituent there, byte for byte, so the
+    # support alone decides which factors an instance of one seed has.
     for n in range(3, 13):
         inst = build_random_instance(
             InstanceParams(n, 0.5), seed=n, max_body=2, max_width=max_width, periodic=periodic
         )
-        placements = constituent_positions(n)
+        every = build_random_instance(InstanceParams(n, 0.5), seed=n, max_body=2)
+        assert every.constituent_support is None
         drawn = [
-            pos for pos, cons in zip(placements, inst.constituents_at(placements))
-            if not cons.is_identity
+            (k, w)
+            for k, w in constituent_positions(n)
+            if w <= max_width and (periodic or k + w - 1 <= n)
         ]
         assert inst.constituent_support == tuple(drawn)
-        bare = dataclasses.replace(inst, constituent_support=None)
         for r_u in (None, 1, 2, 3):
-            got, want = (nonidentity_constituents(i, r_u) for i in (inst, bare))
+            got = nonidentity_constituents(inst, r_u)
+            want = every.constituents_at([pos for pos in drawn if r_u is None or pos[1] <= r_u])
             assert [(c.start_site, c.width, c.sites) for c in got] == [
                 (c.start_site, c.width, c.sites) for c in want
             ]
             assert all(a.matrix.tobytes() == b.matrix.tobytes() for a, b in zip(got, want))
-        r_u = min(2, n)
+        restricted = dataclasses.replace(every, constituent_support=inst.constituent_support)
         np.testing.assert_array_equal(
-            evolve_factored(inst, 1.1, r_j=3, r_u=r_u), evolve_factored(bare, 1.1, r_j=3, r_u=r_u)
+            evolve_factored(inst, 1.1, r_j=3), evolve_factored(restricted, 1.1, r_j=3)
         )
-        assert validate_instance(inst, coupling_samples=20) == validate_instance(
-            bare, coupling_samples=20
-        ) == []
+        assert validate_instance(inst, coupling_samples=20) == []
 
 
-def test_unbanded_random_instances_list_no_support():
+def test_unbanded_random_instances_list_their_support_when_open():
+    # Periodic: every position is a factor.  Open: every one but the
+    # wrapped ones, which the instance lists.
+    periodic = build_random_instance(InstanceParams(6, 0.5), seed=1, max_body=2)
+    assert periodic.constituent_support is None
     inst = build_random_instance(InstanceParams(6, 0.5), seed=1, max_body=2, periodic=False)
-    assert inst.constituent_support is None
+    assert inst.constituent_support == tuple(
+        (k, w) for k, w in constituent_positions(6) if k + w - 1 <= 6
+    )
+    assert len(inst.constituent_support) < len(constituent_positions(6))
 
 
 _CACHES = [
@@ -233,18 +244,17 @@ def test_a_dropped_request_leaves_nothing_reachable():
     expectation(req, ObservableProduct(2), engine="dense")
     conditional_probability(req, [0, 1], 3, engine="plan")
     assert req._state.conditional_route == "mps"
-    inst = req.trunc.instance
     held = [
         req,
         req.instance,
-        inst,
+        req.trunc,
         *(node.data for node in _w(req).nodes),
         *(node.data for node in _w(req).mirrors),
-        *(cons.matrix for cons in nonidentity_constituents(inst, 2)),
+        *(cons.matrix for cons in nonidentity_constituents(req.instance, 2)),
         *(block.phases for block in simulate.site_blocks(req.trunc, req.t)),
     ]
     refs = [weakref.ref(obj) for obj in held]
-    del req, inst, held
+    del req, held
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
 

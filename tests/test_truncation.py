@@ -1,5 +1,7 @@
-"""Tests for the truncation radii, tail-sum bounds, and the truncated view."""
+"""Tests for the truncation radii, tail-sum bounds, and the two cutoffs
+that truncation reads an instance with."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 
 from liomsim.errors import DomainError, SaturationWarning
 from liomsim.model import (
-    CouplingIndex,
     InstanceParams,
     build_explicit_instance,
     build_random_instance,
     dense_hamiltonian,
+    nonidentity_constituents,
 )
 from liomsim.simulate import SimulationRequest
 from liomsim.truncation import (
@@ -332,40 +334,44 @@ def _explicit_fixture():
 
 def test_truncate_boundary_semantics():
     params, inst = _explicit_fixture()
-    trunc = truncate(inst, TruncationRadii(2, 1)).instance
+    radii = truncate(inst, TruncationRadii(2, 1)).radii
     # range >= r_J is dropped, the boundary included; range < r_J survives.
-    assert trunc.coupling(CouplingIndex((1, 3))) == 0.0
-    assert trunc.coupling(CouplingIndex((1, 4))) == 0.0
-    assert trunc.coupling(CouplingIndex((1, 2))) == 0.1
-    assert trunc.coupling(CouplingIndex((1,))) == 0.9
-    # width > r_U becomes the identity; width <= r_U is untouched.
-    assert trunc.constituent(2, 2).is_identity
-    assert not trunc.constituent(1, 1).is_identity
+    assert dict(inst.iter_indices(radii.r_j)) == {(1,): 0.9, (1, 2): 0.1}
+    # width > r_U is dropped; width <= r_U is the instance's own factor.
+    kept = nonidentity_constituents(inst, radii.r_u)
+    assert [(c.start_site, c.width) for c in kept] == [(1, 1)]
+    assert kept[0] is inst.constituent(1, 1)
+    # The truncated Hamiltonian is that of the instance holding only those.
+    alone = build_explicit_instance(
+        params, {(1,): 0.9, (1, 2): 0.1}, {(1, 1): inst.constituent(1, 1).matrix}
+    )
     np.testing.assert_array_equal(
-        trunc.constituent(1, 1).dense_matrix(), inst.constituent(1, 1).dense_matrix()
+        dense_hamiltonian(inst, r_j=radii.r_j, r_u=radii.r_u), dense_hamiltonian(alone)
     )
 
 
 def test_truncate_full_radii_is_passthrough():
     params, inst = _explicit_fixture()
-    trunc = truncate(inst, TruncationRadii(params.n_sites, params.n_sites)).instance
-    for sites, value in inst.iter_indices():
-        assert trunc.coupling(CouplingIndex(sites)) == value
-    for start in (1, 2):
-        for width in (1, 2):
-            np.testing.assert_array_equal(
-                trunc.constituent(start, width).dense_matrix(),
-                inst.constituent(start, width).dense_matrix(),
-            )
+    n = params.n_sites
+    assert list(inst.iter_indices(n)) == list(inst.iter_indices())
+    assert nonidentity_constituents(inst, n) == nonidentity_constituents(inst)
+    np.testing.assert_array_equal(dense_hamiltonian(inst, r_j=n, r_u=n), dense_hamiltonian(inst))
 
 
 def test_truncate_filters_support():
+    # The coupling cutoff filters the support before it is read: the
+    # oracle is never handed an index of range >= r_J.
     _, inst = _explicit_fixture()
-    trunc = truncate(inst, TruncationRadii(2, 2)).instance
-    assert trunc.coupling_support is not None
-    assert set(trunc.coupling_support) == {(1,), (1, 2)}
-    survived = dict(trunc.iter_indices())
+    read = []
+
+    def spy(indices):
+        read.extend(indices)
+        return inst.couplings(indices)
+
+    spied = dataclasses.replace(inst, couplings=spy)
+    survived = dict(spied.iter_indices(truncate(spied, TruncationRadii(2, 2)).radii.r_j))
     assert survived == {(1,): 0.9, (1, 2): 0.1}
+    assert read == [(1,), (1, 2)]
 
 
 def test_truncated_instance_bound_recompute():
@@ -386,6 +392,6 @@ def test_truncated_norm_within_bound_single_point():
     radii = TruncationRadii(3, 3)
     trunc = truncate(inst, radii)
     h_full = dense_hamiltonian(inst)
-    h_trunc = dense_hamiltonian(trunc.instance)
+    h_trunc = dense_hamiltonian(inst, r_j=radii.r_j, r_u=radii.r_u)
     diff = np.linalg.norm(h_full - h_trunc, 2)
     assert diff <= trunc.delta_h_bound
