@@ -129,12 +129,11 @@ def _cmd_expect(config: RunConfig) -> int:
     if any(c not in "01" for c in prefix):
         raise DomainError(f"--prefix must be a bitstring, got {prefix!r}")
     pivot = config.pivot
-    kind = "proj0" if config.projector else "sigma_z"
-    obs = simulate.ObservableProduct(
-        pivot_site=pivot,
-        projectors=tuple((i + 1, int(b)) for i, b in enumerate(prefix)),
-        pivot_kind=kind,
-    )
+    projectors = tuple(enumerate(map(int, prefix), 1))
+    if config.projector:
+        kind, obs = "proj0", simulate.ObservableProduct(projectors=projectors + ((pivot, 0),))
+    else:
+        kind, obs = "sigma_z", simulate.ObservableProduct(pivot, projectors=projectors)
     value = simulate.expectation(req, obs, engine=config.engine)
     spec_str = f"pivot={pivot};kind={kind};prefix={prefix}"
     _emit(f"observable,value\n{spec_str},{value!r}\n", config.options.get("out"))

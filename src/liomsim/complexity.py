@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibilityError
-from .model import InstanceParams
+from .model import InstanceParams, _integer
 from .truncation import BoundConstants, TruncationRadii, delta_h_terms
 
 XI_SUBLINEAR_MAX = 1 / (4.04 * math.log(2))
@@ -43,7 +43,7 @@ class ComplexityQuery:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
+        if _integer(self.n_sites, "n_sites") < 1:
             raise InfeasibilityError(f"n_sites must be >= 1, got {self.n_sites}")
         if not (0 < self.t < math.inf):
             raise InfeasibilityError(f"t must be positive and finite, got {self.t}")

@@ -31,6 +31,7 @@ from .model import (
     Constituent,
     InstanceParams,
     MblInstance,
+    _integer,
     apply_to_state,
     check_state_feasible,
     table_couplings,
@@ -56,8 +57,9 @@ class HardnessSpec:
     field_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+        if _integer(self.rows, "rows") < 1 or _integer(self.cols, "cols") < 1:
             raise DomainError(f"grid shape {self.rows}x{self.cols} is not positive")
+        _integer(self.field_seed, "field_seed")
         if not (0 < self.xi < 1 / math.log(2)):
             raise DomainError(f"xi must lie in (0, 1/ln 2), got {self.xi}")
 

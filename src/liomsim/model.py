@@ -143,15 +143,21 @@ class CouplingIndex:
     def min_site(self) -> int:
         return self.sites[0]
 
+    def violates_decay(self, value: float, xi: float) -> bool:
+        """Whether a coupling on this index breaks |J_I| <= exp(-range/xi),
+        beyond a relative slack of 1e-12 for rounding."""
+        return abs(value) > math.exp(-self.range / xi) * (1 + 1e-12)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Constituent:
     """One block U_k^(n) of the quasilocal unitary.
 
     sites lists the acted-on qubits in tensor order; for a wrapped block
     (start + width - 1 > N) this is (k..N, 1..k+n-1-N) and the matrix is a
     tensor product across the wrap.  The matrix is row-major over the bits
-    of `sites` in that order.
+    of `sites` in that order.  Constituents compare and hash by identity,
+    since their matrices are arrays.
     """
 
     start_site: int
@@ -577,11 +583,11 @@ def build_random_instance(
     long bond between the first and last sites.  Either way the instance
     lists the placements it draws as its constituent_support.
     """
-    if not isinstance(max_body, (int, np.integer)) or max_body < 1:
+    if _integer(max_body, "max_body") < 1:
         raise DomainError(f"max_body must be a positive integer, got {max_body!r}")
     if max_body > params.n_sites:
         raise DomainError(f"max_body={max_body} exceeds n_sites={params.n_sites}")
-    if max_width is not None and max_width < 1:
+    if max_width is not None and _integer(max_width, "max_width") < 1:
         raise DomainError(f"max_width must be >= 1, got {max_width!r}")
     if params.q_const > 8:
         raise DomainError(
@@ -656,7 +662,7 @@ def build_explicit_instance(
         index = CouplingIndex(raw_sites)
         if index.sites[-1] > params.n_sites:
             raise DomainError(f"coupling index {index.sites} out of range")
-        if validate and abs(value) > math.exp(-index.range / params.xi) * (1 + 1e-12):
+        if validate and index.violates_decay(value, params.xi):
             raise DomainError(
                 f"coupling {index.sites} = {value} violates decay bound "
                 f"exp(-range/xi) = {math.exp(-index.range / params.xi):.6e}"
@@ -838,7 +844,7 @@ def validate_instance(
         indices.append(tuple(sorted(rng.choice(np.arange(1, n + 1), size=order, replace=False))))
     for sites, value in zip(indices, instance.coupling_values(indices).tolist()):
         index = CouplingIndex(sites)
-        if abs(value) > math.exp(-index.range / params.xi) * (1 + 1e-12):
+        if index.violates_decay(value, params.xi):
             problems.append(
                 f"coupling {sites} = {value} violates the decay bound "
                 f"exp(-{index.range}/xi)"

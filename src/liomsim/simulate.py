@@ -98,8 +98,6 @@ IMAG_TOL = 1e-9
 # their sum may miss one by this much before the walk refuses.
 NORM_TOL = 1e-9
 
-_PIVOT_KINDS = ("sigma_z", "proj0", "proj1")
-
 # Plan steps the shared one-shot plan cache holds at most: ~6 MiB.
 PLAN_CACHE_STEPS = 1 << 14
 
@@ -108,38 +106,38 @@ PLAN_CACHE_STEPS = 1 << 14
 MPS_MIN_PREFIX = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObservableProduct:
-    """Product of single-site projectors below a pivot site and one pivot
-    factor on it: either sigma^z (expectation in [-1,1]) or a projector
-    (all-projector variant, expectation in [0,1]).  Optional per-site 2x2
-    basis rotations R_j turn a factor F_j into R_j^dag F_j R_j."""
+    """Product of single-site factors: sigma^z on each site of sigma_z and
+    |b><b| on each (site, b) of projectors, at most one factor per site
+    and at least one in all.  Its expectation lies in [-1, 1], in [0, 1]
+    when every factor is a projector.  Optional per-site 2x2 basis
+    rotations R_j turn the factor F_j on site j into R_j^dag F_j R_j.
 
-    pivot_site: int
-    projectors: tuple[tuple[int, int], ...] = ()
-    pivot_kind: str = "sigma_z"
-    rotations: tuple[tuple[int, np.ndarray], ...] = ()
+    ObservableProduct(3) is sigma^z_3, ObservableProduct(2, 7) is
+    sigma^z_2 sigma^z_7, and ObservableProduct(4, projectors=((1, 0),))
+    is |0><0|_1 sigma^z_4."""
 
-    def __post_init__(self) -> None:
-        if _integer(self.pivot_site, "pivot site") < 1:
-            raise DomainError(f"pivot site must be >= 1, got {self.pivot_site}")
-        if self.pivot_kind not in _PIVOT_KINDS:
-            raise DomainError(f"pivot kind must be one of {_PIVOT_KINDS}, got {self.pivot_kind!r}")
-        sites = [_integer(s, "projector site") for s, _ in self.projectors]
-        bits = _binary_digits([b for _, b in self.projectors], len(sites), "projector outcomes")
-        proj = tuple(sorted(zip(sites, bits)))
-        object.__setattr__(self, "projectors", proj)
-        for s, _ in proj:
-            if not (1 <= s < self.pivot_site):
-                raise DomainError(
-                    f"projector site {s} must lie strictly below the pivot {self.pivot_site}"
-                )
-        rot = [(_integer(s, "rotation site"), np.asarray(r, dtype=complex)) for s, r in self.rotations]
-        rot = tuple(sorted(rot, key=lambda x: x[0]))
-        object.__setattr__(self, "rotations", rot)
+    sigma_z: tuple[int, ...]
+    projectors: tuple[tuple[int, int], ...]
+    rotations: tuple[tuple[int, np.ndarray], ...]
+
+    def __init__(self, *sigma_z: int, projectors=(), rotations=()) -> None:
+        z = sorted(_integer(s, "sigma^z site") for s in sigma_z)
+        sites = [_integer(s, "projector site") for s, _ in projectors]
+        bits = _binary_digits([b for _, b in projectors], len(sites), "projector outcomes")
+        proj = sorted(zip(sites, bits))
+        rot = [(_integer(s, "rotation site"), np.asarray(r, dtype=complex)) for s, r in rotations]
+        rot.sort(key=lambda x: x[0])
+        if not z and not proj:
+            raise DomainError("an observable product needs at least one factor")
+        for what, listed in (("factor", sorted(z + sites)), ("rotation", [s for s, _ in rot])):
+            if listed and listed[0] < 1:
+                raise DomainError(f"{what} site must be >= 1, got {listed[0]}")
+            for s, t in zip(listed, listed[1:]):
+                if s == t:
+                    raise DomainError(f"{what} site {s} is given more than once")
         for s, r in rot:
-            if s < 1:
-                raise DomainError(f"rotation site must be >= 1, got {s}")
             if r.shape != (2, 2):
                 raise DomainError(f"rotation on site {s} must be a 2x2 matrix")
             dev = np.linalg.norm(r.conj().T @ r - np.eye(2), 2)
@@ -148,30 +146,18 @@ class ObservableProduct:
                     f"rotation on site {s} is not unitary: "
                     f"||R^dag R - 1|| = {dev:.3e} > {UNITARITY_TOL}"
                 )
-        for what, entries in (("projector", proj), ("rotation", rot)):
-            sites = [s for s, _ in entries]
-            for s, t in zip(sites, sites[1:]):
-                if s == t:
-                    raise DomainError(f"{what} site {s} is given more than once")
+        object.__setattr__(self, "sigma_z", tuple(z))
+        object.__setattr__(self, "projectors", tuple(proj))
+        object.__setattr__(self, "rotations", tuple(rot))
 
     @classmethod
     def prefix_projector(cls, bits: Sequence[int] | str) -> "ObservableProduct":
         """All-projector observable fixing z_1..z_m to the given bits."""
         bits = _binary_digits(bits, len(bits), "prefix projector bits")
-        if not bits:
-            raise DomainError("prefix projector needs at least one bit")
-        return cls(
-            pivot_site=len(bits),
-            projectors=tuple((i + 1, b) for i, b in enumerate(bits[:-1])),
-            pivot_kind=f"proj{bits[-1]}",
-        )
-
-    @property
-    def is_projector(self) -> bool:
-        return self.pivot_kind != "sigma_z"
+        return cls(projectors=tuple(enumerate(bits, 1)))
 
     def support(self) -> tuple[int, ...]:
-        sites = {self.pivot_site}
+        sites = set(self.sigma_z)
         sites.update(s for s, _ in self.projectors)
         sites.update(s for s, _ in self.rotations)
         return tuple(sorted(sites))
@@ -301,23 +287,17 @@ _DIAGS = {
 
 
 def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
-    """The observable's nodes: rotations, then its projectors (the pivot
-    too when it is one), or a sigma^z pivot, then the rotations' mirrors.
-    A projector's name leaves out its bit, so that the products of one
+    """The observable's nodes: rotations, then its projectors, then one
+    sigma^z diagonal per sigma^z site, then the rotations' mirrors.  A
+    projector's name leaves out its bit, so that the products of one
     support share a plan."""
-    nodes: list[PlacedTensor] = []
-    for site, r in obs.rotations:
-        nodes.append(PlacedTensor(f"R[{site}]", "gate", (site,), r))
-    for site, bit in obs.projectors:
-        nodes.append(_wire_node(f"proj{bit}", site))
-    if obs.is_projector:
-        nodes.append(_wire_node(obs.pivot_kind, obs.pivot_site))
-    else:
-        sigma_z = _DIAGS[obs.pivot_kind]
-        nodes.append(PlacedTensor(f"O[{obs.pivot_site}]", "diag", (obs.pivot_site,), sigma_z))
-    for site, r in reversed(obs.rotations):
-        nodes.append(PlacedTensor(f"R[{site}]'", "gate", (site,), r.conj().T))
-    return nodes
+    rotations = obs.rotations
+    return (
+        [PlacedTensor(f"R[{site}]", "gate", (site,), r) for site, r in rotations]
+        + [_wire_node(f"proj{bit}", site) for site, bit in obs.projectors]
+        + [PlacedTensor(f"O[{site}]", "diag", (site,), _DIAGS["sigma_z"]) for site in obs.sigma_z]
+        + [PlacedTensor(f"R[{site}]'", "gate", (site,), r.conj().T) for site, r in reversed(rotations)]
+    )
 
 
 def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
@@ -612,7 +592,7 @@ def _dense_expectation(req: SimulationRequest, obs: ObservableProduct) -> comple
         phi = apply_to_state(r, (site,), phi, n)
     weights = np.abs(phi.ravel()) ** 2
     z = np.arange(2**n)
-    factors = [(s, f"proj{b}") for s, b in obs.projectors] + [(obs.pivot_site, obs.pivot_kind)]
+    factors = [(s, f"proj{b}") for s, b in obs.projectors] + [(s, "sigma_z") for s in obs.sigma_z]
     for site, kind in factors:
         # Each factor is 0 or +-1, so the product is exact in any order.
         weights = weights * _DIAGS[kind].real[(z >> (n - site)) & 1]
@@ -642,7 +622,7 @@ def expectation(
     else:
         network, key = _one_shot_network(req, _observable_nodes(obs))
         value = _runner(req, _PLANS.plan(network, key), network).finish()
-    lo = 0.0 if obs.is_projector else -1.0
+    lo = -1.0 if obs.sigma_z else 0.0
     return _checked(value, "expectation", lo, 1.0)
 
 
@@ -904,10 +884,13 @@ def conditional_chain(
 ) -> ChainResult:
     """All N conditional probabilities P(z_k = 0 | z_1..z_{k-1}) along one
     branch of the chain rule.  bits fixes the branch; otherwise the branch
-    is sampled from the given seed (matching sample() at index 0)."""
+    is sampled from the given seed (matching sample() at index 0).  Exactly
+    one of the two is given."""
+    if (bits is None) == (seed is None):
+        raise DomainError(
+            f"conditional_chain takes either fixed bits or a seed, got bits={bits!r}, seed={seed!r}"
+        )
     if bits is None:
-        if seed is None:
-            raise DomainError("conditional_chain needs fixed bits or a seed")
         coins = _uniforms(_integer(seed, "seed"), 0, 1, req.n_sites)
     else:
         fixed = _binary_digits(bits, req.n_sites, "bits")

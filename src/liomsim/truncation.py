@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, SaturationWarning
-from .model import InstanceParams, MblInstance
+from .model import InstanceParams, MblInstance, _integer
 
 BIG_C = 10.8
 
@@ -43,7 +43,7 @@ class TruncationRadii:
 
     def __post_init__(self) -> None:
         for name, value in (("r_J", self.r_j), ("r_U", self.r_u)):
-            if not isinstance(value, int) or value < 1:
+            if _integer(value, name) < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 

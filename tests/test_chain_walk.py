@@ -481,8 +481,8 @@ def test_plan_chain_impossible_prefix_convention():
     assert conditional_probability(req, "1", 2, engine="plan") == 1.0
     # On a bare wire the projector's id is pinned by the caps, so P1 is a
     # step that takes its entry 0, exactly.
-    assert expectation(req, ObservableProduct(2, pivot_kind="proj1"), engine="plan") == 0.0
-    assert expectation(req, ObservableProduct(2, pivot_kind="proj0"), engine="plan") == 1.0
+    assert expectation(req, ObservableProduct(projectors=((2, 1),)), engine="plan") == 0.0
+    assert expectation(req, ObservableProduct(projectors=((2, 0),)), engine="plan") == 1.0
     assert conditional_chain(req, bits="100", engine="plan").probs == (1.0, 1.0, 1.0)
     assert conditional_chain(req, bits="010", engine="plan").probs == (1.0, 1.0, 1.0)
     assert all(r.bits == "000" for r in sample(req, 3, seed=0, engine="plan"))

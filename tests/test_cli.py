@@ -151,7 +151,7 @@ def test_expect_matches_library(tmp_path, capsys):
         epsilon=0.05,
         radii=truncation.TruncationRadii(3, 2),
     )
-    obs = simulate.ObservableProduct(2, ((1, 0),), "proj0")
+    obs = simulate.ObservableProduct(projectors=((1, 0), (2, 0)))
     assert float(value) == simulate.expectation(req, obs)
 
 
@@ -176,6 +176,18 @@ def test_expect_rejects_bad_prefix(tmp_path, capsys):
     )
     assert code == EXIT_DOMAIN
     assert "bitstring" in capsys.readouterr().err
+
+
+def test_expect_refuses_a_prefix_that_reaches_the_pivot(tmp_path, capsys):
+    # The prefix puts a projector on every site 1..4, so site 3 would
+    # carry both it and sigma^z.
+    path = _gen_instance(tmp_path)
+    code = main(
+        ["expect", "--instance", str(path), "--t", "0.9", "--rj", "2", "--ru", "2",
+         "--pivot", "3", "--prefix", "0101"]
+    )
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: factor site 3 is given more than once\n"
 
 
 def test_missing_instance_file(capsys):

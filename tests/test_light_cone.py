@@ -2,6 +2,7 @@
 the chain walk shares with the per-factor walk."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from reference import reference_light_cone, reference_mps_sigma_z
 
 from liomsim.model import InstanceParams, build_random_instance
 from liomsim.mps import build_mps
+from liomsim.oracle import exact_distribution
 from liomsim.simulate import (
     _PLANS,
     ObservableProduct,
@@ -133,22 +135,23 @@ def test_prefix_cones_keep_the_per_factor_walks_flags(req):
 
 
 def _random_observables(rng, n):
-    """sigma^z at every site, then projector products with scattered
-    projectors below a pivot and rotations on scattered sites."""
+    """sigma^z at every site, then products of sigma^z and projector
+    factors on scattered sites, with rotations on scattered sites."""
     out = [ObservableProduct(p) for p in range(1, n + 1)]
     for _ in range(4):
-        pivot = int(rng.integers(1, n + 1))
-        below = [s for s in range(1, pivot) if rng.random() < 0.4]
+        kinds = rng.choice(["", "sigma_z", "proj0", "proj1"], size=n, p=[0.4, 0.3, 0.15, 0.15])
+        if not any(kinds):
+            kinds[rng.integers(n)] = "sigma_z"
         rotated = [s for s in range(1, n + 1) if rng.random() < 0.3]
         rotations = []
         for s in rotated:
             q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             rotations.append((s, q * (np.diag(r) / np.abs(np.diag(r)))))
+        sites = list(enumerate(kinds.tolist(), 1))
         out.append(
             ObservableProduct(
-                pivot,
-                projectors=tuple((s, int(rng.integers(0, 2))) for s in below),
-                pivot_kind=str(rng.choice(["sigma_z", "proj0", "proj1"])),
+                *[s for s, kind in sites if kind == "sigma_z"],
+                projectors=tuple((s, int(kind[4])) for s, kind in sites if kind.startswith("proj")),
                 rotations=tuple(rotations),
             )
         )
@@ -210,3 +213,48 @@ def test_pruned_values_match_the_dense_route(
     radii = TruncationRadii(min(r_j, n), min(r_u, n))
     req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
     _check_against_dense(req, np.random.default_rng(obs_seed))
+
+
+def _two_site_sigma_z(dist, i, j):
+    """<sigma^z_i sigma^z_j> of an outcome distribution."""
+    n = dist.n_sites
+    z = np.arange(2**n)
+    signs = 1 - 2 * (((z >> (n - i)) ^ (z >> (n - j))) & 1)
+    return float(dist.probabilities @ signs)
+
+
+@pytest.mark.parametrize(
+    "n, build",
+    [
+        (6, {"max_body": 3}),
+        (8, {"max_body": 3, "max_width": 2, "periodic": False}),
+        (10, {"max_body": 2, "max_width": 2, "periodic": False}),
+    ],
+    ids=["periodic-6", "banded-8", "banded-10"],
+)
+def test_two_site_sigma_z_products_match_the_oracle(n, build):
+    inst = build_random_instance(InstanceParams(n, 0.5), seed=n, **build)
+    radii = TruncationRadii(3, 2)
+    req = SimulationRequest(instance=inst, t=1.1, epsilon=0.5, radii=radii)
+    dist = exact_distribution(inst, req.t, r_j=radii.r_j, r_u=radii.r_u)
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        want = _two_site_sigma_z(dist, i, j)
+        for engine in ("plan", "dense"):
+            got = expectation(req, ObservableProduct(i, j), engine=engine)
+            assert got == pytest.approx(want, abs=1e-12), (i, j, engine)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_far_apart_sigma_z_products_factorise(n):
+    # W^dag sigma^z_i W and W^dag sigma^z_j W act on disjoint light cones,
+    # and |0...0> is a product state, so the correlator factorises.
+    req = _criterion_6_request(n)
+    gap = 2 * _reach(req) + 1
+    for i, j in ((1, n), (2, 2 + gap), (n // 4, n // 4 + gap)):
+        cone_i, cone_j = _sigma_z_cone(req, i)[0], _sigma_z_cone(req, j)[0]
+        assert cone_i.isdisjoint(cone_j), (i, j)
+        product = expectation(req, ObservableProduct(i), engine="plan") * expectation(
+            req, ObservableProduct(j), engine="plan"
+        )
+        got = expectation(req, ObservableProduct(i, j), engine="plan")
+        assert got == pytest.approx(product, abs=1e-12), (i, j)

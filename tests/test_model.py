@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,47 @@ from liomsim.model import (
     sigma_diagonal,
     validate_instance,
 )
+from liomsim.complexity import ComplexityQuery
+from liomsim.hardness import HardnessSpec
 from liomsim.simulate import ObservableProduct, SimulationRequest, expectation, site_blocks
 from liomsim.truncation import TruncationRadii, truncate
+
+
+# Each public integer input, as a call taking its value.
+_INTEGER_INPUTS = {
+    "r_J": lambda v: TruncationRadii(v, 3),
+    "r_U": lambda v: TruncationRadii(3, v),
+    "rows": lambda v: HardnessSpec(v, 2, 0.5),
+    "cols": lambda v: HardnessSpec(2, v, 0.5),
+    "field_seed": lambda v: HardnessSpec(2, 2, 0.5, field_seed=v),
+    "n_sites": lambda v: ComplexityQuery(v, 1.0, 0.2, 0.1),
+    "max_body": lambda v: build_random_instance(InstanceParams(4, 0.5), seed=1, max_body=v),
+    "max_width": lambda v: build_random_instance(
+        InstanceParams(4, 0.5), seed=1, max_body=2, max_width=v
+    ),
+}
+
+
+@pytest.mark.parametrize("what", list(_INTEGER_INPUTS))
+def test_integer_inputs_take_numpy_integers_and_refuse_the_rest(what):
+    # These inputs used to take True as 1, truncate 2.5 to 2 or keep it,
+    # and (the radii) refuse numpy integers.
+    make = _INTEGER_INPUTS[what]
+    make(np.int64(2))
+    for bad in (True, 2.5, 2.0, "2"):
+        with pytest.raises(DomainError, match=re.escape(f"{what} must be an integer, got {bad!r}")):
+            make(bad)
+
+
+def test_constituents_compare_by_identity():
+    # Equal-valued constituents of two instances of one seed used to raise
+    # on ==, which compared their matrices, and on hash().
+    params = InstanceParams(4, 0.5)
+    a, b = (build_random_instance(params, seed=3, max_body=2).constituent(1, 2) for _ in range(2))
+    np.testing.assert_array_equal(a.matrix, b.matrix)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def test_params_validation():

@@ -51,16 +51,26 @@ def _random_request(n, seed, t=0.7, radii=None, **build_kwargs):
 
 def test_observable_validation():
     obs = ObservableProduct.prefix_projector("010")
-    assert obs.pivot_site == 3
-    assert obs.projectors == ((1, 0), (2, 1))
-    assert obs.pivot_kind == "proj0"
-    assert obs.is_projector
+    assert obs.sigma_z == ()
+    assert obs.projectors == ((1, 0), (2, 1), (3, 0))
     assert obs.support() == (1, 2, 3)
-    with pytest.raises(DomainError):
+    obs = ObservableProduct(7, 2, projectors=((5, 1), (3, 0)))
+    assert obs.sigma_z == (2, 7)
+    assert obs.projectors == ((3, 0), (5, 1))
+    assert obs.support() == (2, 3, 5, 7)
+    with pytest.raises(DomainError, match="factor site must be >= 1, got 0"):
         ObservableProduct(0)
-    with pytest.raises(DomainError):
-        ObservableProduct(2, pivot_kind="proj2")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="factor site must be >= 1, got -1"):
+        ObservableProduct(2, projectors=((-1, 0),))
+    with pytest.raises(DomainError, match="needs at least one factor"):
+        ObservableProduct()
+    with pytest.raises(DomainError, match="needs at least one factor"):
+        ObservableProduct(rotations=((1, HADAMARD),))
+    # One factor per site: sigma^z twice is the identity, and sigma^z
+    # with a projector is a signed projector.
+    with pytest.raises(DomainError, match="factor site 2 is given more than once"):
+        ObservableProduct(2, 2)
+    with pytest.raises(DomainError, match="factor site 2 is given more than once"):
         ObservableProduct(2, projectors=((2, 0),))
     with pytest.raises(DomainError):
         ObservableProduct(2, projectors=((1, 3),))
@@ -70,7 +80,7 @@ def test_observable_validation():
         ObservableProduct.prefix_projector("")
     # A repeated site used to keep only its last entry: P0 P1 on site 1,
     # which is 0, became P1.
-    with pytest.raises(DomainError, match="projector site 1 is given more than once"):
+    with pytest.raises(DomainError, match="factor site 1 is given more than once"):
         ObservableProduct(3, projectors=((1, 0), (1, 1)))
     with pytest.raises(DomainError, match="rotation site 2 is given more than once"):
         ObservableProduct(3, rotations=((2, HADAMARD), (1, HADAMARD), (2, np.eye(2))))
@@ -96,20 +106,23 @@ def test_observable_validation():
 
 def test_observable_refuses_sites_and_bits_that_are_not_integers():
     # Sites and bits used to be read with int(...): 1.7 truncated to a
-    # proj1 pivot, 1.9 to site 1, and "a" raised a bare ValueError.
+    # proj1 factor, 1.9 to site 1, and "a" raised a bare ValueError.
     with pytest.raises(DomainError, match="prefix projector bits must be 2 binary digits"):
         ObservableProduct.prefix_projector([0, 1.7])
     with pytest.raises(DomainError, match="projector site must be an integer, got 1.9"):
-        ObservableProduct(pivot_site=2, projectors=((1.9, 0),))
+        ObservableProduct(2, projectors=((1.9, 0),))
     with pytest.raises(DomainError, match="prefix projector bits must be 3 binary digits"):
         ObservableProduct.prefix_projector("01a")
-    with pytest.raises(DomainError, match="pivot site must be an integer"):
+    with pytest.raises(DomainError, match="sigma\\^z site must be an integer"):
         ObservableProduct(2.0)
+    with pytest.raises(DomainError, match="sigma\\^z site must be an integer"):
+        ObservableProduct(3, True)
     with pytest.raises(DomainError, match="projector outcomes must be 1 binary digits"):
         ObservableProduct(2, projectors=((1, True),))
     with pytest.raises(DomainError, match="rotation site must be an integer"):
         ObservableProduct(2, rotations=(("1", HADAMARD),))
     obs = ObservableProduct(np.int64(3), projectors=((np.int64(1), np.int64(1)),))
+    assert obs.sigma_z == (3,) and type(obs.sigma_z[0]) is int
     assert obs.projectors == ((1, 1),)
     assert ObservableProduct.prefix_projector([1, 0]) == ObservableProduct.prefix_projector("10")
 
@@ -224,13 +237,13 @@ def test_single_site_closed_forms():
     # P(1) = sin^2 t and <sigma^z> = cos 2t.
     for t in (0.0, 0.4, 1.1, math.pi / 2):
         req = _hadamard_request(t)
-        p1 = expectation(req, ObservableProduct(1, pivot_kind="proj1"))
+        p1 = expectation(req, ObservableProduct(projectors=((1, 1),)))
         assert p1 == pytest.approx(math.sin(t) ** 2, abs=1e-12)
         z = expectation(req, ObservableProduct(1))
         assert z == pytest.approx(math.cos(2 * t), abs=1e-12)
         for engine in ("plan", "dense"):
             assert expectation(
-                req, ObservableProduct(1, pivot_kind="proj1"), engine=engine
+                req, ObservableProduct(projectors=((1, 1),)), engine=engine
             ) == pytest.approx(math.sin(t) ** 2, abs=1e-12)
 
 
@@ -246,9 +259,9 @@ def test_time_zero_is_initial_state():
 
 OBSERVABLES = [
     ObservableProduct(1),
-    ObservableProduct(3, pivot_kind="proj0"),
+    ObservableProduct(projectors=((3, 0),)),
     ObservableProduct.prefix_projector("010"),
-    ObservableProduct(2, projectors=((1, 1),), pivot_kind="proj1"),
+    ObservableProduct(projectors=((1, 1), (2, 1))),
     ObservableProduct(2, rotations=((2, HADAMARD),)),
 ]
 
@@ -287,7 +300,7 @@ def test_plan_matches_naive_reference():
 
 def test_pruning_preserves_value():
     req = _random_request(6, seed=8, t=0.6, radii=TruncationRadii(2, 2), max_width=2)
-    obs = ObservableProduct(1, pivot_kind="proj0")
+    obs = ObservableProduct(projectors=((1, 0),))
     pruned = build_expectation_network(req, obs, prune=True)
     full = build_expectation_network(req, obs, prune=False)
     assert len(pruned.nodes) < len(full.nodes)
@@ -450,6 +463,18 @@ def test_chain_validation_errors():
     with pytest.raises(DomainError, match="site must be an integer, got 2.0"):
         conditional_probability(req, "0", 2.0)
     assert conditional_chain(req, bits=np.array([0, 1, 1])) == conditional_chain(req, bits="011")
+
+
+def test_conditional_chain_refuses_bits_and_seed_together():
+    # The seed used to be dropped without a word when bits were given.
+    req = _random_request(3, seed=30, t=0.5)
+    with pytest.raises(DomainError, match="either fixed bits or a seed, got bits='010', seed=5"):
+        conditional_chain(req, bits="010", seed=5)
+    with pytest.raises(DomainError, match="either fixed bits or a seed, got bits=None, seed=None"):
+        conditional_chain(req)
+    assert conditional_chain(req, seed=5).probs == conditional_chain(
+        req, bits=conditional_chain(req, seed=5).bits
+    ).probs
 
 
 def test_truncated_distribution_within_budget():
