@@ -594,7 +594,7 @@ def build_random_instance(
             f"q={params.q_const} exceeds 8, the largest q a random instance takes: "
             f"its width-1 constituents would sit at ||1-U||^2 = q/2 > 4"
         )
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     n, xi = params.n_sites, params.xi
 
     def read_couplings(indices: list[tuple[int, ...]]) -> np.ndarray:

@@ -40,24 +40,43 @@ with its prefix projectors on sites 1..w-1 and an identity mark on w,
 forked at the mark once per outcome, when conditional_probability's rule
 says so.  expectation, the chain walk and sample never build the MPS.
 
+A one-shot expectation contracts in the frame of W's last layers.  In
+the LIOM form W = U~ V U~^dagger, the runs of W applied last are U~'s
+outer gate layers, and <0|W^dag O W|0> = <0|W'^dag (F^dag O F) W'|0> for
+W = F W'.  So when O has no projector factor, _one_shot_network may fold
+the factors of W's trailing all-gate runs that its light cone keeps into
+O, O <- F^dag O F, leaving one gate node on the folded support S in the
+middle of a smaller network.  The walk stops at the first run that keeps
+a diagonal (V's windows) or a wrapped factor, or that would leave S
+non-contiguous, and the depth, zero included, is the one whose network
+writes the fewest entries: the plan's sum of 2^mem_axes_after plus the
+fold's own products.  On the banded N=32 families a bulk sigma^z then
+folds two runs onto four sites, and its plan writes about a third of the
+entries it did.  Projector factors never fold: they keep pinning their
+ids, so conditionals, their exact zeros, chains and samples are the
+networks they were, and build_expectation_network(prune=False) is the
+full network, unfolded.
+
 A plan depends on a network's structure alone, never on its data, and
 the one-shot networks of one instance family repeat their structure
 across queries and requests (the pruned sigma^z network of a site keeps
 the same factors whatever the instance's values, and its plan has the
 same length at every site of the bulk and at every N).  So expectation
-and the one-shot conditional take their plans from one process-wide
-least-recently-used cache.  Its key must fix everything the scheduler
-reads: N, the network's radii and, per node, its name, kind, sites and
-whether it has data (a cap without data pins its id, as does a basis
-projector, whose name leaves out the bit the runner reads, so every
-prefix of a site shares one plan; see the tensor module).  Every one-shot
-network is built by _one_shot_network, which gives that key without
-arrays, so the cache keeps no request alive.  It is bounded by the plan
-steps it holds, PLAN_CACHE_STEPS (~400 bytes each), and a plan longer
-than that is not stored.  Only prefix cones grow with their site: those
-of a one-shot conditional's fallback share the cache, while those of the
-chain walk stay in their request's state, for chains only, since sharing
-them would keep O(N^2) plan data in the process.
+and the one-shot conditional take their light cone, fold and plan from
+one process-wide least-recently-used cache, keyed by the query's
+structure: a token for N, the radii and W's per-factor name, kind and
+sites, made once per family, whether the query may fold, and per middle
+node its name, kind, sites and whether it has data (a cap without data
+pins its id, as does a basis projector, whose name leaves out the bit
+the runner reads, so every prefix of a site shares one plan; see the
+tensor module).  That fixes everything the scheduler reads, and a hit
+skips the light-cone walk.  The key and the entry hold no arrays, so
+the cache keeps no request alive.  It is bounded by the plan steps it
+holds, PLAN_CACHE_STEPS (~400 bytes each), and a plan longer than that
+is not stored.  Only prefix cones grow with their site: those of a
+one-shot conditional's fallback share the cache, while those of the
+chain walk stay in their request's state, for chains only, since
+sharing them would keep O(N^2) plan data in the process.
 """
 
 from __future__ import annotations
@@ -88,6 +107,7 @@ from .tensor import (
     ForkTarget,
     PlacedTensor,
     PlanRunner,
+    open_leg_bound,
     qubitwise_schedule,
 )
 from .truncation import TruncatedInstance, TruncationRadii, select_radii, truncate
@@ -113,6 +133,8 @@ class ObservableProduct:
     and at least one in all.  Its expectation lies in [-1, 1], in [0, 1]
     when every factor is a projector.  Optional per-site 2x2 basis
     rotations R_j turn the factor F_j on site j into R_j^dag F_j R_j.
+    Each rotation is kept as its rows of Python complex numbers, so
+    products compare and hash by value.
 
     ObservableProduct(3) is sigma^z_3, ObservableProduct(2, 7) is
     sigma^z_2 sigma^z_7, and ObservableProduct(4, projectors=((1, 0),))
@@ -120,7 +142,7 @@ class ObservableProduct:
 
     sigma_z: tuple[int, ...]
     projectors: tuple[tuple[int, int], ...]
-    rotations: tuple[tuple[int, np.ndarray], ...]
+    rotations: tuple[tuple[int, tuple[tuple[complex, complex], tuple[complex, complex]]], ...]
 
     def __init__(self, *sigma_z: int, projectors=(), rotations=()) -> None:
         z = sorted(_integer(s, "sigma^z site") for s in sigma_z)
@@ -148,7 +170,7 @@ class ObservableProduct:
                 )
         object.__setattr__(self, "sigma_z", tuple(z))
         object.__setattr__(self, "projectors", tuple(proj))
-        object.__setattr__(self, "rotations", tuple(rot))
+        object.__setattr__(self, "rotations", tuple((s, tuple(map(tuple, r.tolist()))) for s, r in rot))
 
     @classmethod
     def prefix_projector(cls, bits: Sequence[int] | str) -> "ObservableProduct":
@@ -291,7 +313,7 @@ def _observable_nodes(obs: ObservableProduct) -> list[PlacedTensor]:
     sigma^z diagonal per sigma^z site, then the rotations' mirrors.  A
     projector's name leaves out its bit, so that the products of one
     support share a plan."""
-    rotations = obs.rotations
+    rotations = [(site, np.array(r, dtype=complex)) for site, r in obs.rotations]
     return (
         [PlacedTensor(f"R[{site}]", "gate", (site,), r) for site, r in rotations]
         + [_wire_node(f"proj{bit}", site) for site, bit in obs.projectors]
@@ -341,30 +363,34 @@ def _wire_node(kind: str, w: int) -> PlacedTensor:
     return PlacedTensor(f"{kind[4:]}[{w}]", kind, (w,), None)
 
 
+def _kept(keep: Sequence[bool]) -> tuple[int, ...]:
+    """The positions of the factors that keep flags."""
+    return tuple(i for i, k in enumerate(keep) if k)
+
+
 def _closed_network(
-    req: SimulationRequest, keep: Sequence[bool], middle: Sequence[PlacedTensor]
+    req: SimulationRequest, kept: Sequence[int], middle: Sequence[PlacedTensor]
 ) -> ExpectationNetwork:
-    """<0|W^dag (middle) W|0> over the W factors flagged in keep, laid out
-    as ket caps, the factors, the middle nodes, the factors' mirrors, bra
-    caps.  Only the wires these nodes touch are capped: a bare wire
-    contributes <0|0> = 1.
+    """<0|W^dag (middle) W|0> over the W factors at the ascending
+    positions kept, laid out as ket caps, the factors, the middle nodes,
+    the factors' mirrors, bra caps.  Only the wires these nodes touch are
+    capped: a bare wire contributes <0|0> = 1.
 
     The network carries the request's radii, so that its plan is checked
     against the analytic open-leg bound, only when every factor sits on
     ascending contiguous sites: the bound does not cover a constituent
     that wraps past site N on a periodic chain."""
-    w_list, mirrors = _w(req).nodes, _w(req).mirrors
-    kept = [i for i, k in enumerate(keep) if k]
-    w_kept = [w_list[i] for i in kept]
+    w = _w(req)
+    w_kept = [w.nodes[i] for i in kept]
     wires = sorted({s for node in w_kept + list(middle) for s in node.sites})
     nodes = (
-        [_wire_node("cap_ket", w) for w in wires]
+        [_wire_node("cap_ket", wire) for wire in wires]
         + w_kept
         + list(middle)
-        + [mirrors[i] for i in reversed(kept)]
-        + [_wire_node("cap_bra", w) for w in wires]
+        + [w.mirrors[i] for i in reversed(kept)]
+        + [_wire_node("cap_bra", wire) for wire in wires]
     )
-    unwrapped = all(node.sites[-1] - node.sites[0] == node.width - 1 for node in w_kept)
+    unwrapped = w.structure.wrapped.isdisjoint(kept)
     return ExpectationNetwork(
         n_sites=req.n_sites,
         nodes=tuple(nodes),
@@ -373,19 +399,164 @@ def _closed_network(
     )
 
 
+@dataclass(frozen=True)
+class _OneShot:
+    """What the structure of a one-shot query fixes on one W family: the
+    positions of the W factors its network keeps (the light cone less the
+    folded factors), the folded factors, last applied first, each with
+    its offset in the folded support, each middle node's offset there,
+    the folded support (empty when nothing folds), the network's plan and
+    the entries its contraction writes, the fold's products included."""
+
+    kept: tuple[int, ...]
+    folded: tuple[tuple[int, int], ...]
+    offsets: tuple[int, ...]
+    support: tuple[int, ...]
+    plan: ContractionPlan
+    cost: int
+
+
+def _contiguous(sites: set[int]) -> bool:
+    """Whether the sites form one run of consecutive sites."""
+    return max(sites) - min(sites) + 1 == len(sites)
+
+
+def _fold_candidates(
+    req: SimulationRequest, keep: Sequence[bool], support: set[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ways to fold W's last runs into a middle on the support: per
+    depth from one run on, the kept factors of the runs walked so far,
+    last applied first, and the grown support.  The walk stops at the
+    first run that keeps a diagonal (V's windows) or a factor that wraps
+    past site N, or after which the support is not contiguous; a run
+    that keeps nothing adds no depth."""
+    w = _w(req)
+    out = []
+    folded: list[int] = []
+    grown = set(support)
+    for run in reversed(w.structure.runs):
+        met = [i for i in run if keep[i]]
+        if any(w.nodes[i].kind != "gate" or i in w.structure.wrapped for i in met):
+            break
+        grown.update(s for i in met for s in w.nodes[i].sites)
+        if not _contiguous(grown):
+            break
+        if met:
+            folded += met
+            out.append((tuple(folded), tuple(sorted(grown))))
+    return out
+
+
+def _folded_name(support: tuple[int, ...]) -> str:
+    return f"O[{support[0]}..{support[-1]}]"
+
+
+def _schedule_one_shot(
+    req: SimulationRequest, middle: Sequence[PlacedTensor], fold: bool
+) -> _OneShot:
+    """The _OneShot of a query whose structure the plan cache has not
+    seen.  Its light cone keeps the W factors that meet the middle's
+    sites (_light_cone).  With fold, each depth _fold_candidates gives
+    is scheduled with the middle and the folded factors as one gate on
+    the folded support S, and the depth, zero included, whose contraction
+    writes the fewest entries wins: the plan's sum of 2^mem_axes_after,
+    plus 2^(2|S|) for each product _folded_middle runs.  A depth is not
+    taken when its gate would hold more entries than the unfolded plan's
+    largest accumulator, or its plan more axes, so a fold never raises
+    the peak or makes a feasible query infeasible; nor when its plan
+    breaks the analytic open-leg bound."""
+    support = {s for node in middle for s in node.sites}
+    keep = _light_cone(req, support)
+
+    def shot(kept, folded=(), sites=(), stub=None, products=0) -> _OneShot:
+        plan = qubitwise_schedule(_closed_network(req, kept, [stub] if stub else middle))
+        cost = sum(1 << step.mem_axes_after for step in plan.steps) + (products << 2 * len(sites))
+        nodes = _w(req).nodes
+        return _OneShot(
+            kept,
+            tuple((i, nodes[i].sites[0] - sites[0]) for i in folded),
+            tuple(node.sites[0] - sites[0] for node in middle) if sites else (),
+            sites,
+            plan,
+            cost,
+        )
+
+    best = flat = shot(_kept(keep))
+    for folded, sites in _fold_candidates(req, keep, support) if fold else ():
+        if 2 * len(sites) > flat.plan.peak_mem_axes:
+            break
+        stub = PlacedTensor(_folded_name(sites), "gate", sites, None)
+        kept = tuple(i for i in flat.kept if i not in folded)
+        candidate = shot(kept, folded, sites, stub, len(folded) + len(middle) + 1)
+        plan = candidate.plan
+        if plan.peak_mem_axes > flat.plan.peak_mem_axes or (
+            plan.r_u is not None and plan.peak_open_legs > open_leg_bound(plan.r_u, plan.r_j)
+        ):
+            continue
+        if candidate.cost < best.cost:
+            best = candidate
+    return best
+
+
+def _folded_middle(
+    req: SimulationRequest, shot: _OneShot, middle: Sequence[PlacedTensor]
+) -> PlacedTensor:
+    """The middle and the folded W factors as one gate on the folded
+    support S: F^dag O F, with O the product of the middle nodes in
+    application order and F the folded factors' product, last applied
+    leftmost.  Each factor and middle node enters as one product on the
+    rows of its contiguous sites, and one more takes F^dag: each writes
+    2^(2|S|) entries."""
+    dim = 1 << len(shot.support)
+
+    def times(node: PlacedTensor, offset: int, a: np.ndarray) -> np.ndarray:
+        """node a, node embedded at the offset."""
+        rows = a.reshape(1 << offset, 1 << node.width, -1)
+        if node.kind == "diag":
+            return (node.data[:, None] * rows).reshape(dim, dim)
+        return (node.data @ rows).reshape(dim, dim)
+
+    nodes = _w(req).nodes
+    f = np.eye(dim, dtype=complex)
+    for i, offset in reversed(shot.folded):
+        f = times(nodes[i], offset, f)
+    o = f
+    for node, offset in zip(middle, shot.offsets):
+        o = times(node, offset, o)
+    return PlacedTensor(_folded_name(shot.support), "gate", shot.support, f.conj().T @ o)
+
+
 def _one_shot_network(
-    req: SimulationRequest, middle: Sequence[PlacedTensor]
-) -> tuple[ExpectationNetwork, tuple]:
+    req: SimulationRequest, middle: Sequence[PlacedTensor], fold: bool = False
+) -> tuple[ExpectationNetwork, _OneShot]:
     """The one-shot network of the middle nodes, <0|W^dag (middle) W|0>
-    over the light cone of the sites they touch (_closed_network), and its
-    key in the shared plan cache.  The key is a token for N, the radii and
-    W's per-factor name, kind and sites, made once per family, plus the
-    keep flags and, per middle node, its name, kind, sites and whether it
-    has data: together they fix the network's structure, its caps, mirrors
-    and radii included."""
-    keep = _light_cone(req, {s for node in middle for s in node.sites})
-    middle_key = tuple((node.name, node.kind, node.sites, node.data is None) for node in middle)
-    return _closed_network(req, keep, middle), (_w(req).structure.token, bytes(keep), middle_key)
+    over the light cone of the sites they touch (_closed_network), with
+    its structure's _OneShot from the shared plan cache.  With fold, the
+    cache may have chosen to fold W's last runs and the middle into one
+    gate (_schedule_one_shot); only middles of observable factors without
+    a projector fold, so a projector keeps pinning its id, and a mark
+    stays a diagonal the runner can override.  The cache key is a token
+    for N, the radii and W's per-factor name, kind and sites, made once
+    per family, plus fold and, per middle node, its name, kind, sites and
+    whether it has data: together they fix the light cone and so the
+    network's structure, its caps, mirrors and radii included."""
+    key = (
+        _w(req).structure.token,
+        fold,
+        tuple((node.name, node.kind, node.sites, node.data is None) for node in middle),
+    )
+    shot = _PLANS.get(key, lambda: _schedule_one_shot(req, middle, fold))
+    if shot.support:
+        middle = [_folded_middle(req, shot, middle)]
+    return _closed_network(req, shot.kept, middle), shot
+
+
+def _observable_network(
+    req: SimulationRequest, obs: ObservableProduct
+) -> tuple[ExpectationNetwork, _OneShot]:
+    """The one-shot network expectation contracts for the product: folded
+    when it has no projector factor (see _one_shot_network)."""
+    return _one_shot_network(req, _observable_nodes(obs), fold=not obs.projectors)
 
 
 def build_expectation_network(
@@ -395,12 +566,13 @@ def build_expectation_network(
     factors in the light cone of O's sites are kept (_light_cone); every
     other factor is dropped together with its mirror image, as the pair
     cancels exactly, so the value is unchanged up to rounding.  The
-    pruned network is the one expectation contracts."""
+    pruned network is the one expectation contracts: when O has no
+    projector factor, the outer runs of W's light cone may be folded into
+    O (_one_shot_network).  prune=False gives the full network, unfolded."""
     _check_sites(obs, req.n_sites)
-    middle = _observable_nodes(obs)
     if prune:
-        return _one_shot_network(req, middle)[0]
-    return _closed_network(req, [True] * len(_w(req).nodes), middle)
+        return _observable_network(req, obs)[0]
+    return _closed_network(req, range(len(_w(req).nodes)), _observable_nodes(obs))
 
 
 def _cone(req: SimulationRequest, site: int):
@@ -418,7 +590,7 @@ def _cone(req: SimulationRequest, site: int):
     hit = cones.get(site)
     if hit is None:
         diags = [_wire_node("diag", w) for w in range(1, site + 1)]
-        network = _closed_network(req, _light_cone(req, range(1, site + 1)), diags)
+        network = _closed_network(req, _kept(_light_cone(req, range(1, site + 1))), diags)
         where = {id(node): pos for pos, node in enumerate(network.nodes)}
         marks = {w: where[id(node)] for w, node in enumerate(diags, 1)}
         hit = cones[site] = (network, qubitwise_schedule(network), marks)
@@ -470,30 +642,31 @@ def _route(req: SimulationRequest, engine: str) -> str:
 
 
 class _PlanCache:
-    """Plans of one-shot networks, least recently used first, keyed by
-    structure and bounded by PLAN_CACHE_STEPS.  A miss schedules through
-    this module's qubitwise_schedule.  Like a request's state, it
-    is read and written by one thread at a time."""
+    """The _OneShot of each one-shot query structure, with its plan, least
+    recently used first, keyed by structure and bounded by the plan steps
+    it holds, PLAN_CACHE_STEPS.  A miss schedules through this module's
+    qubitwise_schedule.  Like a request's state, it is read and written by
+    one thread at a time."""
 
     def __init__(self) -> None:
-        self.plans: OrderedDict[tuple, ContractionPlan] = OrderedDict()
+        self.entries: OrderedDict[tuple, _OneShot] = OrderedDict()
         self.steps = 0
 
-    def plan(self, network: ExpectationNetwork, key: tuple) -> ContractionPlan:
-        """The network's plan, filed under the key _one_shot_network gave
-        with it."""
-        hit = self.plans.get(key)
+    def get(self, key: tuple, build: Callable[[], _OneShot]) -> _OneShot:
+        """The entry filed under the key _one_shot_network gives, built
+        by build on a miss."""
+        hit = self.entries.get(key)
         if hit is not None:
-            self.plans.move_to_end(key)
+            self.entries.move_to_end(key)
             return hit
-        plan = qubitwise_schedule(network)
-        if len(plan.steps) <= PLAN_CACHE_STEPS:
-            self.plans[key] = plan
-            self.steps += len(plan.steps)
+        shot = build()
+        if len(shot.plan.steps) <= PLAN_CACHE_STEPS:
+            self.entries[key] = shot
+            self.steps += len(shot.plan.steps)
             while self.steps > PLAN_CACHE_STEPS:
-                _, old = self.plans.popitem(last=False)
-                self.steps -= len(old.steps)
-        return plan
+                _, old = self.entries.popitem(last=False)
+                self.steps -= len(old.plan.steps)
+        return shot
 
 
 _PLANS = _PlanCache()
@@ -589,7 +762,7 @@ def _dense_expectation(req: SimulationRequest, obs: ObservableProduct) -> comple
     n = req.n_sites
     phi = _evolved_tensor(req)
     for site, r in obs.rotations:
-        phi = apply_to_state(r, (site,), phi, n)
+        phi = apply_to_state(np.array(r, dtype=complex), (site,), phi, n)
     weights = np.abs(phi.ravel()) ** 2
     z = np.arange(2**n)
     factors = [(s, f"proj{b}") for s, b in obs.projectors] + [(s, "sigma_z") for s in obs.sigma_z]
@@ -613,15 +786,18 @@ def expectation(
     shared cache of one-shot plans (see the module docstring): a network
     whose structure an earlier query of any request had is not scheduled
     again, and its value does not change, because the plan is the one a
-    fresh schedule would give.
+    fresh schedule would give.  When the product has no projector factor,
+    the network may fold W's last gate runs into the observable, as one
+    gate F^dag O F on a few sites, where that writes fewer entries; this
+    changes the value by rounding only.
     """
     route = _route(req, engine)
     _check_sites(obs, req.n_sites)
     if route == "dense":
         value = _dense_expectation(req, obs)
     else:
-        network, key = _one_shot_network(req, _observable_nodes(obs))
-        value = _runner(req, _PLANS.plan(network, key), network).finish()
+        network, shot = _observable_network(req, obs)
+        value = _runner(req, shot.plan, network).finish()
     lo = -1.0 if obs.sigma_z else 0.0
     return _checked(value, "expectation", lo, 1.0)
 
@@ -755,8 +931,8 @@ def _light_cone_pair(
     the request keeps no light cone for it."""
     mark = _wire_node("diag", site)
     middle = [_wire_node(f"proj{bit}", w) for w, bit in enumerate(bits, 1)] + [mark]
-    network, key = _one_shot_network(req, middle)
-    runner = _runner(req, _PLANS.plan(network, key), network)
+    network, shot = _one_shot_network(req, middle)
+    runner = _runner(req, shot.plan, network)
     # The mark is the last middle node; mirrors and bra caps follow it.
     nodes = network.nodes
     at = next(pos for pos in range(len(nodes) - 1, -1, -1) if nodes[pos] is mark)

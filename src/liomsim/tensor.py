@@ -416,10 +416,10 @@ def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], a
     held = [False] * n_ids
     acc: list[int] = []
     out = []
-    # Cone plans stay cached, so a plan shares its equal small fields and
-    # packs its axis orders.  Long orders are not tuples: one-shot plans are
-    # dropped after every query, and the interpreter's tuple free lists
-    # would keep thousands of long tuples alive.
+    # Plans stay cached: a chain walk's cones on their request, one-shot
+    # plans in the simulate module's bounded cache, evicted least recently
+    # used first.  So a plan shares its equal small fields and packs its
+    # axis orders into one array rather than one tuple per step.
     flat = array("I")
     shared: dict = {}
 

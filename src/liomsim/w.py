@@ -262,10 +262,13 @@ def _daggers(data: Sequence[np.ndarray], kinds: Sequence[str]) -> list[np.ndarra
 @dataclass(frozen=True)
 class _WStructure:
     """What of W does not depend on a drawn value: the fold program of its
-    factor list, the folded list's commuting runs, and the plan-cache token."""
+    factor list, the folded list's commuting runs, the positions of its
+    factors off ascending contiguous sites (those that wrap past site N),
+    and the plan-cache token."""
 
     program: _FoldProgram
     runs: tuple[range, ...]
+    wrapped: frozenset[int]
     token: str
 
 
@@ -301,6 +304,11 @@ def _w_structure(
     return _WStructure(
         program=program,
         runs=tuple(commuting_runs(program.nodes)),
+        wrapped=frozenset(
+            i
+            for i, node in enumerate(program.nodes)
+            if node.sites != tuple(range(node.sites[0], node.sites[0] + node.width))
+        ),
         token=repr((n_sites, TruncationRadii(r_j, r_u), structure)),
     )
 

@@ -165,7 +165,7 @@ def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes(monkeypatch):
     bits = np.random.default_rng(6).integers(0, 2, req.n_sites).tolist()
     for site in range(1, req.n_sites + 1):
         simulate._light_cone_pair(req, bits[: site - 1], site)
-    conditionals = list(simulate._PLANS.plans.values())
+    conditionals = [shot.plan for shot in simulate._PLANS.entries.values()]
     assert len(conditionals) == req.n_sites
     assert sum(len(plan.pins) > 0 for plan in conditionals) == req.n_sites - 1
     cones = [_cone(req, site)[1] for site in range(1, req.n_sites + 1)]

@@ -144,13 +144,13 @@ def test_conditionals_keep_no_cone_and_share_one_plan_per_site(schedules):
     assert not req._state.cones
     assert len(schedules) == 32
     plans = simulate._PLANS
-    held = list(plans.plans.values())
+    held = [shot.plan for shot in plans.entries.values()]
     assert plans.steps == sum(len(plan.steps) for plan in held) <= PLAN_CACHE_STEPS
     # Another prefix of a site takes the plan its first prefix scheduled.
     for site in (2, 20, 32):
         _light_cone_pair(req, [1] * (site - 1), site)
     assert len(schedules) == 32
-    assert {id(plan) for plan in plans.plans.values()} == {id(plan) for plan in held}
+    assert {id(shot.plan) for shot in plans.entries.values()} == {id(plan) for plan in held}
 
 
 def test_conditional_network_pins_its_prefix(schedules):

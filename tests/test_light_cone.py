@@ -15,7 +15,6 @@ from liomsim.model import InstanceParams, build_random_instance
 from liomsim.mps import build_mps
 from liomsim.oracle import exact_distribution
 from liomsim.simulate import (
-    _PLANS,
     ObservableProduct,
     SimulationRequest,
     _light_cone,
@@ -69,12 +68,12 @@ def _reach(req):
 
 
 def _sigma_z_cone(req, p):
-    """The sites of the W factors the sigma^z_p network keeps, and the
-    length of its plan."""
-    network, key = _one_shot_network(req, _observable_nodes(ObservableProduct(p)))
+    """The sites of the W factors in the light cone of sigma^z_p, and the
+    length of the plan expectation runs for it."""
+    _, shot = _one_shot_network(req, _observable_nodes(ObservableProduct(p)), fold=True)
     w_list = _w(req).nodes
-    sites = {s for node, k in zip(w_list, key[1]) if k for s in node.sites}
-    return sites, len(_PLANS.plan(network, key).steps)
+    sites = {s for node, k in zip(w_list, _light_cone(req, [p])) if k for s in node.sites}
+    return sites, len(shot.plan.steps)
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -94,14 +93,42 @@ def test_sigma_z_cones_span_a_window_fixed_by_the_radii(family):
 
 
 @pytest.mark.parametrize(
-    "family, bulk_steps, last_steps", [("criterion-6", 59, 39), ("expect_plan", 49, 33)]
+    "family, bulk_steps, last_steps", [("criterion-6", 53, 35), ("expect_plan", 43, 29)]
 )
 def test_bulk_sigma_z_plans_have_one_length_at_every_n(family, bulk_steps, last_steps):
+    # The lengths with U~'s outer layers folded into the observable; the
+    # unfolded plans were 59 and 39 steps (criterion-6), 49 and 33
+    # (expect_plan).
     for req in _FAMILIES[family]:
         reach, n = _reach(req), req.n_sites
         steps = {p: _sigma_z_cone(req, p)[1] for p in range(1, n + 1)}
         assert {steps[p] for p in range(reach + 1, n - reach + 1)} == {bulk_steps}, n
         assert (steps[n // 2], steps[n]) == (bulk_steps, last_steps), n
+
+
+@pytest.mark.parametrize(
+    "family, folded, unfolded",
+    [
+        ("criterion-6", (53, 12, 43_353), (59, 14, 122_713)),
+        ("expect_plan", (43, 11, 15_905), (49, 13, 55_585)),
+    ],
+    ids=["criterion-6", "expect_plan"],
+)
+def test_bulk_sigma_z_fold_halves_the_computed_cost(family, folded, unfolded):
+    # Structural pin of the bulk sigma^z plan at N=32, as (steps, peak
+    # axes, entries written: the sum of 2^mem_axes_after), folded and not.
+    # Change it only with the scheduler or the fold.
+    req = _FAMILIES[family][0]
+    middle = _observable_nodes(ObservableProduct(req.n_sites // 2))
+
+    def shape(fold):
+        _, shot = _one_shot_network(req, middle, fold=fold)
+        plan = shot.plan
+        return len(plan.steps), plan.peak_mem_axes, sum(1 << s.mem_axes_after for s in plan.steps)
+
+    assert shape(True) == folded
+    assert shape(False) == unfolded
+    assert 2 * folded[2] <= unfolded[2]
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -134,6 +161,12 @@ def test_prefix_cones_keep_the_per_factor_walks_flags(req):
         assert _light_cone(req, support) == reference_light_cone(w_list, support), k
 
 
+def _rotation(rng):
+    """A random 2x2 unitary."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _random_observables(rng, n):
     """sigma^z at every site, then products of sigma^z and projector
     factors on scattered sites, with rotations on scattered sites."""
@@ -143,10 +176,7 @@ def _random_observables(rng, n):
         if not any(kinds):
             kinds[rng.integers(n)] = "sigma_z"
         rotated = [s for s in range(1, n + 1) if rng.random() < 0.3]
-        rotations = []
-        for s in rotated:
-            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            rotations.append((s, q * (np.diag(r) / np.abs(np.diag(r)))))
+        rotations = [(s, _rotation(rng)) for s in rotated]
         sites = list(enumerate(kinds.tolist(), 1))
         out.append(
             ObservableProduct(
@@ -213,6 +243,50 @@ def test_pruned_values_match_the_dense_route(
     radii = TruncationRadii(min(r_j, n), min(r_u, n))
     req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
     _check_against_dense(req, np.random.default_rng(obs_seed))
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n=st.integers(3, 10),
+    periodic=st.booleans(),
+    max_width=st.sampled_from([None, 1, 2]),
+    r_j=st.integers(1, 3),
+    r_u=st.integers(1, 3),
+    inst_seed=st.integers(0, 2**31 - 1),
+)
+def test_folded_observables_match_the_dense_route(n, periodic, max_width, r_j, r_u, inst_seed):
+    # sigma^z at every site, rotated sigma^z, and adjacent and distant
+    # sigma^z products, on banded and unbanded, open and periodic
+    # instances: the plan route, which may fold W's last runs into the
+    # observable, against the dense route.  The chosen fold never costs
+    # more than none, and a product with a projector never folds.
+    inst = build_random_instance(
+        InstanceParams(n, 0.5), seed=inst_seed, max_body=2, max_width=max_width, periodic=periodic
+    )
+    radii = TruncationRadii(min(r_j, n), min(r_u, n))
+    req = SimulationRequest(instance=inst, t=1.3, epsilon=0.5, radii=radii)
+    rng = np.random.default_rng(inst_seed)
+    observables = [ObservableProduct(p) for p in range(1, n + 1)]
+    observables += [ObservableProduct(p, rotations=((p, _rotation(rng)),)) for p in range(1, n + 1)]
+    observables += [ObservableProduct(p, p + 1) for p in range(1, n)]
+    observables += [ObservableProduct(1, n), ObservableProduct(1, (n + 1) // 2)]
+    for obs in observables:
+        plan = expectation(req, obs, engine="plan")
+        assert plan == pytest.approx(expectation(req, obs, engine="dense"), abs=1e-12), obs
+        middle = _observable_nodes(obs)
+        _, shot = _one_shot_network(req, middle, fold=True)
+        _, flat = _one_shot_network(req, middle, fold=False)
+        assert shot.cost <= flat.cost == sum(1 << s.mem_axes_after for s in flat.plan.steps), obs
+    with_projector = ObservableProduct(1, projectors=((n, 0),))
+    pruned = build_expectation_network(req, with_projector)
+    flat = _one_shot_network(req, _observable_nodes(with_projector))[0]
+    assert [node.name for node in pruned.nodes] == [node.name for node in flat.nodes]
+    assert f"P[{n}]" in [node.name for node in pruned.nodes]
 
 
 def _two_site_sigma_z(dist, i, j):

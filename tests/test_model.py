@@ -45,6 +45,7 @@ _INTEGER_INPUTS = {
     "max_width": lambda v: build_random_instance(
         InstanceParams(4, 0.5), seed=1, max_body=2, max_width=v
     ),
+    "seed": lambda v: build_random_instance(InstanceParams(4, 0.5), seed=v, max_body=2),
 }
 
 
@@ -57,6 +58,17 @@ def test_integer_inputs_take_numpy_integers_and_refuse_the_rest(what):
     for bad in (True, 2.5, 2.0, "2"):
         with pytest.raises(DomainError, match=re.escape(f"{what} must be an integer, got {bad!r}")):
             make(bad)
+
+
+def test_a_numpy_integer_seed_builds_the_instance_of_the_equal_int():
+    # seed=2.5 used to build the seed-2 instance and seed=True the seed-1
+    # one; a numpy integer is read as the int it equals.
+    params = InstanceParams(4, 0.5)
+    a, b = (build_random_instance(params, seed=s, max_body=2) for s in (2, np.int64(2)))
+    assert a.descriptor == b.descriptor and type(b.descriptor["seed"]) is int
+    indices = [(1,), (1, 2), (2, 4)]
+    np.testing.assert_array_equal(a.couplings(indices), b.couplings(indices))
+    np.testing.assert_array_equal(a.constituent(1, 2).matrix, b.constituent(1, 2).matrix)
 
 
 def test_constituents_compare_by_identity():

@@ -126,6 +126,25 @@ def test_observable_refuses_sites_and_bits_that_are_not_integers():
     assert obs.projectors == ((1, 1),)
     assert ObservableProduct.prefix_projector([1, 0]) == ObservableProduct.prefix_projector("10")
 
+
+def test_rotated_observables_compare_and_hash_by_value():
+    # Rotations used to be kept as arrays, so == raised "truth value of an
+    # array is ambiguous" and hash() "unhashable type".
+    a = ObservableProduct(1, rotations=((1, HADAMARD),))
+    b = ObservableProduct(1, rotations=((1, HADAMARD.copy()),))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != ObservableProduct(1, rotations=((1, np.eye(2)),))
+    assert a != ObservableProduct(1, rotations=((2, HADAMARD),))
+    assert a != ObservableProduct(1)
+    assert ObservableProduct(2, 3) == ObservableProduct(3, 2)
+    assert hash(ObservableProduct(2, 3)) == hash(ObservableProduct(3, 2))
+    # The nodes carry the rotation's values as an array.
+    (rotation, _, mirror) = simulate._observable_nodes(a)
+    np.testing.assert_array_equal(rotation.data, HADAMARD)
+    np.testing.assert_array_equal(mirror.data, HADAMARD.conj().T)
+
+
 @pytest.mark.parametrize("engine", ["dense", "plan", "auto"])
 def test_expectation_refuses_rotation_sites_above_n(engine):
     req = _random_request(4, seed=2, radii=TruncationRadii(3, 2))
@@ -575,8 +594,8 @@ def _family_request(seed):
 
 
 def _keyed(req, obs):
-    """The network expectation contracts for obs and its plan-cache key."""
-    return simulate._one_shot_network(req, simulate._observable_nodes(obs))
+    """The network expectation contracts for obs and its plan-cache entry."""
+    return simulate._observable_network(req, obs)
 
 
 def _assert_same_plan(got: ContractionPlan, want: ContractionPlan):
@@ -597,21 +616,21 @@ def test_cached_plans_equal_fresh_schedules(plans):
     observables = [ObservableProduct(p) for p in range(1, 33)]
     observables += [ObservableProduct.prefix_projector(prefix[:k]) for k in (2, 9, 20, 32)]
     for obs in observables:
-        owner = plans.plan(*_keyed(first, obs))
-        network, key = _keyed(second, obs)
-        got = plans.plan(network, key)
+        _, owner = _keyed(first, obs)
+        scheduled = len(plans.scheduled)
+        network, got = _keyed(second, obs)
         assert got is owner
-        _assert_same_plan(got, qubitwise_schedule(network))
-    assert len(plans.scheduled) == len(observables)
+        assert len(plans.scheduled) == scheduled
+        _assert_same_plan(got.plan, qubitwise_schedule(network))
+    assert len(plans.entries) == len(observables)
     # A wrapped periodic chain carries no radii (r_u is None).
     inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
     for obs in (ObservableProduct(4), ObservableProduct.prefix_projector("0110")):
-        network, key = _keyed(req, obs)
+        network, owner = _keyed(req, obs)
         assert network.r_u is None
-        owner = plans.plan(network, key)
-        assert plans.plan(network, key) is owner
-        _assert_same_plan(owner, qubitwise_schedule(network))
+        assert _keyed(req, obs)[1] is owner
+        _assert_same_plan(owner.plan, qubitwise_schedule(network))
 
 
 def test_requests_of_one_structure_share_a_plan(plans):
@@ -619,12 +638,14 @@ def test_requests_of_one_structure_share_a_plan(plans):
     for site in (1, 16, 32):
         obs = ObservableProduct(site)
         before = len(plans.scheduled)
-        values = [expectation(req, obs, engine="plan") for req in (first, second)]
-        # Only the first request's query schedules; both then find its plan.
-        assert len(plans.scheduled) == before + 1
+        values = [expectation(first, obs, engine="plan")]
+        scheduled = len(plans.scheduled)
+        values.append(expectation(second, obs, engine="plan"))
+        # Only the first request's query schedules; both then find its entry.
+        assert scheduled > before
         one, two = (_keyed(req, obs) for req in (first, second))
-        assert plans.plan(*one) is plans.plan(*two)
-        assert len(plans.scheduled) == before + 1
+        assert one[1] is two[1]
+        assert len(plans.scheduled) == scheduled
         fresh = [execute(qubitwise_schedule(net), net).real for net, _ in (one, two)]
         assert [v.hex() for v in values] == [v.hex() for v in fresh]
 
@@ -632,8 +653,8 @@ def test_requests_of_one_structure_share_a_plan(plans):
 def test_a_plan_is_shared_only_with_the_same_structure(plans):
     req = _family_request(11)
     middle = simulate._observable_nodes(ObservableProduct(3))
-    network, key = simulate._one_shot_network(req, middle)
-    plan = plans.plan(network, key)
+    network, shot = simulate._one_shot_network(req, middle)
+    plan = shot.plan
 
     def radii(r_j, r_u):
         return SimulationRequest(req.instance, req.t, req.epsilon, TruncationRadii(r_j, r_u))
@@ -647,12 +668,13 @@ def test_a_plan_is_shared_only_with_the_same_structure(plans):
         simulate._one_shot_network(req, [dataclasses.replace(middle[0], name="renamed")]),
         simulate._one_shot_network(req, [dataclasses.replace(middle[0], data=None)]),
     ]
-    for variant, variant_key in variants:
-        got = plans.plan(variant, variant_key)
+    # Each variant scheduled its own network once.
+    assert len(plans.scheduled) == 1 + len(variants)
+    for variant, variant_shot in variants:
+        got = variant_shot.plan
         assert got is not plan
-        assert plans.scheduled[-1] is variant
         _assert_same_plan(got, qubitwise_schedule(variant))
-    assert plans.plan(*simulate._one_shot_network(req, list(middle))) is plan
+    assert simulate._one_shot_network(req, list(middle))[1].plan is plan
     # A bra cap without data pins its id and is no step; one with data
     # closes its wire by a matmul on its data.
     cap = next(i for i, node in enumerate(network.nodes) if node.kind == "cap_bra")
@@ -665,28 +687,35 @@ def test_a_plan_is_shared_only_with_the_same_structure(plans):
     assert len(plans.scheduled) == 5
 
 
+def _unfolded_query(req, obs):
+    """The plan-cache key and builder of obs's network without a fold."""
+    middle = simulate._observable_nodes(obs)
+    return ("unfolded", obs), functools.partial(simulate._schedule_one_shot, req, middle, False)
+
+
 def test_plan_cache_is_bounded_by_steps_least_recent_first(plans, monkeypatch):
     req = _random_request(8, seed=4, radii=TruncationRadii(3, 3), max_width=2)
-    a, b, c = (_keyed(req, ObservableProduct(p)) for p in (2, 5, 8))
-    sizes = [len(qubitwise_schedule(net).steps) for net, _ in (a, b, c)]
+    a, b, c = (_unfolded_query(req, ObservableProduct(p)) for p in (2, 5, 8))
+    sizes = [len(build().plan.steps) for _, build in (a, b, c)]
+    plans.scheduled.clear()
     bound = sum(sizes) - 1
     monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", bound)
-    plan_a, plan_b = plans.plan(*a), plans.plan(*b)
-    assert plans.plan(*a) is plan_a
-    plan_c = plans.plan(*c)
+    shot_a, shot_b = plans.get(*a), plans.get(*b)
+    assert plans.get(*a) is shot_a
+    shot_c = plans.get(*c)
     # b was used least recently, so c's insertion evicted it.
-    assert list(plans.plans.values()) == [plan_a, plan_c]
+    assert list(plans.entries.values()) == [shot_a, shot_c]
     assert plans.steps == sizes[0] + sizes[2] <= bound
-    assert plans.plan(*b) is not plan_b
-    assert plans.steps == sum(len(p.steps) for p in plans.plans.values()) <= bound
+    assert plans.get(*b) is not shot_b
+    assert plans.steps == sum(len(s.plan.steps) for s in plans.entries.values()) <= bound
     assert len(plans.scheduled) == 4
     # A plan longer than the whole bound is never stored.
-    full = _keyed(req, ObservableProduct.prefix_projector("0" * 8))
-    monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", len(qubitwise_schedule(full[0]).steps) - 1)
-    held = list(plans.plans.values())
-    assert plans.plan(*full) is not plans.plan(*full)
-    assert list(plans.plans.values()) == held
-    assert len(plans.scheduled) == 6
+    full = _unfolded_query(req, ObservableProduct.prefix_projector("0" * 8))
+    monkeypatch.setattr(simulate, "PLAN_CACHE_STEPS", len(full[1]().plan.steps) - 1)
+    held = list(plans.entries.values())
+    assert plans.get(*full) is not plans.get(*full)
+    assert list(plans.entries.values()) == held
+    assert len(plans.scheduled) == 7
 
 
 def _holds_ndarray(obj) -> bool:
@@ -704,9 +733,9 @@ def test_plan_cache_keeps_no_request_alive(plans):
     factor = weakref.ref(simulate._w(req).nodes[0])
     for site in range(1, 11):
         expectation(req, ObservableProduct(site), engine="plan")
-    assert plans.plans
-    assert not any(map(_holds_ndarray, plans.plans))
-    assert not any(map(_holds_ndarray, plans.plans.values()))
+    assert plans.entries
+    assert not any(map(_holds_ndarray, plans.entries))
+    assert not any(map(_holds_ndarray, plans.entries.values()))
     # The networks the fixture recorded hold the factors; the cache must not.
     plans.scheduled.clear()
     del req
@@ -716,8 +745,8 @@ def test_plan_cache_keeps_no_request_alive(plans):
 
 def test_shared_plans_are_never_written(plans):
     first, second = _family_request(11), _family_request(12)
-    network, key = _keyed(first, ObservableProduct(5))
-    plan = plans.plan(network, key)
+    _, shot = _keyed(first, ObservableProduct(5))
+    plan = shot.plan
     snapshot = copy.deepcopy(plan)
     rng = np.random.default_rng(9)
     for i in range(100):
@@ -731,5 +760,5 @@ def test_shared_plans_are_never_written(plans):
         else:
             obs = ObservableProduct.prefix_projector(rng.integers(0, 2, site).tolist())
         expectation(req, obs, engine="plan")
-    assert plans.plan(network, key) is plan
+    assert _keyed(first, ObservableProduct(5))[1].plan is plan
     _assert_same_plan(plan, snapshot)
