@@ -26,7 +26,6 @@ from .model import (
     build_explicit_instance,
     build_random_instance,
     dense_hamiltonian,
-    dense_liom,
     dense_unitary,
     instance_from_json,
     instance_to_json,
@@ -93,7 +92,6 @@ __all__ = [
     "delta_h_bound",
     "delta_h_terms",
     "dense_hamiltonian",
-    "dense_liom",
     "dense_unitary",
     "evolve_state",
     "exact_distribution",

@@ -208,9 +208,10 @@ def _cmd_gatecount(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    """Dense-vs-tensor equivalence suite on random instances: conditionals
+    """Oracle-vs-tensor equivalence suite on random instances: conditionals
     of the plan route (read off the MPS of W|0>, or off the qubit-wise
-    light cone) against the dense oracle.  The instances are
+    light cone) against exact_distribution, the factored state-vector
+    oracle, so N runs to the state cap of 22 sites.  The instances are
     open chains of constituents at most two sites wide, whose plans stay
     within the engine cap at every N the oracle reaches."""
     n = config.n
@@ -342,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, dest="t_max")
     p.add_argument("--points", type=int)
 
-    p = add("verify", help="dense-vs-tensor oracle equivalence suite")
+    p = add(
+        "verify",
+        help="plan-route conditionals against the exact state-vector oracle (N up to 22)",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)

@@ -40,7 +40,8 @@ from .model import (
 
 # The mapping check evolves with oracle.evolve_factored.  perfbench/spans.py
 # still patches hardness.evolve_state through this module's __dict__, so the
-# name stays bound until the benchmark stops patching it (ROADMAP item 9).
+# name stays bound until the benchmark stops patching it (ROADMAP items 1
+# and 10).
 evolve_state = oracle.evolve_state
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)

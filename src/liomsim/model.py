@@ -349,14 +349,6 @@ class MblInstance:
             cache.update(zip(todo, self.constituents(todo)))
         return [cache[key] for key in positions]
 
-    @property
-    def support_size(self) -> int:
-        """Number of index sets iter_indices walks, before ranges >= r_j and
-        zero couplings are dropped."""
-        if self.coupling_support is not None:
-            return len(self.coupling_support)
-        return sum(math.comb(self.n_sites, p) for p in range(1, self.max_body + 1))
-
     def coupling_values(self, indices: Iterable[Sequence[int]]) -> np.ndarray:
         """J_I of every index in one couplings call, with coupling's
         DomainError for a malformed or out-of-range index."""
@@ -740,36 +732,33 @@ def dense_unitary(instance: MblInstance, max_width: int | None = None) -> np.nda
     return acc.reshape(2**n, 2**n)
 
 
-_SIGMA_Z = np.array([1.0, -1.0])
-
-
 def z_string_diagonal(
     n_sites: int, terms: Iterable[tuple[tuple[int, ...], float]]
 ) -> np.ndarray:
     """Diagonal of sum_I c_I sigma^z_{i_1}...sigma^z_{i_p} in the
     computational basis (site 1 most significant), from (sites, c_I) terms.
-    Each term is c_I times the broadcast product of its sites' [1, -1]
-    signs, 2^p entries added onto the 2^N sum, so one 2^N vector is all
-    that is held."""
+    Entry z is sum_I c_I (-1)^popcount(z & mask(I)), with site s the bit
+    2^(N-s) of mask(I): the Walsh-Hadamard transform of the coefficient
+    vector c[mask(I)] += c_I, done in place in N passes of 2^N entries
+    whatever the number of terms."""
     n = n_sites
-    signs = [None] + [
-        _SIGMA_Z.reshape((1,) * (s - 1) + (2,) + (1,) * (n - s)) for s in range(1, n + 1)
-    ]
-    diag = np.zeros((2,) * n)
+    diag = np.zeros(2**n)
     for sites, value in terms:
-        term = value * signs[sites[0]]
-        for s in sites[1:]:
-            term = term * signs[s]
-        diag += term
-    return diag.ravel()
+        diag[sum(1 << (n - s) for s in sites)] += value
+    for bit in range(n):
+        pairs = diag.reshape(2**bit, 2, -1)
+        low = pairs[:, 0] + pairs[:, 1]
+        pairs[:, 1] = pairs[:, 0] - pairs[:, 1]
+        pairs[:, 0] = low
+    return diag
 
 
 def sigma_diagonal(instance: MblInstance, r_j: int | None = None) -> np.ndarray:
     """Diagonal of H_sigma = sum_I J_I sigma^z_{i_1}...sigma^z_{i_p} in the
     computational basis (site 1 most significant), couplings with range
     >= r_j dropped when r_j is given.  It needs no dense matrix, so N is
-    capped by the state cap MAX_STATE_N, not the dense cap; each coupling
-    index costs one pass over the 2^N entries."""
+    capped by the state cap MAX_STATE_N, not the dense cap, and it costs
+    N 2^N whatever the size of the coupling support."""
     n = instance.n_sites
     check_state_feasible(n, "sigma_diagonal")
     return z_string_diagonal(n, instance.iter_indices(r_j))
@@ -802,18 +791,6 @@ def _check_hermitian(ham: np.ndarray) -> None:
         raise NumericalIntegrityError(
             f"dense Hamiltonian failed the Hermiticity check: asymmetry {asym:.3e}"
         )
-
-
-def dense_liom(instance: MblInstance, site: int, r_u: int | None = None) -> np.ndarray:
-    """Dense dressed spin tau_site^z = U_eff sigma_site^z U_eff^dagger."""
-    n = instance.n_sites
-    check_dense_feasible(n, "dense_liom")
-    if not (1 <= site <= n):
-        raise DomainError(f"site {site} out of range for N={n}")
-    u = dense_unitary(instance, max_width=r_u)
-    z = np.arange(2**n)
-    diag = 1.0 - 2.0 * ((z >> (n - site)) & 1)
-    return (u * diag) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
-"""Exact references: state-vector evolution and full outcome distributions
-with their total-variation distance.
+"""The exact reference: state-vector evolution and full outcome
+distributions with their total-variation distance.
 
-There are two evolutions of |0...0>, built independently:
+The library has one oracle, evolve_factored.  The LIOM form gives
+e^{-iHt} = U e^{-iDt} U^dag exactly, so it applies the constituents of U
+and the phases of the sigma diagonal D to a state vector and never builds
+a 2^N x 2^N matrix.  It runs to the state cap model.MAX_STATE_N, and
+exact_distribution, the `liomsim verify` self-check and the hardness
+check all read it.
 
-- evolve_state, the independent reference: it materializes the dense
-  (optionally truncated) Hamiltonian and diagonalises it with eigh.  It
-  shares no code path with the factored form, so exact_distribution, the
-  `liomsim verify` self-check and the equivalence tests use it.  It refuses
-  N above MAX_ORACLE_N or the dense cap, whichever is lower.
-- evolve_factored, the matrix-free one: the LIOM form gives
-  e^{-iHt} = U e^{-iDt} U^dag exactly, so it applies the constituents of U
-  and the phases of the sigma diagonal D to a state vector and never builds
-  a 2^N x 2^N matrix.  It runs to the state cap model.MAX_STATE_N; the
-  hardness check evolves its 1D chain with it.
+evolve_state is kept only as the tests' independent reference for the
+factorisation: it materializes the dense (optionally truncated)
+Hamiltonian, diagonalises it with eigh, and shares no code path with the
+factored form.  It refuses N above MAX_ORACLE_N or the dense cap,
+whichever is lower.
 
 Both refuse, before allocating, what they cannot hold, and both refuse a
 result whose norm is off by more than 1e-10.
@@ -31,12 +31,12 @@ from .model import (
     _dense_cap,
     apply_to_state,
     check_state_feasible,
+    constituent_positions,
     dense_hamiltonian,
-    nonidentity_constituents,
     sigma_diagonal,
 )
 
-# The oracle diagonalises the dense 2^N x 2^N Hamiltonian, and eigh holds
+# evolve_state diagonalises the dense 2^N x 2^N Hamiltonian, and eigh holds
 # several matrices of that size at once: 256 MiB each at N=12, 4 GiB at
 # N=14.  Its cap is this or the dense cap, whichever is lower.
 MAX_ORACLE_N = 12
@@ -97,27 +97,20 @@ def evolve_factored(
     < r_j, then the same factors in reverse order (U).  None means
     untruncated, as in evolve_state.
 
-    Refused before any state is allocated: N above the state cap, a
-    coupling support whose size x 2^N (the entries sigma_diagonal writes)
-    exceeds 2^MAX_STATE_N, and a constituent whose 2^w x 2^w matrix
-    exceeds it, named by its placement."""
+    Refused before any constituent or state is built: N above the state
+    cap, and a constituent whose 2^w x 2^w matrix exceeds it, named by its
+    placement."""
     n = instance.n_sites
     check_state_feasible(n, "the factored oracle")
     cap = 2**model.MAX_STATE_N
-    support = instance.support_size
-    if support * 2**n > cap:
-        raise FeasibilityError(
-            f"the factored oracle's sigma diagonal writes {support} coupling indices x "
-            f"2^{n} = {support * 2**n} entries, above the state cap of 2^{model.MAX_STATE_N}"
-        )
-    gates = nonidentity_constituents(instance, r_u)
-    for cons in gates:
-        if 4**cons.width > cap:
+    positions = constituent_positions(n, r_u, instance.constituent_support)
+    for start, width in positions:
+        if 4**width > cap:
             raise FeasibilityError(
-                f"constituent ({cons.start_site},{cons.width}) is a 2^{cons.width} x "
-                f"2^{cons.width} matrix of {16 * 4**cons.width} bytes, above the "
-                f"state cap of {16 * cap} bytes"
+                f"constituent ({start},{width}) is a 2^{width} x 2^{width} matrix of "
+                f"{16 * 4**width} bytes, above the state cap of {16 * cap} bytes"
             )
+    gates = instance.constituents_at(positions)
     phases = np.exp(-1j * t * sigma_diagonal(instance, r_j))
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
@@ -146,8 +139,9 @@ def exact_distribution(
     r_j: int | None = None,
     r_u: int | None = None,
 ) -> OutcomeDistribution:
-    """Exact D(sigma) = |<sigma|exp(-iHt)|0...0>|^2 over all bitstrings."""
-    state = evolve_state(instance, t, r_j=r_j, r_u=r_u)
+    """Exact D(sigma) = |<sigma|exp(-iHt)|0...0>|^2 over all bitstrings,
+    from evolve_factored."""
+    state = evolve_factored(instance, t, r_j=r_j, r_u=r_u)
     probs = np.abs(state) ** 2
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:

@@ -859,6 +859,14 @@ def conditional_probability(
     conditional at the last site takes 7.4, 22 and 47 ms there, so a
     caller asking one conditional per request, or alternating between two
     requests, runs about 3-15x slower than on the light cone.
+
+    Known fault of the dense route: its tree sums |amplitude|^2 of a state
+    whose entries carry an absolute rounding error near 1e-16, so a pair's
+    relative error grows as ~1e-16 / sqrt(P(prefix)).  With a Hadamard on
+    each of 6 sites, J_i = 1e-3 on sites 1-5, J_6 = 1, t = 1 and radii
+    (2, 2), site 6 after prefix 11111 (P = 9.5e-31) reads 0.332042 against
+    cos^2(1) = 0.291927 on the plan route.  It awaits a floor rule (ROADMAP
+    item 3).
     """
     if not 1 <= _integer(site, "site") <= req.n_sites:
         raise DomainError(f"site {site} out of range for N={req.n_sites}")
@@ -1061,7 +1069,9 @@ def conditional_chain(
     """All N conditional probabilities P(z_k = 0 | z_1..z_{k-1}) along one
     branch of the chain rule.  bits fixes the branch; otherwise the branch
     is sampled from the given seed (matching sample() at index 0).  Exactly
-    one of the two is given."""
+    one of the two is given.  The dense route shares conditional_probability's
+    fault on unlikely prefixes: on its example with J_i = 1e-7, bits
+    111110 read P(z_4 = 0 | 111) = 0.429 against 1 - 1e-14."""
     if (bits is None) == (seed is None):
         raise DomainError(
             f"conditional_chain takes either fixed bits or a seed, got bits={bits!r}, seed={seed!r}"

@@ -66,6 +66,14 @@ reference_sample is the dense-route sampler liomsim used before its walk
 was batched: one Python walk per sample over the prefix-marginal tree,
 with its own scalar checks and one random() call per site from the
 sample's own generator.  The batched walk must give the same bytes.
+
+reference_z_string_diagonal is the z-string diagonal liomsim built before
+its Walsh-Hadamard transform: each term adds c_I times the broadcast
+product of its sites' [1, -1] signs onto the 2^N sum, one pass per term.
+The transform must agree with it to rounding.
+
+dense_liom is the dense dressed spin tau_site^z = U sigma_site^z U^dag
+(U truncated to width r_u), which only tests read.
 """
 
 from __future__ import annotations
@@ -77,13 +85,16 @@ from typing import Sequence
 
 import numpy as np
 
-from liomsim.errors import NumericalIntegrityError, StructuralError
+from liomsim.errors import DomainError, NumericalIntegrityError, StructuralError
 from liomsim.model import (
     Constituent,
     InstanceParams,
+    MblInstance,
     _constituent_tail,
     _theta_for_distance,
+    check_dense_feasible,
     constituent_positions,
+    dense_unitary,
     placement_sites,
 )
 from liomsim.mps import MatrixProductState, _ascending, _block, _Centre
@@ -703,3 +714,31 @@ def reference_build_mps(
     tensors = centre.tensors
     tensors[0] = centre.block / np.linalg.norm(centre.block)
     return MatrixProductState(tuple(np.ascontiguousarray(a) for a in tensors), centre.delta)
+
+
+def reference_z_string_diagonal(
+    n_sites: int, terms: Sequence[tuple[tuple[int, ...], float]]
+) -> np.ndarray:
+    n = n_sites
+    signs = [None] + [
+        np.array([1.0, -1.0]).reshape((1,) * (s - 1) + (2,) + (1,) * (n - s))
+        for s in range(1, n + 1)
+    ]
+    diag = np.zeros((2,) * n)
+    for sites, value in terms:
+        term = value * signs[sites[0]]
+        for s in sites[1:]:
+            term = term * signs[s]
+        diag += term
+    return diag.ravel()
+
+
+def dense_liom(instance: MblInstance, site: int, r_u: int | None = None) -> np.ndarray:
+    n = instance.n_sites
+    check_dense_feasible(n, "dense_liom")
+    if not (1 <= site <= n):
+        raise DomainError(f"site {site} out of range for N={n}")
+    u = dense_unitary(instance, max_width=r_u)
+    z = np.arange(2**n)
+    diag = 1.0 - 2.0 * ((z >> (n - site)) & 1)
+    return (u * diag) @ u.conj().T

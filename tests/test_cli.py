@@ -448,7 +448,9 @@ def test_gatecount_sweep_csv(tmp_path):
 
 def test_verify_command(capsys, monkeypatch):
     # The suite checks the tensor route: with engine "auto" it took the
-    # dense route at every N the oracle reaches.
+    # dense route at every N up to the dense cap.  N=16 is above the dense
+    # cap, and its max_body-4 support of 2516 indices is no obstacle to
+    # the factored oracle.
     routes = []
     route = simulate._route
 
@@ -457,7 +459,11 @@ def test_verify_command(capsys, monkeypatch):
         return routes[-1]
 
     monkeypatch.setattr(simulate, "_route", spied)
-    for argv in (["--n", "3", "--trials", "2", "--seed", "5"], ["--n", "8", "--trials", "5"]):
+    for argv in (
+        ["--n", "3", "--trials", "2", "--seed", "5"],
+        ["--n", "8", "--trials", "5"],
+        ["--n", "16", "--trials", "1"],
+    ):
         code = main(["verify", *argv])
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
@@ -467,10 +473,10 @@ def test_verify_command(capsys, monkeypatch):
     assert routes and set(routes) == {"plan"}
 
 
-def test_verify_refuses_above_the_oracle_cap(capsys):
-    assert main(["verify", "--n", "14", "--trials", "3"]) == EXIT_DOMAIN
+def test_verify_refuses_above_the_state_cap(capsys):
+    assert main(["verify", "--n", "23", "--trials", "3"]) == EXIT_DOMAIN
     err = capsys.readouterr().err
-    assert "4294967296 bytes per matrix; N=14 exceeds the oracle cap of 12 sites" in err
+    assert "134217728 bytes; N=23 exceeds the state cap of 22 sites" in err
 
 
 def test_usage_errors():

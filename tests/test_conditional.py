@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from liomsim import simulate
-from liomsim.model import InstanceParams, build_random_instance
+from liomsim.model import InstanceParams, build_explicit_instance, build_random_instance
 from liomsim.oracle import evolve_factored, exact_distribution
 from liomsim.simulate import (
     PLAN_CACHE_STEPS,
@@ -181,10 +181,9 @@ def test_conditional_network_pins_its_prefix(schedules):
 
 @pytest.mark.parametrize("radii", [TruncationRadii(6, 6), TruncationRadii(3, 3)])
 def test_plan_conditionals_match_the_factored_oracle_at_n15(radii):
-    # N=15 is above the dense cap of 14 and within the factored oracle's
-    # support cap (105 x 2^15 < 2^22): every prefix of a seeded bitstring
-    # on the criterion-6 family, as a conditional and as a projector
-    # expectation.
+    # N=15 is above the dense cap of 14: every prefix of a seeded
+    # bitstring on the criterion-6 family, as a conditional and as a
+    # projector expectation.
     n = 15
     inst = build_random_instance(
         InstanceParams(n, 0.5), seed=n, max_body=2, max_width=2, periodic=False
@@ -199,3 +198,50 @@ def test_plan_conditionals_match_the_factored_oracle_at_n15(radii):
         assert got == pytest.approx(float(sub[0].sum() / sub.sum()), abs=1e-10), site
         marginal = expectation(req, ObservableProduct.prefix_projector(bits[:site]), engine="plan")
         assert marginal == pytest.approx(float(tree[tuple(bits[:site])].sum()), abs=1e-10), site
+
+
+def test_plan_conditionals_and_sigma_z_match_exact_distribution_at_n16():
+    # A banded open chain with 696 coupling indices of order <= 3.  Along
+    # the likeliest branch every conditional is read off the MPS and off
+    # the light cone, and every sigma^z_p is checked too.
+    n = 16
+    radii = TruncationRadii(3, 3)
+    inst = build_random_instance(
+        InstanceParams(n, 0.5), seed=n, max_body=3, max_width=2, periodic=False
+    )
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=radii)
+    probs = exact_distribution(inst, req.t, r_j=radii.r_j, r_u=radii.r_u).probabilities
+    tree = probs.reshape((2,) * n)
+    prefix: list[int] = []
+    for site in range(1, n + 1):
+        sub = tree[tuple(prefix)]
+        want = float(sub[0].sum() / sub.sum())
+        got = conditional_probability(req, prefix, site, engine="plan")
+        assert req._state.conditional_route == "mps"
+        assert got == pytest.approx(want, abs=1e-10), site
+        v0, v1 = (complex(v).real for v in _light_cone_pair(req, prefix, site))
+        assert v0 / (v0 + v1) == pytest.approx(want, abs=1e-10), site
+        signs = 1.0 - 2.0 * ((np.arange(2**n) >> (n - site)) & 1)
+        sigma_z = expectation(req, ObservableProduct(site), engine="plan")
+        assert sigma_z == pytest.approx(float(signs @ probs), abs=1e-10), site
+        prefix.append(0 if want >= 0.5 else 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the dense route's pair has ~1e-16/sqrt(P(prefix)) relative error; "
+    "it awaits a floor rule (ROADMAP item 3)",
+)
+def test_dense_conditional_after_a_1e_30_prefix():
+    # Hadamard factors make tau_i^z = sigma_i^x, so the sites are
+    # independent: P(z_i = 1) = sin^2(J_i t), and site 6 after 11111 is
+    # cos^2(1) whatever the prefix, which the plan route reads.
+    params = InstanceParams(6, 0.5, q_const=4.0)
+    couplings = {(i,): 1e-3 for i in range(1, 6)}
+    couplings[(6,)] = 1.0
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    inst = build_explicit_instance(params, couplings, {(i, 1): hadamard for i in range(1, 7)})
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(2, 2))
+    truth = np.cos(1.0) ** 2
+    assert conditional_probability(req, [1] * 5, 6, engine="plan") == pytest.approx(truth, abs=1e-12)
+    assert conditional_probability(req, [1] * 5, 6, engine="dense") == pytest.approx(truth, abs=1e-10)

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import block_trivial
+from reference import block_trivial, dense_liom, reference_z_string_diagonal
 
 from liomsim import model
 from liomsim.errors import DomainError, FeasibilityError, NumericalIntegrityError
@@ -18,7 +19,6 @@ from liomsim.model import (
     build_random_instance,
     constituent_positions,
     dense_hamiltonian,
-    dense_liom,
     dense_unitary,
     instance_from_json,
     instance_to_json,
@@ -28,7 +28,7 @@ from liomsim.model import (
     validate_instance,
 )
 from liomsim.complexity import ComplexityQuery
-from liomsim.hardness import HardnessSpec
+from liomsim.hardness import HardnessSpec, build_iqp_instance
 from liomsim.simulate import ObservableProduct, SimulationRequest, expectation, site_blocks
 from liomsim.truncation import TruncationRadii, truncate
 
@@ -551,3 +551,45 @@ def test_sigma_diagonal_runs_above_the_dense_cap(monkeypatch):
     np.testing.assert_allclose(sigma_diagonal(inst), expect, rtol=0, atol=1e-15)
     with pytest.raises(FeasibilityError):
         dense_hamiltonian(inst)
+
+
+def _z_string_terms(family: str, n: int) -> list[tuple[tuple[int, ...], float]]:
+    if family == "random":
+        inst = build_random_instance(InstanceParams(n, 0.5), seed=n, max_body=min(n, 3))
+    elif family == "explicit":
+        # Strings of every order up to N, so masks with many bits set.
+        rng = np.random.default_rng(n)
+        table = {}
+        for _ in range(2 * n):
+            order = int(rng.integers(1, n + 1))
+            sites = np.sort(rng.choice(np.arange(1, n + 1), size=order, replace=False))
+            table[tuple(sites.tolist())] = float(rng.uniform(-1.0, 1.0))
+        inst = build_explicit_instance(InstanceParams(n, 0.5), table, {}, validate=False)
+    else:
+        rows = max(r for r in range(1, math.isqrt(n) + 1) if n % r == 0)
+        inst = build_iqp_instance(HardnessSpec(rows=rows, cols=n // rows, xi=1.0)).instance
+    return list(inst.iter_indices())
+
+
+@pytest.mark.parametrize("family", ["random", "explicit", "iqp2d"])
+def test_walsh_hadamard_diagonal_matches_the_per_term_sum(family):
+    for n in range(1, 11):
+        terms = _z_string_terms(family, n)
+        np.testing.assert_allclose(
+            model.z_string_diagonal(n, terms),
+            reference_z_string_diagonal(n, terms),
+            rtol=0,
+            atol=1e-13,
+            err_msg=f"N={n}",
+        )
+
+
+def test_sigma_diagonal_of_a_max_body_3_chain_at_n16():
+    # 696 coupling indices x 2^16 entries: the transform's cost does not
+    # grow with the support.
+    inst = build_random_instance(InstanceParams(16, 0.5), seed=16, max_body=3)
+    terms = list(inst.iter_indices())
+    assert len(terms) == 696
+    np.testing.assert_allclose(
+        sigma_diagonal(inst), reference_z_string_diagonal(16, terms), rtol=0, atol=1e-13
+    )

@@ -84,8 +84,6 @@ def test_oversized_n_refused(monkeypatch):
     inst = build_random_instance(params, seed=0, max_body=2)
     with pytest.raises(FeasibilityError):
         evolve_state(inst, 1.0)
-    with pytest.raises(FeasibilityError):
-        exact_distribution(inst, 1.0)
 
 
 def test_oracle_refuses_above_its_cap_before_building(monkeypatch):
@@ -100,8 +98,14 @@ def test_oracle_refuses_above_its_cap_before_building(monkeypatch):
     message = r"1073741824 bytes per matrix; N=13 exceeds the oracle cap of 12 sites"
     with pytest.raises(FeasibilityError, match=message):
         evolve_state(inst, 1.0)
+    # exact_distribution evolves matrix-free; this unbanded instance's
+    # widest factors are refused by their width, before any is built.
+    _refuse_state_work(monkeypatch)
+    message = r"constituent \(1,12\) is a 2\^12 x 2\^12 matrix of 268435456 bytes"
     with pytest.raises(FeasibilityError, match=message):
         exact_distribution(inst, 1.0)
+    with pytest.raises(FeasibilityError, match=message):
+        evolve_factored(inst, 1.0, r_j=3)
 
 
 def test_outcome_distribution_lookup():
@@ -181,10 +185,11 @@ def test_factored_oracle_refuses_a_non_unitary_result():
 
 def _refuse_state_work(monkeypatch):
     def refused(*args, **kwargs):
-        raise AssertionError("a state was built before the cap was checked")
+        raise AssertionError("a state or constituent was built before the cap was checked")
 
     monkeypatch.setattr(oracle, "apply_to_state", refused)
     monkeypatch.setattr(oracle, "sigma_diagonal", refused)
+    monkeypatch.setattr(model.MblInstance, "constituents_at", refused)
 
 
 def test_factored_oracle_refuses_above_the_state_cap_before_building(monkeypatch):
@@ -197,7 +202,7 @@ def test_factored_oracle_refuses_above_the_state_cap_before_building(monkeypatch
         model.sigma_diagonal(inst)
 
 
-def test_factored_oracle_refuses_wide_constituents_and_supports_before_building(monkeypatch):
+def test_factored_oracle_refuses_wide_constituents_before_building(monkeypatch):
     # A 2^8-entry state cap: a width-4 constituent (2^4 x 2^4 = 2^8
     # entries) is applied, a width-5 one is refused by its placement.
     monkeypatch.setattr(model, "MAX_STATE_N", 8)
@@ -205,11 +210,15 @@ def test_factored_oracle_refuses_wide_constituents_and_supports_before_building(
     phases = {w: np.diag(np.exp(1j * np.linspace(0.0, 0.1, 2**w))) for w in (4, 5)}
     fits = build_explicit_instance(params, {(1,): 0.3}, {(2, 4): phases[4]}, validate=False)
     np.testing.assert_allclose(evolve_factored(fits, 1.0), evolve_state(fits, 1.0), atol=1e-12)
+    # 21 coupling indices x 2^6 entries exceed the cap, but the sigma
+    # diagonal's one transform holds a single 2^6 vector.
+    dense_support = build_random_instance(params, seed=0, max_body=2)
+    np.testing.assert_allclose(
+        evolve_factored(dense_support, 1.0, r_u=4),
+        evolve_state(dense_support, 1.0, r_u=4),
+        atol=1e-12,
+    )
     wide = build_explicit_instance(params, {(1,): 0.3}, {(2, 5): phases[5]}, validate=False)
     _refuse_state_work(monkeypatch)
     with pytest.raises(FeasibilityError, match=r"constituent \(2,5\) is a 2\^5 x 2\^5 matrix"):
         evolve_factored(wide, 1.0)
-    # Six sites, max_body 2: 21 coupling indices x 2^6 entries > 2^8.
-    dense_support = build_random_instance(params, seed=0, max_body=2)
-    with pytest.raises(FeasibilityError, match=r"21 coupling indices x 2\^6 = 1344 entries"):
-        evolve_factored(dense_support, 1.0)
