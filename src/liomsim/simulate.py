@@ -464,7 +464,9 @@ def _schedule_one_shot(
     taken when its gate would hold more entries than the unfolded plan's
     largest accumulator, or its plan more axes, so a fold never raises
     the peak or makes a feasible query infeasible; nor when its plan
-    breaks the analytic open-leg bound."""
+    breaks the analytic open-leg bound.  The peak holds for operands
+    too: a step batches over the ids the gate keeps open, so its
+    operand is the gate's own entries."""
     support = {s for node in middle for s in node.sites}
     keep = _light_cone(req, support)
 

@@ -46,17 +46,20 @@ each step takes one of two forms:
 - a broadcast multiply, for a node that closes no id (a diagonal, a ket
   cap with data, a gate whose accumulator ids all stay open); its new
   axes lead;
-- one 2-D matmul for everything else: the touched ids form the leading
-  block, and the node becomes a (2^touched, 2^(kept+new)) matrix, where
-  an id the node keeps open is padded in as kron(I, g).  The kept and new
-  ids lead after the step.
+- one matmul for everything else: the touched ids form the leading
+  block, the ids the node keeps open first, then those it closes, and
+  the node is a (2^kept, 2^new, 2^closing) operand.  The matmul is
+  batched over the kept ids (2-D when none is kept): an id both operands
+  and the result carry is a batch index (Gray & Kourtis, Quantum 5, 410,
+  2021), not padding, so every multiply-add is one of the contraction's.
+  The kept ids lead after the step, then the new ones.
 
-Only a matmul step whose touched ids are not the accumulator's leading
-axes transposes first: the touched block moves to the front and the
-other axes follow in order of their next use, soonest first.  Leading
-blocks keep multiplies' inner loops long.  Moving an accumulator onto a
-fork target is the one einsum left; it writes the target plan's axis
-order.  A network of caps alone is an empty plan of value 1.
+New axes go in order of next use, soonest first.  Only a matmul step
+whose touched block is not so laid out in front transposes first: the
+block moves there and the other axes follow in order of their next use.
+Leading blocks keep multiplies' inner loops long.  Moving an accumulator
+onto a fork target is the one einsum left; it writes the target plan's
+axis order.  A network of caps alone is an empty plan of value 1.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from __future__ import annotations
 import copy
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -73,6 +77,8 @@ from .errors import FeasibilityError, StructuralError
 
 # 2^24 complex entries is ~256 MiB; beyond that the runner refuses.
 MAX_EXEC_AXES = 24
+# The accumulator's shape, per number of axes.
+_SHAPES = tuple((2,) * k for k in range(MAX_EXEC_AXES + 1))
 # numpy's einsum accepts at most 52 distinct labels in one call.
 MAX_EINSUM_LABELS = 52
 
@@ -117,6 +123,13 @@ class PlacedTensor:
     def width(self) -> int:
         return len(self.sites)
 
+    @cached_property
+    def legs(self) -> np.ndarray:
+        """The data with one axis per index id, in node_indices order, made
+        at first use.  A cap without data has none: no step absorbs it."""
+        legs = 2 * self.width if self.kind == "gate" else self.width
+        return np.asarray(self.data, dtype=complex).reshape((2,) * legs)
+
 
 @dataclass(frozen=True)
 class ExpectationNetwork:
@@ -147,26 +160,23 @@ class PlanStep:
         _entry_0), or None when the node carries no pinned id.  Where a
         projector pins the id, the runner takes its entry b instead (see
         ContractionPlan.pins).
-    perm: axis permutation of the accumulator before the step, as packed
-        uint16 entries, or None.
+    perm: axis permutation of the accumulator before the step, or None.
     form: "mul" or "matmul" (on the leading block).
     node_axes: the axes of the node's operand, its pinned axes taken, in
         the order the kernel reads them.
     shape: mul: the node's broadcast shape, as bytes of 1s and 2s; matmul:
-        the node matrix (2^touched, 2^(kept+new)).
-    strides: matmul only: byte strides that write the node into a zero
-        matrix when it keeps ids open, else None.
+        the node operand (2^kept, 2^new, 2^closing), without its leading
+        2^kept when the node keeps no id open.
     """
 
     node_index: int
     name: str
     mem_axes_after: int
     pick: tuple | None
-    perm: bytes | None
+    perm: tuple[int, ...] | None
     form: str
     node_axes: tuple[int, ...]
     shape: Sequence[int]
-    strides: tuple[int, ...] | None
 
 
 @dataclass
@@ -397,7 +407,7 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
 
 def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], array]:
     """Per step, the layout fields of its PlanStep (perm, form, node_axes,
-    shape, strides), and every step's axis order after it, one after the
+    shape), and every step's axis order after it, one after the
     other; from each step's open node ids (free[p], in the axis order of
     the node's operand once its pinned axes are taken) alone."""
     n_steps = len(free)
@@ -427,23 +437,21 @@ def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], a
         return shared.setdefault(value, value)
 
     for ids, follow in zip(free, following):
-        touched, kept, new = [], [], []
+        kept, closing, new = [], [], []
         for idx, later in zip(ids, follow):
             next_use[idx] = later
             if not held[idx]:
                 new.append(idx)
                 held[idx] = True
+            elif later < n_steps:
+                kept.append(idx)
             else:
-                touched.append(idx)
-                if later < n_steps:
-                    kept.append(idx)
-                else:
-                    held[idx] = False
+                closing.append(idx)
+                held[idx] = False
         new.sort(key=next_use.__getitem__)
-        perm = strides = None
-        if len(kept) == len(touched):
-            # Nothing closes: broadcast the node over the accumulator, its
-            # new axes in front.
+        perm = None
+        if not closing:
+            # Broadcast the node over the accumulator, its new axes in front.
             form, axes = "mul", new + acc
             at = [axes.index(idx) for idx in ids]
             node_axes = tuple(sorted(range(len(ids)), key=at.__getitem__))
@@ -452,36 +460,22 @@ def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], a
                 shape[x] = 2
             shape = share(bytes(shape))
         else:
-            form, t = "matmul", len(touched)
-            at = [acc.index(idx) for idx in touched]
-            if max(at) >= t:
-                others = sorted((idx for idx in acc if idx not in touched), key=next_use.__getitem__)
-                moved = [acc[x] for x in sorted(at)] + others
-                perm = share(array("H", [acc.index(idx) for idx in moved]).tobytes())
+            form, k, t = "matmul", len(kept), len(kept) + len(closing)
+            if set(acc[:k]) != set(kept) or set(acc[k:t]) != set(closing):
+                touched = set(kept + closing)
+                moved = [idx for idx in acc if idx in kept] + [idx for idx in acc if idx in closing]
+                moved += sorted((idx for idx in acc if idx not in touched), key=next_use.__getitem__)
+                perm = share(tuple(acc.index(idx) for idx in moved))
                 acc = moved
-            rows, rest = acc[:t], acc[t:]
-            cols = sorted(kept + new, key=next_use.__getitem__)
-            axes = cols + rest
-            node_axes = tuple(ids.index(idx) for idx in rows + new)
-            shape = share((1 << t, 1 << len(cols)))
-            if kept:
-                # Entry (rows, cols) of the zero matrix is the node's entry
-                # where a kept id's row and column bits agree.
-                col = {idx: 16 << (len(cols) - 1 - y) for y, idx in enumerate(cols)}
-                strides = tuple(
-                    (16 << (t - 1 - x + len(cols))) + col.get(idx, 0) for x, idx in enumerate(rows)
-                ) + tuple(col[idx] for idx in new)
-        out.append((perm, form, share(node_axes), shape, share(strides)))
+            kept, closing = acc[:k], acc[k:t]
+            axes = kept + new + acc[t:]
+            node_axes = tuple(ids.index(idx) for idx in kept + new + closing)
+            shape = (1 << len(new), 1 << (t - k))
+            shape = share((1 << k, *shape) if k else shape)
+        out.append((perm, form, share(node_axes), shape))
         flat.extend(axes)
         acc = axes
     return out, flat
-
-
-def _node_array(node: PlacedTensor) -> np.ndarray:
-    """The node's data with one axis per index id, in node_indices order.
-    A cap without data has none: no step absorbs it."""
-    legs = 2 * node.width if node.kind == "gate" else node.width
-    return np.asarray(node.data, dtype=complex).reshape((2,) * legs)
 
 
 def _einsum(out: Sequence[int], *operands: tuple[np.ndarray, Sequence[int]]) -> np.ndarray:
@@ -597,11 +591,11 @@ class PlanRunner:
     internal assertion error).
 
     Each step runs its planned form (see the module docstring): an optional
-    transpose, then a broadcast multiply or one 2-D matmul, with no id
-    bookkeeping.  Accumulators are never written into, so forks
-    share them; a step drops the runner's reference to the old one before
-    computing the new one, so a step holds at most two accumulator-sized
-    arrays.
+    transpose, then a broadcast multiply or one matmul batched over the
+    ids the node keeps open, with no id bookkeeping.  Accumulators are
+    never written into, so forks share them; a step drops the runner's
+    reference to the old one before computing the new one, so a step
+    holds at most two accumulator-sized arrays.
 
     The runner reads the b of every projector that pins once, when it is
     built or moved onto a ForkTarget, and its steps take that entry where
@@ -687,34 +681,28 @@ class PlanRunner:
     def step(self) -> None:
         """Absorb the next node in its planned form.  The runner's
         reference to the old accumulator is dropped first.  A planned
-        transpose is a view; reshaping it to the matmul's 2-D operand makes
-        the one copy and drops the view, which frees the old accumulator
-        before the product is computed, so a step holds at most two
-        accumulator-sized arrays.  The node's pinned axes are taken at
-        their entry (0, or a pinning projector's b) before its own
-        transpose, both views of the node."""
+        transpose is a view; reshaping it to the matmul's (kept, closing,
+        rest) operand makes the one copy and drops the view, which frees
+        the old accumulator before the product is computed, so a step
+        holds at most two accumulator-sized arrays.  The node's pinned
+        axes are taken at their entry (0, or a pinning projector's b)
+        before its own transpose, both views of the node."""
         step = self.plan.steps[self._pos]
         acc, self._acc = self._acc, None
         if step.perm is not None:
-            acc = acc.transpose(memoryview(step.perm).cast("H"))
+            acc = acc.transpose(step.perm)
         arr = self._overrides.get(step.node_index)
         if arr is None:
-            arr = _node_array(self.net.nodes[step.node_index])
+            arr = self.net.nodes[step.node_index].legs
         pick = self._picks.get(self._pos, step.pick)
         if pick is not None:
             arr = arr[pick]
-        arr = arr.transpose(step.node_axes)
-        shape = step.shape
+        arr = arr.transpose(step.node_axes).reshape(step.shape)
         if step.form == "mul":
-            out = np.multiply(acc, arr.reshape(shape), order="C")
+            out = np.multiply(acc, arr, order="C")
         else:
-            if step.strides is None:
-                mat = arr.reshape(shape)
-            else:
-                mat = np.zeros(shape, dtype=complex)
-                np.ndarray(arr.shape, complex, mat, 0, step.strides)[...] = arr
-            acc = acc.reshape(shape[0], -1)
-            out = mat.T @ acc
+            acc = acc.reshape(*arr.shape[:-2], arr.shape[-1], -1)
+            out = arr @ acc
         del acc
         axes = step.mem_axes_after
         if out.size != 1 << axes:
@@ -722,7 +710,7 @@ class PlanRunner:
                 f"scheduler bug: step {step.name} left {out.size} entries, "
                 f"plan predicted 2^{axes}"
             )
-        self._acc = out.reshape((2,) * axes)
+        self._acc = out.reshape(_SHAPES[axes])
         self._observed_peak = max(self._observed_peak, axes)
         self._pos += 1
 

@@ -103,7 +103,6 @@ from liomsim.tensor import (
     ExpectationNetwork,
     PlacedTensor,
     PlanRunner,
-    _node_array,
     _wire_sequences,
 )
 from liomsim.truncation import TruncatedInstance
@@ -439,7 +438,7 @@ def naive_network_value(net: ExpectationNetwork) -> complex:
 
     def to_dense(pos: int) -> DenseTensor:
         node = net.nodes[pos]
-        arr = _ZERO if node.data is None else _node_array(node)
+        arr = _ZERO if node.data is None else node.legs
         if node.kind in ("diag", "proj"):
             w = node.width
             full = np.zeros((2,) * (2 * w), dtype=complex)

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import reference_chain_walk
+from test_light_cone import _family_request
 
 from liomsim import simulate, tensor
 from liomsim.errors import FeasibilityError, StructuralError
@@ -107,6 +108,44 @@ def _computed_ops(plan):
         live = {i for i in union if plan.last_step[i] > p}
         out.append((2 ** len(union), len(live)))
     return out
+
+
+def _kernel_ops(plan):
+    """Per step, the multiply-adds of its kernel, read off the operand
+    shapes the runner uses: 2^axes for a broadcast multiply, K·C·Nw·R for
+    a matmul of the (K, Nw, C) node operand and the (K, C, R)
+    accumulator.  Each node operand holds the node's entries, no more."""
+    out, before = [], 1
+    for step in plan.steps:
+        ids = [i for i in plan.node_indices[step.node_index] if plan.last_step[i] >= 0]
+        assert math.prod(step.shape) == 2 ** len(ids)
+        if step.form == "mul":
+            out.append(2**step.mem_axes_after)
+        else:
+            k, nw, c = step.shape if len(step.shape) == 3 else (1, *step.shape)
+            r, rest = divmod(before, k * c)
+            assert not rest and k * nw * r == 2**step.mem_axes_after
+            out.append(k * c * nw * r)
+        before = 2**step.mem_axes_after
+    return out
+
+
+def test_no_step_does_padded_work():
+    # Every kernel does the contraction's multiply-adds and no more: the
+    # chain pass, every light-cone target and the folded sigma^z plans of
+    # the expect_plan family.
+    req = _criterion_6_request(32)
+    _, plan, _ = _cone(req, req.n_sites)
+    conditional_chain(req, seed=0, engine="plan")
+    plans = [plan] + [target.plan for target in req._state.cone_targets.values()]
+    family = _family_request(11)
+    plans += [
+        simulate._observable_network(family, ObservableProduct(p))[1].plan for p in range(1, 33)
+    ]
+    assert len(plans) == 65
+    for p in plans:
+        assert _kernel_ops(p) == [ops for ops, _ in _computed_ops(p)]
+    assert sum(_kernel_ops(plan)) == 12_752_962
 
 
 def test_light_cone_finishes_cost_less_than_one_pass():
@@ -331,6 +370,29 @@ def test_chain_holds_at_most_two_accumulators():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * 16 * 2**plan.peak_mem_axes
+
+
+def test_folded_two_point_function_holds_at_most_two_accumulators():
+    # The one-shot twin of the test above.  A warm <sigma^z_16 sigma^z_18>
+    # folds U~'s outer layers into a gate on sites 14..19; a step that
+    # keeps ids of that gate open batches over them, where a kron(I, g)
+    # padding took a 2048 x 2048 operand (64 MiB) for a 2^13 accumulator.
+    # numpy's ufunc iterator may buffer two operands of a broadcast
+    # multiply, 8192 entries each, whatever the accumulator's size.
+    req = _criterion_6_request(32)
+    obs = ObservableProduct(16, 18)
+    value = expectation(req, obs, engine="plan")
+    network, shot = simulate._observable_network(req, obs)
+    (gate,) = [node for node in network.nodes if node.name == simulate._folded_name(shot.support)]
+    tracemalloc.start()
+    try:
+        assert expectation(req, obs, engine="plan") == value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 16 * 2**shot.plan.peak_mem_axes + gate.data.nbytes + 2 * 16 * 8192
+    full = build_expectation_network(req, obs, prune=False)
+    assert abs(value - tensor.execute(tensor.qubitwise_schedule(full), full)) <= 1e-12
 
 
 def test_light_cone_walk_matches_reference_on_criterion_6_family():

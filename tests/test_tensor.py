@@ -240,7 +240,7 @@ def _magnitude(net):
     bound on the sum of the moduli of the terms the contraction adds."""
     nodes = tuple(
         node if node.data is None
-        else PlacedTensor(node.name, node.kind, node.sites, np.abs(tensor._node_array(node)))
+        else PlacedTensor(node.name, node.kind, node.sites, np.abs(node.legs))
         for node in net.nodes
     )
     return abs(naive_network_value(ExpectationNetwork(net.n_sites, nodes)))
@@ -345,9 +345,9 @@ def test_criterion_6_pass_layout_is_pinned():
     _, (network, plan, _) = _criterion_6_chain_plan(32)
     forms = Counter(step.form for step in plan.steps)
     assert forms == {"matmul": 171, "mul": 49}
-    assert sum(step.perm is not None for step in plan.steps) == 150
-    # Gates and site-block diagonals that keep an id open are padded.
-    assert sum(step.strides is not None for step in plan.steps) == 109
+    assert sum(step.perm is not None for step in plan.steps) == 151
+    # Gates and site-block diagonals that keep an id open batch over it.
+    assert sum(step.form == "matmul" and len(step.shape) == 3 for step in plan.steps) == 109
     # The 64 caps are no steps.  Each of their ids is taken at entry 0 by
     # the one other node that carries it: a wire's first gate or its last
     # mirror, 32 width-2 gates in all.
