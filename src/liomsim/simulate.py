@@ -24,9 +24,14 @@ sites the run was handed.  So the cone of a single site spans a window
 of W's layers, O(r_U + r_J) sites wide whatever the site and N, while
 the cone of sites 1..w holds every site up to w and beyond.  One
 builder, _cone, makes the light-cone network of sites 1..w with an
-identity mark per site; the cone of all N sites is the chain network,
-which the walk contracts once per chain, forking at each site w onto the
-cone of sites 1..w to finish it once per outcome.
+identity mark per site; the cone of all N sites is the chain network.
+The walk does not contract it: once the marks of sites 1..w-1 fix the
+prefix with rank-1 projectors, the network's left part is a ket tensor
+times its conjugate, so the walk contracts only the ket half
+<1...1| D W|0> (_ket), once per chain, and at each site w one einsum
+moves the ket runner and the conjugate of its earlier accumulator onto
+the cone of sites 1..w (_cone_target), which it finishes once per
+outcome.
 
 A one-shot conditional_probability has three marginal sources.  The dense
 route reads the prefix-marginal tree.  The plan route reads an exact
@@ -74,9 +79,10 @@ skips the light-cone walk.  The key and the entry hold no arrays, so
 the cache keeps no request alive.  It is bounded by the plan steps it
 holds, PLAN_CACHE_STEPS (~400 bytes each), and a plan longer than that
 is not stored.  Only prefix cones grow with their site: those of a
-one-shot conditional's fallback share the cache, while those of the
-chain walk stay in their request's state, for chains only, since
-sharing them would keep O(N^2) plan data in the process.
+one-shot conditional's fallback share the cache, while the chain walk
+keeps in its request's state its ket half and, per site, only the tail
+of the site's cone from its mark on, whose size does not grow with the
+site, so a request holds O(N) plan data for its chains.
 """
 
 from __future__ import annotations
@@ -107,6 +113,7 @@ from .tensor import (
     ForkTarget,
     PlacedTensor,
     PlanRunner,
+    _axes_before,
     open_leg_bound,
     qubitwise_schedule,
 )
@@ -248,7 +255,7 @@ class _RequestState:
     w: W | None = None
     psi: np.ndarray | None = None
     prefix_tree: list[np.ndarray] | None = None
-    cones: dict[int, tuple] = field(default_factory=dict)
+    ket: tuple | None = None
     cone_targets: dict[int, ForkTarget] = field(default_factory=dict)
     mps: MatrixProductState | _Refused | None = None
     mps_bonds: tuple[int, ...] | None = None
@@ -351,13 +358,16 @@ def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
 
 @functools.cache
 def _wire_node(kind: str, w: int) -> PlacedTensor:
-    """The ket cap, bra cap, identity mark ("diag") or basis projector
-    ("proj0", "proj1") of wire w.  Every network holds the same object, as
-    it holds the same W factors and mirrors, so _cone_target can match
-    nodes by identity.  Both projectors of a wire are named P[w]: a plan
-    never depends on their bit (see the tensor module)."""
+    """The ket cap, bra cap, identity mark ("diag"), basis projector
+    ("proj0", "proj1") or cap of ones ("ones", the bra cap <0| + <1| that
+    sums the ket half's wire) of wire w.  Every network holds the same
+    object, as it holds the same W factors and mirrors, so _cone_move can
+    match nodes by identity.  Both projectors of a wire are named P[w]: a
+    plan never depends on their bit (see the tensor module)."""
     if kind == "diag":
         return PlacedTensor(f"I[{w}]", "diag", (w,), np.ones(2, dtype=complex))
+    if kind == "ones":
+        return PlacedTensor(f"1[{w}]", "cap_bra", (w,), np.ones(2, dtype=complex))
     if kind.startswith("proj"):
         return PlacedTensor(f"P[{w}]", "proj", (w,), _DIAGS[kind])
     return PlacedTensor(f"{kind[4:]}[{w}]", kind, (w,), None)
@@ -580,51 +590,109 @@ def build_expectation_network(
 def _cone(req: SimulationRequest, site: int):
     """Light-cone network of sites 1..site with an identity diagonal (mark)
     on each of them, its qubit-wise plan, and the node position of each
-    mark by site; kept in the request's state, for the chain walk only.
-
-    Overriding marks 1..site with projectors turns the network into the
-    marginal P(z_1..z_site).  Every W factor meets some site, so
-    _cone(req, N) is the unpruned chain network: the chain walk runs its
-    plan once from the left, overriding each mark once its outcome is
-    chosen, and forks onto _cone_target's smaller cones for the
-    marginals."""
-    cones = req._state.cones
-    hit = cones.get(site)
-    if hit is None:
-        diags = [_wire_node("diag", w) for w in range(1, site + 1)]
-        network = _closed_network(req, _kept(_light_cone(req, range(1, site + 1))), diags)
-        where = {id(node): pos for pos, node in enumerate(network.nodes)}
-        marks = {w: where[id(node)] for w, node in enumerate(diags, 1)}
-        hit = cones[site] = (network, qubitwise_schedule(network), marks)
-    return hit
+    mark by site.  Overriding marks 1..site with projectors turns the
+    network into the marginal P(z_1..z_site).  Every W factor meets some
+    site, so _cone(req, N) is the unpruned chain network.  Nothing keeps
+    it: the chain walk keeps only each cone's tail (_cone_target)."""
+    diags = [_wire_node("diag", w) for w in range(1, site + 1)]
+    network = _closed_network(req, _kept(_light_cone(req, range(1, site + 1))), diags)
+    where = {id(node): pos for pos, node in enumerate(network.nodes)}
+    marks = {w: where[id(node)] for w, node in enumerate(diags, 1)}
+    return network, qubitwise_schedule(network), marks
 
 
-def _cone_target(req: SimulationRequest, runner: PlanRunner, site: int) -> ForkTarget:
-    """Where the chain runner, paused just before mark `site`, continues to
-    get the marginals of sites 1..site: the plan of _cone(req, site) from
-    its own mark `site` on; kept in the request's state.
+def _ket(req: SimulationRequest):
+    """The ket half <1...1| D W|0> the chain walk contracts: a ket cap
+    per wire (the one of site w at position w-1), W's factors, a mark D_w
+    per site (an identity diagonal) and a cap of ones per wire; its
+    qubit-wise plan, and the node position of each mark by site.  Kept in
+    the request's state.
 
-    Every node the runner has absorbed lies in that light cone, so up to
-    the mark both plans absorb the same nodes in the same order; they
-    differ only in that removing a W...W^dag segment merges the indices on
-    either side of it.  The runner gives the chain network and plan, and
-    the order of its open ids, which the chain plan fixes."""
+    Setting marks 1..w-1 to e_b / sqrt(v), the chosen outcome over the
+    square root of its conditional, makes the runner's accumulator at
+    mark w a ket tensor K<=w, whose conjugate, taken where site w's group
+    starts, gives the mirror half: so the left part of the chain network,
+    whose marks are |b><b| / v, is K<=w (x) conj(K<=w-1) (_cone_move).
+    The network carries no radii: the open-leg bound is that of the
+    double network."""
+    state = req._state
+    if state.ket is None:
+        n, w = req.n_sites, _w(req)
+        nodes = (
+            [_wire_node("cap_ket", s) for s in range(1, n + 1)]
+            + w.nodes
+            + [_wire_node("diag", s) for s in range(1, n + 1)]
+            + [_wire_node("ones", s) for s in range(1, n + 1)]
+        )
+        network = ExpectationNetwork(n_sites=n, nodes=tuple(nodes))
+        marks = {s: n + len(w.nodes) + s - 1 for s in range(1, n + 1)}
+        state.ket = (network, qubitwise_schedule(network), marks)
+    return state.ket
+
+
+def _cone_move(req: SimulationRequest, site: int) -> ForkTarget:
+    """The two-operand target on the full plan of _cone(req, site), from
+    its mark `site` on, for the ket-half runner paused at its own mark
+    `site` and holding its accumulator from where site's group starts.
+
+    Every factor the runner has absorbed meets sites 1..site, so it lies
+    in the cone, and up to its mark the cone's plan absorbs just those
+    nodes, marks 1..site-1 and the mirrors of the factors absorbed when
+    the runner held.  Ids map wire by wire through the nodes both
+    networks hold: each id the runner holds maps to the cone id of the
+    same node's same axis, each id the held accumulator holds to the cone
+    id of the mirror's axis across from it (a gate's out id to its
+    mirror's in id, and back), and a mark's id, between the ket and the
+    mirror half, is one.  The caps of ones are no cone nodes; they close
+    their wire's id only after its mark does."""
+    ket, ket_plan, ket_marks = _ket(req)
+    network, plan, marks = _cone(req, site)
+    w = _w(req)
+    where = {id(node): pos for pos, node in enumerate(network.nodes)}
+    mirror_of = {id(node): mirror for node, mirror in zip(w.nodes, w.mirrors)}
+    cut, held = ket_plan.step_of[ket_marks[site]], ket_plan.step_of[site - 1]
+    ids: dict[int, int] = {}
+    conj: dict[int, int] = {}
+    # The cone nodes the head of its plan must absorb, counted.
+    absorbed = 0
+    for p, step in enumerate(ket_plan.steps[:cut]):
+        node = ket.nodes[step.node_index]
+        if node.kind == "cap_bra":
+            continue
+        pairs = [(node, False)]
+        if p < held and id(node) in mirror_of:
+            pairs.append((mirror_of[id(node)], True))
+        for cone_node, mirrored in pairs:
+            if id(cone_node) not in where:
+                raise AssertionError(f"light cone of sites 1..{site} misses an absorbed node")
+            mine = ket_plan.node_indices[step.node_index]
+            theirs = plan.node_indices[where[id(cone_node)]]
+            if mirrored and node.kind == "gate":
+                theirs = theirs[node.width :] + theirs[: node.width]
+            (conj if mirrored else ids).update(zip(mine, theirs))
+            absorbed += 1
+    start = plan.step_of[marks[site]]
+    if start != absorbed:
+        raise AssertionError(f"light cone of sites 1..{site} absorbs other nodes before its mark")
+    return ForkTarget(
+        network,
+        plan,
+        start,
+        {i: ids[i] for i in _axes_before(ket_plan, cut)},
+        {i: conj[i] for i in _axes_before(ket_plan, held)},
+    )
+
+
+def _cone_target(req: SimulationRequest, site: int) -> ForkTarget:
+    """Where the ket-half runner, paused at mark `site`, continues to get
+    the marginals of sites 1..site: the tail of _cone_move's target, which
+    keeps only what the move and the finish read, so a request holds O(N)
+    plan data for its chains rather than O(N^2); kept in the request's
+    state.  Size refusals carry the route advice."""
     targets = req._state.cone_targets
     hit = targets.get(site)
-    if hit is not None:
-        return hit
-    chain, chain_plan = runner.net, runner.plan
-    network, plan, _ = _cone(req, site)
-    cut = runner.position
-    head = list(zip(chain_plan.steps[: cut + 1], plan.steps[: cut + 1]))
-    if len(head) != cut + 1 or any(
-        chain.nodes[a.node_index] is not network.nodes[b.node_index] for a, b in head
-    ):
-        raise AssertionError(f"light cone of sites 1..{site} misses an absorbed node")
-    ids: dict[int, int] = {}
-    for a, b in head[:cut]:
-        ids.update(zip(chain_plan.node_indices[a.node_index], plan.node_indices[b.node_index]))
-    hit = targets[site] = ForkTarget(network, plan, cut, {i: ids[i] for i in runner.open_ids})
+    if hit is None:
+        hit = targets[site] = _advised(req, lambda: _cone_move(req, site).tail())
     return hit
 
 
@@ -675,10 +743,15 @@ _PLANS = _PlanCache()
 
 
 def _runner(req: SimulationRequest, plan: ContractionPlan, network) -> PlanRunner:
-    """PlanRunner for a plan-route contraction.  Its size refusals gain the
-    route advice the tensor layer cannot give."""
+    """PlanRunner for a plan-route contraction, its size refusals advised."""
+    return _advised(req, lambda: PlanRunner(plan, network))
+
+
+def _advised(req: SimulationRequest, build: Callable):
+    """build(), whose size refusals gain the route advice the tensor layer
+    cannot give."""
     try:
-        return PlanRunner(plan, network)
+        return build()
     except FeasibilityError as exc:
         n, cap = req.n_sites, _dense_cap()
         advice = (
@@ -970,26 +1043,37 @@ def _outcome_pair(runner: PlanRunner, mark: int) -> tuple[complex, complex]:
 
 
 class _PlanMarginals:
-    """Plan-route marginal source for exactly one branch.  The runner holds
-    the left part of the chain network with marks 1..w-1 set to the chosen
-    projectors, each divided by its own conditional, so site w's two
-    marginals are the conditionals v_b = P(z_w = b | prefix), from the
-    outcome pair of a fork onto the light-cone target."""
+    """Plan-route marginal source for exactly one branch.  The runner
+    contracts the ket half (_ket) with marks 1..w-1 set to the chosen
+    outcomes e_b, each over the square root of its own conditional, so
+    site w's two marginals are the conditionals v_b = P(z_w = b | prefix),
+    from the outcome pair of a fork onto the light-cone target that takes
+    the runner at mark w and the conjugate of its accumulator where site
+    w's group starts."""
 
     def __init__(self, req: SimulationRequest) -> None:
-        network, plan, self.marks = _cone(req, req.n_sites)
+        network, plan, self.marks = _ket(req)
         self.req = req
         self.runner = _runner(req, plan, network)
 
-    def conditionals(self, site: int, live: np.ndarray) -> np.ndarray:
+    def pause(self, site: int) -> PlanRunner:
+        """The runner at mark `site`, holding its accumulator from where
+        the site's group starts, at the site's ket cap."""
         runner = self.runner
+        runner.run_to(runner.plan.step_of[site - 1])
+        runner.hold()
         runner.run_to(runner.plan.step_of[self.marks[site]])
-        cone = runner.fork(_cone_target(self.req, runner, site))
-        v0, v1 = _outcome_pair(cone, _cone(self.req, site)[2][site])
+        return runner
+
+    def conditionals(self, site: int, live: np.ndarray) -> np.ndarray:
+        cone = self.pause(site).fork(_cone_target(self.req, site))
+        # A cone's tail starts at its mark.
+        v0, v1 = _outcome_pair(cone, cone.plan.steps[cone.position].node_index)
         return np.array([[v0], [v1]])
 
     def fix(self, site: int, live: np.ndarray, bits: np.ndarray, values: np.ndarray) -> None:
-        self.runner.set_override(self.marks[site], _DIAGS[f"proj{int(bits[0])}"] / values[0])
+        mark = _DIAGS[f"proj{int(bits[0])}"] / math.sqrt(values[0])
+        self.runner.set_override(self.marks[site], mark)
 
 
 class _DenseMarginals:

@@ -57,16 +57,25 @@ each step takes one of two forms:
 New axes go in order of next use, soonest first.  Only a matmul step
 whose touched block is not so laid out in front transposes first: the
 block moves there and the other axes follow in order of their next use.
-Leading blocks keep multiplies' inner loops long.  Moving an accumulator
-onto a fork target is the one einsum left; it writes the target plan's
-axis order.  A network of caps alone is an empty plan of value 1.
+Leading blocks keep multiplies' inner loops long.  A network of caps
+alone is an empty plan of value 1.
+
+Moving onto a fork target is the one einsum left; it writes the target
+plan's axis order at the target's start.  It moves one accumulator, or
+two: the chain walk contracts only the ket half <1...1| D W|0> of its
+network, whose marks D fix the prefix with rank-1 projectors, so the
+left part of the double network <0|W^dag D W|0> at a site's mark is the
+ket runner's accumulator there times the conjugate of the one it held
+where the site's group started, and one einsum over the pair writes it.
+A target can keep only its tail, the steps from its start on, as a plan
+whose accumulator starts from a head of open ids, not from a scalar.
 """
 
 from __future__ import annotations
 
 import copy
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -211,6 +220,8 @@ class ContractionPlan:
         when the plan has no steps).
     axes: the accumulator's ids after every step, in axis order, one step
         after the other; step p's order ends at axes_end[p].
+    head: the accumulator's ids before step 0: none for a schedule, the
+        axis order at the cut for a tail (see ForkTarget.tail).
     """
 
     steps: list[PlanStep]
@@ -225,6 +236,7 @@ class ContractionPlan:
     r_j: int | None
     axes: array
     axes_end: array
+    head: tuple[int, ...] = ()
 
 
 def _wire_sequences(net: ExpectationNetwork) -> dict[int, list[int]]:
@@ -426,10 +438,11 @@ def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], a
     held = [False] * n_ids
     acc: list[int] = []
     out = []
-    # Plans stay cached: a chain walk's cones on their request, one-shot
-    # plans in the simulate module's bounded cache, evicted least recently
-    # used first.  So a plan shares its equal small fields and packs its
-    # axis orders into one array rather than one tuple per step.
+    # Plans stay cached: a chain walk's ket half and cone tails on their
+    # request, one-shot plans in the simulate module's bounded cache,
+    # evicted least recently used first.  So a plan shares its equal small
+    # fields and packs its axis orders into one array rather than one
+    # tuple per step.
     flat = array("I")
     shared: dict = {}
 
@@ -493,25 +506,34 @@ def _einsum(out: Sequence[int], *operands: tuple[np.ndarray, Sequence[int]]) -> 
 def _axes_before(plan: ContractionPlan, pos: int) -> tuple[int, ...]:
     """The accumulator's ids, in axis order, before step pos of the plan."""
     if not pos:
-        return ()
+        return plan.head
     end = plan.axes_end[pos - 1]
     return tuple(plan.axes[end - plan.steps[pos - 1].mem_axes_after : end])
 
 
-def _check_plan(plan: ContractionPlan, net: ExpectationNetwork) -> None:
-    """Refuse a plan the runner cannot execute: one built for another
-    network, or one whose peak exceeds MAX_EXEC_AXES (no step calls
-    einsum, so no step is bounded by its labels).  The plan's dense-leg
-    peak is checked against the analytic bound when the network carries
-    its radii; a failure there is an internal assertion error, not a user
-    error."""
+def _peak_from(plan: ContractionPlan, start: int) -> int:
+    """The most axes the accumulator holds from step `start` on, the
+    order a move writes there included."""
+    if not start:
+        return plan.peak_mem_axes
+    return max(step.mem_axes_after for step in plan.steps[start - 1 :])
+
+
+def _check_plan(plan: ContractionPlan, net: ExpectationNetwork, start: int = 0) -> None:
+    """Refuse a plan the runner cannot execute from step `start` on: one
+    built for another network, or one whose peak from there exceeds
+    MAX_EXEC_AXES (no step calls einsum, so no step is bounded by its
+    labels).  The plan's dense-leg peak is checked against the analytic
+    bound when the network carries its radii; a failure there is an
+    internal assertion error, not a user error."""
     if len(net.nodes) != len(plan.node_indices):
         raise StructuralError(
             "plan was produced for a different network (node count differs)"
         )
-    if plan.peak_mem_axes > MAX_EXEC_AXES:
+    peak = _peak_from(plan, start)
+    if peak > MAX_EXEC_AXES:
         raise FeasibilityError(
-            f"contraction needs 2^{plan.peak_mem_axes} intermediate entries, above the "
+            f"contraction needs 2^{peak} intermediate entries, above the "
             f"2^{MAX_EXEC_AXES} engine cap"
         )
     if plan.r_u is not None and plan.r_j is not None:
@@ -523,62 +545,129 @@ def _check_plan(plan: ContractionPlan, net: ExpectationNetwork) -> None:
             )
 
 
+def _operand(plan: ContractionPlan, ids: dict[int, int]) -> tuple[tuple | None, tuple[int, ...]]:
+    """The pick of a move's operand whose open ids map to plan ids as
+    given: entry 0 of each axis whose plan id the plan pins, or None;
+    and the plan ids of its other axes, its einsum labels."""
+    pinned = [plan.index_endpoints[b] == 0 for b in ids.values()]
+    return _entry_0(pinned), tuple(b for b, pin in zip(ids.values(), pinned) if not pin)
+
+
 @dataclass(frozen=True)
 class ForkTarget:
     """A smaller network whose plan a runner stopped between steps can continue on.
 
-    The plan's first `start` steps absorb the nodes the runner has
-    absorbed, in the same order, except that where a W...W^dag segment was
-    removed from a wire the ids on either side of it are one.  `ids` maps
-    the runner's open ids, in axis order, to plan ids; moving the
-    accumulator takes entry 0 of an axis whose plan id the plan pins (a
-    removed segment can join an id the runner holds to the id of a cap
-    without data), and then the diagonal or the trace of two that map to
-    one.  An id the plan
-    holds open at `start` must come from one the runner holds: an id the
-    runner's own plan pinned is refused, not reopened.  So is a move that
-    takes a pinned entry onto a plan where projectors pin, whose entry
-    there may be a projector's b.
-    The plan is checked, as PlanRunner checks its own, once, when the
-    target is built, and so is the move: its einsum takes one label per
-    distinct plan id it keeps, and numpy accepts at most 52.
+    The plan's first `start` steps absorb what the runner has absorbed,
+    except that where a W...W^dag segment was removed from a wire the ids
+    on either side of it are one.  `ids` maps the runner's open ids, in
+    axis order, to plan ids.  A two-operand target also has `conj_ids`,
+    for a runner that contracts the ket half of a network whose bra half
+    is its mirror image: they map the open ids of an accumulator the
+    runner held earlier (PlanRunner.hold), in axis order, to the plan ids
+    of the mirror nodes, and the move takes that accumulator's conjugate
+    as its second operand.  The plan's first `start` steps then absorb
+    the nodes the runner has absorbed and the mirrors of those absorbed
+    when it held.
 
-    pick: the index that takes entry 0 of the runner's axes whose plan id
-        is pinned, or None; labels: the plan ids of the other axes.  Both
-        are worked out from the fields.
+    Moving takes entry 0 of an operand's axis whose plan id the plan pins
+    (a removed segment can join an id the runner holds to the id of a cap
+    without data), and then, in one einsum, the product over ids two axes
+    map to, the diagonal of those the plan keeps open at `start` and the
+    trace of the others.  An id the plan holds open at `start` must come
+    from one an operand holds: an id the runner's own plan pinned is
+    refused, not reopened.  So is a move that takes a pinned entry onto a
+    plan where projectors pin, whose entry there may be a projector's b.
+    The plan is checked from `start` on, as PlanRunner checks its own,
+    once, when the target is built, and so is the move: its einsum takes
+    one label per distinct plan id it keeps, and numpy accepts at most 52.
+    The steps before `start` never run on a target, so their peak does
+    not count.
+
+    pick, conj_pick: the index that takes entry 0 of an operand's axes
+        whose plan id is pinned, or None; labels, conj_labels: the plan
+        ids of the other axes.  All are worked out from the fields.
     """
 
     network: ExpectationNetwork
     plan: ContractionPlan
     start: int
     ids: dict[int, int]
+    conj_ids: dict[int, int] | None = None
     pick: tuple | None = field(init=False, repr=False, compare=False)
     labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    conj_pick: tuple | None = field(init=False, repr=False, compare=False)
+    conj_labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_plan(self.plan, self.network)
-        pinned = [self.plan.index_endpoints[b] == 0 for b in self.ids.values()]
-        labels = tuple(b for b, pin in zip(self.ids.values(), pinned) if not pin)
-        n_labels = len(set(labels))
+        _check_plan(self.plan, self.network, self.start)
+        pick, labels = _operand(self.plan, self.ids)
+        conj_pick, conj_labels = _operand(self.plan, self.conj_ids or {})
+        n_labels = len(set(labels + conj_labels))
         if n_labels > MAX_EINSUM_LABELS:
             raise FeasibilityError(
                 f"the fork move onto step {self.start} needs {n_labels} einsum labels, "
                 f"above the {MAX_EINSUM_LABELS} numpy accepts"
             )
-        missing = sorted(set(_axes_before(self.plan, self.start)) - set(labels))
+        missing = sorted(set(_axes_before(self.plan, self.start)).difference(labels, conj_labels))
         if missing:
             raise StructuralError(
                 f"fork target's plan keeps an id the runner does not hold (plan ids {missing}); "
                 "the runner's plan pins such an id or has not opened it"
             )
-        pick = _entry_0(pinned)
-        if pick is not None and self.plan.pins:
+        if (pick is not None or conj_pick is not None) and self.plan.pins:
             raise StructuralError(
                 "fork move takes a pinned entry onto a plan where projectors pin: "
                 "the entry may be a projector's b, not 0"
             )
         object.__setattr__(self, "pick", pick)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "conj_pick", conj_pick)
+        object.__setattr__(self, "conj_labels", conj_labels)
+
+    def tail(self) -> "ForkTarget":
+        """The same move and finish, keeping only what they read from
+        `start` on: the plan's steps from `start`, numbered from 0, the
+        nodes they absorb and the projectors they read, and the ids those
+        and the operands carry, numbered in order of first use from the
+        axis order at `start`, which becomes the tail plan's head.  The
+        order of every axis list is kept, so moving onto the tail and
+        finishing gives the bits of moving onto this target and finishing.
+        A tail is no schedule: it keeps the plan's dense-leg peak, its
+        memory peak is the most axes it holds from `start` on, its
+        index_endpoints, as the plan's, count the carriers before `start`
+        too, and its last_step is -1 for an id no step of it carries."""
+        plan, start = self.plan, self.start
+        steps = plan.steps[start:]
+        pins = [(pos, p - start, k) for pos, p, k in plan.pins if p >= start]
+        kept = sorted({step.node_index for step in steps}.union(pos for pos, _, _ in pins))
+        node_of = {pos: i for i, pos in enumerate(kept)}
+        head = _axes_before(plan, start)
+        carried = [i for pos in kept for i in plan.node_indices[pos]]
+        moved = [*self.ids.values(), *(self.conj_ids or {}).values()]
+        new: dict[int, int] = {}
+        for idx in head + tuple(carried + moved):
+            new.setdefault(idx, len(new))
+        old = list(new)
+        offset = plan.axes_end[start - 1] if start else 0
+        tail = ContractionPlan(
+            steps=[replace(step, node_index=node_of[step.node_index]) for step in steps],
+            node_indices=[tuple(new[i] for i in plan.node_indices[pos]) for pos in kept],
+            index_endpoints=[plan.index_endpoints[i] for i in old],
+            last_step=[max(plan.last_step[i] - start, -1) for i in old],
+            step_of=[max(plan.step_of[pos] - start, 0) for pos in kept],
+            pins=tuple((node_of[pos], p, k) for pos, p, k in pins),
+            peak_open_legs=plan.peak_open_legs,
+            peak_mem_axes=_peak_from(plan, start),
+            r_u=plan.r_u,
+            r_j=plan.r_j,
+            axes=array("I", [new[i] for i in plan.axes[offset:]]),
+            axes_end=array("I", [end - offset for end in plan.axes_end[start:]]),
+            head=tuple(new[i] for i in head),
+        )
+        net = self.network
+        network = replace(net, nodes=tuple(net.nodes[pos] for pos in kept))
+        conj = None if self.conj_ids is None else {i: new[b] for i, b in self.conj_ids.items()}
+        return ForkTarget(network, tail, 0, {i: new[b] for i, b in self.ids.items()}, conj)
 
 
 class PlanRunner:
@@ -604,11 +693,16 @@ class PlanRunner:
     Beyond one-shot execution the runner can pause between steps, fork
     (duplicate the partial contraction), and override the values of
     diagonal nodes not yet absorbed.  A fork may also move onto a
-    ForkTarget, a network over fewer nodes that finishes the same value.
-    The chain-rule sampler leans on all of this: the shared left part of
-    the chain is contracted once, and each site's marginals come from
-    forks that move onto the site's light-cone network and finish only its
-    remaining nodes.
+    ForkTarget, a network over fewer nodes that finishes the same value,
+    and a runner that holds an earlier accumulator (hold) may move onto a
+    two-operand target, which takes that accumulator's conjugate as well.
+    The chain-rule sampler leans on all of this.  Once projectors fix the
+    prefix, the left part of <0|W^dag (.) W|0> is a ket tensor times its
+    own conjugate (Ferris & Vidal, PRB 85, 165146, 2012), so one runner
+    contracts only the ket half, once per chain; at each site it holds
+    its accumulator where the site's group starts, pauses at the site's
+    mark, and a fork moves the pair onto the site's light-cone network
+    and finishes only its remaining nodes.
     """
 
     def __init__(self, plan: ContractionPlan, net: ExpectationNetwork) -> None:
@@ -624,6 +718,7 @@ class PlanRunner:
         self._acc = acc
         self._observed_peak = acc.ndim
         self._overrides: dict[int, np.ndarray] = {}
+        self._held: tuple[tuple[int, ...], np.ndarray] | None = None
         self._picks = _bit_picks(plan, net)
 
     @property
@@ -640,6 +735,12 @@ class PlanRunner:
         """Index ids of the accumulator's axes, in axis order."""
         return _axes_before(self.plan, self._pos)
 
+    def hold(self) -> None:
+        """Keep the accumulator where the runner stands, and its open ids,
+        as the operand a two-operand move conjugates.  It is shared, not
+        copied: no step writes into an accumulator."""
+        self._held = (self.open_ids, self._acc)
+
     def fork(self, target: ForkTarget | None = None) -> "PlanRunner":
         """Duplicate the partial contraction.  The twin shares this runner's
         accumulator rather than copying it: no step writes into an
@@ -648,11 +749,13 @@ class PlanRunner:
         too, so a fork copies no per-index state.
 
         With a target, the twin continues the target's plan at its start:
-        the accumulator takes entry 0 of the axes whose target id is
-        pinned, and one einsum moves it onto the target's ids, in the axis
-        order the target's plan has there, and takes the trace of ids no
-        carrier from the start on needs.  The twin starts without
-        overrides, which name nodes of this runner's network."""
+        each operand, the accumulator and for a two-operand target the
+        conjugate of the held one, takes entry 0 of the axes whose target
+        id is pinned, and one einsum moves them onto the target's ids, in
+        the axis order the target's plan has there, taking the product
+        over ids both carry and the trace of ids no carrier from the start
+        on needs.  The twin starts without overrides, which name nodes of
+        this runner's network, and holds nothing."""
         if target is None:
             twin = copy.copy(self)
             twin._overrides = dict(self._overrides)
@@ -661,9 +764,17 @@ class PlanRunner:
             raise StructuralError(
                 "fork target was built for a different point of the contraction"
             )
-        twin = PlanRunner.__new__(PlanRunner)
         acc = self._acc if target.pick is None else self._acc[target.pick]
-        acc = _einsum(_axes_before(target.plan, target.start), (acc, target.labels))
+        operands = [(acc, target.labels)]
+        if target.conj_ids is not None:
+            if self._held is None or tuple(target.conj_ids) != self._held[0]:
+                raise StructuralError(
+                    "two-operand fork target was built for another held accumulator"
+                )
+            held = self._held[1] if target.conj_pick is None else self._held[1][target.conj_pick]
+            operands.append((held.conj(), target.conj_labels))
+        acc = _einsum(_axes_before(target.plan, target.start), *operands)
+        twin = PlanRunner.__new__(PlanRunner)
         twin._resume(target.plan, target.network, target.start, np.asarray(acc, order="C"))
         return twin
 

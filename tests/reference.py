@@ -20,6 +20,15 @@ such caps are no steps; of the other indices, one that a basis projector
 sits on is pinned by the first such projector in application order, which
 is no step either.  The library's scheduler must give the same plans.
 
+reference_double_walk is the plan-route chain walk liomsim ran before it
+contracted the ket half: one runner on the double network
+<0|W^dag (marks) W|0> of all N sites, each decided mark overridden with
+|b><b| over its conditional, paused at every mark and forked onto the
+full plan of the site's light cone (reference_cone_move), whose ids it
+maps through the nodes both plans absorb in the same order.  The
+library's walk must give the same bits, the same p0 to rounding and, at
+every site, the same moved accumulator.
+
 reference_light_cone is the light cone liomsim used before it walked W's
 commuting runs: one factor at a time from last applied to first, growing
 the support after every kept factor.  Its cones are larger but plainly
@@ -98,9 +107,19 @@ from liomsim.model import (
     placement_sites,
 )
 from liomsim.mps import MatrixProductState, _ascending, _block, _Centre
-from liomsim.simulate import IMAG_TOL, NORM_TOL, ChainResult, _cone, _prefix_tree
+from liomsim.simulate import (
+    IMAG_TOL,
+    NORM_TOL,
+    ChainResult,
+    _checked,
+    _cone,
+    _outcome_pair,
+    _prefix_tree,
+    _uniforms,
+)
 from liomsim.tensor import (
     ExpectationNetwork,
+    ForkTarget,
     PlacedTensor,
     PlanRunner,
     _wire_sequences,
@@ -152,6 +171,70 @@ def reference_chain_walk(
         runner.set_override(mark_nodes[site], _PROJ[bit])
         den = val0 if bit == 0 else max(den - val0, 0.0)
     return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
+
+
+def reference_cone_move(req, runner: PlanRunner, site: int) -> tuple[ForkTarget, int]:
+    """The target of the double-network runner, paused at its mark
+    `site`, on the full plan of _cone(req, site) from the cone's own mark
+    on, and the mark's node position in the cone.  Up to the mark both
+    plans absorb the same nodes in the same order; removing a W...W^dag
+    segment merges the ids on either side of it."""
+    chain, chain_plan = runner.net, runner.plan
+    network, plan, marks = _cone(req, site)
+    cut = runner.position
+    head = list(zip(chain_plan.steps[: cut + 1], plan.steps[: cut + 1]))
+    if len(head) != cut + 1 or any(
+        chain.nodes[a.node_index] is not network.nodes[b.node_index] for a, b in head
+    ):
+        raise AssertionError(f"light cone of sites 1..{site} misses an absorbed node")
+    ids: dict[int, int] = {}
+    for a, b in head[:cut]:
+        ids.update(zip(chain_plan.node_indices[a.node_index], plan.node_indices[b.node_index]))
+    target = ForkTarget(network, plan, cut, {i: ids[i] for i in runner.open_ids})
+    return target, marks[site]
+
+
+def reference_double_walk(
+    req,
+    bits: Sequence[int] | str | None = None,
+    seed: int | None = None,
+    moves: list | None = None,
+    targets: dict | None = None,
+) -> ChainResult:
+    """One branch of the chain rule on the double network, by the rules of
+    the library's walk: the coins of conditional_chain, p0 = v0 / (v0 + v1)
+    with the sum checked against 1, and p0 = 1 after a chosen conditional
+    of exactly 0.  Each moved accumulator is appended to `moves` when
+    given; `targets` caches each site's target across calls on one
+    request."""
+    n = req.n_sites
+    if bits is None:
+        coins = _uniforms(seed, 0, 1, n)[0]
+    else:
+        coins = np.where(np.array([int(b) for b in bits], dtype=bool), np.inf, -np.inf)
+    network, plan, marks = _cone(req, n)
+    runner = PlanRunner(plan, network)
+    targets = {} if targets is None else targets
+    probs = [1.0] * n
+    for site in range(1, n + 1):
+        runner.run_to(plan.step_of[marks[site]])
+        if site not in targets:
+            targets[site] = reference_cone_move(req, runner, site)
+        target, mark = targets[site]
+        cone = runner.fork(target)
+        if moves is not None:
+            moves.append(cone._acc)
+        v0, v1 = (_checked(v, f"site {site} marginal") for v in _outcome_pair(cone, mark))
+        if abs(v0 + v1 - 1.0) > NORM_TOL:
+            raise NumericalIntegrityError(f"site {site} marginals sum to {v0 + v1!r}")
+        probs[site - 1] = v0 / (v0 + v1)
+        bit = int(coins[site - 1] >= probs[site - 1])
+        value = (v0, v1)[bit]
+        if value == 0.0:
+            break
+        runner.set_override(marks[site], _PROJ[bit] / value)
+    out = "".join("01"[int(c >= p)] for c, p in zip(coins, probs))
+    return ChainResult(out, tuple(probs))
 
 
 def reference_light_cone(w_list: Sequence[PlacedTensor], support) -> list[bool]:

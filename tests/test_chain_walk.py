@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_chain_walk
+from reference import reference_chain_walk, reference_double_walk
 from test_light_cone import _family_request
 
 from liomsim import simulate, tensor
@@ -27,7 +27,10 @@ from liomsim.simulate import (
     ObservableProduct,
     SimulationRequest,
     _cone,
+    _cone_move,
     _cone_target,
+    _ket,
+    _PlanMarginals,
     _evolved_tensor,
     _light_cone,
     _w,
@@ -100,8 +103,8 @@ def _computed_ops(plan):
     """Per step, 2^|accumulator ids + node ids| and the live axes after it,
     read from the plan's closing steps: an id stays live after step p
     while its last carrier comes later.  Pinned ids (last step -1) are no
-    axis of either operand."""
-    live: set[int] = set()
+    axis of either operand.  A tail starts from the ids of its head."""
+    live: set[int] = set(plan.head)
     out = []
     for p, step in enumerate(plan.steps):
         union = live.union(i for i in plan.node_indices[step.node_index] if plan.last_step[i] >= 0)
@@ -115,7 +118,7 @@ def _kernel_ops(plan):
     shapes the runner uses: 2^axes for a broadcast multiply, K·C·Nw·R for
     a matmul of the (K, Nw, C) node operand and the (K, C, R)
     accumulator.  Each node operand holds the node's entries, no more."""
-    out, before = [], 1
+    out, before = [], 2 ** len(plan.head)
     for step in plan.steps:
         ids = [i for i in plan.node_indices[step.node_index] if plan.last_step[i] >= 0]
         assert math.prod(step.shape) == 2 ** len(ids)
@@ -132,39 +135,42 @@ def _kernel_ops(plan):
 
 def test_no_step_does_padded_work():
     # Every kernel does the contraction's multiply-adds and no more: the
-    # chain pass, every light-cone target and the folded sigma^z plans of
-    # the expect_plan family.
+    # unpruned chain network, the ket half, every light-cone target's tail
+    # and the folded sigma^z plans of the expect_plan family.
     req = _criterion_6_request(32)
     _, plan, _ = _cone(req, req.n_sites)
     conditional_chain(req, seed=0, engine="plan")
-    plans = [plan] + [target.plan for target in req._state.cone_targets.values()]
+    plans = [plan, _ket(req)[1]] + [target.plan for target in req._state.cone_targets.values()]
     family = _family_request(11)
     plans += [
         simulate._observable_network(family, ObservableProduct(p))[1].plan for p in range(1, 33)
     ]
-    assert len(plans) == 65
+    assert len(plans) == 66
     for p in plans:
         assert _kernel_ops(p) == [ops for ops, _ in _computed_ops(p)]
     assert sum(_kernel_ops(plan)) == 12_752_962
 
 
 def test_light_cone_finishes_cost_less_than_one_pass():
+    # A whole chain, the ket-half pass and every site's move and two
+    # finishes, computes fewer entries than one pass over the chain network.
     req = _criterion_6_request(32)
     _, plan, _ = _cone(req, req.n_sites)
     one_pass = sum(ops for ops, _ in _computed_ops(plan))
     conditional_chain(req, seed=0, engine="plan")
     targets = req._state.cone_targets
     assert sorted(targets) == list(range(1, 33))
-    finishes = 0
+    chain = sum(ops for ops, _ in _computed_ops(_ket(req)[1]))
     for target in targets.values():
+        assert target.start == 0
         costs = _computed_ops(target.plan)
         assert [axes for _, axes in costs] == [s.mem_axes_after for s in target.plan.steps]
         assert max(axes for _, axes in costs) <= plan.peak_mem_axes
-        # The move onto the target's ids runs once per site, the steps from
-        # target.start on once per outcome.
-        moved = 2 ** len(set(target.ids.values()))
-        finishes += moved + 2 * sum(ops for ops, _ in costs[target.start :])
-    assert finishes < one_pass
+        # The move onto the target's ids runs once per site, the tail's
+        # steps once per outcome.
+        moved = 2 ** len(set(target.labels + target.conj_labels))
+        chain += moved + 2 * sum(ops for ops, _ in costs)
+    assert chain < one_pass
 
 
 def _pinned_ids(network, plan):
@@ -413,47 +419,129 @@ def test_cone_targets_built_only_by_a_chain():
 
 
 def test_fork_target_refuses_another_cut():
+    # A cone's target takes the ket-half runner at the site's mark and the
+    # accumulator it held where the site's group starts, and no other.
     req = _criterion_6_request(8)
-    network, plan, marks = _cone(req, req.n_sites)
-    runner = PlanRunner(plan, network)
-    runner.run_to(runner.plan.step_of[marks[3]])
-    target = _cone_target(req, runner, 3)
-    runner.run_to(runner.plan.step_of[marks[4]])
-    with pytest.raises(StructuralError):
+    source = _PlanMarginals(req)
+    target = _cone_target(req, 3)
+    runner = source.pause(3)
+    assert runner.fork(target).position == 0
+    runner.hold()
+    with pytest.raises(StructuralError, match="another held accumulator"):
+        runner.fork(target)
+    source.pause(4)
+    with pytest.raises(StructuralError, match="a different point of the contraction"):
         runner.fork(target)
 
 
 def test_fork_target_refuses_a_plan_above_the_cap(monkeypatch):
     # A target's plan is checked once, when the target is built, as a
-    # runner's is; forks onto it run no further checks.
+    # runner's is, from its start on: the steps before it never run on a
+    # target.  Forks onto it run no further checks.
     req = _criterion_6_request(8)
-    network, plan, marks = _cone(req, req.n_sites)
-    runner = PlanRunner(plan, network)
-    runner.run_to(runner.plan.step_of[marks[3]])
-    peak = _cone(req, 3)[1].peak_mem_axes
-    assert peak < plan.peak_mem_axes
+    source = _PlanMarginals(req)
+    runner = source.pause(3)
+    peak = _cone_target(req, 3).plan.peak_mem_axes
+    _, plan, marks = _cone(req, 3)
+    assert peak == tensor._peak_from(plan, plan.step_of[marks[3]]) < plan.peak_mem_axes
+    req._state.cone_targets.clear()
     monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak - 1)
-    with pytest.raises(FeasibilityError, match="engine cap"):
-        _cone_target(req, runner, 3)
+    with pytest.raises(FeasibilityError, match="engine cap; N=8 is within the dense cap"):
+        _cone_target(req, 3)
     assert 3 not in req._state.cone_targets
     monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak)
-    assert runner.fork(_cone_target(req, runner, 3)).position == runner.position
+    assert runner.fork(_cone_target(req, 3)).position == 0
 
 
 def test_fork_target_refuses_a_plan_that_keeps_an_id_the_runner_lacks():
     # The fork's einsum writes the target plan's axis order at `start`, so
-    # every id of that order must come from one the runner holds.
+    # every id of that order must come from one an operand holds.
     req = _criterion_6_request(8)
-    network, plan, marks = _cone(req, req.n_sites)
-    runner = PlanRunner(plan, network)
-    runner.run_to(runner.plan.step_of[marks[3]])
-    target = _cone_target(req, runner, 3)
-    ids = dict(target.ids)
-    dropped = ids.pop(runner.open_ids[0])
-    assert dropped in tensor._axes_before(target.plan, target.start)
-    assert dropped not in ids.values()
-    with pytest.raises(StructuralError, match="keeps an id the runner does not hold"):
-        ForkTarget(target.network, target.plan, target.start, ids)
+    target = _cone_target(req, 3)
+    head = tensor._axes_before(target.plan, target.start)
+
+    def without_one(ids, other):
+        """ids less one whose plan id the plan keeps open and only it maps to."""
+        values = list(ids.values())
+        key = next(
+            i for i, b in ids.items() if b in head and b not in other and values.count(b) == 1
+        )
+        return {i: b for i, b in ids.items() if i != key}
+
+    kept, held = target.ids, target.conj_ids
+    for ids, conj in ((without_one(kept, held.values()), held), (kept, without_one(held, kept.values()))):
+        with pytest.raises(StructuralError, match="keeps an id the runner does not hold"):
+            ForkTarget(target.network, target.plan, target.start, ids, conj)
+
+
+_IDENTITY_REQUESTS = {
+    # The criterion-6 family.
+    "criterion-6 N=32": lambda: _criterion_6_request(32),
+    # A banded periodic chain: two of W's factors wrap past site N.
+    "banded periodic N=12": lambda: SimulationRequest(
+        instance=build_random_instance(
+            InstanceParams(12, 0.5), seed=0, max_body=2, max_width=2, periodic=True
+        ),
+        t=1.0,
+        epsilon=0.5,
+        radii=TruncationRadii(3, 3),
+    ),
+    # Unbanded, with three-body couplings.
+    "unbanded max_body-3 N=8": lambda: SimulationRequest(
+        instance=build_random_instance(InstanceParams(8, 0.5), seed=3, max_body=3, periodic=False),
+        t=1.0,
+        epsilon=0.5,
+        radii=TruncationRadii(3, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_IDENTITY_REQUESTS))
+def test_ket_half_move_equals_the_double_network_move(name, monkeypatch):
+    # The left part of the chain network, its marks set to |b><b| / v, is
+    # the ket half K<=w, its marks e_b / sqrt(v), times conj(K<=w-1).  So at
+    # every site the walk's two-operand move writes the accumulator the
+    # double-network runner moves onto the same cone plan and start, in the
+    # same axis order (a tail renumbers its ids in order), and the move
+    # onto the tail gives the bits of the move onto the full cone plan.
+    req = _IDENTITY_REQUESTS[name]()
+    if name.startswith("banded periodic"):
+        assert len(_w(req).structure.wrapped) == 2
+    moves = []
+    ref = reference_double_walk(req, seed=5, moves=moves)
+    walked = []
+    fork = PlanRunner.fork
+
+    def recorded(self, target=None):
+        twin = fork(self, target)
+        if target is not None:
+            full = fork(self, _cone_move(req, len(walked) + 1))
+            assert np.array_equal(full._acc, twin._acc)
+            walked.append(twin._acc)
+        return twin
+
+    monkeypatch.setattr(PlanRunner, "fork", recorded)
+    chain = conditional_chain(req, seed=5, engine="plan")
+    monkeypatch.undo()
+    assert chain.bits == ref.bits
+    np.testing.assert_allclose(chain.probs, ref.probs, rtol=0, atol=1e-12)
+    assert len(walked) == len(moves) == req.n_sites
+    for site, (got, want) in enumerate(zip(walked, moves), 1):
+        assert got.shape == want.shape, site
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale, err_msg=f"site {site}")
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_ket_half_chains_match_the_double_network_walk(n):
+    # Twelve seeds: the same bits, byte for byte, and p0 to rounding.
+    req = _criterion_6_request(n)
+    targets: dict = {}
+    for seed in range(12):
+        chain = conditional_chain(req, seed=seed, engine="plan")
+        ref = reference_double_walk(req, seed=seed, targets=targets)
+        assert chain.bits == ref.bits, seed
+        np.testing.assert_allclose(chain.probs, ref.probs, rtol=0, atol=1e-12, err_msg=str(seed))
 
 
 def _product_request(n):

@@ -121,7 +121,7 @@ def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch,
     assert plan.steps[mark_step].node_index == mark
     assert 0 < mark_step < len(plan.steps) - 1
     assert len(steps) == 2 * len(plan.steps) - mark_step
-    assert not req._state.cones
+    assert req._state.ket is None and not req._state.cone_targets
     v0 = expectation(req, ObservableProduct.prefix_projector(bits + [0]), engine="plan")
     v1 = expectation(req, ObservableProduct.prefix_projector(bits + [1]), engine="plan")
     assert (pair[0] / (pair[0] + pair[1])).real == pytest.approx(v0 / (v0 + v1), abs=1e-12)
@@ -141,7 +141,7 @@ def test_conditionals_keep_no_cone_and_share_one_plan_per_site(schedules):
     rng = np.random.default_rng(3)
     for site in range(1, 33):
         _light_cone_pair(req, rng.integers(0, 2, site - 1).tolist(), site)
-    assert not req._state.cones
+    assert req._state.ket is None and not req._state.cone_targets
     assert len(schedules) == 32
     plans = simulate._PLANS
     held = [shot.plan for shot in plans.entries.values()]

@@ -228,6 +228,28 @@ def test_private_dataclass_fields_are_not_constructor_arguments():
     assert not public, "private dataclass fields taken by __init__:\n" + "\n".join(public)
 
 
+def test_einsum_is_called_only_inside_the_labelled_wrapper():
+    # numpy's einsum accepts at most 52 labels; tensor._einsum renumbers
+    # each call's ids from 0 and ForkTarget checks its move against that
+    # cap, so every einsum in the package goes through that wrapper.
+    calls = []
+    for path in (ROOT / "src" / "liomsim").glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        wrapper = next(
+            (node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_einsum"
+             and path.name == "tensor.py"),
+            None,
+        )
+        inside = {id(node) for node in ast.walk(wrapper)} if wrapper else set()
+        calls += [
+            (path.name, node.lineno, id(node) in inside)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "einsum"
+        ]
+    assert [inside for *_, inside in calls] == [True], calls
+
+
 def test_runner_absorbs_every_step_through_step(monkeypatch):
     # The benchmark's per-layer view wraps PlanRunner.step, so run_to,
     # finish and forks must absorb each node through that method.

@@ -19,6 +19,7 @@ from liomsim.simulate import (
     ObservableProduct,
     SimulationRequest,
     _cone,
+    _ket,
     build_expectation_network,
     conditional_chain,
 )
@@ -293,7 +294,12 @@ def test_runner_matches_naive_reference_after_a_fork_move_and_overrides(net, dat
     for a, b in zip(plan.steps[:start], target_plan.steps[:start]):
         assert full.nodes[a.node_index] is net.nodes[b.node_index]
         ids.update(zip(plan.node_indices[a.node_index], target_plan.node_indices[b.node_index]))
-    twin = runner.fork(ForkTarget(net, target_plan, start, {i: ids[i] for i in runner.open_ids}))
+    target = ForkTarget(net, target_plan, start, {i: ids[i] for i in runner.open_ids})
+    twin = runner.fork(target)
+    # A tail keeps the steps from start on and gives the same bits.
+    tail = target.tail()
+    assert tail.start == 0 and len(tail.plan.steps) == len(target_plan.steps) - start
+    assert runner.fork(tail).finish() == runner.fork(target).finish()
     assert sorted(twin.open_ids) == sorted(
         {i for b in target_plan.steps[:start] for i in target_plan.node_indices[b.node_index]
          if target_plan.last_step[i] >= start}
@@ -362,6 +368,31 @@ def test_criterion_6_pass_layout_is_pinned():
         closing = {i for i in ids if plan.last_step[i] == p}
         assert sorted(runner.open_ids) == sorted((before | ids) - closing)
         assert len(runner.open_ids) == step.mem_axes_after
+
+
+def test_criterion_6_ket_half_is_pinned(monkeypatch):
+    # Structural pin: the ket half the chain walk contracts at N=32 (ket
+    # caps, W's 94 factors, 32 marks and 32 caps of ones; the ket caps'
+    # ids are pinned) against 220 steps and 16 axes for the chain network.
+    # The walk's largest accumulator is no larger than the cone targets'
+    # peak, so the finishes, not the walk, set a chain's memory.
+    req, (_, chain_plan, _) = _criterion_6_chain_plan(32)
+    _, plan, _ = _ket(req)
+    assert (len(plan.steps), plan.peak_mem_axes) == (158, 9)
+    assert (len(chain_plan.steps), chain_plan.peak_mem_axes) == (220, 16)
+    walks = []
+    hold = PlanRunner.hold
+
+    def recorded(self):
+        walks.append(self)
+        hold(self)
+
+    monkeypatch.setattr(PlanRunner, "hold", recorded)
+    conditional_chain(req, seed=0, engine="plan")
+    (walk,) = set(walks)
+    assert walk.plan is plan and walk.observed_peak == 9
+    targets = req._state.cone_targets.values()
+    assert walk.observed_peak <= max(target.plan.peak_mem_axes for target in targets)
 
 
 def _assert_matches_reference_schedule(net):
