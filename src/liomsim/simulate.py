@@ -30,8 +30,14 @@ prefix with rank-1 projectors, the network's left part is a ket tensor
 times its conjugate, so the walk contracts only the ket half
 <1...1| D W|0> (_ket), once per chain, and at each site w one einsum
 moves the ket runner and the conjugate of its earlier accumulator onto
-the cone of sites 1..w (_cone_target), which it finishes once per
-outcome.
+the cone of sites 1..w (_cone_target).  Past the first step from the
+mark that shrinks the accumulator, the cone's tail holds W's factors
+right of the cut, their mirrors and the caps, so it is one linear
+functional of the accumulator there for every prefix and chain, its
+right environment (Schollwoeck, Ann. Phys. 326, 96, 2011).  The request
+builds it once per site, and per outcome a chain runs the steps before
+the cut (past site 1 of the criterion-6 family, the mark and at most
+one more) and reads the marginal as one dot product with it.
 
 A one-shot conditional_probability has three marginal sources.  The dense
 route reads the prefix-marginal tree.  The plan route reads an exact
@@ -81,8 +87,10 @@ holds, PLAN_CACHE_STEPS (~400 bytes each), and a plan longer than that
 is not stored.  Only prefix cones grow with their site: those of a
 one-shot conditional's fallback share the cache, while the chain walk
 keeps in its request's state its ket half and, per site, only the tail
-of the site's cone from its mark on, whose size does not grow with the
-site, so a request holds O(N) plan data for its chains.
+of the site's cone from its mark to its cut, and the cut's environment,
+whose sizes do not grow with the site, so a request holds O(N) data for
+its chains (1.6 MiB at N=32 on the criterion-6 family, W's factors
+included, of which the environments take 1.26 MiB).
 """
 
 from __future__ import annotations
@@ -114,6 +122,7 @@ from .tensor import (
     PlacedTensor,
     PlanRunner,
     _axes_before,
+    environment,
     open_leg_bound,
     qubitwise_schedule,
 )
@@ -257,6 +266,7 @@ class _RequestState:
     prefix_tree: list[np.ndarray] | None = None
     ket: tuple | None = None
     cone_targets: dict[int, ForkTarget] = field(default_factory=dict)
+    environments: dict[int, np.ndarray] = field(default_factory=dict)
     mps: MatrixProductState | _Refused | None = None
     mps_bonds: tuple[int, ...] | None = None
     mps_delta: float | None = None
@@ -683,16 +693,33 @@ def _cone_move(req: SimulationRequest, site: int) -> ForkTarget:
     )
 
 
+def _environment_at(plan: ContractionPlan) -> int:
+    """Where a cone tail's environment is taken: after the first step that
+    leaves the accumulator fewer axes than the tail's head, or at the
+    tail's end when no step does."""
+    head = len(plan.head)
+    return next(
+        (p + 1 for p, step in enumerate(plan.steps) if step.mem_axes_after < head),
+        len(plan.steps),
+    )
+
+
 def _cone_target(req: SimulationRequest, site: int) -> ForkTarget:
     """Where the ket-half runner, paused at mark `site`, continues to get
-    the marginals of sites 1..site: the tail of _cone_move's target, which
-    keeps only what the move and the finish read, so a request holds O(N)
-    plan data for its chains rather than O(N^2); kept in the request's
-    state.  Size refusals carry the route advice."""
-    targets = req._state.cone_targets
-    hit = targets.get(site)
+    the marginals of sites 1..site: the tail of _cone_move's target from
+    the mark up to _environment_at, and the environment of the rest in
+    the request's environments (see the module docstring).  The target
+    keeps only what the move and its steps read, so a request holds O(N)
+    plan data for its chains rather than O(N^2); both are kept in the
+    request's state, built by the first chain that reaches the site.
+    Size refusals carry the route advice."""
+    state = req._state
+    hit = state.cone_targets.get(site)
     if hit is None:
-        hit = targets[site] = _advised(req, lambda: _cone_move(req, site).tail())
+        tail = _advised(req, lambda: _cone_move(req, site).tail())
+        at = _environment_at(tail.plan)
+        state.environments[site] = environment(tail.plan, tail.network, at)
+        hit = state.cone_targets[site] = tail.tail(at)
     return hit
 
 
@@ -1031,15 +1058,18 @@ class ChainResult:
     probs: tuple[float, ...]
 
 
-def _outcome_pair(runner: PlanRunner, mark: int) -> tuple[complex, complex]:
+def _outcome_pair(
+    runner: PlanRunner, mark: int, env: np.ndarray | None = None
+) -> tuple[complex, complex]:
     """(v0, v1): the runner's network finished with the diagonal at node
-    `mark` set to proj0 and to proj1.  The runner runs to the mark once;
-    a fork finishes the proj0 branch, the runner itself the proj1 one."""
+    `mark` set to proj0 and to proj1, each with env when given
+    (PlanRunner.finish).  The runner runs to the mark once; a fork
+    finishes the proj0 branch, the runner itself the proj1 one."""
     runner.run_to(runner.plan.step_of[mark])
     twin = runner.fork()
     twin.set_override(mark, _DIAGS["proj0"])
     runner.set_override(mark, _DIAGS["proj1"])
-    return twin.finish(), runner.finish()
+    return twin.finish(env), runner.finish(env)
 
 
 class _PlanMarginals:
@@ -1049,7 +1079,8 @@ class _PlanMarginals:
     site w's two marginals are the conditionals v_b = P(z_w = b | prefix),
     from the outcome pair of a fork onto the light-cone target that takes
     the runner at mark w and the conjugate of its accumulator where site
-    w's group starts."""
+    w's group starts: per outcome, the mark and the target's steps up to
+    its cut, then one dot product with the site's environment."""
 
     def __init__(self, req: SimulationRequest) -> None:
         network, plan, self.marks = _ket(req)
@@ -1068,7 +1099,8 @@ class _PlanMarginals:
     def conditionals(self, site: int, live: np.ndarray) -> np.ndarray:
         cone = self.pause(site).fork(_cone_target(self.req, site))
         # A cone's tail starts at its mark.
-        v0, v1 = _outcome_pair(cone, cone.plan.steps[cone.position].node_index)
+        mark = cone.plan.steps[cone.position].node_index
+        v0, v1 = _outcome_pair(cone, mark, self.req._state.environments[site])
         return np.array([[v0], [v1]])
 
     def fix(self, site: int, live: np.ndarray, bits: np.ndarray, values: np.ndarray) -> None:

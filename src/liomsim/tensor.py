@@ -68,7 +68,12 @@ left part of the double network <0|W^dag D W|0> at a site's mark is the
 ket runner's accumulator there times the conjugate of the one it held
 where the site's group started, and one einsum over the pair writes it.
 A target can keep only its tail, the steps from its start on, as a plan
-whose accumulator starts from a head of open ids, not from a scalar.
+whose accumulator starts from a head of open ids, not from a scalar.  A
+tail can also stop at a cut, when the steps from the cut on are the same
+for every accumulator a runner brings there: those steps then run once,
+backwards, as the environment of the cut, the value as a linear
+functional of the accumulator there (environment), and each runner
+finishes with one dot product.
 """
 
 from __future__ import annotations
@@ -313,6 +318,27 @@ def _bit_picks(plan: ContractionPlan, net: ExpectationNetwork) -> dict[int, tupl
         if net.nodes[pos].data[1] != 0:
             picks.setdefault(p, list(plan.steps[p].pick))[k] = 1
     return {p: tuple(pick) for p, pick in picks.items()}
+
+
+def _step_operand(
+    plan: ContractionPlan,
+    net: ExpectationNetwork,
+    pos: int,
+    picks: dict[int, tuple],
+    overrides: dict[int, np.ndarray],
+) -> np.ndarray:
+    """Step pos's node operand: the node's data, or its override, its
+    pinned axes taken at their entry (0, or a pinning projector's b from
+    picks, see _bit_picks), transposed to the step's node_axes and
+    reshaped to its shape.  Views of the node where the reshape allows."""
+    step = plan.steps[pos]
+    arr = overrides.get(step.node_index)
+    if arr is None:
+        arr = net.nodes[step.node_index].legs
+    pick = picks.get(pos, step.pick)
+    if pick is not None:
+        arr = arr[pick]
+    return arr.transpose(step.node_axes).reshape(step.shape)
 
 
 def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
@@ -624,21 +650,26 @@ class ForkTarget:
         object.__setattr__(self, "conj_pick", conj_pick)
         object.__setattr__(self, "conj_labels", conj_labels)
 
-    def tail(self) -> "ForkTarget":
+    def tail(self, stop: int | None = None) -> "ForkTarget":
         """The same move and finish, keeping only what they read from
-        `start` on: the plan's steps from `start`, numbered from 0, the
-        nodes they absorb and the projectors they read, and the ids those
-        and the operands carry, numbered in order of first use from the
-        axis order at `start`, which becomes the tail plan's head.  The
-        order of every axis list is kept, so moving onto the tail and
-        finishing gives the bits of moving onto this target and finishing.
+        `start` on: the plan's steps from `start` (up to `stop`, when
+        given), numbered from 0, the nodes they absorb and the projectors
+        they read, and the ids those and the operands carry, numbered in
+        order of first use from the axis order at `start`, which becomes
+        the tail plan's head.  The order of every axis list is kept, so
+        moving onto the tail and finishing gives the bits of moving onto
+        this target and finishing.  A tail cut at `stop` finishes with the
+        environment of the plan's steps from `stop` on (PlanRunner.finish).
         A tail is no schedule: it keeps the plan's dense-leg peak, its
-        memory peak is the most axes it holds from `start` on, its
-        index_endpoints, as the plan's, count the carriers before `start`
-        too, and its last_step is -1 for an id no step of it carries."""
+        memory peak is the most axes it holds from `start` to the plan's
+        end, the steps an environment's pass runs included, its
+        index_endpoints and last_step, as the plan's, count the carriers
+        before `start` and from `stop` on too, and its last_step is -1 for
+        an id whose last carrier comes before `start`."""
         plan, start = self.plan, self.start
-        steps = plan.steps[start:]
-        pins = [(pos, p - start, k) for pos, p, k in plan.pins if p >= start]
+        stop = len(plan.steps) if stop is None else stop
+        steps = plan.steps[start:stop]
+        pins = [(pos, p - start, k) for pos, p, k in plan.pins if start <= p < stop]
         kept = sorted({step.node_index for step in steps}.union(pos for pos, _, _ in pins))
         node_of = {pos: i for i, pos in enumerate(kept)}
         head = _axes_before(plan, start)
@@ -649,6 +680,7 @@ class ForkTarget:
             new.setdefault(idx, len(new))
         old = list(new)
         offset = plan.axes_end[start - 1] if start else 0
+        last = plan.axes_end[stop - 1] if stop else 0
         tail = ContractionPlan(
             steps=[replace(step, node_index=node_of[step.node_index]) for step in steps],
             node_indices=[tuple(new[i] for i in plan.node_indices[pos]) for pos in kept],
@@ -660,8 +692,8 @@ class ForkTarget:
             peak_mem_axes=_peak_from(plan, start),
             r_u=plan.r_u,
             r_j=plan.r_j,
-            axes=array("I", [new[i] for i in plan.axes[offset:]]),
-            axes_end=array("I", [end - offset for end in plan.axes_end[start:]]),
+            axes=array("I", [new[i] for i in plan.axes[offset:last]]),
+            axes_end=array("I", [end - offset for end in plan.axes_end[start:stop]]),
             head=tuple(new[i] for i in head),
         )
         net = self.network
@@ -701,8 +733,9 @@ class PlanRunner:
     own conjugate (Ferris & Vidal, PRB 85, 165146, 2012), so one runner
     contracts only the ket half, once per chain; at each site it holds
     its accumulator where the site's group starts, pauses at the site's
-    mark, and a fork moves the pair onto the site's light-cone network
-    and finishes only its remaining nodes.
+    mark, and a fork moves the pair onto the site's light-cone network,
+    runs its tail from the mark to the tail's cut once per outcome and
+    finishes each with the cut's environment (finish(env)).
     """
 
     def __init__(self, plan: ContractionPlan, net: ExpectationNetwork) -> None:
@@ -802,13 +835,7 @@ class PlanRunner:
         acc, self._acc = self._acc, None
         if step.perm is not None:
             acc = acc.transpose(step.perm)
-        arr = self._overrides.get(step.node_index)
-        if arr is None:
-            arr = self.net.nodes[step.node_index].legs
-        pick = self._picks.get(self._pos, step.pick)
-        if pick is not None:
-            arr = arr[pick]
-        arr = arr.transpose(step.node_axes).reshape(step.shape)
+        arr = _step_operand(self.plan, self.net, self._pos, self._picks, self._overrides)
         if step.form == "mul":
             out = np.multiply(acc, arr, order="C")
         else:
@@ -829,11 +856,59 @@ class PlanRunner:
         while self._pos < stop:
             self.step()
 
-    def finish(self) -> complex:
+    def finish(self, env: np.ndarray | None = None) -> complex:
+        """Run to the plan's end and return the value it leaves.  With
+        env, the plan is cut short (a tail that keeps its steps before a
+        cut, see ForkTarget.tail) and env is the rest of the contraction
+        as a linear functional of the accumulator there (environment):
+        the value is dot(acc.ravel(), env)."""
         self.run_to(len(self.plan.steps))
+        if env is not None:
+            return complex(np.dot(self._acc.ravel(), env))
         if self._acc.ndim:
             raise AssertionError("scheduler bug: axes left open after the final step")
         return complex(self._acc)
+
+
+def environment(plan: ContractionPlan, net: ExpectationNetwork, at: int) -> np.ndarray:
+    """The plan's steps from `at` on as one linear functional of the
+    accumulator before step `at`: the vector env with value =
+    dot(acc.ravel(), env) for every accumulator a runner may hold there,
+    so a caller that contracts many accumulators at one cut runs those
+    steps once, not once per accumulator.  It is a right environment
+    (Schollwoeck, Ann. Phys. 326, 96, 2011), and the gradient of the value
+    with respect to that accumulator (Liao, Liu, Wang & Xiang, PRX 9,
+    031041, 2019): one backward pass from the scalar 1 over the steps,
+    last first, each taking the transpose of its planned form, on the
+    node operand the runner's step takes (_step_operand, no overrides):
+
+    - mul: multiply by the node operand, then sum the node's new leading
+      axes;
+    - matmul: the node operand with its last two axes swapped, times the
+      gradient;
+    - a planned transpose: the inverse permutation.
+
+    Transposes, not adjoints: nothing is conjugated.  Where `at` is the
+    plan's end, env is [1].  The pass holds the sizes a runner does from
+    `at` on, and refuses as a runner would (_check_plan)."""
+    _check_plan(plan, net, at)
+    picks = _bit_picks(plan, net)
+    grad = np.ones((), dtype=complex)
+    for pos in range(len(plan.steps) - 1, at - 1, -1):
+        step = plan.steps[pos]
+        arr = _step_operand(plan, net, pos, picks, {})
+        axes = plan.steps[pos - 1].mem_axes_after if pos else len(plan.head)
+        if step.form == "mul":
+            grad = np.multiply(grad, arr)
+            new = step.mem_axes_after - axes
+            if new:
+                grad = grad.sum(axis=tuple(range(new)))
+        else:
+            grad = np.swapaxes(arr, -1, -2) @ grad.reshape(*arr.shape[:-1], -1)
+            grad = grad.reshape(_SHAPES[axes])
+        if step.perm is not None:
+            grad = grad.transpose(np.argsort(step.perm))
+    return np.ascontiguousarray(grad).reshape(-1)
 
 
 def execute(plan: ContractionPlan, net: ExpectationNetwork) -> complex:

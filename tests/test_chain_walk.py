@@ -1,9 +1,11 @@
 """Tests for the plan-route chain walk with light-cone finishes."""
 
+import copy
 import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from liomsim.simulate import (
     _cone,
     _cone_move,
     _cone_target,
+    _environment_at,
     _ket,
     _PlanMarginals,
     _evolved_tensor,
@@ -40,7 +43,7 @@ from liomsim.simulate import (
     expectation,
     sample,
 )
-from liomsim.tensor import ForkTarget, PlacedTensor, PlanRunner
+from liomsim.tensor import ForkTarget, PlacedTensor, PlanRunner, environment
 from liomsim.w import _fold_program, _run_folds
 from liomsim.truncation import TruncationRadii
 
@@ -151,26 +154,48 @@ def test_no_step_does_padded_work():
     assert sum(_kernel_ops(plan)) == 12_752_962
 
 
-def test_light_cone_finishes_cost_less_than_one_pass():
-    # A whole chain, the ket-half pass and every site's move and two
-    # finishes, computes fewer entries than one pass over the chain network.
+def test_light_cone_finishes_cost_less_than_one_pass(monkeypatch):
+    # A whole chain computes fewer entries than one pass over the chain
+    # network: the ket-half pass, and at each site the move, both
+    # outcomes' tail steps up to the cut (_environment_at) and their two
+    # dot products with the site's environment.  The tail's steps from
+    # the cut on ran once per outcome before environments: 1 456 steps a
+    # warm chain, against 268 now.
     req = _criterion_6_request(32)
     _, plan, _ = _cone(req, req.n_sites)
     one_pass = sum(ops for ops, _ in _computed_ops(plan))
     conditional_chain(req, seed=0, engine="plan")
-    targets = req._state.cone_targets
-    assert sorted(targets) == list(range(1, 33))
-    chain = sum(ops for ops, _ in _computed_ops(_ket(req)[1]))
-    for target in targets.values():
+    state = req._state
+    targets = state.cone_targets
+    assert sorted(targets) == sorted(state.environments) == list(range(1, 33))
+    _, ket, marks = _ket(req)
+    # The ket runner stops at the last mark.
+    steps = ket.step_of[marks[32]]
+    chain = sum(ops for ops, _ in _computed_ops(ket)[:steps])
+    for site, target in targets.items():
         assert target.start == 0
         costs = _computed_ops(target.plan)
         assert [axes for _, axes in costs] == [s.mem_axes_after for s in target.plan.steps]
         assert max(axes for _, axes in costs) <= plan.peak_mem_axes
+        env = state.environments[site]
+        assert env.size == 2 ** costs[-1][1]
         # The move onto the target's ids runs once per site, the tail's
-        # steps once per outcome.
+        # steps and the dot product once per outcome.
         moved = 2 ** len(set(target.labels + target.conj_labels))
-        chain += moved + 2 * sum(ops for ops, _ in costs)
+        chain += moved + 2 * (sum(ops for ops, _ in costs) + env.size)
+        steps += 2 * len(target.plan.steps)
     assert chain < one_pass
+    calls = 0
+    step = PlanRunner.step
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        step(self)
+
+    monkeypatch.setattr(PlanRunner, "step", counted)
+    conditional_chain(req, seed=1, engine="plan")
+    assert calls == steps == 268
 
 
 def _pinned_ids(network, plan):
@@ -413,9 +438,11 @@ def test_light_cone_walk_matches_reference_on_criterion_6_family():
 def test_cone_targets_built_only_by_a_chain():
     req = _criterion_6_request(12)
     expectation(req, ObservableProduct(1), engine="plan")
-    assert not req._state.cone_targets
+    conditional_probability(req, "01101", 6, engine="plan")
+    conditional_probability(req, "1" * 11, 12, engine="plan")
+    assert not req._state.cone_targets and not req._state.environments
     conditional_chain(req, seed=0, engine="plan")
-    assert len(req._state.cone_targets) == 12
+    assert len(req._state.cone_targets) == len(req._state.environments) == 12
 
 
 def test_fork_target_refuses_another_cut():
@@ -530,6 +557,113 @@ def test_ket_half_move_equals_the_double_network_move(name, monkeypatch):
         assert got.shape == want.shape, site
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale, err_msg=f"site {site}")
+
+
+def _finished_from(plan, network, at, acc):
+    """The plan's value, run from step `at` on with accumulator acc."""
+    runner = PlanRunner.__new__(PlanRunner)
+    runner._resume(plan, network, at, acc)
+    return runner.finish()
+
+
+def _random_accumulator(rng, axes):
+    return rng.normal(size=(2,) * axes) + 1j * rng.normal(size=(2,) * axes)
+
+
+@pytest.mark.parametrize("name", list(_IDENTITY_REQUESTS))
+def test_environment_finishes_a_tail_from_its_cut(name):
+    # At every site, finishing the cone's tail from its cut on a random
+    # accumulator gives that accumulator's dot product with the site's
+    # environment; the chain keeps that environment and the tail's steps
+    # before the cut.  The cut is the first step that leaves fewer axes
+    # than the tail's head, or the tail's end.
+    req = _IDENTITY_REQUESTS[name]()
+    rng = np.random.default_rng(29)
+    conditional_chain(req, seed=5, engine="plan")
+    for site in range(1, req.n_sites + 1):
+        tail = _cone_move(req, site).tail()
+        at = _environment_at(tail.plan)
+        axes = [step.mem_axes_after for step in tail.plan.steps]
+        assert all(a >= len(tail.plan.head) for a in axes[: at - 1])
+        assert at == len(axes) or axes[at - 1] < len(tail.plan.head)
+        env = req._state.environments[site]
+        assert np.array_equal(env, environment(tail.plan, tail.network, at))
+        assert len(_cone_target(req, site).plan.steps) == at
+        acc = _random_accumulator(rng, axes[at - 1])
+        np.testing.assert_allclose(
+            np.dot(acc.ravel(), env),
+            _finished_from(tail.plan, tail.network, at, acc),
+            rtol=1e-12,
+            err_msg=f"site {site}",
+        )
+
+
+def test_environment_reads_the_projectors_that_pin():
+    # A one-shot conditional's plan, whose prefix projectors pin their
+    # ids: the backward pass takes each projector's b where the runner
+    # does, from every cut on.  A random accumulator's value cancels far
+    # below its terms, so the tolerance is relative to the sum of the
+    # terms' moduli: the value with every entry replaced by its modulus.
+    req = _criterion_6_request(12)
+    bits = [1, 0, 1, 1, 0, 1, 1]
+    middle = [simulate._wire_node(f"proj{b}", w) for w, b in enumerate(bits, 1)]
+    network, shot = simulate._one_shot_network(req, middle + [simulate._wire_node("diag", 8)])
+    moduli = replace(
+        network,
+        nodes=tuple(
+            node if node.data is None else replace(node, data=np.abs(node.data))
+            for node in network.nodes
+        ),
+    )
+    plan = shot.plan
+    picks = tensor._bit_picks(plan, network)
+    assert picks
+    rng = np.random.default_rng(3)
+    for at in range(max(picks) + 1):
+        axes = plan.steps[at - 1].mem_axes_after if at else 0
+        acc = _random_accumulator(rng, axes)
+        got = np.dot(acc.ravel(), environment(plan, network, at))
+        scale = np.dot(np.abs(acc).ravel(), environment(plan, moduli, at)).real
+        assert abs(got - _finished_from(plan, network, at, acc)) <= 1e-12 * scale, at
+
+
+def test_chain_environments_hold_one_accumulator_per_site():
+    # The environments a first N=32 chain builds, as tracemalloc sees the
+    # numpy memory the tensor module allocated and the request keeps: at
+    # most one array of the cut's size per site, nothing of the passes.
+    req = _criterion_6_request(32)
+    tracemalloc.start()
+    try:
+        conditional_chain(req, seed=0, engine="plan")
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    held = held.filter_traces([tracemalloc.Filter(True, tensor.__file__)])
+    targets = req._state.cone_targets
+    bound = sum(16 * 2 ** target.plan.steps[-1].mem_axes_after for target in targets.values())
+    assert sum(trace.size for trace in held.traces) <= bound
+    assert sum(env.nbytes for env in req._state.environments.values()) == bound
+
+
+def test_n300_chain_retains_a_few_mib():
+    # A request's chain state grows as O(N): the ket half, and per site a
+    # cone tail cut at its environment and the environment.  tracemalloc
+    # counts a deep copy of that state, the W factors it shares included:
+    # tracing the first chain itself, which schedules O(N^2) light-cone
+    # structure, runs ~20x slower (2.7 MiB retained when measured so).
+    req = _product_request(300)
+    conditional_chain(req, seed=0, engine="plan")
+    state = req._state
+    assert len(state.environments) == 300
+    tracemalloc.start()
+    try:
+        held = copy.deepcopy((state.ket, state.cone_targets, state.environments))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held[2].keys() == state.environments.keys()
+    assert retained <= 3.3 * 2**20
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -3,13 +3,21 @@ imports a name it never uses, the package starts no threads of its own,
 reads an instance's oracles one entry at a time outside the model, or
 builds an instance outside the three builders or an identity
 constituent anywhere, and the runner absorbs every node through the
-method the benchmark wraps."""
+method the benchmark wraps, reading its operand where an environment's
+backward pass does."""
 
 import ast
 from pathlib import Path
 
 from liomsim.model import InstanceParams, build_random_instance
-from liomsim.simulate import SimulationRequest, _cone
+from liomsim.simulate import (
+    SimulationRequest,
+    _cone,
+    _cone_move,
+    _environment_at,
+    _ket,
+    conditional_chain,
+)
 from liomsim.tensor import PlanRunner
 from liomsim.truncation import TruncationRadii
 
@@ -274,3 +282,43 @@ def test_runner_absorbs_every_step_through_step(monkeypatch):
     assert calls == len(plan.steps)
     twin.finish()
     assert calls == 2 * len(plan.steps) - half
+
+
+def test_steps_and_environments_read_one_operand_path(monkeypatch):
+    # A node's operand (override, pick, transpose, reshape) is made in one
+    # place, for the runner's steps and for an environment's backward
+    # pass alike, and no other code reads a node's legs.
+    tree = ast.parse((ROOT / "src" / "liomsim" / "tensor.py").read_text())
+    callers, readers = set(), set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_step_operand":
+                callers.add(func.name)
+            if isinstance(node, ast.Attribute) and node.attr == "legs" and func.name != "legs":
+                readers.add(func.name)
+    assert callers == {"step", "environment"}
+    assert readers == {"_step_operand"}
+    # A warm chain absorbs every node through step: the ket half's nodes
+    # up to the last mark once, and each site's tail up to its cut once
+    # per outcome, the steps from the cut on never.
+    inst = build_random_instance(InstanceParams(8, 0.5), seed=8, max_body=2, max_width=2)
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    conditional_chain(req, seed=0, engine="plan")
+    ran: dict[int, list[int]] = {}
+    step = PlanRunner.step
+
+    def recorded(self):
+        ran.setdefault(id(self.plan), []).append(self.position)
+        step(self)
+
+    monkeypatch.setattr(PlanRunner, "step", recorded)
+    conditional_chain(req, seed=1, engine="plan")
+    _, ket, marks = _ket(req)
+    assert ran.pop(id(ket)) == list(range(ket.step_of[marks[8]]))
+    for site, target in req._state.cone_targets.items():
+        at = _environment_at(_cone_move(req, site).tail().plan)
+        assert len(target.plan.steps) == at
+        assert ran.pop(id(target.plan)) == 2 * list(range(at))
+    assert not ran
