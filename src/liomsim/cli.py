@@ -13,30 +13,15 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import complexity, hardness, model, oracle, simulate, truncation
-from .errors import DomainError, NumericalIntegrityError
+from .errors import DomainError, InfeasibilityError, NumericalIntegrityError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: the subcommand plus every flag it may use."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __getattr__(self, name: str):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -59,6 +44,10 @@ def _emit(text: str, out: str | None) -> None:
         write_atomic(out, text)
 
 
+def _emit_json(payload: dict, out: str | None) -> None:
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+
+
 def _load_instance(path: str) -> model.MblInstance:
     if not os.path.exists(path):
         raise DomainError(f"instance file does not exist: {path}")
@@ -66,159 +55,142 @@ def _load_instance(path: str) -> model.MblInstance:
         return model.instance_from_json(handle.read())
 
 
-def _radii_for(config: RunConfig, params: model.InstanceParams) -> truncation.TruncationRadii:
+def _radii_for(args: argparse.Namespace, params: model.InstanceParams) -> truncation.TruncationRadii:
     """Radii from explicit --rj/--ru overrides, else from select_radii on
     (--eps, --t); mixing half an override with certification is rejected."""
-    rj, ru = config.options.get("rj"), config.options.get("ru")
-    if (rj is None) != (ru is None):
+    if (args.rj is None) != (args.ru is None):
         raise DomainError("give both --rj and --ru, or neither (for certified radii)")
-    if rj is not None:
-        return truncation.TruncationRadii(rj, ru)
-    if config.options.get("t") is None:
+    if args.rj is not None:
+        return truncation.TruncationRadii(args.rj, args.ru)
+    if args.t is None:
         raise DomainError("--t is required to derive radii")
-    return truncation.select_radii(params, config.eps, config.t)
+    return truncation.select_radii(params, args.eps, args.t)
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    params = model.InstanceParams(config.n, config.xi, config.q)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    params = model.InstanceParams(args.n, args.xi, args.q)
     instance = model.build_random_instance(
         params,
-        seed=config.seed,
-        max_body=config.max_body if config.max_body is not None else min(config.n, 6),
-        max_width=config.options.get("max_width"),
-        periodic=not config.options.get("open_boundary", False),
+        seed=args.seed,
+        max_body=args.max_body if args.max_body is not None else min(args.n, 6),
+        max_width=args.max_width,
+        periodic=not args.open_boundary,
     )
-    _emit(model.instance_to_json(instance), config.options.get("out"))
+    _emit(model.instance_to_json(instance), args.out)
     return EXIT_OK
 
 
-def _cmd_bound(config: RunConfig) -> int:
-    if config.options.get("instance"):
-        params = _load_instance(config.instance).params
+def _cmd_bound(args: argparse.Namespace) -> int:
+    if args.instance:
+        params = _load_instance(args.instance).params
     else:
-        if config.options.get("n") is None or config.options.get("xi") is None:
+        if args.n is None or args.xi is None:
             raise DomainError("bound needs --instance or both --n and --xi")
-        params = model.InstanceParams(config.n, config.xi, config.q)
-    radii = _radii_for(config, params)
+        params = model.InstanceParams(args.n, args.xi, args.q)
+    radii = _radii_for(args, params)
     term_j, term_u = truncation.delta_h_terms(params, radii)
     eps_over_t = ""
-    if config.options.get("t") is not None:
-        eps_over_t = repr(config.eps / config.t)
+    if args.t is not None:
+        eps_over_t = repr(args.eps / args.t)
     header = "N,xi,q,r_J,r_U,term_J,term_U,total,epsilon_over_t\n"
     row = (
         f"{params.n_sites},{params.xi!r},{params.q_const!r},{radii.r_j},{radii.r_u},"
         f"{term_j!r},{term_u!r},{term_j + term_u!r},{eps_over_t}\n"
     )
-    _emit(header + row, config.options.get("out"))
+    _emit(header + row, args.out)
     return EXIT_OK
 
 
-def _request_for(config: RunConfig) -> simulate.SimulationRequest:
-    instance = _load_instance(config.instance)
-    if config.options.get("t") is None:
-        raise DomainError("--t is required")
-    radii = _radii_for(config, instance.params)
+def _request_for(args: argparse.Namespace) -> simulate.SimulationRequest:
+    instance = _load_instance(args.instance)
+    radii = _radii_for(args, instance.params)
     return simulate.SimulationRequest(
-        instance=instance, t=config.t, epsilon=config.eps, radii=radii
+        instance=instance, t=args.t, epsilon=args.eps, radii=radii
     )
 
 
-def _cmd_expect(config: RunConfig) -> int:
-    req = _request_for(config)
-    prefix = config.options.get("prefix") or ""
+def _cmd_expect(args: argparse.Namespace) -> int:
+    req = _request_for(args)
+    prefix = args.prefix or ""
     if any(c not in "01" for c in prefix):
         raise DomainError(f"--prefix must be a bitstring, got {prefix!r}")
-    pivot = config.pivot
+    pivot = args.pivot
     projectors = tuple(enumerate(map(int, prefix), 1))
-    if config.projector:
+    if args.projector:
         kind, obs = "proj0", simulate.ObservableProduct(projectors=projectors + ((pivot, 0),))
     else:
         kind, obs = "sigma_z", simulate.ObservableProduct(pivot, projectors=projectors)
-    value = simulate.expectation(req, obs, engine=config.engine)
+    value = simulate.expectation(req, obs, engine=args.engine)
     spec_str = f"pivot={pivot};kind={kind};prefix={prefix}"
-    _emit(f"observable,value\n{spec_str},{value!r}\n", config.options.get("out"))
+    _emit(f"observable,value\n{spec_str},{value!r}\n", args.out)
     return EXIT_OK
 
 
-def _cmd_sample(config: RunConfig) -> int:
-    req = _request_for(config)
-    records = simulate.sample(req, config.samples, config.seed, engine=config.engine)
+def _cmd_sample(args: argparse.Namespace) -> int:
+    req = _request_for(args)
+    records = simulate.sample(req, args.samples, args.seed, engine=args.engine)
     lines = [
         json.dumps({"bits": r.bits, "seed": r.seed, "index": r.index}, sort_keys=True)
         for r in records
     ]
-    _emit("\n".join(lines) + "\n", config.options.get("out"))
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _cmd_hard_gen(config: RunConfig) -> int:
-    spec = hardness.HardnessSpec(
-        rows=config.rows, cols=config.cols, xi=config.xi, field_seed=config.seed
-    )
-    hard = hardness.build_iqp_instance(spec)
-    _emit(model.instance_to_json(hard.instance), config.options.get("out"))
+def _spec(args: argparse.Namespace) -> hardness.HardnessSpec:
+    return hardness.HardnessSpec(rows=args.rows, cols=args.cols, xi=args.xi, field_seed=args.seed)
+
+
+def _cmd_hard_gen(args: argparse.Namespace) -> int:
+    hard = hardness.build_iqp_instance(_spec(args))
+    _emit(model.instance_to_json(hard.instance), args.out)
     return EXIT_OK
 
 
-def _cmd_hard_verify(config: RunConfig) -> int:
-    spec = hardness.HardnessSpec(
-        rows=config.rows, cols=config.cols, xi=config.xi, field_seed=config.seed
-    )
-    report = hardness.verify_2d_mapping(spec, tolerance=config.tolerance)
-    _emit(
-        json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n",
-        config.options.get("out"),
-    )
+def _cmd_hard_verify(args: argparse.Namespace) -> int:
+    report = hardness.verify_2d_mapping(_spec(args), tolerance=args.tolerance)
+    _emit_json(report.to_jsonable(), args.out)
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def _cmd_gatecount(config: RunConfig) -> int:
-    from .errors import InfeasibilityError
-
-    if config.sweep:
+def _cmd_gatecount(args: argparse.Namespace) -> int:
+    if args.sweep:
         t_values = list(
-            np.geomspace(config.t_min, config.t_max, config.points)
+            np.geomspace(args.t_min, args.t_max, args.points)
         )
-        rows = complexity.sweep(config.n, config.xi, config.eps, t_values)
+        rows = complexity.sweep(args.n, args.xi, args.eps, t_values)
         lines = ["t,total_bound,scaling_bound"]
         lines += [
             f"{float(t)!r},{float(total)!r},{float(scaling)!r}"
             for t, total, scaling in rows
         ]
-        _emit("\n".join(lines) + "\n", config.options.get("out"))
+        _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    if config.options.get("t") is None:
+    if args.t is None:
         raise DomainError("--t is required unless --sweep is given")
     try:
         report = complexity.circuit_complexity_bound(
-            complexity.ComplexityQuery(config.n, config.t, config.xi, config.eps)
+            complexity.ComplexityQuery(args.n, args.t, args.xi, args.eps)
         )
     except InfeasibilityError as exc:
-        _emit(
-            json.dumps({"feasible": False, "reason": str(exc)}, sort_keys=True, indent=2)
-            + "\n",
-            config.options.get("out"),
-        )
+        _emit_json({"feasible": False, "reason": str(exc)}, args.out)
         return EXIT_DOMAIN
-    _emit(
-        json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n",
-        config.options.get("out"),
-    )
+    _emit_json(report.to_jsonable(), args.out)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     """Oracle-vs-tensor equivalence suite on random instances: conditionals
     of the plan route (read off the MPS of W|0>, or off the qubit-wise
     light cone) against exact_distribution, the factored state-vector
     oracle, so N runs to the state cap of 22 sites.  The instances are
     open chains of constituents at most two sites wide, whose plans stay
     within the engine cap at every N the oracle reaches."""
-    n = config.n
-    rng = np.random.default_rng(config.seed)
+    n = args.n
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     checks = 0
-    for trial in range(config.trials):
+    for trial in range(args.trials):
         params = model.InstanceParams(n, xi=[0.3, 0.5][trial % 2])
         instance = model.build_random_instance(
             params, seed=int(rng.integers(2**63)), max_body=min(n, 4),
@@ -245,13 +217,13 @@ def _cmd_verify(config: RunConfig) -> int:
     passed = bool(worst <= 1e-10)
     payload = {
         "n_sites": n,
-        "trials": config.trials,
+        "trials": args.trials,
         "conditionals_checked": checks,
         "max_discrepancy": worst,
         "tolerance": 1e-10,
         "passed": passed,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.options.get("out"))
+    _emit_json(payload, args.out)
     return EXIT_OK if passed else EXIT_DOMAIN
 
 
@@ -366,16 +338,12 @@ _FALLBACKS: dict[str, dict] = {
 }
 
 
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    options = vars(args).copy()
-    config_path = options.pop("config", None)
-    command = options.pop("command")
-    if config_path:
-        if not os.path.exists(config_path):
-            raise DomainError(f"config file does not exist: {config_path}")
-        with open(config_path) as handle:
+def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
+    args = build_parser().parse_args(argv)
+    if args.config:
+        if not os.path.exists(args.config):
+            raise DomainError(f"config file does not exist: {args.config}")
+        with open(args.config) as handle:
             try:
                 defaults = json.load(handle)
             except json.JSONDecodeError as exc:
@@ -384,28 +352,28 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise DomainError("config file must hold a JSON object of flag defaults")
         for key, value in defaults.items():
             key = key.replace("-", "_")
-            if options.get(key) is None and key in options:
-                options[key] = value
-    for key, value in _FALLBACKS.get(command, {}).items():
-        if options.get(key) is None:
-            options[key] = value
-    return RunConfig(command=command, options=options)
+            if key in vars(args) and getattr(args, key) is None:
+                setattr(args, key, value)
+    for key, value in _FALLBACKS[args.command].items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return args
 
 
-def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
+def run(args: argparse.Namespace) -> int:
+    return _COMMANDS[args.command](args)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(argv)
+        args = parse_config(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        return run(config)
+        return run(args)
     except (DomainError, NumericalIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

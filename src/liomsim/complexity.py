@@ -24,7 +24,7 @@ whose slope in log t is exactly the asymptotic exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InfeasibilityError
 from .model import InstanceParams, _integer
@@ -98,26 +98,10 @@ class ComplexityReport:
     error_ledger: dict[str, float]
 
     def to_jsonable(self) -> dict:
-        return {
-            "n_sites": self.query.n_sites,
-            "t": self.query.t,
-            "xi": self.query.xi,
-            "epsilon": self.query.epsilon,
-            "r_u": self.r_u,
-            "r_j": self.r_j,
-            "r_u_formula": self.r_u_formula,
-            "r_j_formula": self.r_j_formula,
-            "delta_u": self.delta_u,
-            "delta_j": self.delta_j,
-            "c_u_bound": self.c_u_bound,
-            "c_h_bound": self.c_h_bound,
-            "total_bound": self.total_bound,
-            "scaling_bound": self.scaling_bound,
-            "exp_u": self.exp_u,
-            "exp_h": self.exp_h,
-            "error_ledger": dict(self.error_ledger),
-            "feasible": True,
-        }
+        """The report's fields with the query's flattened in, and feasible."""
+        report = asdict(self)
+        del report["query"]
+        return {**asdict(self.query), **report, "feasible": True}
 
 
 def _gate_sum(r_u: int) -> float:
@@ -164,21 +148,19 @@ def _evaluate(
     def terms(r_j: int, r_u: int) -> tuple[float, float]:
         return delta_h_terms(params, TruncationRadii(r_j, r_u))
 
-    r_j, r_u = r_j_formula, r_u_formula
-    while terms(r_j, r_u)[0] * t > eps / 4:
-        r_j += 1
-        if r_j > _ENLARGE_CAP:
-            raise InfeasibilityError(
-                f"coupling-radius search exceeded {_ENLARGE_CAP} without closing the "
-                f"error ledger; xi={xi} is too close to the infeasibility boundary"
-            )
-    while terms(r_j, r_u)[1] * t > eps / 4:
-        r_u += 1
-        if r_u > _ENLARGE_CAP:
-            raise InfeasibilityError(
-                f"width-radius search exceeded {_ENLARGE_CAP} without closing the "
-                f"error ledger; xi={xi} is too close to the infeasibility boundary"
-            )
+    def enlarged(radius: int, term, name: str) -> int:
+        """The least radius from `radius` on whose term, times t, fits in eps/4."""
+        while term(radius) * t > eps / 4:
+            radius += 1
+            if radius > _ENLARGE_CAP:
+                raise InfeasibilityError(
+                    f"{name}-radius search exceeded {_ENLARGE_CAP} without closing the "
+                    f"error ledger; xi={xi} is too close to the infeasibility boundary"
+                )
+        return radius
+
+    r_j = enlarged(r_j_formula, lambda r: terms(r, r_u_formula)[0], "coupling")
+    r_u = enlarged(r_u_formula, lambda r: terms(r_j, r)[1], "width")
 
     delta_u = eps / (12 * n * r_u**2 * 4**r_u)
     delta_j = eps / (12 * n * r_j**2 * 4**r_j)

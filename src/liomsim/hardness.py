@@ -175,11 +175,7 @@ class MappingReport:
             ]
 
         return {
-            "fidelity": self.fidelity,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "n_sites": self.n_sites,
-            "time": self.time,
+            **dataclasses.asdict(self),
             "leading_1d": amp_list(self.leading_1d),
             "leading_2d": amp_list(self.leading_2d),
         }

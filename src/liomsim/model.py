@@ -249,6 +249,17 @@ def constituent_positions(
     )
 
 
+def check_constituent_widths(positions: Iterable[tuple[int, int]], cap: int, what: str) -> None:
+    """Refuse, before any is drawn, a constituent whose 2^w x 2^w matrix
+    holds more than `cap` entries, named by its placement and the cap."""
+    for start, width in positions:
+        if 4**width > cap:
+            raise FeasibilityError(
+                f"constituent ({start},{width}) is a 2^{width} x 2^{width} matrix of "
+                f"{16 * 4**width} bytes, above the {what} of {16 * cap} bytes"
+            )
+
+
 @functools.lru_cache(maxsize=_STRUCTURES)
 def _drawn_placements(
     n_sites: int, max_width: int | None, periodic: bool

@@ -30,6 +30,7 @@ from .model import (
     MblInstance,
     _dense_cap,
     apply_to_state,
+    check_constituent_widths,
     check_state_feasible,
     constituent_positions,
     dense_hamiltonian,
@@ -102,14 +103,8 @@ def evolve_factored(
     placement."""
     n = instance.n_sites
     check_state_feasible(n, "the factored oracle")
-    cap = 2**model.MAX_STATE_N
     positions = constituent_positions(n, r_u, instance.constituent_support)
-    for start, width in positions:
-        if 4**width > cap:
-            raise FeasibilityError(
-                f"constituent ({start},{width}) is a 2^{width} x 2^{width} matrix of "
-                f"{16 * 4**width} bytes, above the state cap of {16 * cap} bytes"
-            )
+    check_constituent_widths(positions, 2**model.MAX_STATE_N, "state cap")
     gates = instance.constituents_at(positions)
     phases = np.exp(-1j * t * sigma_diagonal(instance, r_j))
     state = np.zeros(2**n, dtype=complex)

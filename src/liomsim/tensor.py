@@ -32,11 +32,11 @@ which is smaller because diagonal nodes share a single index with their
 neighbours (a diagonal phase layer never needs separate in/out axes) and
 pinned ids are never held.  Under either convention an index is open from
 the step that absorbs its first carrier to the step that absorbs its
-last; the scheduler works both counts out from those spans once and
-records the closing step of every memory index, so a runner, or a fork of
-it, needs no count of its own to know which axes to keep.  The runner materializes
-arrays only when the peak memory count is affordable; the scheduler
-itself is pure structure and runs at any size.
+last; the scheduler works both counts out from those spans once, and
+the layout below records the accumulator's axis order after every step, so
+a runner, or a fork of it, needs no count of its own to know which axes to
+keep.  The runner materializes arrays only when the peak memory count is
+affordable; the scheduler itself is pure structure and runs at any size.
 
 The scheduler also plans the accumulator's axis order, from structure
 alone, so that the runner's kernel does no id bookkeeping and calls no
@@ -210,9 +210,6 @@ class ContractionPlan:
         steps and counting each id's carriers, an id is live while fewer
         than index_endpoints[id] of them have been absorbed, so a pinned id
         never is.
-    last_step: per index id, the step that absorbs its last carrier, or -1
-        for a pinned id; an id opened by step p is still open after it
-        while last_step[id] > p.
     step_of: per node, the step that absorbs it; for a node no step
         absorbs, the step after it in the qubit-wise order (or the number
         of steps when none follows).
@@ -232,7 +229,6 @@ class ContractionPlan:
     steps: list[PlanStep]
     node_indices: Sequence[tuple[int, ...]]
     index_endpoints: list[int]
-    last_step: list[int]
     step_of: list[int]
     pins: tuple[tuple[int, int, int], ...]
     peak_open_legs: int
@@ -368,13 +364,10 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
     # of cutting it.  In the dense convention every two consecutive nodes
     # share one bond.  An id or bond is open from the step of its first
     # carrier to the step of its last.  An id a dataless cap or a pinning
-    # projector carries is pinned: it never opens, its index_endpoints
-    # entry is 0 and its last_step -1.  Each id's carriers are done once a
-    # gate or bra cap takes it in, before the next id opens, so `last_step`
-    # is in id order.
+    # projector carries is pinned: it never opens and its index_endpoints
+    # entry is 0.
     node_ids = [[0] * (2 * node.width if node.kind == "gate" else node.width) for node in nodes]
     index_endpoints: list[int] = []
-    last_step: list[int] = []
     # Per id a projector pins, that projector.
     projector_of: dict[int, int] = {}
     spans: list[tuple[int, int]] = []
@@ -394,10 +387,8 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
                 elif node.kind not in _DIAGONAL:
                     if pinned or _pins(node) or current in projector_of:
                         index_endpoints[current] = 0
-                        last_step.append(-1)
                     else:
                         spans.append((first, last))
-                        last_step.append(last)
             prev = at
             if node.kind == "cap_ket" or node.kind == "gate":
                 current = len(index_endpoints)
@@ -423,7 +414,7 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
         picks.append(pick_of[mask])
         if projector_of:
             pins += [(projector_of[idx], p, k) for k, idx in enumerate(ids) if idx in projector_of]
-    layout, axes = _layout(free, len(last_step))
+    layout, axes = _layout(free, len(index_endpoints))
     return ContractionPlan(
         steps=[
             PlanStep(pos, nodes[pos].name, open_axes, pick, *form)
@@ -431,7 +422,6 @@ def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
         ],
         node_indices=node_ids,
         index_endpoints=index_endpoints,
-        last_step=last_step,
         step_of=step_of,
         pins=tuple(pins),
         peak_open_legs=max(_open_after(bonds, len(order))),
@@ -663,9 +653,8 @@ class ForkTarget:
         A tail is no schedule: it keeps the plan's dense-leg peak, its
         memory peak is the most axes it holds from `start` to the plan's
         end, the steps an environment's pass runs included, its
-        index_endpoints and last_step, as the plan's, count the carriers
-        before `start` and from `stop` on too, and its last_step is -1 for
-        an id whose last carrier comes before `start`."""
+        index_endpoints, as the plan's, count the carriers before `start`
+        and from `stop` on too."""
         plan, start = self.plan, self.start
         stop = len(plan.steps) if stop is None else stop
         steps = plan.steps[start:stop]
@@ -685,7 +674,6 @@ class ForkTarget:
             steps=[replace(step, node_index=node_of[step.node_index]) for step in steps],
             node_indices=[tuple(new[i] for i in plan.node_indices[pos]) for pos in kept],
             index_endpoints=[plan.index_endpoints[i] for i in old],
-            last_step=[max(plan.last_step[i] - start, -1) for i in old],
             step_of=[max(plan.step_of[pos] - start, 0) for pos in kept],
             pins=tuple((node_of[pos], p, k) for pos, p, k in pins),
             peak_open_legs=plan.peak_open_legs,

@@ -35,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import _STRUCTURES, constituent_positions, placement_sites
+from .model import _STRUCTURES, check_constituent_widths, constituent_positions, placement_sites
 from .mps import commuting_runs
-from .tensor import PlacedTensor
+from .tensor import MAX_EXEC_AXES, PlacedTensor
 from .truncation import TruncatedInstance, TruncationRadii
 
 
@@ -336,11 +336,14 @@ def build_w(trunc: TruncatedInstance, blocks: Sequence[SiteBlock]) -> W:
     """The W of a truncated instance whose site blocks site_blocks gave:
     the family's structure from _w_structure, and the data of its
     factors of width <= r_U drawn in one batch, daggered and folded in
-    stacks."""
+    stacks.  A factor whose matrix is larger than the engine cap, the
+    largest operand a runner holds, is refused before any is drawn."""
     inst = trunc.base
     n, r_u, r_j = inst.n_sites, trunc.radii.r_u, trunc.radii.r_j
     support = inst.constituent_support
-    gates = [cons.matrix for cons in inst.constituents_at(constituent_positions(n, r_u, support))]
+    positions = constituent_positions(n, r_u, support)
+    check_constituent_widths(positions, 2**MAX_EXEC_AXES, "engine cap")
+    gates = [cons.matrix for cons in inst.constituents_at(positions)]
     phases = [block.phases for block in blocks]
     # Whether each block's phases are all 1, in one pass.
     starts = np.cumsum([0] + [len(p) for p in phases[:-1]])

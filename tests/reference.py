@@ -559,9 +559,8 @@ def naive_network_value(net: ExpectationNetwork) -> complex:
 def reference_schedule(net: ExpectationNetwork) -> dict:
     """The qubit-wise plan of net by per-index counters: node_indices,
     index_endpoints (0 for a pinned index), steps as (node index, name,
-    memory axes after), step_of, last_step (-1 for a pinned index),
-    pinned_by (per index a projector pins, that projector), peak_open_legs
-    and peak_mem_axes.  A cap without data pins the index it carries and
+    memory axes after), step_of, pinned_by (per index a projector pins,
+    that projector), peak_open_legs and peak_mem_axes.  A cap without data pins the index it carries and
     is no step, and so does the first projector on an index no such cap
     carries; the dense count still walks every node."""
     wires = _wire_sequences(net)
@@ -631,7 +630,6 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
 
     # Replay the absorption to count both conventions.
     absorbed_count = [0] * len(index_endpoints)
-    last_step = [-1] * len(index_endpoints)
     step_of = [0] * n_nodes
     open_mem = 0
     bond_by_node: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -662,7 +660,6 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
             absorbed_count[idx] += 1
             if absorbed_count[idx] == index_endpoints[idx]:
                 open_mem -= 1
-                last_step[idx] = len(steps)
         peak_mem = max(peak_mem, open_mem)
         steps.append((pos, net.nodes[pos].name, open_mem))
     if open_mem != 0 or open_dense != 0:
@@ -674,7 +671,6 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
         "index_endpoints": index_endpoints,
         "steps": steps,
         "step_of": step_of,
-        "last_step": last_step,
         "pinned_by": pinned_by,
         "peak_open_legs": peak_dense,
         "peak_mem_axes": peak_mem,

@@ -7,6 +7,8 @@ import gc
 import itertools
 import math
 import re
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +17,8 @@ import pytest
 from reference import block_trivial, block_window, naive_network_value
 
 from liomsim import simulate
-from liomsim.errors import DomainError
+from liomsim.cli import EXIT_DOMAIN, EXIT_OK, main
+from liomsim.errors import DomainError, FeasibilityError
 from liomsim.model import (
     InstanceParams,
     build_explicit_instance,
@@ -762,3 +765,40 @@ def test_shared_plans_are_never_written(plans):
         expectation(req, obs, engine="plan")
     assert _keyed(first, ObservableProduct(5))[1].plan is plan
     _assert_same_plan(plan, snapshot)
+
+
+def test_cli_refuses_a_w_factor_above_the_engine_cap(tmp_path, capsys):
+    # The defaults (unbanded, periodic) at N=32 and xi=0.5 draw factors up
+    # to the chain's width; t=1, eps=0.1 certifies radii (9,13), and a
+    # width-13 matrix has 2^26 entries, above the 2^24 engine cap.  Every
+    # route builds W, so the refusal gives no route advice.
+    path = tmp_path / "wide.json"
+    assert main(["gen", "--n", "32", "--xi", "0.5", "--seed", "1", "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["sample", "--instance", str(path), "--t", "1", "--eps", "0.1", "--samples", "2"]
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: constituent \(\d+,13\) is a 2\^13 x 2\^13 matrix of 1073741824 bytes, "
+        r"above the engine cap of 268435456 bytes\n",
+        captured.err,
+    )
+
+
+def test_w_refuses_an_oversized_factor_before_drawing_it():
+    # Drawing the width-13 factors took a 10 GiB index array; the refusal
+    # comes first, in well under a second and 100 MiB.
+    inst = build_random_instance(InstanceParams(32, 0.5), seed=1, max_body=6)
+    req = SimulationRequest.certified(inst, 1.0, 0.1)
+    assert req.radii == TruncationRadii(9, 13)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(FeasibilityError, match=r"constituent \(\d+,13\) .* engine cap"):
+            sample(req, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 100 * 2**20

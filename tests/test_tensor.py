@@ -300,9 +300,11 @@ def test_runner_matches_naive_reference_after_a_fork_move_and_overrides(net, dat
     tail = target.tail()
     assert tail.start == 0 and len(tail.plan.steps) == len(target_plan.steps) - start
     assert runner.fork(tail).finish() == runner.fork(target).finish()
+    carried = Counter(
+        i for b in target_plan.steps[:start] for i in target_plan.node_indices[b.node_index]
+    )
     assert sorted(twin.open_ids) == sorted(
-        {i for b in target_plan.steps[:start] for i in target_plan.node_indices[b.node_index]
-         if target_plan.last_step[i] >= start}
+        i for i, count in carried.items() if 0 < count < target_plan.index_endpoints[i]
     )
     nodes = list(net.nodes)
     for pos, node in enumerate(net.nodes):
@@ -361,11 +363,13 @@ def test_criterion_6_pass_layout_is_pinned():
     assert len(picks) == 32
     assert sum(pick.count(0) for pick in picks) == 64
     runner = PlanRunner(plan, network)
-    for p, step in enumerate(plan.steps):
+    absorbed = Counter()
+    for step in plan.steps:
         before = set(runner.open_ids)
         runner.step()
         ids = {i for i in plan.node_indices[step.node_index] if plan.index_endpoints[i]}
-        closing = {i for i in ids if plan.last_step[i] == p}
+        absorbed.update(plan.node_indices[step.node_index])
+        closing = {i for i in ids if absorbed[i] == plan.index_endpoints[i]}
         assert sorted(runner.open_ids) == sorted((before | ids) - closing)
         assert len(runner.open_ids) == step.mem_axes_after
 
@@ -402,7 +406,6 @@ def _assert_matches_reference_schedule(net):
     assert plan.index_endpoints == ref["index_endpoints"]
     assert [(s.node_index, s.name, s.mem_axes_after) for s in plan.steps] == ref["steps"]
     assert plan.step_of == ref["step_of"]
-    assert plan.last_step == ref["last_step"]
     pinned_by = ref["pinned_by"]
     assert plan.pins == tuple(
         (pinned_by[idx], p, k)
@@ -513,7 +516,7 @@ def test_a_network_of_caps_alone_is_an_empty_plan_of_value_1():
     )
     plan = qubitwise_schedule(bare)
     assert plan.steps == [] and plan.peak_mem_axes == 0
-    assert plan.index_endpoints == [0, 0, 0] and plan.last_step == [-1, -1, -1]
+    assert plan.index_endpoints == [0, 0, 0]
     # Pinning leaves the dense count alone: one bond per wire.
     assert plan.peak_open_legs == 1
     assert execute(plan, bare) == 1.0
