@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -338,8 +339,27 @@ _FALLBACKS: dict[str, dict] = {
 }
 
 
+def _config_value(action: argparse.Action, value):
+    """A config value as its flag takes it: a JSON integer for an int
+    flag (a boolean refused), an integer or a float for a float flag, a
+    string for a string flag and a boolean for a switch."""
+    if action.nargs == 0:
+        ok, what = type(value) is bool, "true or false"
+    elif action.type is int:
+        ok, what = type(value) is int, "an integer"
+    elif action.type is float:
+        ok, what = type(value) in (int, float), "a number"
+    else:
+        ok, what = type(value) is str, "a string"
+    if not ok:
+        flag = action.option_strings[0]
+        raise DomainError(f"config value for {flag} must be {what}, got {value!r}")
+    return value
+
+
 def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config:
         if not os.path.exists(args.config):
             raise DomainError(f"config file does not exist: {args.config}")
@@ -350,10 +370,12 @@ def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
                 raise DomainError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(defaults, dict):
             raise DomainError("config file must hold a JSON object of flag defaults")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {action.dest: action for action in sub.choices[args.command]._actions}
         for key, value in defaults.items():
             key = key.replace("-", "_")
             if key in vars(args) and getattr(args, key) is None:
-                setattr(args, key, value)
+                setattr(args, key, _config_value(flags[key], value))
     for key, value in _FALLBACKS[args.command].items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -372,11 +394,15 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        return run(args)
-    except (DomainError, NumericalIntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    # A library warning is one line, free of the path and source line of
+    # Python's default format.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return run(args)
+        except (DomainError, NumericalIntegrityError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

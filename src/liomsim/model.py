@@ -441,15 +441,14 @@ class _ConstituentLayout:
     """The seed-free layout of a batch of random constituents: per
     position, its sites and the dimensions of its Hermitian pieces (two
     for a block wrapped past site N) and the index of its first piece;
-    per piece, the span of the draws it reads; per dimension, its pieces
-    and the draw cells of their real parts; and per position, the tail of
-    its stream key after the seed."""
+    per dimension, its pieces; per piece, its row in its dimension's
+    stack; and per position, the tail of its stream key after the seed.
+    It holds tuples alone, no array."""
 
     sites: tuple[tuple[int, ...], ...]
     splits: tuple[tuple[int, ...], ...]
     firsts: tuple[int, ...]
-    offsets: tuple[int, ...]
-    groups: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
+    groups: tuple[tuple[int, tuple[int, ...]], ...]
     rows: tuple[int, ...]
     tails: tuple[tuple[int, int, int], ...]
 
@@ -460,27 +459,17 @@ def _constituent_layout(n_sites: int, positions: tuple[tuple[int, int], ...]) ->
     for start, width in positions:
         end = start + width - 1
         splits.append((2**width,) if end <= n_sites else (2 ** (n_sites - start + 1), 2 ** (end - n_sites)))
-    pieces = [dim for dims in splits for dim in dims]
-    # Piece i draws the real, then the imaginary parts of its G from
-    # offsets[i] on.
-    offsets = list(itertools.accumulate((2 * dim * dim for dim in pieces), initial=0))
     members: dict[int, list[int]] = {}
-    for i, dim in enumerate(pieces):
-        members.setdefault(dim, []).append(i)
-    rows = [0] * len(pieces)
-    groups = []
-    for dim, ids in members.items():
-        for row, i in enumerate(ids):
-            rows[i] = row
-        cells = np.array([offsets[i] for i in ids])[:, None] + np.arange(dim * dim)
-        cells.flags.writeable = False
-        groups.append((dim, tuple(ids), cells))
+    rows = []
+    for i, dim in enumerate(dim for dims in splits for dim in dims):
+        ids = members.setdefault(dim, [])
+        rows.append(len(ids))
+        ids.append(i)
     return _ConstituentLayout(
         sites=tuple(placement_sites(n_sites, start, width) for start, width in positions),
         splits=tuple(splits),
         firsts=tuple(itertools.accumulate(map(len, splits), initial=0)),
-        offsets=tuple(offsets),
-        groups=tuple(groups),
+        groups=tuple((dim, tuple(ids)) for dim, ids in members.items()),
         rows=tuple(rows),
         tails=tuple(_constituent_tail(start, width) for start, width in positions),
     )
@@ -494,9 +483,11 @@ def random_constituents(
     their streams are seeded in one streams.generators pass, and the eigh,
     the phases and the product with the eigenvectors' adjoint each run once
     per dimension, stacked over the Hermitian pieces of that dimension.
-    Every matrix is byte-equal to building its position alone.  The
-    batch's layout (pieces, draw spans, stream tails) depends on N and
-    the positions alone, so it is derived once and cached.
+    Every matrix is byte-equal to building its position alone.  Each
+    piece draws the real, then the imaginary parts of its G straight into
+    its row of its dimension's (pieces, 2, d, d) stack.  The batch's
+    layout (pieces, their rows, stream tails) depends on N and the
+    positions alone, so it is derived once and cached.
 
     K is a Gaussian Hermitian (G + G^dagger)/2 scaled to unit operator
     norm.  A position wrapped past site N draws one piece K1 on k..N and
@@ -505,14 +496,15 @@ def random_constituents(
     product across the wrap and still sits at the prescribed distance."""
     positions = tuple((int(k), int(w)) for k, w in positions)
     lay = _constituent_layout(params.n_sites, positions)
-    offsets, firsts, rows = lay.offsets, lay.firsts, lay.rows
-    draws = np.empty(offsets[-1])
-    for gen, first, end in zip(streams.generators(lay.tails, seed), firsts, firsts[1:]):
-        gen.standard_normal(out=draws[offsets[first] : offsets[end]])
+    firsts, rows = lay.firsts, lay.rows
+    draws = {dim: np.empty((len(ids), 2, dim, dim)) for dim, ids in lay.groups}
+    for gen, dims, first in zip(streams.generators(lay.tails, seed), lay.splits, firsts):
+        for j, dim in enumerate(dims):
+            gen.standard_normal(out=draws[dim][rows[first + j]])
 
     vals, vecs = {}, {}
-    for dim, _, cells in lay.groups:
-        g = draws[cells].reshape(-1, dim, dim) + 1j * draws[cells + dim * dim].reshape(-1, dim, dim)
+    for dim, stack in draws.items():
+        g = stack[:, 0] + 1j * stack[:, 1]
         w, v = np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2)
         scale = np.abs(w).max(axis=1, keepdims=True)
         zero = scale[:, 0] == 0.0
@@ -537,7 +529,7 @@ def random_constituents(
         coef += [1j * (theta / c)] * 2
 
     mats = {}
-    for dim, ids, _ in lay.groups:
+    for dim, ids in lay.groups:
         phase = np.exp(np.array([coef[i] for i in ids])[:, None] * vals[dim])
         u = vecs[dim]
         mats[dim] = list((u * phase[:, None, :]) @ u.conj().swapaxes(1, 2))

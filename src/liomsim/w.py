@@ -21,9 +21,10 @@ coupling indices and sign rows, the folds, the commuting runs and the
 plan-cache token depend only on N, the radii, max_body, the constituent
 support and which blocks are trivial; _w_structure and _windows derive
 them in bounded caches that hold no seed, value or request.  build_w then
-draws a request's data in batches and runs the daggers and folds as
-stacked products, one per matrix shape and fold level, each the 2-D
-product of folding one pair, so every factor keeps its bytes.
+draws a request's data in batches, takes each adjoint as its gate's
+conj().T and runs the folds as stacked products, one per matrix shape and
+fold level, each the 2-D product of folding one pair, so every factor
+keeps its bytes.
 """
 
 from __future__ import annotations
@@ -236,29 +237,6 @@ def _run_folds(program: _FoldProgram, data: list[np.ndarray]) -> list[np.ndarray
     return [data[slot] for slot in program.slots]
 
 
-def _daggers(data: Sequence[np.ndarray], kinds: Sequence[str]) -> list[np.ndarray]:
-    """The adjoints of gate matrices and the conjugates of diagonals, as
-    views of one conjugated stack per kind, shape and memory order.  Each
-    has the values and the memory order of data.conj().T (a gate's) or
-    data.conj() (a diagonal's): an adjoint is C-ordered where its gate is
-    Fortran-ordered and Fortran-ordered otherwise."""
-    out: list[np.ndarray | None] = [None] * len(data)
-    groups: dict[tuple, list[int]] = {}
-    for i, (array, kind) in enumerate(zip(data, kinds)):
-        fortran = kind == "gate" and array.flags.f_contiguous and not array.flags.c_contiguous
-        groups.setdefault((kind, array.shape, fortran), []).append(i)
-    for (kind, _, fortran), members in groups.items():
-        if fortran:
-            stack = np.stack([data[i].T for i in members]).conj()
-        else:
-            stack = np.stack([data[i] for i in members]).conj()
-            if kind == "gate":
-                stack = stack.swapaxes(1, 2)
-        for i, array in zip(members, stack):
-            out[i] = array
-    return out
-
-
 @dataclass(frozen=True)
 class _WStructure:
     """What of W does not depend on a drawn value: the fold program of its
@@ -318,26 +296,31 @@ class W:
     """One request's W: its family's structure and its folded factors in
     application order, trivial blocks dropped.
     The mirrors (for W^dag: a gate's adjoint, a diagonal's conjugate) are
-    built on first use, so the dense route never builds them."""
+    built on first use, so the dense route never builds them.  conj keeps
+    a factor's memory order, so an adjoint is C-ordered where its gate is
+    Fortran-ordered and Fortran-ordered otherwise."""
 
     structure: _WStructure
     nodes: list[PlacedTensor]
 
     @functools.cached_property
     def mirrors(self) -> list[PlacedTensor]:
-        data = _daggers([node.data for node in self.nodes], [node.kind for node in self.nodes])
         return [
-            PlacedTensor(node.name + "'", node.kind, node.sites, array)
-            for node, array in zip(self.nodes, data)
+            PlacedTensor(
+                node.name + "'", node.kind, node.sites,
+                node.data.conj().T if node.kind == "gate" else node.data.conj(),
+            )
+            for node in self.nodes
         ]
 
 
 def build_w(trunc: TruncatedInstance, blocks: Sequence[SiteBlock]) -> W:
     """The W of a truncated instance whose site blocks site_blocks gave:
     the family's structure from _w_structure, and the data of its
-    factors of width <= r_U drawn in one batch, daggered and folded in
-    stacks.  A factor whose matrix is larger than the engine cap, the
-    largest operand a runner holds, is refused before any is drawn."""
+    factors of width <= r_U drawn in one batch, daggered one by one and
+    folded in stacks.  A factor whose matrix is larger than the engine
+    cap, the largest operand a runner holds, is refused before any is
+    drawn."""
     inst = trunc.base
     n, r_u, r_j = inst.n_sites, trunc.radii.r_u, trunc.radii.r_j
     support = inst.constituent_support
@@ -350,7 +333,7 @@ def build_w(trunc: TruncatedInstance, blocks: Sequence[SiteBlock]) -> W:
     trivial = np.logical_and.reduceat(np.concatenate(phases) == 1.0, starts).tolist()
     structure = _w_structure(n, r_u, r_j, inst.max_body, support, tuple(trivial))
     data = (
-        _daggers(gates, ["gate"] * len(gates))
+        [gate.conj().T for gate in gates]
         + [p for p, skip in zip(phases, trivial) if not skip]
         + gates[::-1]
     )

@@ -646,14 +646,21 @@ def test_chain_environments_hold_one_accumulator_per_site():
     assert sum(env.nbytes for env in req._state.environments.values()) == bound
 
 
-def test_n300_chain_retains_a_few_mib():
+@pytest.fixture(scope="module")
+def n300_chain():
+    # The first chain of an N=300 product-state request, which schedules
+    # O(N^2) light-cone structure, run once for the tests that read it.
+    req = _product_request(300)
+    return req, conditional_chain(req, seed=0, engine="plan")
+
+
+def test_n300_chain_retains_a_few_mib(n300_chain):
     # A request's chain state grows as O(N): the ket half, and per site a
     # cone tail cut at its environment and the environment.  tracemalloc
     # counts a deep copy of that state, the W factors it shares included:
-    # tracing the first chain itself, which schedules O(N^2) light-cone
-    # structure, runs ~20x slower (2.7 MiB retained when measured so).
-    req = _product_request(300)
-    conditional_chain(req, seed=0, engine="plan")
+    # tracing the first chain itself runs ~20x slower (2.7 MiB retained
+    # when measured so).
+    req, _ = n300_chain
     state = req._state
     assert len(state.environments) == 300
     tracemalloc.start()
@@ -765,12 +772,11 @@ def test_plan_conditional_after_a_1e_525_prefix_at_n400():
     assert got == pytest.approx(truth[399], abs=1e-10)
 
 
-def test_chain_below_1e_30_prefix_at_n300():
+def test_chain_below_1e_30_prefix_at_n300(n300_chain):
     # A sampled branch whose prefix probability falls below 1e-30 near site
     # 210; an absolute 1e-30 cut reported p0 = 1 from there on.
-    req = _product_request(300)
+    req, chain = n300_chain
     truth = _product_truth(req)
-    chain = conditional_chain(req, seed=0, engine="plan")
     log_prefix = np.cumsum(
         [math.log10(p if b == "0" else 1 - p) for b, p in zip(chain.bits, truth)]
     )

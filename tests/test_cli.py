@@ -550,6 +550,39 @@ def test_config_error_paths(tmp_path, capsys):
     listy.write_text("[1, 2]")
     assert main(["--config", str(listy), "gen", "--n", "3", "--xi", "0.5"]) == EXIT_DOMAIN
     capsys.readouterr()
+    # A value its flag could not take is refused by name, before any
+    # command runs.
+    for payload, argv, message in [
+        ({"trials": "2"}, ["verify", "--n", "3"], "--trials must be an integer, got '2'"),
+        ({"trials": True}, ["verify", "--n", "3"], "--trials must be an integer, got True"),
+        (
+            {"points": 2.5},
+            ["gatecount", "--n", "16", "--xi", "0.15", "--sweep"],
+            "--points must be an integer, got 2.5",
+        ),
+        ({"t": "1e3"}, ["gatecount", "--n", "16", "--xi", "0.15"], "--t must be a number, got '1e3'"),
+    ]:
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(payload))
+        assert main(["--config", str(typed), *argv]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config value for {message}\n"
+
+
+def test_library_warnings_are_one_line_each(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--n", "6", "--xi", "0.4", "--seed", "2", "--out", str(inst)]) == EXIT_OK
+    out = tmp_path / "b.csv"
+    argv = ["bound", "--instance", str(inst), "--eps", "0.1", "--t", "2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "warning: radius search saturated at r=N=6 before reaching per-term target "
+        "2.500e-02; achieved total bound 5.828e-02\n"
+    )
+    assert out.read_text().startswith("N,xi,q,r_J,r_U,")
 
 
 def test_console_entry_point(tmp_path):

@@ -212,6 +212,24 @@ def test_structure_caches_are_bounded():
     assert w_module._w_structure.cache_info().currsize == 64
 
 
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_constituent_layout_holds_no_array():
+    # A cached layout outlives the requests of its family, so it holds
+    # nested tuples of ints alone: no index array the size of the draws.
+    lay = model._constituent_layout(16, model.constituent_positions(16, 8))
+    fields = tuple(getattr(lay, field.name) for field in dataclasses.fields(lay))
+    leaves = list(_leaves(fields))
+    assert not any(isinstance(leaf, np.ndarray) for leaf in leaves)
+    assert all(type(leaf) is int for leaf in leaves)
+
+
 _BASE = dict(n=8, r_u=3, r_j=3, max_body=2, max_width=2, periodic=False)
 
 
