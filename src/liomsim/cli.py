@@ -111,10 +111,10 @@ def _request_for(args: argparse.Namespace) -> simulate.SimulationRequest:
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:
-    req = _request_for(args)
     prefix = args.prefix or ""
     if any(c not in "01" for c in prefix):
         raise DomainError(f"--prefix must be a bitstring, got {prefix!r}")
+    req = _request_for(args)
     pivot = args.pivot
     projectors = tuple(enumerate(map(int, prefix), 1))
     if args.projector:

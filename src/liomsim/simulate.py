@@ -22,22 +22,20 @@ _light_cone walks W's commuting runs (the layers of U~ and V) from last
 to first, and a run grows the cone only by its factors that meet the
 sites the run was handed.  So the cone of a single site spans a window
 of W's layers, O(r_U + r_J) sites wide whatever the site and N, while
-the cone of sites 1..w holds every site up to w and beyond.  One
-builder, _cone, makes the light-cone network of sites 1..w with an
-identity mark per site; the cone of all N sites is the chain network.
-The walk does not contract it: once the marks of sites 1..w-1 fix the
-prefix with rank-1 projectors, the network's left part is a ket tensor
-times its conjugate, so the walk contracts only the ket half
-<1...1| D W|0> (_ket), once per chain, and at each site w one einsum
-moves the ket runner and the conjugate of its earlier accumulator onto
-the cone of sites 1..w (_cone_target).  Past the first step from the
-mark that shrinks the accumulator, the cone's tail holds W's factors
-right of the cut, their mirrors and the caps, so it is one linear
-functional of the accumulator there for every prefix and chain, its
-right environment (Schollwoeck, Ann. Phys. 326, 96, 2011).  The request
-builds it once per site, and per outcome a chain runs the steps before
-the cut (past site 1 of the criterion-6 family, the mark and at most
-one more) and reads the marginal as one dot product with it.
+the cone of sites 1..w holds every site up to w and beyond.  The walk
+contracts only the ket half <1...1| D W|0> of the chain network
+(_ket), once per chain, with a mark D_w per site, in light-cone order:
+each factor of W at its reach, the first site w whose cone of sites
+1..w holds it (_reaches), and mark w with its cap of ones at site w.
+Once the ket half has absorbed the cone of sites 1..w, every factor it
+has not absorbed acts only on sites above w, after the absorbed ones,
+so it cancels in |psi|^2: with the marks of sites 1..w-1 set to the
+chosen outcomes over the square roots of their conditionals, the
+conditional P(z_w = b | prefix) is the squared norm of the
+accumulator's slice b on mark w's id.  This is the normalised
+sequential sampling of Ferris & Vidal (PRB 85, 165146, 2012), run by
+the qubit-wise runner itself: one schedule per request and one norm read
+per site.
 
 A one-shot conditional_probability has three marginal sources.  The dense
 route reads the prefix-marginal tree.  The plan route reads an exact
@@ -86,11 +84,8 @@ the cache keeps no request alive.  It is bounded by the plan steps it
 holds, PLAN_CACHE_STEPS (~400 bytes each), and a plan longer than that
 is not stored.  Only prefix cones grow with their site: those of a
 one-shot conditional's fallback share the cache, while the chain walk
-keeps in its request's state its ket half and, per site, only the tail
-of the site's cone from its mark to its cut, and the cut's environment,
-whose sizes do not grow with the site, so a request holds O(N) data for
-its chains (1.6 MiB at N=32 on the criterion-6 family, W's factors
-included, of which the environments take 1.26 MiB).
+keeps in its request's state only its ket half, whose plan grows as
+O(N).
 """
 
 from __future__ import annotations
@@ -118,11 +113,8 @@ from .mps import MatrixProductState, build_mps, prefix_pair
 from .tensor import (
     ContractionPlan,
     ExpectationNetwork,
-    ForkTarget,
     PlacedTensor,
     PlanRunner,
-    _axes_before,
-    environment,
     open_leg_bound,
     qubitwise_schedule,
 )
@@ -265,8 +257,6 @@ class _RequestState:
     psi: np.ndarray | None = None
     prefix_tree: list[np.ndarray] | None = None
     ket: tuple | None = None
-    cone_targets: dict[int, ForkTarget] = field(default_factory=dict)
-    environments: dict[int, np.ndarray] = field(default_factory=dict)
     mps: MatrixProductState | _Refused | None = None
     mps_bonds: tuple[int, ...] | None = None
     mps_delta: float | None = None
@@ -349,11 +339,11 @@ def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
 
     The cone of a site p spans a window of W's layers around p, whose
     width depends on neither p nor N.  A prefix support 1..m keeps every
-    factor that meets it, as the chain walk's forks need.  When no factor
-    wraps past site N, it gets the flags of a walk that grows the support
-    after every factor: a run's gates share no site with its other
-    factors, and walking back over V's ascending windows, every window
-    that 1..m misses comes before the first one it meets."""
+    factor that meets it.  When no factor wraps past site N, it gets the
+    flags of a walk that grows the support after every factor: a run's
+    gates share no site with its other factors, and walking back over V's
+    ascending windows, every window that 1..m misses comes before the
+    first one it meets."""
     w = _w(req)
     w_list = w.nodes
     supp = set(support)
@@ -366,14 +356,32 @@ def _light_cone(req: SimulationRequest, support: Iterable[int]) -> list[bool]:
     return keep
 
 
+def _reaches(req: SimulationRequest) -> list[int]:
+    """Per W factor, its reach: the first site w whose prefix cone,
+    _light_cone(req, range(1, w + 1)), keeps it.  One backward pass over
+    W's runs, as _light_cone's: before a run, m[s] is the first w whose
+    cone has reached site s, and a factor of the run reaches the least m
+    over its sites."""
+    w = _w(req)
+    m = list(range(req.n_sites + 1))
+    reach = [0] * len(w.nodes)
+    for run in reversed(w.structure.runs):
+        for i in run:
+            reach[i] = min(m[s] for s in w.nodes[i].sites)
+        for i in run:
+            for s in w.nodes[i].sites:
+                m[s] = min(m[s], reach[i])
+    return reach
+
+
 @functools.cache
 def _wire_node(kind: str, w: int) -> PlacedTensor:
     """The ket cap, bra cap, identity mark ("diag"), basis projector
     ("proj0", "proj1") or cap of ones ("ones", the bra cap <0| + <1| that
     sums the ket half's wire) of wire w.  Every network holds the same
-    object, as it holds the same W factors and mirrors, so _cone_move can
-    match nodes by identity.  Both projectors of a wire are named P[w]: a
-    plan never depends on their bit (see the tensor module)."""
+    object, as it holds the same W factors and mirrors.  Both projectors
+    of a wire are named P[w]: a plan never depends on their bit (see the
+    tensor module)."""
     if kind == "diag":
         return PlacedTensor(f"I[{w}]", "diag", (w,), np.ones(2, dtype=complex))
     if kind == "ones":
@@ -597,130 +605,33 @@ def build_expectation_network(
     return _closed_network(req, range(len(_w(req).nodes)), _observable_nodes(obs))
 
 
-def _cone(req: SimulationRequest, site: int):
-    """Light-cone network of sites 1..site with an identity diagonal (mark)
-    on each of them, its qubit-wise plan, and the node position of each
-    mark by site.  Overriding marks 1..site with projectors turns the
-    network into the marginal P(z_1..z_site).  Every W factor meets some
-    site, so _cone(req, N) is the unpruned chain network.  Nothing keeps
-    it: the chain walk keeps only each cone's tail (_cone_target)."""
-    diags = [_wire_node("diag", w) for w in range(1, site + 1)]
-    network = _closed_network(req, _kept(_light_cone(req, range(1, site + 1))), diags)
-    where = {id(node): pos for pos, node in enumerate(network.nodes)}
-    marks = {w: where[id(node)] for w, node in enumerate(diags, 1)}
-    return network, qubitwise_schedule(network), marks
-
-
 def _ket(req: SimulationRequest):
     """The ket half <1...1| D W|0> the chain walk contracts: a ket cap
-    per wire (the one of site w at position w-1), W's factors, a mark D_w
-    per site (an identity diagonal) and a cap of ones per wire; its
-    qubit-wise plan, and the node position of each mark by site.  Kept in
-    the request's state.
+    per wire, W's factors, a mark D_w per site (an identity diagonal) and
+    a cap of ones per wire; its plan in light-cone order, each factor
+    absorbed at its reach (_reaches) and mark w and its cap of ones at
+    site w, and the node position of each mark by site.  Kept in the
+    request's state.
 
-    Setting marks 1..w-1 to e_b / sqrt(v), the chosen outcome over the
-    square root of its conditional, makes the runner's accumulator at
-    mark w a ket tensor K<=w, whose conjugate, taken where site w's group
-    starts, gives the mirror half: so the left part of the chain network,
-    whose marks are |b><b| / v, is K<=w (x) conj(K<=w-1) (_cone_move).
-    The network carries no radii: the open-leg bound is that of the
-    double network."""
+    At mark w the runner has absorbed exactly the factors that the light
+    cone of sites 1..w keeps, and the caps of ones close the wires of
+    sites 1..w-1 after their marks.  The network carries no radii: the
+    open-leg bound is that of the double network."""
     state = req._state
     if state.ket is None:
         n, w = req.n_sites, _w(req)
+        wires = list(range(1, n + 1))
         nodes = (
-            [_wire_node("cap_ket", s) for s in range(1, n + 1)]
+            [_wire_node("cap_ket", s) for s in wires]
             + w.nodes
-            + [_wire_node("diag", s) for s in range(1, n + 1)]
-            + [_wire_node("ones", s) for s in range(1, n + 1)]
+            + [_wire_node("diag", s) for s in wires]
+            + [_wire_node("ones", s) for s in wires]
         )
         network = ExpectationNetwork(n_sites=n, nodes=tuple(nodes))
-        marks = {s: n + len(w.nodes) + s - 1 for s in range(1, n + 1)}
-        state.ket = (network, qubitwise_schedule(network), marks)
+        plan = qubitwise_schedule(network, wires + _reaches(req) + 2 * wires)
+        marks = {s: n + len(w.nodes) + s - 1 for s in wires}
+        state.ket = (network, plan, marks)
     return state.ket
-
-
-def _cone_move(req: SimulationRequest, site: int) -> ForkTarget:
-    """The two-operand target on the full plan of _cone(req, site), from
-    its mark `site` on, for the ket-half runner paused at its own mark
-    `site` and holding its accumulator from where site's group starts.
-
-    Every factor the runner has absorbed meets sites 1..site, so it lies
-    in the cone, and up to its mark the cone's plan absorbs just those
-    nodes, marks 1..site-1 and the mirrors of the factors absorbed when
-    the runner held.  Ids map wire by wire through the nodes both
-    networks hold: each id the runner holds maps to the cone id of the
-    same node's same axis, each id the held accumulator holds to the cone
-    id of the mirror's axis across from it (a gate's out id to its
-    mirror's in id, and back), and a mark's id, between the ket and the
-    mirror half, is one.  The caps of ones are no cone nodes; they close
-    their wire's id only after its mark does."""
-    ket, ket_plan, ket_marks = _ket(req)
-    network, plan, marks = _cone(req, site)
-    w = _w(req)
-    where = {id(node): pos for pos, node in enumerate(network.nodes)}
-    mirror_of = {id(node): mirror for node, mirror in zip(w.nodes, w.mirrors)}
-    cut, held = ket_plan.step_of[ket_marks[site]], ket_plan.step_of[site - 1]
-    ids: dict[int, int] = {}
-    conj: dict[int, int] = {}
-    # The cone nodes the head of its plan must absorb, counted.
-    absorbed = 0
-    for p, step in enumerate(ket_plan.steps[:cut]):
-        node = ket.nodes[step.node_index]
-        if node.kind == "cap_bra":
-            continue
-        pairs = [(node, False)]
-        if p < held and id(node) in mirror_of:
-            pairs.append((mirror_of[id(node)], True))
-        for cone_node, mirrored in pairs:
-            if id(cone_node) not in where:
-                raise AssertionError(f"light cone of sites 1..{site} misses an absorbed node")
-            mine = ket_plan.node_indices[step.node_index]
-            theirs = plan.node_indices[where[id(cone_node)]]
-            if mirrored and node.kind == "gate":
-                theirs = theirs[node.width :] + theirs[: node.width]
-            (conj if mirrored else ids).update(zip(mine, theirs))
-            absorbed += 1
-    start = plan.step_of[marks[site]]
-    if start != absorbed:
-        raise AssertionError(f"light cone of sites 1..{site} absorbs other nodes before its mark")
-    return ForkTarget(
-        network,
-        plan,
-        start,
-        {i: ids[i] for i in _axes_before(ket_plan, cut)},
-        {i: conj[i] for i in _axes_before(ket_plan, held)},
-    )
-
-
-def _environment_at(plan: ContractionPlan) -> int:
-    """Where a cone tail's environment is taken: after the first step that
-    leaves the accumulator fewer axes than the tail's head, or at the
-    tail's end when no step does."""
-    head = len(plan.head)
-    return next(
-        (p + 1 for p, step in enumerate(plan.steps) if step.mem_axes_after < head),
-        len(plan.steps),
-    )
-
-
-def _cone_target(req: SimulationRequest, site: int) -> ForkTarget:
-    """Where the ket-half runner, paused at mark `site`, continues to get
-    the marginals of sites 1..site: the tail of _cone_move's target from
-    the mark up to _environment_at, and the environment of the rest in
-    the request's environments (see the module docstring).  The target
-    keeps only what the move and its steps read, so a request holds O(N)
-    plan data for its chains rather than O(N^2); both are kept in the
-    request's state, built by the first chain that reaches the site.
-    Size refusals carry the route advice."""
-    state = req._state
-    hit = state.cone_targets.get(site)
-    if hit is None:
-        tail = _advised(req, lambda: _cone_move(req, site).tail())
-        at = _environment_at(tail.plan)
-        state.environments[site] = environment(tail.plan, tail.network, at)
-        hit = state.cone_targets[site] = tail.tail(at)
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -770,15 +681,10 @@ _PLANS = _PlanCache()
 
 
 def _runner(req: SimulationRequest, plan: ContractionPlan, network) -> PlanRunner:
-    """PlanRunner for a plan-route contraction, its size refusals advised."""
-    return _advised(req, lambda: PlanRunner(plan, network))
-
-
-def _advised(req: SimulationRequest, build: Callable):
-    """build(), whose size refusals gain the route advice the tensor layer
-    cannot give."""
+    """PlanRunner for a plan-route contraction, whose size refusals gain
+    the route advice the tensor layer cannot give."""
     try:
-        return build()
+        return PlanRunner(plan, network)
     except FeasibilityError as exc:
         n, cap = req.n_sites, _dense_cap()
         advice = (
@@ -1035,10 +941,11 @@ def _light_cone_pair(
 ) -> tuple[complex, complex]:
     """The qubit-wise one-shot conditional: (v0, v1) from the light-cone
     network of sites 1..site with the prefix projectors on sites 1..site-1
-    and an identity mark on the site, forked at the mark by _outcome_pair
-    as the chain walk does.  Its plan comes from the shared cache of
-    one-shot plans and holds no bits, so every prefix of a site shares it;
-    the request keeps no light cone for it."""
+    and an identity mark on the site.  The runner runs to the mark once; a
+    fork finishes it set to proj0, the runner itself set to proj1.  Its
+    plan comes from the shared cache of one-shot plans and holds no bits,
+    so every prefix of a site shares it; the request keeps no light cone
+    for it."""
     mark = _wire_node("diag", site)
     middle = [_wire_node(f"proj{bit}", w) for w, bit in enumerate(bits, 1)] + [mark]
     network, shot = _one_shot_network(req, middle)
@@ -1046,62 +953,63 @@ def _light_cone_pair(
     # The mark is the last middle node; mirrors and bra caps follow it.
     nodes = network.nodes
     at = next(pos for pos in range(len(nodes) - 1, -1, -1) if nodes[pos] is mark)
-    return _outcome_pair(runner, at)
+    runner.run_to(runner.plan.step_of[at])
+    twin = runner.fork()
+    twin.set_override(at, _DIAGS["proj0"])
+    runner.set_override(at, _DIAGS["proj1"])
+    return twin.finish(), runner.finish()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class ChainResult:
     """One branch of the chain rule: the visited bitstring and, per site,
-    the conditional probability of outcome 0 given that branch's prefix."""
+    the conditional probability of outcome 0 given that branch's prefix.
+    The probabilities are kept packed, 8 bytes each, and probs is made on
+    access, bit for bit the floats given; results compare and hash by bits
+    and probs.  The dataclass fields are bits and the packed _p0, so
+    dataclasses.fields and asdict show _p0 in place of probs, and
+    dataclasses.replace refuses (it cannot pass probs); build a new
+    ChainResult(bits, probs) instead."""
 
     bits: str
-    probs: tuple[float, ...]
+    _p0: bytes = field(init=False)
 
+    def __init__(self, bits: str, probs: Sequence[float]) -> None:
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "_p0", np.asarray(probs, dtype=float).tobytes())
 
-def _outcome_pair(
-    runner: PlanRunner, mark: int, env: np.ndarray | None = None
-) -> tuple[complex, complex]:
-    """(v0, v1): the runner's network finished with the diagonal at node
-    `mark` set to proj0 and to proj1, each with env when given
-    (PlanRunner.finish).  The runner runs to the mark once; a fork
-    finishes the proj0 branch, the runner itself the proj1 one."""
-    runner.run_to(runner.plan.step_of[mark])
-    twin = runner.fork()
-    twin.set_override(mark, _DIAGS["proj0"])
-    runner.set_override(mark, _DIAGS["proj1"])
-    return twin.finish(env), runner.finish(env)
+    @property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(np.frombuffer(self._p0).tolist())
+
+    def __repr__(self) -> str:
+        return f"ChainResult(bits={self.bits!r}, probs={self.probs!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChainResult):
+            return NotImplemented
+        return (self.bits, self.probs) == (other.bits, other.probs)
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.probs))
 
 
 class _PlanMarginals:
     """Plan-route marginal source for exactly one branch.  The runner
     contracts the ket half (_ket) with marks 1..w-1 set to the chosen
-    outcomes e_b, each over the square root of its own conditional, so
-    site w's two marginals are the conditionals v_b = P(z_w = b | prefix),
-    from the outcome pair of a fork onto the light-cone target that takes
-    the runner at mark w and the conjugate of its accumulator where site
-    w's group starts: per outcome, the mark and the target's steps up to
-    its cut, then one dot product with the site's environment."""
+    outcomes e_b, each over the square root of its own conditional; at
+    mark w it has absorbed the light cone of sites 1..w, so site w's
+    conditionals v_b = P(z_w = b | prefix) are the weights of its
+    accumulator's two slices on the mark's id (PlanRunner.weights)."""
 
     def __init__(self, req: SimulationRequest) -> None:
         network, plan, self.marks = _ket(req)
-        self.req = req
         self.runner = _runner(req, plan, network)
 
-    def pause(self, site: int) -> PlanRunner:
-        """The runner at mark `site`, holding its accumulator from where
-        the site's group starts, at the site's ket cap."""
-        runner = self.runner
-        runner.run_to(runner.plan.step_of[site - 1])
-        runner.hold()
-        runner.run_to(runner.plan.step_of[self.marks[site]])
-        return runner
-
     def conditionals(self, site: int, live: np.ndarray) -> np.ndarray:
-        cone = self.pause(site).fork(_cone_target(self.req, site))
-        # A cone's tail starts at its mark.
-        mark = cone.plan.steps[cone.position].node_index
-        v0, v1 = _outcome_pair(cone, mark, self.req._state.environments[site])
-        return np.array([[v0], [v1]])
+        mark = self.marks[site]
+        self.runner.run_to(self.runner.plan.step_of[mark])
+        return np.array(self.runner.weights(mark))[:, None]
 
     def fix(self, site: int, live: np.ndarray, bits: np.ndarray, values: np.ndarray) -> None:
         mark = _DIAGS[f"proj{int(bits[0])}"] / math.sqrt(values[0])
@@ -1201,7 +1109,7 @@ def conditional_chain(
         # A coin of +inf lands on 1 and one of -inf on 0, whatever p0 is.
         coins = np.where(np.array([fixed], dtype=bool), np.inf, -np.inf)
     out, probs = _chain_walk(req, engine, coins)
-    return ChainResult("".join("01"[b] for b in out[0].tolist()), tuple(probs[0].tolist()))
+    return ChainResult("".join("01"[b] for b in out[0].tolist()), probs[0])
 
 
 # Samples whose uniforms the dense walk holds at once: 8·N bytes each.

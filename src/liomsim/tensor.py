@@ -39,9 +39,9 @@ keep.  The runner materializes arrays only when the peak memory count is
 affordable; the scheduler itself is pure structure and runs at any size.
 
 The scheduler also plans the accumulator's axis order, from structure
-alone, so that the runner's kernel does no id bookkeeping and calls no
-einsum.  A step's touched ids are the accumulator ids its node carries;
-each step takes one of two forms:
+alone, so that the runner's kernel does no id bookkeeping.  A step's
+touched ids are the accumulator ids its node carries; each step takes
+one of two forms:
 
 - a broadcast multiply, for a node that closes no id (a diagonal, a ket
   cap with data, a gate whose accumulator ids all stay open); its new
@@ -60,27 +60,17 @@ block moves there and the other axes follow in order of their next use.
 Leading blocks keep multiplies' inner loops long.  A network of caps
 alone is an empty plan of value 1.
 
-Moving onto a fork target is the one einsum left; it writes the target
-plan's axis order at the target's start.  It moves one accumulator, or
-two: the chain walk contracts only the ket half <1...1| D W|0> of its
-network, whose marks D fix the prefix with rank-1 projectors, so the
-left part of the double network <0|W^dag D W|0> at a site's mark is the
-ket runner's accumulator there times the conjugate of the one it held
-where the site's group started, and one einsum over the pair writes it.
-A target can keep only its tail, the steps from its start on, as a plan
-whose accumulator starts from a head of open ids, not from a scalar.  A
-tail can also stop at a cut, when the steps from the cut on are the same
-for every accumulator a runner brings there: those steps then run once,
-backwards, as the environment of the cut, the value as a linear
-functional of the accumulator there (environment), and each runner
-finishes with one dot product.
+A caller may give each node the wire to absorb it at in place of its
+leftmost one (qubitwise_schedule's sites): the chain walk absorbs each
+factor of W at the first site whose light cone holds it.  Nodes of one
+site keep their application order under either rule.
 """
 
 from __future__ import annotations
 
 import copy
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -93,8 +83,6 @@ from .errors import FeasibilityError, StructuralError
 MAX_EXEC_AXES = 24
 # The accumulator's shape, per number of axes.
 _SHAPES = tuple((2,) * k for k in range(MAX_EXEC_AXES + 1))
-# numpy's einsum accepts at most 52 distinct labels in one call.
-MAX_EINSUM_LABELS = 52
 
 
 @dataclass(frozen=True)
@@ -222,8 +210,6 @@ class ContractionPlan:
         when the plan has no steps).
     axes: the accumulator's ids after every step, in axis order, one step
         after the other; step p's order ends at axes_end[p].
-    head: the accumulator's ids before step 0: none for a schedule, the
-        axis order at the cut for a tail (see ForkTarget.tail).
     """
 
     steps: list[PlanStep]
@@ -237,7 +223,6 @@ class ContractionPlan:
     r_j: int | None
     axes: array
     axes_end: array
-    head: tuple[int, ...] = ()
 
 
 def _wire_sequences(net: ExpectationNetwork) -> dict[int, list[int]]:
@@ -337,17 +322,22 @@ def _step_operand(
     return arr.transpose(step.node_axes).reshape(step.shape)
 
 
-def qubitwise_schedule(net: ExpectationNetwork) -> ContractionPlan:
+def qubitwise_schedule(
+    net: ExpectationNetwork, sites: Sequence[int] | None = None
+) -> ContractionPlan:
     """Build the qubit-wise plan: absorb all tensors whose leftmost wire is
     qubit 1 (in application order), then qubit 2, and so on, skipping the
-    caps without data and the projectors that pin.  Pure structure; tensor
-    data never enters."""
+    caps without data and the projectors that pin.  With sites, node pos
+    is absorbed with the nodes of wire sites[pos] instead.  Pure
+    structure; tensor data never enters."""
     if not net.nodes:
         raise StructuralError("empty network")
     nodes = net.nodes
     wires = _wire_sequences(net)
     pinning = _pinning_projectors(nodes, wires)
-    order = sorted(range(len(nodes)), key=lambda pos: (nodes[pos].min_site, pos))
+    if sites is None:
+        sites = [node.min_site for node in nodes]
+    order = sorted(range(len(nodes)), key=lambda pos: (sites[pos], pos))
     # The dense count walks every node in `order`; the steps skip the
     # pinning nodes, each of which takes the step number of the step after it.
     dense_at = [0] * len(nodes)
@@ -454,11 +444,10 @@ def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], a
     held = [False] * n_ids
     acc: list[int] = []
     out = []
-    # Plans stay cached: a chain walk's ket half and cone tails on their
-    # request, one-shot plans in the simulate module's bounded cache,
-    # evicted least recently used first.  So a plan shares its equal small
-    # fields and packs its axis orders into one array rather than one
-    # tuple per step.
+    # Plans stay cached: a chain walk's ket half on its request, one-shot
+    # plans in the simulate module's bounded cache, evicted least recently
+    # used first.  So a plan shares its equal small fields and packs its
+    # axis orders into one array rather than one tuple per step.
     flat = array("I")
     shared: dict = {}
 
@@ -507,46 +496,26 @@ def _layout(free: Sequence[tuple[int, ...]], n_ids: int) -> tuple[list[tuple], a
     return out, flat
 
 
-def _einsum(out: Sequence[int], *operands: tuple[np.ndarray, Sequence[int]]) -> np.ndarray:
-    """np.einsum over (array, index ids) operands in integer-sublist form.
-    The ids of one call are renumbered 0..k-1 in order of appearance,
-    because numpy rejects labels of 52 and above."""
-    local: dict[int, int] = {}
-    args: list = []
-    for arr, ids in operands:
-        args += [arr, [local.setdefault(i, len(local)) for i in ids]]
-    args.append([local[i] for i in out])
-    return np.einsum(*args)
-
-
 def _axes_before(plan: ContractionPlan, pos: int) -> tuple[int, ...]:
     """The accumulator's ids, in axis order, before step pos of the plan."""
     if not pos:
-        return plan.head
+        return ()
     end = plan.axes_end[pos - 1]
     return tuple(plan.axes[end - plan.steps[pos - 1].mem_axes_after : end])
 
 
-def _peak_from(plan: ContractionPlan, start: int) -> int:
-    """The most axes the accumulator holds from step `start` on, the
-    order a move writes there included."""
-    if not start:
-        return plan.peak_mem_axes
-    return max(step.mem_axes_after for step in plan.steps[start - 1 :])
-
-
-def _check_plan(plan: ContractionPlan, net: ExpectationNetwork, start: int = 0) -> None:
-    """Refuse a plan the runner cannot execute from step `start` on: one
-    built for another network, or one whose peak from there exceeds
-    MAX_EXEC_AXES (no step calls einsum, so no step is bounded by its
-    labels).  The plan's dense-leg peak is checked against the analytic
-    bound when the network carries its radii; a failure there is an
-    internal assertion error, not a user error."""
+def _check_plan(plan: ContractionPlan, net: ExpectationNetwork) -> None:
+    """Refuse a plan the runner cannot execute: one built for another
+    network, or one whose peak exceeds MAX_EXEC_AXES (a step is a
+    multiply or a matmul, which no label count bounds).  The plan's
+    dense-leg peak is checked against the analytic bound when the network
+    carries its radii; a failure there is an internal assertion error,
+    not a user error."""
     if len(net.nodes) != len(plan.node_indices):
         raise StructuralError(
             "plan was produced for a different network (node count differs)"
         )
-    peak = _peak_from(plan, start)
+    peak = plan.peak_mem_axes
     if peak > MAX_EXEC_AXES:
         raise FeasibilityError(
             f"contraction needs 2^{peak} intermediate entries, above the "
@@ -559,135 +528,6 @@ def _check_plan(plan: ContractionPlan, net: ExpectationNetwork, start: int = 0) 
                 f"scheduler bug: predicted open legs {plan.peak_open_legs} exceed the "
                 f"analytic bound {bound} for (r_U={plan.r_u}, r_J={plan.r_j})"
             )
-
-
-def _operand(plan: ContractionPlan, ids: dict[int, int]) -> tuple[tuple | None, tuple[int, ...]]:
-    """The pick of a move's operand whose open ids map to plan ids as
-    given: entry 0 of each axis whose plan id the plan pins, or None;
-    and the plan ids of its other axes, its einsum labels."""
-    pinned = [plan.index_endpoints[b] == 0 for b in ids.values()]
-    return _entry_0(pinned), tuple(b for b, pin in zip(ids.values(), pinned) if not pin)
-
-
-@dataclass(frozen=True)
-class ForkTarget:
-    """A smaller network whose plan a runner stopped between steps can continue on.
-
-    The plan's first `start` steps absorb what the runner has absorbed,
-    except that where a W...W^dag segment was removed from a wire the ids
-    on either side of it are one.  `ids` maps the runner's open ids, in
-    axis order, to plan ids.  A two-operand target also has `conj_ids`,
-    for a runner that contracts the ket half of a network whose bra half
-    is its mirror image: they map the open ids of an accumulator the
-    runner held earlier (PlanRunner.hold), in axis order, to the plan ids
-    of the mirror nodes, and the move takes that accumulator's conjugate
-    as its second operand.  The plan's first `start` steps then absorb
-    the nodes the runner has absorbed and the mirrors of those absorbed
-    when it held.
-
-    Moving takes entry 0 of an operand's axis whose plan id the plan pins
-    (a removed segment can join an id the runner holds to the id of a cap
-    without data), and then, in one einsum, the product over ids two axes
-    map to, the diagonal of those the plan keeps open at `start` and the
-    trace of the others.  An id the plan holds open at `start` must come
-    from one an operand holds: an id the runner's own plan pinned is
-    refused, not reopened.  So is a move that takes a pinned entry onto a
-    plan where projectors pin, whose entry there may be a projector's b.
-    The plan is checked from `start` on, as PlanRunner checks its own,
-    once, when the target is built, and so is the move: its einsum takes
-    one label per distinct plan id it keeps, and numpy accepts at most 52.
-    The steps before `start` never run on a target, so their peak does
-    not count.
-
-    pick, conj_pick: the index that takes entry 0 of an operand's axes
-        whose plan id is pinned, or None; labels, conj_labels: the plan
-        ids of the other axes.  All are worked out from the fields.
-    """
-
-    network: ExpectationNetwork
-    plan: ContractionPlan
-    start: int
-    ids: dict[int, int]
-    conj_ids: dict[int, int] | None = None
-    pick: tuple | None = field(init=False, repr=False, compare=False)
-    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    conj_pick: tuple | None = field(init=False, repr=False, compare=False)
-    conj_labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _check_plan(self.plan, self.network, self.start)
-        pick, labels = _operand(self.plan, self.ids)
-        conj_pick, conj_labels = _operand(self.plan, self.conj_ids or {})
-        n_labels = len(set(labels + conj_labels))
-        if n_labels > MAX_EINSUM_LABELS:
-            raise FeasibilityError(
-                f"the fork move onto step {self.start} needs {n_labels} einsum labels, "
-                f"above the {MAX_EINSUM_LABELS} numpy accepts"
-            )
-        missing = sorted(set(_axes_before(self.plan, self.start)).difference(labels, conj_labels))
-        if missing:
-            raise StructuralError(
-                f"fork target's plan keeps an id the runner does not hold (plan ids {missing}); "
-                "the runner's plan pins such an id or has not opened it"
-            )
-        if (pick is not None or conj_pick is not None) and self.plan.pins:
-            raise StructuralError(
-                "fork move takes a pinned entry onto a plan where projectors pin: "
-                "the entry may be a projector's b, not 0"
-            )
-        object.__setattr__(self, "pick", pick)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "conj_pick", conj_pick)
-        object.__setattr__(self, "conj_labels", conj_labels)
-
-    def tail(self, stop: int | None = None) -> "ForkTarget":
-        """The same move and finish, keeping only what they read from
-        `start` on: the plan's steps from `start` (up to `stop`, when
-        given), numbered from 0, the nodes they absorb and the projectors
-        they read, and the ids those and the operands carry, numbered in
-        order of first use from the axis order at `start`, which becomes
-        the tail plan's head.  The order of every axis list is kept, so
-        moving onto the tail and finishing gives the bits of moving onto
-        this target and finishing.  A tail cut at `stop` finishes with the
-        environment of the plan's steps from `stop` on (PlanRunner.finish).
-        A tail is no schedule: it keeps the plan's dense-leg peak, its
-        memory peak is the most axes it holds from `start` to the plan's
-        end, the steps an environment's pass runs included, its
-        index_endpoints, as the plan's, count the carriers before `start`
-        and from `stop` on too."""
-        plan, start = self.plan, self.start
-        stop = len(plan.steps) if stop is None else stop
-        steps = plan.steps[start:stop]
-        pins = [(pos, p - start, k) for pos, p, k in plan.pins if start <= p < stop]
-        kept = sorted({step.node_index for step in steps}.union(pos for pos, _, _ in pins))
-        node_of = {pos: i for i, pos in enumerate(kept)}
-        head = _axes_before(plan, start)
-        carried = [i for pos in kept for i in plan.node_indices[pos]]
-        moved = [*self.ids.values(), *(self.conj_ids or {}).values()]
-        new: dict[int, int] = {}
-        for idx in head + tuple(carried + moved):
-            new.setdefault(idx, len(new))
-        old = list(new)
-        offset = plan.axes_end[start - 1] if start else 0
-        last = plan.axes_end[stop - 1] if stop else 0
-        tail = ContractionPlan(
-            steps=[replace(step, node_index=node_of[step.node_index]) for step in steps],
-            node_indices=[tuple(new[i] for i in plan.node_indices[pos]) for pos in kept],
-            index_endpoints=[plan.index_endpoints[i] for i in old],
-            step_of=[max(plan.step_of[pos] - start, 0) for pos in kept],
-            pins=tuple((node_of[pos], p, k) for pos, p, k in pins),
-            peak_open_legs=plan.peak_open_legs,
-            peak_mem_axes=_peak_from(plan, start),
-            r_u=plan.r_u,
-            r_j=plan.r_j,
-            axes=array("I", [new[i] for i in plan.axes[offset:last]]),
-            axes_end=array("I", [end - offset for end in plan.axes_end[start:stop]]),
-            head=tuple(new[i] for i in head),
-        )
-        net = self.network
-        network = replace(net, nodes=tuple(net.nodes[pos] for pos in kept))
-        conj = None if self.conj_ids is None else {i: new[b] for i, b in self.conj_ids.items()}
-        return ForkTarget(network, tail, 0, {i: new[b] for i, b in self.ids.items()}, conj)
 
 
 class PlanRunner:
@@ -707,39 +547,25 @@ class PlanRunner:
     holds at most two accumulator-sized arrays.
 
     The runner reads the b of every projector that pins once, when it is
-    built or moved onto a ForkTarget, and its steps take that entry where
-    the plan's picks say 0.
+    built, and its steps take that entry where the plan's picks say 0.
 
     Beyond one-shot execution the runner can pause between steps, fork
-    (duplicate the partial contraction), and override the values of
-    diagonal nodes not yet absorbed.  A fork may also move onto a
-    ForkTarget, a network over fewer nodes that finishes the same value,
-    and a runner that holds an earlier accumulator (hold) may move onto a
-    two-operand target, which takes that accumulator's conjugate as well.
-    The chain-rule sampler leans on all of this.  Once projectors fix the
-    prefix, the left part of <0|W^dag (.) W|0> is a ket tensor times its
-    own conjugate (Ferris & Vidal, PRB 85, 165146, 2012), so one runner
-    contracts only the ket half, once per chain; at each site it holds
-    its accumulator where the site's group starts, pauses at the site's
-    mark, and a fork moves the pair onto the site's light-cone network,
-    runs its tail from the mark to the tail's cut once per outcome and
-    finishes each with the cut's environment (finish(env)).
+    (duplicate the partial contraction), override the values of diagonal
+    nodes not yet absorbed, and read the weights of the accumulator's two
+    slices on the id a diagonal sits on (weights).  The chain-rule sampler
+    leans on all of this: one runner contracts the ket half of the chain
+    network once per chain and reads each site's conditionals off its
+    accumulator at the site's mark (see the simulate module).
     """
 
     def __init__(self, plan: ContractionPlan, net: ExpectationNetwork) -> None:
         _check_plan(plan, net)
-        self._resume(plan, net, 0, np.ones((), dtype=complex))
-
-    def _resume(
-        self, plan: ContractionPlan, net: ExpectationNetwork, pos: int, acc: np.ndarray
-    ) -> None:
         self.plan = plan
         self.net = net
-        self._pos = pos
-        self._acc = acc
-        self._observed_peak = acc.ndim
+        self._pos = 0
+        self._acc = np.ones((), dtype=complex)
+        self._observed_peak = 0
         self._overrides: dict[int, np.ndarray] = {}
-        self._held: tuple[tuple[int, ...], np.ndarray] | None = None
         self._picks = _bit_picks(plan, net)
 
     @property
@@ -756,48 +582,32 @@ class PlanRunner:
         """Index ids of the accumulator's axes, in axis order."""
         return _axes_before(self.plan, self._pos)
 
-    def hold(self) -> None:
-        """Keep the accumulator where the runner stands, and its open ids,
-        as the operand a two-operand move conjugates.  It is shared, not
-        copied: no step writes into an accumulator."""
-        self._held = (self.open_ids, self._acc)
-
-    def fork(self, target: ForkTarget | None = None) -> "PlanRunner":
+    def fork(self) -> "PlanRunner":
         """Duplicate the partial contraction.  The twin shares this runner's
         accumulator rather than copying it: no step writes into an
         accumulator, and every accumulator is C-contiguous, so a copy would
         have the same layout and give the same bits.  The plan is shared
-        too, so a fork copies no per-index state.
-
-        With a target, the twin continues the target's plan at its start:
-        each operand, the accumulator and for a two-operand target the
-        conjugate of the held one, takes entry 0 of the axes whose target
-        id is pinned, and one einsum moves them onto the target's ids, in
-        the axis order the target's plan has there, taking the product
-        over ids both carry and the trace of ids no carrier from the start
-        on needs.  The twin starts without overrides, which name nodes of
-        this runner's network, and holds nothing."""
-        if target is None:
-            twin = copy.copy(self)
-            twin._overrides = dict(self._overrides)
-            return twin
-        if tuple(target.ids) != self.open_ids:
-            raise StructuralError(
-                "fork target was built for a different point of the contraction"
-            )
-        acc = self._acc if target.pick is None else self._acc[target.pick]
-        operands = [(acc, target.labels)]
-        if target.conj_ids is not None:
-            if self._held is None or tuple(target.conj_ids) != self._held[0]:
-                raise StructuralError(
-                    "two-operand fork target was built for another held accumulator"
-                )
-            held = self._held[1] if target.conj_pick is None else self._held[1][target.conj_pick]
-            operands.append((held.conj(), target.conj_labels))
-        acc = _einsum(_axes_before(target.plan, target.start), *operands)
-        twin = PlanRunner.__new__(PlanRunner)
-        twin._resume(target.plan, target.network, target.start, np.asarray(acc, order="C"))
+        too, so a fork copies no per-index state."""
+        twin = copy.copy(self)
+        twin._overrides = dict(self._overrides)
         return twin
+
+    def weights(self, node_index: int) -> tuple[float, float]:
+        """The squared norms of the accumulator's slices at entries 0 and 1
+        of the id that the one-wire diagonal node_index, not yet absorbed,
+        sits on: (squared norm, 0.0) where a cap without data pins that id
+        to entry 0 (no projector may pin it)."""
+        node = self.net.nodes[node_index]
+        if node.kind != "diag" or node.width != 1:
+            raise StructuralError(f"weights are read on a one-wire diagonal, {node.name} is not")
+        if self.plan.step_of[node_index] < self._pos:
+            raise StructuralError(f"node {node.name} was already absorbed")
+        (idx,) = self.plan.node_indices[node_index]
+        acc = self._acc
+        if not self.plan.index_endpoints[idx]:
+            return float(np.vdot(acc, acc).real), 0.0
+        rows = np.moveaxis(acc, self.open_ids.index(idx), 0).reshape(2, -1)
+        return float(np.vdot(rows[0], rows[0]).real), float(np.vdot(rows[1], rows[1]).real)
 
     def set_override(self, node_index: int, values: np.ndarray) -> None:
         """Replace the data of a not-yet-absorbed diagonal node for this
@@ -844,59 +654,12 @@ class PlanRunner:
         while self._pos < stop:
             self.step()
 
-    def finish(self, env: np.ndarray | None = None) -> complex:
-        """Run to the plan's end and return the value it leaves.  With
-        env, the plan is cut short (a tail that keeps its steps before a
-        cut, see ForkTarget.tail) and env is the rest of the contraction
-        as a linear functional of the accumulator there (environment):
-        the value is dot(acc.ravel(), env)."""
+    def finish(self) -> complex:
+        """Run to the plan's end and return the value it leaves."""
         self.run_to(len(self.plan.steps))
-        if env is not None:
-            return complex(np.dot(self._acc.ravel(), env))
         if self._acc.ndim:
             raise AssertionError("scheduler bug: axes left open after the final step")
         return complex(self._acc)
-
-
-def environment(plan: ContractionPlan, net: ExpectationNetwork, at: int) -> np.ndarray:
-    """The plan's steps from `at` on as one linear functional of the
-    accumulator before step `at`: the vector env with value =
-    dot(acc.ravel(), env) for every accumulator a runner may hold there,
-    so a caller that contracts many accumulators at one cut runs those
-    steps once, not once per accumulator.  It is a right environment
-    (Schollwoeck, Ann. Phys. 326, 96, 2011), and the gradient of the value
-    with respect to that accumulator (Liao, Liu, Wang & Xiang, PRX 9,
-    031041, 2019): one backward pass from the scalar 1 over the steps,
-    last first, each taking the transpose of its planned form, on the
-    node operand the runner's step takes (_step_operand, no overrides):
-
-    - mul: multiply by the node operand, then sum the node's new leading
-      axes;
-    - matmul: the node operand with its last two axes swapped, times the
-      gradient;
-    - a planned transpose: the inverse permutation.
-
-    Transposes, not adjoints: nothing is conjugated.  Where `at` is the
-    plan's end, env is [1].  The pass holds the sizes a runner does from
-    `at` on, and refuses as a runner would (_check_plan)."""
-    _check_plan(plan, net, at)
-    picks = _bit_picks(plan, net)
-    grad = np.ones((), dtype=complex)
-    for pos in range(len(plan.steps) - 1, at - 1, -1):
-        step = plan.steps[pos]
-        arr = _step_operand(plan, net, pos, picks, {})
-        axes = plan.steps[pos - 1].mem_axes_after if pos else len(plan.head)
-        if step.form == "mul":
-            grad = np.multiply(grad, arr)
-            new = step.mem_axes_after - axes
-            if new:
-                grad = grad.sum(axis=tuple(range(new)))
-        else:
-            grad = np.swapaxes(arr, -1, -2) @ grad.reshape(*arr.shape[:-1], -1)
-            grad = grad.reshape(_SHAPES[axes])
-        if step.perm is not None:
-            grad = grad.transpose(np.argsort(step.perm))
-    return np.ascontiguousarray(grad).reshape(-1)
 
 
 def execute(plan: ContractionPlan, net: ExpectationNetwork) -> complex:

@@ -6,11 +6,16 @@ left to right with pairwise tensordot contractions.  It shares only the
 wire bookkeeping and node arrays with the qubit-wise plan, so the tests
 check liomsim.tensor.execute against it.
 
+reference_cone is the light-cone network of sites 1..w with an identity
+mark on each site, its qubit-wise plan and its marks' positions: at w = N
+the unpruned chain network <0|W^dag D W|0>.
+
 reference_chain_walk is the plan-route chain walk that liomsim used before
 light-cone finishes: at every site it forks the runner of the unpruned
 chain network and finishes the whole remaining contraction.  It is slow
-(about N times one plan pass per chain) but independent of the light-cone
-construction, so the tests compare the library's walk against it.
+(about N times one plan pass per chain) but independent of the ket half
+and its light-cone order, so the tests compare the library's walk
+against it.
 
 reference_schedule is the qubit-wise scheduler as it was before the plan
 recorded when each index closes: it replays the absorption order once per
@@ -19,15 +24,6 @@ its own: an index a cap without data carries is never counted open, and
 such caps are no steps; of the other indices, one that a basis projector
 sits on is pinned by the first such projector in application order, which
 is no step either.  The library's scheduler must give the same plans.
-
-reference_double_walk is the plan-route chain walk liomsim ran before it
-contracted the ket half: one runner on the double network
-<0|W^dag (marks) W|0> of all N sites, each decided mark overridden with
-|b><b| over its conditional, paused at every mark and forked onto the
-full plan of the site's light cone (reference_cone_move), whose ids it
-maps through the nodes both plans absorb in the same order.  The
-library's walk must give the same bits, the same p0 to rounding and, at
-every site, the same moved accumulator.
 
 reference_light_cone is the light cone liomsim used before it walked W's
 commuting runs: one factor at a time from last applied to first, growing
@@ -111,18 +107,18 @@ from liomsim.simulate import (
     IMAG_TOL,
     NORM_TOL,
     ChainResult,
-    _checked,
-    _cone,
-    _outcome_pair,
+    _closed_network,
+    _kept,
+    _light_cone,
     _prefix_tree,
-    _uniforms,
+    _wire_node,
 )
 from liomsim.tensor import (
     ExpectationNetwork,
-    ForkTarget,
     PlacedTensor,
     PlanRunner,
     _wire_sequences,
+    qubitwise_schedule,
 )
 from liomsim.truncation import TruncatedInstance
 from liomsim.w import SiteBlock
@@ -136,6 +132,19 @@ _PROJ = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex
 _ZERO = _PROJ[0]
 
 
+def reference_cone(req, site: int):
+    """The light-cone network of sites 1..site with an identity diagonal
+    (mark) on each of them, its qubit-wise plan, and the node position of
+    each mark by site.  Overriding marks 1..site with projectors turns the
+    network into the marginal P(z_1..z_site).  Every W factor meets some
+    site, so reference_cone(req, N) is the unpruned chain network."""
+    diags = [_wire_node("diag", w) for w in range(1, site + 1)]
+    network = _closed_network(req, _kept(_light_cone(req, range(1, site + 1))), diags)
+    where = {id(node): pos for pos, node in enumerate(network.nodes)}
+    marks = {w: where[id(node)] for w, node in enumerate(diags, 1)}
+    return network, qubitwise_schedule(network), marks
+
+
 def reference_chain_walk(
     req, bits: Sequence[int] | None = None, seed: int | None = None
 ) -> ChainResult:
@@ -145,7 +154,7 @@ def reference_chain_walk(
     With a seed, the branch is drawn from the stream conditional_chain
     uses."""
     rng = None if bits is not None else np.random.default_rng([int(seed), 0])
-    network, plan, mark_nodes = _cone(req, req.n_sites)
+    network, plan, mark_nodes = reference_cone(req, req.n_sites)
     runner = PlanRunner(plan, network)
     out_bits: list[int] = []
     probs: list[float] = []
@@ -171,70 +180,6 @@ def reference_chain_walk(
         runner.set_override(mark_nodes[site], _PROJ[bit])
         den = val0 if bit == 0 else max(den - val0, 0.0)
     return ChainResult(bits="".join(map(str, out_bits)), probs=tuple(probs))
-
-
-def reference_cone_move(req, runner: PlanRunner, site: int) -> tuple[ForkTarget, int]:
-    """The target of the double-network runner, paused at its mark
-    `site`, on the full plan of _cone(req, site) from the cone's own mark
-    on, and the mark's node position in the cone.  Up to the mark both
-    plans absorb the same nodes in the same order; removing a W...W^dag
-    segment merges the ids on either side of it."""
-    chain, chain_plan = runner.net, runner.plan
-    network, plan, marks = _cone(req, site)
-    cut = runner.position
-    head = list(zip(chain_plan.steps[: cut + 1], plan.steps[: cut + 1]))
-    if len(head) != cut + 1 or any(
-        chain.nodes[a.node_index] is not network.nodes[b.node_index] for a, b in head
-    ):
-        raise AssertionError(f"light cone of sites 1..{site} misses an absorbed node")
-    ids: dict[int, int] = {}
-    for a, b in head[:cut]:
-        ids.update(zip(chain_plan.node_indices[a.node_index], plan.node_indices[b.node_index]))
-    target = ForkTarget(network, plan, cut, {i: ids[i] for i in runner.open_ids})
-    return target, marks[site]
-
-
-def reference_double_walk(
-    req,
-    bits: Sequence[int] | str | None = None,
-    seed: int | None = None,
-    moves: list | None = None,
-    targets: dict | None = None,
-) -> ChainResult:
-    """One branch of the chain rule on the double network, by the rules of
-    the library's walk: the coins of conditional_chain, p0 = v0 / (v0 + v1)
-    with the sum checked against 1, and p0 = 1 after a chosen conditional
-    of exactly 0.  Each moved accumulator is appended to `moves` when
-    given; `targets` caches each site's target across calls on one
-    request."""
-    n = req.n_sites
-    if bits is None:
-        coins = _uniforms(seed, 0, 1, n)[0]
-    else:
-        coins = np.where(np.array([int(b) for b in bits], dtype=bool), np.inf, -np.inf)
-    network, plan, marks = _cone(req, n)
-    runner = PlanRunner(plan, network)
-    targets = {} if targets is None else targets
-    probs = [1.0] * n
-    for site in range(1, n + 1):
-        runner.run_to(plan.step_of[marks[site]])
-        if site not in targets:
-            targets[site] = reference_cone_move(req, runner, site)
-        target, mark = targets[site]
-        cone = runner.fork(target)
-        if moves is not None:
-            moves.append(cone._acc)
-        v0, v1 = (_checked(v, f"site {site} marginal") for v in _outcome_pair(cone, mark))
-        if abs(v0 + v1 - 1.0) > NORM_TOL:
-            raise NumericalIntegrityError(f"site {site} marginals sum to {v0 + v1!r}")
-        probs[site - 1] = v0 / (v0 + v1)
-        bit = int(coins[site - 1] >= probs[site - 1])
-        value = (v0, v1)[bit]
-        if value == 0.0:
-            break
-        runner.set_override(marks[site], _PROJ[bit] / value)
-    out = "".join("01"[int(c >= p)] for c, p in zip(coins, probs))
-    return ChainResult(out, tuple(probs))
 
 
 def reference_light_cone(w_list: Sequence[PlacedTensor], support) -> list[bool]:
@@ -556,8 +501,9 @@ def naive_network_value(net: ExpectationNetwork) -> complex:
     return complex(acc.data[0])
 
 
-def reference_schedule(net: ExpectationNetwork) -> dict:
-    """The qubit-wise plan of net by per-index counters: node_indices,
+def reference_schedule(net: ExpectationNetwork, sites: Sequence[int] | None = None) -> dict:
+    """The qubit-wise plan of net by per-index counters, each node absorbed
+    at its leftmost wire or, when given, at sites[pos]: node_indices,
     index_endpoints (0 for a pinned index), steps as (node index, name,
     memory axes after), step_of, pinned_by (per index a projector pins,
     that projector), peak_open_legs and peak_mem_axes.  A cap without data pins the index it carries and
@@ -611,7 +557,8 @@ def reference_schedule(net: ExpectationNetwork) -> dict:
         )
 
     node_indices = [node_index_ids(pos) for pos in range(n_nodes)]
-    order = sorted(range(n_nodes), key=lambda pos: (net.nodes[pos].min_site, pos))
+    at = sites if sites is not None else [node.min_site for node in net.nodes]
+    order = sorted(range(n_nodes), key=lambda pos: (at[pos], pos))
 
     def dataless_cap(pos: int) -> bool:
         node = net.nodes[pos]

@@ -1,11 +1,10 @@
-"""Tests for the plan-route chain walk with light-cone finishes."""
+"""Tests for the plan-route chain walk: the ket half in light-cone order."""
 
 import copy
 import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_chain_walk, reference_double_walk
+from reference import reference_chain_walk, reference_cone
 from test_light_cone import _family_request
 
 from liomsim import simulate, tensor
-from liomsim.errors import FeasibilityError, StructuralError
+from liomsim.errors import FeasibilityError
 from liomsim.model import (
     InstanceParams,
     apply_to_state,
@@ -26,15 +25,12 @@ from liomsim.model import (
 )
 from liomsim.oracle import evolve_state, exact_distribution
 from liomsim.simulate import (
+    ChainResult,
     ObservableProduct,
     SimulationRequest,
-    _cone,
-    _cone_move,
-    _cone_target,
-    _environment_at,
     _ket,
-    _PlanMarginals,
     _evolved_tensor,
+    _kept,
     _light_cone,
     _w,
     build_expectation_network,
@@ -43,7 +39,7 @@ from liomsim.simulate import (
     expectation,
     sample,
 )
-from liomsim.tensor import ForkTarget, PlacedTensor, PlanRunner, environment
+from liomsim.tensor import PlacedTensor, PlanRunner
 from liomsim.w import _fold_program, _run_folds
 from liomsim.truncation import TruncationRadii
 
@@ -106,7 +102,7 @@ def _computed_ops(plan):
     """Per step, 2^|accumulator ids + node ids| and the live axes after it,
     read from the plan's axis orders: the ids after a step are among the
     ids before it and its node's.  Pinned ids (no carrier counted) are no
-    axis of either operand.  A tail starts from the ids of its head."""
+    axis of either operand."""
     out = []
     for p, step in enumerate(plan.steps):
         ids = plan.node_indices[step.node_index]
@@ -122,7 +118,7 @@ def _kernel_ops(plan):
     shapes the runner uses: 2^axes for a broadcast multiply, K·C·Nw·R for
     a matmul of the (K, Nw, C) node operand and the (K, C, R)
     accumulator.  Each node operand holds the node's entries, no more."""
-    out, before = [], 2 ** len(plan.head)
+    out, before = [], 1
     for step in plan.steps:
         ids = [i for i in plan.node_indices[step.node_index] if plan.index_endpoints[i]]
         assert math.prod(step.shape) == 2 ** len(ids)
@@ -139,52 +135,32 @@ def _kernel_ops(plan):
 
 def test_no_step_does_padded_work():
     # Every kernel does the contraction's multiply-adds and no more: the
-    # unpruned chain network, the ket half, every light-cone target's tail
-    # and the folded sigma^z plans of the expect_plan family.
+    # unpruned chain network, the ket half in light-cone order and the
+    # folded sigma^z plans of the expect_plan family.
     req = _criterion_6_request(32)
-    _, plan, _ = _cone(req, req.n_sites)
-    conditional_chain(req, seed=0, engine="plan")
-    plans = [plan, _ket(req)[1]] + [target.plan for target in req._state.cone_targets.values()]
+    _, plan, _ = reference_cone(req, req.n_sites)
+    plans = [plan, _ket(req)[1]]
     family = _family_request(11)
     plans += [
         simulate._observable_network(family, ObservableProduct(p))[1].plan for p in range(1, 33)
     ]
-    assert len(plans) == 66
+    assert len(plans) == 34
     for p in plans:
         assert _kernel_ops(p) == [ops for ops, _ in _computed_ops(p)]
     assert sum(_kernel_ops(plan)) == 12_752_962
 
 
-def test_light_cone_finishes_cost_less_than_one_pass(monkeypatch):
-    # A whole chain computes fewer entries than one pass over the chain
-    # network: the ket-half pass, and at each site the move, both
-    # outcomes' tail steps up to the cut (_environment_at) and their two
-    # dot products with the site's environment.  The tail's steps from
-    # the cut on ran once per outcome before environments: 1 456 steps a
-    # warm chain, against 268 now.
+def test_chain_costs_less_than_one_pass(monkeypatch):
+    # A warm chain runs the ket half's steps up to the last mark, once
+    # each, and reads one norm per site: it computes under a fortieth of
+    # the entries of one pass over the chain network.
     req = _criterion_6_request(32)
-    _, plan, _ = _cone(req, req.n_sites)
+    _, plan, _ = reference_cone(req, req.n_sites)
     one_pass = sum(ops for ops, _ in _computed_ops(plan))
-    conditional_chain(req, seed=0, engine="plan")
-    state = req._state
-    targets = state.cone_targets
-    assert sorted(targets) == sorted(state.environments) == list(range(1, 33))
     _, ket, marks = _ket(req)
-    # The ket runner stops at the last mark.
     steps = ket.step_of[marks[32]]
     chain = sum(ops for ops, _ in _computed_ops(ket)[:steps])
-    for site, target in targets.items():
-        assert target.start == 0
-        costs = _computed_ops(target.plan)
-        assert max(axes for _, axes in costs) <= plan.peak_mem_axes
-        env = state.environments[site]
-        assert env.size == 2 ** costs[-1][1]
-        # The move onto the target's ids runs once per site, the tail's
-        # steps and the dot product once per outcome.
-        moved = 2 ** len(set(target.labels + target.conj_labels))
-        chain += moved + 2 * (sum(ops for ops, _ in costs) + env.size)
-        steps += 2 * len(target.plan.steps)
-    assert chain < one_pass
+    assert 40 * chain < one_pass
     calls = 0
     step = PlanRunner.step
 
@@ -195,7 +171,7 @@ def test_light_cone_finishes_cost_less_than_one_pass(monkeypatch):
 
     monkeypatch.setattr(PlanRunner, "step", counted)
     conditional_chain(req, seed=1, engine="plan")
-    assert calls == steps == 268
+    assert calls == steps == 156
 
 
 def _pinned_ids(network, plan):
@@ -208,19 +184,15 @@ def _pinned_ids(network, plan):
 
 
 def test_chain_and_cone_plans_never_hold_a_cap_id():
-    # The ids of the caps are pinned: no step of the chain plan or of any
-    # cone plan holds one, and every other id is held.
+    # The ids of the dataless caps are pinned: no step of the ket half or
+    # of any cone plan holds one, and every other id is held.
     req = _criterion_6_request(32)
-    conditional_chain(req, seed=0, engine="plan")
-    for site in range(1, req.n_sites + 1):
-        network, plan, _ = _cone(req, site)
+    plans = [_ket(req)[:2]] + [reference_cone(req, site)[:2] for site in range(1, 33)]
+    for network, plan in plans:
         pinned = _pinned_ids(network, plan)
         assert pinned == {i for i, ends in enumerate(plan.index_endpoints) if ends == 0}
         assert pinned.isdisjoint(plan.axes)
         assert set(plan.axes) | pinned == set(range(len(plan.index_endpoints)))
-    # A cone pins exactly the chain's ids at its cut, so no move takes an
-    # entry of an axis.
-    assert all(target.pick is None for target in req._state.cone_targets.values())
 
 
 def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes(monkeypatch):
@@ -228,7 +200,7 @@ def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes(monkeypatch):
     # count each id's absorbed carriers, and an id is live while fewer
     # than index_endpoints[id] are absorbed.  Pinned ids have 0 endpoints,
     # so they never are.  The live set after each step is the plan's axes,
-    # on the chain, on every cone and on the qubit-wise conditional of
+    # on the ket half, on every cone and on the qubit-wise conditional of
     # every site, whose prefix projectors pin their ids.
     req = _criterion_6_request(32)
     monkeypatch.setattr(simulate, "_PLANS", simulate._PlanCache())
@@ -238,8 +210,8 @@ def test_endpoint_replay_gives_every_chain_and_cone_step_its_axes(monkeypatch):
     conditionals = [shot.plan for shot in simulate._PLANS.entries.values()]
     assert len(conditionals) == req.n_sites
     assert sum(len(plan.pins) > 0 for plan in conditionals) == req.n_sites - 1
-    cones = [_cone(req, site)[1] for site in range(1, req.n_sites + 1)]
-    for plan in cones + conditionals:
+    cones = [reference_cone(req, site)[1] for site in range(1, req.n_sites + 1)]
+    for plan in [_ket(req)[1]] + cones + conditionals:
         absorbed = [0] * len(plan.index_endpoints)
         live: set[int] = set()
         for p, step in enumerate(plan.steps):
@@ -315,12 +287,12 @@ def test_folded_w_shortens_the_chain_plan():
     # of which the 64 dataless caps are no steps since their ids are
     # pinned (peak 18 axes before pinning).
     req = _criterion_6_request(32)
-    _, plan, _ = _cone(req, req.n_sites)
+    _, plan, _ = reference_cone(req, req.n_sites)
     assert len(plan.steps) == 220
     assert plan.peak_mem_axes == 16
     assert _fold_misses(_w(req).nodes) == []
     for n in (16, 32, 64):
-        _, plan, _ = _cone(_criterion_6_request(n), n)
+        _, plan, _ = reference_cone(_criterion_6_request(n), n)
         # The unfolded plans peaked at 19 memory axes and 29 open legs.
         assert plan.peak_mem_axes <= 19
         assert plan.peak_open_legs <= 29
@@ -390,17 +362,22 @@ def test_folded_w_matches_oracle_state(n, periodic):
 
 def test_chain_holds_at_most_two_accumulators():
     # Each step drops the runner's old accumulator before computing the new
-    # one, so a warm chain peaks at two arrays of the plan's peak size.
-    req = _criterion_6_request(16)
+    # one, so a warm chain peaks at two arrays of the ket half's peak size
+    # (16 axes here), and the norm read holds no third.  numpy's ufunc
+    # iterator may buffer two operands of a broadcast multiply, 8192
+    # entries each, whatever the accumulator's size: the measured peak,
+    # 2 232 928 B, is two accumulators and one such buffer.
+    req = _unbanded_periodic_request(16, (3, 3))
     conditional_chain(req, seed=0, engine="plan")
-    _, plan, _ = _cone(req, req.n_sites)
+    _, plan, _ = _ket(req)
+    assert plan.peak_mem_axes == 16
     tracemalloc.start()
     try:
         conditional_chain(req, seed=1, engine="plan")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * 16 * 2**plan.peak_mem_axes
+    assert peak <= 2.1 * 16 * 2**plan.peak_mem_axes + 2 * 16 * 8192
 
 
 def test_folded_two_point_function_holds_at_most_two_accumulators():
@@ -435,76 +412,17 @@ def test_light_cone_walk_matches_reference_on_criterion_6_family():
         np.testing.assert_allclose(chain.probs, ref.probs, rtol=0, atol=1e-12)
 
 
-def test_cone_targets_built_only_by_a_chain():
-    req = _criterion_6_request(12)
-    expectation(req, ObservableProduct(1), engine="plan")
-    conditional_probability(req, "01101", 6, engine="plan")
-    conditional_probability(req, "1" * 11, 12, engine="plan")
-    assert not req._state.cone_targets and not req._state.environments
-    conditional_chain(req, seed=0, engine="plan")
-    assert len(req._state.cone_targets) == len(req._state.environments) == 12
+def _unbanded_periodic_request(n, radii):
+    # Unbanded and periodic, with three-body couplings: the library's and
+    # the CLI's defaults.
+    inst = build_random_instance(InstanceParams(n, 0.5), seed=1, max_body=3)
+    return SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(*radii))
 
 
-def test_fork_target_refuses_another_cut():
-    # A cone's target takes the ket-half runner at the site's mark and the
-    # accumulator it held where the site's group starts, and no other.
-    req = _criterion_6_request(8)
-    source = _PlanMarginals(req)
-    target = _cone_target(req, 3)
-    runner = source.pause(3)
-    assert runner.fork(target).position == 0
-    runner.hold()
-    with pytest.raises(StructuralError, match="another held accumulator"):
-        runner.fork(target)
-    source.pause(4)
-    with pytest.raises(StructuralError, match="a different point of the contraction"):
-        runner.fork(target)
-
-
-def test_fork_target_refuses_a_plan_above_the_cap(monkeypatch):
-    # A target's plan is checked once, when the target is built, as a
-    # runner's is, from its start on: the steps before it never run on a
-    # target.  Forks onto it run no further checks.
-    req = _criterion_6_request(8)
-    source = _PlanMarginals(req)
-    runner = source.pause(3)
-    peak = _cone_target(req, 3).plan.peak_mem_axes
-    _, plan, marks = _cone(req, 3)
-    assert peak == tensor._peak_from(plan, plan.step_of[marks[3]]) < plan.peak_mem_axes
-    req._state.cone_targets.clear()
-    monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak - 1)
-    with pytest.raises(FeasibilityError, match="engine cap; N=8 is within the dense cap"):
-        _cone_target(req, 3)
-    assert 3 not in req._state.cone_targets
-    monkeypatch.setattr(tensor, "MAX_EXEC_AXES", peak)
-    assert runner.fork(_cone_target(req, 3)).position == 0
-
-
-def test_fork_target_refuses_a_plan_that_keeps_an_id_the_runner_lacks():
-    # The fork's einsum writes the target plan's axis order at `start`, so
-    # every id of that order must come from one an operand holds.
-    req = _criterion_6_request(8)
-    target = _cone_target(req, 3)
-    head = tensor._axes_before(target.plan, target.start)
-
-    def without_one(ids, other):
-        """ids less one whose plan id the plan keeps open and only it maps to."""
-        values = list(ids.values())
-        key = next(
-            i for i, b in ids.items() if b in head and b not in other and values.count(b) == 1
-        )
-        return {i: b for i, b in ids.items() if i != key}
-
-    kept, held = target.ids, target.conj_ids
-    for ids, conj in ((without_one(kept, held.values()), held), (kept, without_one(held, kept.values()))):
-        with pytest.raises(StructuralError, match="keeps an id the runner does not hold"):
-            ForkTarget(target.network, target.plan, target.start, ids, conj)
-
-
-_IDENTITY_REQUESTS = {
-    # The criterion-6 family.
+_FAMILIES = {
     "criterion-6 N=32": lambda: _criterion_6_request(32),
-    # A banded periodic chain: two of W's factors wrap past site N.
+    "expect_plan family": lambda: _family_request(11),
+    # Banded and periodic: two of W's factors wrap past site N.
     "banded periodic N=12": lambda: SimulationRequest(
         instance=build_random_instance(
             InstanceParams(12, 0.5), seed=0, max_body=2, max_width=2, periodic=True
@@ -513,174 +431,109 @@ _IDENTITY_REQUESTS = {
         epsilon=0.5,
         radii=TruncationRadii(3, 3),
     ),
-    # Unbanded, with three-body couplings.
+    "unbanded periodic N=8": lambda: _unbanded_periodic_request(8, (3, 2)),
     "unbanded max_body-3 N=8": lambda: SimulationRequest(
         instance=build_random_instance(InstanceParams(8, 0.5), seed=3, max_body=3, periodic=False),
         t=1.0,
         epsilon=0.5,
         radii=TruncationRadii(3, 2),
     ),
+    "product state N=300": lambda: _product_request(300),
 }
 
 
-@pytest.mark.parametrize("name", list(_IDENTITY_REQUESTS))
-def test_ket_half_move_equals_the_double_network_move(name, monkeypatch):
-    # The left part of the chain network, its marks set to |b><b| / v, is
-    # the ket half K<=w, its marks e_b / sqrt(v), times conj(K<=w-1).  So at
-    # every site the walk's two-operand move writes the accumulator the
-    # double-network runner moves onto the same cone plan and start, in the
-    # same axis order (a tail renumbers its ids in order), and the move
-    # onto the tail gives the bits of the move onto the full cone plan.
-    req = _IDENTITY_REQUESTS[name]()
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_ket_half_absorbs_each_light_cone_before_its_mark(name):
+    # Up to mark w the ket half absorbs exactly the W factors the light
+    # cone of sites 1..w keeps, and from mark w and its cap of ones on it
+    # absorbs nothing that touches a site <= w, so the factors it has not
+    # absorbed there act on sites above w alone.
+    req = _FAMILIES[name]()
     if name.startswith("banded periodic"):
         assert len(_w(req).structure.wrapped) == 2
-    moves = []
-    ref = reference_double_walk(req, seed=5, moves=moves)
-    walked = []
-    fork = PlanRunner.fork
-
-    def recorded(self, target=None):
-        twin = fork(self, target)
-        if target is not None:
-            full = fork(self, _cone_move(req, len(walked) + 1))
-            assert np.array_equal(full._acc, twin._acc)
-            walked.append(twin._acc)
-        return twin
-
-    monkeypatch.setattr(PlanRunner, "fork", recorded)
-    chain = conditional_chain(req, seed=5, engine="plan")
-    monkeypatch.undo()
-    assert chain.bits == ref.bits
-    np.testing.assert_allclose(chain.probs, ref.probs, rtol=0, atol=1e-12)
-    assert len(walked) == len(moves) == req.n_sites
-    for site, (got, want) in enumerate(zip(walked, moves), 1):
-        assert got.shape == want.shape, site
-        scale = np.abs(want).max()
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale, err_msg=f"site {site}")
+    network, plan, marks = _ket(req)
+    n, factors = req.n_sites, len(_w(req).nodes)
+    order = [step.node_index for step in plan.steps]
+    for w in range(1, n + 1):
+        at = plan.step_of[marks[w]]
+        absorbed = sorted(pos - n for pos in order[:at] if n <= pos < n + factors)
+        assert tuple(absorbed) == _kept(_light_cone(req, range(1, w + 1))), w
+        assert [network.nodes[pos].name for pos in order[at : at + 2]] == [f"I[{w}]", f"1[{w}]"]
+        assert all(min(network.nodes[pos].sites) > w for pos in order[at + 2 :]), w
 
 
-def _finished_from(plan, network, at, acc):
-    """The plan's value, run from step `at` on with accumulator acc."""
-    runner = PlanRunner.__new__(PlanRunner)
-    runner._resume(plan, network, at, acc)
-    return runner.finish()
-
-
-def _random_accumulator(rng, axes):
-    return rng.normal(size=(2,) * axes) + 1j * rng.normal(size=(2,) * axes)
-
-
-@pytest.mark.parametrize("name", list(_IDENTITY_REQUESTS))
-def test_environment_finishes_a_tail_from_its_cut(name):
-    # At every site, finishing the cone's tail from its cut on a random
-    # accumulator gives that accumulator's dot product with the site's
-    # environment; the chain keeps that environment and the tail's steps
-    # before the cut.  The cut is the first step that leaves fewer axes
-    # than the tail's head, or the tail's end.
-    req = _IDENTITY_REQUESTS[name]()
-    rng = np.random.default_rng(29)
-    conditional_chain(req, seed=5, engine="plan")
-    for site in range(1, req.n_sites + 1):
-        tail = _cone_move(req, site).tail()
-        at = _environment_at(tail.plan)
-        axes = [step.mem_axes_after for step in tail.plan.steps]
-        assert all(a >= len(tail.plan.head) for a in axes[: at - 1])
-        assert at == len(axes) or axes[at - 1] < len(tail.plan.head)
-        env = req._state.environments[site]
-        assert np.array_equal(env, environment(tail.plan, tail.network, at))
-        assert len(_cone_target(req, site).plan.steps) == at
-        acc = _random_accumulator(rng, axes[at - 1])
-        np.testing.assert_allclose(
-            np.dot(acc.ravel(), env),
-            _finished_from(tail.plan, tail.network, at, acc),
-            rtol=1e-12,
-            err_msg=f"site {site}",
-        )
-
-
-def test_environment_reads_the_projectors_that_pin():
-    # A one-shot conditional's plan, whose prefix projectors pin their
-    # ids: the backward pass takes each projector's b where the runner
-    # does, from every cut on.  A random accumulator's value cancels far
-    # below its terms, so the tolerance is relative to the sum of the
-    # terms' moduli: the value with every entry replaced by its modulus.
-    req = _criterion_6_request(12)
-    bits = [1, 0, 1, 1, 0, 1, 1]
-    middle = [simulate._wire_node(f"proj{b}", w) for w, b in enumerate(bits, 1)]
-    network, shot = simulate._one_shot_network(req, middle + [simulate._wire_node("diag", 8)])
-    moduli = replace(
-        network,
-        nodes=tuple(
-            node if node.data is None else replace(node, data=np.abs(node.data))
-            for node in network.nodes
-        ),
+def test_certain_outcomes_and_exact_zeros():
+    # Site 4 carries no gate of W, only diagonals: the ket caps pin its
+    # mark's id, so p0 is 1.0 exactly there and outcome 1 has weight
+    # exactly 0, which makes the prefix impossible and p0 = 1.0 after it.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    couplings = {(1,): 0.3, (2,): 0.4, (1, 2): 0.1, (3, 4): 0.05, (5,): 0.7}
+    inst = build_explicit_instance(
+        InstanceParams(5, 0.5, q_const=4.0), couplings, {(i, 1): hadamard for i in (1, 2, 3, 5)}
     )
-    plan = shot.plan
-    picks = tensor._bit_picks(plan, network)
-    assert picks
-    rng = np.random.default_rng(3)
-    for at in range(max(picks) + 1):
-        axes = plan.steps[at - 1].mem_axes_after if at else 0
-        acc = _random_accumulator(rng, axes)
-        got = np.dot(acc.ravel(), environment(plan, network, at))
-        scale = np.dot(np.abs(acc).ravel(), environment(plan, moduli, at)).real
-        assert abs(got - _finished_from(plan, network, at, acc)) <= 1e-12 * scale, at
-
-
-def test_chain_environments_hold_one_accumulator_per_site():
-    # The environments a first N=32 chain builds, as tracemalloc sees the
-    # numpy memory the tensor module allocated and the request keeps: at
-    # most one array of the cut's size per site, nothing of the passes.
-    req = _criterion_6_request(32)
-    tracemalloc.start()
-    try:
-        conditional_chain(req, seed=0, engine="plan")
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    held = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-    held = held.filter_traces([tracemalloc.Filter(True, tensor.__file__)])
-    targets = req._state.cone_targets
-    bound = sum(16 * 2 ** target.plan.steps[-1].mem_axes_after for target in targets.values())
-    assert sum(trace.size for trace in held.traces) <= bound
-    assert sum(env.nbytes for env in req._state.environments.values()) == bound
+    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(2, 2))
+    assert not any(4 in node.sites for node in _w(req).nodes if node.kind == "gate")
+    assert any(4 in node.sites for node in _w(req).nodes)
+    _, plan, marks = _ket(req)
+    assert plan.index_endpoints[plan.node_indices[marks[4]][0]] == 0
+    for bits in ("00000", "11001", "01100"):
+        chain = conditional_chain(req, bits=bits, engine="plan")
+        assert chain.probs[3] == 1.0
+        oracle = _oracle_conditionals(req, bits)
+        np.testing.assert_allclose(chain.probs, oracle, rtol=0, atol=1e-12)
+    chain = conditional_chain(req, bits="00011", engine="plan")
+    assert chain.probs[3:] == (1.0, 1.0)
+    assert conditional_chain(req, bits="00011", engine="dense").probs[3:] == (1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
 def n300_chain():
-    # The first chain of an N=300 product-state request, which schedules
-    # O(N^2) light-cone structure, run once for the tests that read it.
+    # The first chain of an N=300 product-state request, run once for the
+    # tests that read it.
     req = _product_request(300)
     return req, conditional_chain(req, seed=0, engine="plan")
 
 
 def test_n300_chain_retains_a_few_mib(n300_chain):
-    # A request's chain state grows as O(N): the ket half, and per site a
-    # cone tail cut at its environment and the environment.  tracemalloc
-    # counts a deep copy of that state, the W factors it shares included:
-    # tracing the first chain itself runs ~20x slower (2.7 MiB retained
-    # when measured so).
+    # A request's chain state is its ket half, whose plan grows as O(N).
+    # tracemalloc counts a deep copy of that state, the W factors it
+    # shares included (1.2 MiB when measured).
     req, _ = n300_chain
     state = req._state
-    assert len(state.environments) == 300
     tracemalloc.start()
     try:
-        held = copy.deepcopy((state.ket, state.cone_targets, state.environments))
+        held = copy.deepcopy(state.ket)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held[2].keys() == state.environments.keys()
+    assert len(held[2]) == 300
     assert retained <= 3.3 * 2**20
+
+
+def _one_shot_chain(req, seed):
+    """The seeded chain drawn from the plan route's one-shot conditionals
+    (an MPS sweep, or the light cone of sites 1..w), with the coins that
+    conditional_chain draws."""
+    bits, probs = "", []
+    for site, coin in enumerate(np.random.default_rng([seed, 0]).random(req.n_sites), 1):
+        probs.append(conditional_probability(req, bits, site, engine="plan"))
+        bits += "0" if coin < probs[-1] else "1"
+    return ChainResult(bits, probs)
 
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_ket_half_chains_match_the_double_network_walk(n):
-    # Twelve seeds: the same bits, byte for byte, and p0 to rounding.
+    # The same bits, byte for byte, and p0 to rounding, as full forks of
+    # the unpruned chain network give, on twelve seeds.  A reference chain
+    # takes ~1.8 s at N=64, so there seeds 2-11 are checked against the
+    # one-shot conditionals instead (~0.6 s a chain).
     req = _criterion_6_request(n)
-    targets: dict = {}
     for seed in range(12):
         chain = conditional_chain(req, seed=seed, engine="plan")
-        ref = reference_double_walk(req, seed=seed, targets=targets)
+        if n == 32 or seed < 2:
+            ref = reference_chain_walk(req, seed=seed)
+        else:
+            ref = _one_shot_chain(req, seed)
         assert chain.bits == ref.bits, seed
         np.testing.assert_allclose(chain.probs, ref.probs, rtol=0, atol=1e-12, err_msg=str(seed))
 
@@ -798,26 +651,51 @@ def test_plan_chain_impossible_prefix_convention():
 
 
 def test_chain_above_caps_is_refused_not_asserted():
-    # Periodic N=16 with radii (3,3): the chain plan has 61 open legs
-    # against an analytic bound of 56 and needs 53 memory axes, above the
-    # engine cap; the cap is checked first, so this is a refusal.  N is
-    # above the dense cap too, and every entry point says so alike.
-    inst = build_random_instance(InstanceParams(16, 0.5), seed=1, max_body=3)
-    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    # Unbanded periodic N=32 with radii (3,3): wrapped factors put site N
+    # in the light cone of site 1, and the ket half in light-cone order
+    # needs 26 memory axes, above the engine cap.  N is above the dense
+    # cap too, and every entry point says so alike.
+    req = _unbanded_periodic_request(32, (3, 3))
+    assert _ket(req)[1].peak_mem_axes == 26
     no_route = r"above the dense cap of \d+ sites, so no exact route is feasible"
     with pytest.raises(FeasibilityError, match=no_route):
         conditional_chain(req, seed=0)
     with pytest.raises(FeasibilityError, match=no_route):
         sample(req, 1, seed=0)
+    # The one-shot sigma^z network of the periodic N=16 request needs 2^34
+    # entries.
+    req = _unbanded_periodic_request(16, (3, 3))
     with pytest.raises(FeasibilityError, match=no_route):
         expectation(req, ObservableProduct(1))
     # Within the dense cap, a refused plan route points to the dense one.
-    inst = build_random_instance(InstanceParams(12, 0.5), seed=1, max_body=3)
-    req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
+    req = _unbanded_periodic_request(12, (3, 3))
     with pytest.raises(
         FeasibilityError, match=r"within the dense cap of \d+ sites, use engine='dense'"
     ):
-        conditional_chain(req, seed=0, engine="plan")
+        expectation(req, ObservableProduct(1), engine="plan")
+
+
+def test_unbanded_periodic_n16_chain_runs():
+    # Wrapped factors widen every prefix cone, but the ket half in
+    # light-cone order peaks at 16 axes, within the engine cap.
+    req = _unbanded_periodic_request(16, (3, 3))
+    chain = conditional_chain(req, seed=0)
+    assert _ket(req)[1].peak_mem_axes == 16
+    oracle = _oracle_conditionals(req, chain.bits)
+    np.testing.assert_allclose(chain.probs, oracle, rtol=0, atol=1e-10)
+
+
+def test_less_likely_chain_at_n1100():
+    # The less likely bit at every site: P(bits) is about 10^-1486, far
+    # below the smallest double, and each p0 still matches the product
+    # state's truth, as every mark is rescaled by its conditional.
+    req = _product_request(1100)
+    truth = _product_truth(req)
+    bits = _unlikely_bits(truth)
+    log_p = sum(math.log10(p if b == 0 else 1 - p) for b, p in zip(bits, truth))
+    assert log_p < -1400
+    chain = conditional_chain(req, bits=bits, engine="plan")
+    np.testing.assert_allclose(chain.probs, truth, rtol=0, atol=1e-10)
 
 
 def test_wrapped_periodic_instance_runs_on_the_plan_route():
@@ -827,7 +705,7 @@ def test_wrapped_periodic_instance_runs_on_the_plan_route():
     # route runs instead of reporting a scheduler bug.
     inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
-    network, plan, _ = _cone(req, req.n_sites)
+    network, plan, _ = reference_cone(req, req.n_sites)
     assert plan.peak_open_legs == 17
     assert network.r_u is None and network.r_j is None
     for branch in ({"seed": 0}, {"bits": "1010"}):

@@ -178,6 +178,17 @@ def test_expect_rejects_bad_prefix(tmp_path, capsys):
     assert "bitstring" in capsys.readouterr().err
 
 
+def test_expect_refuses_a_bad_prefix_before_loading_anything(tmp_path, capsys):
+    # Certified radii on this instance saturate the radius search with a
+    # warning; the bitstring is refused before that search runs.
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--n", "6", "--xi", "0.4", "--seed", "2", "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["expect", "--instance", str(path), "--t", "1", "--pivot", "2", "--prefix", "0x"])
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: --prefix must be a bitstring, got '0x'\n"
+
+
 def test_expect_refuses_a_prefix_that_reaches_the_pivot(tmp_path, capsys):
     # The prefix puts a projector on every site 1..4, so site 3 would
     # carry both it and sigma^z.

@@ -76,9 +76,9 @@ def schedules(monkeypatch):
     monkeypatch.setattr(simulate, "_PLANS", simulate._PlanCache())
     scheduled = []
 
-    def counted(network):
+    def counted(network, sites=None):
         scheduled.append(network)
-        return qubitwise_schedule(network)
+        return qubitwise_schedule(network, sites)
 
     monkeypatch.setattr(simulate, "qubitwise_schedule", counted)
     return scheduled
@@ -89,7 +89,7 @@ def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch,
     # criterion-6 family at N=32: one pruned network of sites 1..site, its
     # prefix projectors and an identity mark on the site, scheduled once
     # into the shared cache, run once to its end and once more from the
-    # mark on by the fork.  No light cone of the chain walk is built.
+    # mark on by the fork.  The chain walk's ket half is not built.
     inst = build_random_instance(
         InstanceParams(32, 0.5), seed=32, max_body=2, max_width=2, periodic=False
     )
@@ -107,7 +107,7 @@ def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch,
     def refused(*args, **kwargs):
         raise AssertionError("a plan-route conditional took another path")
 
-    monkeypatch.setattr(simulate, "_cone", refused)
+    monkeypatch.setattr(simulate, "_ket", refused)
     monkeypatch.setattr(simulate, "build_expectation_network", refused)
     monkeypatch.setattr(simulate, "expectation", refused)
     monkeypatch.setattr(PlanRunner, "step", counted_step)
@@ -121,7 +121,7 @@ def test_plan_conditional_contracts_one_network_forked_at_the_pivot(monkeypatch,
     assert plan.steps[mark_step].node_index == mark
     assert 0 < mark_step < len(plan.steps) - 1
     assert len(steps) == 2 * len(plan.steps) - mark_step
-    assert req._state.ket is None and not req._state.cone_targets
+    assert req._state.ket is None
     v0 = expectation(req, ObservableProduct.prefix_projector(bits + [0]), engine="plan")
     v1 = expectation(req, ObservableProduct.prefix_projector(bits + [1]), engine="plan")
     assert (pair[0] / (pair[0] + pair[1])).real == pytest.approx(v0 / (v0 + v1), abs=1e-12)
@@ -141,7 +141,7 @@ def test_conditionals_keep_no_cone_and_share_one_plan_per_site(schedules):
     rng = np.random.default_rng(3)
     for site in range(1, 33):
         _light_cone_pair(req, rng.integers(0, 2, site - 1).tolist(), site)
-    assert req._state.ket is None and not req._state.cone_targets
+    assert req._state.ket is None
     assert len(schedules) == 32
     plans = simulate._PLANS
     held = [shot.plan for shot in plans.entries.values()]

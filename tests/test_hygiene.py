@@ -2,22 +2,16 @@
 imports a name it never uses, the package starts no threads of its own,
 reads an instance's oracles one entry at a time outside the model, or
 builds an instance outside the three builders or an identity
-constituent anywhere, and the runner absorbs every node through the
-method the benchmark wraps, reading its operand where an environment's
-backward pass does."""
+constituent anywhere, or calls einsum, and the runner absorbs every node
+through the method the benchmark wraps, the one reader of its operand."""
 
 import ast
 from pathlib import Path
 
+from reference import reference_cone
+
 from liomsim.model import InstanceParams, build_random_instance
-from liomsim.simulate import (
-    SimulationRequest,
-    _cone,
-    _cone_move,
-    _environment_at,
-    _ket,
-    conditional_chain,
-)
+from liomsim.simulate import SimulationRequest, _ket, conditional_chain
 from liomsim.tensor import PlanRunner
 from liomsim.truncation import TruncationRadii
 
@@ -237,25 +231,15 @@ def test_private_dataclass_fields_are_not_constructor_arguments():
 
 
 def test_einsum_is_called_only_inside_the_labelled_wrapper():
-    # numpy's einsum accepts at most 52 labels; tensor._einsum renumbers
-    # each call's ids from 0 and ForkTarget checks its move against that
-    # cap, so every einsum in the package goes through that wrapper.
-    calls = []
-    for path in (ROOT / "src" / "liomsim").glob("*.py"):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        wrapper = next(
-            (node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name == "_einsum"
-             and path.name == "tensor.py"),
-            None,
-        )
-        inside = {id(node) for node in ast.walk(wrapper)} if wrapper else set()
-        calls += [
-            (path.name, node.lineno, id(node) in inside)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "einsum"
-        ]
-    assert [inside for *_, inside in calls] == [True], calls
+    # No module of the package names einsum at all, in code or prose:
+    # every step runs a planned multiply or matmul, and the chain walk
+    # reads norms.
+    found = [
+        path.name
+        for path in sorted((ROOT / "src" / "liomsim").glob("*.py"))
+        if "einsum" in path.read_text()
+    ]
+    assert not found, found
 
 
 def test_runner_absorbs_every_step_through_step(monkeypatch):
@@ -263,7 +247,7 @@ def test_runner_absorbs_every_step_through_step(monkeypatch):
     # finish and forks must absorb each node through that method.
     inst = build_random_instance(InstanceParams(8, 0.5), seed=8, max_body=2, max_width=2)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
-    network, plan, _ = _cone(req, 8)
+    network, plan, _ = reference_cone(req, 8)
     calls = 0
     step = PlanRunner.step
 
@@ -286,8 +270,7 @@ def test_runner_absorbs_every_step_through_step(monkeypatch):
 
 def test_steps_and_environments_read_one_operand_path(monkeypatch):
     # A node's operand (override, pick, transpose, reshape) is made in one
-    # place, for the runner's steps and for an environment's backward
-    # pass alike, and no other code reads a node's legs.
+    # place, the runner's step, and no other code reads a node's legs.
     tree = ast.parse((ROOT / "src" / "liomsim" / "tensor.py").read_text())
     callers, readers = set(), set()
     for func in ast.walk(tree):
@@ -298,11 +281,10 @@ def test_steps_and_environments_read_one_operand_path(monkeypatch):
                 callers.add(func.name)
             if isinstance(node, ast.Attribute) and node.attr == "legs" and func.name != "legs":
                 readers.add(func.name)
-    assert callers == {"step", "environment"}
+    assert callers == {"step"}
     assert readers == {"_step_operand"}
     # A warm chain absorbs every node through step: the ket half's nodes
-    # up to the last mark once, and each site's tail up to its cut once
-    # per outcome, the steps from the cut on never.
+    # up to the last mark, each once.
     inst = build_random_instance(InstanceParams(8, 0.5), seed=8, max_body=2, max_width=2)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(3, 3))
     conditional_chain(req, seed=0, engine="plan")
@@ -317,8 +299,4 @@ def test_steps_and_environments_read_one_operand_path(monkeypatch):
     conditional_chain(req, seed=1, engine="plan")
     _, ket, marks = _ket(req)
     assert ran.pop(id(ket)) == list(range(ket.step_of[marks[8]]))
-    for site, target in req._state.cone_targets.items():
-        at = _environment_at(_cone_move(req, site).tail().plan)
-        assert len(target.plan.steps) == at
-        assert ran.pop(id(target.plan)) == 2 * list(range(at))
     assert not ran

@@ -436,6 +436,25 @@ def test_chain_result_seeded_matches_sample():
     assert chain.bits == sample(req, 1, seed=42)[0].bits
 
 
+def test_chain_result_packs_its_probabilities_bit_for_bit():
+    # 8 bytes per site; probs comes back as the Python floats given, bit
+    # for bit, 0.0, 1.0 and a subnormal included, and results compare and
+    # hash by bits and probabilities as floats, so -0.0 equals 0.0.
+    probs = (0.0, 1.0, 5e-324, 0.25, 1 / 3)
+    chain = ChainResult("01010", probs)
+    assert chain == ChainResult(bits="01010", probs=list(probs))
+    assert chain != ChainResult("01011", probs)
+    assert chain != ChainResult("01010", probs[:-1] + (0.5,))
+    signed = ChainResult("01010", (-0.0,) + probs[1:])
+    assert signed == chain and hash(signed) == hash(chain)
+    assert signed.probs[0].hex() == "-0x0.0p+0"
+    assert chain.bits == "01010"
+    assert type(chain.probs) is tuple and all(type(p) is float for p in chain.probs)
+    assert [p.hex() for p in chain.probs] == [p.hex() for p in probs]
+    assert len(chain._p0) == 8 * len(probs)
+    assert repr(chain) == f"ChainResult(bits='01010', probs={probs!r})"
+
+
 def test_chain_validation_errors():
     req = _random_request(3, seed=19)
     with pytest.raises(DomainError):
@@ -577,9 +596,9 @@ def plans(monkeypatch):
     monkeypatch.setattr(simulate, "_PLANS", cache)
     scheduled = []
 
-    def counted(network):
+    def counted(network, sites=None):
         scheduled.append(network)
-        return qubitwise_schedule(network)
+        return qubitwise_schedule(network, sites)
 
     monkeypatch.setattr(simulate, "qubitwise_schedule", counted)
     cache.scheduled = scheduled

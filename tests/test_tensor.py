@@ -10,7 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import DenseTensor, Leg, contract, naive_network_value, reference_schedule
+from reference import (
+    DenseTensor,
+    Leg,
+    contract,
+    naive_network_value,
+    reference_cone,
+    reference_schedule,
+)
 
 from liomsim import tensor
 from liomsim.errors import FeasibilityError, StructuralError
@@ -18,14 +25,13 @@ from liomsim.model import InstanceParams, build_random_instance
 from liomsim.simulate import (
     ObservableProduct,
     SimulationRequest,
-    _cone,
     _ket,
+    _reaches,
     build_expectation_network,
     conditional_chain,
 )
 from liomsim.tensor import (
     ExpectationNetwork,
-    ForkTarget,
     PlacedTensor,
     PlanRunner,
     execute,
@@ -268,52 +274,25 @@ def _unitary(rng, width):
 
 @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(net=_random_networks(projectors=False), data=st.data())
-def test_runner_matches_naive_reference_after_a_fork_move_and_overrides(net, data):
-    # `full` is net with a unitary g and its inverse inserted next to each
-    # other on the same wires, so both have one value.  A runner on full,
-    # stopped before the pair, moves onto net's plan as a ForkTarget, where
-    # the ids on either side of the pair are one, and finishes with some
-    # diagonals overridden.
-    n = net.n_sites
+def test_runner_matches_naive_reference_after_a_fork_and_overrides(net, data):
+    # A runner stopped part way forks, and the twin finishes with some
+    # diagonals it has not absorbed overridden; the runner itself finishes
+    # the network as given.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    # The pair sits on the top wires and the runner stops close to it, so
-    # nodes after the pair on its wires are often absorbed before it: then
-    # the ids on both of its sides are open, and the move takes a diagonal.
-    width = data.draw(st.integers(1, min(3, n)))
-    sites = tuple(data.draw(st.permutations(range(n - width + 1, n + 1))))
-    g = _unitary(rng, width)
-    pair = (PlacedTensor("g", "gate", sites, g), PlacedTensor("g+", "gate", sites, g.conj().T))
-    at = data.draw(st.integers(n, len(net.nodes) - n))
-    full = ExpectationNetwork(n, net.nodes[:at] + pair + net.nodes[at:])
-    plan, target_plan = qubitwise_schedule(full), qubitwise_schedule(net)
-    cut = min(plan.step_of[at], plan.step_of[at + 1])
-    start = max(0, cut - data.draw(st.integers(0, 3)))
-    runner = PlanRunner(plan, full)
+    plan = qubitwise_schedule(net)
+    runner = PlanRunner(plan, net)
+    start = data.draw(st.integers(0, len(plan.steps)))
     runner.run_to(start)
-    ids = {}
-    for a, b in zip(plan.steps[:start], target_plan.steps[:start]):
-        assert full.nodes[a.node_index] is net.nodes[b.node_index]
-        ids.update(zip(plan.node_indices[a.node_index], target_plan.node_indices[b.node_index]))
-    target = ForkTarget(net, target_plan, start, {i: ids[i] for i in runner.open_ids})
-    twin = runner.fork(target)
-    # A tail keeps the steps from start on and gives the same bits.
-    tail = target.tail()
-    assert tail.start == 0 and len(tail.plan.steps) == len(target_plan.steps) - start
-    assert runner.fork(tail).finish() == runner.fork(target).finish()
-    carried = Counter(
-        i for b in target_plan.steps[:start] for i in target_plan.node_indices[b.node_index]
-    )
-    assert sorted(twin.open_ids) == sorted(
-        i for i, count in carried.items() if 0 < count < target_plan.index_endpoints[i]
-    )
+    twin = runner.fork()
     nodes = list(net.nodes)
     for pos, node in enumerate(net.nodes):
-        if node.kind == "diag" and target_plan.step_of[pos] >= start and data.draw(st.booleans()):
+        if node.kind == "diag" and plan.step_of[pos] >= start and data.draw(st.booleans()):
             values = rng.normal(size=2**node.width) + 1j * rng.normal(size=2**node.width)
             twin.set_override(pos, values)
             nodes[pos] = PlacedTensor(node.name, "diag", node.sites, values)
-    want = ExpectationNetwork(n, tuple(nodes))
+    want = ExpectationNetwork(net.n_sites, tuple(nodes))
     assert abs(twin.finish() - naive_network_value(want)) <= 1e-12 * max(1.0, _magnitude(want))
+    assert runner.finish() == execute(plan, net)
 
 
 def _criterion_6_chain_plan(n):
@@ -321,29 +300,7 @@ def _criterion_6_chain_plan(n):
         InstanceParams(n, 0.5), seed=n, max_body=2, max_width=2, periodic=False
     )
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
-    return req, _cone(req, n)
-
-
-def test_planned_pass_calls_einsum_only_in_fork_moves(monkeypatch):
-    calls = {"einsum": 0, "moves": 0}
-    einsum, fork = tensor._einsum, PlanRunner.fork
-
-    def counted_einsum(*args):
-        calls["einsum"] += 1
-        return einsum(*args)
-
-    def counted_fork(self, target=None):
-        calls["moves"] += target is not None
-        return fork(self, target)
-
-    monkeypatch.setattr(tensor, "_einsum", counted_einsum)
-    monkeypatch.setattr(PlanRunner, "fork", counted_fork)
-    req, (network, plan, _) = _criterion_6_chain_plan(32)
-    PlanRunner(plan, network).finish()
-    assert calls == {"einsum": 0, "moves": 0}
-    conditional_chain(req, seed=0, engine="plan")
-    assert calls["moves"] == 32
-    assert calls["einsum"] == calls["moves"]
+    return req, reference_cone(req, n)
 
 
 def test_criterion_6_pass_layout_is_pinned():
@@ -377,31 +334,33 @@ def test_criterion_6_pass_layout_is_pinned():
 def test_criterion_6_ket_half_is_pinned(monkeypatch):
     # Structural pin: the ket half the chain walk contracts at N=32 (ket
     # caps, W's 94 factors, 32 marks and 32 caps of ones; the ket caps'
-    # ids are pinned) against 220 steps and 16 axes for the chain network.
-    # The walk's largest accumulator is no larger than the cone targets'
-    # peak, so the finishes, not the walk, set a chain's memory.
+    # ids are pinned) in light-cone order, against 220 steps and 16 axes
+    # for the chain network.  A chain runs its steps up to the last mark
+    # and peaks at the plan's peak.  Change it only with the order or the
+    # layout rule.
     req, (_, chain_plan, _) = _criterion_6_chain_plan(32)
-    _, plan, _ = _ket(req)
-    assert (len(plan.steps), plan.peak_mem_axes) == (158, 9)
+    _, plan, marks = _ket(req)
+    assert (len(plan.steps), plan.peak_mem_axes) == (158, 10)
     assert (len(chain_plan.steps), chain_plan.peak_mem_axes) == (220, 16)
+    assert Counter(step.form for step in plan.steps) == {"matmul": 78, "mul": 80}
+    assert sum(step.perm is not None for step in plan.steps) == 44
     walks = []
-    hold = PlanRunner.hold
+    step = PlanRunner.step
 
     def recorded(self):
         walks.append(self)
-        hold(self)
+        step(self)
 
-    monkeypatch.setattr(PlanRunner, "hold", recorded)
+    monkeypatch.setattr(PlanRunner, "step", recorded)
     conditional_chain(req, seed=0, engine="plan")
     (walk,) = set(walks)
-    assert walk.plan is plan and walk.observed_peak == 9
-    targets = req._state.cone_targets.values()
-    assert walk.observed_peak <= max(target.plan.peak_mem_axes for target in targets)
+    assert walk.plan is plan and walk.observed_peak == 10
+    assert len(walks) == walk.position == plan.step_of[marks[32]] == 156
 
 
-def _assert_matches_reference_schedule(net):
-    plan = qubitwise_schedule(net)
-    ref = reference_schedule(net)
+def _assert_matches_reference_schedule(net, sites=None):
+    plan = qubitwise_schedule(net, sites)
+    ref = reference_schedule(net, sites)
     assert list(plan.node_indices) == ref["node_indices"]
     assert plan.index_endpoints == ref["index_endpoints"]
     assert [(s.node_index, s.name, s.mem_axes_after) for s in plan.steps] == ref["steps"]
@@ -424,6 +383,17 @@ def test_scheduler_matches_frozen_reference(net):
     _assert_matches_reference_schedule(net)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(net=_random_networks(), data=st.data())
+def test_scheduler_with_absorbing_sites_matches_frozen_reference(net, data):
+    # Any per-node absorbing site gives a plan of the same value.
+    n = net.n_sites
+    sites = data.draw(st.lists(st.integers(1, n), min_size=len(net.nodes), max_size=len(net.nodes)))
+    _assert_matches_reference_schedule(net, sites)
+    value = execute(qubitwise_schedule(net, sites), net)
+    assert abs(value - naive_network_value(net)) <= 1e-12 * max(1.0, _magnitude(net))
+
+
 def test_scheduler_matches_frozen_reference_on_simulator_networks():
     # Every light-cone network of the criterion-6 instances, and the wrapped
     # periodic chain whose dense legs exceed the open-chain bound.
@@ -433,10 +403,13 @@ def test_scheduler_matches_frozen_reference_on_simulator_networks():
         )
         req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(6, 6))
         for site in range(1, n + 1):
-            _assert_matches_reference_schedule(_cone(req, site)[0])
+            _assert_matches_reference_schedule(reference_cone(req, site)[0])
+        network, _, _ = _ket(req)
+        wires = list(range(1, n + 1))
+        _assert_matches_reference_schedule(network, wires + _reaches(req) + 2 * wires)
     inst = build_random_instance(InstanceParams(4, 0.5), seed=3, max_body=3)
     req = SimulationRequest(instance=inst, t=1.0, epsilon=0.5, radii=TruncationRadii(1, 2))
-    _assert_matches_reference_schedule(_cone(req, 4)[0])
+    _assert_matches_reference_schedule(reference_cone(req, 4)[0])
 
 
 def test_fork_shares_the_accumulator():
@@ -548,76 +521,28 @@ def test_caps_with_data_are_steps_that_match_the_naive_reference():
         assert abs(execute(plan, net) - naive_network_value(net)) <= 1e-12 * max(1.0, _magnitude(net))
 
 
-def test_fork_move_takes_entry_0_of_an_id_only_the_target_pins():
-    # In `full` a unitary g and its inverse sit on wire 2 between the ket
-    # cap and A.  Group 1 absorbs A first, so the runner holds A's in id on
-    # wire 2 open (g+ carries it too), while in `net` the ket cap carries
-    # that id and pins it: the move takes entry 0 of that axis.
-    rng = np.random.default_rng(20)
-    g = _unitary(rng, 1)
-    a = rng.normal(size=16) + 1j * rng.normal(size=16)
-    net = ExpectationNetwork(2, (
-        _cap("k1", 1), _cap("k2", 2), PlacedTensor("A", "gate", (1, 2), a),
-        _cap("b1", 1, "cap_bra"), _cap("b2", 2, "cap_bra"),
-    ))
-    pair = (PlacedTensor("g", "gate", (2,), g), PlacedTensor("g+", "gate", (2,), g.conj().T))
-    full = ExpectationNetwork(2, net.nodes[:2] + pair + net.nodes[2:])
-    plan, target_plan = qubitwise_schedule(full), qubitwise_schedule(net)
-    runner = PlanRunner(plan, full)
-    runner.run_to(1)
-    (held,) = runner.open_ids
-    # A's ids are out, out, in, in: the in id on wire 2 is its last.
-    assert plan.node_indices[4][3] == held
-    pinned = target_plan.node_indices[2][3]
-    assert target_plan.index_endpoints[pinned] == 0
-    target = ForkTarget(net, target_plan, 1, {held: pinned})
-    assert target.pick == (0, ...) and target.labels == ()
-    value = runner.fork(target).finish()
-    assert value == a[0]
-    assert abs(value - naive_network_value(full)) <= 1e-12
-    # The other way round is refused by name: a target whose cap has data
-    # holds open an id that the runner's plan pinned.
-    nodes = list(net.nodes)
-    nodes[1] = _cap("k2", 2, data=np.array([1.0, 0.0], dtype=complex))
-    open_net = ExpectationNetwork(2, tuple(nodes))
-    open_plan = qubitwise_schedule(open_net)
-    assert tensor._axes_before(open_plan, 1) == (pinned,)
-    runner = PlanRunner(target_plan, net)
-    runner.run_to(1)
-    assert runner.open_ids == ()
-    with pytest.raises(StructuralError, match="the runner's plan pins such an id"):
-        ForkTarget(open_net, open_plan, 1, {})
-
-
-@pytest.mark.parametrize("bit", [0, 1])
-def test_fork_move_that_takes_a_pinned_entry_refuses_a_plan_where_projectors_pin(bit):
-    # In `full` a unitary g and its inverse sit on wire 2 between the
-    # projector P and A, so group 1 absorbs A and holds A's in id on wire 2
-    # open (g+ carries it too); in `net` that id is the one P sits on, next
-    # to a ket cap with data, so P pins it.  Both plans take entry b there;
-    # a move onto `net` would take entry 0 of the held axis, and is refused.
-    rng = np.random.default_rng(21)
-    g = _unitary(rng, 1)
-    a = rng.normal(size=16) + 1j * rng.normal(size=16)
-    c = rng.normal(size=2) + 1j * rng.normal(size=2)
-    net = ExpectationNetwork(2, (
-        _cap("k1", 1), _cap("k2", 2, data=c), _projector("P", 2, bit),
-        PlacedTensor("A", "gate", (1, 2), a), _cap("b1", 1, "cap_bra"), _cap("b2", 2, "cap_bra"),
-    ))
-    pair = (PlacedTensor("g", "gate", (2,), g), PlacedTensor("g+", "gate", (2,), g.conj().T))
-    full = ExpectationNetwork(2, net.nodes[:3] + pair + net.nodes[3:])
-    plan, target_plan = qubitwise_schedule(full), qubitwise_schedule(net)
-    assert [step.name for step in plan.steps] == ["A", "k2", "g", "g+"]
-    assert [step.name for step in target_plan.steps] == ["A", "k2"]
-    assert abs(execute(plan, full) - a[bit] * c[bit]) <= 1e-12
-    assert abs(execute(target_plan, net) - a[bit] * c[bit]) <= 1e-12
-    runner = PlanRunner(plan, full)
-    runner.run_to(1)
-    (held,) = runner.open_ids
-    pinned = target_plan.node_indices[2][0]
-    assert target_plan.node_indices[3][3] == pinned and target_plan.index_endpoints[pinned] == 0
-    with pytest.raises(StructuralError, match="onto a plan where projectors pin"):
-        ForkTarget(net, target_plan, 1, {held: pinned})
+def test_runner_weights_are_the_slice_norms_on_a_diagonal_id():
+    # At a mark of the ket half, weights reads the squared norms of the
+    # accumulator's slices on the mark's id; a node it cannot read is
+    # refused by name.
+    req, _ = _criterion_6_chain_plan(8)
+    network, plan, marks = _ket(req)
+    runner = PlanRunner(plan, network)
+    for site in range(1, 9):
+        runner.run_to(plan.step_of[marks[site]])
+        axis = runner.open_ids.index(plan.node_indices[marks[site]][0])
+        slices = np.moveaxis(runner._acc, axis, 0)
+        want = [np.sum(np.abs(slices[b]) ** 2) for b in (0, 1)]
+        np.testing.assert_allclose(runner.weights(marks[site]), want, rtol=1e-13)
+    # Before any mark is set, site 1's weights are the marginals of W|0>.
+    fresh = PlanRunner(plan, network)
+    fresh.run_to(plan.step_of[marks[1]])
+    assert sum(fresh.weights(marks[1])) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(StructuralError, match="one-wire diagonal"):
+        runner.weights(len(network.nodes) - 1)
+    runner.step()
+    with pytest.raises(StructuralError, match="already absorbed"):
+        runner.weights(marks[8])
 
 
 def test_runner_refuses_to_override_a_projector():
@@ -790,12 +715,10 @@ def test_runner_records_observed_peak():
     assert vars(plan) == before
 
 
-def test_runner_refuses_steps_beyond_einsum_labels(monkeypatch):
-    # One gate over 30 wires: after it the accumulator holds 59 ids.  No
-    # step calls einsum, so with a raised memory cap the runner accepts the
-    # plan; the one einsum left is a fork move, and moving those 59 ids
-    # onto a target needs 59 labels, which the target refuses when it is
-    # built, before any array is allocated.
+def test_runner_accepts_steps_beyond_einsum_labels(monkeypatch):
+    # One gate over 30 wires: after it the accumulator holds 59 ids, more
+    # than the 52 labels numpy's einsum accepts.  No step calls einsum, so
+    # with a raised memory cap the runner accepts the plan.
     # The caps carry data, so that they pin no id.
     n = 30
     zero = np.array([1.0, 0.0], dtype=complex)
@@ -807,12 +730,6 @@ def test_runner_refuses_steps_beyond_einsum_labels(monkeypatch):
     net = ExpectationNetwork(n_sites=n, nodes=tuple(nodes))
     plan = qubitwise_schedule(net)
     assert plan.peak_mem_axes < 64
+    assert len(tensor._axes_before(plan, plan.step_of[n] + 1)) == 59
     monkeypatch.setattr(tensor, "MAX_EXEC_AXES", 64)
     PlanRunner(plan, net)
-    start = plan.step_of[n] + 1
-    held = tensor._axes_before(plan, start)
-    assert len(held) == 59
-    with pytest.raises(
-        FeasibilityError, match=f"fork move onto step {start} needs 59 einsum labels"
-    ):
-        ForkTarget(net, plan, start, {i: i for i in held})
